@@ -133,13 +133,6 @@ class ChainView:
             raise NotIncluded(f"{tx_id} not in {block_id}")
         return InclusionProof(tx_id, block_id, txs)
 
-    def find_tx(self, tx_id: str, canonical_only: bool = True) -> Optional[BlockHeader]:
-        headers = self.canonical_chain() if canonical_only else list(self.headers.values())
-        for h in headers:
-            if tx_id in self.block_txs[h.id]:
-                return h
-        return None
-
 
 @dataclass
 class CensorWindow:
@@ -156,7 +149,12 @@ class SimClock:
     def advance(self, ticks: int = 1) -> None:
         self.now += ticks
 
-    def is_censored(self, party: str, tick: Optional[int] = None) -> bool:
+    def censored_until(self, party: str,
+                       tick: Optional[int] = None) -> Optional[int]:
+        """End of the first window that censors `party` at `tick`, or None."""
         t = self.now if tick is None else tick
-        return any(w.party == party and w.start <= t < w.end
-                   for w in self.censor_windows)
+        return next((w.end for w in self.censor_windows
+                     if w.party == party and w.start <= t < w.end), None)
+
+    def is_censored(self, party: str, tick: Optional[int] = None) -> bool:
+        return self.censored_until(party, tick) is not None

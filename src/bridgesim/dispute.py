@@ -17,7 +17,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import (ChannelSpent, DifficultyNotHigher, MalformedInput,
                      NoEnabler, TimeoutExpired, WindowOpen, WrongPhase,
@@ -114,10 +114,8 @@ class DisputeGame:
     arity: int = 4
     watch_threshold: int = 64
     read_steps: int = 16
-    channel: Optional[tuple[str, int]] = None
 
     phase: Phase = Phase.AWAIT_CHALLENGE
-    turn: str = ""  # party expected to publish next
     lo: int = 0
     hi: int = 0
     read_lo: int = 0
@@ -138,6 +136,10 @@ class DisputeGame:
             self.prover: StopWatch(self.prover, self.watch_threshold),
             self.verifier: StopWatch(self.verifier, self.watch_threshold),
         }
+        # the prover's commitment opens the game and starts the verifier's
+        # response clock
+        self.watches[self.verifier].start(self.clock)
+        self.publications.append((self.clock, self.prover, "commit-proof"))
 
     # -- time plumbing -----------------------------------------------------
 
@@ -152,9 +154,7 @@ class DisputeGame:
         self.clock += delay
         if watch.aggregate_timeout(self.clock):
             # the responder ran out their whole censorship budget
-            self.phase = Phase.TERMINAL
-            other = self.verifier if party == self.prover else self.prover
-            self.outcome = Outcome(other, party, Reason.TIMEOUT)
+            self.expire(party)
             watch.stop(self.clock)
             raise TimeoutExpired(party)
         watch.stop(self.clock)
@@ -185,14 +185,9 @@ def open_game(prover: str, verifier: str, proof: ProofArtifact,
         raise NoEnabler(verifier)
     if channel_spent:
         raise ChannelSpent(str(channel))
-    game = DisputeGame(prover, verifier, prover_trace, verifier_trace,
+    return DisputeGame(prover, verifier, prover_trace, verifier_trace,
                        arity=arity, watch_threshold=watch_threshold,
-                       read_steps=read_steps, channel=channel)
-    game.turn = verifier
-    # the kick-off publication starts the verifier's response clock
-    game.watches[verifier].start(game.clock)
-    game.publications.append((0, prover, "commit-proof"))
-    return game
+                       read_steps=read_steps)
 
 
 def challenge(game: DisputeGame, kind: str = "Execution",
@@ -207,7 +202,6 @@ def challenge(game: DisputeGame, kind: str = "Execution",
         game._publish(game.verifier, "challenge", delay)
         game.phase = Phase.MAIN_SEARCH
         game.lo, game.hi = 0, game.prover_trace.length
-        game.turn = game.prover
         return game
     if kind != "AltChain":
         raise ValueError(kind)
@@ -230,13 +224,10 @@ def challenge(game: DisputeGame, kind: str = "Execution",
     program = _h("altchain", alt_input.contested_block_id)
     honest = ExecutionTrace.honest(program, game.prover_trace.length)
     inner_prover_trace = honest if alt_valid else honest.corrupted_at(1)
-    inner = DisputeGame(game.verifier, game.prover, inner_prover_trace, honest,
-                        arity=game.arity, watch_threshold=game.watch_threshold,
-                        read_steps=game.read_steps)
-    inner.turn = game.prover
-    inner.watches[game.prover].start(inner.clock)
-    inner.publications.append((0, game.verifier, "commit-proof"))
-    game.nested = inner
+    game.nested = DisputeGame(game.verifier, game.prover, inner_prover_trace,
+                              honest, arity=game.arity,
+                              watch_threshold=game.watch_threshold,
+                              read_steps=game.read_steps)
     game.phase = Phase.COUNTER_PROOF
     return game
 
@@ -252,8 +243,8 @@ def _boundaries(lo: int, hi: int, arity: int) -> list[int]:
     return bounds
 
 
-def _narrow(lo: int, hi: int, arity: int, prover_states, verifier_states,
-            verifier_honest: bool) -> tuple[int, int]:
+def _narrow(lo: int, hi: int, arity: int, prover_states,
+            verifier_states) -> tuple[int, int]:
     """One narrowing round: prover reveals boundary digests, verifier picks
     the first disagreeing one.  A griefing verifier with no real divergence
     always picks the first segment."""
@@ -269,8 +260,7 @@ def _narrow(lo: int, hi: int, arity: int, prover_states, verifier_states,
 
 
 def search_round(game: DisputeGame, prover_delay: int = 1,
-                 verifier_delay: int = 1,
-                 verifier_honest: bool = True) -> DisputeGame:
+                 verifier_delay: int = 1) -> DisputeGame:
     """One on-chain round: the responder commits segment digests and the
     challenger picks the segment to recurse into."""
     if game.phase not in (Phase.MAIN_SEARCH, Phase.READ_SEARCH):
@@ -281,8 +271,7 @@ def search_round(game: DisputeGame, prover_delay: int = 1,
         game._publish(game.verifier, "publish-choice", verifier_delay)
         game.lo, game.hi = _narrow(game.lo, game.hi, game.arity,
                                    game.prover_trace.steps,
-                                   game.verifier_trace.steps,
-                                   verifier_honest)
+                                   game.verifier_trace.steps)
         if game.hi - game.lo == 1:
             game.isolated_step = game.hi
             game.phase = Phase.TRACE_REVEAL
@@ -291,8 +280,7 @@ def search_round(game: DisputeGame, prover_delay: int = 1,
     game._publish(game.verifier, "publish-read-choice", verifier_delay)
     game.read_lo, game.read_hi = _narrow(game.read_lo, game.read_hi, game.arity,
                                          game.prover_reads,
-                                         game.verifier_reads,
-                                         verifier_honest)
+                                         game.verifier_reads)
     if game.read_hi - game.read_lo == 1:
         game.phase = Phase.LEAF_CHECK
     return game
@@ -315,7 +303,6 @@ def reveal_trace(game: DisputeGame, prover_delay: int = 1,
                                    game.read_steps)
     game.read_lo, game.read_hi = 0, game.read_steps
     game.phase = Phase.READ_SEARCH
-    game.turn = game.prover
     return game
 
 
@@ -372,23 +359,54 @@ def settle_counter_proof(game: DisputeGame) -> DisputeGame:
     else:
         game.phase = Phase.AWAIT_CHALLENGE
         game.alt_defeated = True
-        game.turn = game.verifier
     return game
+
+
+def drive(game: DisputeGame,
+          delay: Callable[[str, int], int]) -> Outcome:
+    """Play an execution challenge from MainSearch through the leaf check.
+
+    ``delay(party, clock)`` is the response delay of ``party``'s next
+    publication, asked for both parties at the game clock before each step.
+    A responder who runs out their stop watch raises ``TimeoutExpired``
+    with ``game.outcome`` already set.
+    """
+    def step_delays() -> tuple[int, int]:
+        return delay(game.prover, game.clock), delay(game.verifier, game.clock)
+
+    while game.phase == Phase.MAIN_SEARCH:
+        search_round(game, *step_delays())
+    reveal_trace(game, *step_delays())
+    while game.phase == Phase.READ_SEARCH:
+        search_round(game, *step_delays())
+    return leaf_check(game, delay(game.prover, game.clock))
 
 
 def run_search(game: DisputeGame, prover_delay: int = 1,
                verifier_delay: int = 1, verifier_honest: bool = True,
                leaf_delay: int = 1) -> Outcome:
-    """Drive an execution challenge from MainSearch through the leaf check."""
-    while game.phase == Phase.MAIN_SEARCH:
-        search_round(game, prover_delay, verifier_delay, verifier_honest)
-    reveal_trace(game, prover_delay, verifier_delay)
-    while game.phase == Phase.READ_SEARCH:
-        search_round(game, prover_delay, verifier_delay, verifier_honest)
-    return leaf_check(game, leaf_delay)
+    """Drive an execution challenge with fixed delays per party.
+
+    The prover answers the leaf check after ``leaf_delay``.
+    ``verifier_honest`` is ignored: a griefing verifier is one whose trace
+    agrees with the prover's, and the search follows from the traces alone.
+    """
+    def delay(party: str, clock: int) -> int:
+        if party == game.verifier:
+            return verifier_delay
+        return leaf_delay if game.phase == Phase.LEAF_CHECK else prover_delay
+
+    return drive(game, delay)
+
+
+def _rounds(length: int, arity: int) -> int:
+    """Smallest r with arity**r >= max(2, length), in integers."""
+    r = 0
+    while arity ** r < max(2, length):
+        r += 1
+    return r
 
 
 def max_rounds(trace_length: int, read_steps: int, arity: int) -> int:
     """Upper bound on on-chain search rounds: main plus read search."""
-    return (math.ceil(math.log(max(2, trace_length), arity))
-            + math.ceil(math.log(max(2, read_steps), arity)))
+    return _rounds(trace_length, arity) + _rounds(read_steps, arity)

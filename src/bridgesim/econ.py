@@ -47,7 +47,6 @@ class CostTable:
 class DepositParams:
     n_functionaries: int
     fee_rate: int  # sats per vByte
-    arity: int = 4
     hash_steps: int = 16
     choice_steps: int = 16
 

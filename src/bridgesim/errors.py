@@ -107,10 +107,6 @@ class WrongDenomination(BridgeSimError):
     pass
 
 
-class FunctionaryOffline(BridgeSimError):
-    pass
-
-
 class MissingSignature(BridgeSimError):
     pass
 

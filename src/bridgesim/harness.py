@@ -14,13 +14,13 @@ from enum import Enum
 from typing import Optional
 
 from .chain import CensorWindow
-from .dispute import (DisputeGame, ExecutionTrace, Phase, Reason, challenge,
-                      leaf_check, open_game, resolve_no_challenge,
-                      reveal_trace, search_round, settle_counter_proof)
+from .dispute import (DisputeGame, ExecutionTrace, challenge, drive,
+                      open_game, resolve_no_challenge, settle_counter_proof)
 from .errors import InvalidScenario, TimeoutExpired
 from .lightclient import (AltChainInput, CheckChainInput, make_proof_artifact)
 from .protocol import (Bridge, DISPUTE_ACTION_VBYTES, PegOut, PegOutState,
                        FunctionaryStatus)
+from .stopwatch import power_of_two_markers
 from .txgraph import EnablerRole, EnablerState, TxKind, VmxoState
 
 
@@ -177,10 +177,8 @@ class Runner:
     def delay_for(self, party: str, abs_now: int, silent: bool = False) -> int:
         if silent:
             return self.sc.watch_threshold + 1
-        for w in self.bridge.clock.censor_windows:
-            if w.party == party and w.start <= abs_now < w.end:
-                return max(1, w.end - abs_now + 1)
-        return 1
+        end = self.bridge.clock.censored_until(party, abs_now)
+        return 1 if end is None else end - abs_now + 1
 
     # -- setup -------------------------------------------------------------
 
@@ -257,10 +255,8 @@ class Runner:
                   at=base_tick + t)
             interval = t - prev_t
             if interval > 0:
-                d = 1
-                while d <= interval:
+                for d in power_of_two_markers(interval):
                     b.log("sw_tick", party=party, duration=d)
-                    d *= 2
                 b.log("sw_stop", party=party, interval=interval)
             prev_t = t
         if not log_watches:
@@ -272,88 +268,48 @@ class Runner:
                   threshold=watch.threshold,
                   timeout=watch.aggregate_timeout(game.clock))
 
-    def _run_execution_dispute(self, prover: str, verifier: str,
-                               proof, prover_trace, honest_trace,
-                               silent_prover: bool = False,
-                               verifier_honest: bool = True):
+    def _run_dispute(self, prover: str, verifier: str, proof,
+                     prover_trace: ExecutionTrace,
+                     honest_trace: ExecutionTrace,
+                     silent_prover: bool = False,
+                     main_input: Optional[CheckChainInput] = None,
+                     alt_input: Optional[AltChainInput] = None):
+        """Play the verifier's challenge to the prover's kick-off; settle,
+        account and log the outcome.  With ``alt_input`` the challenge is an
+        alt-chain counter-proof, and the nested game, roles reversed, is
+        the one played."""
         b, sc = self.bridge, self.sc
         base = b.clock.now
         game = open_game(prover, verifier, proof, prover_trace, honest_trace,
                          arity=sc.arity, watch_threshold=sc.watch_threshold)
 
-        def pd():
-            return self.delay_for(prover, base + game.clock, silent_prover)
+        def delay(party: str, clock: int) -> int:
+            return self.delay_for(party, base + clock,
+                                  silent_prover and party == prover)
 
-        def vd():
-            return self.delay_for(verifier, base + game.clock)
-
+        played = game
+        if alt_input is not None:
+            challenge(game, "AltChain", alt_input=alt_input,
+                      main_difficulty=main_input.claimed_difficulty,
+                      main_anchor_id=main_input.headers[0].id,
+                      delay=delay(verifier, game.clock))
+            played = game.nested
         try:
-            challenge(game, "Execution", delay=vd())
-            while game.phase == Phase.MAIN_SEARCH:
-                search_round(game, pd(), vd(), verifier_honest)
-            reveal_trace(game, pd(), vd())
-            while game.phase == Phase.READ_SEARCH:
-                search_round(game, pd(), vd(), verifier_honest)
-            leaf_check(game, pd())
+            challenge(played, "Execution",
+                      delay=delay(played.verifier, played.clock))
+            drive(played, delay)
         except TimeoutExpired:
             pass
-        self._account_game(game, base, skip_first_commit=True)
-        b.clock.advance(game.clock)
-        b.log("dispute_outcome", prover=prover, verifier=verifier,
-              winner=game.outcome.winner, loser=game.outcome.loser,
-              reason=game.outcome.reason.value,
-              kind=("ProverLoses" if game.outcome.loser == prover
-                    else "VerifierLoses"))
-        return game.outcome
-
-    def _run_altchain_dispute(self, prover: str, verifier: str, proof,
-                              main_input: CheckChainInput,
-                              alt_input: AltChainInput,
-                              silent_prover: bool = False):
-        """Counter-proof branch: nested game with reversed roles."""
-        b, sc = self.bridge, self.sc
-        base = b.clock.now
-        honest = ExecutionTrace.honest(
-            f"main:{main_input.pegout_proof.tx_id}", sc.trace_length)
-        prover_trace = honest  # the fork chain itself checks out; the fraud
-        # is that it is not canonical, so only the alt-chain branch wins
-        game = open_game(prover, verifier, proof, prover_trace, honest,
-                         arity=sc.arity, watch_threshold=sc.watch_threshold)
-        challenge(game, "AltChain", alt_input=alt_input,
-                  main_difficulty=main_input.claimed_difficulty,
-                  main_anchor_id=main_input.headers[0].id,
-                  delay=self.delay_for(verifier, base))
-        inner = game.nested
-        try:
-            # inner roles: verifier proves the alt chain, prover challenges
-            challenge(inner, "Execution",
-                      delay=self.delay_for(prover, base + inner.clock,
-                                           silent_prover))
-            while inner.phase == Phase.MAIN_SEARCH:
-                search_round(inner,
-                             self.delay_for(verifier, base + inner.clock),
-                             self.delay_for(prover, base + inner.clock,
-                                            silent_prover),
-                             verifier_honest=False)
-            reveal_trace(inner, self.delay_for(verifier, base + inner.clock),
-                         self.delay_for(prover, base + inner.clock))
-            while inner.phase == Phase.READ_SEARCH:
-                search_round(inner,
-                             self.delay_for(verifier, base + inner.clock),
-                             self.delay_for(prover, base + inner.clock),
-                             verifier_honest=False)
-            leaf_check(inner, self.delay_for(verifier, base + inner.clock))
-        except TimeoutExpired:
-            pass
-        settle_counter_proof(game)
         self._account_game(game, base, skip_first_commit=True,
-                           log_watches=False)
-        self._account_game(inner, base)
+                           log_watches=played is game)
+        if played is not game:
+            settle_counter_proof(game)
+            self._account_game(played, base)
         b.clock.advance(game.clock)
         outcome = game.outcome
         if outcome is None:
-            # inner alt claim failed; outer resumes and, absent any further
-            # challenge, the original prover wins
+            # the alt-chain claim failed; the outer game resumes and, absent
+            # any further challenge, the original prover wins
             b.clock.advance(sc.challenge_window + 1)
             outcome = resolve_no_challenge(game, sc.challenge_window + 1,
                                            sc.challenge_window)
@@ -362,6 +318,23 @@ class Runner:
               reason=outcome.reason.value,
               kind=("ProverLoses" if outcome.loser == prover
                     else "VerifierLoses"))
+        return outcome
+
+    def _contest_kickoff(self, pegout: PegOut, adv: str, proof,
+                         prover_trace: ExecutionTrace,
+                         honest_trace: ExecutionTrace, **dispute_args):
+        """Every honest verifier challenges the adversary's kick-off; the
+        first plays the dispute and the adversary is slashed."""
+        b = self.bridge
+        challengers = self._honest_verifiers(adv)
+        for ch in challengers[1:]:
+            b.pay_dispute_fee(ch, "challenge")
+            b.log("dispute_pub", actor=ch, action="challenge",
+                  at=b.clock.now)
+        outcome = self._run_dispute(adv, challengers[0], proof, prover_trace,
+                                    honest_trace, **dispute_args)
+        self._slash_after_dispute(adv, outcome.winner, TxKind.PROVER_LOSES,
+                                  challengers, pegout.vmxo_id)
         return outcome
 
     def _slash_after_dispute(self, loser: str, winner: str,
@@ -382,12 +355,8 @@ class Runner:
 
     # -- peg-outs ----------------------------------------------------------
 
-    def _pick_operator(self, prefer_adversary: bool) -> str:
+    def _pick_operator(self) -> str:
         b, sc = self.bridge, self.sc
-        adv = sc.adversary_id
-        if prefer_adversary and adv is not None and \
-                b.functionaries[adv].status == FunctionaryStatus.ACTIVE:
-            return adv
         pool = [f for f in self.honest
                 if b.functionaries[f].status == FunctionaryStatus.ACTIVE]
         if not pool:
@@ -410,16 +379,14 @@ class Runner:
         b.publish_kickoff(pegout, operator)
         honest_trace = ExecutionTrace.honest(
             f"pegout:{pegout.burn_tx}", sc.trace_length)
-        proof = None
         griefer = (sc.adversary_id
                    if sc.strategy == Strategy.GRIEFING_VERIFIER
                    and sc.adversary_id != operator
                    and b.functionaries[sc.adversary_id].status ==
                    FunctionaryStatus.ACTIVE else None)
         if griefer is not None:
-            outcome = self._run_execution_dispute(
-                operator, griefer, proof, honest_trace, honest_trace,
-                verifier_honest=False)
+            self._run_dispute(operator, griefer, None, honest_trace,
+                              honest_trace)
             self.outcomes.append(
                 f"pegout {pegout.burn_tx}: griefing challenge by {griefer} "
                 f"defeated")
@@ -446,19 +413,8 @@ class Runner:
             f"pegout:{pegout.burn_tx}", sc.trace_length)
         corrupt_pos = self.rng.randint(1, sc.trace_length)
         prover_trace = honest_trace.corrupted_at(corrupt_pos)
-        challengers = self._honest_verifiers(adv)
-        first = challengers[0]
-        # every honest verifier files a challenge; the first terminal wins
-        for ch in challengers[1:]:
-            b.pay_dispute_fee(ch, "challenge")
-            b.log("dispute_pub", actor=ch, action="challenge",
-                  at=b.clock.now)
-        outcome = self._run_execution_dispute(
-            adv, first, None, prover_trace, honest_trace,
-            silent_prover=silent)
-        self._slash_after_dispute(adv, outcome.winner,
-                                  TxKind.PROVER_LOSES, challengers,
-                                  pegout.vmxo_id)
+        outcome = self._contest_kickoff(pegout, adv, None, prover_trace,
+                                        honest_trace, silent_prover=silent)
         self.outcomes.append(
             f"pegout {pegout.burn_tx}: fraudulent kickoff by {adv} "
             f"defeated ({outcome.reason.value})")
@@ -494,17 +450,14 @@ class Runner:
             alt_headers, pegin_proof, pegin_header,
             contested_block_id=f1.id,
             claimed_difficulty=sum(h.difficulty for h in alt_headers))
-        challengers = self._honest_verifiers(adv)
-        first = challengers[0]
-        for ch in challengers[1:]:
-            b.pay_dispute_fee(ch, "challenge")
-            b.log("dispute_pub", actor=ch, action="challenge",
-                  at=b.clock.now)
-        outcome = self._run_altchain_dispute(adv, first, proof,
-                                             main_input, alt_input)
-        self._slash_after_dispute(adv, outcome.winner,
-                                  TxKind.PROVER_LOSES, challengers,
-                                  pegout.vmxo_id)
+        # the fork chain itself checks out, so the prover's trace is honest;
+        # the fraud is that it is not canonical, which only the alt-chain
+        # branch can show
+        honest = ExecutionTrace.honest(
+            f"main:{main_input.pegout_proof.tx_id}", sc.trace_length)
+        outcome = self._contest_kickoff(pegout, adv, proof, honest, honest,
+                                        main_input=main_input,
+                                        alt_input=alt_input)
         self.outcomes.append(
             f"pegout {pegout.burn_tx}: fork kickoff by {adv} defeated "
             f"({outcome.reason.value})")
@@ -557,7 +510,7 @@ class Runner:
                            and b.functionaries[adv].status ==
                            FunctionaryStatus.ACTIVE)
             if not adversarial:
-                operator = self._pick_operator(prefer_adversary=False)
+                operator = self._pick_operator()
                 self._honest_pegout_flow(pegout, operator)
                 continue
             if sc.strategy == Strategy.DOUBLE_OPERATOR:
@@ -570,7 +523,7 @@ class Runner:
                     silent=sc.strategy == Strategy.SILENT_PROVER)
             # a released peg-out is re-served by an honest operator
             if pegout.state == PegOutState.LINKED:
-                operator = self._pick_operator(prefer_adversary=False)
+                operator = self._pick_operator()
                 self._honest_pegout_flow(pegout, operator)
 
     # -- theft attempts ----------------------------------------------------

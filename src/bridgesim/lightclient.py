@@ -97,7 +97,6 @@ class ProofArtifact:
 
     claim: bool
     commitment: str
-    size_vbytes: int = 2513
     _valid: bool = field(default=False, repr=False)
 
     def reveal(self) -> bool:

@@ -20,9 +20,8 @@ from typing import Optional
 from .chain import SECONDARY, SOURCE, ChainView, SimClock
 from .econ import CostTable, DepositParams, required_deposit
 from .errors import (ActiveOperation, ConcurrencyLimit, EnablerUnavailable,
-                     FunctionaryOffline, InsufficientConfirmations,
-                     MissingSignature, NoCapacity, NotLinked, NotTriggered,
-                     SpendRejected, WrongDenomination)
+                     InsufficientConfirmations, MissingSignature, NoCapacity,
+                     NotLinked, NotTriggered, WrongDenomination)
 from .txgraph import (EnablerRole, EnablerState, PacketGraph, TxKind,
                       VmxoState, build_packet_templates)
 
@@ -36,9 +35,7 @@ class FunctionaryStatus(str, Enum):
 @dataclass
 class Functionary:
     id: str
-    deposit: int
     status: FunctionaryStatus = FunctionaryStatus.ACTIVE
-    online: bool = True
 
 
 class PegOutState(str, Enum):
@@ -47,10 +44,8 @@ class PegOutState(str, Enum):
     FRONTED = "Fronted"
     PROVEN = "Proven"
     KICKOFF = "Kickoff"
-    DISPUTED = "Disputed"
     UNLOCKED = "Unlocked"
     INVALIDATED = "Invalidated"
-    CLOSED = "Closed"
 
 
 @dataclass
@@ -61,7 +56,6 @@ class PegIn:
     deposit_tx: Optional[str] = None
     deposit_block: Optional[str] = None
     signatures: set[str] = field(default_factory=set)
-    minted: bool = False
 
 
 @dataclass
@@ -73,7 +67,6 @@ class PegOut:
     vmxo_id: Optional[str] = None
     operator: Optional[str] = None
     fronted_tx: Optional[str] = None
-    kickoff_tick: Optional[int] = None
     state: PegOutState = PegOutState.REQUESTED
 
 
@@ -138,8 +131,7 @@ class Bridge:
         deposit = required_deposit(
             DepositParams(len(functionary_ids), fee_rate), self.cost_table)
         self.deposit_per_functionary = deposit
-        self.functionaries = {f: Functionary(f, deposit)
-                              for f in functionary_ids}
+        self.functionaries = {f: Functionary(f) for f in functionary_ids}
         self.graph: PacketGraph = build_packet_templates(
             functionary_ids, vmxo_count, denomination,
             deposit_per_functionary=deposit)
@@ -189,10 +181,6 @@ class Bridge:
     def request_pegin(self, user: str, amount: int) -> PegIn:
         if amount != self.denomination:
             raise WrongDenomination(f"{amount} != {self.denomination}")
-        offline = [f for f, rec in self.functionaries.items()
-                   if not rec.online]
-        if offline:
-            raise FunctionaryOffline(",".join(sorted(offline)))
         taken = {p.vmxo_id for p in self.pegins}
         free = [v for v in self.graph.vmxo_ids
                 if self.graph.vmxos[v].state == VmxoState.AWAITING_PEGIN
@@ -224,7 +212,6 @@ class Bridge:
             raise InsufficientConfirmations(pegin.deposit_tx or "?")
         vmxo = self.graph.vmxos[pegin.vmxo_id]
         vmxo.state = VmxoState.LOCKED
-        vmxo.locking_tx = pegin.deposit_tx
         self.transfer(f"user:{pegin.user}:src", f"vmxo:{pegin.vmxo_id}",
                       pegin.amount, "pegin-lock")
         # wrapped issuance is a liability account and may go negative
@@ -233,7 +220,6 @@ class Bridge:
         self.log("transfer", src="wrapped-issuance",
                  dst=f"user:{pegin.user}:wrapped", amount=pegin.amount,
                  why="mint")
-        pegin.minted = True
         self.log("minted", user=pegin.user, vmxo=pegin.vmxo_id,
                  amount=pegin.amount)
 
@@ -313,7 +299,6 @@ class Bridge:
         vmxo.operator = operator
         pegout.operator = operator
         pegout.state = PegOutState.KICKOFF
-        pegout.kickoff_tick = self.clock.now
         self.last_kickoff_tick[operator] = self.clock.now
         self.pay_dispute_fee(operator, "commit-proof")
         self.log("kickoff", operator=operator, vmxo=pegout.vmxo_id,
@@ -409,7 +394,7 @@ class Bridge:
         for p in self.pegouts:
             if p.operator != loser or p.state not in (
                     PegOutState.FRONTED, PegOutState.PROVEN,
-                    PegOutState.KICKOFF, PegOutState.DISPUTED):
+                    PegOutState.KICKOFF):
                 continue
             vmxo = self.graph.vmxos[p.vmxo_id]
             self.active_pegouts[loser] = max(0, self.active_pegouts[loser] - 1)
@@ -428,8 +413,8 @@ class Bridge:
 
     def recycle_enablers(self, pegout: PegOut) -> dict[str, int]:
         """Post-terminal accounting of the enabler pool for one peg-out."""
-        if pegout.state not in (PegOutState.UNLOCKED, PegOutState.INVALIDATED,
-                                PegOutState.CLOSED):
+        if pegout.state not in (PegOutState.UNLOCKED,
+                                PegOutState.INVALIDATED):
             raise NotTriggered(pegout.burn_tx or "?")
         counts = {"live": 0, "consumed": 0, "burnt": 0}
         for e in self.graph.enablers.values():
@@ -443,8 +428,8 @@ class Bridge:
     def withdraw_deposit(self, functionary: str) -> None:
         rec = self.functionaries[functionary]
         active = any(p.operator == functionary and p.state in (
-            PegOutState.FRONTED, PegOutState.PROVEN, PegOutState.KICKOFF,
-            PegOutState.DISPUTED) for p in self.pegouts)
+            PegOutState.FRONTED, PegOutState.PROVEN, PegOutState.KICKOFF)
+            for p in self.pegouts)
         if active:
             raise ActiveOperation(functionary)
         rec.status = FunctionaryStatus.WITHDRAWN

@@ -11,10 +11,19 @@ in an open interval is provable with at most log2(t) markers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import AlreadyRunning, CommitImmutable, NotMatured, NotRunning
+
+
+def power_of_two_markers(elapsed: int) -> list[int]:
+    """Marker durations 1, 2, 4, ... that fit in `elapsed` ticks."""
+    out, d = [], 1
+    while d <= elapsed:
+        out.append(d)
+        d *= 2
+    return out
 
 
 @dataclass
@@ -29,7 +38,6 @@ class StopWatch:
     threshold: int
     intervals: tuple[int, ...] = ()
     running_since: Optional[int] = None
-    markers: list[IntervalMarker] = field(default_factory=list)
 
     @property
     def running(self) -> bool:
@@ -47,7 +55,6 @@ class StopWatch:
         if self.running:
             raise AlreadyRunning(self.party)
         self.running_since = now
-        self.markers = []
 
     def stop(self, now: int) -> None:
         if not self.running:
@@ -67,21 +74,14 @@ class StopWatch:
         """Power-of-two durations provable in the current open interval."""
         if not self.running:
             return []
-        elapsed = now - self.running_since
-        out, d = [], 1
-        while d <= elapsed:
-            out.append(d)
-            d *= 2
-        return out
+        return power_of_two_markers(now - self.running_since)
 
     def mine_interval_marker(self, duration: int, now: int) -> IntervalMarker:
         if not self.running:
             raise NotRunning(self.party)
         if now - self.running_since < duration:
             raise NotMatured(f"{duration} > elapsed")
-        marker = IntervalMarker(duration, now)
-        self.markers.append(marker)
-        return marker
+        return IntervalMarker(duration, now)
 
     def aggregate_timeout(self, now: Optional[int] = None) -> bool:
         """True once total measured time exceeds the threshold."""

@@ -32,20 +32,16 @@ class OutputKind(str, Enum):
     DEPOSIT = "DepositOut"
     DISPUTE_CHANNEL = "DisputeChannelOut"
     REWARD = "RewardOut"
-    USER_PAYOUT = "UserPayout"
 
 
 class TxKind(str, Enum):
     LOCKING = "Locking"
     KICKOFF = "Kickoff"
     UNLOCKING = "Unlocking"
-    CHALLENGE_STEP = "ChallengeStep"
     PROVER_LOSES = "ProverLoses"
     VERIFIER_LOSES = "VerifierLoses"
     KILL_ENABLERS = "KillEnablers"
     FORCE_CLOSE = "ForceClose"
-    STOPWATCH_TICK = "StopWatchTick"
-    STOPWATCH_STOP = "StopWatchStop"
     ENABLER_CREATE = "EnablerCreate"
     DEPOSIT_CREATE = "DepositCreate"
 
@@ -145,30 +141,23 @@ class Enabler:
 @dataclass
 class Vmxo:
     id: str
-    packet_id: str
     amount: int
     state: VmxoState = VmxoState.AWAITING_PEGIN
-    locking_tx: Optional[str] = None
     operator: Optional[str] = None  # set while KickoffOpen / after Unlocked
 
 
 class PacketGraph:
     """Template graph plus execution-time spend tracking for one packet."""
 
-    def __init__(self, packet_id: str, functionaries: list[str],
-                 vmxo_ids: list[str], amount: int):
-        self.packet_id = packet_id
+    def __init__(self, functionaries: list[str], vmxo_ids: list[str]):
         self.functionaries = list(functionaries)
         self.vmxo_ids = list(vmxo_ids)
-        self.amount = amount
         self.templates: dict[str, SimTx] = {}
         self.names: dict[str, str] = {}  # template name -> template id
         self.enablers: dict[str, Enabler] = {}
         self.key_states: dict[tuple[str, str], KeyState] = {}
         self.vmxos: dict[str, Vmxo] = {}
         self.spent: dict[tuple[str, int], str] = {}  # outpoint -> spender id
-        self.executed: list[SimTx] = []
-        self.closed_kickoffs: set[str] = set()  # vmxo ids force-closed
 
     # -- construction ------------------------------------------------------
 
@@ -238,11 +227,7 @@ class PacketGraph:
         for ref in tx.inputs:
             if not ref[0].startswith(EXTERNAL):
                 self.spent[ref] = tx.id
-        self.executed.append(tx)
         return tx
-
-    def is_spent(self, ref: tuple[str, int]) -> bool:
-        return ref in self.spent
 
     # -- enabler/force-close semantics -------------------------------------
 
@@ -272,7 +257,6 @@ class PacketGraph:
         self.execute(tx)
         vb.state = VmxoState.LOCKED
         vb.operator = None
-        self.closed_kickoffs.add(vmxo_b)
         return tx
 
 
@@ -286,7 +270,7 @@ def build_packet_templates(functionaries: list[str], vmxo_count: int,
     if vmxo_count < 1:
         raise ValueError("vmxo_count must be >= 1")
     vmxo_ids = [f"{packet_id}:vmxo{i}" for i in range(vmxo_count)]
-    g = PacketGraph(packet_id, functionaries, vmxo_ids, amount)
+    g = PacketGraph(functionaries, vmxo_ids)
 
     # deposits and enabler-creation, one funding tx per functionary
     for f in functionaries:
@@ -313,7 +297,7 @@ def build_packet_templates(functionaries: list[str], vmxo_count: int,
             g.enablers[e.key] = e
 
     for v in vmxo_ids:
-        g.vmxos[v] = Vmxo(v, packet_id, amount)
+        g.vmxos[v] = Vmxo(v, amount)
         locking = SimTx(TxKind.LOCKING, [(f"{EXTERNAL}:user", 0)],
                         [SimOutput(OutputKind.LOCKING, amount,
                                    SpendCondition(signers=frozenset(functionaries)),

@@ -84,12 +84,14 @@ def test_turn_alternation():
 
 
 def test_round_bound():
-    for n in (4, 16, 64):
-        for arity in (2, 4):
-            g = new_game(n, corrupt_at=n // 2 or 1, arity=arity)
-            challenge(g)
-            run_search(g)
-            assert g.rounds <= max_rounds(n, g.read_steps, arity)
+    cases = [(n, arity) for n in (4, 16, 64) for arity in (2, 4)]
+    for n, arity in cases + [(125, 5)]:
+        g = new_game(n, corrupt_at=n // 2 or 1, arity=arity)
+        challenge(g)
+        run_search(g)
+        assert g.rounds <= max_rounds(n, g.read_steps, arity)
+    # 5**3 == 125 exactly: three main rounds plus one read round
+    assert max_rounds(125, 2, 5) == 4
 
 
 def test_silent_responder_times_out():

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from bridgesim.errors import InvalidScenario
@@ -166,3 +168,12 @@ def test_dispute_fees_logged_match_cost_table():
     fee_transfers = sum(1 for l in report.log if "why=dispute:" in l)
     kickoffs = sum(1 for l in report.log if " ev=kickoff " in l)
     assert fee_transfers == pubs + kickoffs
+
+
+def test_behaviour_digest_pinned():
+    # SHA-256 over every run's event log, in order.  A change that alters
+    # the logs on purpose updates this value and says why.
+    h = hashlib.sha256()
+    for sc in generate_adversarial_scenarios(60) + scenario_corpus():
+        h.update("\n".join(run_scenario(sc).log).encode())
+    assert h.hexdigest()[:16] == "f5fac45da8130da9"
