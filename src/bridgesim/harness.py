@@ -202,11 +202,11 @@ class Runner:
                   amount=b.ledger.balances[account])
         # signing ceremony: every functionary signs every template digest,
         # then keys are deleted (or leaked, for the dishonest)
+        functionaries = sc.functionary_ids
         for tid, tmpl in b.graph.templates.items():
-            for f in sc.functionary_ids:
-                tmpl.signatures[f] = tid
+            tmpl.signatures.update(dict.fromkeys(functionaries, tid))
         for v in b.graph.vmxo_ids:
-            for i, f in enumerate(sc.functionary_ids):
+            for f in functionaries:
                 leaks = sc.leak_all or (
                     sc.strategy == Strategy.KEY_LEAKER
                     and f == sc.adversary_id)
@@ -288,13 +288,13 @@ class Runner:
                                   silent_prover and party == prover)
 
         played = game
-        if alt_input is not None:
-            challenge(game, "AltChain", alt_input=alt_input,
-                      main_difficulty=main_input.claimed_difficulty,
-                      main_anchor_id=main_input.headers[0].id,
-                      delay=delay(verifier, game.clock))
-            played = game.nested
         try:
+            if alt_input is not None:
+                challenge(game, "AltChain", alt_input=alt_input,
+                          main_difficulty=main_input.claimed_difficulty,
+                          main_anchor_id=main_input.headers[0].id,
+                          delay=delay(verifier, game.clock))
+                played = game.nested
             challenge(played, "Execution",
                       delay=delay(played.verifier, played.clock))
             drive(played, delay)

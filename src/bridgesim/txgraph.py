@@ -6,9 +6,11 @@ prover-loses / verifier-loses terminals, a Kill-enablers template per
 functionary, and Force-close templates for each pair of an operator's
 Open-kick-off outputs across the packet.
 
-Signatures are identity sets bound to the template id at signing time, so
-mutating any confirmed template's content invalidates every descendant's
-signatures (the id change propagates through input references).  Key
+Templates are immutable and content-addressed: a template's id is the hash
+of its serialised content, taken once when it is built.  A changed template
+is a new template with a new id, and since inputs reference their parents
+by id, every descendant must be rebuilt too.  Signatures are bound to the
+id signed over, so a rebuilt template carries no valid signature.  Key
 deletion is a permission flag: once deleted, a functionary can never sign
 anything for that VMXO outside the presigned templates.
 """
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional
@@ -78,7 +81,7 @@ class SpendCondition:
     predicate: Optional[str] = None  # e.g. "admitCounterProof", "loserTerminal"
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimOutput:
     kind: OutputKind
     amount: int
@@ -94,29 +97,35 @@ class SimOutput:
 EXTERNAL = "ext"  # pseudo tx-id prefix for wallet-funded inputs
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimTx:
     template_kind: TxKind
-    inputs: list[tuple[str, int]]
-    outputs: list[SimOutput]
+    inputs: tuple[tuple[str, int], ...]
+    outputs: tuple[SimOutput, ...]
     vbytes: int = 200
-    signatures: dict[str, str] = field(default_factory=dict)  # signer -> id signed over
+    # signer -> id signed over; per template, not part of its content
+    signatures: dict[str, str] = field(default_factory=dict, compare=False)
+    id: str = field(init=False, compare=False)
+
+    def __post_init__(self):
+        set_ = object.__setattr__
+        set_(self, "inputs", tuple(self.inputs))
+        set_(self, "outputs", tuple(self.outputs))
+        set_(self, "signatures", dict(self.signatures))
+        set_(self, "id", hashlib.sha256(self.serial().encode()).hexdigest()[:16])
 
     def serial(self) -> str:
         return json.dumps([self.template_kind.value, self.inputs,
                            [o.serial() for o in self.outputs], self.vbytes],
                           separators=(",", ":"))
 
-    @property
-    def id(self) -> str:
-        return hashlib.sha256(self.serial().encode()).hexdigest()[:16]
-
     def valid_signers(self) -> set[str]:
         cur = self.id
         return {s for s, over in self.signatures.items() if over == cur}
 
     def is_fully_signed(self, required: Iterable[str]) -> bool:
-        return set(required) <= self.valid_signers()
+        cur = self.id
+        return all(self.signatures.get(f) == cur for f in required)
 
     def fee(self, resolve_amount) -> int:
         inflow = sum(resolve_amount(ref) for ref in self.inputs)
@@ -155,6 +164,8 @@ class PacketGraph:
         self.templates: dict[str, SimTx] = {}
         self.names: dict[str, str] = {}  # template name -> template id
         self.enablers: dict[str, Enabler] = {}
+        self.enablers_by_owner: dict[str, list[Enabler]] = {
+            f: [] for f in self.functionaries}
         self.key_states: dict[tuple[str, str], KeyState] = {}
         self.vmxos: dict[str, Vmxo] = {}
         self.spent: dict[tuple[str, int], str] = {}  # outpoint -> spender id
@@ -178,8 +189,8 @@ class PacketGraph:
         return tx.outputs[ref[1]]
 
     def live_enablers(self, owner: str) -> list[Enabler]:
-        return [e for e in self.enablers.values()
-                if e.owner == owner and e.state == EnablerState.LIVE]
+        return [e for e in self.enablers_by_owner.get(owner, ())
+                if e.state == EnablerState.LIVE]
 
     def find_enabler(self, owner: str, role: EnablerRole, vmxo_id: str,
                      counterparty: Optional[str] = None) -> Optional[Enabler]:
@@ -295,6 +306,7 @@ def build_packet_templates(functionaries: list[str], vmxo_count: int,
         for idx, (e, _) in enumerate(outs):
             e.outpoint = (create.id, idx)
             g.enablers[e.key] = e
+            g.enablers_by_owner[f].append(e)
 
     for v in vmxo_ids:
         g.vmxos[v] = Vmxo(v, amount)
@@ -345,7 +357,7 @@ def build_packet_templates(functionaries: list[str], vmxo_count: int,
 
     # kill-enablers per functionary: spends all their enabler outputs
     for f in functionaries:
-        refs = [e.outpoint for e in g.enablers.values() if e.owner == f]
+        refs = [e.outpoint for e in g.enablers_by_owner[f]]
         kill = SimTx(TxKind.KILL_ENABLERS, sorted(refs),
                      [SimOutput(OutputKind.REWARD, 0,
                                 SpendCondition(predicate="loserTerminal"),
@@ -381,9 +393,13 @@ def validate_graph(g: PacketGraph) -> list[str]:
                 violations.append(f"dangling input in {name}: {ref}")
 
     # (ii) every loser terminal maps to a kill-enablers template covering
-    # all of the loser's enablers
-    enabler_refs = {f: {e.outpoint for e in g.enablers.values() if e.owner == f}
-                    for f in g.functionaries}
+    # all of the loser's enablers; per functionary with a kill template, the
+    # number of its enabler outputs that template leaves unspent
+    kill_misses = {}
+    for f in g.functionaries:
+        if f"kill:{f}" in g.names:
+            refs = {e.outpoint for e in g.enablers_by_owner[f]}
+            kill_misses[f] = len(refs - set(g.template(f"kill:{f}").inputs))
     for name, tid in g.names.items():
         tx = g.templates[tid]
         if tx.template_kind not in (TxKind.PROVER_LOSES, TxKind.VERIFIER_LOSES):
@@ -391,15 +407,11 @@ def validate_graph(g: PacketGraph) -> list[str]:
         losers = [o.tag.split(":", 1)[1] for o in tx.outputs
                   if o.tag.startswith("loser:")]
         for loser in losers:
-            kill_name = f"kill:{loser}"
-            if kill_name not in g.names:
+            if loser not in kill_misses:
                 violations.append(f"{name}: no kill-enablers template for {loser}")
-                continue
-            kill = g.template(kill_name)
-            missing = enabler_refs[loser] - set(kill.inputs)
-            if missing:
-                violations.append(
-                    f"{name}: kill template for {loser} misses {len(missing)} enablers")
+            elif kill_misses[loser]:
+                violations.append(f"{name}: kill template for {loser} misses "
+                                  f"{kill_misses[loser]} enablers")
 
     # (iii) unlocking spends exactly one operator enabler + the open kick-off
     for name, tid in g.names.items():
@@ -417,6 +429,10 @@ def validate_graph(g: PacketGraph) -> list[str]:
             violations.append(f"{name}: missing open kick-off input")
 
     # (iv) each kickoff's dispute-channel outputs have terminal templates
+    terminal_spends = Counter(
+        ref for t in g.templates.values()
+        if t.template_kind in (TxKind.PROVER_LOSES, TxKind.VERIFIER_LOSES)
+        for ref in set(t.inputs))
     for name, tid in g.names.items():
         tx = g.templates[tid]
         if tx.template_kind != TxKind.KICKOFF:
@@ -424,10 +440,6 @@ def validate_graph(g: PacketGraph) -> list[str]:
         for idx, out in enumerate(tx.outputs):
             if out.kind != OutputKind.DISPUTE_CHANNEL:
                 continue
-            spenders = [t for t in g.templates.values()
-                        if (tid, idx) in t.inputs
-                        and t.template_kind in (TxKind.PROVER_LOSES,
-                                                TxKind.VERIFIER_LOSES)]
-            if len(spenders) < 2:
+            if terminal_spends[(tid, idx)] < 2:
                 violations.append(f"{name}: channel {idx} lacks loser terminals")
     return violations

@@ -3,7 +3,7 @@ import hashlib
 import pytest
 
 from bridgesim.errors import InvalidScenario
-from bridgesim.harness import (CensorSpec, Scenario, Strategy,
+from bridgesim.harness import (CensorSpec, RunReport, Scenario, Strategy,
                               check_invariants,
                               generate_adversarial_scenarios, parse_scenario,
                               run_scenario, scenario_corpus)
@@ -91,6 +91,19 @@ def test_censored_party_within_budget_still_wins():
     report = run_scenario(sc)
     assert report.all_passed
     assert any("ev=slashed loser=f0" in line for line in report.log)
+
+
+def test_censored_verifier_alt_chain_timeout_gives_report():
+    # the honest verifier is censored from the fork kick-off for the whole
+    # budget, so its alt-chain counter-proof itself times out
+    sc = Scenario(seed=1, n_functionaries=3, vmxo_count=2, n_pegins=1,
+                  n_pegouts=1, adversary=0, strategy=Strategy.FORK_PROVER,
+                  censor=[CensorSpec("f1", 8, 64)])
+    sc.validate()
+    report = run_scenario(sc)
+    assert isinstance(report, RunReport)
+    outcomes = [line for line in report.log if " ev=dispute_outcome " in line]
+    assert len(outcomes) == 1 and "reason=Timeout" in outcomes[0]
 
 
 def test_checker_flags_tampered_log():

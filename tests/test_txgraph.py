@@ -1,10 +1,13 @@
+import hashlib
+from dataclasses import FrozenInstanceError, replace
+
 import pytest
 
 from bridgesim.errors import (AlreadyClosed, KeyDeleted, NoTrigger,
                              NotSameOperator, PrematureDeletion, SpendRejected,
                              TooFewFunctionaries)
 from bridgesim.txgraph import (Enabler, EnablerRole, EnablerState, KeyState,
-                              OutputKind, SimTx, TxKind, VmxoState,
+                              OutputKind, TxKind, VmxoState,
                               build_packet_templates, validate_graph)
 
 F3 = ["f0", "f1", "f2"]
@@ -111,7 +114,8 @@ def test_fresh_packet_validates_clean():
 def test_missing_kill_edge_detected():
     g = packet()
     kill = g.template("kill:f0")
-    kill.inputs = kill.inputs[1:]  # drop one enabler-burn edge
+    # drop one enabler-burn edge
+    g.templates[g.names["kill:f0"]] = replace(kill, inputs=kill.inputs[1:])
     violations = validate_graph(g)
     assert any("misses" in v for v in violations)
 
@@ -120,9 +124,10 @@ def test_unlocking_missing_kickoff_input_detected():
     g = packet()
     v = g.vmxo_ids[0]
     unlock = g.template(f"unlocking:{v}:f0")
-    unlock.inputs = [r for r in unlock.inputs
-                     if g.output_at(r) is None
-                     or g.output_at(r).kind != OutputKind.OPEN_KICKOFF]
+    g.templates[unlock.id] = replace(
+        unlock, inputs=[r for r in unlock.inputs
+                        if g.output_at(r) is None
+                        or g.output_at(r).kind != OutputKind.OPEN_KICKOFF])
     violations = validate_graph(g)
     assert any("kick-off" in v for v in violations)
 
@@ -198,18 +203,61 @@ def test_signature_invalidation_cascade():
         g.sign_template(kick, f, v)
         g.sign_template(unlock, f, v)
     assert unlock.is_fully_signed(F3)
-    # mutate the kickoff's outputs: its id changes, so the unlocking template
-    # now references a stale parent and must be re-created with new inputs,
-    # which strips every signature
-    old_id = kick.id
-    kick.outputs[0].amount += 1
-    assert kick.id != old_id
-    rebuilt = SimTx(unlock.template_kind,
-                    [(kick.id if ref[0] == old_id else ref[0], ref[1])
-                     for ref in unlock.inputs],
-                    unlock.outputs, unlock.vbytes,
-                    signatures=dict(unlock.signatures))
+    # change the kickoff's first output: that is a new kickoff with a new id,
+    # so the unlocking template now references a stale parent and must be
+    # re-created with new inputs, which strips every signature
+    out = kick.outputs[0]
+    changed = replace(kick, outputs=(replace(out, amount=out.amount + 1),)
+                      + kick.outputs[1:])
+    assert changed.id != kick.id
+    assert changed.valid_signers() == set()
+    rebuilt = replace(unlock, inputs=[
+        (changed.id if ref[0] == kick.id else ref[0], ref[1])
+        for ref in unlock.inputs])
     assert rebuilt.valid_signers() == set()
+    # the copies do not share the originals' signature dicts
+    assert rebuilt.signatures is not unlock.signatures
+    assert unlock.is_fully_signed(F3)
+
+
+def test_templates_are_frozen():
+    g = packet()
+    kick = g.template(f"kickoff:{g.vmxo_ids[0]}:f0")
+    with pytest.raises(FrozenInstanceError):
+        kick.vbytes = 1
+    with pytest.raises(FrozenInstanceError):
+        kick.id = "0" * 16
+    with pytest.raises(FrozenInstanceError):
+        kick.outputs[0].amount = 1
+    assert isinstance(kick.inputs, tuple) and isinstance(kick.outputs, tuple)
+
+
+def test_id_is_content_hash():
+    g = packet(vmxos=2)
+    for tid, tx in g.templates.items():
+        assert tid == tx.id
+        assert tx.id == hashlib.sha256(tx.serial().encode()).hexdigest()[:16]
+
+
+def template_count(n, v):
+    """Deposit + enabler-create per functionary, locking per VMXO, kick-off
+    and unlocking per (VMXO, operator), two loser terminals per channel,
+    kill per functionary, force-close per operator and pair of VMXOs."""
+    return (n + n + v + v * n + 2 * v * n * (n - 1) + v * n + n
+            + n * v * (v - 1) // 2)
+
+
+@pytest.mark.parametrize("n, v", [(2, 1), (5, 3), (10, 4)])
+def test_packet_count_and_validation(n, v):
+    # a count below the closed form would mean two templates share an id
+    assert template_count(50, 4) == 20_454
+    fs = [f"f{i}" for i in range(n)]
+    g = packet(fs, vmxos=v)
+    assert len(g.templates) == template_count(n, v)
+    assert validate_graph(g) == []
+    for f in fs:
+        assert g.enablers_by_owner[f] == [e for e in g.enablers.values()
+                                          if e.owner == f]
 
 
 def test_templates_never_mint_value():
