@@ -13,23 +13,8 @@ from pathlib import Path
 
 from .econ import format_deposit_table, reproduce_deposit_table
 from .errors import InvalidScenario
-from .harness import (Scenario, Strategy, check_invariants, parse_scenario,
-                      run_scenario)
-
-INT_GRID_KEYS = {
-    "seed": "seed",
-    "functionaries": "n_functionaries",
-    "denomination": "denomination",
-    "vmxos": "vmxo_count",
-    "pegins": "n_pegins",
-    "pegouts": "n_pegouts",
-    "fee_rate": "fee_rate",
-    "challenge_window": "challenge_window",
-    "watch_threshold": "watch_threshold",
-    "adversary": "adversary",
-    "pegout_limit": "pegout_limit",
-    "t_sep": "t_sep",
-}
+from .harness import (INT_KEYS, Scenario, Strategy, check_invariants,
+                      parse_scenario, run_scenario)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -54,14 +39,19 @@ def _parse_grid(text: str) -> list[Scenario]:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
-        key, values = parts[0], parts[1:]
-        if key in INT_GRID_KEYS:
-            axes.append((INT_GRID_KEYS[key], [int(v) for v in values]))
-        elif key == "strategy":
-            axes.append(("strategy", [Strategy(v) for v in values]))
-        else:
+        key, *values = line.split()
+        if key not in INT_KEYS and key != "strategy":
             raise InvalidScenario(f"grid line {lineno}: unknown key {key!r}")
+        if not values:
+            raise InvalidScenario(f"grid line {lineno}: {key} has no values")
+        try:
+            if key == "strategy":
+                axes.append((key, [Strategy(v) for v in values]))
+            else:
+                axes.append((INT_KEYS[key], [int(v) for v in values]))
+        except ValueError as exc:
+            raise InvalidScenario(f"grid line {lineno}: {raw!r}: {exc}") \
+                from exc
     scenarios = []
     keys = [k for k, _ in axes]
     for combo in itertools.product(*(vals for _, vals in axes)):

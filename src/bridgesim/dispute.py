@@ -113,7 +113,7 @@ class DisputeGame:
     verifier_trace: ExecutionTrace  # the verifier's local honest re-execution
     arity: int = 4
     watch_threshold: int = 64
-    read_steps: int = 16
+    read_steps = 16  # read values consumed by one step; not a field
 
     phase: Phase = Phase.AWAIT_CHALLENGE
     lo: int = 0
@@ -179,15 +179,13 @@ def open_game(prover: str, verifier: str, proof: ProofArtifact,
               prover_trace: ExecutionTrace, verifier_trace: ExecutionTrace,
               channel: Optional[tuple[str, int]] = None,
               channel_spent: bool = False, has_enabler: bool = True,
-              arity: int = 4, watch_threshold: int = 64,
-              read_steps: int = 16) -> DisputeGame:
+              arity: int = 4, watch_threshold: int = 64) -> DisputeGame:
     if not has_enabler:
         raise NoEnabler(verifier)
     if channel_spent:
         raise ChannelSpent(str(channel))
     return DisputeGame(prover, verifier, prover_trace, verifier_trace,
-                       arity=arity, watch_threshold=watch_threshold,
-                       read_steps=read_steps)
+                       arity=arity, watch_threshold=watch_threshold)
 
 
 def challenge(game: DisputeGame, kind: str = "Execution",
@@ -226,8 +224,7 @@ def challenge(game: DisputeGame, kind: str = "Execution",
     inner_prover_trace = honest if alt_valid else honest.corrupted_at(1)
     game.nested = DisputeGame(game.verifier, game.prover, inner_prover_trace,
                               honest, arity=game.arity,
-                              watch_threshold=game.watch_threshold,
-                              read_steps=game.read_steps)
+                              watch_threshold=game.watch_threshold)
     game.phase = Phase.COUNTER_PROOF
     return game
 

@@ -11,27 +11,17 @@ from dataclasses import dataclass
 
 SATS_PER_BTC = 100_000_000
 
-# Published per-transaction costs in vBytes for the challenge-response DAG.
-DEFAULT_COST_TABLE_VALUES = dict(
-    commit_proof=2513,
-    challenge=653,
-    publish_hashes_per_step=5118,
-    publish_choice_per_step=205,
-    publish_full_trace=3105,
-    publish_read_trace=1063,
-    sha256_computation=97780,
-)
-
 
 @dataclass(frozen=True)
 class CostTable:
-    commit_proof: int
-    challenge: int
-    publish_hashes_per_step: int
-    publish_choice_per_step: int
-    publish_full_trace: int
-    publish_read_trace: int
-    sha256_computation: int
+    """Published vByte costs of the challenge-response DAG's transactions."""
+    commit_proof: int = 2513
+    challenge: int = 653
+    publish_hashes_per_step: int = 5118
+    publish_choice_per_step: int = 205
+    publish_full_trace: int = 3105
+    publish_read_trace: int = 1063
+    sha256_computation: int = 97780
 
     def __post_init__(self):
         for name, v in vars(self).items():
@@ -40,15 +30,28 @@ class CostTable:
 
     @staticmethod
     def default() -> "CostTable":
-        return CostTable(**DEFAULT_COST_TABLE_VALUES)
+        return CostTable()
+
+
+# the CostTable field that prices each dispute publication
+DISPUTE_ACTION_VBYTES = {
+    "commit-proof": "commit_proof",
+    "challenge": "challenge",
+    "alt-chain-proof": "challenge",
+    "publish-hashes": "publish_hashes_per_step",
+    "publish-choice": "publish_choice_per_step",
+    "publish-full-trace": "publish_full_trace",
+    "read-challenge": "challenge",
+    "publish-read-hashes": "publish_hashes_per_step",
+    "publish-read-choice": "publish_choice_per_step",
+    "execute-leaf": "sha256_computation",
+}
 
 
 @dataclass(frozen=True)
 class DepositParams:
     n_functionaries: int
     fee_rate: int  # sats per vByte
-    hash_steps: int = 16
-    choice_steps: int = 16
 
     def __post_init__(self):
         if self.n_functionaries < 1:
@@ -63,7 +66,6 @@ class TimingParams:
     t_min: int
     t_force: int
     t_safety: int
-    t_total: int = 0
 
     def __post_init__(self):
         if not (self.t_max >= self.t_min > 0):
@@ -91,8 +93,7 @@ def worst_case_vbytes(table: CostTable, hash_steps: int = 16,
 
 def required_deposit(params: DepositParams, table: CostTable | None = None) -> int:
     """Deposit in satoshis covering N-1 worst-case dispute protocols."""
-    table = table or CostTable.default()
-    per_protocol = worst_case_vbytes(table, params.hash_steps, params.choice_steps)
+    per_protocol = worst_case_vbytes(table or CostTable())
     return per_protocol * params.fee_rate * (params.n_functionaries - 1)
 
 
@@ -115,15 +116,15 @@ def btc(sats: int) -> str:
 
 
 def reproduce_deposit_table(fee_rates: list[int] | None = None,
-                            ns: list[int] | None = None,
-                            table: CostTable | None = None) -> list[tuple[int, int, int]]:
+                            ns: list[int] | None = None
+                            ) -> list[tuple[int, int, int]]:
     """Deposit grid as (n_functionaries, fee_rate, deposit_sats) rows."""
     fee_rates = fee_rates or [5, 10, 20, 30]
     ns = ns or [10, 25, 50, 100]
     rows = []
     for n in ns:
         for x in fee_rates:
-            rows.append((n, x, required_deposit(DepositParams(n, x), table)))
+            rows.append((n, x, required_deposit(DepositParams(n, x))))
     return rows
 
 

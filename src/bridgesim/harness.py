@@ -14,12 +14,11 @@ from enum import Enum
 from typing import Optional
 
 from .chain import CensorWindow
-from .dispute import (DisputeGame, ExecutionTrace, challenge, drive,
-                      open_game, resolve_no_challenge, settle_counter_proof)
+from .dispute import (ExecutionTrace, challenge, drive, open_game,
+                      resolve_no_challenge, settle_counter_proof)
 from .errors import InvalidScenario, TimeoutExpired
-from .lightclient import (AltChainInput, CheckChainInput, make_proof_artifact)
-from .protocol import (Bridge, DISPUTE_ACTION_VBYTES, PegOut, PegOutState,
-                       FunctionaryStatus)
+from .lightclient import AltChainInput, CheckChainInput
+from .protocol import Bridge, PegOut, PegOutState, FunctionaryStatus
 from .stopwatch import power_of_two_markers
 from .txgraph import EnablerRole, EnablerState, TxKind, VmxoState
 
@@ -36,6 +35,15 @@ class Strategy(str, Enum):
 
 PROVER_STRATEGIES = {Strategy.SILENT_PROVER, Strategy.FAKE_PROOF_PROVER,
                      Strategy.FORK_PROVER, Strategy.DOUBLE_OPERATOR}
+
+# Fixed run parameters: confirmations on each chain before a peg-in mints or
+# a burn or front counts, steps of every disputed execution trace, the ticks
+# from burn to front that the liveness check allows, and the logged RNG.
+SOURCE_CONFIRMATIONS = 3
+SECONDARY_CONFIRMATIONS = 3
+TRACE_LENGTH = 16
+LIVENESS_BOUND = 500
+RNG_ALGORITHM = "python-random-mt19937"
 
 
 @dataclass
@@ -55,19 +63,14 @@ class Scenario:
     n_pegins: int = 2
     n_pegouts: int = 1
     fee_rate: int = 2
-    source_confirmations: int = 3
-    secondary_confirmations: int = 3
     challenge_window: int = 20
     watch_threshold: int = 64
-    arity: int = 4
-    trace_length: int = 16
     adversary: Optional[int] = None
     strategy: Strategy = Strategy.HONEST
     leak_all: bool = False
     censor: list[CensorSpec] = field(default_factory=list)
     pegout_limit: int = 1
     t_sep: int = 0
-    liveness_bound: int = 500
 
     def validate(self) -> None:
         if self.n_functionaries < 2:
@@ -107,15 +110,11 @@ class RunReport:
     scenario: str
     seed: int
     log: list[str]
-    balances: dict[str, int]
     outcomes: list[str]
     verdicts: list[Verdict]
     dispute_costs: dict[str, int]
     deposit_sats: int
     deposit_sufficient: bool
-    slash_single_winner: dict[str, int]
-    slash_equal_split: dict[str, int]
-    rng_algorithm: str = "python-random-mt19937"
 
     @property
     def all_passed(self) -> bool:
@@ -123,7 +122,7 @@ class RunReport:
 
     def to_text(self) -> str:
         lines = [f"scenario={self.scenario} seed={self.seed} "
-                 f"rng={self.rng_algorithm}"]
+                 f"rng={RNG_ALGORITHM}"]
         for v in self.verdicts:
             status = "PASS" if v.passed else "FAIL"
             lines.append(f"  [{status}] {v.name} {v.detail}".rstrip())
@@ -144,48 +143,39 @@ class Runner:
         self.bridge = Bridge(
             scenario.functionary_ids, scenario.vmxo_count,
             scenario.denomination, fee_rate=scenario.fee_rate,
-            source_confirmations=scenario.source_confirmations,
-            secondary_confirmations=scenario.secondary_confirmations,
+            source_confirmations=SOURCE_CONFIRMATIONS,
+            secondary_confirmations=SECONDARY_CONFIRMATIONS,
             pegout_limit=scenario.pegout_limit, t_sep=scenario.t_sep)
         self.bridge.clock.censor_windows = [
             CensorWindow(w.party, w.start, w.start + w.length)
             for w in scenario.censor]
         self.users = [f"u{i}" for i in range(scenario.n_pegins)]
         self.outcomes: list[str] = []
-        self.pegin_blocks: dict[str, str] = {}
 
     # -- helpers -----------------------------------------------------------
 
     @property
     def honest(self) -> list[str]:
-        adv = self.sc.adversary_id
-        if self.sc.leak_all:
-            return []
-        return [f for f in self.sc.functionary_ids if f != adv]
+        return [] if self.sc.leak_all else [
+            f for f in self.sc.functionary_ids if f != self.sc.adversary_id]
 
     def mine_source(self, txs: list[str]) -> str:
         b = self.bridge.source.mine_block(self.bridge.source.tip().id, txs)
         self.bridge.clock.advance()
         return b.id
 
-    def mine_secondary(self, txs: list[str], difficulty: int = 2) -> str:
+    def mine_secondary(self, txs: list[str]) -> str:
         b = self.bridge.secondary.mine_block(
-            self.bridge.secondary.tip().id, txs, difficulty=difficulty)
+            self.bridge.secondary.tip().id, txs, difficulty=2)
         self.bridge.clock.advance()
         return b.id
-
-    def delay_for(self, party: str, abs_now: int, silent: bool = False) -> int:
-        if silent:
-            return self.sc.watch_threshold + 1
-        end = self.bridge.clock.censored_until(party, abs_now)
-        return 1 if end is None else end - abs_now + 1
 
     # -- setup -------------------------------------------------------------
 
     def setup(self) -> None:
         b, sc = self.bridge, self.sc
         b.log("meta", kind="scenario", name=sc.name, seed=sc.seed,
-              rng="python-random-mt19937")
+              rng=RNG_ALGORITHM)
         b.log("meta", kind="parties",
               functionaries=",".join(sc.functionary_ids),
               honest=",".join(self.honest) or "-",
@@ -193,7 +183,7 @@ class Runner:
               strategy=sc.strategy.value, leak_all=sc.leak_all)
         b.log("meta", kind="params", denomination=sc.denomination,
               fee_rate=sc.fee_rate, threshold=sc.watch_threshold,
-              window=sc.challenge_window, bound=sc.liveness_bound,
+              window=sc.challenge_window, bound=LIVENESS_BOUND,
               deposit=b.deposit_per_functionary)
         for u in self.users:
             b.ledger.fund(f"user:{u}:src", sc.denomination)
@@ -229,28 +219,20 @@ class Runner:
                 b.sign_pegin(pegin, f)
             tx = b.broadcast_pegin(pegin)
             pegin.deposit_block = self.mine_source([tx])
-            self.pegin_blocks[pegin.vmxo_id] = pegin.deposit_block
-            for _ in range(sc.source_confirmations):
+            for _ in range(SOURCE_CONFIRMATIONS):
                 self.mine_source([f"pad:{b.clock.now}:{u}"])
             b.execute_pegin(pegin)
             self.outcomes.append(f"pegin {u} minted")
 
     # -- dispute plumbing --------------------------------------------------
 
-    def _account_game(self, game: DisputeGame, base_tick: int,
-                      skip_first_commit: bool = False,
-                      log_watches: bool = True) -> None:
-        """Log publications, stop-watch ledger, and fees for one game.
-
-        The outer game's commit-proof was already paid by the kick-off, so
-        it is skipped there."""
+    def _account_game(self, publications: list[tuple[int, str, str]],
+                      base_tick: int) -> None:
+        """Pay and log publications with their stop-watch markers."""
         b = self.bridge
         prev_t = 0
-        for idx, (t, party, action) in enumerate(game.publications):
-            if idx == 0 and skip_first_commit and action == "commit-proof":
-                continue
-            if action in DISPUTE_ACTION_VBYTES:
-                b.pay_dispute_fee(party, action)
+        for t, party, action in publications:
+            b.pay_dispute_fee(party, action)
             b.log("dispute_pub", actor=party, action=action,
                   at=base_tick + t)
             interval = t - prev_t
@@ -259,16 +241,8 @@ class Runner:
                     b.log("sw_tick", party=party, duration=d)
                 b.log("sw_stop", party=party, interval=interval)
             prev_t = t
-        if not log_watches:
-            return
-        for party in sorted(game.watches):
-            watch = game.watches[party]
-            b.log("watch_total", party=party,
-                  accumulated=watch.accumulated(game.clock),
-                  threshold=watch.threshold,
-                  timeout=watch.aggregate_timeout(game.clock))
 
-    def _run_dispute(self, prover: str, verifier: str, proof,
+    def _run_dispute(self, prover: str, verifier: str,
                      prover_trace: ExecutionTrace,
                      honest_trace: ExecutionTrace,
                      silent_prover: bool = False,
@@ -280,12 +254,14 @@ class Runner:
         the one played."""
         b, sc = self.bridge, self.sc
         base = b.clock.now
-        game = open_game(prover, verifier, proof, prover_trace, honest_trace,
-                         arity=sc.arity, watch_threshold=sc.watch_threshold)
+        game = open_game(prover, verifier, None, prover_trace, honest_trace,
+                         watch_threshold=sc.watch_threshold)
 
         def delay(party: str, clock: int) -> int:
-            return self.delay_for(party, base + clock,
-                                  silent_prover and party == prover)
+            if silent_prover and party == prover:
+                return sc.watch_threshold + 1
+            end = b.clock.censored_until(party, base + clock)
+            return 1 if end is None else end - (base + clock) + 1
 
         played = game
         try:
@@ -300,11 +276,17 @@ class Runner:
             drive(played, delay)
         except TimeoutExpired:
             pass
-        self._account_game(game, base, skip_first_commit=True,
-                           log_watches=played is game)
+        # the outer commit-proof was paid with the kick-off
+        self._account_game(game.publications[1:], base)
         if played is not game:
             settle_counter_proof(game)
-            self._account_game(played, base)
+            self._account_game(played.publications, base)
+        for party in sorted(played.watches):
+            watch = played.watches[party]
+            b.log("watch_total", party=party,
+                  accumulated=watch.accumulated(played.clock),
+                  threshold=watch.threshold,
+                  timeout=watch.aggregate_timeout(played.clock))
         b.clock.advance(game.clock)
         outcome = game.outcome
         if outcome is None:
@@ -320,7 +302,7 @@ class Runner:
                     else "VerifierLoses"))
         return outcome
 
-    def _contest_kickoff(self, pegout: PegOut, adv: str, proof,
+    def _contest_kickoff(self, pegout: PegOut, adv: str,
                          prover_trace: ExecutionTrace,
                          honest_trace: ExecutionTrace, **dispute_args):
         """Every honest verifier challenges the adversary's kick-off; the
@@ -331,7 +313,7 @@ class Runner:
             b.pay_dispute_fee(ch, "challenge")
             b.log("dispute_pub", actor=ch, action="challenge",
                   at=b.clock.now)
-        outcome = self._run_dispute(adv, challengers[0], proof, prover_trace,
+        outcome = self._run_dispute(adv, challengers[0], prover_trace,
                                     honest_trace, **dispute_args)
         self._slash_after_dispute(adv, outcome.winner, TxKind.PROVER_LOSES,
                                   challengers, pegout.vmxo_id)
@@ -362,31 +344,41 @@ class Runner:
         if not pool:
             pool = [f for f in sc.functionary_ids
                     if b.functionaries[f].status == FunctionaryStatus.ACTIVE]
-        return min(pool, key=lambda f: (b.active_pegouts[f], f))
+        return min(pool, key=lambda f: (b.active_pegouts(f), f))
 
     def _honest_verifiers(self, excluding: str) -> list[str]:
         return [f for f in self.honest if f != excluding
                 and self.bridge.functionaries[f].status ==
                 FunctionaryStatus.ACTIVE]
 
-    def _honest_pegout_flow(self, pegout: PegOut, operator: str) -> None:
-        b, sc = self.bridge, self.sc
+    def _front_and_kick_off(self, pegout: PegOut, operator: str) -> None:
+        """The guarded path: front, prove the confirmed front, kick off."""
+        b = self.bridge
         b.front_funds(pegout, operator)
         front_block = self.mine_source([pegout.fronted_tx])
-        for _ in range(sc.source_confirmations):
+        for _ in range(SOURCE_CONFIRMATIONS):
             self.mine_source([f"pad:{b.clock.now}:front"])
         b.prove_front(pegout, front_block)
         b.publish_kickoff(pegout, operator)
+
+    def _confirm_burn_and_unlock(self, pegout: PegOut) -> None:
+        b = self.bridge
+        b.log("burn_confirmed", tx=pegout.burn_tx, block=pegout.burn_block,
+              canonical=int(b.secondary.is_canonical(pegout.burn_block)))
+        b.unlock(pegout)
+
+    def _honest_pegout_flow(self, pegout: PegOut, operator: str) -> None:
+        b, sc = self.bridge, self.sc
+        self._front_and_kick_off(pegout, operator)
         honest_trace = ExecutionTrace.honest(
-            f"pegout:{pegout.burn_tx}", sc.trace_length)
+            f"pegout:{pegout.burn_tx}", TRACE_LENGTH)
         griefer = (sc.adversary_id
                    if sc.strategy == Strategy.GRIEFING_VERIFIER
                    and sc.adversary_id != operator
                    and b.functionaries[sc.adversary_id].status ==
                    FunctionaryStatus.ACTIVE else None)
         if griefer is not None:
-            self._run_dispute(operator, griefer, None, honest_trace,
-                              honest_trace)
+            self._run_dispute(operator, griefer, honest_trace, honest_trace)
             self.outcomes.append(
                 f"pegout {pegout.burn_tx}: griefing challenge by {griefer} "
                 f"defeated")
@@ -397,9 +389,7 @@ class Runner:
             b.clock.advance(sc.challenge_window + 1)
             b.log("challenge_window_expired", vmxo=pegout.vmxo_id,
                   operator=operator)
-        b.log("burn_confirmed", tx=pegout.burn_tx, block=pegout.burn_block,
-              canonical=int(b.secondary.is_canonical(pegout.burn_block)))
-        b.unlock(pegout)
+        self._confirm_burn_and_unlock(pegout)
         b.recycle_enablers(pegout)
         self.outcomes.append(
             f"pegout {pegout.burn_tx}: unlocked by {operator}")
@@ -410,10 +400,10 @@ class Runner:
         b, sc = self.bridge, self.sc
         b.publish_kickoff(pegout, adv, honest_flow=False)
         honest_trace = ExecutionTrace.honest(
-            f"pegout:{pegout.burn_tx}", sc.trace_length)
-        corrupt_pos = self.rng.randint(1, sc.trace_length)
+            f"pegout:{pegout.burn_tx}", TRACE_LENGTH)
+        corrupt_pos = self.rng.randint(1, TRACE_LENGTH)
         prover_trace = honest_trace.corrupted_at(corrupt_pos)
-        outcome = self._contest_kickoff(pegout, adv, None, prover_trace,
+        outcome = self._contest_kickoff(pegout, adv, prover_trace,
                                         honest_trace, silent_prover=silent)
         self.outcomes.append(
             f"pegout {pegout.burn_tx}: fraudulent kickoff by {adv} "
@@ -422,23 +412,21 @@ class Runner:
     def _fork_kickoff(self, pegout: PegOut, adv: str) -> None:
         """Kick-off whose proof is internally valid but over a counterfeit
         fork of the secondary chain."""
-        b, sc = self.bridge, self.sc
+        b = self.bridge
         sec = b.secondary
         anchor = sec.canonical_chain()[1]  # shared peg-in-acknowledging block
         fake_burn = f"fakeburn:{adv}:{pegout.vmxo_id}"
         f1 = sec.mine_block(anchor.id, [fake_burn], difficulty=1)
         f2 = sec.mine_block(f1.id, [f"fakepad:{adv}"], difficulty=1)
-        pegin_block_id = self.pegin_blocks[pegout.vmxo_id]
-        pegin_tx = next(t for t in b.source.block_txs[pegin_block_id]
-                        if t.startswith("pegin:"))
-        pegin_proof = b.source.prove_inclusion(pegin_tx, pegin_block_id)
-        pegin_header = b.source.headers[pegin_block_id]
+        pegin = next(p for p in b.pegins if p.vmxo_id == pegout.vmxo_id)
+        pegin_proof = b.source.prove_inclusion(pegin.deposit_tx,
+                                               pegin.deposit_block)
+        pegin_header = b.source.headers[pegin.deposit_block]
         fork_headers = (anchor, sec.headers[f1.id], sec.headers[f2.id])
         main_input = CheckChainInput(
             fork_headers, pegin_proof, pegin_header,
             sec.prove_inclusion(fake_burn, f1.id),
             sum(h.difficulty for h in fork_headers))
-        proof = make_proof_artifact(main_input, honest=True)
         b.publish_kickoff(pegout, adv, honest_flow=False)
         b.log("fork_mined", by=adv, blocks=2, anchor=anchor.id)
         # honest verifier counter-proof: canonical continuation from the
@@ -454,8 +442,8 @@ class Runner:
         # the fraud is that it is not canonical, which only the alt-chain
         # branch can show
         honest = ExecutionTrace.honest(
-            f"main:{main_input.pegout_proof.tx_id}", sc.trace_length)
-        outcome = self._contest_kickoff(pegout, adv, proof, honest, honest,
+            f"main:{main_input.pegout_proof.tx_id}", TRACE_LENGTH)
+        outcome = self._contest_kickoff(pegout, adv, honest, honest,
                                         main_input=main_input,
                                         alt_input=alt_input)
         self.outcomes.append(
@@ -465,22 +453,14 @@ class Runner:
     def _double_operator(self, pegout: PegOut, adv: str) -> None:
         """Adversary fronts one peg-out, then opens a second raw kick-off."""
         b, sc = self.bridge, self.sc
-        b.front_funds(pegout, adv)
-        front_block = self.mine_source([pegout.fronted_tx])
-        for _ in range(sc.source_confirmations):
-            self.mine_source([f"pad:{b.clock.now}:front"])
-        b.prove_front(pegout, front_block)
-        b.publish_kickoff(pegout, adv)
+        self._front_and_kick_off(pegout, adv)
         victim = next((v for v in b.graph.vmxo_ids
                        if v != pegout.vmxo_id
                        and b.graph.vmxos[v].state == VmxoState.LOCKED), None)
         if victim is None:
             # cannot double up; degrade to honest completion
             b.clock.advance(sc.challenge_window + 1)
-            b.log("burn_confirmed", tx=pegout.burn_tx,
-                  block=pegout.burn_block,
-                  canonical=int(b.secondary.is_canonical(pegout.burn_block)))
-            b.unlock(pegout)
+            self._confirm_burn_and_unlock(pegout)
             self.outcomes.append(
                 f"pegout {pegout.burn_tx}: double-operator degenerate, "
                 f"unlocked")
@@ -502,7 +482,7 @@ class Runner:
             user = self.users[i]
             pegout = b.request_pegout(user, sc.denomination)
             pegout.burn_block = self.mine_secondary([pegout.burn_tx])
-            for _ in range(sc.secondary_confirmations):
+            for _ in range(SECONDARY_CONFIRMATIONS):
                 self.mine_secondary([f"spad:{b.clock.now}"])
             b.link_pegout(pegout)
             adversarial = (i == 0 and sc.strategy in PROVER_STRATEGIES
@@ -552,20 +532,12 @@ class Runner:
             b.deposit_per_functionary
             for f, rec in b.functionaries.items()
             if rec.status == FunctionaryStatus.SLASHED)
-        sufficient = slashed == 0 or honest_costs <= slashed
-        challengers = [f for f in self.honest]
-        equal_split = {}
-        if slashed and challengers:
-            share = slashed // len(challengers)
-            equal_split = {f: share for f in challengers}
         return RunReport(
             scenario=sc.name, seed=sc.seed, log=list(b.events),
-            balances=dict(b.ledger.balances), outcomes=list(self.outcomes),
-            verdicts=verdicts, dispute_costs=dict(b.dispute_costs),
+            outcomes=list(self.outcomes), verdicts=verdicts,
+            dispute_costs=dict(b.dispute_costs),
             deposit_sats=b.deposit_per_functionary,
-            deposit_sufficient=sufficient,
-            slash_single_winner=dict(b.slashed_pot_received),
-            slash_equal_split=equal_split)
+            deposit_sufficient=slashed == 0 or honest_costs <= slashed)
 
 
 def run_scenario(scenario: Scenario) -> RunReport:
@@ -708,7 +680,6 @@ def generate_adversarial_scenarios(count: int, base_seed: int = 0
         vmxos = rng.randint(2, 4)
         pegins = rng.randint(2, min(4, vmxos))
         pegouts = rng.randint(1, pegins)
-        threshold = 64
         censor = []
         if rng.random() < 0.5:
             party = f"f{rng.randrange(n)}"
@@ -718,8 +689,7 @@ def generate_adversarial_scenarios(count: int, base_seed: int = 0
             name=f"adv-{i}-{strategy.value}", seed=i, n_functionaries=n,
             vmxo_count=vmxos, n_pegins=pegins, n_pegouts=pegouts,
             fee_rate=rng.choice([1, 2, 5]),
-            adversary=rng.randrange(n), strategy=strategy,
-            watch_threshold=threshold, censor=censor))
+            adversary=rng.randrange(n), strategy=strategy, censor=censor))
     return out
 
 
@@ -737,6 +707,29 @@ def scenario_corpus() -> list[Scenario]:
     return corpus
 
 
+# Scenario-file and grid keys that take one integer, and the Scenario field
+# each sets.  In a scenario file `adversary` also names the strategy.
+INT_KEYS = {
+    "seed": "seed",
+    "functionaries": "n_functionaries",
+    "denomination": "denomination",
+    "vmxos": "vmxo_count",
+    "pegins": "n_pegins",
+    "pegouts": "n_pegouts",
+    "fee_rate": "fee_rate",
+    "challenge_window": "challenge_window",
+    "watch_threshold": "watch_threshold",
+    "adversary": "adversary",
+    "pegout_limit": "pegout_limit",
+    "t_sep": "t_sep",
+}
+# number of values each scenario-file key takes
+_VALUE_COUNTS = {**dict.fromkeys(INT_KEYS, 1), "adversary": 2, "name": 1,
+                 "leak_all": 1, "censor": 3}
+_BOOLS = {"1": True, "true": True, "yes": True,
+          "0": False, "false": False, "no": False}
+
+
 def parse_scenario(text: str) -> Scenario:
     """Line-oriented scenario format: one `key value...` pair per line."""
     sc = Scenario()
@@ -744,44 +737,27 @@ def parse_scenario(text: str) -> Scenario:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
-        key, args = parts[0], parts[1:]
+        key, *args = line.split()
+        if key not in _VALUE_COUNTS:
+            raise InvalidScenario(f"line {lineno}: unknown key {key!r}")
+        if len(args) != _VALUE_COUNTS[key]:
+            raise InvalidScenario(f"line {lineno}: {key} takes "
+                                  f"{_VALUE_COUNTS[key]} value(s)")
         try:
             if key == "name":
                 sc.name = args[0]
-            elif key == "seed":
-                sc.seed = int(args[0])
-            elif key == "functionaries":
-                sc.n_functionaries = int(args[0])
-            elif key == "denomination":
-                sc.denomination = int(args[0])
-            elif key == "vmxos":
-                sc.vmxo_count = int(args[0])
-            elif key == "pegins":
-                sc.n_pegins = int(args[0])
-            elif key == "pegouts":
-                sc.n_pegouts = int(args[0])
-            elif key == "fee_rate":
-                sc.fee_rate = int(args[0])
-            elif key == "challenge_window":
-                sc.challenge_window = int(args[0])
-            elif key == "watch_threshold":
-                sc.watch_threshold = int(args[0])
-            elif key == "adversary":
-                sc.adversary = int(args[0])
-                sc.strategy = Strategy(args[1])
             elif key == "leak_all":
-                sc.leak_all = args[0].lower() in ("1", "true", "yes")
+                if args[0].lower() not in _BOOLS:
+                    raise ValueError(f"not a boolean: {args[0]!r}")
+                sc.leak_all = _BOOLS[args[0].lower()]
             elif key == "censor":
                 sc.censor.append(CensorSpec(args[0], int(args[1]),
                                             int(args[2])))
-            elif key == "pegout_limit":
-                sc.pegout_limit = int(args[0])
-            elif key == "t_sep":
-                sc.t_sep = int(args[0])
             else:
-                raise InvalidScenario(f"line {lineno}: unknown key {key!r}")
-        except (IndexError, ValueError) as exc:
+                setattr(sc, INT_KEYS[key], int(args[0]))
+                if key == "adversary":
+                    sc.strategy = Strategy(args[1])
+        except ValueError as exc:
             raise InvalidScenario(f"line {lineno}: {raw!r}: {exc}") from exc
     sc.validate()
     return sc

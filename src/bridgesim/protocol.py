@@ -7,8 +7,7 @@ them from a scenario script.
 
 Deposits are denominated on the source chain.  Slashing pays the losing
 party's deposit into a pot that first reimburses every challenger's dispute
-costs, with the remainder going to the first-confirmed winner; the
-alternative equal-split model is recorded in the run report only.
+costs, with the remainder going to the first-confirmed winner.
 """
 
 from __future__ import annotations
@@ -18,7 +17,8 @@ from enum import Enum
 from typing import Optional
 
 from .chain import SECONDARY, SOURCE, ChainView, SimClock
-from .econ import CostTable, DepositParams, required_deposit
+from .econ import (CostTable, DepositParams, DISPUTE_ACTION_VBYTES,
+                   required_deposit)
 from .errors import (ActiveOperation, ConcurrencyLimit, EnablerUnavailable,
                      InsufficientConfirmations, MissingSignature, NoCapacity,
                      NotLinked, NotTriggered, WrongDenomination)
@@ -70,21 +70,6 @@ class PegOut:
     state: PegOutState = PegOutState.REQUESTED
 
 
-# fee model for dispute publications, in vBytes per action
-DISPUTE_ACTION_VBYTES = {
-    "commit-proof": "commit_proof",
-    "challenge": "challenge",
-    "alt-chain-proof": "challenge",
-    "publish-hashes": "publish_hashes_per_step",
-    "publish-choice": "publish_choice_per_step",
-    "publish-full-trace": "publish_full_trace",
-    "read-challenge": "challenge",
-    "publish-read-hashes": "publish_hashes_per_step",
-    "publish-read-choice": "publish_choice_per_step",
-    "execute-leaf": "sha256_computation",
-}
-
-
 class Ledger:
     """Satoshi accounts; every movement is a balanced transfer."""
 
@@ -109,22 +94,21 @@ class Ledger:
 class Bridge:
     """Protocol engine for one packet on one pair of chains."""
 
+    fee_fraction = 0.001  # the operator's cut of a fronted peg-out
+    cost_table = CostTable()
+
     def __init__(self, functionary_ids: list[str], vmxo_count: int,
                  denomination: int, fee_rate: int = 1,
                  source_confirmations: int = 6,
                  secondary_confirmations: int = 10,
-                 fee_fraction: float = 0.001,
-                 cost_table: Optional[CostTable] = None,
                  pegout_limit: int = 1,
                  t_sep: int = 0):
         self.clock = SimClock()
         self.source = ChainView(SOURCE)
         self.secondary = ChainView(SECONDARY)
         self.fee_rate = fee_rate
-        self.fee_fraction = fee_fraction
         self.source_confirmations = source_confirmations
         self.secondary_confirmations = secondary_confirmations
-        self.cost_table = cost_table or CostTable.default()
         self.denomination = denomination
         self.pegout_limit = pegout_limit
         self.t_sep = t_sep
@@ -140,10 +124,8 @@ class Bridge:
         self._seq = 0
         self.pegins: list[PegIn] = []
         self.pegouts: list[PegOut] = []
-        self.active_pegouts: dict[str, int] = {f: 0 for f in functionary_ids}
         self.last_kickoff_tick: dict[str, int] = {}
         self.dispute_costs: dict[str, int] = {f: 0 for f in functionary_ids}
-        self.slashed_pot_received: dict[str, int] = {}
         for f in functionary_ids:
             self.ledger.fund(f"deposit:{f}", deposit)
             self.ledger.fund(f"wallet:{f}", 50 * denomination + 100 * deposit)
@@ -262,7 +244,7 @@ class Bridge:
                                           pegout.vmxo_id)
         if enabler is None or enabler.state != EnablerState.LIVE:
             raise EnablerUnavailable(f"operator enabler for {operator}")
-        if self.active_pegouts[operator] >= self.pegout_limit:
+        if self.active_pegouts(operator) >= self.pegout_limit:
             raise ConcurrencyLimit(operator)
         last = self.last_kickoff_tick.get(operator)
         if self.t_sep and last is not None and \
@@ -272,7 +254,6 @@ class Bridge:
         pegout.operator = operator
         pegout.fronted_tx = f"front:{operator}:{pegout.burn_tx}"
         pegout.state = PegOutState.FRONTED
-        self.active_pegouts[operator] += 1
         self.transfer(f"wallet:{operator}", f"user:{pegout.user}:src",
                       fronted, "front")
         self.log("fronted", operator=operator, tx=pegout.fronted_tx,
@@ -320,7 +301,6 @@ class Bridge:
         enabler.state = EnablerState.CONSUMED
         vmxo.state = VmxoState.UNLOCKED
         pegout.state = PegOutState.UNLOCKED
-        self.active_pegouts[operator] -= 1
         self.pay_fee(operator, unlock.vbytes, "unlocking")
         self.transfer(f"vmxo:{pegout.vmxo_id}", f"wallet:{operator}",
                       pegout.amount, "unlock")
@@ -347,12 +327,8 @@ class Bridge:
         operator = self.graph.vmxos[vmxo_a].operator
         tx = self.graph.apply_force_close(vmxo_a, vmxo_b)
         self._log_spends(tx)
-        self.pay_fee(closer, tx.vbytes, "force-close")
-        self.dispute_costs[closer] = self.dispute_costs.get(closer, 0) \
-            + tx.vbytes * self.fee_rate
-        if operator is not None:
-            self.active_pegouts[operator] = max(
-                0, self.active_pegouts[operator] - 1)
+        self.dispute_costs[closer] += self.pay_fee(closer, tx.vbytes,
+                                                   "force-close")
         self.log("force_close", closer=closer, operator=operator,
                  vmxo_a=vmxo_a, vmxo_b=vmxo_b)
 
@@ -385,19 +361,12 @@ class Bridge:
         if remainder > 0:
             self.transfer(f"deposit:{loser}", f"wallet:{winner}", remainder,
                           "slash")
-        self.slashed_pot_received[winner] = \
-            self.slashed_pot_received.get(winner, 0) + remainder
         self.log("slashed", loser=loser, winner=winner, pot=pot,
                  reimbursed=paid)
         # the loser's in-flight peg-outs: never-fronted ones return to the
         # pool for an honest operator; fronted ones stay locked
-        for p in self.pegouts:
-            if p.operator != loser or p.state not in (
-                    PegOutState.FRONTED, PegOutState.PROVEN,
-                    PegOutState.KICKOFF):
-                continue
+        for p in self.open_pegouts(loser):
             vmxo = self.graph.vmxos[p.vmxo_id]
-            self.active_pegouts[loser] = max(0, self.active_pegouts[loser] - 1)
             if p.fronted_tx is None:
                 p.state = PegOutState.LINKED
                 p.operator = None
@@ -418,19 +387,14 @@ class Bridge:
             raise NotTriggered(pegout.burn_tx or "?")
         counts = {"live": 0, "consumed": 0, "burnt": 0}
         for e in self.graph.enablers.values():
-            if e.vmxo_id != pegout.vmxo_id:
-                continue
-            counts[{EnablerState.LIVE: "live", EnablerState.CONSUMED: "consumed",
-                    EnablerState.BURNT: "burnt"}[e.state]] += 1
+            if e.vmxo_id == pegout.vmxo_id:
+                counts[e.state.value.lower()] += 1
         self.log("enablers_recycled", vmxo=pegout.vmxo_id, **counts)
         return counts
 
     def withdraw_deposit(self, functionary: str) -> None:
         rec = self.functionaries[functionary]
-        active = any(p.operator == functionary and p.state in (
-            PegOutState.FRONTED, PegOutState.PROVEN, PegOutState.KICKOFF)
-            for p in self.pegouts)
-        if active:
+        if self.open_pegouts(functionary):
             raise ActiveOperation(functionary)
         rec.status = FunctionaryStatus.WITHDRAWN
         amount = self.ledger.balances.get(f"deposit:{functionary}", 0)
@@ -440,6 +404,17 @@ class Bridge:
         self.log("withdrawn", functionary=functionary, amount=amount)
 
     # -- queries -----------------------------------------------------------
+
+    def open_pegouts(self, operator: str) -> list[PegOut]:
+        """The operator's peg-outs in flight, raw kick-offs included."""
+        return [p for p in self.pegouts if p.operator == operator
+                and p.state in (PegOutState.FRONTED, PegOutState.PROVEN,
+                                PegOutState.KICKOFF)]
+
+    def active_pegouts(self, operator: str) -> int:
+        """Fronted peg-outs still in flight; ``pegout_limit`` bounds them."""
+        return sum(p.fronted_tx is not None
+                   for p in self.open_pegouts(operator))
 
     def honest_unlock_allowed(self, pegout: PegOut) -> bool:
         """Oracle: does the peg-out's burn sit on the canonical secondary

@@ -272,7 +272,7 @@ class PacketGraph:
 
 
 def build_packet_templates(functionaries: list[str], vmxo_count: int,
-                           amount: int, packet_id: str = "pkt0",
+                           amount: int,
                            deposit_per_functionary: int = 0) -> PacketGraph:
     """Build the full presigned template graph for one packet."""
     n = len(functionaries)
@@ -280,7 +280,7 @@ def build_packet_templates(functionaries: list[str], vmxo_count: int,
         raise TooFewFunctionaries(str(n))
     if vmxo_count < 1:
         raise ValueError("vmxo_count must be >= 1")
-    vmxo_ids = [f"{packet_id}:vmxo{i}" for i in range(vmxo_count)]
+    vmxo_ids = [f"pkt0:vmxo{i}" for i in range(vmxo_count)]
     g = PacketGraph(functionaries, vmxo_ids)
 
     # deposits and enabler-creation, one funding tx per functionary

@@ -1,3 +1,7 @@
+import dataclasses
+
+import pytest
+
 from bridgesim.cli import main
 
 SCENARIO = """
@@ -90,3 +94,47 @@ def test_invalid_scenario_file(tmp_path, capsys):
     sc = tmp_path / "bad.scenario"
     sc.write_text("functionaries 1\n")
     assert main(["run", str(sc)]) == 2
+
+
+@pytest.mark.parametrize("grid", ["seed 1 x\n", "strategy Bogus\n", "seed\n"],
+                         ids=["bad-int", "bad-strategy", "no-values"])
+def test_sweep_rejects_malformed_grid(tmp_path, capsys, grid):
+    path = tmp_path / "grid.txt"
+    path.write_text(grid)
+    assert main(["sweep", "--grid", str(path)]) == 2
+    assert "invalid grid" in capsys.readouterr().err
+
+
+EVERY_KEY = """
+name every-key
+seed 5
+functionaries 4
+denomination 200000000
+vmxos 3
+pegins 3
+pegouts 2
+fee_rate 5
+challenge_window 30
+watch_threshold 70
+adversary 1 FakeProofProver
+leak_all true
+censor f1 10 4
+pegout_limit 2
+t_sep 1
+"""
+
+
+def test_every_scenario_field_is_settable():
+    # a Scenario field that neither file format can set is a knob nobody
+    # sets, and scenario files and grids share one integer key table
+    from bridgesim.cli import _parse_grid
+    from bridgesim.harness import INT_KEYS, Scenario, parse_scenario
+    keys = {line.split()[0] for line in EVERY_KEY.strip().splitlines()}
+    assert keys == set(INT_KEYS) | {"name", "adversary", "leak_all", "censor"}
+    sc, default = parse_scenario(EVERY_KEY), Scenario()
+    assert [f.name for f in dataclasses.fields(Scenario)
+            if getattr(sc, f.name) == getattr(default, f.name)] == []
+    [swept] = _parse_grid("".join(f"{key} {getattr(sc, name)}\n"
+                                  for key, name in INT_KEYS.items()))
+    assert {name: getattr(swept, name) for name in INT_KEYS.values()} == \
+        {name: getattr(sc, name) for name in INT_KEYS.values()}

@@ -160,6 +160,14 @@ def test_parse_scenario_rejects_unknown_key():
         parse_scenario("frobnicate 3")
 
 
+@pytest.mark.parametrize("line", ["seed 1 2", "leak_all maybe"])
+def test_parse_scenario_rejects_malformed_line(line):
+    # a wrong number of values, or a boolean that is not one, is an error
+    # rather than a silent first value or False
+    with pytest.raises(InvalidScenario):
+        parse_scenario(line)
+
+
 def test_generator_covers_all_strategies():
     scs = generate_adversarial_scenarios(24)
     assert {sc.strategy for sc in scs} == {

@@ -348,3 +348,53 @@ def test_honest_unlock_oracle_tracks_canonical_burn():
         parent = b.secondary.mine_block(parent, [f"fork{i}"],
                                         difficulty=5).id
     assert not b.honest_unlock_allowed(pegout)
+
+
+def test_raw_kickoff_does_not_count_toward_pegout_limit():
+    b = make_bridge(vmxos=2, pegout_limit=1)
+    do_pegin(b, "u0")
+    do_pegin(b, "u1")
+    raw = do_linked_pegout(b, "u0")
+    b.publish_kickoff(raw, "f1", honest_flow=False)
+    assert b.active_pegouts("f1") == 0
+    # an open raw kick-off still keeps the deposit in place
+    with pytest.raises(ActiveOperation):
+        b.withdraw_deposit("f1")
+    fronted = do_linked_pegout(b, "u1")
+    b.front_funds(fronted, "f1")
+    assert b.active_pegouts("f1") == 1
+
+
+def test_fronted_pegout_counts_until_unlock():
+    b = make_bridge()
+    do_pegin(b)
+    pegout = do_linked_pegout(b)
+    b.front_funds(pegout, "f0")
+    assert b.active_pegouts("f0") == 1
+    front_block = mine_source(b, [pegout.fronted_tx])
+    for _ in range(b.source_confirmations):
+        mine_source(b, ["pad"])
+    b.prove_front(pegout, front_block)
+    b.publish_kickoff(pegout, "f0")
+    assert b.active_pegouts("f0") == 1
+    b.unlock(pegout)
+    assert b.active_pegouts("f0") == 0
+
+
+@pytest.mark.parametrize("force_close", [False, True])
+def test_slashed_operator_stops_counting(force_close):
+    b = make_bridge(vmxos=2)
+    do_pegin(b, "u0")
+    do_pegin(b, "u1")
+    pegout = do_linked_pegout(b, "u0")
+    b.front_funds(pegout, "f1")
+    b.publish_kickoff(pegout, "f1")
+    assert b.active_pegouts("f1") == 1
+    trigger = TxKind.PROVER_LOSES
+    if force_close:
+        second = do_linked_pegout(b, "u1")
+        b.publish_kickoff(second, "f1", honest_flow=False)
+        b.force_close(pegout.vmxo_id, second.vmxo_id, "f0")
+        trigger = TxKind.FORCE_CLOSE
+    b.slash("f1", "f0", trigger)
+    assert b.active_pegouts("f1") == 0
