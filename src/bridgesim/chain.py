@@ -72,12 +72,12 @@ class InclusionProof:
 class ChainView:
     """A tree of headers with accumulated-difficulty fork choice."""
 
-    def __init__(self, chain_id: str, genesis_difficulty: int = 1):
+    def __init__(self, chain_id: str):
         self.chain_id = chain_id
-        self.genesis = BlockHeader.make(chain_id, 0, None, genesis_difficulty, [])
+        self.genesis = BlockHeader.make(chain_id, 0, None, 1, [])
         self.headers: dict[str, BlockHeader] = {self.genesis.id: self.genesis}
         self.block_txs: dict[str, tuple] = {self.genesis.id: ()}
-        self._acc: dict[str, int] = {self.genesis.id: genesis_difficulty}
+        self._acc: dict[str, int] = {self.genesis.id: 1}
 
     def mine_block(self, parent_id: str, txs: list[str],
                    difficulty: int = 1) -> BlockHeader:
@@ -135,16 +135,19 @@ class ChainView:
 
 
 @dataclass
-class CensorWindow:
+class CensorSpec:
+    """`party` is censored from `start` for `length` ticks; windows are
+    finite (eventual delivery)."""
+
     party: str
     start: int
-    end: int  # exclusive; windows are finite (eventual delivery)
+    length: int
 
 
 @dataclass
 class SimClock:
     now: int = 0
-    censor_windows: list[CensorWindow] = field(default_factory=list)
+    censor_windows: list[CensorSpec] = field(default_factory=list)
 
     def advance(self, ticks: int = 1) -> None:
         self.now += ticks
@@ -153,8 +156,6 @@ class SimClock:
                        tick: Optional[int] = None) -> Optional[int]:
         """End of the first window that censors `party` at `tick`, or None."""
         t = self.now if tick is None else tick
-        return next((w.end for w in self.censor_windows
-                     if w.party == party and w.start <= t < w.end), None)
-
-    def is_censored(self, party: str, tick: Optional[int] = None) -> bool:
-        return self.censored_until(party, tick) is not None
+        return next((w.start + w.length for w in self.censor_windows
+                     if w.party == party
+                     and w.start <= t < w.start + w.length), None)

@@ -52,6 +52,8 @@ def _parse_grid(text: str) -> list[Scenario]:
         except ValueError as exc:
             raise InvalidScenario(f"grid line {lineno}: {raw!r}: {exc}") \
                 from exc
+    if not axes:
+        raise InvalidScenario("grid has no keys")
     scenarios = []
     keys = [k for k, _ in axes]
     for combo in itertools.product(*(vals for _, vals in axes)):

@@ -14,16 +14,13 @@ accumulated difficulty, opening one nested game with the roles reversed.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
 
-from .errors import (ChannelSpent, DifficultyNotHigher, MalformedInput,
-                     NoEnabler, TimeoutExpired, WindowOpen, WrongPhase,
-                     WrongTurn)
-from .lightclient import (AltChainInput, ProofArtifact, admit_counter_proof,
-                          check_alt_chain)
+from .errors import (DifficultyNotHigher, MalformedInput, TimeoutExpired,
+                     WindowOpen, WrongPhase, WrongTurn)
+from .lightclient import AltChainInput, admit_counter_proof, check_alt_chain
 from .stopwatch import StopWatch
 
 
@@ -116,14 +113,14 @@ class DisputeGame:
     read_steps = 16  # read values consumed by one step; not a field
 
     phase: Phase = Phase.AWAIT_CHALLENGE
+    # the current search: the open segment lo..hi of the prover's and the
+    # verifier's sequences, their trace steps in MainSearch and the isolated
+    # step's read logs in ReadSearch
     lo: int = 0
     hi: int = 0
-    read_lo: int = 0
-    read_hi: int = 0
+    searched: tuple[tuple[str, ...], tuple[str, ...]] = ((), ())
     rounds: int = 0
     isolated_step: Optional[int] = None
-    prover_reads: tuple[str, ...] = ()
-    verifier_reads: tuple[str, ...] = ()
     nested: Optional["DisputeGame"] = None
     alt_defeated: bool = False
     outcome: Optional[Outcome] = None
@@ -162,10 +159,8 @@ class DisputeGame:
         self.watches[other].start(self.clock)
         self.publications.append((self.clock, party, action))
 
-    def expire(self, party: str, now: Optional[int] = None) -> Outcome:
+    def expire(self, party: str) -> Outcome:
         """Terminal timeout for a party that never responded."""
-        if now is not None:
-            self.clock = max(self.clock, now)
         watch = self.watches[party]
         if not watch.running:
             watch.start(self.clock)
@@ -175,15 +170,13 @@ class DisputeGame:
         return self.outcome
 
 
-def open_game(prover: str, verifier: str, proof: ProofArtifact,
+def open_game(prover: str, verifier: str, proof: object,
               prover_trace: ExecutionTrace, verifier_trace: ExecutionTrace,
-              channel: Optional[tuple[str, int]] = None,
-              channel_spent: bool = False, has_enabler: bool = True,
               arity: int = 4, watch_threshold: int = 64) -> DisputeGame:
-    if not has_enabler:
-        raise NoEnabler(verifier)
-    if channel_spent:
-        raise ChannelSpent(str(channel))
+    """Open a game on the prover's commitment.
+
+    ``proof`` is ignored: the two traces alone decide the game.
+    """
     return DisputeGame(prover, verifier, prover_trace, verifier_trace,
                        arity=arity, watch_threshold=watch_threshold)
 
@@ -200,6 +193,7 @@ def challenge(game: DisputeGame, kind: str = "Execution",
         game._publish(game.verifier, "challenge", delay)
         game.phase = Phase.MAIN_SEARCH
         game.lo, game.hi = 0, game.prover_trace.length
+        game.searched = (game.prover_trace.steps, game.verifier_trace.steps)
         return game
     if kind != "AltChain":
         raise ValueError(kind)
@@ -231,7 +225,7 @@ def challenge(game: DisputeGame, kind: str = "Execution",
 
 def _boundaries(lo: int, hi: int, arity: int) -> list[int]:
     span = hi - lo
-    seg = max(1, math.ceil(span / arity))
+    seg = -(-span // arity)  # ceil(span / arity), exact in integers
     bounds, b = [], lo + seg
     while b < hi:
         bounds.append(b)
@@ -263,23 +257,18 @@ def search_round(game: DisputeGame, prover_delay: int = 1,
     if game.phase not in (Phase.MAIN_SEARCH, Phase.READ_SEARCH):
         raise WrongPhase(game.phase.value)
     game.rounds += 1
-    if game.phase == Phase.MAIN_SEARCH:
-        game._publish(game.prover, "publish-hashes", prover_delay)
-        game._publish(game.verifier, "publish-choice", verifier_delay)
-        game.lo, game.hi = _narrow(game.lo, game.hi, game.arity,
-                                   game.prover_trace.steps,
-                                   game.verifier_trace.steps)
-        if game.hi - game.lo == 1:
-            game.isolated_step = game.hi
-            game.phase = Phase.TRACE_REVEAL
+    reading = game.phase == Phase.READ_SEARCH
+    kind = "-read" if reading else ""
+    game._publish(game.prover, f"publish{kind}-hashes", prover_delay)
+    game._publish(game.verifier, f"publish{kind}-choice", verifier_delay)
+    game.lo, game.hi = _narrow(game.lo, game.hi, game.arity, *game.searched)
+    if game.hi - game.lo != 1:
         return game
-    game._publish(game.prover, "publish-read-hashes", prover_delay)
-    game._publish(game.verifier, "publish-read-choice", verifier_delay)
-    game.read_lo, game.read_hi = _narrow(game.read_lo, game.read_hi, game.arity,
-                                         game.prover_reads,
-                                         game.verifier_reads)
-    if game.read_hi - game.read_lo == 1:
+    if reading:
         game.phase = Phase.LEAF_CHECK
+    else:
+        game.isolated_step = game.hi
+        game.phase = Phase.TRACE_REVEAL
     return game
 
 
@@ -292,13 +281,10 @@ def reveal_trace(game: DisputeGame, prover_delay: int = 1,
     game._publish(game.prover, "publish-full-trace", prover_delay)
     game._publish(game.verifier, "read-challenge", verifier_delay)
     i = game.isolated_step
-    pre_p = game.prover_trace.steps[i - 1]
-    pre_v = game.verifier_trace.steps[i - 1]
-    game.prover_reads = read_log(_h(pre_p, game.prover_trace.steps[i]),
-                                 game.read_steps)
-    game.verifier_reads = read_log(_h(pre_v, game.verifier_trace.steps[i]),
-                                   game.read_steps)
-    game.read_lo, game.read_hi = 0, game.read_steps
+    game.searched = tuple(
+        read_log(_h(trace.steps[i - 1], trace.steps[i]), game.read_steps)
+        for trace in (game.prover_trace, game.verifier_trace))
+    game.lo, game.hi = 0, game.read_steps
     game.phase = Phase.READ_SEARCH
     return game
 

@@ -53,14 +53,6 @@ class SpendRejected(BridgeSimError):
 
 
 # dispute
-class NoEnabler(BridgeSimError):
-    pass
-
-
-class ChannelSpent(BridgeSimError):
-    pass
-
-
 class DifficultyNotHigher(BridgeSimError):
     pass
 
@@ -91,10 +83,6 @@ class NotRunning(BridgeSimError):
 
 
 class NotMatured(BridgeSimError):
-    pass
-
-
-class CommitImmutable(BridgeSimError):
     pass
 
 

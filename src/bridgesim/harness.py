@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from .chain import CensorWindow
+from .chain import CensorSpec
 from .dispute import (ExecutionTrace, challenge, drive, open_game,
                       resolve_no_challenge, settle_counter_proof)
 from .errors import InvalidScenario, TimeoutExpired
@@ -36,21 +36,17 @@ class Strategy(str, Enum):
 PROVER_STRATEGIES = {Strategy.SILENT_PROVER, Strategy.FAKE_PROOF_PROVER,
                      Strategy.FORK_PROVER, Strategy.DOUBLE_OPERATOR}
 
-# Fixed run parameters: confirmations on each chain before a peg-in mints or
-# a burn or front counts, steps of every disputed execution trace, the ticks
+# Fixed run parameters: steps of every disputed execution trace, the ticks
 # from burn to front that the liveness check allows, and the logged RNG.
-SOURCE_CONFIRMATIONS = 3
-SECONDARY_CONFIRMATIONS = 3
 TRACE_LENGTH = 16
 LIVENESS_BOUND = 500
 RNG_ALGORITHM = "python-random-mt19937"
 
 
-@dataclass
-class CensorSpec:
-    party: str
-    start: int
-    length: int
+# least value of each Scenario field that has one; a run breaks on a
+# smaller value
+_MINIMUMS = {"n_functionaries": 2, "vmxo_count": 1, "fee_rate": 1,
+            "pegout_limit": 1, "denomination": 0}
 
 
 @dataclass
@@ -73,8 +69,9 @@ class Scenario:
     t_sep: int = 0
 
     def validate(self) -> None:
-        if self.n_functionaries < 2:
-            raise InvalidScenario("need at least 2 functionaries")
+        for name, least in _MINIMUMS.items():
+            if getattr(self, name) < least:
+                raise InvalidScenario(f"{name} must be at least {least}")
         if self.n_pegouts > self.n_pegins:
             raise InvalidScenario("more peg-outs than peg-ins")
         if self.n_pegins > self.vmxo_count:
@@ -143,12 +140,8 @@ class Runner:
         self.bridge = Bridge(
             scenario.functionary_ids, scenario.vmxo_count,
             scenario.denomination, fee_rate=scenario.fee_rate,
-            source_confirmations=SOURCE_CONFIRMATIONS,
-            secondary_confirmations=SECONDARY_CONFIRMATIONS,
             pegout_limit=scenario.pegout_limit, t_sep=scenario.t_sep)
-        self.bridge.clock.censor_windows = [
-            CensorWindow(w.party, w.start, w.start + w.length)
-            for w in scenario.censor]
+        self.bridge.clock.censor_windows = list(scenario.censor)
         self.users = [f"u{i}" for i in range(scenario.n_pegins)]
         self.outcomes: list[str] = []
 
@@ -193,8 +186,7 @@ class Runner:
         # signing ceremony: every functionary signs every template digest,
         # then keys are deleted (or leaked, for the dishonest)
         functionaries = sc.functionary_ids
-        for tid, tmpl in b.graph.templates.items():
-            tmpl.signatures.update(dict.fromkeys(functionaries, tid))
+        b.graph.sign_all(functionaries)
         for v in b.graph.vmxo_ids:
             for f in functionaries:
                 leaks = sc.leak_all or (
@@ -219,7 +211,7 @@ class Runner:
                 b.sign_pegin(pegin, f)
             tx = b.broadcast_pegin(pegin)
             pegin.deposit_block = self.mine_source([tx])
-            for _ in range(SOURCE_CONFIRMATIONS):
+            for _ in range(b.source_confirmations):
                 self.mine_source([f"pad:{b.clock.now}:{u}"])
             b.execute_pegin(pegin)
             self.outcomes.append(f"pegin {u} minted")
@@ -356,7 +348,7 @@ class Runner:
         b = self.bridge
         b.front_funds(pegout, operator)
         front_block = self.mine_source([pegout.fronted_tx])
-        for _ in range(SOURCE_CONFIRMATIONS):
+        for _ in range(b.source_confirmations):
             self.mine_source([f"pad:{b.clock.now}:front"])
         b.prove_front(pegout, front_block)
         b.publish_kickoff(pegout, operator)
@@ -482,7 +474,7 @@ class Runner:
             user = self.users[i]
             pegout = b.request_pegout(user, sc.denomination)
             pegout.burn_block = self.mine_secondary([pegout.burn_tx])
-            for _ in range(SECONDARY_CONFIRMATIONS):
+            for _ in range(b.secondary_confirmations):
                 self.mine_secondary([f"spad:{b.clock.now}"])
             b.link_pegout(pegout)
             adversarial = (i == 0 and sc.strategy in PROVER_STRATEGIES

@@ -1,22 +1,19 @@
-"""Light-client verification predicates and the opaque proof artifact.
+"""Light-client verification predicates.
 
 ``check_chain`` validates that a header sequence on the secondary chain links
 a peg-in on the source chain to a peg-out block, with the claimed accumulated
 difficulty.  ``check_alt_chain`` validates a competing sequence that excludes
 the contested peg-out block.  Both are pure functions over their inputs; they
-never consult the live canonical chain.
-
-Proof artifacts stand in for succinct proofs of these predicates: verifiers
-on-chain see only the claim, while the dispute game can reveal whether the
-underlying computation was actually valid.
+never consult the live canonical chain.  ``admit_counter_proof`` decides
+whether a counter-proof may open the nested dispute game.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
-from .chain import BlockHeader, InclusionProof, _digest
+from .chain import BlockHeader, InclusionProof
 from .errors import MalformedInput
 
 
@@ -84,41 +81,3 @@ def check_alt_chain(inp: AltChainInput) -> bool:
 def admit_counter_proof(d1: int, d2: int) -> bool:
     """Counter-proof challenge is spendable only for strictly higher work."""
     return d2 > d1
-
-
-@dataclass
-class ProofArtifact:
-    """Stand-in for a succinct proof of a verification predicate.
-
-    ``claim`` is what the publisher asserts on-chain; ``_valid`` models
-    whether a real proof would verify and is readable only through
-    :meth:`reveal`, which the dispute game uses as its step oracle.
-    """
-
-    claim: bool
-    commitment: str
-    _valid: bool = field(default=False, repr=False)
-
-    def reveal(self) -> bool:
-        return self._valid
-
-
-def make_proof_artifact(inp: CheckChainInput, honest: bool,
-                        claim: Optional[bool] = None) -> ProofArtifact:
-    """Build a proof artifact over a check-chain instance.
-
-    An honest publisher claims the true result and the artifact is valid
-    exactly when the claim holds.  A dishonest publisher may claim ``True``
-    over a false instance; the hidden validity bit stays false.
-    """
-    try:
-        truth = check_chain(inp)
-    except MalformedInput:
-        truth = False
-    commitment = _digest("checkChain", tuple(h.id for h in inp.headers),
-                         inp.pegout_proof.tx_id, inp.claimed_difficulty)
-    if honest:
-        return ProofArtifact(claim=truth, commitment=commitment, _valid=truth)
-    asserted = True if claim is None else claim
-    return ProofArtifact(claim=asserted, commitment=commitment,
-                         _valid=truth and asserted)

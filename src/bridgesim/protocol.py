@@ -22,8 +22,8 @@ from .econ import (CostTable, DepositParams, DISPUTE_ACTION_VBYTES,
 from .errors import (ActiveOperation, ConcurrencyLimit, EnablerUnavailable,
                      InsufficientConfirmations, MissingSignature, NoCapacity,
                      NotLinked, NotTriggered, WrongDenomination)
-from .txgraph import (EnablerRole, EnablerState, PacketGraph, TxKind,
-                      VmxoState, build_packet_templates)
+from .txgraph import (SLASHING_KINDS, EnablerRole, EnablerState,
+                      PacketGraph, TxKind, VmxoState, build_packet_templates)
 
 
 class FunctionaryStatus(str, Enum):
@@ -96,19 +96,19 @@ class Bridge:
 
     fee_fraction = 0.001  # the operator's cut of a fronted peg-out
     cost_table = CostTable()
+    # confirmations before a peg-in mints or a front counts (source chain)
+    # and before a burn counts (secondary chain)
+    source_confirmations = 3
+    secondary_confirmations = 3
 
     def __init__(self, functionary_ids: list[str], vmxo_count: int,
                  denomination: int, fee_rate: int = 1,
-                 source_confirmations: int = 6,
-                 secondary_confirmations: int = 10,
                  pegout_limit: int = 1,
                  t_sep: int = 0):
         self.clock = SimClock()
         self.source = ChainView(SOURCE)
         self.secondary = ChainView(SECONDARY)
         self.fee_rate = fee_rate
-        self.source_confirmations = source_confirmations
-        self.secondary_confirmations = secondary_confirmations
         self.denomination = denomination
         self.pegout_limit = pegout_limit
         self.t_sep = t_sep
@@ -339,8 +339,7 @@ class Bridge:
         rec = self.functionaries[loser]
         if rec.status == FunctionaryStatus.SLASHED:
             return  # idempotent
-        if trigger_kind not in (TxKind.PROVER_LOSES, TxKind.VERIFIER_LOSES,
-                                TxKind.FORCE_CLOSE, TxKind.KILL_ENABLERS):
+        if trigger_kind not in SLASHING_KINDS:
             raise NotTriggered(trigger_kind.value)
         rec.status = FunctionaryStatus.SLASHED
         kill = self.graph.template(f"kill:{loser}")

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import AlreadyRunning, CommitImmutable, NotMatured, NotRunning
+from .errors import AlreadyRunning, NotMatured, NotRunning
 
 
 def power_of_two_markers(elapsed: int) -> list[int]:
@@ -59,16 +59,10 @@ class StopWatch:
     def stop(self, now: int) -> None:
         if not self.running:
             raise NotRunning(self.party)
-        self.commit_interval(now - self.running_since)
+        # write-once: committed intervals are one-time-signed, so appending
+        # is the only mutation
+        self.intervals = self.intervals + (now - self.running_since,)
         self.running_since = None
-
-    def commit_interval(self, duration: int) -> None:
-        # write-once: appending is the only mutation; see rewrite_interval
-        self.intervals = self.intervals + (duration,)
-
-    def rewrite_interval(self, index: int, duration: int) -> None:
-        """Committed intervals are one-time-signed; rewriting always fails."""
-        raise CommitImmutable(f"interval {index} of {self.party}")
 
     def minable_markers(self, now: int) -> list[int]:
         """Power-of-two durations provable in the current open interval."""

@@ -49,6 +49,11 @@ class TxKind(str, Enum):
     DEPOSIT_CREATE = "DepositCreate"
 
 
+# template kinds whose execution lets a loser's enablers be burnt
+SLASHING_KINDS = frozenset({TxKind.PROVER_LOSES, TxKind.VERIFIER_LOSES,
+                            TxKind.FORCE_CLOSE, TxKind.KILL_ENABLERS})
+
+
 class EnablerRole(str, Enum):
     OPERATOR = "Operator"
     VERIFIER = "Verifier"
@@ -206,6 +211,12 @@ class PacketGraph:
         tx.signatures[signer] = tx.id  # idempotent: same signer, same id
         return tx
 
+    def sign_all(self, signers: list[str]) -> None:
+        """The signing ceremony, held before any key is deleted: every
+        signer signs every template's id."""
+        for tid, tx in self.templates.items():
+            tx.signatures.update(dict.fromkeys(signers, tid))
+
     def delete_keys(self, functionary: str, vmxo_id: str) -> KeyState:
         for name in (f"locking:{vmxo_id}",):
             if not self.template(name).is_fully_signed(self.functionaries):
@@ -245,8 +256,7 @@ class PacketGraph:
     def burn_enablers(self, loser: str, trigger: Optional[SimTx]) -> list[Enabler]:
         if trigger is None:
             raise NoTrigger(loser)
-        if trigger.template_kind not in (TxKind.PROVER_LOSES, TxKind.VERIFIER_LOSES,
-                                         TxKind.FORCE_CLOSE, TxKind.KILL_ENABLERS):
+        if trigger.template_kind not in SLASHING_KINDS:
             raise NoTrigger(trigger.template_kind.value)
         burnt = []
         for e in self.live_enablers(loser):

@@ -1,6 +1,6 @@
 import pytest
 
-from bridgesim.chain import SECONDARY, SOURCE, ChainView, SimClock, CensorWindow
+from bridgesim.chain import SECONDARY, SOURCE, CensorSpec, ChainView, SimClock
 from bridgesim.errors import NotIncluded, UnknownBlock, UnknownParent
 
 
@@ -110,9 +110,9 @@ def test_canonical_tip_monotone():
 
 
 def test_censorship_windows_finite():
-    clock = SimClock(censor_windows=[CensorWindow("f1", 2, 5)])
-    assert not clock.is_censored("f1", 1)
-    assert clock.is_censored("f1", 2)
-    assert clock.is_censored("f1", 4)
-    assert not clock.is_censored("f1", 5)
-    assert not clock.is_censored("f2", 3)
+    clock = SimClock(censor_windows=[CensorSpec("f1", 2, 3)])
+    assert clock.censored_until("f1", 1) is None
+    assert clock.censored_until("f1", 2) == 5
+    assert clock.censored_until("f1", 4) == 5
+    assert clock.censored_until("f1", 5) is None
+    assert clock.censored_until("f2", 3) is None

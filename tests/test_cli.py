@@ -96,13 +96,28 @@ def test_invalid_scenario_file(tmp_path, capsys):
     assert main(["run", str(sc)]) == 2
 
 
-@pytest.mark.parametrize("grid", ["seed 1 x\n", "strategy Bogus\n", "seed\n"],
-                         ids=["bad-int", "bad-strategy", "no-values"])
+@pytest.mark.parametrize("grid", ["seed 1 x\n", "strategy Bogus\n", "seed\n",
+                                  "", "# nothing\n"],
+                         ids=["bad-int", "bad-strategy", "no-values", "empty",
+                              "comments-only"])
 def test_sweep_rejects_malformed_grid(tmp_path, capsys, grid):
     path = tmp_path / "grid.txt"
     path.write_text(grid)
     assert main(["sweep", "--grid", str(path)]) == 2
     assert "invalid grid" in capsys.readouterr().err
+
+
+def test_out_of_range_value_rejected(tmp_path, capsys):
+    # fee_rate 0 used to pass validation and crash the run
+    sc = tmp_path / "zero-fee.scenario"
+    sc.write_text("fee_rate 0\n")
+    assert main(["run", str(sc)]) == 2
+    assert "invalid scenario" in capsys.readouterr().err
+    grid = tmp_path / "grid.txt"
+    grid.write_text("fee_rate 0 1\n")
+    assert main(["sweep", "--grid", str(grid)]) == 0
+    out = capsys.readouterr().out
+    assert "skip sweep-0" in out and "[PASS] sweep-1" in out
 
 
 EVERY_KEY = """

@@ -5,34 +5,18 @@ from bridgesim.dispute import (DisputeGame, ExecutionTrace, Outcome, Phase,
                               open_game, resolve_no_challenge, reveal_trace,
                               run_search, search_round, settle_counter_proof,
                               step_digest)
-from bridgesim.errors import (ChannelSpent, DifficultyNotHigher, NoEnabler,
-                             TimeoutExpired, WindowOpen, WrongPhase)
-from bridgesim.lightclient import ProofArtifact
+from bridgesim.errors import (DifficultyNotHigher, TimeoutExpired,
+                             WindowOpen, WrongPhase)
 
 from test_lightclient import build_instance
 from bridgesim.lightclient import AltChainInput
 
 
-def fake_proof(valid=False, claim=True):
-    return ProofArtifact(claim=claim, commitment="c", _valid=valid)
-
-
 def new_game(trace_len=16, corrupt_at=None, arity=4, threshold=1000):
     honest = ExecutionTrace.honest("prog", trace_len)
     prover_trace = honest if corrupt_at is None else honest.corrupted_at(corrupt_at)
-    return open_game("p", "v", fake_proof(valid=corrupt_at is None),
-                     prover_trace, honest, arity=arity,
+    return open_game("p", "v", None, prover_trace, honest, arity=arity,
                      watch_threshold=threshold)
-
-
-def test_open_game_requires_enabler():
-    with pytest.raises(NoEnabler):
-        open_game("p", "v", fake_proof(), None, None, has_enabler=False)
-
-
-def test_open_game_requires_unspent_channel():
-    with pytest.raises(ChannelSpent):
-        open_game("p", "v", fake_proof(), None, None, channel_spent=True)
 
 
 def test_main_search_rounds_log4_of_16():
@@ -106,7 +90,7 @@ def test_silent_responder_times_out():
 def test_expire_without_response():
     g = new_game(16, corrupt_at=5)
     challenge(g)
-    out = g.expire("p", now=500)
+    out = g.expire("p")
     assert out == Outcome("v", "p", Reason.TIMEOUT)
 
 
@@ -198,3 +182,28 @@ def test_watch_equals_wall_clock_waits():
         prev_t = t
     assert g.watches["p"].accumulated(g.clock) == waits["p"]
     assert g.watches["v"].accumulated(g.clock) == waits["v"]
+
+
+@pytest.mark.parametrize("length,arity,read_rounds",
+                         [(64, 2, 4), (64, 4, 2), (27, 3, 3)])
+def test_search_publication_pattern(length, arity, read_rounds):
+    # main and read search share one search_round; pin the actions each
+    # phase publishes, at every corruption position and for a griefer (the
+    # digest only covers arity 4 over 16 steps)
+    for pos in list(range(1, length + 1)) + [None]:
+        g = new_game(length, corrupt_at=pos, arity=arity)
+        challenge(g)
+        out = run_search(g)
+        actions = [a for _, _, a in g.publications]
+        k = actions.count("publish-hashes")
+        r = actions.count("publish-read-hashes")
+        assert actions == (["commit-proof", "challenge"]
+                           + ["publish-hashes", "publish-choice"] * k
+                           + ["publish-full-trace", "read-challenge"]
+                           + ["publish-read-hashes", "publish-read-choice"] * r
+                           + ["execute-leaf"]), pos
+        assert r == read_rounds and k + r == g.rounds, pos
+        if pos is None:
+            assert out.loser == "v"
+        else:
+            assert g.isolated_step == pos and out.loser == "p"

@@ -3,8 +3,8 @@ import hashlib
 import pytest
 
 from bridgesim.errors import InvalidScenario
-from bridgesim.harness import (CensorSpec, RunReport, Scenario, Strategy,
-                              check_invariants,
+from bridgesim.harness import (INT_KEYS, CensorSpec, RunReport, Scenario,
+                              Strategy, check_invariants,
                               generate_adversarial_scenarios, parse_scenario,
                               run_scenario, scenario_corpus)
 
@@ -153,6 +153,27 @@ def test_parse_scenario_roundtrip():
     assert sc.n_functionaries == 4 and sc.adversary == 2
     assert sc.strategy == Strategy.SILENT_PROVER
     assert sc.censor == [CensorSpec("f1", 10, 4)]
+
+
+BOUNDARY_SCENARIOS = [
+    f"{key} {value}\n" + ("" if strategy == "Honest"
+                          else f"adversary 1 {strategy}\n")
+    for key in INT_KEYS if key != "adversary"
+    for value in (-1, 0)
+    for strategy in ("Honest", "FakeProofProver", "SilentProver",
+                     "DoubleOperator", "GriefingVerifier")
+] + ["vmxos 0\npegins 0\npegouts 0\n"]
+
+
+@pytest.mark.parametrize("text", BOUNDARY_SCENARIOS, ids=[
+    t.strip().replace("\n", "; ") for t in BOUNDARY_SCENARIOS])
+def test_valid_boundary_scenario_runs(text):
+    # every scenario that validates ends in a report, never a traceback
+    try:
+        sc = parse_scenario(text)
+    except InvalidScenario:
+        return
+    assert isinstance(run_scenario(sc), RunReport)
 
 
 def test_parse_scenario_rejects_unknown_key():

@@ -4,7 +4,7 @@ from bridgesim.chain import SECONDARY, SOURCE, ChainView
 from bridgesim.errors import MalformedInput
 from bridgesim.lightclient import (AltChainInput, CheckChainInput,
                                   admit_counter_proof, check_alt_chain,
-                                  check_chain, make_proof_artifact)
+                                  check_chain)
 
 
 def build_instance(pegout_in_chain=True, wrong_difficulty=False):
@@ -130,21 +130,3 @@ def test_exclusivity_on_forks():
         if check_chain(inp) and check_alt_chain(alt) and \
                 admit_counter_proof(inp.claimed_difficulty, d2):
             assert not sec.is_canonical(inp.headers[-1].id)
-
-
-def test_honest_artifact_truthful():
-    inp, _ = build_instance()
-    art = make_proof_artifact(inp, honest=True)
-    assert art.claim is True and art.reveal() is True
-
-
-def test_dishonest_artifact_false_instance():
-    inp, _ = build_instance(pegout_in_chain=False)
-    art = make_proof_artifact(inp, honest=False, claim=True)
-    assert art.claim is True and art.reveal() is False
-
-
-def test_honest_over_false_instance_claims_false():
-    inp, _ = build_instance(wrong_difficulty=True)
-    art = make_proof_artifact(inp, honest=True)
-    assert art.claim is False and art.reveal() is False

@@ -11,12 +11,8 @@ DENOM = 100_000_000
 
 
 def make_bridge(n=3, vmxos=2, **kw):
-    kw.setdefault("source_confirmations", 2)
-    kw.setdefault("secondary_confirmations", 2)
     b = Bridge([f"f{i}" for i in range(n)], vmxos, DENOM, **kw)
-    for tid, tmpl in b.graph.templates.items():
-        for f in b.functionaries:
-            tmpl.signatures[f] = tid
+    b.graph.sign_all(list(b.functionaries))
     return b
 
 

@@ -1,7 +1,6 @@
 import pytest
 
-from bridgesim.errors import (AlreadyRunning, CommitImmutable, NotMatured,
-                             NotRunning)
+from bridgesim.errors import AlreadyRunning, NotMatured, NotRunning
 from bridgesim.stopwatch import StopWatch
 
 
@@ -38,14 +37,6 @@ def test_accumulated_sum():
         w.start(start)
         w.stop(start + dur)
     assert w.accumulated() == 6
-
-
-def test_rewrite_rejected():
-    w = StopWatch("f1", threshold=100)
-    w.start(0)
-    w.stop(3)
-    with pytest.raises(CommitImmutable):
-        w.rewrite_interval(0, 0)
 
 
 def test_markers_maturity():
