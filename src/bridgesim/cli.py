@@ -1,7 +1,9 @@
 """Command line front end: run scenarios, sweep parameter grids, print the
 deposit table, and re-check invariants over a saved event log.
 
-Exit status is 0 only when every invariant check passed.
+Exit status is 0 only when every invariant check passed; 2 marks input
+that cannot be run or checked (an invalid scenario or grid, a malformed
+log).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from pathlib import Path
 from .econ import format_deposit_table, reproduce_deposit_table
 from .errors import InvalidScenario
 from .harness import (INT_KEYS, Scenario, Strategy, check_invariants,
-                      parse_scenario, run_scenario)
+                      malformed_log, parse_scenario, run_scenario)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -99,6 +101,10 @@ def _cmd_deposit_table(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     log = Path(args.log_file).read_text().splitlines()
+    reason = malformed_log(log)
+    if reason is not None:
+        print(f"malformed log: {reason}", file=sys.stderr)
+        return 2
     verdicts = check_invariants(log)
     for v in verdicts:
         status = "PASS" if v.passed else "FAIL"

@@ -190,6 +190,9 @@ def challenge(game: DisputeGame, kind: str = "Execution",
     if game.phase != Phase.AWAIT_CHALLENGE:
         raise WrongPhase(game.phase.value)
     if kind == "Execution":
+        if game.prover_trace.length < 1:
+            # no transition to dispute: the search could never isolate one
+            raise MalformedInput("execution trace has no steps")
         game._publish(game.verifier, "challenge", delay)
         game.phase = Phase.MAIN_SEARCH
         game.lo, game.hi = 0, game.prover_trace.length

@@ -9,6 +9,7 @@ byte-identical event log.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -197,7 +198,7 @@ class Runner:
                     b.log("keys_leaked", functionary=f, vmxo=v)
                 else:
                     b.graph.delete_keys(f, v)
-        b.log("setup_done", templates=len(b.graph.templates),
+        b.log("setup_done", templates=b.graph.template_count(),
               enablers=len(b.graph.enablers))
 
     # -- peg-ins -----------------------------------------------------------
@@ -549,6 +550,36 @@ def _parse(line: str) -> dict:
         k, _, v = part.partition("=")
         fields[k] = v
     return fields
+
+
+EVENT_LINE = re.compile(r"t=-?\d+ seq=\d+ ev=\w+(?: .*)?")
+
+
+def malformed_log(log: list[str]) -> Optional[str]:
+    """Why a saved log cannot be one whole run's log, or None.  Every line
+    must be an event, and the run's scenario, parameters, end of setup and
+    a final balance for every account it moved must be there."""
+    for lineno, line in enumerate(log, 1):
+        if not EVENT_LINE.fullmatch(line):
+            return f"line {lineno} is not an event: {line[:60]!r}"
+    events = [_parse(line) for line in log]
+    seen = {(e["ev"], e.get("kind")) for e in events}
+    for ev, kind, what in [("meta", "scenario", "meta kind=scenario"),
+                           ("meta", "params", "meta kind=params"),
+                           ("setup_done", None, "setup_done")]:
+        if (ev, kind) not in seen:
+            return f"no {what} line"
+    accounts = {e.get("account") for e in events if e["ev"] == "balance"}
+    for e in events:
+        if e["ev"] == "transfer":
+            accounts.update((e.get("src"), e.get("dst")))
+    finals = {e.get("account") for e in events if e["ev"] == "final_balance"}
+    if not finals:
+        return "no final_balance lines"
+    missing = sorted(str(a) for a in accounts - finals)
+    if missing:
+        return f"no final_balance for {missing[0]}"
+    return None
 
 
 def check_invariants(log: list[str]) -> list[Verdict]:

@@ -1,7 +1,7 @@
 """Presigned transaction DAG: outputs, templates, enablers, key deletion.
 
-A packet is built as a graph of transaction templates per VMXO: one Locking,
-N Kick-off and N Unlocking templates, bilateral dispute channels with
+A packet is a graph of transaction templates per VMXO: one Locking, N
+Kick-off and N Unlocking templates, bilateral dispute channels with
 prover-loses / verifier-loses terminals, a Kill-enablers template per
 functionary, and Force-close templates for each pair of an operator's
 Open-kick-off outputs across the packet.
@@ -13,6 +13,15 @@ by id, every descendant must be rebuilt too.  Signatures are bound to the
 id signed over, so a rebuilt template carries no valid signature.  Key
 deletion is a permission flag: once deleted, a functionary can never sign
 anything for that VMXO outside the presigned templates.
+
+The 2·N·(N−1)·V loser terminals are most of the graph, and a run executes
+few of them, so each is built on its first lookup by name.  Its content
+follows from the name alone (the channel is an output of a kick-off, which
+is built up front), so its id is the one an eager build would give.  The
+graph remembers the signing ceremony's signers, and a terminal built after
+the ceremony carries their signatures over its id, as it would had it been
+built before.  ``template_count`` gives the size of the whole graph in
+closed form, and ``build_all`` builds what is left of it.
 """
 
 from __future__ import annotations
@@ -52,6 +61,10 @@ class TxKind(str, Enum):
 # template kinds whose execution lets a loser's enablers be burnt
 SLASHING_KINDS = frozenset({TxKind.PROVER_LOSES, TxKind.VERIFIER_LOSES,
                             TxKind.FORCE_CLOSE, TxKind.KILL_ENABLERS})
+
+# name prefix of a loser terminal -> its kind
+LOSER_TERMINALS = {"proverloses": TxKind.PROVER_LOSES,
+                   "verifierloses": TxKind.VERIFIER_LOSES}
 
 
 class EnablerRole(str, Enum):
@@ -166,8 +179,12 @@ class PacketGraph:
     def __init__(self, functionaries: list[str], vmxo_ids: list[str]):
         self.functionaries = list(functionaries)
         self.vmxo_ids = list(vmxo_ids)
-        self.templates: dict[str, SimTx] = {}
+        # functionary -> index, which orders each kick-off's channel outputs
+        self.position = {f: i for i, f in enumerate(self.functionaries)}
+        self.templates: dict[str, SimTx] = {}  # built templates, by id
         self.names: dict[str, str] = {}  # template name -> template id
+        self.signers: dict[str, None] = {}  # the ceremony's, in order
+        self.signed_vmxos: set[str] = set()  # checked by delete_keys
         self.enablers: dict[str, Enabler] = {}
         self.enablers_by_owner: dict[str, list[Enabler]] = {
             f: [] for f in self.functionaries}
@@ -183,7 +200,49 @@ class PacketGraph:
         return tx
 
     def template(self, name: str) -> SimTx:
-        return self.templates[self.names[name]]
+        tid = self.names.get(name)
+        if tid is None:
+            return self._build_terminal(name)
+        return self.templates[tid]
+
+    def _build_terminal(self, name: str) -> SimTx:
+        """Build loser terminal ``{kind}:{vmxo}:{f}:{w}``.  It spends the
+        channel between operator f and verifier w, which is output 1 + (w's
+        index among f's verifiers) of f's kick-off, and pays the winner."""
+        kind, _, rest = name.partition(":")
+        v, f, w = rest.rsplit(":", 2) if rest.count(":") >= 2 else ("",) * 3
+        kick = self.names.get(f"kickoff:{v}:{f}")
+        if kind not in LOSER_TERMINALS or kick is None or w == f \
+                or w not in self.position:
+            raise KeyError(name)
+        pw = self.position[w]
+        chan_ref = (kick, 1 + pw - (pw > self.position[f]))
+        winner, loser = (w, f) if kind == "proverloses" else (f, w)
+        tx = SimTx(LOSER_TERMINALS[kind], [chan_ref],
+                   [SimOutput(OutputKind.REWARD, 0,
+                              SpendCondition(signers=frozenset({winner}),
+                                             predicate="killEnablers"),
+                              tag=f"loser:{loser}")], vbytes=400)
+        tx.signatures.update(dict.fromkeys(self.signers, tx.id))
+        return self._add(name, tx)
+
+    def build_all(self) -> None:
+        """Build every template not built yet: the loser terminals."""
+        for v in self.vmxo_ids:
+            for f in self.functionaries:
+                for w in self.functionaries:
+                    if w != f:
+                        for kind in LOSER_TERMINALS:
+                            self.template(f"{kind}:{v}:{f}:{w}")
+
+    def template_count(self) -> int:
+        """Templates in the whole graph, built or not: deposit, enabler
+        creation and kill per functionary, locking per VMXO, kick-off and
+        unlocking per (VMXO, operator), two loser terminals per channel,
+        force-close per operator and pair of VMXOs."""
+        n, v = len(self.functionaries), len(self.vmxo_ids)
+        return (3 * n + v + 2 * v * n + 2 * v * n * (n - 1)
+                + n * v * (v - 1) // 2)
 
     # -- lookups -----------------------------------------------------------
 
@@ -213,18 +272,22 @@ class PacketGraph:
 
     def sign_all(self, signers: list[str]) -> None:
         """The signing ceremony, held before any key is deleted: every
-        signer signs every template's id."""
+        signer signs every template's id, built now or later."""
+        self.signers.update(dict.fromkeys(signers))
         for tid, tx in self.templates.items():
             tx.signatures.update(dict.fromkeys(signers, tid))
 
     def delete_keys(self, functionary: str, vmxo_id: str) -> KeyState:
-        for name in (f"locking:{vmxo_id}",):
-            if not self.template(name).is_fully_signed(self.functionaries):
-                raise PrematureDeletion(name)
-        for f in self.functionaries:
-            tmpl = self.template(f"unlocking:{vmxo_id}:{f}")
-            if not tmpl.is_fully_signed(self.functionaries):
-                raise PrematureDeletion(f"unlocking:{vmxo_id}:{f}")
+        """Delete a key once the VMXO's locking and unlocking templates are
+        fully signed.  Signatures are never taken back, so each VMXO's
+        templates are checked once, not once per functionary."""
+        if vmxo_id not in self.signed_vmxos:
+            names = [f"locking:{vmxo_id}"] + [
+                f"unlocking:{vmxo_id}:{f}" for f in self.functionaries]
+            for name in names:
+                if not self.template(name).is_fully_signed(self.functionaries):
+                    raise PrematureDeletion(name)
+            self.signed_vmxos.add(vmxo_id)
         self.key_states[(functionary, vmxo_id)] = KeyState.DELETED
         return KeyState.DELETED
 
@@ -284,7 +347,8 @@ class PacketGraph:
 def build_packet_templates(functionaries: list[str], vmxo_count: int,
                            amount: int,
                            deposit_per_functionary: int = 0) -> PacketGraph:
-    """Build the full presigned template graph for one packet."""
+    """Build the presigned template graph for one packet, all but the loser
+    terminals, which are built on lookup."""
     n = len(functionaries)
     if n < 2:
         raise TooFewFunctionaries(str(n))
@@ -300,24 +364,26 @@ def build_packet_templates(functionaries: list[str], vmxo_count: int,
                                SpendCondition(predicate="loserTerminal"),
                                tag=f"deposit:{f}")], vbytes=150)
         g._add(f"deposit:{f}", dep)
-        outs = []
+        owned = SpendCondition(signers=frozenset({f}))
+        ens = []
         for v in vmxo_ids:
-            ops = [Enabler(f, EnablerRole.OPERATOR, v)]
-            vers = [Enabler(f, EnablerRole.VERIFIER, v, counterparty=other)
+            ens.append(Enabler(f, EnablerRole.OPERATOR, v))
+            ens += [Enabler(f, EnablerRole.VERIFIER, v, counterparty=other)
                     for other in functionaries if other != f]
-            for e in ops + vers:
-                e.outpoint = None  # filled after tx id is known
-                outs.append((e, SimOutput(OutputKind.ENABLER, 0,
-                                          SpendCondition(signers=frozenset({f})),
-                                          tag=e.key)))
+        keys = [e.key for e in ens]
         create = SimTx(TxKind.ENABLER_CREATE, [(f"{EXTERNAL}:{f}", 0)],
-                       [o for _, o in outs], vbytes=100 + 30 * len(outs))
+                       [SimOutput(OutputKind.ENABLER, 0, owned, tag=key)
+                        for key in keys], vbytes=100 + 30 * len(ens))
         g._add(f"enablers:{f}", create)
-        for idx, (e, _) in enumerate(outs):
+        for idx, (e, key) in enumerate(zip(ens, keys)):
             e.outpoint = (create.id, idx)
-            g.enablers[e.key] = e
-            g.enablers_by_owner[f].append(e)
+            g.enablers[key] = e
+        g.enablers_by_owner[f] += ens
 
+    # each operator's dispute channels, one per verifier, with their spend
+    # conditions shared by every VMXO's kick-off
+    channels = {f: [(w, SpendCondition(signers=frozenset({f, w})))
+                    for w in functionaries if w != f] for f in functionaries}
     for v in vmxo_ids:
         g.vmxos[v] = Vmxo(v, amount)
         locking = SimTx(TxKind.LOCKING, [(f"{EXTERNAL}:user", 0)],
@@ -327,32 +393,15 @@ def build_packet_templates(functionaries: list[str], vmxo_count: int,
         g._add(f"locking:{v}", locking)
 
         for f in functionaries:
-            verifiers = [x for x in functionaries if x != f]
             kick_outs = [SimOutput(OutputKind.OPEN_KICKOFF, 0,
                                    SpendCondition(signers=frozenset({f})),
                                    tag=f"openkick:{v}:{f}")]
-            kick_outs += [SimOutput(OutputKind.DISPUTE_CHANNEL, 0,
-                                    SpendCondition(signers=frozenset({f, w})),
+            kick_outs += [SimOutput(OutputKind.DISPUTE_CHANNEL, 0, cond,
                                     tag=f"channel:{v}:{f}:{w}")
-                          for w in verifiers]
+                          for w, cond in channels[f]]
             kickoff = SimTx(TxKind.KICKOFF, [(f"{EXTERNAL}:{f}", 0)],
                             kick_outs, vbytes=2513)
             g._add(f"kickoff:{v}:{f}", kickoff)
-
-            for ci, w in enumerate(verifiers):
-                chan_ref = (kickoff.id, 1 + ci)
-                pl = SimTx(TxKind.PROVER_LOSES, [chan_ref],
-                           [SimOutput(OutputKind.REWARD, 0,
-                                      SpendCondition(signers=frozenset({w}),
-                                                     predicate="killEnablers"),
-                                      tag=f"loser:{f}")], vbytes=400)
-                g._add(f"proverloses:{v}:{f}:{w}", pl)
-                vl = SimTx(TxKind.VERIFIER_LOSES, [chan_ref],
-                           [SimOutput(OutputKind.REWARD, 0,
-                                      SpendCondition(signers=frozenset({f}),
-                                                     predicate="killEnablers"),
-                                      tag=f"loser:{w}")], vbytes=400)
-                g._add(f"verifierloses:{v}:{f}:{w}", vl)
 
             op_enabler = g.find_enabler(f, EnablerRole.OPERATOR, v)
             unlocking = SimTx(
@@ -389,7 +438,9 @@ def build_packet_templates(functionaries: list[str], vmxo_count: int,
 
 
 def validate_graph(g: PacketGraph) -> list[str]:
-    """Structural checks over the template graph; violations as strings."""
+    """Structural checks over the whole template graph, built first;
+    violations as strings."""
+    g.build_all()
     violations: list[str] = []
     ids = set(g.templates)
 

@@ -69,6 +69,41 @@ def test_check_flags_tampered_log(tmp_path):
     assert main(["check", str(log)]) == 1
 
 
+def _cut_final_balances(lines):
+    return lines[:next(i for i, l in enumerate(lines)
+                       if " ev=final_balance " in l)]
+
+
+def _keep_one_final_balance(lines):
+    return _cut_final_balances(lines) + [
+        next(l for l in lines if " ev=final_balance " in l)]
+
+
+@pytest.mark.parametrize("damage, reason", [
+    (lambda lines: [], "no meta kind=scenario"),
+    (lambda lines: ["garbage"], "line 1 is not an event"),
+    (lambda lines: lines[:5] + ["t=x seq=6 ev=spend"] + lines[6:],
+     "line 6 is not an event"),
+    (lambda lines: [l for l in lines if " ev=setup_done " not in l],
+     "no setup_done"),
+    (_cut_final_balances, "no final_balance lines"),
+    (_keep_one_final_balance, "no final_balance for "),
+], ids=["empty", "garbage", "bad-tick", "no-setup", "truncated",
+        "final-balances-cut"])
+def test_check_rejects_malformed_log(tmp_path, capsys, damage, reason):
+    sc = tmp_path / "demo.scenario"
+    sc.write_text(SCENARIO)
+    log = tmp_path / "run.log"
+    main(["run", str(sc), "--log", str(log)])
+    capsys.readouterr()
+    lines = damage(log.read_text().splitlines())
+    log.write_text("".join(l + "\n" for l in lines))
+    assert main(["check", str(log)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"malformed log: {reason}")
+
+
 def test_deposit_table_default(capsys):
     assert main(["deposit-table"]) == 0
     out = capsys.readouterr().out

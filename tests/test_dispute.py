@@ -5,8 +5,8 @@ from bridgesim.dispute import (DisputeGame, ExecutionTrace, Outcome, Phase,
                               open_game, resolve_no_challenge, reveal_trace,
                               run_search, search_round, settle_counter_proof,
                               step_digest)
-from bridgesim.errors import (DifficultyNotHigher, TimeoutExpired,
-                             WindowOpen, WrongPhase)
+from bridgesim.errors import (DifficultyNotHigher, MalformedInput,
+                             TimeoutExpired, WindowOpen, WrongPhase)
 
 from test_lightclient import build_instance
 from bridgesim.lightclient import AltChainInput
@@ -207,3 +207,14 @@ def test_search_publication_pattern(length, arity, read_rounds):
             assert out.loser == "v"
         else:
             assert g.isolated_step == pos and out.loser == "p"
+
+
+def test_zero_length_trace_refuses_challenge():
+    g = new_game(0)
+    with pytest.raises(MalformedInput):
+        challenge(g)
+    # nothing past the prover's commitment was published, and the game
+    # still awaits a challenge
+    assert g.phase == Phase.AWAIT_CHALLENGE
+    assert [a for _, _, a in g.publications] == ["commit-proof"]
+    assert g.clock == 0 and g.rounds == 0 and g.outcome is None

@@ -3,10 +3,10 @@ import hashlib
 import pytest
 
 from bridgesim.errors import InvalidScenario
-from bridgesim.harness import (INT_KEYS, CensorSpec, RunReport, Scenario,
-                              Strategy, check_invariants,
-                              generate_adversarial_scenarios, parse_scenario,
-                              run_scenario, scenario_corpus)
+from bridgesim.harness import (INT_KEYS, CensorSpec, Runner, RunReport,
+                              Scenario, Strategy, check_invariants,
+                              generate_adversarial_scenarios, malformed_log,
+                              parse_scenario, run_scenario, scenario_corpus)
 
 
 def test_happy_path_all_invariants():
@@ -18,6 +18,7 @@ def test_happy_path_all_invariants():
 def test_every_corpus_scenario_runs():
     for sc in scenario_corpus():
         report = run_scenario(sc)
+        assert malformed_log(report.log) is None, sc.name
         if sc.leak_all:
             # negative control: theft must surface as a safety failure
             failed = {v.name for v in report.verdicts if not v.passed}
@@ -219,3 +220,28 @@ def test_behaviour_digest_pinned():
     for sc in generate_adversarial_scenarios(60) + scenario_corpus():
         h.update("\n".join(run_scenario(sc).log).encode())
     assert h.hexdigest()[:16] == "f5fac45da8130da9"
+
+
+def test_run_builds_no_unused_loser_terminal():
+    # the loser terminals are 6,960 of the 7,474 templates at N = 30, V = 4;
+    # a run builds only those it spends, yet reports the whole graph
+    sc = Scenario(name="lazy", seed=1, n_functionaries=30, vmxo_count=4,
+                  n_pegins=2, n_pegouts=2, adversary=0,
+                  strategy=Strategy.FAKE_PROOF_PROVER)
+    runner = Runner(sc)
+    runner.setup()
+    runner.run_pegins()
+    runner.run_theft_attempts()
+    runner.run_pegouts()
+    report = runner.finish()
+    assert report.all_passed
+    setup_done = next(l for l in report.log if " ev=setup_done " in l)
+    fields = dict(part.split("=", 1) for part in setup_done.split())
+    assert fields["templates"] == "7474"
+    spenders = {l.rsplit(" by=", 1)[1].split()[0]
+                for l in report.log if " ev=spend " in l}
+    g = runner.bridge.graph
+    unused = [name for name, tid in g.names.items()
+              if name.startswith(("proverloses:", "verifierloses:"))
+              and tid not in spenders]
+    assert unused == []

@@ -1,4 +1,5 @@
 import hashlib
+import random
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
@@ -7,8 +8,9 @@ from bridgesim.errors import (AlreadyClosed, KeyDeleted, NoTrigger,
                              NotSameOperator, PrematureDeletion, SpendRejected,
                              TooFewFunctionaries)
 from bridgesim.txgraph import (Enabler, EnablerRole, EnablerState, KeyState,
-                              OutputKind, TxKind, VmxoState,
-                              build_packet_templates, validate_graph)
+                              OutputKind, SimOutput, SimTx, SpendCondition,
+                              TxKind, VmxoState, build_packet_templates,
+                              validate_graph)
 
 F3 = ["f0", "f1", "f2"]
 
@@ -37,6 +39,7 @@ def test_n2_counts():
 
 def test_n3_channel_count():
     g = packet()
+    g.build_all()
     channels = [o for t in g.templates.values() for o in t.outputs
                 if o.kind == OutputKind.DISPUTE_CHANNEL]
     assert len(channels) == 6  # 3 kickoffs x 2 channels
@@ -234,6 +237,7 @@ def test_templates_are_frozen():
 
 def test_id_is_content_hash():
     g = packet(vmxos=2)
+    g.build_all()
     for tid, tx in g.templates.items():
         assert tid == tx.id
         assert tx.id == hashlib.sha256(tx.serial().encode()).hexdigest()[:16]
@@ -253,6 +257,8 @@ def test_packet_count_and_validation(n, v):
     assert template_count(50, 4) == 20_454
     fs = [f"f{i}" for i in range(n)]
     g = packet(fs, vmxos=v)
+    assert g.template_count() == template_count(n, v)
+    g.build_all()
     assert len(g.templates) == template_count(n, v)
     assert validate_graph(g) == []
     for f in fs:
@@ -262,6 +268,7 @@ def test_packet_count_and_validation(n, v):
 
 def test_templates_never_mint_value():
     g = packet(vmxos=2)
+    g.build_all()
 
     def resolve(ref):
         out = g.output_at(ref)
@@ -272,3 +279,67 @@ def test_templates_never_mint_value():
         if internal_only:
             assert tx.fee(resolve) >= 0  # outputs <= inputs
         assert all(o.amount >= 0 for o in tx.outputs)
+
+
+def eager_terminal_ids(g):
+    """Every loser terminal's id, built as one pass over each kick-off's
+    channels would build it: output 1 + i is the channel to the i-th of
+    the operator's verifiers."""
+    ids = {}
+    for v in g.vmxo_ids:
+        for f in g.functionaries:
+            kick = g.template(f"kickoff:{v}:{f}")
+            verifiers = [x for x in g.functionaries if x != f]
+            for ci, w in enumerate(verifiers):
+                chan = [(kick.id, 1 + ci)]
+                for kind, payee, loser, name in [
+                        (TxKind.PROVER_LOSES, w, f, "proverloses"),
+                        (TxKind.VERIFIER_LOSES, f, w, "verifierloses")]:
+                    tx = SimTx(kind, chan, [SimOutput(
+                        OutputKind.REWARD, 0,
+                        SpendCondition(signers=frozenset({payee}),
+                                       predicate="killEnablers"),
+                        tag=f"loser:{loser}")], vbytes=400)
+                    ids[f"{name}:{v}:{f}:{w}"] = tx.id
+    return ids
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("v", range(1, 4))
+def test_lazy_terminals_match_eager_build(n, v):
+    fs = [f"f{i}" for i in range(n)]
+    eager = eager_terminal_ids(packet(fs, vmxos=v))
+    assert len(eager) == 2 * v * n * (n - 1)
+    # looked up one by one in a shuffled order, and built all at once
+    lazy = packet(fs, vmxos=v)
+    names = sorted(eager)
+    random.Random(10 * n + v).shuffle(names)
+    assert {name: lazy.template(name).id for name in names} == eager
+    whole = packet(fs, vmxos=v)
+    whole.build_all()
+    assert {name: whole.names[name] for name in eager} == eager
+    assert lazy.names == whole.names
+    assert len(lazy.templates) == lazy.template_count()
+    assert validate_graph(lazy) == [] and validate_graph(whole) == []
+
+
+def test_terminal_built_after_ceremony_is_fully_signed():
+    g = packet(vmxos=2)
+    g.sign_all(F3)
+    for v in g.vmxo_ids:
+        for f in F3:
+            g.delete_keys(f, v)
+    name = f"proverloses:{g.vmxo_ids[1]}:f2:f0"
+    assert name not in g.names
+    tx = g.template(name)
+    assert g.names[name] == tx.id
+    assert tx.is_fully_signed(F3) and tx.valid_signers() == set(F3)
+    with pytest.raises(KeyDeleted):
+        g.sign_template(tx, "f0", g.vmxo_ids[1])
+    for bad in [f"proverloses:{g.vmxo_ids[0]}:f0:f0",  # no channel to self
+                "proverloses:pkt0:vmxo9:f0:f1",  # no such VMXO
+                f"proverloses:{g.vmxo_ids[0]}:f0:f7",  # no such verifier
+                f"winnerpays:{g.vmxo_ids[0]}:f0:f1",  # no such kind
+                "proverloses:f0"]:
+        with pytest.raises(KeyError):
+            g.template(bad)
