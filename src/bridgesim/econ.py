@@ -49,18 +49,6 @@ DISPUTE_ACTION_VBYTES = {
 
 
 @dataclass(frozen=True)
-class DepositParams:
-    n_functionaries: int
-    fee_rate: int  # sats per vByte
-
-    def __post_init__(self):
-        if self.n_functionaries < 1:
-            raise ValueError("need at least one functionary")
-        if self.fee_rate <= 0:
-            raise ValueError("fee rate must be positive")
-
-
-@dataclass(frozen=True)
 class TimingParams:
     t_max: int
     t_min: int
@@ -91,10 +79,16 @@ def worst_case_vbytes(table: CostTable, hash_steps: int = 16,
             + table.sha256_computation)
 
 
-def required_deposit(params: DepositParams, table: CostTable | None = None) -> int:
-    """Deposit in satoshis covering N-1 worst-case dispute protocols."""
+def required_deposit(n_functionaries: int, fee_rate: int,
+                     table: CostTable | None = None) -> int:
+    """Deposit in satoshis covering N-1 worst-case dispute protocols at
+    ``fee_rate`` sats per vByte."""
+    if n_functionaries < 1:
+        raise ValueError("need at least one functionary")
+    if fee_rate <= 0:
+        raise ValueError("fee rate must be positive")
     per_protocol = worst_case_vbytes(table or CostTable())
-    return per_protocol * params.fee_rate * (params.n_functionaries - 1)
+    return per_protocol * fee_rate * (n_functionaries - 1)
 
 
 def worst_case_protocol_count(n_functionaries: int) -> tuple[int, int]:
@@ -124,7 +118,7 @@ def reproduce_deposit_table(fee_rates: list[int] | None = None,
     rows = []
     for n in ns:
         for x in fee_rates:
-            rows.append((n, x, required_deposit(DepositParams(n, x))))
+            rows.append((n, x, required_deposit(n, x)))
     return rows
 
 

@@ -82,10 +82,6 @@ class NotRunning(BridgeSimError):
     pass
 
 
-class NotMatured(BridgeSimError):
-    pass
-
-
 # protocol
 class NoCapacity(BridgeSimError):
     pass

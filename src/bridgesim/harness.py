@@ -17,11 +17,11 @@ from typing import Optional
 from .chain import CensorSpec
 from .dispute import (ExecutionTrace, challenge, drive, open_game,
                       resolve_no_challenge, settle_counter_proof)
-from .errors import InvalidScenario, TimeoutExpired
+from .errors import InvalidScenario, NoCapacity, TimeoutExpired
 from .lightclient import AltChainInput, CheckChainInput
 from .protocol import Bridge, PegOut, PegOutState, FunctionaryStatus
 from .stopwatch import power_of_two_markers
-from .txgraph import EnablerRole, EnablerState, TxKind, VmxoState
+from .txgraph import TxKind, VmxoState
 
 
 class Strategy(str, Enum):
@@ -295,38 +295,30 @@ class Runner:
                     else "VerifierLoses"))
         return outcome
 
-    def _contest_kickoff(self, pegout: PegOut, adv: str,
+    def _contest_kickoff(self, pegout: PegOut, adv: str, what: str,
                          prover_trace: ExecutionTrace,
-                         honest_trace: ExecutionTrace, **dispute_args):
-        """Every honest verifier challenges the adversary's kick-off; the
-        first plays the dispute and the adversary is slashed."""
-        b = self.bridge
+                         honest_trace: ExecutionTrace, **dispute_args) -> None:
+        """Every honest verifier challenges the adversary's ``what``
+        kick-off; the first plays the dispute and the adversary is slashed.
+        With no honest verifier the kick-off stands and unlocks."""
+        b, sc = self.bridge, self.sc
         challengers = self._honest_verifiers(adv)
-        for ch in challengers[1:]:
-            b.pay_dispute_fee(ch, "challenge")
-            b.log("dispute_pub", actor=ch, action="challenge",
-                  at=b.clock.now)
+        if not challengers:
+            b.clock.advance(sc.challenge_window + 1)
+            b.log("challenge_window_expired", vmxo=pegout.vmxo_id,
+                  operator=adv)
+            b.unlock(pegout)
+            self.outcomes.append(f"pegout {pegout.burn_tx}: {what} kickoff "
+                                 f"by {adv} unchallenged, unlocked")
+            return
+        self._account_game([(0, ch, "challenge") for ch in challengers[1:]],
+                           b.clock.now)
         outcome = self._run_dispute(adv, challengers[0], prover_trace,
                                     honest_trace, **dispute_args)
-        self._slash_after_dispute(adv, outcome.winner, TxKind.PROVER_LOSES,
-                                  challengers, pegout.vmxo_id)
-        return outcome
-
-    def _slash_after_dispute(self, loser: str, winner: str,
-                             kind: TxKind, challengers: list[str],
-                             vmxo_id: str) -> None:
-        b = self.bridge
-        b.slash(loser, winner, kind, challengers=challengers)
-        # later challengers' channels become no-ops; their enabler spend is
-        # refunded as consumed
-        for ch in challengers:
-            if ch == winner:
-                continue
-            e = b.graph.find_enabler(ch, EnablerRole.VERIFIER, vmxo_id,
-                                     counterparty=loser)
-            if e is not None and e.state == EnablerState.LIVE:
-                e.state = EnablerState.CONSUMED
-                b.log("challenge_refunded", verifier=ch, vmxo=vmxo_id)
+        b.slash(adv, outcome.winner, TxKind.PROVER_LOSES, challengers,
+                pegout.vmxo_id)
+        self.outcomes.append(f"pegout {pegout.burn_tx}: {what} kickoff by "
+                             f"{adv} defeated ({outcome.reason.value})")
 
     # -- peg-outs ----------------------------------------------------------
 
@@ -347,6 +339,7 @@ class Runner:
     def _front_and_kick_off(self, pegout: PegOut, operator: str) -> None:
         """The guarded path: front, prove the confirmed front, kick off."""
         b = self.bridge
+        b.clock.advance(b.separation_left(operator))
         b.front_funds(pegout, operator)
         front_block = self.mine_source([pegout.fronted_tx])
         for _ in range(b.source_confirmations):
@@ -357,7 +350,7 @@ class Runner:
     def _confirm_burn_and_unlock(self, pegout: PegOut) -> None:
         b = self.bridge
         b.log("burn_confirmed", tx=pegout.burn_tx, block=pegout.burn_block,
-              canonical=int(b.secondary.is_canonical(pegout.burn_block)))
+              canonical=int(b.honest_unlock_allowed(pegout)))
         b.unlock(pegout)
 
     def _honest_pegout_flow(self, pegout: PegOut, operator: str) -> None:
@@ -365,19 +358,18 @@ class Runner:
         self._front_and_kick_off(pegout, operator)
         honest_trace = ExecutionTrace.honest(
             f"pegout:{pegout.burn_tx}", TRACE_LENGTH)
-        griefer = (sc.adversary_id
-                   if sc.strategy == Strategy.GRIEFING_VERIFIER
-                   and sc.adversary_id != operator
-                   and b.functionaries[sc.adversary_id].status ==
+        adv = sc.adversary_id
+        griefer = (adv if sc.strategy == Strategy.GRIEFING_VERIFIER
+                   and adv not in (None, operator)
+                   and b.functionaries[adv].status ==
                    FunctionaryStatus.ACTIVE else None)
         if griefer is not None:
             self._run_dispute(operator, griefer, honest_trace, honest_trace)
             self.outcomes.append(
                 f"pegout {pegout.burn_tx}: griefing challenge by {griefer} "
                 f"defeated")
-            self._slash_after_dispute(griefer, operator,
-                                      TxKind.VERIFIER_LOSES, [operator],
-                                      pegout.vmxo_id)
+            b.slash(griefer, operator, TxKind.VERIFIER_LOSES, [operator],
+                    pegout.vmxo_id)
         else:
             b.clock.advance(sc.challenge_window + 1)
             b.log("challenge_window_expired", vmxo=pegout.vmxo_id,
@@ -396,11 +388,8 @@ class Runner:
             f"pegout:{pegout.burn_tx}", TRACE_LENGTH)
         corrupt_pos = self.rng.randint(1, TRACE_LENGTH)
         prover_trace = honest_trace.corrupted_at(corrupt_pos)
-        outcome = self._contest_kickoff(pegout, adv, prover_trace,
-                                        honest_trace, silent_prover=silent)
-        self.outcomes.append(
-            f"pegout {pegout.burn_tx}: fraudulent kickoff by {adv} "
-            f"defeated ({outcome.reason.value})")
+        self._contest_kickoff(pegout, adv, "fraudulent", prover_trace,
+                              honest_trace, silent_prover=silent)
 
     def _fork_kickoff(self, pegout: PegOut, adv: str) -> None:
         """Kick-off whose proof is internally valid but over a counterfeit
@@ -436,12 +425,8 @@ class Runner:
         # branch can show
         honest = ExecutionTrace.honest(
             f"main:{main_input.pegout_proof.tx_id}", TRACE_LENGTH)
-        outcome = self._contest_kickoff(pegout, adv, honest, honest,
-                                        main_input=main_input,
-                                        alt_input=alt_input)
-        self.outcomes.append(
-            f"pegout {pegout.burn_tx}: fork kickoff by {adv} defeated "
-            f"({outcome.reason.value})")
+        self._contest_kickoff(pegout, adv, "fork", honest, honest,
+                              main_input=main_input, alt_input=alt_input)
 
     def _double_operator(self, pegout: PegOut, adv: str) -> None:
         """Adversary fronts one peg-out, then opens a second raw kick-off."""
@@ -450,21 +435,24 @@ class Runner:
         victim = next((v for v in b.graph.vmxo_ids
                        if v != pegout.vmxo_id
                        and b.graph.vmxos[v].state == VmxoState.LOCKED), None)
-        if victim is None:
-            # cannot double up; degrade to honest completion
+        fake = None
+        if victim is not None:
+            fake = PegOut(user="-", amount=sc.denomination, vmxo_id=victim,
+                          state=PegOutState.LINKED)
+            b.publish_kickoff(fake, adv, honest_flow=False)
+        closers = self._honest_verifiers(adv)
+        if fake is None or not closers:
+            # no second kick-off, or nobody to force-close it: every
+            # kick-off stands and unlocks
             b.clock.advance(sc.challenge_window + 1)
             self._confirm_burn_and_unlock(pegout)
-            self.outcomes.append(
-                f"pegout {pegout.burn_tx}: double-operator degenerate, "
-                f"unlocked")
+            if fake is not None:
+                b.unlock(fake)
+            self.outcomes.append(f"pegout {pegout.burn_tx}: double operator "
+                                 f"{adv} not force-closed, unlocked")
             return
-        fake = PegOut(user="-", amount=sc.denomination, vmxo_id=victim,
-                      state=PegOutState.LINKED)
-        b.publish_kickoff(fake, adv, honest_flow=False)
-        closer = self._honest_verifiers(adv)[0]
-        b.force_close(pegout.vmxo_id, victim, closer)
-        self._slash_after_dispute(adv, closer, TxKind.FORCE_CLOSE,
-                                  [closer], victim)
+        b.force_close(pegout.vmxo_id, victim, closers[0])
+        b.slash(adv, closers[0], TxKind.FORCE_CLOSE, closers[:1], victim)
         self.outcomes.append(
             f"pegout {pegout.burn_tx}: double operator {adv} force-closed")
 
@@ -477,7 +465,12 @@ class Runner:
             pegout.burn_block = self.mine_secondary([pegout.burn_tx])
             for _ in range(b.secondary_confirmations):
                 self.mine_secondary([f"spad:{b.clock.now}"])
-            b.link_pegout(pegout)
+            try:
+                b.link_pegout(pegout)
+            except NoCapacity:
+                self.outcomes.append(f"pegout {pegout.burn_tx}: no locked "
+                                     f"vmxo to link, unserved")
+                continue
             adversarial = (i == 0 and sc.strategy in PROVER_STRATEGIES
                            and adv is not None
                            and b.functionaries[adv].status ==
@@ -553,16 +546,35 @@ def _parse(line: str) -> dict:
 
 
 EVENT_LINE = re.compile(r"t=-?\d+ seq=\d+ ev=\w+(?: .*)?")
+INTEGER = re.compile(r"-?\d+")
+# the fields check_invariants reads from each kind of event
+EVENT_FIELDS = {
+    "balance": ("account", "amount"), "final_balance": ("account", "amount"),
+    "transfer": ("src", "dst", "amount"), "spend": ("out",),
+    "pegin_requested": ("user",), "minted": ("user",),
+    "pegout_burn": ("tx",), "pegout_linked": ("tx", "vmxo"),
+    "fronted": ("tx",), "burn_confirmed": ("tx",), "unlocked": ("vmxo",),
+    "theft": ("thief", "vmxo"), "slashed": ("loser",),
+    "enablers_burnt": ("loser",),
+}
 
 
 def malformed_log(log: list[str]) -> Optional[str]:
     """Why a saved log cannot be one whole run's log, or None.  Every line
-    must be an event, and the run's scenario, parameters, end of setup and
-    a final balance for every account it moved must be there."""
+    must be an event with the fields the checker reads, its amounts
+    integers, and the run's scenario, parameters, end of setup and a final
+    balance for every account it moved must be there."""
     for lineno, line in enumerate(log, 1):
         if not EVENT_LINE.fullmatch(line):
             return f"line {lineno} is not an event: {line[:60]!r}"
     events = [_parse(line) for line in log]
+    for lineno, e in enumerate(events, 1):
+        for name in EVENT_FIELDS.get(e["ev"], ()):
+            if name not in e:
+                return f"line {lineno} has no {name}: {log[lineno - 1][:60]!r}"
+        for name in ("t", "seq", "amount", "bound"):
+            if name in e and not INTEGER.fullmatch(e[name]):
+                return f"line {lineno} has a non-integer {name}: {e[name]!r}"
     seen = {(e["ev"], e.get("kind")) for e in events}
     for ev, kind, what in [("meta", "scenario", "meta kind=scenario"),
                            ("meta", "params", "meta kind=params"),
@@ -687,9 +699,7 @@ def check_invariants(log: list[str]) -> list[Verdict]:
 
 # -- scenario generation, corpus, text format ------------------------------
 
-ALL_STRATEGIES = [Strategy.SILENT_PROVER, Strategy.FAKE_PROOF_PROVER,
-                  Strategy.FORK_PROVER, Strategy.GRIEFING_VERIFIER,
-                  Strategy.DOUBLE_OPERATOR, Strategy.KEY_LEAKER]
+ALL_STRATEGIES = [s for s in Strategy if s != Strategy.HONEST]
 
 
 def generate_adversarial_scenarios(count: int, base_seed: int = 0

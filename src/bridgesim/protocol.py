@@ -17,8 +17,7 @@ from enum import Enum
 from typing import Optional
 
 from .chain import SECONDARY, SOURCE, ChainView, SimClock
-from .econ import (CostTable, DepositParams, DISPUTE_ACTION_VBYTES,
-                   required_deposit)
+from .econ import CostTable, DISPUTE_ACTION_VBYTES, required_deposit
 from .errors import (ActiveOperation, ConcurrencyLimit, EnablerUnavailable,
                      InsufficientConfirmations, MissingSignature, NoCapacity,
                      NotLinked, NotTriggered, WrongDenomination)
@@ -112,8 +111,8 @@ class Bridge:
         self.denomination = denomination
         self.pegout_limit = pegout_limit
         self.t_sep = t_sep
-        deposit = required_deposit(
-            DepositParams(len(functionary_ids), fee_rate), self.cost_table)
+        deposit = required_deposit(len(functionary_ids), fee_rate,
+                                   self.cost_table)
         self.deposit_per_functionary = deposit
         self.functionaries = {f: Functionary(f) for f in functionary_ids}
         self.graph: PacketGraph = build_packet_templates(
@@ -246,9 +245,7 @@ class Bridge:
             raise EnablerUnavailable(f"operator enabler for {operator}")
         if self.active_pegouts(operator) >= self.pegout_limit:
             raise ConcurrencyLimit(operator)
-        last = self.last_kickoff_tick.get(operator)
-        if self.t_sep and last is not None and \
-                self.clock.now - last < self.t_sep:
+        if self.separation_left(operator):
             raise ConcurrencyLimit(f"{operator}: t_sep not elapsed")
         fronted = pegout.amount - int(pegout.amount * self.fee_fraction)
         pegout.operator = operator
@@ -335,20 +332,33 @@ class Bridge:
     # -- slashing and recycling -------------------------------------------
 
     def slash(self, loser: str, winner: str, trigger_kind: TxKind,
-              challengers: Optional[list[str]] = None) -> None:
-        rec = self.functionaries[loser]
-        if rec.status == FunctionaryStatus.SLASHED:
-            return  # idempotent
+              challengers: list[str], vmxo_id: str) -> None:
+        """Burn the loser's enablers and pay out its deposit, once; then
+        refund the enabler of every challenger of ``vmxo_id`` but the
+        winner, since their channels against the loser become no-ops."""
+        if self.functionaries[loser].status != FunctionaryStatus.SLASHED:
+            self._burn_and_pay(loser, winner, trigger_kind, challengers)
+        for ch in challengers:
+            if ch == winner:
+                continue
+            e = self.graph.find_enabler(ch, EnablerRole.VERIFIER, vmxo_id,
+                                        counterparty=loser)
+            if e is not None and e.state == EnablerState.LIVE:
+                e.state = EnablerState.CONSUMED
+                self.log("challenge_refunded", verifier=ch, vmxo=vmxo_id)
+
+    def _burn_and_pay(self, loser: str, winner: str, trigger_kind: TxKind,
+                      challengers: list[str]) -> None:
         if trigger_kind not in SLASHING_KINDS:
             raise NotTriggered(trigger_kind.value)
-        rec.status = FunctionaryStatus.SLASHED
+        self.functionaries[loser].status = FunctionaryStatus.SLASHED
         kill = self.graph.template(f"kill:{loser}")
         burnt = self.graph.burn_enablers(loser, kill)
         self.log("enablers_burnt", loser=loser, count=len(burnt))
         # deposit pot: reimburse challengers' dispute costs, rest to winner
         pot = self.ledger.balances.get(f"deposit:{loser}", 0)
         paid = 0
-        for ch in sorted(set(challengers or [])):
+        for ch in sorted(set(challengers)):
             if ch == loser:
                 continue
             refund = min(self.dispute_costs.get(ch, 0), pot - paid)
@@ -415,9 +425,14 @@ class Bridge:
         return sum(p.fronted_tx is not None
                    for p in self.open_pegouts(operator))
 
+    def separation_left(self, operator: str) -> int:
+        """Ticks until the operator may front again under ``t_sep``."""
+        last = self.last_kickoff_tick.get(operator, -self.t_sep)
+        return max(0, last + self.t_sep - self.clock.now)
+
     def honest_unlock_allowed(self, pegout: PegOut) -> bool:
         """Oracle: does the peg-out's burn sit on the canonical secondary
-        chain with enough confirmations?"""
+        chain?"""
         if pegout.burn_block is None:
             return False
         return self.secondary.is_canonical(pegout.burn_block)

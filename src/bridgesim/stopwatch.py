@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import AlreadyRunning, NotMatured, NotRunning
+from .errors import AlreadyRunning, NotRunning
 
 
 def power_of_two_markers(elapsed: int) -> list[int]:
@@ -24,12 +24,6 @@ def power_of_two_markers(elapsed: int) -> list[int]:
         out.append(d)
         d *= 2
     return out
-
-
-@dataclass
-class IntervalMarker:
-    duration: int  # matured timelock, in ticks
-    mined_at: int
 
 
 @dataclass
@@ -63,19 +57,6 @@ class StopWatch:
         # is the only mutation
         self.intervals = self.intervals + (now - self.running_since,)
         self.running_since = None
-
-    def minable_markers(self, now: int) -> list[int]:
-        """Power-of-two durations provable in the current open interval."""
-        if not self.running:
-            return []
-        return power_of_two_markers(now - self.running_since)
-
-    def mine_interval_marker(self, duration: int, now: int) -> IntervalMarker:
-        if not self.running:
-            raise NotRunning(self.party)
-        if now - self.running_since < duration:
-            raise NotMatured(f"{duration} > elapsed")
-        return IntervalMarker(duration, now)
 
     def aggregate_timeout(self, now: Optional[int] = None) -> bool:
         """True once total measured time exceeds the threshold."""

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional
 
+from .econ import CostTable
 from .errors import (AlreadyClosed, KeyDeleted, NoTrigger, NotSameOperator,
                      PrematureDeletion, SpendRejected, TooFewFunctionaries)
 
@@ -400,7 +401,7 @@ def build_packet_templates(functionaries: list[str], vmxo_count: int,
                                     tag=f"channel:{v}:{f}:{w}")
                           for w, cond in channels[f]]
             kickoff = SimTx(TxKind.KICKOFF, [(f"{EXTERNAL}:{f}", 0)],
-                            kick_outs, vbytes=2513)
+                            kick_outs, vbytes=CostTable.commit_proof)
             g._add(f"kickoff:{v}:{f}", kickoff)
 
             op_enabler = g.find_enabler(f, EnablerRole.OPERATOR, v)

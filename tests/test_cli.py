@@ -88,8 +88,13 @@ def _keep_one_final_balance(lines):
      "no setup_done"),
     (_cut_final_balances, "no final_balance lines"),
     (_keep_one_final_balance, "no final_balance for "),
+    (lambda lines: lines[:5] + ["t=99 seq=999 ev=spend"] + lines[5:],
+     "line 6 has no out"),
+    (lambda lines: lines[:5] + ["t=99 seq=999 ev=transfer src=a dst=b "
+                                "amount=1.5"] + lines[5:],
+     "line 6 has a non-integer amount"),
 ], ids=["empty", "garbage", "bad-tick", "no-setup", "truncated",
-        "final-balances-cut"])
+        "final-balances-cut", "missing-field", "bad-amount"])
 def test_check_rejects_malformed_log(tmp_path, capsys, damage, reason):
     sc = tmp_path / "demo.scenario"
     sc.write_text(SCENARIO)

@@ -1,6 +1,6 @@
 import pytest
 
-from bridgesim.econ import (CostTable, DepositParams, TimingParams, btc,
+from bridgesim.econ import (CostTable, TimingParams, btc,
                            format_deposit_table, max_parallelism,
                            min_separation, reproduce_deposit_table,
                            required_deposit, worst_case_protocol_count,
@@ -36,12 +36,18 @@ def test_worst_case_vbytes_small_searches():
 
 
 def test_required_deposit_single_functionary_zero():
-    assert required_deposit(DepositParams(1, 30)) == 0
+    assert required_deposit(1, 30) == 0
 
 
 def test_required_deposit_examples():
-    assert required_deposit(DepositParams(10, 5)) == 12_164_940
-    assert required_deposit(DepositParams(100, 30)) == 802_886_040
+    assert required_deposit(10, 5) == 12_164_940
+    assert required_deposit(100, 30) == 802_886_040
+
+
+@pytest.mark.parametrize("n, fee_rate", [(0, 5), (10, 0), (10, -1)])
+def test_required_deposit_rejects_out_of_range(n, fee_rate):
+    with pytest.raises(ValueError):
+        required_deposit(n, fee_rate)
 
 
 def test_deposit_table_matches_published_values():
@@ -57,9 +63,9 @@ def test_formula_table_consistency():
 
 
 def test_deposit_monotone_in_n_and_fee():
-    deposits_n = [required_deposit(DepositParams(n, 10)) for n in range(2, 30)]
+    deposits_n = [required_deposit(n, 10) for n in range(2, 30)]
     assert all(a < b for a, b in zip(deposits_n, deposits_n[1:]))
-    deposits_x = [required_deposit(DepositParams(10, x)) for x in range(1, 40)]
+    deposits_x = [required_deposit(10, x) for x in range(1, 40)]
     assert all(a < b for a, b in zip(deposits_x, deposits_x[1:]))
 
 
@@ -106,7 +112,6 @@ def test_timing_params_validation():
 def test_deposit_independent_of_tvl():
     # capital efficiency: the deposit depends only on (N, X), never on the
     # value locked in the packet
-    p = DepositParams(10, 5)
-    base = required_deposit(p)
+    base = required_deposit(10, 5)
     for _tvl in (10**8, 10**10, 10**12):
-        assert required_deposit(p) == base
+        assert required_deposit(10, 5) == base

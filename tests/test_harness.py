@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 
@@ -175,6 +176,49 @@ def test_valid_boundary_scenario_runs(text):
     except InvalidScenario:
         return
     assert isinstance(run_scenario(sc), RunReport)
+
+
+@pytest.mark.parametrize("t_sep, failing", [(100, set()),
+                                             (1000, {"liveness"})])
+def test_operator_waits_out_t_sep(t_sep, failing):
+    # the one operator waits before each later front; past the liveness
+    # bound that wait shows as a failing verdict, not a traceback
+    report = run_scenario(Scenario(n_functionaries=3, vmxo_count=3,
+                                   n_pegins=3, n_pegouts=3, t_sep=t_sep))
+    assert {v.name for v in report.verdicts if not v.passed} == failing
+    fronts = [int(l.split()[0][2:]) for l in report.log if " ev=fronted " in l]
+    assert len(fronts) == 3
+    assert all(b - a >= t_sep for a, b in zip(fronts, fronts[1:]))
+
+
+def _fuzz_scenarios(count: int):
+    rng = random.Random(2025)
+    while count:
+        n = rng.randint(2, 5)
+        sc = Scenario(
+            name=f"fuzz-{count}", seed=rng.randrange(2 ** 31),
+            n_functionaries=n, vmxo_count=rng.randint(1, 4),
+            n_pegins=rng.randint(0, 4), n_pegouts=rng.randint(0, 4),
+            adversary=rng.randrange(n) if rng.random() < 0.8 else None,
+            strategy=rng.choice(list(Strategy)),
+            leak_all=rng.random() < 0.1, t_sep=rng.randint(0, 200),
+            censor=[CensorSpec(f"f{rng.randrange(n)}", rng.randint(0, 60),
+                               rng.randint(1, 80))
+                    for _ in range(rng.choice((0, 0, 1, 2)))])
+        try:
+            sc.validate()
+        except InvalidScenario:
+            continue
+        count -= 1
+        yield sc
+
+
+def test_fuzz_valid_scenarios_end_in_wellformed_reports():
+    # every scenario that validates, leak_all and t_sep included, ends in a
+    # report whose log the checker accepts as whole
+    for sc in _fuzz_scenarios(300):
+        report = run_scenario(sc)
+        assert malformed_log(report.log) is None, sc
 
 
 def test_parse_scenario_rejects_unknown_key():

@@ -195,7 +195,7 @@ def test_slash_burns_enablers_and_pays_pot():
     b.pay_dispute_fee("f0", "challenge")
     pot = b.ledger.balances["deposit:f1"]
     f0_before = b.ledger.balances["wallet:f0"]
-    b.slash("f1", "f0", TxKind.PROVER_LOSES, challengers=["f0"])
+    b.slash("f1", "f0", TxKind.PROVER_LOSES, ["f0"], pegout.vmxo_id)
     assert b.functionaries["f1"].status == FunctionaryStatus.SLASHED
     assert b.ledger.balances["deposit:f1"] == 0
     assert b.ledger.balances["wallet:f0"] == f0_before + pot
@@ -204,9 +204,9 @@ def test_slash_burns_enablers_and_pays_pot():
 
 def test_slash_idempotent():
     b = make_bridge()
-    b.slash("f1", "f0", TxKind.PROVER_LOSES)
+    b.slash("f1", "f0", TxKind.PROVER_LOSES, [], "pkt0:vmxo0")
     total = b.ledger.total()
-    b.slash("f1", "f2", TxKind.VERIFIER_LOSES)
+    b.slash("f1", "f2", TxKind.VERIFIER_LOSES, [], "pkt0:vmxo0")
     assert b.ledger.total() == total
     assert b.ledger.balances["deposit:f1"] == 0
 
@@ -214,7 +214,7 @@ def test_slash_idempotent():
 def test_slash_rejects_non_terminal_trigger():
     b = make_bridge()
     with pytest.raises(NotTriggered):
-        b.slash("f1", "f0", TxKind.LOCKING)
+        b.slash("f1", "f0", TxKind.LOCKING, [], "pkt0:vmxo0")
 
 
 def test_slash_reimburses_challenger_costs_first():
@@ -223,9 +223,21 @@ def test_slash_reimburses_challenger_costs_first():
     b.pay_dispute_fee("f2", "challenge")
     cost = b.dispute_costs["f0"]
     f2_before = b.ledger.balances["wallet:f2"]
-    b.slash("f1", "f0", TxKind.PROVER_LOSES, challengers=["f0", "f2"])
+    b.slash("f1", "f0", TxKind.PROVER_LOSES, ["f0", "f2"], "pkt0:vmxo0")
     # f2's challenge fee comes back even though f0 took the remainder
     assert b.ledger.balances["wallet:f2"] == f2_before + cost
+
+
+def test_slash_refunds_later_challengers_even_when_already_slashed():
+    b = make_bridge(n=3)
+    for vmxo in b.graph.vmxo_ids:
+        b.slash("f1", "f0", TxKind.PROVER_LOSES, ["f0", "f2"], vmxo)
+        e = b.graph.find_enabler("f2", EnablerRole.VERIFIER, vmxo,
+                                 counterparty="f1")
+        assert e.state == EnablerState.CONSUMED
+        assert b.events[-1].endswith(
+            f"ev=challenge_refunded verifier=f2 vmxo={vmxo}")
+    assert sum(" ev=slashed " in line for line in b.events) == 1
 
 
 def test_slash_releases_unfronted_pegout():
@@ -233,7 +245,7 @@ def test_slash_releases_unfronted_pegout():
     do_pegin(b)
     pegout = do_linked_pegout(b)
     b.publish_kickoff(pegout, "f1", honest_flow=False)
-    b.slash("f1", "f0", TxKind.PROVER_LOSES)
+    b.slash("f1", "f0", TxKind.PROVER_LOSES, [], pegout.vmxo_id)
     assert pegout.state == PegOutState.LINKED
     assert pegout.operator is None
     assert b.graph.vmxos[pegout.vmxo_id].state == VmxoState.LOCKED
@@ -248,7 +260,7 @@ def test_slash_invalidates_fronted_pegout():
     pegout = do_linked_pegout(b)
     b.front_funds(pegout, "f1")
     b.publish_kickoff(pegout, "f1", honest_flow=False)
-    b.slash("f1", "f0", TxKind.PROVER_LOSES)
+    b.slash("f1", "f0", TxKind.PROVER_LOSES, [], pegout.vmxo_id)
     assert pegout.state == PegOutState.INVALIDATED
     assert b.graph.vmxos[pegout.vmxo_id].state == VmxoState.INVALIDATED
 
@@ -305,7 +317,7 @@ def test_slashed_operator_cannot_front():
     b = make_bridge()
     do_pegin(b)
     pegout = do_linked_pegout(b)
-    b.slash("f0", "f1", TxKind.PROVER_LOSES)
+    b.slash("f0", "f1", TxKind.PROVER_LOSES, [], pegout.vmxo_id)
     with pytest.raises(EnablerUnavailable):
         b.front_funds(pegout, "f0")
 
@@ -392,5 +404,5 @@ def test_slashed_operator_stops_counting(force_close):
         b.publish_kickoff(second, "f1", honest_flow=False)
         b.force_close(pegout.vmxo_id, second.vmxo_id, "f0")
         trigger = TxKind.FORCE_CLOSE
-    b.slash("f1", "f0", trigger)
+    b.slash("f1", "f0", trigger, [], pegout.vmxo_id)
     assert b.active_pegouts("f1") == 0

