@@ -1,11 +1,13 @@
 """Round-based dispute resolution over an abstract execution trace.
 
-The virtual CPU is abstracted to a deterministic digest-chaining step
-function.  A fraudulent prover diverges from the honest trace at some step
-and stays divergent (their claimed final state is wrong); the n-ary search
-then isolates the first divergent transition, a second n-ary search resolves
-the read values of that step, and the leaf check re-executes the single
-isolated transition.
+The virtual CPU is abstracted to ``step``: state ``(i, branch)`` goes to
+``(i + 1, branch)``, and a trace computes any state in O(1).  A fraudulent
+prover diverges from the honest trace at some step and stays divergent
+(their claimed final state is wrong); the n-ary search then isolates the
+first divergent transition, a second n-ary search over that step's reads,
+a trace of their own, resolves its read values, and the leaf check
+re-executes the isolated transition.  A party may publish exactly while
+their stop watch runs.
 
 A challenge may instead present an alternative header chain with higher
 accumulated difficulty, opening one nested game with the roles reversed.
@@ -32,45 +34,44 @@ def _h(*parts: object) -> str:
     return m.hexdigest()[:16]
 
 
-def step_digest(state: str) -> str:
+def step(state: tuple[int, int]) -> tuple[int, int]:
     """The abstract CPU: one deterministic transition per step."""
-    return _h("step", state)
+    i, branch = state
+    return i + 1, branch
 
 
 @dataclass(frozen=True)
 class ExecutionTrace:
+    """States s_0 .. s_length: branch 0 when honest, and from the first
+    wrong transition ``corrupt_from`` on, branch ``corrupt_from``."""
     program_id: str
-    steps: tuple[str, ...]  # states s_0 .. s_n for n transitions
-
-    @property
-    def length(self) -> int:
-        return len(self.steps) - 1
+    length: int
+    corrupt_from: int = 0
 
     @staticmethod
     def honest(program_id: str, length: int) -> "ExecutionTrace":
-        states = [_h("input", program_id)]
-        for _ in range(length):
-            states.append(step_digest(states[-1]))
-        return ExecutionTrace(program_id, tuple(states))
+        return ExecutionTrace(program_id, length)
 
     def corrupted_at(self, position: int) -> "ExecutionTrace":
-        """Diverge from the honest run starting at the given transition.
-
-        The state after `position` is wrong and all later states follow the
-        step function from that wrong state, so the final claim is wrong too.
-        """
+        """Diverge from the honest run starting at the given transition; an
+        earlier first wrong transition stays the first."""
         if not 1 <= position <= self.length:
             raise ValueError("position out of range")
-        states = list(self.steps[:position])
-        states.append(_h("corrupt", self.steps[position]))
-        while len(states) < len(self.steps):
-            states.append(step_digest(states[-1]))
-        return ExecutionTrace(self.program_id, tuple(states))
+        first = min(position, self.corrupt_from or position)
+        return ExecutionTrace(self.program_id, self.length, first)
 
+    def state(self, i: int) -> tuple[int, int]:
+        return i, self.corrupt_from if 0 < self.corrupt_from <= i else 0
 
-def read_log(state: str, length: int = 16) -> tuple[str, ...]:
-    """Read-value digests consumed by one step, derived from its pre-state."""
-    return tuple(_h("read", state, j) for j in range(length + 1))
+    def digest(self, i: int) -> str:
+        return _h(self.program_id, *self.state(i))
+
+    def reads(self, i: int, read_steps: int) -> "ExecutionTrace":
+        """The read values step i consumes, as a trace of their own: wrong
+        from the first read on when step i is a wrong transition."""
+        wrong = step(self.state(i - 1)) != self.state(i)
+        return ExecutionTrace(_h("read", self.program_id, i), read_steps,
+                              1 if wrong else 0)
 
 
 class Phase(str, Enum):
@@ -114,11 +115,11 @@ class DisputeGame:
 
     phase: Phase = Phase.AWAIT_CHALLENGE
     # the current search: the open segment lo..hi of the prover's and the
-    # verifier's sequences, their trace steps in MainSearch and the isolated
-    # step's read logs in ReadSearch
+    # verifier's traces, their execution traces in MainSearch and the
+    # isolated step's reads in ReadSearch
     lo: int = 0
     hi: int = 0
-    searched: tuple[tuple[str, ...], tuple[str, ...]] = ((), ())
+    searched: tuple[ExecutionTrace, ...] = ()
     rounds: int = 0
     isolated_step: Optional[int] = None
     nested: Optional["DisputeGame"] = None
@@ -143,11 +144,9 @@ class DisputeGame:
     def _publish(self, party: str, action: str, delay: int) -> None:
         """Advance the virtual clock by the responder's delay and record the
         publication, flipping the stop watches."""
-        if self.publications and self.publications[-1][1] == party:
-            raise WrongTurn(party)
         watch = self.watches[party]
         if not watch.running:
-            watch.start(self.clock)
+            raise WrongTurn(party)
         self.clock += delay
         if watch.aggregate_timeout(self.clock):
             # the responder ran out their whole censorship budget
@@ -161,9 +160,6 @@ class DisputeGame:
 
     def expire(self, party: str) -> Outcome:
         """Terminal timeout for a party that never responded."""
-        watch = self.watches[party]
-        if not watch.running:
-            watch.start(self.clock)
         self.phase = Phase.TERMINAL
         other = self.verifier if party == self.prover else self.prover
         self.outcome = Outcome(other, party, Reason.TIMEOUT)
@@ -192,11 +188,11 @@ def challenge(game: DisputeGame, kind: str = "Execution",
     if kind == "Execution":
         if game.prover_trace.length < 1:
             # no transition to dispute: the search could never isolate one
-            raise MalformedInput("execution trace has no steps")
+            raise MalformedInput("execution trace has no transition")
         game._publish(game.verifier, "challenge", delay)
         game.phase = Phase.MAIN_SEARCH
         game.lo, game.hi = 0, game.prover_trace.length
-        game.searched = (game.prover_trace.steps, game.verifier_trace.steps)
+        game.searched = (game.prover_trace, game.verifier_trace)
         return game
     if kind != "AltChain":
         raise ValueError(kind)
@@ -237,15 +233,15 @@ def _boundaries(lo: int, hi: int, arity: int) -> list[int]:
     return bounds
 
 
-def _narrow(lo: int, hi: int, arity: int, prover_states,
-            verifier_states) -> tuple[int, int]:
+def _narrow(lo: int, hi: int, arity: int, prover: ExecutionTrace,
+            verifier: ExecutionTrace) -> tuple[int, int]:
     """One narrowing round: prover reveals boundary digests, verifier picks
     the first disagreeing one.  A griefing verifier with no real divergence
     always picks the first segment."""
     bounds = _boundaries(lo, hi, arity)
     prev = lo
     for b in bounds:
-        if prover_states[b] != verifier_states[b]:
+        if prover.digest(b) != verifier.digest(b):
             return prev, b
         prev = b
     # no boundary disagrees: a challenger without a real divergence (or one
@@ -284,9 +280,8 @@ def reveal_trace(game: DisputeGame, prover_delay: int = 1,
     game._publish(game.prover, "publish-full-trace", prover_delay)
     game._publish(game.verifier, "read-challenge", verifier_delay)
     i = game.isolated_step
-    game.searched = tuple(
-        read_log(_h(trace.steps[i - 1], trace.steps[i]), game.read_steps)
-        for trace in (game.prover_trace, game.verifier_trace))
+    game.searched = tuple(trace.reads(i, game.read_steps)
+                          for trace in (game.prover_trace, game.verifier_trace))
     game.lo, game.hi = 0, game.read_steps
     game.phase = Phase.READ_SEARCH
     return game
@@ -298,11 +293,9 @@ def leaf_check(game: DisputeGame, delay: int = 1) -> Outcome:
     if game.phase != Phase.LEAF_CHECK:
         raise WrongPhase(game.phase.value)
     game._publish(game.prover, "execute-leaf", delay)
-    i = game.isolated_step
-    pre = game.prover_trace.steps[i - 1]
-    post = game.prover_trace.steps[i]
+    i, trace = game.isolated_step, game.prover_trace
     game.phase = Phase.TERMINAL
-    if step_digest(pre) != post:
+    if step(trace.state(i - 1)) != trace.state(i):
         game.outcome = Outcome(game.verifier, game.prover,
                                Reason.CONFLICTING_COMMIT)
     else:
@@ -330,7 +323,7 @@ def settle_counter_proof(game: DisputeGame) -> DisputeGame:
 
     If the alt-chain submitter won, the original chain was fraudulent and the
     outer prover loses outright.  Otherwise the outer game resumes awaiting
-    an execution challenge only.
+    an execution challenge only, on the verifier's watch.
     """
     if game.phase != Phase.COUNTER_PROOF:
         raise WrongPhase(game.phase.value)
@@ -345,6 +338,10 @@ def settle_counter_proof(game: DisputeGame) -> DisputeGame:
     else:
         game.phase = Phase.AWAIT_CHALLENGE
         game.alt_defeated = True
+        # the prover's watch has run since the counter-proof; it stops
+        # there with a zero interval
+        game.watches[game.prover].stop(game.publications[-1][0])
+        game.watches[game.verifier].start(game.clock)
     return game
 
 

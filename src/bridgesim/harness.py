@@ -37,7 +37,7 @@ class Strategy(str, Enum):
 PROVER_STRATEGIES = {Strategy.SILENT_PROVER, Strategy.FAKE_PROOF_PROVER,
                      Strategy.FORK_PROVER, Strategy.DOUBLE_OPERATOR}
 
-# Fixed run parameters: steps of every disputed execution trace, the ticks
+# Fixed run parameters: length of every disputed execution trace, the ticks
 # from burn to front that the liveness check allows, and the logged RNG.
 TRACE_LENGTH = 16
 LIVENESS_BOUND = 500
@@ -323,13 +323,14 @@ class Runner:
     # -- peg-outs ----------------------------------------------------------
 
     def _pick_operator(self) -> str:
+        """An active operator, honest if any, who can front soonest."""
         b, sc = self.bridge, self.sc
         pool = [f for f in self.honest
                 if b.functionaries[f].status == FunctionaryStatus.ACTIVE]
         if not pool:
             pool = [f for f in sc.functionary_ids
                     if b.functionaries[f].status == FunctionaryStatus.ACTIVE]
-        return min(pool, key=lambda f: (b.active_pegouts(f), f))
+        return min(pool, key=lambda f: (b.separation_left(f), f))
 
     def _honest_verifiers(self, excluding: str) -> list[str]:
         return [f for f in self.honest if f != excluding
@@ -662,23 +663,19 @@ def check_invariants(log: list[str]) -> list[Verdict]:
     verdicts.append(Verdict("safety", safety_ok, safety_detail))
 
     # liveness: every peg-in mints; every burn is fronted within the bound
-    live_ok, live_detail = True, ""
     pegin_users = [e["user"] for e in events if e.get("ev") == "pegin_requested"]
     minted_users = {e["user"] for e in events if e.get("ev") == "minted"}
-    for u in pegin_users:
-        if u not in minted_users:
-            live_ok, live_detail = False, f"pegin {u} never minted"
+    late = [f"pegin {u} never minted" for u in pegin_users
+            if u not in minted_users]
     burns = {e["tx"]: int(e["t"]) for e in events if e.get("ev") == "pegout_burn"}
     fronted = {}
     for e in events:
         if e.get("ev") == "fronted":
             fronted.setdefault(e["tx"].split("front:", 1)[-1].split(":", 1)[-1],
                                int(e["t"]))
-    for tx, t0 in burns.items():
-        t1 = fronted.get(tx)
-        if t1 is None or t1 - t0 > bound:
-            live_ok, live_detail = False, f"burn {tx} not fronted in time"
-    verdicts.append(Verdict("liveness", live_ok, live_detail))
+    late += [f"burn {tx} not fronted in time" for tx, t0 in burns.items()
+             if fronted.get(tx) is None or fronted[tx] - t0 > bound]
+    verdicts.append(Verdict("liveness", not late, "; ".join(late)))
 
     # exclusion: after a party's enablers are burnt they take no further
     # protocol actions

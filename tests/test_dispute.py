@@ -4,7 +4,7 @@ from bridgesim.dispute import (DisputeGame, ExecutionTrace, Outcome, Phase,
                               Reason, challenge, leaf_check, max_rounds,
                               open_game, resolve_no_challenge, reveal_trace,
                               run_search, search_round, settle_counter_proof,
-                              step_digest)
+                              step)
 from bridgesim.errors import (DifficultyNotHigher, MalformedInput,
                              TimeoutExpired, WindowOpen, WrongPhase)
 
@@ -38,7 +38,7 @@ def test_search_isolates_divergence_any_position(pos):
         search_round(g)
     # brute-force oracle: first index where traces differ
     expected = next(i for i in range(17)
-                    if g.prover_trace.steps[i] != g.verifier_trace.steps[i])
+                    if g.prover_trace.digest(i) != g.verifier_trace.digest(i))
     assert g.isolated_step == expected == pos
 
 
@@ -49,7 +49,7 @@ def test_dishonest_prover_loses_leaf():
     assert out.loser == "p"
     assert out.reason == Reason.CONFLICTING_COMMIT
     i = g.isolated_step
-    assert step_digest(g.prover_trace.steps[i - 1]) != g.prover_trace.steps[i]
+    assert step(g.prover_trace.state(i - 1)) != g.prover_trace.state(i)
 
 
 def test_honest_prover_beats_griefing_verifier():
@@ -161,6 +161,24 @@ def test_bogus_counter_proof_loses_inner_and_outer_resumes():
     assert out == Outcome("p", "v", Reason.COUNTER_PROOF_DEFEATED)
 
 
+def test_execution_challenge_after_defeated_counter_proof():
+    # the outer game resumes awaiting an execution challenge, and a corrupted
+    # prover still loses it at the first wrong transition
+    pos = 11
+    g = new_game(16, corrupt_at=pos)
+    inp, alt = make_alt(valid=False, d2=999)
+    challenge(g, "AltChain", alt_input=alt,
+              main_difficulty=inp.claimed_difficulty)
+    challenge(g.nested)
+    run_search(g.nested)
+    settle_counter_proof(g)
+    assert g.watches["p"].intervals[-1] == 0
+    challenge(g, "Execution")
+    out = run_search(g)
+    assert out == Outcome("v", "p", Reason.CONFLICTING_COMMIT)
+    assert g.isolated_step == pos
+
+
 def test_nesting_depth_at_most_one():
     g = new_game(16)
     inp, alt = make_alt(valid=True)
@@ -218,3 +236,28 @@ def test_zero_length_trace_refuses_challenge():
     assert g.phase == Phase.AWAIT_CHALLENGE
     assert [a for _, _, a in g.publications] == ["commit-proof"]
     assert g.clock == 0 and g.rounds == 0 and g.outcome is None
+
+
+@pytest.mark.parametrize("arity", [2, 4])
+def test_paper_depth_game(arity):
+    # 2**32 steps: every state is computed on demand, so a full game costs
+    # only its rounds
+    n = 2 ** 32
+    for pos in (1, 2 ** 31, n, None):
+        g = new_game(n, corrupt_at=pos, arity=arity)
+        challenge(g)
+        out = run_search(g)
+        assert g.rounds == max_rounds(n, g.read_steps, arity)
+        if pos is None:
+            assert out.loser == "v"
+        else:
+            assert out.loser == "p" and g.isolated_step == pos
+    assert max_rounds(n, 16, arity) == {2: 36, 4: 18}[arity]
+
+
+def test_corrupting_twice_keeps_the_first_wrong_transition():
+    honest = ExecutionTrace.honest("prog", 16)
+    assert honest.corrupted_at(5).corrupted_at(9) == honest.corrupted_at(5)
+    assert honest.corrupted_at(9).corrupted_at(5) == honest.corrupted_at(5)
+    with pytest.raises(ValueError):
+        honest.corrupted_at(17)

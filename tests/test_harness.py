@@ -178,17 +178,41 @@ def test_valid_boundary_scenario_runs(text):
     assert isinstance(run_scenario(sc), RunReport)
 
 
+def _fronts(report: RunReport) -> list[tuple[int, str]]:
+    """(tick, operator) of every front, in log order."""
+    out = []
+    for line in report.log:
+        if " ev=fronted " in line:
+            fields = dict(part.split("=", 1) for part in line.split())
+            out.append((int(fields["t"]), fields["operator"]))
+    return out
+
+
 @pytest.mark.parametrize("t_sep, failing", [(100, set()),
                                              (1000, {"liveness"})])
 def test_operator_waits_out_t_sep(t_sep, failing):
-    # the one operator waits before each later front; past the liveness
-    # bound that wait shows as a failing verdict, not a traceback
-    report = run_scenario(Scenario(n_functionaries=3, vmxo_count=3,
-                                   n_pegins=3, n_pegouts=3, t_sep=t_sep))
+    # the one honest operator waits before each later front; past the
+    # liveness bound that wait shows as a failing verdict, not a traceback,
+    # and the verdict names every late burn
+    report = run_scenario(Scenario(n_functionaries=2, vmxo_count=3,
+                                   n_pegins=3, n_pegouts=3, t_sep=t_sep,
+                                   adversary=1, strategy=Strategy.KEY_LEAKER))
     assert {v.name for v in report.verdicts if not v.passed} == failing
-    fronts = [int(l.split()[0][2:]) for l in report.log if " ev=fronted " in l]
-    assert len(fronts) == 3
+    fronts = [t for t, _ in _fronts(report)]
+    assert fronts == {100: [16, 120, 224], 1000: [16, 1020, 2024]}[t_sep]
     assert all(b - a >= t_sep for a, b in zip(fronts, fronts[1:]))
+    liveness = next(v for v in report.verdicts if v.name == "liveness")
+    assert liveness.detail == {
+        100: "", 1000: "burn burn:u1:2 not fronted in time; "
+                       "burn burn:u2:3 not fronted in time"}[t_sep]
+
+
+def test_idle_operators_front_under_t_sep():
+    # an operator still inside t_sep is passed over for one who can front now
+    report = run_scenario(Scenario(n_functionaries=3, vmxo_count=3,
+                                   n_pegins=3, n_pegouts=3, t_sep=1000))
+    assert report.all_passed
+    assert sorted(op for _, op in _fronts(report)) == ["f0", "f1", "f2"]
 
 
 def _fuzz_scenarios(count: int):
