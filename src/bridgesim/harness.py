@@ -199,7 +199,7 @@ class Runner:
                 else:
                     b.graph.delete_keys(f, v)
         b.log("setup_done", templates=b.graph.template_count(),
-              enablers=len(b.graph.enablers))
+              enablers=b.graph.enabler_count())
 
     # -- peg-ins -----------------------------------------------------------
 
@@ -564,7 +564,9 @@ def malformed_log(log: list[str]) -> Optional[str]:
     """Why a saved log cannot be one whole run's log, or None.  Every line
     must be an event with the fields the checker reads, its amounts
     integers, and the run's scenario, parameters, end of setup and a final
-    balance for every account it moved must be there."""
+    balance for every account it moved must be there.  Lines run in the
+    order they were logged: ``seq`` counts 1, 2, ... and ``t`` never
+    decreases, so a deleted or reordered line shows."""
     for lineno, line in enumerate(log, 1):
         if not EVENT_LINE.fullmatch(line):
             return f"line {lineno} is not an event: {line[:60]!r}"
@@ -592,6 +594,13 @@ def malformed_log(log: list[str]) -> Optional[str]:
     missing = sorted(str(a) for a in accounts - finals)
     if missing:
         return f"no final_balance for {missing[0]}"
+    t = None
+    for lineno, e in enumerate(events, 1):
+        if int(e["seq"]) != lineno:
+            return f"line {lineno} has seq={e['seq']}, not {lineno}"
+        if t is not None and int(e["t"]) < t:
+            return f"line {lineno} has t={e['t']}, before t={t}"
+        t = int(e["t"])
     return None
 
 

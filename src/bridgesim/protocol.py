@@ -394,10 +394,13 @@ class Bridge:
         if pegout.state not in (PegOutState.UNLOCKED,
                                 PegOutState.INVALIDATED):
             raise NotTriggered(pegout.burn_tx or "?")
-        counts = {"live": 0, "consumed": 0, "burnt": 0}
+        # an enabler nobody has looked up is still live
+        counts = {"live": len(self.functionaries) ** 2, "consumed": 0,
+                  "burnt": 0}
         for e in self.graph.enablers.values():
-            if e.vmxo_id == pegout.vmxo_id:
+            if e.vmxo_id == pegout.vmxo_id and e.state != EnablerState.LIVE:
                 counts[e.state.value.lower()] += 1
+                counts["live"] -= 1
         self.log("enablers_recycled", vmxo=pegout.vmxo_id, **counts)
         return counts
 

@@ -14,14 +14,21 @@ id signed over, so a rebuilt template carries no valid signature.  Key
 deletion is a permission flag: once deleted, a functionary can never sign
 anything for that VMXO outside the presigned templates.
 
-The 2·N·(N−1)·V loser terminals are most of the graph, and a run executes
-few of them, so each is built on its first lookup by name.  Its content
-follows from the name alone (the channel is an output of a kick-off, which
-is built up front), so its id is the one an eager build would give.  The
-graph remembers the signing ceremony's signers, and a terminal built after
-the ceremony carries their signatures over its id, as it would had it been
-built before.  ``template_count`` gives the size of the whole graph in
-closed form, and ``build_all`` builds what is left of it.
+A packet holds 3·N + V + 2·N·V + 2·N·(N−1)·V + N·V·(V−1)/2 templates and
+N²·V enablers, and a run touches few of them, so nothing is built up front.
+Each template is built on its first lookup by name (``deposit:{f}``,
+``enablers:{f}``, ``kill:{f}``, ``locking:{v}``, ``kickoff:{v}:{f}``,
+``unlocking:{v}:{f}``, ``proverloses:{v}:{f}:{w}``,
+``verifierloses:{v}:{f}:{w}``, ``forceclose:{f}:{va}:{vb}``), from the name
+alone and its parents, which are built first; so its content and id are the
+ones an eager build would give.  The graph remembers the signing ceremony's
+signers, and a template built after the ceremony carries their signatures
+over its id, as it would had it been built before.  An enabler's output
+index in its owner's enabler-creation template is closed-form, its record
+exists once something looks it up, and a record nobody has looked up is
+live.  ``template_count`` and ``enabler_count`` give the sizes of the whole
+graph in closed form, ``template_names`` lists it, and ``build_all`` builds
+what is left of it.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ import hashlib
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from enum import Enum
 from typing import Iterable, Optional
 
@@ -156,14 +164,15 @@ class Enabler:
     owner: str
     role: EnablerRole
     vmxo_id: str
+    index: int  # its output of the owner's ``enablers:{owner}`` template
     counterparty: Optional[str] = None  # verifier role: the watched operator
     state: EnablerState = EnablerState.LIVE
-    outpoint: Optional[tuple[str, int]] = None
 
-    @property
-    def key(self) -> str:
-        cp = self.counterparty or "-"
-        return f"enabler:{self.owner}:{self.role.value}:{self.vmxo_id}:{cp}"
+
+def _enabler_key(owner: str, role: EnablerRole, vmxo_id: str,
+                counterparty: Optional[str] = None) -> str:
+    cp = counterparty or "-"
+    return f"enabler:{owner}:{role.value}:{vmxo_id}:{cp}"
 
 
 @dataclass
@@ -177,20 +186,22 @@ class Vmxo:
 class PacketGraph:
     """Template graph plus execution-time spend tracking for one packet."""
 
-    def __init__(self, functionaries: list[str], vmxo_ids: list[str]):
+    def __init__(self, functionaries: list[str], vmxo_ids: list[str],
+                 amount: int, deposit_per_functionary: int):
         self.functionaries = list(functionaries)
         self.vmxo_ids = list(vmxo_ids)
-        # functionary -> index, which orders each kick-off's channel outputs
+        self.deposit_per_functionary = deposit_per_functionary
+        # functionary -> index, which orders each kick-off's channel outputs;
+        # VMXO -> index, which orders enabler outputs and force-close pairs
         self.position = {f: i for i, f in enumerate(self.functionaries)}
+        self.vmxo_position = {v: i for i, v in enumerate(self.vmxo_ids)}
         self.templates: dict[str, SimTx] = {}  # built templates, by id
         self.names: dict[str, str] = {}  # template name -> template id
         self.signers: dict[str, None] = {}  # the ceremony's, in order
         self.signed_vmxos: set[str] = set()  # checked by delete_keys
-        self.enablers: dict[str, Enabler] = {}
-        self.enablers_by_owner: dict[str, list[Enabler]] = {
-            f: [] for f in self.functionaries}
+        self.enablers: dict[str, Enabler] = {}  # looked-up records, by key
         self.key_states: dict[tuple[str, str], KeyState] = {}
-        self.vmxos: dict[str, Vmxo] = {}
+        self.vmxos = {v: Vmxo(v, amount) for v in self.vmxo_ids}
         self.spent: dict[tuple[str, int], str] = {}  # outpoint -> spender id
 
     # -- construction ------------------------------------------------------
@@ -203,38 +214,149 @@ class PacketGraph:
     def template(self, name: str) -> SimTx:
         tid = self.names.get(name)
         if tid is None:
-            return self._build_terminal(name)
+            return self._build(name)
         return self.templates[tid]
 
-    def _build_terminal(self, name: str) -> SimTx:
-        """Build loser terminal ``{kind}:{vmxo}:{f}:{w}``.  It spends the
-        channel between operator f and verifier w, which is output 1 + (w's
-        index among f's verifiers) of f's kick-off, and pays the winner."""
+    def _build(self, name: str) -> SimTx:
+        """Build template ``name`` from its name alone, its parents first,
+        and give it the ceremony's signatures over its id."""
         kind, _, rest = name.partition(":")
-        v, f, w = rest.rsplit(":", 2) if rest.count(":") >= 2 else ("",) * 3
-        kick = self.names.get(f"kickoff:{v}:{f}")
-        if kind not in LOSER_TERMINALS or kick is None or w == f \
-                or w not in self.position:
-            raise KeyError(name)
-        pw = self.position[w]
-        chan_ref = (kick, 1 + pw - (pw > self.position[f]))
-        winner, loser = (w, f) if kind == "proverloses" else (f, w)
-        tx = SimTx(LOSER_TERMINALS[kind], [chan_ref],
-                   [SimOutput(OutputKind.REWARD, 0,
-                              SpendCondition(signers=frozenset({winner}),
-                                             predicate="killEnablers"),
-                              tag=f"loser:{loser}")], vbytes=400)
+        try:
+            tx = _RULES[kind](self, rest)
+        except KeyError:  # no such kind, functionary or VMXO
+            raise KeyError(name) from None
         tx.signatures.update(dict.fromkeys(self.signers, tx.id))
         return self._add(name, tx)
 
-    def build_all(self) -> None:
-        """Build every template not built yet: the loser terminals."""
-        for v in self.vmxo_ids:
-            for f in self.functionaries:
-                for w in self.functionaries:
+    def _functionary(self, f: str) -> str:
+        if f not in self.position:
+            raise KeyError(f)
+        return f
+
+    def _vmxo_and_functionary(self, rest: str) -> tuple[str, str]:
+        v, _, f = rest.rpartition(":")
+        if v not in self.vmxos:
+            raise KeyError(v)
+        return v, self._functionary(f)
+
+    def _deposit(self, f: str) -> SimTx:
+        f = self._functionary(f)
+        return SimTx(TxKind.DEPOSIT_CREATE, [(f"{EXTERNAL}:{f}", 0)],
+                     [SimOutput(OutputKind.DEPOSIT,
+                                self.deposit_per_functionary,
+                                SpendCondition(predicate="loserTerminal"),
+                                tag=f"deposit:{f}")], vbytes=150)
+
+    def _enabler_create(self, f: str) -> SimTx:
+        """One enabler output per (VMXO, role): see ``_enabler_index``."""
+        f = self._functionary(f)
+        owned = SpendCondition(signers=frozenset({f}))
+        keys = [_enabler_key(f, role, v, cp)
+                for role, v, cp in self._enabler_slots(f)]
+        return SimTx(TxKind.ENABLER_CREATE, [(f"{EXTERNAL}:{f}", 0)],
+                     [SimOutput(OutputKind.ENABLER, 0, owned, tag=key)
+                      for key in keys], vbytes=100 + 30 * len(keys))
+
+    def _kill(self, f: str) -> SimTx:
+        """Spends every enabler output of ``f``."""
+        create = self.template(f"enablers:{f}")
+        refs = [(create.id, i) for i in range(len(create.outputs))]
+        return SimTx(TxKind.KILL_ENABLERS, refs,
+                     [SimOutput(OutputKind.REWARD, 0,
+                                SpendCondition(predicate="loserTerminal"),
+                                tag=f"killed:{f}")],
+                     vbytes=200 + 20 * len(refs))
+
+    def _locking(self, v: str) -> SimTx:
+        return SimTx(TxKind.LOCKING, [(f"{EXTERNAL}:user", 0)],
+                     [SimOutput(OutputKind.LOCKING, self.vmxos[v].amount,
+                                SpendCondition(
+                                    signers=frozenset(self.functionaries)),
+                                tag=f"lock:{v}")], vbytes=300)
+
+    def _kickoff(self, rest: str) -> SimTx:
+        """Output 0 is the open kick-off; output 1 + i is the dispute
+        channel to the i-th of the operator's verifiers."""
+        v, f = self._vmxo_and_functionary(rest)
+        outs = [SimOutput(OutputKind.OPEN_KICKOFF, 0,
+                          SpendCondition(signers=frozenset({f})),
+                          tag=f"openkick:{v}:{f}")]
+        outs += [SimOutput(OutputKind.DISPUTE_CHANNEL, 0,
+                           SpendCondition(signers=frozenset({f, w})),
+                           tag=f"channel:{v}:{f}:{w}")
+                 for w in self.functionaries if w != f]
+        return SimTx(TxKind.KICKOFF, [(f"{EXTERNAL}:{f}", 0)], outs,
+                     vbytes=CostTable.commit_proof)
+
+    def _unlocking(self, rest: str) -> SimTx:
+        v, f = self._vmxo_and_functionary(rest)
+        return SimTx(
+            TxKind.UNLOCKING,
+            [(self.template(f"locking:{v}").id, 0),
+             (self.template(f"kickoff:{v}:{f}").id, 0),
+             (self.template(f"enablers:{f}").id,
+              self._enabler_index(f, EnablerRole.OPERATOR, v))],
+            [SimOutput(OutputKind.REWARD, self.vmxos[v].amount,
+                       SpendCondition(signers=frozenset({f}), timelock=1),
+                       tag=f"payout:{f}")],
+            vbytes=500)
+
+    def _terminal(self, rest: str, kind: TxKind) -> SimTx:
+        """Loser terminal ``{kind}:{vmxo}:{f}:{w}``: it spends the channel
+        between operator f and verifier w and pays the winner."""
+        head, _, w = rest.rpartition(":")
+        v, f = self._vmxo_and_functionary(head)
+        if w == f:
+            raise KeyError(w)
+        pw = self.position[w]
+        chan_ref = (self.template(f"kickoff:{v}:{f}").id,
+                    1 + pw - (pw > self.position[f]))
+        winner, loser = (w, f) if kind == TxKind.PROVER_LOSES else (f, w)
+        return SimTx(kind, [chan_ref],
+                     [SimOutput(OutputKind.REWARD, 0,
+                                SpendCondition(signers=frozenset({winner}),
+                                               predicate="killEnablers"),
+                                tag=f"loser:{loser}")], vbytes=400)
+
+    def _force_close(self, rest: str) -> SimTx:
+        """``forceclose:{f}:{va}:{vb}``, va before vb in VMXO order: spends
+        both of f's open kick-off outputs."""
+        f, _, pair = rest.partition(":")
+        for i, va in enumerate(self.vmxo_ids):
+            vb = pair[len(va) + 1:]
+            if pair.startswith(f"{va}:") and vb in self.vmxo_ids[i + 1:]:
+                break
+        else:
+            raise KeyError(pair)
+        return SimTx(TxKind.FORCE_CLOSE,
+                     [(self.template(f"kickoff:{v}:{f}").id, 0)
+                      for v in (va, vb)],
+                     [SimOutput(OutputKind.REWARD, 0,
+                                SpendCondition(predicate="killEnablers"),
+                                tag=f"loser:{f}")], vbytes=350)
+
+    def template_names(self) -> Iterable[str]:
+        """The name of every template in the graph, built or not."""
+        fs, vs = self.functionaries, self.vmxo_ids
+        for f in fs:
+            yield from (f"deposit:{f}", f"enablers:{f}", f"kill:{f}")
+        for v in vs:
+            yield f"locking:{v}"
+            for f in fs:
+                yield from (f"kickoff:{v}:{f}", f"unlocking:{v}:{f}")
+                for w in fs:
                     if w != f:
                         for kind in LOSER_TERMINALS:
-                            self.template(f"{kind}:{v}:{f}:{w}")
+                            yield f"{kind}:{v}:{f}:{w}"
+        for f in fs:
+            for i, va in enumerate(vs):
+                for vb in vs[i + 1:]:
+                    yield f"forceclose:{f}:{va}:{vb}"
+
+    def build_all(self) -> None:
+        """Build every template not built yet."""
+        for name in self.template_names():
+            self.template(name)
 
     def template_count(self) -> int:
         """Templates in the whole graph, built or not: deposit, enabler
@@ -245,6 +367,11 @@ class PacketGraph:
         return (3 * n + v + 2 * v * n + 2 * v * n * (n - 1)
                 + n * v * (v - 1) // 2)
 
+    def enabler_count(self) -> int:
+        """Enablers in the whole graph, looked up or not: per functionary
+        and VMXO, one as operator and one per other functionary watched."""
+        return len(self.functionaries) ** 2 * len(self.vmxo_ids)
+
     # -- lookups -----------------------------------------------------------
 
     def output_at(self, ref: tuple[str, int]) -> Optional[SimOutput]:
@@ -253,14 +380,57 @@ class PacketGraph:
             return None
         return tx.outputs[ref[1]]
 
-    def live_enablers(self, owner: str) -> list[Enabler]:
-        return [e for e in self.enablers_by_owner.get(owner, ())
-                if e.state == EnablerState.LIVE]
+    def _enabler_slots(self, owner: str):
+        """(role, VMXO, counterparty) of each of ``owner``'s enablers, in
+        output order: per VMXO, the operator enabler, then one verifier
+        enabler per other functionary in order."""
+        for v in self.vmxo_ids:
+            yield EnablerRole.OPERATOR, v, None
+            for w in self.functionaries:
+                if w != owner:
+                    yield EnablerRole.VERIFIER, v, w
+
+    def _enabler_index(self, owner: str, role: EnablerRole, vmxo_id: str,
+                       counterparty: Optional[str] = None) -> Optional[int]:
+        """The enabler's output of ``enablers:{owner}``, in closed form."""
+        po, vi = self.position.get(owner), self.vmxo_position.get(vmxo_id)
+        pc = self.position.get(counterparty) if counterparty else None
+        if po is None or vi is None:
+            return None
+        if role == EnablerRole.OPERATOR and counterparty is None:
+            slot = 0
+        elif role == EnablerRole.VERIFIER and pc is not None and pc != po:
+            slot = 1 + pc - (pc > po)
+        else:
+            return None
+        return vi * len(self.functionaries) + slot
 
     def find_enabler(self, owner: str, role: EnablerRole, vmxo_id: str,
                      counterparty: Optional[str] = None) -> Optional[Enabler]:
-        cp = counterparty or "-"
-        return self.enablers.get(f"enabler:{owner}:{role.value}:{vmxo_id}:{cp}")
+        """The enabler's record, made LIVE on its first lookup."""
+        key = _enabler_key(owner, role, vmxo_id, counterparty)
+        e = self.enablers.get(key)
+        if e is None:
+            index = self._enabler_index(owner, role, vmxo_id, counterparty)
+            if index is None:
+                return None
+            e = self.enablers[key] = Enabler(owner, role, vmxo_id, index,
+                                             counterparty)
+        return e
+
+    def enabler_outpoint(self, e: Enabler) -> tuple[str, int]:
+        return self.template(f"enablers:{e.owner}").id, e.index
+
+    def enablers_of(self, owner: str) -> list[Enabler]:
+        """Every enabler record of ``owner``, in output order."""
+        if owner not in self.position:
+            return []
+        return [self.find_enabler(owner, role, v, cp)
+                for role, v, cp in self._enabler_slots(owner)]
+
+    def live_enablers(self, owner: str) -> list[Enabler]:
+        return [e for e in self.enablers_of(owner)
+                if e.state == EnablerState.LIVE]
 
     # -- signing and key management ---------------------------------------
 
@@ -280,13 +450,20 @@ class PacketGraph:
 
     def delete_keys(self, functionary: str, vmxo_id: str) -> KeyState:
         """Delete a key once the VMXO's locking and unlocking templates are
-        fully signed.  Signatures are never taken back, so each VMXO's
-        templates are checked once, not once per functionary."""
+        fully signed.  A template not built yet will carry the ceremony's
+        signatures, so it is fully signed exactly when every functionary
+        signed in the ceremony.  Signatures are never taken back, so each
+        VMXO's templates are checked once, not once per functionary."""
+        if vmxo_id not in self.vmxos:
+            raise KeyError(vmxo_id)
         if vmxo_id not in self.signed_vmxos:
+            ceremony = all(f in self.signers for f in self.functionaries)
             names = [f"locking:{vmxo_id}"] + [
                 f"unlocking:{vmxo_id}:{f}" for f in self.functionaries]
             for name in names:
-                if not self.template(name).is_fully_signed(self.functionaries):
+                tid = self.names.get(name)
+                if not (ceremony if tid is None else self.templates[tid]
+                        .is_fully_signed(self.functionaries)):
                     raise PrematureDeletion(name)
             self.signed_vmxos.add(vmxo_id)
         self.key_states[(functionary, vmxo_id)] = KeyState.DELETED
@@ -335,107 +512,40 @@ class PacketGraph:
             raise AlreadyClosed(f"{vmxo_a},{vmxo_b}")
         if va.operator is None or va.operator != vb.operator:
             raise NotSameOperator(f"{va.operator} vs {vb.operator}")
-        op = va.operator
-        name = f"forceclose:{op}:{vmxo_a}:{vmxo_b}"
-        alt = f"forceclose:{op}:{vmxo_b}:{vmxo_a}"
-        tx = self.template(name if name in self.names else alt)
+        first, second = sorted((vmxo_a, vmxo_b),
+                               key=self.vmxo_position.__getitem__)
+        tx = self.template(f"forceclose:{va.operator}:{first}:{second}")
         self.execute(tx)
         vb.state = VmxoState.LOCKED
         vb.operator = None
         return tx
 
 
+# template name prefix -> the rule that builds it from the rest of the name
+_RULES = {"deposit": PacketGraph._deposit,
+          "enablers": PacketGraph._enabler_create,
+          "kill": PacketGraph._kill,
+          "locking": PacketGraph._locking,
+          "kickoff": PacketGraph._kickoff,
+          "unlocking": PacketGraph._unlocking,
+          "forceclose": PacketGraph._force_close,
+          **{prefix: partial(PacketGraph._terminal, kind=kind)
+             for prefix, kind in LOSER_TERMINALS.items()}}
+
+
 def build_packet_templates(functionaries: list[str], vmxo_count: int,
                            amount: int,
                            deposit_per_functionary: int = 0) -> PacketGraph:
-    """Build the presigned template graph for one packet, all but the loser
-    terminals, which are built on lookup."""
+    """Set up the presigned template graph for one packet; its templates
+    and enabler records are built on lookup."""
     n = len(functionaries)
     if n < 2:
         raise TooFewFunctionaries(str(n))
     if vmxo_count < 1:
         raise ValueError("vmxo_count must be >= 1")
     vmxo_ids = [f"pkt0:vmxo{i}" for i in range(vmxo_count)]
-    g = PacketGraph(functionaries, vmxo_ids)
-
-    # deposits and enabler-creation, one funding tx per functionary
-    for f in functionaries:
-        dep = SimTx(TxKind.DEPOSIT_CREATE, [(f"{EXTERNAL}:{f}", 0)],
-                    [SimOutput(OutputKind.DEPOSIT, deposit_per_functionary,
-                               SpendCondition(predicate="loserTerminal"),
-                               tag=f"deposit:{f}")], vbytes=150)
-        g._add(f"deposit:{f}", dep)
-        owned = SpendCondition(signers=frozenset({f}))
-        ens = []
-        for v in vmxo_ids:
-            ens.append(Enabler(f, EnablerRole.OPERATOR, v))
-            ens += [Enabler(f, EnablerRole.VERIFIER, v, counterparty=other)
-                    for other in functionaries if other != f]
-        keys = [e.key for e in ens]
-        create = SimTx(TxKind.ENABLER_CREATE, [(f"{EXTERNAL}:{f}", 0)],
-                       [SimOutput(OutputKind.ENABLER, 0, owned, tag=key)
-                        for key in keys], vbytes=100 + 30 * len(ens))
-        g._add(f"enablers:{f}", create)
-        for idx, (e, key) in enumerate(zip(ens, keys)):
-            e.outpoint = (create.id, idx)
-            g.enablers[key] = e
-        g.enablers_by_owner[f] += ens
-
-    # each operator's dispute channels, one per verifier, with their spend
-    # conditions shared by every VMXO's kick-off
-    channels = {f: [(w, SpendCondition(signers=frozenset({f, w})))
-                    for w in functionaries if w != f] for f in functionaries}
-    for v in vmxo_ids:
-        g.vmxos[v] = Vmxo(v, amount)
-        locking = SimTx(TxKind.LOCKING, [(f"{EXTERNAL}:user", 0)],
-                        [SimOutput(OutputKind.LOCKING, amount,
-                                   SpendCondition(signers=frozenset(functionaries)),
-                                   tag=f"lock:{v}")], vbytes=300)
-        g._add(f"locking:{v}", locking)
-
-        for f in functionaries:
-            kick_outs = [SimOutput(OutputKind.OPEN_KICKOFF, 0,
-                                   SpendCondition(signers=frozenset({f})),
-                                   tag=f"openkick:{v}:{f}")]
-            kick_outs += [SimOutput(OutputKind.DISPUTE_CHANNEL, 0, cond,
-                                    tag=f"channel:{v}:{f}:{w}")
-                          for w, cond in channels[f]]
-            kickoff = SimTx(TxKind.KICKOFF, [(f"{EXTERNAL}:{f}", 0)],
-                            kick_outs, vbytes=CostTable.commit_proof)
-            g._add(f"kickoff:{v}:{f}", kickoff)
-
-            op_enabler = g.find_enabler(f, EnablerRole.OPERATOR, v)
-            unlocking = SimTx(
-                TxKind.UNLOCKING,
-                [(locking.id, 0), (kickoff.id, 0), op_enabler.outpoint],
-                [SimOutput(OutputKind.REWARD, amount,
-                           SpendCondition(signers=frozenset({f}),
-                                          timelock=1),
-                           tag=f"payout:{f}")],
-                vbytes=500)
-            g._add(f"unlocking:{v}:{f}", unlocking)
-
-    # kill-enablers per functionary: spends all their enabler outputs
-    for f in functionaries:
-        refs = [e.outpoint for e in g.enablers_by_owner[f]]
-        kill = SimTx(TxKind.KILL_ENABLERS, sorted(refs),
-                     [SimOutput(OutputKind.REWARD, 0,
-                                SpendCondition(predicate="loserTerminal"),
-                                tag=f"killed:{f}")], vbytes=200 + 20 * len(refs))
-        g._add(f"kill:{f}", kill)
-
-    # force-close per pair of one operator's open-kick-off outputs
-    for f in functionaries:
-        for i, va in enumerate(vmxo_ids):
-            for vb in vmxo_ids[i + 1:]:
-                ka = g.template(f"kickoff:{va}:{f}")
-                kb = g.template(f"kickoff:{vb}:{f}")
-                fc = SimTx(TxKind.FORCE_CLOSE, [(ka.id, 0), (kb.id, 0)],
-                           [SimOutput(OutputKind.REWARD, 0,
-                                      SpendCondition(predicate="killEnablers"),
-                                      tag=f"loser:{f}")], vbytes=350)
-                g._add(f"forceclose:{f}:{va}:{vb}", fc)
-    return g
+    return PacketGraph(functionaries, vmxo_ids, amount,
+                       deposit_per_functionary)
 
 
 def validate_graph(g: PacketGraph) -> list[str]:
@@ -460,7 +570,7 @@ def validate_graph(g: PacketGraph) -> list[str]:
     kill_misses = {}
     for f in g.functionaries:
         if f"kill:{f}" in g.names:
-            refs = {e.outpoint for e in g.enablers_by_owner[f]}
+            refs = {g.enabler_outpoint(e) for e in g.enablers_of(f)}
             kill_misses[f] = len(refs - set(g.template(f"kill:{f}").inputs))
     for name, tid in g.names.items():
         tx = g.templates[tid]
@@ -483,7 +593,8 @@ def validate_graph(g: PacketGraph) -> list[str]:
         vmxo_id = name.split(":", 1)[1].rsplit(":", 1)[0]
         f = name.rsplit(":", 1)[1]
         op_en = g.find_enabler(f, EnablerRole.OPERATOR, vmxo_id)
-        en_inputs = [r for r in tx.inputs if op_en and r == op_en.outpoint]
+        en_inputs = [r for r in tx.inputs
+                     if op_en and r == g.enabler_outpoint(op_en)]
         if len(en_inputs) != 1:
             violations.append(f"{name}: must consume exactly one operator enabler")
         kick = g.template(f"kickoff:{vmxo_id}:{f}")

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import pytest
 
@@ -65,7 +66,10 @@ def test_check_flags_tampered_log(tmp_path):
     main(["run", str(sc), "--log", str(log)])
     lines = log.read_text().splitlines()
     spend = next(l for l in lines if " ev=spend " in l)
-    log.write_text("\n".join(lines + [spend]) + "\n")
+    # replay the spend as the log's next line, so the log stays in order
+    replay = re.sub(r"^t=-?\d+ seq=\d+ ",
+                    f"{lines[-1].split()[0]} seq={len(lines) + 1} ", spend)
+    log.write_text("\n".join(lines + [replay]) + "\n")
     assert main(["check", str(log)]) == 1
 
 
@@ -77,6 +81,25 @@ def _cut_final_balances(lines):
 def _keep_one_final_balance(lines):
     return _cut_final_balances(lines) + [
         next(l for l in lines if " ev=final_balance " in l)]
+
+
+def _outcome_at(lines):
+    return next(i for i, l in enumerate(lines) if " ev=dispute_outcome " in l)
+
+
+def _delete_outcome(lines):
+    i = _outcome_at(lines)
+    return lines[:i] + lines[i + 1:]
+
+
+def _swap_outcome_back(lines):
+    i = _outcome_at(lines)
+    return lines[:i - 1] + [lines[i], lines[i - 1]] + lines[i + 1:]
+
+
+def _swap_outcome_back_and_renumber(lines):
+    return [re.sub(r" seq=\d+ ", f" seq={n} ", l, count=1)
+            for n, l in enumerate(_swap_outcome_back(lines), 1)]
 
 
 @pytest.mark.parametrize("damage, reason", [
@@ -93,8 +116,12 @@ def _keep_one_final_balance(lines):
     (lambda lines: lines[:5] + ["t=99 seq=999 ev=transfer src=a dst=b "
                                 "amount=1.5"] + lines[5:],
      "line 6 has a non-integer amount"),
+    (_delete_outcome, "line 78 has seq=79, not 78"),
+    (_swap_outcome_back, "line 77 has seq=78, not 77"),
+    (_swap_outcome_back_and_renumber, "line 78 has t=12, before t=24"),
 ], ids=["empty", "garbage", "bad-tick", "no-setup", "truncated",
-        "final-balances-cut", "missing-field", "bad-amount"])
+        "final-balances-cut", "missing-field", "bad-amount", "deleted-line",
+        "swapped-line", "swapped-renumbered-line"])
 def test_check_rejects_malformed_log(tmp_path, capsys, damage, reason):
     sc = tmp_path / "demo.scenario"
     sc.write_text(SCENARIO)

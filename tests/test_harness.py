@@ -313,3 +313,39 @@ def test_run_builds_no_unused_loser_terminal():
               if name.startswith(("proverloses:", "verifierloses:"))
               and tid not in spenders]
     assert unused == []
+
+
+# log digest of each strategy's N = 100, V = 4 run, as an eager build of
+# the whole graph gave it
+N100_LOGS = {Strategy.HONEST: "dfbd9e5e8bb23837",
+             Strategy.SILENT_PROVER: "849c45b5de93c016",
+             Strategy.FAKE_PROOF_PROVER: "24517749ef1192c5",
+             Strategy.FORK_PROVER: "ed0e1abede88c484",
+             Strategy.GRIEFING_VERIFIER: "acee05344aa67323",
+             Strategy.DOUBLE_OPERATOR: "dbcfa7e25a7473e6",
+             Strategy.KEY_LEAKER: "acf7e5a29102e76a"}
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_n100_run_builds_only_what_it_touches(strategy):
+    n, v = 100, 4
+    sc = Scenario(name=f"n100-{strategy.value}", seed=1, n_functionaries=n,
+                  vmxo_count=v, n_pegins=2, n_pegouts=2,
+                  adversary=None if strategy == Strategy.HONEST else 1,
+                  strategy=strategy)
+    runner = Runner(sc)
+    runner.setup()
+    runner.run_pegins()
+    runner.run_theft_attempts()
+    runner.run_pegouts()
+    report = runner.finish()
+    assert [(x.name, x.passed, x.detail) for x in report.verdicts] == [
+        (name, True, "") for name in ("conservation", "single_spend",
+                                      "safety", "liveness", "exclusion")]
+    log = "\n".join(report.log).encode()
+    assert hashlib.sha256(log).hexdigest()[:16] == N100_LOGS[strategy]
+    setup_done = next(l for l in report.log if " ev=setup_done " in l)
+    assert setup_done.endswith(" enablers=40000 templates=80904")
+    g = runner.bridge.graph
+    assert len(g.templates) <= 20
+    assert len(g.enablers) <= 3 * n * v

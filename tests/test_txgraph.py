@@ -4,6 +4,7 @@ from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
+from bridgesim.econ import CostTable
 from bridgesim.errors import (AlreadyClosed, KeyDeleted, NoTrigger,
                              NotSameOperator, PrematureDeletion, SpendRejected,
                              TooFewFunctionaries)
@@ -26,6 +27,9 @@ def test_too_few_functionaries():
 
 def test_n2_counts():
     g = packet(["f0", "f1"])
+    g.build_all()
+    for f in g.functionaries:
+        g.enablers_of(f)
     kickoffs = [t for t in g.templates.values()
                 if t.template_kind == TxKind.KICKOFF]
     assert len(kickoffs) == 2
@@ -47,7 +51,10 @@ def test_n3_channel_count():
 
 def test_n3_two_vmxos_enabler_pool():
     g = packet(vmxos=2)
+    for f in g.functionaries:
+        g.enablers_of(f)
     assert len(g.enablers) == 3 * (1 + 2) * 2  # N x (1 + N-1) x vmxos = 18
+    assert g.enabler_count() == len(g.enablers)
 
 
 def test_sign_idempotent():
@@ -67,6 +74,7 @@ def test_full_signing_completes_template():
 
 
 def sign_all(g, vmxo_id):
+    g.build_all()
     for name in list(g.names):
         if vmxo_id in name or name.startswith(("kill:", "forceclose:")):
             for f in g.functionaries:
@@ -168,6 +176,19 @@ def test_force_close_two_simultaneous_kickoffs():
         g.apply_force_close(va, vb)
 
 
+def test_force_close_pair_given_in_reverse():
+    g = packet(vmxos=2)
+    v0, v1 = g.vmxo_ids
+    for v in (v0, v1):
+        g.vmxos[v].state = VmxoState.KICKOFF_OPEN
+        g.vmxos[v].operator = "f0"
+    tx = g.apply_force_close(v1, v0)
+    assert g.names[f"forceclose:f0:{v0}:{v1}"] == tx.id
+    assert f"forceclose:f0:{v1}:{v0}" not in g.names
+    assert g.vmxos[v0].state == VmxoState.LOCKED
+    assert g.vmxos[v1].state == VmxoState.KICKOFF_OPEN
+
+
 def test_burn_enablers_all_live_to_burnt():
     g = packet(vmxos=2)
     trigger = g.template(f"proverloses:{g.vmxo_ids[0]}:f0:f1")
@@ -262,8 +283,10 @@ def test_packet_count_and_validation(n, v):
     assert len(g.templates) == template_count(n, v)
     assert validate_graph(g) == []
     for f in fs:
-        assert g.enablers_by_owner[f] == [e for e in g.enablers.values()
-                                          if e.owner == f]
+        assert g.enablers_of(f) == sorted(
+            (e for e in g.enablers.values() if e.owner == f),
+            key=lambda e: e.index)
+    assert len(g.enablers) == g.enabler_count()
 
 
 def test_templates_never_mint_value():
@@ -318,6 +341,7 @@ def test_lazy_terminals_match_eager_build(n, v):
     whole = packet(fs, vmxos=v)
     whole.build_all()
     assert {name: whole.names[name] for name in eager} == eager
+    lazy.build_all()
     assert lazy.names == whole.names
     assert len(lazy.templates) == lazy.template_count()
     assert validate_graph(lazy) == [] and validate_graph(whole) == []
@@ -340,6 +364,126 @@ def test_terminal_built_after_ceremony_is_fully_signed():
                 "proverloses:pkt0:vmxo9:f0:f1",  # no such VMXO
                 f"proverloses:{g.vmxo_ids[0]}:f0:f7",  # no such verifier
                 f"winnerpays:{g.vmxo_ids[0]}:f0:f1",  # no such kind
-                "proverloses:f0"]:
+                "proverloses:f0",
+                "deposit:f7", "enablers:", "kill:f7", "locking:pkt0:vmxo9",
+                f"kickoff:{g.vmxo_ids[0]}:f7", "unlocking:pkt0:vmxo9:f0",
+                # a pair is named once, in VMXO order
+                f"forceclose:f0:{g.vmxo_ids[1]}:{g.vmxo_ids[0]}",
+                f"forceclose:f0:{g.vmxo_ids[0]}:{g.vmxo_ids[0]}",
+                f"forceclose:f7:{g.vmxo_ids[0]}:{g.vmxo_ids[1]}"]:
         with pytest.raises(KeyError):
             g.template(bad)
+
+
+def eager_reference(functionaries, vmxo_count, amount, deposit):
+    """Every template by name and every enabler's outpoint by (owner,
+    role, VMXO, counterparty), built in one pass up front: a frozen copy of
+    the eager build that on-lookup building must agree with."""
+    vmxo_ids = [f"pkt0:vmxo{i}" for i in range(vmxo_count)]
+    txs, outpoints = {}, {}
+    for f in functionaries:
+        txs[f"deposit:{f}"] = SimTx(
+            TxKind.DEPOSIT_CREATE, [(f"ext:{f}", 0)],
+            [SimOutput(OutputKind.DEPOSIT, deposit,
+                       SpendCondition(predicate="loserTerminal"),
+                       tag=f"deposit:{f}")], vbytes=150)
+        slots = []
+        for v in vmxo_ids:
+            slots.append((f, EnablerRole.OPERATOR, v, None))
+            slots += [(f, EnablerRole.VERIFIER, v, w)
+                      for w in functionaries if w != f]
+        owned = SpendCondition(signers=frozenset({f}))
+        create = SimTx(TxKind.ENABLER_CREATE, [(f"ext:{f}", 0)],
+                       [SimOutput(OutputKind.ENABLER, 0, owned,
+                                  tag=f"enabler:{f}:{r.value}:{v}:{w or '-'}")
+                        for f, r, v, w in slots],
+                       vbytes=100 + 30 * len(slots))
+        txs[f"enablers:{f}"] = create
+        outpoints.update((slot, (create.id, i))
+                         for i, slot in enumerate(slots))
+    for v in vmxo_ids:
+        locking = txs[f"locking:{v}"] = SimTx(
+            TxKind.LOCKING, [("ext:user", 0)],
+            [SimOutput(OutputKind.LOCKING, amount,
+                       SpendCondition(signers=frozenset(functionaries)),
+                       tag=f"lock:{v}")], vbytes=300)
+        for f in functionaries:
+            verifiers = [w for w in functionaries if w != f]
+            kick = txs[f"kickoff:{v}:{f}"] = SimTx(
+                TxKind.KICKOFF, [(f"ext:{f}", 0)],
+                [SimOutput(OutputKind.OPEN_KICKOFF, 0,
+                           SpendCondition(signers=frozenset({f})),
+                           tag=f"openkick:{v}:{f}")]
+                + [SimOutput(OutputKind.DISPUTE_CHANNEL, 0,
+                             SpendCondition(signers=frozenset({f, w})),
+                             tag=f"channel:{v}:{f}:{w}") for w in verifiers],
+                vbytes=CostTable.commit_proof)
+            txs[f"unlocking:{v}:{f}"] = SimTx(
+                TxKind.UNLOCKING,
+                [(locking.id, 0), (kick.id, 0),
+                 outpoints[(f, EnablerRole.OPERATOR, v, None)]],
+                [SimOutput(OutputKind.REWARD, amount,
+                           SpendCondition(signers=frozenset({f}), timelock=1),
+                           tag=f"payout:{f}")], vbytes=500)
+            for ci, w in enumerate(verifiers):
+                for kind, name, winner, loser in [
+                        (TxKind.PROVER_LOSES, "proverloses", w, f),
+                        (TxKind.VERIFIER_LOSES, "verifierloses", f, w)]:
+                    txs[f"{name}:{v}:{f}:{w}"] = SimTx(
+                        kind, [(kick.id, 1 + ci)],
+                        [SimOutput(OutputKind.REWARD, 0, SpendCondition(
+                            signers=frozenset({winner}),
+                            predicate="killEnablers"),
+                            tag=f"loser:{loser}")], vbytes=400)
+    for f in functionaries:
+        refs = sorted(op for slot, op in outpoints.items() if slot[0] == f)
+        txs[f"kill:{f}"] = SimTx(
+            TxKind.KILL_ENABLERS, refs,
+            [SimOutput(OutputKind.REWARD, 0,
+                       SpendCondition(predicate="loserTerminal"),
+                       tag=f"killed:{f}")], vbytes=200 + 20 * len(refs))
+        for i, va in enumerate(vmxo_ids):
+            for vb in vmxo_ids[i + 1:]:
+                txs[f"forceclose:{f}:{va}:{vb}"] = SimTx(
+                    TxKind.FORCE_CLOSE,
+                    [(txs[f"kickoff:{va}:{f}"].id, 0),
+                     (txs[f"kickoff:{vb}:{f}"].id, 0)],
+                    [SimOutput(OutputKind.REWARD, 0,
+                               SpendCondition(predicate="killEnablers"),
+                               tag=f"loser:{f}")], vbytes=350)
+    return txs, outpoints
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("v", range(1, 4))
+def test_every_lookup_matches_eager_reference(n, v):
+    fs = [f"f{i}" for i in range(n)]
+    ref, outpoints = eager_reference(fs, v, 100_000, 7_000)
+    g = build_packet_templates(fs, v, 100_000, deposit_per_functionary=7_000)
+    assert sorted(g.template_names()) == sorted(ref)
+    assert g.template_count() == len(ref)
+    assert g.enabler_count() == len(outpoints)
+    names = sorted(ref)
+    random.Random(10 * n + v).shuffle(names)
+    half = len(names) // 2
+    # looked up before the ceremony: no signature until it is held
+    for name in names[:half]:
+        tx = g.template(name)
+        assert tx.id == ref[name].id and tx == ref[name]
+        assert tx.valid_signers() == set()
+    g.sign_all(fs)
+    # looked up after it: signed as if built before it
+    for name in names[half:]:
+        tx = g.template(name)
+        assert tx.id == ref[name].id and tx == ref[name]
+    for name in names:
+        assert g.template(name).valid_signers() == set(fs)
+    assert len(g.templates) == len(ref)
+    slots = list(outpoints)
+    random.Random(n - v).shuffle(slots)
+    for slot in slots:
+        e = g.find_enabler(*slot)
+        assert e.state == EnablerState.LIVE
+        assert g.enabler_outpoint(e) == outpoints[slot]
+    assert len(g.enablers) == len(outpoints)
+    assert validate_graph(g) == []
