@@ -9,6 +9,11 @@ a trace of their own, resolves its read values, and the leaf check
 re-executes the isolated transition.  A party may publish exactly while
 their stop watch runs.
 
+``ExecutionTrace.digest(i)`` is the on-chain commitment to state i that
+the model describes.  The search compares the committed states themselves,
+``(program_id, state(i))``, which is exactly what ``digest(i)`` hashes, so
+it checks the same boundaries and picks the same segments without hashing.
+
 A challenge may instead present an alternative header chain with higher
 accumulated difficulty, opening one nested game with the roles reversed.
 """
@@ -130,6 +135,9 @@ class DisputeGame:
     publications: list[tuple[int, str, str]] = field(default_factory=list)
 
     def __post_init__(self):
+        if self.arity < 2:
+            # an arity below 2 never narrows the segment
+            raise ValueError(f"arity must be at least 2, got {self.arity}")
         self.watches = {
             self.prover: StopWatch(self.prover, self.watch_threshold),
             self.verifier: StopWatch(self.verifier, self.watch_threshold),
@@ -198,7 +206,9 @@ def challenge(game: DisputeGame, kind: str = "Execution",
         raise ValueError(kind)
     if game.alt_defeated:
         raise WrongPhase("alt-chain branch already defeated")
-    assert alt_input is not None and main_difficulty is not None
+    if alt_input is None or main_difficulty is None:
+        raise MalformedInput("alt-chain challenge needs alt_input and "
+                             "main_difficulty")
     if not admit_counter_proof(main_difficulty, alt_input.claimed_difficulty):
         raise DifficultyNotHigher(
             f"{alt_input.claimed_difficulty} <= {main_difficulty}")
@@ -235,13 +245,18 @@ def _boundaries(lo: int, hi: int, arity: int) -> list[int]:
 
 def _narrow(lo: int, hi: int, arity: int, prover: ExecutionTrace,
             verifier: ExecutionTrace) -> tuple[int, int]:
-    """One narrowing round: prover reveals boundary digests, verifier picks
-    the first disagreeing one.  A griefing verifier with no real divergence
-    always picks the first segment."""
+    """One narrowing round: the prover commits to the boundary states, the
+    verifier picks the first one that disagrees with its own.  A griefing
+    verifier with no real divergence always picks the first segment.
+
+    Two commitments ``digest(b)`` agree exactly when ``(program_id,
+    state(b))`` agree, up to hash collisions, so the search compares those
+    pairs directly and hashes nothing."""
     bounds = _boundaries(lo, hi, arity)
     prev = lo
+    same_program = prover.program_id == verifier.program_id
     for b in bounds:
-        if prover.digest(b) != verifier.digest(b):
+        if not same_program or prover.state(b) != verifier.state(b):
             return prev, b
         prev = b
     # no boundary disagrees: a challenger without a real divergence (or one
@@ -392,4 +407,6 @@ def _rounds(length: int, arity: int) -> int:
 
 def max_rounds(trace_length: int, read_steps: int, arity: int) -> int:
     """Upper bound on on-chain search rounds: main plus read search."""
+    if arity < 2:
+        raise ValueError(f"arity must be at least 2, got {arity}")
     return _rounds(trace_length, arity) + _rounds(read_steps, arity)

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from bridgesim import dispute
 from bridgesim.dispute import (DisputeGame, ExecutionTrace, Outcome, Phase,
                               Reason, challenge, leaf_check, max_rounds,
                               open_game, resolve_no_challenge, reveal_trace,
@@ -261,3 +264,133 @@ def test_corrupting_twice_keeps_the_first_wrong_transition():
     assert honest.corrupted_at(9).corrupted_at(5) == honest.corrupted_at(5)
     with pytest.raises(ValueError):
         honest.corrupted_at(17)
+
+
+# -- the search compares committed states --------------------------------------
+
+def digest_narrow(lo, hi, arity, prover, verifier):
+    """Reference: the narrowing round that compares the two traces'
+    commitments ``digest(b)`` at each boundary."""
+    bounds = dispute._boundaries(lo, hi, arity)
+    prev = lo
+    for b in bounds:
+        if prover.digest(b) != verifier.digest(b):
+            return prev, b
+        prev = b
+    return lo, bounds[0]
+
+
+def narrowing_pairs(length):
+    """(prover, verifier) trace pairs of one length: every corruption
+    position on either side, equal traces, and two different programs
+    (whose commitments disagree at every boundary)."""
+    honest = ExecutionTrace.honest("prog", length)
+    pairs = [(honest, honest),
+             (honest, ExecutionTrace.honest("other", length)),
+             (honest.corrupted_at(1), ExecutionTrace.honest("other", length))]
+    for pos in range(1, length + 1):
+        pairs += [(honest.corrupted_at(pos), honest),
+                  (honest, honest.corrupted_at(pos))]
+    return pairs
+
+
+def read_pairs(length, read_steps=16):
+    """The read traces ``reads(i, read_steps)`` of every isolated step i,
+    for every corruption position and for equal traces."""
+    honest = ExecutionTrace.honest("prog", length)
+    pairs = set()
+    for pos in [None] + list(range(1, length + 1)):
+        prover = honest if pos is None else honest.corrupted_at(pos)
+        for i in range(1, length + 1):
+            pairs.add((prover.reads(i, read_steps),
+                       honest.reads(i, read_steps)))
+    # reads of different steps belong to different programs
+    pairs.add((honest.reads(1, read_steps), honest.reads(2, read_steps)))
+    return sorted(pairs, key=repr)
+
+
+def assert_narrow_matches_digest(pairs, his, arity):
+    for prover, verifier in pairs:
+        for hi in his:
+            for lo in range(hi):
+                assert (dispute._narrow(lo, hi, arity, prover, verifier)
+                        == digest_narrow(lo, hi, arity, prover, verifier)), \
+                    (prover, verifier, lo, hi)
+
+
+@pytest.mark.parametrize("arity", [2, 3, 4, 5])
+def test_narrow_matches_digest_reference(arity):
+    # a round reads states lo+1..hi only, and a trace's states do not depend
+    # on its length; so segment lo..hi of a longer trace is segment lo..hi
+    # of the trace of length hi with the same corruption, or of the honest
+    # one when the corruption starts past hi.  Segments ending at each
+    # length cover every segment of every trace of length 1-40.
+    for length in range(1, 41):
+        assert_narrow_matches_digest(narrowing_pairs(length), [length], arity)
+
+
+@pytest.mark.parametrize("arity", [2, 3, 4, 5])
+def test_read_narrow_matches_digest_reference(arity):
+    pairs = read_pairs(16)
+    assert {p.corrupt_from for p, _ in pairs} == {0, 1}
+    assert_narrow_matches_digest(pairs, range(1, 17), arity)
+
+
+def play(monkeypatch, narrow, length, arity, pos, delays):
+    with monkeypatch.context() as m:
+        m.setattr(dispute, "_narrow", narrow)
+        g = new_game(length, corrupt_at=pos, arity=arity,
+                     threshold=delays[2])
+        challenge(g)
+        try:
+            run_search(g, prover_delay=delays[0], verifier_delay=delays[1],
+                       leaf_delay=delays[0])
+        except TimeoutExpired:
+            pass
+    return g.rounds, g.publications, g.isolated_step, g.outcome
+
+
+@pytest.mark.parametrize("arity", [2, 4])
+def test_full_games_match_digest_reference(monkeypatch, arity):
+    n = 4 ** 8
+    rng = random.Random(arity)
+    positions = [None, 1, 2, n // 2, n - 1, n] + rng.sample(range(1, n + 1), 40)
+    # unit delays, slow parties, and a staller who runs out their budget
+    delays = [(1, 1, 10 ** 6), (3, 2, 10 ** 6), (40, 1, 100), (1, 40, 100)]
+    for pos in positions:
+        for d in delays:
+            ours = play(monkeypatch, dispute._narrow, n, arity, pos, d)
+            ref = play(monkeypatch, digest_narrow, n, arity, pos, d)
+            assert ours == ref, (pos, d)
+            assert ours[3] is not None
+
+
+# -- caller input --------------------------------------------------------------
+
+@pytest.mark.parametrize("arity", [1, 0, -2])
+def test_game_rejects_arity_below_two(arity):
+    # arity 1 never narrows the segment, and arity 0 divides by zero
+    with pytest.raises(ValueError):
+        new_game(16, corrupt_at=5, arity=arity)
+    honest = ExecutionTrace.honest("prog", 16)
+    with pytest.raises(ValueError):
+        DisputeGame("p", "v", honest, honest, arity=arity)
+
+
+@pytest.mark.parametrize("arity", [1, 0, -2])
+def test_max_rounds_rejects_arity_below_two(arity):
+    with pytest.raises(ValueError):
+        max_rounds(16, 16, arity)
+
+
+@pytest.mark.parametrize("missing", ["alt_input", "main_difficulty"])
+def test_alt_chain_challenge_without_input_rejected(missing):
+    g = new_game(16)
+    inp, alt = make_alt(valid=True)
+    kwargs = dict(alt_input=alt, main_difficulty=inp.claimed_difficulty)
+    del kwargs[missing]
+    with pytest.raises(MalformedInput):
+        challenge(g, "AltChain", **kwargs)
+    # nothing was published and the game still awaits a challenge
+    assert g.phase == Phase.AWAIT_CHALLENGE and g.nested is None
+    assert [a for _, _, a in g.publications] == ["commit-proof"]
