@@ -4,6 +4,12 @@ Two chains are modeled: the source chain (Bitcoin-like) and the secondary
 chain.  Difficulty is an abstract positive integer per block; the canonical
 tip is the branch with the highest accumulated difficulty, ties broken by
 lowest header id so runs are reproducible.
+
+Fork choice is kept up to date as blocks are mined, the way Bitcoin Core
+keeps its active chain: the tip changes only when a new header beats it,
+and the canonical chain is a list indexed by height, of which a reorg
+rewrites only the part after the fork point.  Tip, canonical membership and
+confirmations are then O(1) queries.
 """
 
 from __future__ import annotations
@@ -78,6 +84,9 @@ class ChainView:
         self.headers: dict[str, BlockHeader] = {self.genesis.id: self.genesis}
         self.block_txs: dict[str, tuple] = {self.genesis.id: ()}
         self._acc: dict[str, int] = {self.genesis.id: 1}
+        self._tip = self.genesis
+        # the canonical chain, indexed by height
+        self._canonical: list[BlockHeader] = [self.genesis]
 
     def mine_block(self, parent_id: str, txs: list[str],
                    difficulty: int = 1) -> BlockHeader:
@@ -86,10 +95,29 @@ class ChainView:
             raise UnknownParent(parent_id)
         header = BlockHeader.make(self.chain_id, parent.height + 1, parent_id,
                                   difficulty, txs)
+        if header.id in self.headers:
+            # the same block mined again changes nothing
+            return self.headers[header.id]
         self.headers[header.id] = header
         self.block_txs[header.id] = tuple(txs)
-        self._acc[header.id] = self._acc[parent_id] + difficulty
+        acc = self._acc[header.id] = self._acc[parent_id] + difficulty
+        tip_acc = self._acc[self._tip.id]
+        if acc > tip_acc or (acc == tip_acc and header.id < self._tip.id):
+            self._reorg(header)
         return header
+
+    def _reorg(self, tip: BlockHeader) -> None:
+        """Make ``tip`` the tip: rewrite the canonical chain after the last
+        header it shares with the new tip's branch."""
+        branch = []
+        h = tip
+        while h.height >= len(self._canonical) or \
+                self._canonical[h.height] is not h:
+            branch.append(h)
+            h = self.headers[h.parent_id]
+        del self._canonical[h.height + 1:]
+        self._canonical.extend(reversed(branch))
+        self._tip = tip
 
     def accumulated_difficulty(self, block_id: str) -> int:
         if block_id not in self._acc:
@@ -97,33 +125,22 @@ class ChainView:
         return self._acc[block_id]
 
     def tip(self) -> BlockHeader:
-        best_acc = max(self._acc.values())
-        candidates = [h for h in self.headers.values()
-                      if self._acc[h.id] == best_acc]
-        return min(candidates, key=lambda h: h.id)
+        return self._tip
 
     def canonical_chain(self) -> list[BlockHeader]:
-        out = []
-        cur: Optional[BlockHeader] = self.tip()
-        while cur is not None:
-            out.append(cur)
-            cur = self.headers.get(cur.parent_id) if cur.parent_id else None
-        out.reverse()
-        return out
+        return list(self._canonical)
 
     def is_canonical(self, block_id: str) -> bool:
-        if block_id not in self.headers:
+        h = self.headers.get(block_id)
+        if h is None:
             raise UnknownBlock(block_id)
-        return any(h.id == block_id for h in self.canonical_chain())
+        return h.height < len(self._canonical) and \
+            self._canonical[h.height] is h
 
     def confirmations(self, block_id: str) -> int:
-        if block_id not in self.headers:
-            raise UnknownBlock(block_id)
-        chain = self.canonical_chain()
-        for i, h in enumerate(chain):
-            if h.id == block_id:
-                return len(chain) - i
-        return 0
+        if not self.is_canonical(block_id):
+            return 0
+        return len(self._canonical) - self.headers[block_id].height
 
     def prove_inclusion(self, tx_id: str, block_id: str) -> InclusionProof:
         if block_id not in self.headers:

@@ -86,6 +86,9 @@ class Scenario:
         for w in self.censor:
             if w.length > self.watch_threshold:
                 raise InvalidScenario("censor window exceeds threshold")
+        if any(c.isspace() for c in f"{self.name}"):
+            # the name is one field of the log's meta kind=scenario line
+            raise InvalidScenario("name contains whitespace")
 
     @property
     def functionary_ids(self) -> list[str]:
@@ -513,7 +516,7 @@ class Runner:
         for account in sorted(b.ledger.balances):
             b.log("final_balance", account=account,
                   amount=b.ledger.balances[account])
-        verdicts = check_invariants(b.events)
+        verdicts = check_invariants(b.events, b.records)
         honest_costs = sum(b.dispute_costs.get(f, 0) for f in self.honest)
         slashed = sum(
             b.deposit_per_functionary
@@ -546,6 +549,11 @@ def _parse(line: str) -> dict:
     return fields
 
 
+def parse_log(log: list[str]) -> list[dict]:
+    """Each line of a log as its record, field name -> value string."""
+    return [_parse(line) for line in log]
+
+
 EVENT_LINE = re.compile(r"t=-?\d+ seq=\d+ ev=\w+(?: .*)?")
 INTEGER = re.compile(r"-?\d+")
 # the fields check_invariants reads from each kind of event
@@ -560,17 +568,20 @@ EVENT_FIELDS = {
 }
 
 
-def malformed_log(log: list[str]) -> Optional[str]:
+def malformed_log(log: list[str],
+                  records: Optional[list[dict]] = None) -> Optional[str]:
     """Why a saved log cannot be one whole run's log, or None.  Every line
     must be an event with the fields the checker reads, its amounts
     integers, and the run's scenario, parameters, end of setup and a final
     balance for every account it moved must be there.  Lines run in the
     order they were logged: ``seq`` counts 1, 2, ... and ``t`` never
-    decreases, so a deleted or reordered line shows."""
+    decreases, so a deleted or reordered line shows.  ``records``, when
+    given, must be ``parse_log(log)``; the lines are then not parsed
+    again."""
     for lineno, line in enumerate(log, 1):
         if not EVENT_LINE.fullmatch(line):
             return f"line {lineno} is not an event: {line[:60]!r}"
-    events = [_parse(line) for line in log]
+    events = parse_log(log) if records is None else records
     for lineno, e in enumerate(events, 1):
         for name in EVENT_FIELDS.get(e["ev"], ()):
             if name not in e:
@@ -604,102 +615,110 @@ def malformed_log(log: list[str]) -> Optional[str]:
     return None
 
 
-def check_invariants(log: list[str]) -> list[Verdict]:
-    events = [_parse(l) for l in log]
-    meta = {e.get("kind"): e for e in events if e.get("ev") == "meta"}
-    honest = set()
-    if "parties" in meta and meta["parties"].get("honest", "-") != "-":
-        honest = set(meta["parties"]["honest"].split(","))
-    bound = int(meta.get("params", {}).get("bound", 10 ** 9))
+def check_invariants(log: list[str],
+                     records: Optional[list[dict]] = None) -> list[Verdict]:
+    """The five verdicts (conservation, single-spend, safety, liveness,
+    exclusion) over a log, in one pass over its events with a handler per
+    ``ev=`` kind.  What depends on a later line (the honest set, the
+    liveness bound, the final balances) is decided after the pass.
 
+    The checker reads nothing but the log.  ``records``, when given, must
+    be its parse, ``parse_log(log)``, as a run's ``Bridge.records`` are;
+    the lines are then not parsed again."""
+    parties, params = {}, {}  # the last meta line of each kind
+    # conservation: opening balances and net transfers per account are kept
+    # apart, so that their order in the log does not matter
+    opening, moved, finals = {}, {}, {}
+    spent, double_spent = set(), ""  # single-spend
+    # safety: burns linked to each VMXO, canonical burns, the last unlock or
+    # theft fault, and the losers slashed after it
+    linked, canonical_burns, unsafe, slashed = {}, set(), "", []
+    pegin_users, minted, burns, fronts = [], set(), {}, {}  # liveness
+    burnt_at, excluded = {}, ""  # exclusion
+    for e in map(_parse, log) if records is None else records:
+        ev = e.get("ev")
+        if ev == "transfer":
+            amount = int(e["amount"])
+            moved[e["src"]] = moved.get(e["src"], 0) - amount
+            moved[e["dst"]] = moved.get(e["dst"], 0) + amount
+        elif ev == "dispute_pub" or ev == "kickoff" or ev == "fronted":
+            actor = e.get("actor" if ev == "dispute_pub" else "operator")
+            if actor in burnt_at and int(e.get("seq", 0)) > burnt_at[actor]:
+                excluded = f"{actor} acted after burn"
+            if ev == "fronted":
+                fronts.setdefault(
+                    e["tx"].split("front:", 1)[-1].split(":", 1)[-1],
+                    int(e["t"]))
+        elif ev == "spend":
+            if not double_spent:
+                if e["out"] in spent:
+                    double_spent = e["out"]
+                spent.add(e["out"])
+        elif ev == "balance":
+            opening[e["account"]] = int(e["amount"])
+        elif ev == "final_balance":
+            finals[e["account"]] = int(e["amount"])
+        elif ev == "meta":
+            if e.get("kind") == "parties":
+                parties = e
+            elif e.get("kind") == "params":
+                params = e
+        elif ev == "pegout_linked":
+            linked[e["vmxo"]] = e["tx"]
+        elif ev == "burn_confirmed":
+            if e.get("canonical") == "1":
+                canonical_burns.add(e["tx"])
+        elif ev == "unlocked":
+            if linked.get(e["vmxo"]) not in canonical_burns:
+                unsafe = f"unlock of {e['vmxo']} without canonical burn"
+                slashed = []
+        elif ev == "theft":
+            unsafe, slashed = f"theft of {e['vmxo']} by {e['thief']}", []
+        elif ev == "slashed":
+            slashed.append(e["loser"])
+        elif ev == "pegin_requested":
+            pegin_users.append(e["user"])
+        elif ev == "minted":
+            minted.add(e["user"])
+        elif ev == "pegout_burn":
+            burns[e["tx"]] = int(e["t"])
+        elif ev == "enablers_burnt":
+            burnt_at.setdefault(e["loser"], int(e.get("seq", 0)))
+
+    honest = set()
+    if parties.get("honest", "-") != "-":
+        honest = set(parties["honest"].split(","))
+    bound = int(params.get("bound", 10 ** 9))
     verdicts = []
 
     # conservation: initial balances + transfers == final balances, exactly
-    balances: dict[str, int] = {}
-    for e in events:
-        if e.get("ev") == "balance":
-            balances[e["account"]] = int(e["amount"])
-    start_total = sum(balances.values())
     ok, detail = True, ""
-    for e in events:
-        if e.get("ev") != "transfer":
-            continue
-        amt = int(e["amount"])
-        balances[e["src"]] = balances.get(e["src"], 0) - amt
-        balances[e["dst"]] = balances.get(e["dst"], 0) + amt
-    finals = {e["account"]: int(e["amount"])
-              for e in events if e.get("ev") == "final_balance"}
     for account, amount in finals.items():
-        if balances.get(account, 0) != amount:
-            ok, detail = False, f"{account}: {balances.get(account, 0)} != {amount}"
+        got = opening.get(account, 0) + moved.get(account, 0)
+        if got != amount:
+            ok, detail = False, f"{account}: {got} != {amount}"
             break
-    if ok and sum(finals.values()) != start_total:
+    if ok and sum(finals.values()) != sum(opening.values()):
         ok, detail = False, "total drifted"
     verdicts.append(Verdict("conservation", ok, detail))
 
-    # single-spend
-    seen: set[str] = set()
-    dup = ""
-    for e in events:
-        if e.get("ev") == "spend":
-            if e["out"] in seen:
-                dup = e["out"]
-                break
-            seen.add(e["out"])
-    verdicts.append(Verdict("single_spend", not dup, dup))
+    verdicts.append(Verdict("single_spend", not double_spent, double_spent))
 
-    # safety: no unlock without a canonical burn; no honest slash; no theft
-    linked = {}  # vmxo -> burn tx
-    canonical_burns = set()
-    safety_ok, safety_detail = True, ""
-    for e in events:
-        ev = e.get("ev")
-        if ev == "pegout_linked":
-            linked[e["vmxo"]] = e["tx"]
-        elif ev == "burn_confirmed" and e.get("canonical") == "1":
-            canonical_burns.add(e["tx"])
-        elif ev == "unlocked":
-            burn = linked.get(e["vmxo"])
-            if burn is None or burn not in canonical_burns:
-                safety_ok = False
-                safety_detail = f"unlock of {e['vmxo']} without canonical burn"
-        elif ev == "theft":
-            safety_ok = False
-            safety_detail = f"theft of {e['vmxo']} by {e['thief']}"
-        elif ev == "slashed" and e["loser"] in honest:
-            safety_ok = False
-            safety_detail = f"honest {e['loser']} slashed"
-    verdicts.append(Verdict("safety", safety_ok, safety_detail))
+    # safety: no unlock without a canonical burn; no honest slash; no
+    # theft.  The detail names the last fault in the log.
+    unsafe = next((f"honest {loser} slashed" for loser in reversed(slashed)
+                   if loser in honest), unsafe)
+    verdicts.append(Verdict("safety", not unsafe, unsafe))
 
     # liveness: every peg-in mints; every burn is fronted within the bound
-    pegin_users = [e["user"] for e in events if e.get("ev") == "pegin_requested"]
-    minted_users = {e["user"] for e in events if e.get("ev") == "minted"}
-    late = [f"pegin {u} never minted" for u in pegin_users
-            if u not in minted_users]
-    burns = {e["tx"]: int(e["t"]) for e in events if e.get("ev") == "pegout_burn"}
-    fronted = {}
-    for e in events:
-        if e.get("ev") == "fronted":
-            fronted.setdefault(e["tx"].split("front:", 1)[-1].split(":", 1)[-1],
-                               int(e["t"]))
+    late = [f"pegin {u} never minted" for u in pegin_users if u not in minted]
     late += [f"burn {tx} not fronted in time" for tx, t0 in burns.items()
-             if fronted.get(tx) is None or fronted[tx] - t0 > bound]
+             if fronts.get(tx) is None or fronts[tx] - t0 > bound]
     verdicts.append(Verdict("liveness", not late, "; ".join(late)))
 
     # exclusion: after a party's enablers are burnt they take no further
     # protocol actions
-    excl_ok, excl_detail = True, ""
-    burnt_at: dict[str, int] = {}
-    for e in events:
-        ev = e.get("ev")
-        seq = int(e.get("seq", 0))
-        if ev == "enablers_burnt":
-            burnt_at.setdefault(e["loser"], seq)
-        actor = e.get("operator") if ev in ("kickoff", "fronted") \
-            else e.get("actor") if ev == "dispute_pub" else None
-        if actor in burnt_at and seq > burnt_at[actor]:
-            excl_ok, excl_detail = False, f"{actor} acted after burn"
-    verdicts.append(Verdict("exclusion", excl_ok, excl_detail))
+    verdicts.append(Verdict("exclusion", not excluded, excluded))
     return verdicts
 
 

@@ -120,6 +120,7 @@ class Bridge:
             deposit_per_functionary=deposit)
         self.ledger = Ledger()
         self.events: list[str] = []
+        self.records: list[dict[str, str]] = []
         self._seq = 0
         self.pegins: list[PegIn] = []
         self.pegouts: list[PegOut] = []
@@ -132,10 +133,19 @@ class Bridge:
     # -- event log ---------------------------------------------------------
 
     def log(self, event: str, **fields) -> None:
+        """Append one event: its record ``{"t", "seq", "ev", **fields}``,
+        every value formatted as a string, to ``records``, and the same
+        record as the line ``t=.. seq=.. ev=.. k=v ...``, fields sorted by
+        name, to ``events``."""
         self._seq += 1
-        kv = " ".join(f"{k}={fields[k]}" for k in sorted(fields))
-        self.events.append(
-            f"t={self.clock.now} seq={self._seq} ev={event} {kv}".rstrip())
+        t, seq = f"{self.clock.now}", f"{self._seq}"
+        record = {"t": t, "seq": seq, "ev": event}
+        line = f"t={t} seq={seq} ev={event}"
+        for k in sorted(fields):
+            v = record[k] = f"{fields[k]}"
+            line += f" {k}={v}"
+        self.records.append(record)
+        self.events.append(line)
 
     def transfer(self, frm: str, to: str, amount: int, why: str) -> None:
         self.ledger.transfer(frm, to, amount)
@@ -397,8 +407,8 @@ class Bridge:
         # an enabler nobody has looked up is still live
         counts = {"live": len(self.functionaries) ** 2, "consumed": 0,
                   "burnt": 0}
-        for e in self.graph.enablers.values():
-            if e.vmxo_id == pegout.vmxo_id and e.state != EnablerState.LIVE:
+        for e in self.graph.vmxo_enablers.get(pegout.vmxo_id, ()):
+            if e.state != EnablerState.LIVE:
                 counts[e.state.value.lower()] += 1
                 counts["live"] -= 1
         self.log("enablers_recycled", vmxo=pegout.vmxo_id, **counts)

@@ -200,6 +200,7 @@ class PacketGraph:
         self.signers: dict[str, None] = {}  # the ceremony's, in order
         self.signed_vmxos: set[str] = set()  # checked by delete_keys
         self.enablers: dict[str, Enabler] = {}  # looked-up records, by key
+        self.vmxo_enablers: dict[str, list[Enabler]] = {}  # same, by VMXO
         self.key_states: dict[tuple[str, str], KeyState] = {}
         self.vmxos = {v: Vmxo(v, amount) for v in self.vmxo_ids}
         self.spent: dict[tuple[str, int], str] = {}  # outpoint -> spender id
@@ -416,6 +417,7 @@ class PacketGraph:
                 return None
             e = self.enablers[key] = Enabler(owner, role, vmxo_id, index,
                                              counterparty)
+            self.vmxo_enablers.setdefault(vmxo_id, []).append(e)
         return e
 
     def enabler_outpoint(self, e: Enabler) -> tuple[str, int]:

@@ -1,7 +1,11 @@
+import random
+
 import pytest
 
-from bridgesim.chain import SECONDARY, SOURCE, CensorSpec, ChainView, SimClock
+from bridgesim.chain import (SECONDARY, SOURCE, BlockHeader, CensorSpec,
+                             ChainView, SimClock)
 from bridgesim.errors import NotIncluded, UnknownBlock, UnknownParent
+from bridgesim.harness import Runner, Scenario, Strategy
 
 
 def test_mine_on_genesis_height_one():
@@ -116,3 +120,163 @@ def test_censorship_windows_finite():
     assert clock.censored_until("f1", 4) == 5
     assert clock.censored_until("f1", 5) is None
     assert clock.censored_until("f2", 3) is None
+
+
+# -- fork choice against the scanning reference ------------------------------
+
+class ScanningChain:
+    """The fork choice that scanned every header on each query, frozen as
+    the reference for the incremental one."""
+
+    def __init__(self, chain_id: str):
+        self.genesis = BlockHeader.make(chain_id, 0, None, 1, [])
+        self.chain_id = chain_id
+        self.headers = {self.genesis.id: self.genesis}
+        self._acc = {self.genesis.id: 1}
+
+    def mine_block(self, parent_id, txs, difficulty=1):
+        parent = self.headers[parent_id]
+        header = BlockHeader.make(self.chain_id, parent.height + 1, parent_id,
+                                  difficulty, txs)
+        self.headers[header.id] = header
+        self._acc[header.id] = self._acc[parent_id] + difficulty
+        return header
+
+    def tip(self):
+        best_acc = max(self._acc.values())
+        candidates = [h for h in self.headers.values()
+                      if self._acc[h.id] == best_acc]
+        return min(candidates, key=lambda h: h.id)
+
+    def canonical_chain(self):
+        out = []
+        cur = self.tip()
+        while cur is not None:
+            out.append(cur)
+            cur = self.headers.get(cur.parent_id) if cur.parent_id else None
+        out.reverse()
+        return out
+
+    def is_canonical(self, block_id):
+        return any(h.id == block_id for h in self.canonical_chain())
+
+    def confirmations(self, block_id):
+        chain = self.canonical_chain()
+        for i, h in enumerate(chain):
+            if h.id == block_id:
+                return len(chain) - i
+        return 0
+
+
+def _assert_same_fork_choice(c: ChainView, ref: ScanningChain) -> None:
+    assert c.tip() == ref.tip()
+    assert c.canonical_chain() == ref.canonical_chain()
+    for block_id in ref.headers:
+        assert c.is_canonical(block_id) == ref.is_canonical(block_id)
+        assert c.confirmations(block_id) == ref.confirmations(block_id)
+
+
+def _mine_both(c, ref, parent_id, txs, difficulty):
+    h = c.mine_block(parent_id, txs, difficulty)
+    assert h == ref.mine_block(parent_id, txs, difficulty)
+    _assert_same_fork_choice(c, ref)
+    return h
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_fork_choice_matches_scanning_reference(seed):
+    # random header trees: extend the tip, fork near it or anywhere, with
+    # difficulties 1-3 so equal-work forks are common; a small tx space
+    # also mines some blocks twice
+    rng = random.Random(seed)
+    c, ref = ChainView(SOURCE), ScanningChain(SOURCE)
+    ids = [c.genesis.id]
+    reorgs = 0
+    for _ in range(45):
+        r = rng.random()
+        parent = (c.tip().id if r < 0.4 else rng.choice(ids[-6:]) if r < 0.8
+                  else rng.choice(ids))
+        tip = c.tip()
+        h = _mine_both(c, ref, parent, [f"tx{rng.randrange(3)}"],
+                       rng.randint(1, 3))
+        ids.append(h.id)
+        reorgs += c.tip() != tip and h.parent_id != tip.id
+    assert reorgs > 0
+
+
+def test_equal_work_fork_lowest_id_then_reorg():
+    c, ref = ChainView(SOURCE), ScanningChain(SOURCE)
+    a = _mine_both(c, ref, c.genesis.id, ["a"], 2)
+    b = _mine_both(c, ref, c.genesis.id, ["b"], 2)
+    low, high = sorted((a, b), key=lambda h: h.id)
+    assert c.tip() == low and c.confirmations(high.id) == 0
+    # extending the higher-id branch makes it heavier
+    top = _mine_both(c, ref, high.id, ["c"], 1)
+    assert c.tip() == top and c.confirmations(low.id) == 0
+    assert c.confirmations(high.id) == 2
+    # an equal-work block on the old branch wins only with a lower id
+    _mine_both(c, ref, low.id, ["d"], 1)
+
+
+def test_reorg_across_fork_point():
+    c, ref = ChainView(SECONDARY), ScanningChain(SECONDARY)
+    main = [c.genesis]
+    for i in range(4):
+        main.append(_mine_both(c, ref, main[-1].id, [f"m{i}"], 2))
+    # a branch from main[2] overtakes main[3..4] on its third block
+    branch = [main[2]]
+    for i in range(3):
+        branch.append(_mine_both(c, ref, branch[-1].id, [f"b{i}"], 2))
+    assert c.canonical_chain() == main[:3] + branch[1:]
+    assert [c.confirmations(h.id) for h in main] == [6, 5, 4, 0, 0]
+    # a single heavier block after main[1] wins with a shorter chain
+    heavy = _mine_both(c, ref, main[1].id, ["heavy"], 20)
+    assert c.canonical_chain() == main[:2] + [heavy]
+    assert not c.is_canonical(branch[-1].id)
+    # and the old main branch takes it back
+    back = _mine_both(c, ref, main[-1].id, ["back"], 30)
+    assert c.canonical_chain() == main + [back]
+
+
+class CountingHeaders(dict):
+    """A header table that counts every walk over it."""
+
+    scans = 0
+
+    def _scan(self):
+        self.scans += 1
+
+    def __iter__(self):
+        self._scan()
+        return super().__iter__()
+
+    def values(self):
+        self._scan()
+        return super().values()
+
+    def keys(self):
+        self._scan()
+        return super().keys()
+
+    def items(self):
+        self._scan()
+        return super().items()
+
+
+def test_long_run_never_scans_headers():
+    # N = 10 with 256 VMXOs, peg-ins and peg-outs: fork choice, confirmations
+    # and canonical checks never walk the header table
+    sc = Scenario(name="horizon", seed=1, n_functionaries=10,
+                  vmxo_count=256, n_pegins=256, n_pegouts=256, adversary=3,
+                  strategy=Strategy.FAKE_PROOF_PROVER)
+    runner = Runner(sc)
+    chains = (runner.bridge.source, runner.bridge.secondary)
+    for chain in chains:
+        chain.headers = CountingHeaders(chain.headers)
+    runner.setup()
+    runner.run_pegins()
+    runner.run_theft_attempts()
+    runner.run_pegouts()
+    assert runner.finish().all_passed
+    assert [len(chain.headers) for chain in chains] == [2049, 1025]
+    assert [chain.headers.scans for chain in chains] == [0, 0]

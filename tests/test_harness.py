@@ -5,7 +5,7 @@ import pytest
 
 from bridgesim.errors import InvalidScenario
 from bridgesim.harness import (INT_KEYS, CensorSpec, Runner, RunReport,
-                              Scenario, Strategy, check_invariants,
+                              Scenario, Strategy, _parse, check_invariants,
                               generate_adversarial_scenarios, malformed_log,
                               parse_scenario, run_scenario, scenario_corpus)
 
@@ -139,6 +139,15 @@ def test_scenario_validation():
         Scenario(censor=[CensorSpec("f0", 0, 1000)]).validate()
 
 
+@pytest.mark.parametrize("name", ["x ev=theft thief=f0 vmxo=v0", "a b",
+                                  "tab\there", "new\nline", "trailing "])
+def test_scenario_name_with_whitespace_rejected(name):
+    # the name is one field of the log's meta kind=scenario line: with a
+    # space in it, "x ev=theft ..." made an honest run's log report a theft
+    with pytest.raises(InvalidScenario):
+        Scenario(name=name).validate()
+
+
 def test_parse_scenario_roundtrip():
     sc = parse_scenario("""
         name parsed
@@ -237,12 +246,14 @@ def _fuzz_scenarios(count: int):
         yield sc
 
 
-def test_fuzz_valid_scenarios_end_in_wellformed_reports():
+def test_fuzz_valid_scenarios_end_in_wellformed_reports(run_with_bridge):
     # every scenario that validates, leak_all and t_sep included, ends in a
-    # report whose log the checker accepts as whole
+    # report whose log the checker accepts as whole, and the records the
+    # checker read are that log's events
     for sc in _fuzz_scenarios(300):
-        report = run_scenario(sc)
+        report, b = run_with_bridge(sc)
         assert malformed_log(report.log) is None, sc
+        assert [_parse(l) for l in b.events] == b.records, sc
 
 
 def test_parse_scenario_rejects_unknown_key():
