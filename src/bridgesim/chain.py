@@ -119,11 +119,6 @@ class ChainView:
         self._canonical.extend(reversed(branch))
         self._tip = tip
 
-    def accumulated_difficulty(self, block_id: str) -> int:
-        if block_id not in self._acc:
-            raise UnknownBlock(block_id)
-        return self._acc[block_id]
-
     def tip(self) -> BlockHeader:
         return self._tip
 

@@ -28,10 +28,6 @@ class TooFewFunctionaries(BridgeSimError):
     pass
 
 
-class KeyDeleted(BridgeSimError):
-    pass
-
-
 class PrematureDeletion(BridgeSimError):
     pass
 

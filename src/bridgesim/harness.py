@@ -187,10 +187,11 @@ class Runner:
         for account in sorted(b.ledger.balances):
             b.log("balance", account=account,
                   amount=b.ledger.balances[account])
-        # signing ceremony: every functionary signs every template digest,
-        # then keys are deleted (or leaked, for the dishonest)
+        # signing ceremony: every functionary signs the whole packet, one
+        # record that every template reads, built now or later; then keys
+        # are deleted (or leaked, for the dishonest)
+        b.graph.sign_all()
         functionaries = sc.functionary_ids
-        b.graph.sign_all(functionaries)
         for v in b.graph.vmxo_ids:
             for f in functionaries:
                 leaks = sc.leak_all or (

@@ -9,10 +9,13 @@ Open-kick-off outputs across the packet.
 Templates are immutable and content-addressed: a template's id is the hash
 of its serialised content, taken once when it is built.  A changed template
 is a new template with a new id, and since inputs reference their parents
-by id, every descendant must be rebuilt too.  Signatures are bound to the
-id signed over, so a rebuilt template carries no valid signature.  Key
-deletion is a permission flag: once deleted, a functionary can never sign
-anything for that VMXO outside the presigned templates.
+by id, every descendant must be rebuilt too.  One ceremony presigns the
+whole packet, and the graph records it once, as its ordered ``signers``:
+every template it builds reads that one record as its ``signatures``,
+whether built before or after the ceremony, and a changed template carries
+no signature.  Key deletion is allowed once the ceremony has been held; a
+VMXO can then be spent outside the presigned templates only if every
+functionary leaked its key.
 
 A packet holds 3·N + V + 2·N·V + 2·N·(N−1)·V + N·V·(V−1)/2 templates and
 N²·V enablers, and a run touches few of them, so nothing is built up front.
@@ -21,14 +24,12 @@ Each template is built on its first lookup by name (``deposit:{f}``,
 ``unlocking:{v}:{f}``, ``proverloses:{v}:{f}:{w}``,
 ``verifierloses:{v}:{f}:{w}``, ``forceclose:{f}:{va}:{vb}``), from the name
 alone and its parents, which are built first; so its content and id are the
-ones an eager build would give.  The graph remembers the signing ceremony's
-signers, and a template built after the ceremony carries their signatures
-over its id, as it would had it been built before.  An enabler's output
-index in its owner's enabler-creation template is closed-form, its record
-exists once something looks it up, and a record nobody has looked up is
-live.  ``template_count`` and ``enabler_count`` give the sizes of the whole
-graph in closed form, ``template_names`` lists it, and ``build_all`` builds
-what is left of it.
+ones an eager build would give; ``templates`` holds the built ones by
+name.  An enabler's output index in its owner's enabler-creation template
+is closed-form, its record exists once something looks it up, and a
+record nobody has looked up is live.  ``template_count`` and
+``enabler_count`` give the sizes of the whole graph in closed form,
+``template_names`` lists it, and ``build_all`` builds what is left of it.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from enum import Enum
 from typing import Iterable, Optional
 
 from .econ import CostTable
-from .errors import (AlreadyClosed, KeyDeleted, NoTrigger, NotSameOperator,
+from .errors import (AlreadyClosed, NoTrigger, NotSameOperator,
                      PrematureDeletion, SpendRejected, TooFewFunctionaries)
 
 
@@ -88,7 +89,6 @@ class EnablerState(str, Enum):
 
 
 class KeyState(str, Enum):
-    HELD = "Held"
     DELETED = "Deleted"
     LEAKED = "Leaked"
 
@@ -130,33 +130,22 @@ class SimTx:
     inputs: tuple[tuple[str, int], ...]
     outputs: tuple[SimOutput, ...]
     vbytes: int = 200
-    # signer -> id signed over; per template, not part of its content
-    signatures: dict[str, str] = field(default_factory=dict, compare=False)
+    # the ceremony's signers: the building graph's one record, not part of
+    # the content; a copy made by ``dataclasses.replace`` carries none
+    signatures: dict[str, None] = field(init=False, compare=False,
+                                        default_factory=dict)
     id: str = field(init=False, compare=False)
 
     def __post_init__(self):
         set_ = object.__setattr__
         set_(self, "inputs", tuple(self.inputs))
         set_(self, "outputs", tuple(self.outputs))
-        set_(self, "signatures", dict(self.signatures))
         set_(self, "id", hashlib.sha256(self.serial().encode()).hexdigest()[:16])
 
     def serial(self) -> str:
         return json.dumps([self.template_kind.value, self.inputs,
                            [o.serial() for o in self.outputs], self.vbytes],
                           separators=(",", ":"))
-
-    def valid_signers(self) -> set[str]:
-        cur = self.id
-        return {s for s, over in self.signatures.items() if over == cur}
-
-    def is_fully_signed(self, required: Iterable[str]) -> bool:
-        cur = self.id
-        return all(self.signatures.get(f) == cur for f in required)
-
-    def fee(self, resolve_amount) -> int:
-        inflow = sum(resolve_amount(ref) for ref in self.inputs)
-        return inflow - sum(o.amount for o in self.outputs)
 
 
 @dataclass
@@ -195,10 +184,8 @@ class PacketGraph:
         # VMXO -> index, which orders enabler outputs and force-close pairs
         self.position = {f: i for i, f in enumerate(self.functionaries)}
         self.vmxo_position = {v: i for i, v in enumerate(self.vmxo_ids)}
-        self.templates: dict[str, SimTx] = {}  # built templates, by id
-        self.names: dict[str, str] = {}  # template name -> template id
+        self.templates: dict[str, SimTx] = {}  # built templates, by name
         self.signers: dict[str, None] = {}  # the ceremony's, in order
-        self.signed_vmxos: set[str] = set()  # checked by delete_keys
         self.enablers: dict[str, Enabler] = {}  # looked-up records, by key
         self.vmxo_enablers: dict[str, list[Enabler]] = {}  # same, by VMXO
         self.key_states: dict[tuple[str, str], KeyState] = {}
@@ -207,27 +194,19 @@ class PacketGraph:
 
     # -- construction ------------------------------------------------------
 
-    def _add(self, name: str, tx: SimTx) -> SimTx:
-        self.templates[tx.id] = tx
-        self.names[name] = tx.id
-        return tx
-
     def template(self, name: str) -> SimTx:
-        tid = self.names.get(name)
-        if tid is None:
-            return self._build(name)
-        return self.templates[tid]
-
-    def _build(self, name: str) -> SimTx:
-        """Build template ``name`` from its name alone, its parents first,
-        and give it the ceremony's signatures over its id."""
-        kind, _, rest = name.partition(":")
-        try:
-            tx = _RULES[kind](self, rest)
-        except KeyError:  # no such kind, functionary or VMXO
-            raise KeyError(name) from None
-        tx.signatures.update(dict.fromkeys(self.signers, tx.id))
-        return self._add(name, tx)
+        """Template ``name``; on first lookup it is built from its name
+        alone, its parents first, and reads the ceremony's record."""
+        tx = self.templates.get(name)
+        if tx is None:
+            kind, _, rest = name.partition(":")
+            try:
+                tx = _RULES[kind](self, rest)
+            except KeyError:  # no such kind, functionary or VMXO
+                raise KeyError(name) from None
+            object.__setattr__(tx, "signatures", self.signers)
+            self.templates[name] = tx
+        return tx
 
     def _functionary(self, f: str) -> str:
         if f not in self.position:
@@ -375,12 +354,6 @@ class PacketGraph:
 
     # -- lookups -----------------------------------------------------------
 
-    def output_at(self, ref: tuple[str, int]) -> Optional[SimOutput]:
-        tx = self.templates.get(ref[0])
-        if tx is None or ref[1] >= len(tx.outputs):
-            return None
-        return tx.outputs[ref[1]]
-
     def _enabler_slots(self, owner: str):
         """(role, VMXO, counterparty) of each of ``owner``'s enablers, in
         output order: per VMXO, the operator enabler, then one verifier
@@ -420,9 +393,6 @@ class PacketGraph:
             self.vmxo_enablers.setdefault(vmxo_id, []).append(e)
         return e
 
-    def enabler_outpoint(self, e: Enabler) -> tuple[str, int]:
-        return self.template(f"enablers:{e.owner}").id, e.index
-
     def enablers_of(self, owner: str) -> list[Enabler]:
         """Every enabler record of ``owner``, in output order."""
         if owner not in self.position:
@@ -436,38 +406,18 @@ class PacketGraph:
 
     # -- signing and key management ---------------------------------------
 
-    def sign_template(self, tx: SimTx, signer: str, vmxo_id: str) -> SimTx:
-        state = self.key_states.get((signer, vmxo_id), KeyState.HELD)
-        if state == KeyState.DELETED:
-            raise KeyDeleted(f"{signer} for {vmxo_id}")
-        tx.signatures[signer] = tx.id  # idempotent: same signer, same id
-        return tx
-
-    def sign_all(self, signers: list[str]) -> None:
+    def sign_all(self) -> None:
         """The signing ceremony, held before any key is deleted: every
-        signer signs every template's id, built now or later."""
-        self.signers.update(dict.fromkeys(signers))
-        for tid, tx in self.templates.items():
-            tx.signatures.update(dict.fromkeys(signers, tid))
+        functionary signs the whole packet, every template built now or
+        later, recorded once in ``signers``."""
+        self.signers.update(dict.fromkeys(self.functionaries))
 
     def delete_keys(self, functionary: str, vmxo_id: str) -> KeyState:
-        """Delete a key once the VMXO's locking and unlocking templates are
-        fully signed.  A template not built yet will carry the ceremony's
-        signatures, so it is fully signed exactly when every functionary
-        signed in the ceremony.  Signatures are never taken back, so each
-        VMXO's templates are checked once, not once per functionary."""
+        """Delete a key, which the ceremony must have used first."""
         if vmxo_id not in self.vmxos:
             raise KeyError(vmxo_id)
-        if vmxo_id not in self.signed_vmxos:
-            ceremony = all(f in self.signers for f in self.functionaries)
-            names = [f"locking:{vmxo_id}"] + [
-                f"unlocking:{vmxo_id}:{f}" for f in self.functionaries]
-            for name in names:
-                tid = self.names.get(name)
-                if not (ceremony if tid is None else self.templates[tid]
-                        .is_fully_signed(self.functionaries)):
-                    raise PrematureDeletion(name)
-            self.signed_vmxos.add(vmxo_id)
+        if not self.signers:
+            raise PrematureDeletion(vmxo_id)
         self.key_states[(functionary, vmxo_id)] = KeyState.DELETED
         return KeyState.DELETED
 
@@ -555,15 +505,15 @@ def validate_graph(g: PacketGraph) -> list[str]:
     violations as strings."""
     g.build_all()
     violations: list[str] = []
-    ids = set(g.templates)
+    by_id = {tx.id: tx for tx in g.templates.values()}
 
     # (i) every internal input references an existing template output
-    for name, tid in g.names.items():
-        tx = g.templates[tid]
+    for name, tx in g.templates.items():
         for ref in tx.inputs:
             if ref[0].startswith(EXTERNAL):
                 continue
-            if ref[0] not in ids or g.output_at(ref) is None:
+            parent = by_id.get(ref[0])
+            if parent is None or ref[1] >= len(parent.outputs):
                 violations.append(f"dangling input in {name}: {ref}")
 
     # (ii) every loser terminal maps to a kill-enablers template covering
@@ -571,11 +521,11 @@ def validate_graph(g: PacketGraph) -> list[str]:
     # number of its enabler outputs that template leaves unspent
     kill_misses = {}
     for f in g.functionaries:
-        if f"kill:{f}" in g.names:
-            refs = {g.enabler_outpoint(e) for e in g.enablers_of(f)}
+        if f"kill:{f}" in g.templates:
+            create = g.template(f"enablers:{f}").id
+            refs = {(create, e.index) for e in g.enablers_of(f)}
             kill_misses[f] = len(refs - set(g.template(f"kill:{f}").inputs))
-    for name, tid in g.names.items():
-        tx = g.templates[tid]
+    for name, tx in g.templates.items():
         if tx.template_kind not in (TxKind.PROVER_LOSES, TxKind.VERIFIER_LOSES):
             continue
         losers = [o.tag.split(":", 1)[1] for o in tx.outputs
@@ -588,16 +538,14 @@ def validate_graph(g: PacketGraph) -> list[str]:
                                   f"{kill_misses[loser]} enablers")
 
     # (iii) unlocking spends exactly one operator enabler + the open kick-off
-    for name, tid in g.names.items():
-        tx = g.templates[tid]
+    for name, tx in g.templates.items():
         if tx.template_kind != TxKind.UNLOCKING:
             continue
         vmxo_id = name.split(":", 1)[1].rsplit(":", 1)[0]
         f = name.rsplit(":", 1)[1]
         op_en = g.find_enabler(f, EnablerRole.OPERATOR, vmxo_id)
-        en_inputs = [r for r in tx.inputs
-                     if op_en and r == g.enabler_outpoint(op_en)]
-        if len(en_inputs) != 1:
+        op_ref = op_en and (g.template(f"enablers:{f}").id, op_en.index)
+        if sum(r == op_ref for r in tx.inputs) != 1:
             violations.append(f"{name}: must consume exactly one operator enabler")
         kick = g.template(f"kickoff:{vmxo_id}:{f}")
         if (kick.id, 0) not in tx.inputs:
@@ -608,13 +556,12 @@ def validate_graph(g: PacketGraph) -> list[str]:
         ref for t in g.templates.values()
         if t.template_kind in (TxKind.PROVER_LOSES, TxKind.VERIFIER_LOSES)
         for ref in set(t.inputs))
-    for name, tid in g.names.items():
-        tx = g.templates[tid]
+    for name, tx in g.templates.items():
         if tx.template_kind != TxKind.KICKOFF:
             continue
         for idx, out in enumerate(tx.outputs):
             if out.kind != OutputKind.DISPUTE_CHANNEL:
                 continue
-            if terminal_spends[(tid, idx)] < 2:
+            if terminal_spends[(tx.id, idx)] < 2:
                 violations.append(f"{name}: channel {idx} lacks loser terminals")
     return violations

@@ -37,17 +37,21 @@ def test_every_span_target_resolves():
         assert attr in vars(defining), f"{name}: {owners[0]}.{attr}"
 
 
+def bench_modules(*names):
+    """Modules of the bench, imported from its directory."""
+    bench = str(SPANS.parent)
+    sys.path.insert(0, bench)
+    try:
+        return [importlib.import_module(name) for name in names]
+    finally:
+        sys.path.remove(bench)
+
+
 def load_workloads():
     """The bench's workload module, and its layer namespace built from the
     bridgesim modules this process imports; `source.load()` is not called,
     since it would import the package afresh."""
-    bench = str(SPANS.parent)
-    sys.path.insert(0, bench)
-    try:
-        source = importlib.import_module("source")
-        workloads = importlib.import_module("workloads")
-    finally:
-        sys.path.remove(bench)
+    source, workloads = bench_modules("source", "workloads")
     bs = SimpleNamespace(**{name: importlib.import_module(f"bridgesim.{name}")
                             for name in source.LAYERS + ("errors",)})
     return workloads, bs
@@ -60,3 +64,27 @@ def test_every_workload_op_runs_and_checks():
     for w in workloads.WORKLOADS.values():
         for spec in w.make(bs, 1, workloads.SIZES["tiny"], 5):
             assert w.check(bs, spec, w.execute(bs, spec)), (w.name, spec)
+
+
+def test_traced_op_of_each_workload_runs_and_counts():
+    # the traced pass counts graph attributes that no other test reads: one
+    # traced op of each workload must run and pass its oracle, and a
+    # committee op's every built template carries each functionary's
+    # signature
+    workloads, bs = load_workloads()
+    (spans,) = bench_modules("spans")
+    tracer = spans.Tracer()
+    tracer.install(bs)
+    try:
+        for w in workloads.WORKLOADS.values():
+            (spec,) = w.make(bs, 1, workloads.SIZES["tiny"], 1)
+            tracer.reset()
+            result = tracer.op_span(0, w.execute, bs, spec)
+            assert w.check(bs, spec, result), (w.name, spec)
+            if w.name == "committee":
+                counts = tracer.counts
+                assert counts["templates"] > 0
+                assert counts["signatures"] == (counts["templates"]
+                                                * spec.n_functionaries)
+    finally:
+        tracer.uninstall()

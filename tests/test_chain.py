@@ -29,7 +29,7 @@ def test_fork_two_tips_canonical_by_difficulty():
     assert not c.is_canonical(a.id)
 
 
-def test_accumulated_difficulty_wins_over_single_heavy_block():
+def test_accumulated_work_wins_over_single_heavy_block():
     # branch A: difficulties 3,3 (acc 6 incl. genesis 1 -> 7)
     # branch B: difficulty 5 (acc 6); A wins with 6 > 5 past genesis
     c = ChainView(SECONDARY)
@@ -103,12 +103,12 @@ def test_inclusion_soundness_exhaustive_small_chains():
 
 def test_canonical_tip_monotone():
     c = ChainView(SOURCE)
-    last_acc = c.accumulated_difficulty(c.tip().id)
+    last_acc = sum(h.difficulty for h in c.canonical_chain())
     parent = c.genesis.id
     for i in range(10):
         parent = c.mine_block(parent if i % 3 else c.genesis.id, [],
                               difficulty=1 + i % 2).id
-        acc = c.accumulated_difficulty(c.tip().id)
+        acc = sum(h.difficulty for h in c.canonical_chain())
         assert acc >= last_acc
         last_acc = acc
 

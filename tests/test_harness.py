@@ -8,6 +8,7 @@ from bridgesim.harness import (INT_KEYS, CensorSpec, Runner, RunReport,
                               Scenario, Strategy, _parse, check_invariants,
                               generate_adversarial_scenarios, malformed_log,
                               parse_scenario, run_scenario, scenario_corpus)
+from bridgesim.lightclient import check_chain
 
 
 def test_happy_path_all_invariants():
@@ -106,6 +107,26 @@ def test_censored_verifier_alt_chain_timeout_gives_report():
     assert isinstance(report, RunReport)
     outcomes = [line for line in report.log if " ev=dispute_outcome " in line]
     assert len(outcomes) == 1 and "reason=Timeout" in outcomes[0]
+
+
+def test_fork_kickoff_proof_passes_check_chain(monkeypatch):
+    # the fork chain itself checks out, so only the alt-chain counter-proof
+    # can show the fraud: every ForkProver kick-off's main input must pass
+    main_inputs = []
+    contest = Runner._contest_kickoff
+
+    def recording(self, *args, **kwargs):
+        main_inputs.append(kwargs["main_input"])
+        return contest(self, *args, **kwargs)
+
+    monkeypatch.setattr(Runner, "_contest_kickoff", recording)
+    forks = 0
+    for sc in generate_adversarial_scenarios(500) + scenario_corpus():
+        if sc.strategy == Strategy.FORK_PROVER:
+            report = run_scenario(sc)
+            forks += sum(" ev=fork_mined " in line for line in report.log)
+    assert forks > 0 and len(main_inputs) == forks
+    assert all(check_chain(inp) for inp in main_inputs)
 
 
 def test_checker_flags_tampered_log():
@@ -320,9 +341,9 @@ def test_run_builds_no_unused_loser_terminal():
     spenders = {l.rsplit(" by=", 1)[1].split()[0]
                 for l in report.log if " ev=spend " in l}
     g = runner.bridge.graph
-    unused = [name for name, tid in g.names.items()
+    unused = [name for name, tx in g.templates.items()
               if name.startswith(("proverloses:", "verifierloses:"))
-              and tid not in spenders]
+              and tx.id not in spenders]
     assert unused == []
 
 

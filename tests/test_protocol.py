@@ -12,7 +12,7 @@ DENOM = 100_000_000
 
 def make_bridge(n=3, vmxos=2, **kw):
     b = Bridge([f"f{i}" for i in range(n)], vmxos, DENOM, **kw)
-    b.graph.sign_all(list(b.functionaries))
+    b.graph.sign_all()
     return b
 
 

@@ -5,8 +5,8 @@ from dataclasses import FrozenInstanceError, replace
 import pytest
 
 from bridgesim.econ import CostTable
-from bridgesim.errors import (AlreadyClosed, KeyDeleted, NoTrigger,
-                             NotSameOperator, PrematureDeletion, SpendRejected,
+from bridgesim.errors import (AlreadyClosed, NoTrigger, NotSameOperator,
+                             PrematureDeletion, SpendRejected,
                              TooFewFunctionaries)
 from bridgesim.txgraph import (Enabler, EnablerRole, EnablerState, KeyState,
                               OutputKind, SimOutput, SimTx, SpendCondition,
@@ -60,59 +60,47 @@ def test_n3_two_vmxos_enabler_pool():
 def test_sign_idempotent():
     g = packet()
     tmpl = g.template(f"locking:{g.vmxo_ids[0]}")
-    g.sign_template(tmpl, "f0", g.vmxo_ids[0])
-    g.sign_template(tmpl, "f0", g.vmxo_ids[0])
-    assert tmpl.valid_signers() == {"f0"}
+    g.sign_all()
+    g.sign_all()
+    assert list(g.signers) == F3
+    assert tmpl.signatures is g.signers
 
 
 def test_full_signing_completes_template():
     g = packet()
     tmpl = g.template(f"locking:{g.vmxo_ids[0]}")
-    for f in F3:
-        g.sign_template(tmpl, f, g.vmxo_ids[0])
-    assert tmpl.is_fully_signed(F3)
-
-
-def sign_all(g, vmxo_id):
-    g.build_all()
-    for name in list(g.names):
-        if vmxo_id in name or name.startswith(("kill:", "forceclose:")):
-            for f in g.functionaries:
-                g.sign_template(g.templates[g.names[name]], f, vmxo_id)
+    assert tmpl.signatures == {}
+    g.sign_all()
+    assert set(tmpl.signatures) == set(F3)
 
 
 def test_delete_after_full_signing():
     g = packet()
     v = g.vmxo_ids[0]
-    sign_all(g, v)
+    g.sign_all()
     assert g.delete_keys("f0", v) == KeyState.DELETED
 
 
 def test_premature_deletion_rejected():
     g = packet()
-    with pytest.raises(PrematureDeletion):
-        g.delete_keys("f0", g.vmxo_ids[0])
-
-
-def test_sign_after_deletion_rejected():
-    g = packet()
     v = g.vmxo_ids[0]
-    sign_all(g, v)
-    g.delete_keys("f0", v)
-    with pytest.raises(KeyDeleted):
-        g.sign_template(g.template(f"locking:{v}"), "f0", v)
+    with pytest.raises(PrematureDeletion):
+        g.delete_keys("f0", v)
+    assert ("f0", v) not in g.key_states
+    g.sign_all()
+    assert g.delete_keys("f0", v) == KeyState.DELETED
 
 
 def test_adhoc_spend_only_when_all_leaked():
     g = packet()
     v = g.vmxo_ids[0]
-    sign_all(g, v)
+    g.sign_all()
     g.leak_keys("f0", v)
     g.leak_keys("f1", v)
     g.delete_keys("f2", v)
     assert not g.adhoc_spend_allowed(v)
     g2 = packet()
-    sign_all(g2, g2.vmxo_ids[0])
+    g2.sign_all()
     for f in F3:
         g2.leak_keys(f, g2.vmxo_ids[0])
     assert g2.adhoc_spend_allowed(g2.vmxo_ids[0])
@@ -126,7 +114,7 @@ def test_missing_kill_edge_detected():
     g = packet()
     kill = g.template("kill:f0")
     # drop one enabler-burn edge
-    g.templates[g.names["kill:f0"]] = replace(kill, inputs=kill.inputs[1:])
+    g.templates["kill:f0"] = replace(kill, inputs=kill.inputs[1:])
     violations = validate_graph(g)
     assert any("misses" in v for v in violations)
 
@@ -135,10 +123,10 @@ def test_unlocking_missing_kickoff_input_detected():
     g = packet()
     v = g.vmxo_ids[0]
     unlock = g.template(f"unlocking:{v}:f0")
-    g.templates[unlock.id] = replace(
-        unlock, inputs=[r for r in unlock.inputs
-                        if g.output_at(r) is None
-                        or g.output_at(r).kind != OutputKind.OPEN_KICKOFF])
+    kick = g.template(f"kickoff:{v}:f0")
+    assert kick.outputs[0].kind == OutputKind.OPEN_KICKOFF
+    g.templates[f"unlocking:{v}:f0"] = replace(
+        unlock, inputs=[r for r in unlock.inputs if r != (kick.id, 0)])
     violations = validate_graph(g)
     assert any("kick-off" in v for v in violations)
 
@@ -183,8 +171,8 @@ def test_force_close_pair_given_in_reverse():
         g.vmxos[v].state = VmxoState.KICKOFF_OPEN
         g.vmxos[v].operator = "f0"
     tx = g.apply_force_close(v1, v0)
-    assert g.names[f"forceclose:f0:{v0}:{v1}"] == tx.id
-    assert f"forceclose:f0:{v1}:{v0}" not in g.names
+    assert g.templates[f"forceclose:f0:{v0}:{v1}"] is tx
+    assert f"forceclose:f0:{v1}:{v0}" not in g.templates
     assert g.vmxos[v0].state == VmxoState.LOCKED
     assert g.vmxos[v1].state == VmxoState.KICKOFF_OPEN
 
@@ -223,10 +211,8 @@ def test_signature_invalidation_cascade():
     v = g.vmxo_ids[0]
     kick = g.template(f"kickoff:{v}:f0")
     unlock = g.template(f"unlocking:{v}:f0")
-    for f in F3:
-        g.sign_template(kick, f, v)
-        g.sign_template(unlock, f, v)
-    assert unlock.is_fully_signed(F3)
+    g.sign_all()
+    assert set(kick.signatures) == set(unlock.signatures) == set(F3)
     # change the kickoff's first output: that is a new kickoff with a new id,
     # so the unlocking template now references a stale parent and must be
     # re-created with new inputs, which strips every signature
@@ -234,14 +220,14 @@ def test_signature_invalidation_cascade():
     changed = replace(kick, outputs=(replace(out, amount=out.amount + 1),)
                       + kick.outputs[1:])
     assert changed.id != kick.id
-    assert changed.valid_signers() == set()
+    assert changed.signatures == {}
     rebuilt = replace(unlock, inputs=[
         (changed.id if ref[0] == kick.id else ref[0], ref[1])
         for ref in unlock.inputs])
-    assert rebuilt.valid_signers() == set()
-    # the copies do not share the originals' signature dicts
+    assert rebuilt.signatures == {}
+    # the copies do not share the ceremony's record
     assert rebuilt.signatures is not unlock.signatures
-    assert unlock.is_fully_signed(F3)
+    assert set(unlock.signatures) == set(F3)
 
 
 def test_templates_are_frozen():
@@ -259,8 +245,9 @@ def test_templates_are_frozen():
 def test_id_is_content_hash():
     g = packet(vmxos=2)
     g.build_all()
-    for tid, tx in g.templates.items():
-        assert tid == tx.id
+    ids = [tx.id for tx in g.templates.values()]
+    assert len(set(ids)) == len(ids) == g.template_count()
+    for tx in g.templates.values():
         assert tx.id == hashlib.sha256(tx.serial().encode()).hexdigest()[:16]
 
 
@@ -292,15 +279,12 @@ def test_packet_count_and_validation(n, v):
 def test_templates_never_mint_value():
     g = packet(vmxos=2)
     g.build_all()
-
-    def resolve(ref):
-        out = g.output_at(ref)
-        return out.amount if out else 0
-
+    outputs = {tx.id: tx.outputs for tx in g.templates.values()}
     for tx in g.templates.values():
         internal_only = all(not r[0].startswith("ext") for r in tx.inputs)
         if internal_only:
-            assert tx.fee(resolve) >= 0  # outputs <= inputs
+            inflow = sum(outputs[tid][i].amount for tid, i in tx.inputs)
+            assert inflow >= sum(o.amount for o in tx.outputs)
         assert all(o.amount >= 0 for o in tx.outputs)
 
 
@@ -340,26 +324,25 @@ def test_lazy_terminals_match_eager_build(n, v):
     assert {name: lazy.template(name).id for name in names} == eager
     whole = packet(fs, vmxos=v)
     whole.build_all()
-    assert {name: whole.names[name] for name in eager} == eager
+    assert {name: whole.templates[name].id for name in eager} == eager
     lazy.build_all()
-    assert lazy.names == whole.names
+    assert ({name: tx.id for name, tx in lazy.templates.items()}
+            == {name: tx.id for name, tx in whole.templates.items()})
     assert len(lazy.templates) == lazy.template_count()
     assert validate_graph(lazy) == [] and validate_graph(whole) == []
 
 
-def test_terminal_built_after_ceremony_is_fully_signed():
+def test_terminal_built_after_ceremony_carries_its_signers():
     g = packet(vmxos=2)
-    g.sign_all(F3)
+    g.sign_all()
     for v in g.vmxo_ids:
         for f in F3:
             g.delete_keys(f, v)
     name = f"proverloses:{g.vmxo_ids[1]}:f2:f0"
-    assert name not in g.names
+    assert name not in g.templates
     tx = g.template(name)
-    assert g.names[name] == tx.id
-    assert tx.is_fully_signed(F3) and tx.valid_signers() == set(F3)
-    with pytest.raises(KeyDeleted):
-        g.sign_template(tx, "f0", g.vmxo_ids[1])
+    assert g.templates[name] is tx
+    assert set(tx.signatures) == set(F3)
     for bad in [f"proverloses:{g.vmxo_ids[0]}:f0:f0",  # no channel to self
                 "proverloses:pkt0:vmxo9:f0:f1",  # no such VMXO
                 f"proverloses:{g.vmxo_ids[0]}:f0:f7",  # no such verifier
@@ -470,20 +453,21 @@ def test_every_lookup_matches_eager_reference(n, v):
     for name in names[:half]:
         tx = g.template(name)
         assert tx.id == ref[name].id and tx == ref[name]
-        assert tx.valid_signers() == set()
-    g.sign_all(fs)
+        assert set(tx.signatures) == set()
+    g.sign_all()
     # looked up after it: signed as if built before it
     for name in names[half:]:
         tx = g.template(name)
         assert tx.id == ref[name].id and tx == ref[name]
     for name in names:
-        assert g.template(name).valid_signers() == set(fs)
+        assert set(g.template(name).signatures) == set(fs)
     assert len(g.templates) == len(ref)
     slots = list(outpoints)
     random.Random(n - v).shuffle(slots)
     for slot in slots:
         e = g.find_enabler(*slot)
         assert e.state == EnablerState.LIVE
-        assert g.enabler_outpoint(e) == outpoints[slot]
+        assert (g.template(f"enablers:{e.owner}").id,
+                e.index) == outpoints[slot]
     assert len(g.enablers) == len(outpoints)
     assert validate_graph(g) == []
