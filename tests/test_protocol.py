@@ -4,7 +4,10 @@ from bridgesim.errors import (ActiveOperation, ConcurrencyLimit,
                              EnablerUnavailable, InsufficientConfirmations,
                              MissingSignature, NoCapacity, NotTriggered,
                              WrongDenomination)
-from bridgesim.protocol import Bridge, FunctionaryStatus, PegOutState
+from bridgesim import harness
+from bridgesim.harness import Scenario, Strategy
+from bridgesim.protocol import (Bridge, FunctionaryStatus, PegIn,
+                                PegOutState)
 from bridgesim.txgraph import EnablerRole, EnablerState, TxKind, VmxoState
 
 DENOM = 100_000_000
@@ -406,3 +409,73 @@ def test_slashed_operator_stops_counting(force_close):
         trigger = TxKind.FORCE_CLOSE
     b.slash("f1", "f0", trigger, [], pegout.vmxo_id)
     assert b.active_pegouts("f1") == 0
+
+
+class ScanningBridge(Bridge):
+    """Peg-in and peg-out linking that rebuild the taken and linked VMXO
+    sets from every peg on each call, frozen as the reference."""
+
+    def request_pegin(self, user, amount):
+        if amount != self.denomination:
+            raise WrongDenomination(f"{amount} != {self.denomination}")
+        taken = {p.vmxo_id for p in self.pegins}
+        free = [v for v in self.graph.vmxo_ids
+                if self.graph.vmxos[v].state == VmxoState.AWAITING_PEGIN
+                and v not in taken]
+        if not free:
+            raise NoCapacity("no vmxo awaiting peg-in")
+        pegin = PegIn(user, amount, free[0])
+        self.pegins.append(pegin)
+        self.log("pegin_requested", user=user, vmxo=pegin.vmxo_id,
+                 amount=amount)
+        return pegin
+
+    def link_pegout(self, pegout):
+        linked = {p.vmxo_id for p in self.pegouts if p.vmxo_id}
+        for v in self.graph.vmxo_ids:
+            if v in linked:
+                continue
+            if self.graph.vmxos[v].state == VmxoState.LOCKED:
+                pegout.vmxo_id = v
+                pegout.state = PegOutState.LINKED
+                self.log("pegout_linked", tx=pegout.burn_tx, vmxo=v)
+                return v
+        raise NoCapacity("no locked vmxo to link")
+
+
+@pytest.mark.parametrize("strategy,adversary,pegins,pegouts,leak_all", [
+    (Strategy.HONEST, None, 64, 64, False),
+    (Strategy.FAKE_PROOF_PROVER, 3, 64, 64, False),
+    (Strategy.FORK_PROVER, 0, 48, 40, False),
+    (Strategy.DOUBLE_OPERATOR, 5, 40, 32, False),
+    (Strategy.KEY_LEAKER, 2, 20, 20, False),
+    (Strategy.HONEST, None, 30, 30, True),  # theft leaves peg-outs unlinked
+])
+def test_pegs_link_as_the_scanning_reference(run_with_bridge, monkeypatch,
+                                             strategy, adversary, pegins,
+                                             pegouts, leak_all):
+    # N = 10, V = 64: the kept taken and linked sets pick the VMXOs that a
+    # scan over every peg-in and peg-out picks
+    sc = Scenario(name="linking", seed=4, n_functionaries=10, vmxo_count=64,
+                  n_pegins=pegins, n_pegouts=pegouts, adversary=adversary,
+                  strategy=strategy, leak_all=leak_all)
+    sc.validate()
+    _, bridge = run_with_bridge(sc)
+    monkeypatch.setattr(harness, "Bridge", ScanningBridge)
+    _, reference = run_with_bridge(sc)
+    assert isinstance(reference, ScanningBridge)
+    assert bridge.records == reference.records
+    assert any(r["ev"] == "pegout_linked" for r in bridge.records)
+
+
+def test_pending_pegins_take_distinct_vmxos():
+    # peg-ins requested before any executes: each takes its own VMXO
+    runs = []
+    for cls in (Bridge, ScanningBridge):
+        b = cls(["f0", "f1", "f2"], 2, DENOM)
+        vmxos = [b.request_pegin(u, DENOM).vmxo_id for u in ("u0", "u1")]
+        with pytest.raises(NoCapacity):
+            b.request_pegin("u2", DENOM)
+        runs.append((vmxos, b.records))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == b.graph.vmxo_ids

@@ -86,9 +86,20 @@ def test_premature_deletion_rejected():
     v = g.vmxo_ids[0]
     with pytest.raises(PrematureDeletion):
         g.delete_keys("f0", v)
-    assert ("f0", v) not in g.key_states
+    assert not g.leaked
     g.sign_all()
     assert g.delete_keys("f0", v) == KeyState.DELETED
+
+
+@pytest.mark.parametrize("functionary,vmxo", [
+    ("f9", "pkt0:vmxo0"), ("nobody", "nov"), ("f0", "nov")])
+def test_key_deletion_and_leak_reject_unknown_names(functionary, vmxo):
+    g = packet()
+    g.sign_all()
+    for op in (g.delete_keys, g.leak_keys):
+        with pytest.raises(KeyError):
+            op(functionary, vmxo)
+    assert not g.leaked
 
 
 def test_adhoc_spend_only_when_all_leaked():
