@@ -12,6 +12,7 @@ import random
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Optional
 
 from .chain import CensorSpec
@@ -19,7 +20,8 @@ from .dispute import (ExecutionTrace, challenge, drive, open_game,
                       resolve_no_challenge, settle_counter_proof)
 from .errors import InvalidScenario, NoCapacity, TimeoutExpired
 from .lightclient import AltChainInput, CheckChainInput
-from .protocol import Bridge, PegOut, PegOutState, FunctionaryStatus
+from .protocol import (Bridge, PegOut, PegOutState, FunctionaryStatus,
+                       event_lines)
 from .stopwatch import power_of_two_markers
 from .txgraph import TxKind, VmxoState
 
@@ -108,14 +110,19 @@ class Verdict:
 
 @dataclass
 class RunReport:
+    """A run's outcome; ``log`` renders its event ``records`` on first read."""
     scenario: str
     seed: int
-    log: list[str]
+    records: list[dict[str, str]]
     outcomes: list[str]
     verdicts: list[Verdict]
     dispute_costs: dict[str, int]
     deposit_sats: int
     deposit_sufficient: bool
+
+    @cached_property
+    def log(self) -> list[str]:
+        return event_lines(self.records)
 
     @property
     def all_passed(self) -> bool:
@@ -517,14 +524,14 @@ class Runner:
         for account in sorted(b.ledger.balances):
             b.log("final_balance", account=account,
                   amount=b.ledger.balances[account])
-        verdicts = check_invariants(b.events, b.records)
+        verdicts = check_invariants(b.records, b.records)
         honest_costs = sum(b.dispute_costs.get(f, 0) for f in self.honest)
         slashed = sum(
             b.deposit_per_functionary
             for f, rec in b.functionaries.items()
             if rec.status == FunctionaryStatus.SLASHED)
         return RunReport(
-            scenario=sc.name, seed=sc.seed, log=list(b.events),
+            scenario=sc.name, seed=sc.seed, records=b.records,
             outcomes=list(self.outcomes), verdicts=verdicts,
             dispute_costs=dict(b.dispute_costs),
             deposit_sats=b.deposit_per_functionary,
@@ -619,13 +626,11 @@ def malformed_log(log: list[str],
 def check_invariants(log: list[str],
                      records: Optional[list[dict]] = None) -> list[Verdict]:
     """The five verdicts (conservation, single-spend, safety, liveness,
-    exclusion) over a log, in one pass over its events with a handler per
-    ``ev=`` kind.  What depends on a later line (the honest set, the
-    liveness bound, the final balances) is decided after the pass.
-
-    The checker reads nothing but the log.  ``records``, when given, must
-    be its parse, ``parse_log(log)``, as a run's ``Bridge.records`` are;
-    the lines are then not parsed again."""
+    exclusion) from the log alone, in one pass with a handler per ``ev=``
+    kind; what depends on a later line (honest set, liveness bound, final
+    balances) is decided after it.  ``records``, when given, must be
+    ``parse_log(log)`` and are read instead of the lines; a run keeps no
+    lines and passes its ``Bridge.records`` for both."""
     parties, params = {}, {}  # the last meta line of each kind
     # conservation: opening balances and net transfers per account are kept
     # apart, so that their order in the log does not matter

@@ -2,8 +2,8 @@
 
 ``Bridge`` holds the full protocol state for one packet: both chains, the
 presigned template graph, functionary records, the satoshi ledger, and an
-append-only event log.  All methods are deterministic; the harness drives
-them from a scenario script.
+append-only event log, kept as records and rendered as lines only on read.
+All methods are deterministic; the harness drives them from a scenario script.
 
 Deposits are denominated on the source chain.  Slashing pays the losing
 party's deposit into a pot that first reimburses every challenger's dispute
@@ -90,6 +90,11 @@ class Ledger:
         return sum(self.balances.values())
 
 
+def event_lines(records: list[dict[str, str]]) -> list[str]:
+    """Each record's text line ``t=.. seq=.. ev=.. k=v ...``, in order."""
+    return [" ".join(map("=".join, r.items())) for r in records]
+
+
 class Bridge:
     """Protocol engine for one packet on one pair of chains."""
 
@@ -119,9 +124,7 @@ class Bridge:
             functionary_ids, vmxo_count, denomination,
             deposit_per_functionary=deposit)
         self.ledger = Ledger()
-        self.events: list[str] = []
         self.records: list[dict[str, str]] = []
-        self._seq = 0
         self.pegins: list[PegIn] = []
         self.pegouts: list[PegOut] = []
         # VMXOs a peg-in has taken, and VMXOs a peg-out is linked to
@@ -136,19 +139,20 @@ class Bridge:
     # -- event log ---------------------------------------------------------
 
     def log(self, event: str, **fields) -> None:
-        """Append one event: its record ``{"t", "seq", "ev", **fields}``,
-        every value formatted as a string, to ``records``, and the same
-        record as the line ``t=.. seq=.. ev=.. k=v ...``, fields sorted by
-        name, to ``events``."""
-        self._seq += 1
-        t, seq = f"{self.clock.now}", f"{self._seq}"
-        record = {"t": t, "seq": seq, "ev": event}
-        line = f"t={t} seq={seq} ev={event}"
+        """Append ``{"t", "seq", "ev", **fields}`` to ``records``, fields
+        sorted by name, values as strings; a field may not be t, seq or ev."""
+        if "t" in fields or "seq" in fields or "ev" in fields:
+            raise ValueError(f"reserved field name in {sorted(fields)}")
+        record = {"t": f"{self.clock.now}", "seq": f"{len(self.records) + 1}",
+                  "ev": event}
         for k in sorted(fields):
-            v = record[k] = f"{fields[k]}"
-            line += f" {k}={v}"
+            record[k] = f"{fields[k]}"
         self.records.append(record)
-        self.events.append(line)
+
+    @property
+    def events(self) -> list[str]:
+        """The text lines of ``records``, rendered on each read."""
+        return event_lines(self.records)
 
     def transfer(self, frm: str, to: str, amount: int, why: str) -> None:
         self.ledger.transfer(frm, to, amount)

@@ -71,9 +71,10 @@ def test_every_workload_op_runs_and_checks():
 
 def test_traced_op_of_each_workload_runs_and_counts():
     # the traced pass counts graph attributes that no other test reads: one
-    # traced op of each workload must run and pass its oracle, and a
-    # committee op's every built template carries each functionary's
-    # signature
+    # traced op of each workload must run and pass its oracle, a committee
+    # op's every built template carries each functionary's signature, and
+    # a run's checker gets one item per event as its first argument, which
+    # the span counts as the log's lines
     workloads, bs = load_workloads()
     (spans,) = bench_modules("spans")
     tracer = spans.Tracer()
@@ -84,8 +85,10 @@ def test_traced_op_of_each_workload_runs_and_counts():
             tracer.reset()
             result = tracer.op_span(0, w.execute, bs, spec)
             assert w.check(bs, spec, result), (w.name, spec)
+            counts = tracer.counts
+            if w.name in ("sweep", "committee"):
+                assert counts["log_lines"] == counts["events"] > 0, w.name
             if w.name == "committee":
-                counts = tracer.counts
                 assert counts["templates"] > 0
                 assert counts["signatures"] == (counts["templates"]
                                                 * spec.n_functionaries)
