@@ -16,7 +16,7 @@ from pathlib import Path
 from .econ import format_deposit_table, reproduce_deposit_table
 from .errors import InvalidScenario
 from .harness import (INT_KEYS, Scenario, Strategy, check_invariants,
-                      malformed_log, parse_log, parse_scenario, run_scenario)
+                      malformed_log, parse_scenario, run_scenario)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -101,12 +101,11 @@ def _cmd_deposit_table(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     log = Path(args.log_file).read_text().splitlines()
-    records = parse_log(log)
-    reason = malformed_log(log, records)
+    reason = malformed_log(log)
     if reason is not None:
         print(f"malformed log: {reason}", file=sys.stderr)
         return 2
-    verdicts = check_invariants(log, records)
+    verdicts = check_invariants(log)
     for v in verdicts:
         status = "PASS" if v.passed else "FAIL"
         print(f"[{status}] {v.name} {v.detail}".rstrip())

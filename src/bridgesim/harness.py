@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Optional
+from typing import Optional, Sequence, Union
 
 from .chain import CensorSpec
 from .dispute import (ExecutionTrace, challenge, drive, open_game,
@@ -524,7 +524,7 @@ class Runner:
         for account in sorted(b.ledger.balances):
             b.log("final_balance", account=account,
                   amount=b.ledger.balances[account])
-        verdicts = check_invariants(b.records, b.records)
+        verdicts = check_invariants(b.records)
         honest_costs = sum(b.dispute_costs.get(f, 0) for f in self.honest)
         slashed = sum(
             b.deposit_per_functionary
@@ -557,11 +557,6 @@ def _parse(line: str) -> dict:
     return fields
 
 
-def parse_log(log: list[str]) -> list[dict]:
-    """Each line of a log as its record, field name -> value string."""
-    return [_parse(line) for line in log]
-
-
 EVENT_LINE = re.compile(r"t=-?\d+ seq=\d+ ev=\w+(?: .*)?")
 INTEGER = re.compile(r"-?\d+")
 # the fields check_invariants reads from each kind of event
@@ -576,20 +571,19 @@ EVENT_FIELDS = {
 }
 
 
-def malformed_log(log: list[str],
-                  records: Optional[list[dict]] = None) -> Optional[str]:
-    """Why a saved log cannot be one whole run's log, or None.  Every line
-    must be an event with the fields the checker reads, its amounts
+def malformed_log(events: Sequence[Union[str, dict]]) -> Optional[str]:
+    """Why a saved log cannot be one whole run's log, or None.  Each event
+    is a text line or a record, which must render as such a line.  Every
+    line must be an event with the fields the checker reads, its amounts
     integers, and the run's scenario, parameters, end of setup and a final
     balance for every account it moved must be there.  Lines run in the
     order they were logged: ``seq`` counts 1, 2, ... and ``t`` never
-    decreases, so a deleted or reordered line shows.  ``records``, when
-    given, must be ``parse_log(log)``; the lines are then not parsed
-    again."""
+    decreases, so a deleted or reordered line shows."""
+    log = [e if isinstance(e, str) else event_lines([e])[0] for e in events]
     for lineno, line in enumerate(log, 1):
         if not EVENT_LINE.fullmatch(line):
             return f"line {lineno} is not an event: {line[:60]!r}"
-    events = parse_log(log) if records is None else records
+    events = [_parse(e) if isinstance(e, str) else e for e in events]
     for lineno, e in enumerate(events, 1):
         for name in EVENT_FIELDS.get(e["ev"], ()):
             if name not in e:
@@ -623,14 +617,13 @@ def malformed_log(log: list[str],
     return None
 
 
-def check_invariants(log: list[str],
-                     records: Optional[list[dict]] = None) -> list[Verdict]:
+def check_invariants(events: Sequence[Union[str, dict]]) -> list[Verdict]:
     """The five verdicts (conservation, single-spend, safety, liveness,
     exclusion) from the log alone, in one pass with a handler per ``ev=``
     kind; what depends on a later line (honest set, liveness bound, final
-    balances) is decided after it.  ``records``, when given, must be
-    ``parse_log(log)`` and are read instead of the lines; a run keeps no
-    lines and passes its ``Bridge.records`` for both."""
+    balances) is decided after it.  Each event is a record, or a text line
+    that is parsed first; a run passes its ``Bridge.records``, a saved log
+    its lines."""
     parties, params = {}, {}  # the last meta line of each kind
     # conservation: opening balances and net transfers per account are kept
     # apart, so that their order in the log does not matter
@@ -641,7 +634,9 @@ def check_invariants(log: list[str],
     linked, canonical_burns, unsafe, slashed = {}, set(), "", []
     pegin_users, minted, burns, fronts = [], set(), {}, {}  # liveness
     burnt_at, excluded = {}, ""  # exclusion
-    for e in map(_parse, log) if records is None else records:
+    for e in events:
+        if isinstance(e, str):
+            e = _parse(e)
         ev = e.get("ev")
         if ev == "transfer":
             amount = int(e["amount"])

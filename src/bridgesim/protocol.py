@@ -21,7 +21,7 @@ from .econ import CostTable, DISPUTE_ACTION_VBYTES, required_deposit
 from .errors import (ActiveOperation, ConcurrencyLimit, EnablerUnavailable,
                      InsufficientConfirmations, MissingSignature, NoCapacity,
                      NotLinked, NotTriggered, WrongDenomination)
-from .txgraph import (SLASHING_KINDS, EnablerRole, EnablerState,
+from .txgraph import (EXTERNAL, SLASHING_KINDS, EnablerRole, EnablerState,
                       PacketGraph, TxKind, VmxoState, build_packet_templates)
 
 
@@ -165,7 +165,7 @@ class Bridge:
 
     def _log_spends(self, tx) -> None:
         for ref in tx.inputs:
-            if not ref[0].startswith("ext"):
+            if not ref[0].startswith(EXTERNAL):
                 self.log("spend", out=f"{ref[0]}:{ref[1]}", by=tx.id)
 
     def pay_dispute_fee(self, party: str, action: str) -> int:
@@ -257,9 +257,8 @@ class Bridge:
         if pegout.burn_block is None or \
                 self.secondary.confirmations(pegout.burn_block) < self.secondary_confirmations:
             raise InsufficientConfirmations(pegout.burn_tx or "?")
-        enabler = self.graph.find_enabler(operator, EnablerRole.OPERATOR,
-                                          pegout.vmxo_id)
-        if enabler is None or enabler.state != EnablerState.LIVE:
+        if self.graph.enabler_state(operator, EnablerRole.OPERATOR,
+                                    pegout.vmxo_id) != EnablerState.LIVE:
             raise EnablerUnavailable(f"operator enabler for {operator}")
         if self.active_pegouts(operator) >= self.pegout_limit:
             raise ConcurrencyLimit(operator)
@@ -311,9 +310,8 @@ class Bridge:
         unlock = self.graph.template(f"unlocking:{pegout.vmxo_id}:{operator}")
         self.graph.execute(unlock)
         self._log_spends(unlock)
-        enabler = self.graph.find_enabler(operator, EnablerRole.OPERATOR,
-                                          pegout.vmxo_id)
-        enabler.state = EnablerState.CONSUMED
+        self.graph.set_enabler_state(EnablerState.CONSUMED, operator,
+                                     EnablerRole.OPERATOR, pegout.vmxo_id)
         vmxo.state = VmxoState.UNLOCKED
         pegout.state = PegOutState.UNLOCKED
         self.pay_fee(operator, unlock.vbytes, "unlocking")
@@ -359,10 +357,9 @@ class Bridge:
         for ch in challengers:
             if ch == winner:
                 continue
-            e = self.graph.find_enabler(ch, EnablerRole.VERIFIER, vmxo_id,
-                                        counterparty=loser)
-            if e is not None and e.state == EnablerState.LIVE:
-                e.state = EnablerState.CONSUMED
+            slot = (ch, EnablerRole.VERIFIER, vmxo_id, loser)
+            if self.graph.enabler_state(*slot) == EnablerState.LIVE:
+                self.graph.set_enabler_state(EnablerState.CONSUMED, *slot)
                 self.log("challenge_refunded", verifier=ch, vmxo=vmxo_id)
 
     def _burn_and_pay(self, loser: str, winner: str, trigger_kind: TxKind,
@@ -372,7 +369,7 @@ class Bridge:
         self.functionaries[loser].status = FunctionaryStatus.SLASHED
         kill = self.graph.template(f"kill:{loser}")
         burnt = self.graph.burn_enablers(loser, kill)
-        self.log("enablers_burnt", loser=loser, count=len(burnt))
+        self.log("enablers_burnt", loser=loser, count=burnt)
         # deposit pot: reimburse challengers' dispute costs, rest to winner
         pot = self.ledger.balances.get(f"deposit:{loser}", 0)
         paid = 0
@@ -408,17 +405,16 @@ class Bridge:
                 self.log("pegout_invalidated", operator=loser, vmxo=p.vmxo_id)
 
     def recycle_enablers(self, pegout: PegOut) -> dict[str, int]:
-        """Post-terminal accounting of the enabler pool for one peg-out."""
+        """Post-terminal counts of the N² enablers of the peg-out's VMXO,
+        from that VMXO's stored states alone: one with none is live."""
         if pegout.state not in (PegOutState.UNLOCKED,
                                 PegOutState.INVALIDATED):
             raise NotTriggered(pegout.burn_tx or "?")
-        # an enabler nobody has looked up is still live
-        counts = {"live": len(self.functionaries) ** 2, "consumed": 0,
-                  "burnt": 0}
-        for e in self.graph.vmxo_enablers.get(pegout.vmxo_id, ()):
-            if e.state != EnablerState.LIVE:
-                counts[e.state.value.lower()] += 1
-                counts["live"] -= 1
+        states = self.graph.used_enablers.get(pegout.vmxo_id, {})
+        counts = {"live": len(self.functionaries) ** 2 - len(states),
+                  "consumed": 0, "burnt": 0}
+        for state in states.values():
+            counts[state.value.lower()] += 1
         self.log("enablers_recycled", vmxo=pegout.vmxo_id, **counts)
         return counts
 

@@ -28,8 +28,9 @@ Each template is built on its first lookup by name (``deposit:{f}``,
 alone and its parents, which are built first; so its content and id are the
 ones an eager build would give; ``templates`` holds the built ones by
 name.  An enabler's output index in its owner's enabler-creation template
-is closed-form, its record exists once something looks it up, and a
-record nobody has looked up is live.  ``template_count`` and
+is closed-form, and an enabler is live until a run consumes or burns it, so
+the graph stores only those states, by VMXO, in ``used_enablers``.
+``template_count`` and
 ``enabler_count`` give the sizes of the whole graph in closed form,
 ``template_names`` lists it, and ``build_all`` builds what is left of it.
 """
@@ -88,11 +89,6 @@ class EnablerState(str, Enum):
     LIVE = "Live"
     CONSUMED = "Consumed"
     BURNT = "Burnt"
-
-
-class KeyState(str, Enum):
-    DELETED = "Deleted"
-    LEAKED = "Leaked"
 
 
 class VmxoState(str, Enum):
@@ -171,16 +167,6 @@ class SimTx:
                        self.vbytes)
 
 
-@dataclass
-class Enabler:
-    owner: str
-    role: EnablerRole
-    vmxo_id: str
-    index: int  # its output of the owner's ``enablers:{owner}`` template
-    counterparty: Optional[str] = None  # verifier role: the watched operator
-    state: EnablerState = EnablerState.LIVE
-
-
 def _enabler_key(owner: str, role: EnablerRole, vmxo_id: str,
                 counterparty: Optional[str] = None) -> str:
     cp = counterparty or "-"
@@ -189,7 +175,6 @@ def _enabler_key(owner: str, role: EnablerRole, vmxo_id: str,
 
 @dataclass
 class Vmxo:
-    id: str
     amount: int
     state: VmxoState = VmxoState.AWAITING_PEGIN
     operator: Optional[str] = None  # set while KickoffOpen / after Unlocked
@@ -209,10 +194,12 @@ class PacketGraph:
         self.vmxo_position = {v: i for i, v in enumerate(self.vmxo_ids)}
         self.templates: dict[str, SimTx] = {}  # built templates, by name
         self.signers: dict[str, None] = {}  # the ceremony's, in order
-        self.enablers: dict[str, Enabler] = {}  # looked-up records, by key
-        self.vmxo_enablers: dict[str, list[Enabler]] = {}  # same, by VMXO
+        # VMXO -> (owner, output index) -> state of each enabler a run has
+        # consumed or burnt; an enabler not in it is live
+        self.used_enablers: dict[str, dict[tuple[str, int],
+                                           EnablerState]] = {}
         self.leaked: set[tuple[str, str]] = set()  # (functionary, VMXO)
-        self.vmxos = {v: Vmxo(v, amount) for v in self.vmxo_ids}
+        self.vmxos = {v: Vmxo(amount) for v in self.vmxo_ids}
         self.spent: dict[tuple[str, int], str] = {}  # outpoint -> spender id
 
     # -- construction ------------------------------------------------------
@@ -371,8 +358,8 @@ class PacketGraph:
                 + n * v * (v - 1) // 2)
 
     def enabler_count(self) -> int:
-        """Enablers in the whole graph, looked up or not: per functionary
-        and VMXO, one as operator and one per other functionary watched."""
+        """Enablers in the whole graph: per functionary and VMXO, one as
+        operator and one per other functionary watched."""
         return len(self.functionaries) ** 2 * len(self.vmxo_ids)
 
     # -- lookups -----------------------------------------------------------
@@ -402,30 +389,23 @@ class PacketGraph:
             return None
         return vi * len(self.functionaries) + slot
 
-    def find_enabler(self, owner: str, role: EnablerRole, vmxo_id: str,
-                     counterparty: Optional[str] = None) -> Optional[Enabler]:
-        """The enabler's record, made LIVE on its first lookup."""
-        key = _enabler_key(owner, role, vmxo_id, counterparty)
-        e = self.enablers.get(key)
-        if e is None:
-            index = self._enabler_index(owner, role, vmxo_id, counterparty)
-            if index is None:
-                return None
-            e = self.enablers[key] = Enabler(owner, role, vmxo_id, index,
-                                             counterparty)
-            self.vmxo_enablers.setdefault(vmxo_id, []).append(e)
-        return e
+    def enabler_state(self, owner: str, role: EnablerRole, vmxo_id: str,
+                      counterparty: Optional[str] = None
+                      ) -> Optional[EnablerState]:
+        """The enabler's state, or None if there is no such enabler."""
+        index = self._enabler_index(owner, role, vmxo_id, counterparty)
+        if index is None:
+            return None
+        return self.used_enablers.get(vmxo_id, {}).get((owner, index),
+                                                       EnablerState.LIVE)
 
-    def enablers_of(self, owner: str) -> list[Enabler]:
-        """Every enabler record of ``owner``, in output order."""
-        if owner not in self.position:
-            return []
-        return [self.find_enabler(owner, role, v, cp)
-                for role, v, cp in self._enabler_slots(owner)]
-
-    def live_enablers(self, owner: str) -> list[Enabler]:
-        return [e for e in self.enablers_of(owner)
-                if e.state == EnablerState.LIVE]
+    def set_enabler_state(self, state: EnablerState, owner: str,
+                          role: EnablerRole, vmxo_id: str,
+                          counterparty: Optional[str] = None) -> None:
+        index = self._enabler_index(owner, role, vmxo_id, counterparty)
+        if index is None:
+            raise KeyError((owner, role.value, vmxo_id, counterparty))
+        self.used_enablers.setdefault(vmxo_id, {})[owner, index] = state
 
     # -- signing and key management ---------------------------------------
 
@@ -440,17 +420,15 @@ class PacketGraph:
             raise KeyError(vmxo_id)
         return self._functionary(functionary), vmxo_id
 
-    def delete_keys(self, functionary: str, vmxo_id: str) -> KeyState:
+    def delete_keys(self, functionary: str, vmxo_id: str) -> None:
         """Delete a key, which the ceremony must have used first.  A deleted
         key is one not leaked, so nothing is recorded."""
         self._key(functionary, vmxo_id)
         if not self.signers:
             raise PrematureDeletion(vmxo_id)
-        return KeyState.DELETED
 
-    def leak_keys(self, functionary: str, vmxo_id: str) -> KeyState:
+    def leak_keys(self, functionary: str, vmxo_id: str) -> None:
         self.leaked.add(self._key(functionary, vmxo_id))
-        return KeyState.LEAKED
 
     def adhoc_spend_allowed(self, vmxo_id: str) -> bool:
         """A non-template spend of the VMXO needs every key still usable."""
@@ -472,15 +450,21 @@ class PacketGraph:
 
     # -- enabler/force-close semantics -------------------------------------
 
-    def burn_enablers(self, loser: str, trigger: Optional[SimTx]) -> list[Enabler]:
+    def burn_enablers(self, loser: str, trigger: Optional[SimTx]) -> int:
+        """Mark each of the loser's live enablers burnt; how many it marked."""
         if trigger is None:
             raise NoTrigger(loser)
         if trigger.template_kind not in SLASHING_KINDS:
             raise NoTrigger(trigger.template_kind.value)
-        burnt = []
-        for e in self.live_enablers(loser):
-            e.state = EnablerState.BURNT
-            burnt.append(e)
+        if loser not in self.position:
+            return 0
+        n, burnt = len(self.functionaries), 0
+        for vi, v in enumerate(self.vmxo_ids):
+            states = self.used_enablers.setdefault(v, {})
+            for index in range(vi * n, vi * n + n):
+                if (loser, index) not in states:
+                    states[loser, index] = EnablerState.BURNT
+                    burnt += 1
         return burnt
 
     def apply_force_close(self, vmxo_a: str, vmxo_b: str) -> SimTx:
@@ -515,7 +499,7 @@ def build_packet_templates(functionaries: list[str], vmxo_count: int,
                            amount: int,
                            deposit_per_functionary: int = 0) -> PacketGraph:
     """Set up the presigned template graph for one packet; its templates
-    and enabler records are built on lookup."""
+    are built on lookup."""
     n = len(functionaries)
     if n < 2:
         raise TooFewFunctionaries(str(n))
@@ -549,7 +533,8 @@ def validate_graph(g: PacketGraph) -> list[str]:
     for f in g.functionaries:
         if f"kill:{f}" in g.templates:
             create = g.template(f"enablers:{f}").id
-            refs = {(create, e.index) for e in g.enablers_of(f)}
+            refs = {(create, g._enabler_index(f, *slot))
+                    for slot in g._enabler_slots(f)}
             kill_misses[f] = len(refs - set(g.template(f"kill:{f}").inputs))
     for name, tx in g.templates.items():
         if tx.template_kind not in (TxKind.PROVER_LOSES, TxKind.VERIFIER_LOSES):
@@ -569,8 +554,8 @@ def validate_graph(g: PacketGraph) -> list[str]:
             continue
         vmxo_id = name.split(":", 1)[1].rsplit(":", 1)[0]
         f = name.rsplit(":", 1)[1]
-        op_en = g.find_enabler(f, EnablerRole.OPERATOR, vmxo_id)
-        op_ref = op_en and (g.template(f"enablers:{f}").id, op_en.index)
+        op_ref = (g.template(f"enablers:{f}").id,
+                  g._enabler_index(f, EnablerRole.OPERATOR, vmxo_id))
         if sum(r == op_ref for r in tx.inputs) != 1:
             violations.append(f"{name}: must consume exactly one operator enabler")
         kick = g.template(f"kickoff:{vmxo_id}:{f}")

@@ -8,7 +8,7 @@ import pytest
 
 from bridgesim.harness import (INTEGER, Verdict, _parse, check_invariants,
                                generate_adversarial_scenarios, malformed_log,
-                               parse_log, scenario_corpus)
+                               scenario_corpus)
 
 
 # -- reference: the ten-pass checker, frozen ----------------------------------
@@ -202,7 +202,7 @@ def _outcome(fn, *args):
 def _assert_same_verdicts(log, records):
     want = _outcome(reference_check_invariants, log)
     assert _outcome(check_invariants, log) == want
-    assert _outcome(check_invariants, log, records) == want
+    assert _outcome(check_invariants, records) == want
 
 
 def test_run_verdicts_match_reference(runs):
@@ -210,14 +210,30 @@ def test_run_verdicts_match_reference(runs):
         assert report.verdicts == reference_check_invariants(report.log)
         _assert_same_verdicts(report.log, b.records)
         assert malformed_log(report.log) is None
-        assert malformed_log(report.log, b.records) is None
+        assert malformed_log(b.records) is None
+
+
+def test_events_may_mix_records_and_lines(runs):
+    report, b = runs[2]
+    half = len(b.records) // 2
+    mixed = b.records[:half] + report.log[half:]
+    assert check_invariants(mixed) == report.verdicts
+    assert malformed_log(mixed) is None
+    # a record is checked as the line it renders
+    broken = mixed[:half - 1] + [dict(b.records[half - 1], seq="x")] \
+        + mixed[half:]
+    assert malformed_log(broken) == (
+        f"line {half} is not an event: "
+        f"{report.log[half - 1].replace(f'seq={half}', 'seq=x')[:60]!r}")
+    assert malformed_log([{"t": "0", "seq": "1"}]) == (
+        "line 1 is not an event: 't=0 seq=1'")
 
 
 @pytest.mark.parametrize("mutation", MUTATIONS)
 def test_mutated_logs_match_reference(runs, mutation):
     # every mutated log gets the reference's verdicts, details included,
-    # from lines and from records alike, and the same malformed_log reason
-    # from both.
+    # from lines and from their records alike, and the same malformed_log
+    # reason from both.
     # Each mutation takes every third run, so the runs share the mutations.
     mutate = MUTATIONS[mutation]
     rng = random.Random(mutation)
@@ -227,10 +243,10 @@ def test_mutated_logs_match_reference(runs, mutation):
         if log is None:
             continue
         mutated += 1
-        records = parse_log(log)
+        records = [_parse(l) for l in log]
         _assert_same_verdicts(log, records)
         failed += not all(v.passed for v in reference_check_invariants(log))
-        assert malformed_log(log, records) == malformed_log(log)
+        assert malformed_log(records) == malformed_log(log)
     assert mutated >= 50
     if mutation != "parties-after-slash":
         assert failed > 0  # the mutations reach the verdicts
@@ -311,4 +327,4 @@ def test_crafted_logs_match_reference(runs, craft):
     report, _ = runs[2]
     assert report.scenario == "adversary-FakeProofProver"
     log = CRAFTED[craft](report.log)
-    _assert_same_verdicts(log, parse_log(log))
+    _assert_same_verdicts(log, [_parse(l) for l in log])

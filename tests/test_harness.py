@@ -347,6 +347,23 @@ def test_run_builds_no_unused_loser_terminal():
     assert unused == []
 
 
+# sha256 over the logs of the criterion-6 sweep, in order, as the digest of
+# perfbench/digest.py takes it; the sweep has far more slashes (417) than
+# the digest's scenario set, so it pins the enabler and refund lines too
+SWEEP_LOGS = "b959755e5f3cb08c"
+
+
+def test_criterion6_sweep_logs_match_reference():
+    h = hashlib.sha256()
+    slashes = 0
+    for sc in generate_adversarial_scenarios(500):
+        log = run_scenario(sc).log
+        slashes += sum(" ev=slashed " in line for line in log)
+        h.update("\n".join(log).encode())
+    assert h.hexdigest()[:16] == SWEEP_LOGS
+    assert slashes == 417
+
+
 # log digest of each strategy's N = 100, V = 4 run, as an eager build of
 # the whole graph gave it
 N100_LOGS = {Strategy.HONEST: "dfbd9e5e8bb23837",
@@ -380,4 +397,4 @@ def test_n100_run_builds_only_what_it_touches(strategy):
     assert setup_done.endswith(" enablers=40000 templates=80904")
     g = runner.bridge.graph
     assert len(g.templates) <= 20
-    assert len(g.enablers) <= 3 * n * v
+    assert sum(map(len, g.used_enablers.values())) <= 3 * n * v

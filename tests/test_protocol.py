@@ -202,7 +202,8 @@ def test_slash_burns_enablers_and_pays_pot():
     assert b.functionaries["f1"].status == FunctionaryStatus.SLASHED
     assert b.ledger.balances["deposit:f1"] == 0
     assert b.ledger.balances["wallet:f0"] == f0_before + pot
-    assert not b.graph.live_enablers("f1")
+    assert all(b.graph.enabler_state("f1", *slot) == EnablerState.BURNT
+               for slot in b.graph._enabler_slots("f1"))
 
 
 def test_slash_idempotent():
@@ -235,9 +236,8 @@ def test_slash_refunds_later_challengers_even_when_already_slashed():
     b = make_bridge(n=3)
     for vmxo in b.graph.vmxo_ids:
         b.slash("f1", "f0", TxKind.PROVER_LOSES, ["f0", "f2"], vmxo)
-        e = b.graph.find_enabler("f2", EnablerRole.VERIFIER, vmxo,
-                                 counterparty="f1")
-        assert e.state == EnablerState.CONSUMED
+        assert b.graph.enabler_state("f2", EnablerRole.VERIFIER, vmxo,
+                                     counterparty="f1") == EnablerState.CONSUMED
         assert b.events[-1].endswith(
             f"ev=challenge_refunded verifier=f2 vmxo={vmxo}")
     assert sum(" ev=slashed " in line for line in b.events) == 1
@@ -336,6 +336,44 @@ def test_recycle_enabler_accounting():
     assert counts["consumed"] == 1
     assert counts["burnt"] == 0
     assert counts["live"] == n * n - 1
+
+
+def test_refund_skips_burnt_and_consumed_enablers():
+    b = make_bridge(n=3)
+    vmxo = b.graph.vmxo_ids[0]
+    slot = ("f2", EnablerRole.VERIFIER, vmxo, "f1")
+    # f2 lost first, so its enabler against f1 is burnt: no refund
+    b.slash("f2", "f0", TxKind.PROVER_LOSES, [], vmxo)
+    b.slash("f1", "f0", TxKind.PROVER_LOSES, ["f0", "f2"], vmxo)
+    assert b.graph.enabler_state(*slot) == EnablerState.BURNT
+    assert not any(" ev=challenge_refunded " in line for line in b.events)
+    # f0's enabler against f1 on another VMXO is refunded once
+    other = b.graph.vmxo_ids[1]
+    for _ in range(2):
+        b.slash("f1", "f2", TxKind.VERIFIER_LOSES, ["f0", "f2"], other)
+    assert b.graph.enabler_state("f0", EnablerRole.VERIFIER, other,
+                                 "f1") == EnablerState.CONSUMED
+    assert sum(" ev=challenge_refunded " in line for line in b.events) == 1
+
+
+def test_recycle_counts_match_every_slot_after_slash_and_refund():
+    b = make_bridge(n=3)
+    do_pegin(b)
+    pegout = do_linked_pegout(b)
+    b.front_funds(pegout, "f1")
+    b.publish_kickoff(pegout, "f1", honest_flow=False)
+    b.slash("f1", "f0", TxKind.PROVER_LOSES, ["f0", "f2"], pegout.vmxo_id)
+    assert pegout.state == PegOutState.INVALIDATED
+    counts = b.recycle_enablers(pegout)
+    g = b.graph
+    states = [g.enabler_state(owner, role, v, cp) for owner in g.functionaries
+              for role, v, cp in g._enabler_slots(owner)
+              if v == pegout.vmxo_id]
+    assert len(states) == 3 ** 2
+    assert counts == {state.value.lower(): states.count(state)
+                      for state in EnablerState}
+    # f1's three burnt, f2's enabler against f1 refunded, five live
+    assert counts == {"live": 5, "consumed": 1, "burnt": 3}
 
 
 def test_ledger_conservation_over_full_flow():

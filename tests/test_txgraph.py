@@ -8,9 +8,9 @@ from bridgesim.econ import CostTable
 from bridgesim.errors import (AlreadyClosed, NoTrigger, NotSameOperator,
                              PrematureDeletion, SpendRejected,
                              TooFewFunctionaries)
-from bridgesim.txgraph import (Enabler, EnablerRole, EnablerState, KeyState,
-                              OutputKind, SimOutput, SimTx, SpendCondition,
-                              TxKind, VmxoState, build_packet_templates,
+from bridgesim.txgraph import (EnablerRole, EnablerState, OutputKind,
+                              SimOutput, SimTx, SpendCondition, TxKind,
+                              VmxoState, build_packet_templates,
                               validate_graph)
 
 F3 = ["f0", "f1", "f2"]
@@ -28,17 +28,16 @@ def test_too_few_functionaries():
 def test_n2_counts():
     g = packet(["f0", "f1"])
     g.build_all()
-    for f in g.functionaries:
-        g.enablers_of(f)
     kickoffs = [t for t in g.templates.values()
                 if t.template_kind == TxKind.KICKOFF]
     assert len(kickoffs) == 2
     for k in kickoffs:
         channels = [o for o in k.outputs if o.kind == OutputKind.DISPUTE_CHANNEL]
         assert len(channels) == 1
-    ops = [e for e in g.enablers.values() if e.role == EnablerRole.OPERATOR]
-    vers = [e for e in g.enablers.values() if e.role == EnablerRole.VERIFIER]
-    assert len(ops) == 2 and len(vers) == 2
+    roles = [role for f in g.functionaries
+             for role, _, _ in g._enabler_slots(f)]
+    assert roles.count(EnablerRole.OPERATOR) == 2
+    assert roles.count(EnablerRole.VERIFIER) == 2
 
 
 def test_n3_channel_count():
@@ -51,10 +50,12 @@ def test_n3_channel_count():
 
 def test_n3_two_vmxos_enabler_pool():
     g = packet(vmxos=2)
-    for f in g.functionaries:
-        g.enablers_of(f)
-    assert len(g.enablers) == 3 * (1 + 2) * 2  # N x (1 + N-1) x vmxos = 18
-    assert g.enabler_count() == len(g.enablers)
+    states = [g.enabler_state(f, *slot) for f in g.functionaries
+              for slot in g._enabler_slots(f)]
+    # N x (1 + N-1) x vmxos = 18, every one live and none stored
+    assert states == [EnablerState.LIVE] * 18
+    assert g.enabler_count() == len(states)
+    assert g.used_enablers == {}
 
 
 def test_sign_idempotent():
@@ -78,7 +79,8 @@ def test_delete_after_full_signing():
     g = packet()
     v = g.vmxo_ids[0]
     g.sign_all()
-    assert g.delete_keys("f0", v) == KeyState.DELETED
+    g.delete_keys("f0", v)
+    assert not g.leaked
 
 
 def test_premature_deletion_rejected():
@@ -88,7 +90,8 @@ def test_premature_deletion_rejected():
         g.delete_keys("f0", v)
     assert not g.leaked
     g.sign_all()
-    assert g.delete_keys("f0", v) == KeyState.DELETED
+    g.delete_keys("f0", v)
+    assert not g.leaked
 
 
 @pytest.mark.parametrize("functionary,vmxo", [
@@ -191,13 +194,41 @@ def test_force_close_pair_given_in_reverse():
 def test_burn_enablers_all_live_to_burnt():
     g = packet(vmxos=2)
     trigger = g.template(f"proverloses:{g.vmxo_ids[0]}:f0:f1")
-    before = len(g.live_enablers("f0"))
-    assert before == 6
-    burnt = g.burn_enablers("f0", trigger)
-    assert len(burnt) == before
-    assert g.live_enablers("f0") == []
-    # repeat burn is a no-op
-    assert g.burn_enablers("f0", trigger) == []
+    slots = list(g._enabler_slots("f0"))
+    assert len(slots) == 6
+    assert g.burn_enablers("f0", trigger) == 6
+    assert {g.enabler_state("f0", *slot) for slot in slots} == {
+        EnablerState.BURNT}
+    # a repeat burn marks none
+    assert g.burn_enablers("f0", trigger) == 0
+    assert g.enabler_state("f1", EnablerRole.OPERATOR,
+                           g.vmxo_ids[0]) == EnablerState.LIVE
+
+
+def test_burn_skips_consumed_enabler():
+    g = packet()
+    v = g.vmxo_ids[0]
+    g.set_enabler_state(EnablerState.CONSUMED, "f0", EnablerRole.OPERATOR, v)
+    assert g.burn_enablers("f0", g.template("kill:f0")) == 2
+    assert g.enabler_state("f0", EnablerRole.OPERATOR,
+                           v) == EnablerState.CONSUMED
+    assert g.enabler_state("f0", EnablerRole.VERIFIER, v,
+                           "f2") == EnablerState.BURNT
+
+
+def test_no_such_enabler_has_no_state():
+    g = packet()
+    v = g.vmxo_ids[0]
+    for slot in [("f0", EnablerRole.VERIFIER, v, "f0"),  # its own loser
+                 ("f0", EnablerRole.OPERATOR, "nov"),
+                 ("f9", EnablerRole.OPERATOR, v),
+                 ("f0", EnablerRole.OPERATOR, v, "f1"),
+                 ("f0", EnablerRole.VERIFIER, v)]:
+        assert g.enabler_state(*slot) is None
+        with pytest.raises(KeyError):
+            g.set_enabler_state(EnablerState.CONSUMED, *slot)
+    assert g.burn_enablers("f9", g.template("kill:f0")) == 0
+    assert g.used_enablers == {}
 
 
 def test_burn_requires_trigger():
@@ -213,8 +244,8 @@ def test_post_burn_kickoff_lacks_operator_enabler():
     g = packet()
     trigger = g.template(f"proverloses:{g.vmxo_ids[0]}:f0:f1")
     g.burn_enablers("f0", trigger)
-    e = g.find_enabler("f0", EnablerRole.OPERATOR, g.vmxo_ids[0])
-    assert e.state == EnablerState.BURNT
+    assert g.enabler_state("f0", EnablerRole.OPERATOR,
+                           g.vmxo_ids[0]) == EnablerState.BURNT
 
 
 def test_signature_invalidation_cascade():
@@ -280,11 +311,11 @@ def test_packet_count_and_validation(n, v):
     g.build_all()
     assert len(g.templates) == template_count(n, v)
     assert validate_graph(g) == []
+    # each functionary's slots are its enabler outputs, in order
     for f in fs:
-        assert g.enablers_of(f) == sorted(
-            (e for e in g.enablers.values() if e.owner == f),
-            key=lambda e: e.index)
-    assert len(g.enablers) == g.enabler_count()
+        assert [g._enabler_index(f, *slot) for slot in g._enabler_slots(f)] \
+            == list(range(len(g.template(f"enablers:{f}").outputs)))
+    assert n * len(g.template("enablers:f0").outputs) == g.enabler_count()
 
 
 def test_templates_never_mint_value():
@@ -476,9 +507,8 @@ def test_every_lookup_matches_eager_reference(n, v):
     slots = list(outpoints)
     random.Random(n - v).shuffle(slots)
     for slot in slots:
-        e = g.find_enabler(*slot)
-        assert e.state == EnablerState.LIVE
-        assert (g.template(f"enablers:{e.owner}").id,
-                e.index) == outpoints[slot]
-    assert len(g.enablers) == len(outpoints)
+        assert g.enabler_state(*slot) == EnablerState.LIVE
+        assert (g.template(f"enablers:{slot[0]}").id,
+                g._enabler_index(*slot)) == outpoints[slot]
+    assert g.used_enablers == {}
     assert validate_graph(g) == []
