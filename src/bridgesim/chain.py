@@ -183,10 +183,8 @@ class SimClock:
     def advance(self, ticks: int = 1) -> None:
         self.now += ticks
 
-    def censored_until(self, party: str,
-                       tick: Optional[int] = None) -> Optional[int]:
+    def censored_until(self, party: str, tick: int) -> Optional[int]:
         """End of the first window that censors `party` at `tick`, or None."""
-        t = self.now if tick is None else tick
         return next((w.start + w.length for w in self.censor_windows
                      if w.party == party
-                     and w.start <= t < w.start + w.length), None)
+                     and w.start <= tick < w.start + w.length), None)

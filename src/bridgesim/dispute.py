@@ -138,6 +138,9 @@ class DisputeGame:
         if self.arity < 2:
             # an arity below 2 never narrows the segment
             raise ValueError(f"arity must be at least 2, got {self.arity}")
+        if self.prover == self.verifier:
+            # the two stop watches, keyed by party, would be one
+            raise ValueError(f"prover and verifier are both {self.prover}")
         self.watches = {
             self.prover: StopWatch(self.prover, self.watch_threshold),
             self.verifier: StopWatch(self.verifier, self.watch_threshold),
@@ -395,18 +398,3 @@ def run_search(game: DisputeGame, prover_delay: int = 1,
         return leaf_delay if game.phase == Phase.LEAF_CHECK else prover_delay
 
     return drive(game, delay)
-
-
-def _rounds(length: int, arity: int) -> int:
-    """Smallest r with arity**r >= max(2, length), in integers."""
-    r = 0
-    while arity ** r < max(2, length):
-        r += 1
-    return r
-
-
-def max_rounds(trace_length: int, read_steps: int, arity: int) -> int:
-    """Upper bound on on-chain search rounds: main plus read search."""
-    if arity < 2:
-        raise ValueError(f"arity must be at least 2, got {arity}")
-    return _rounds(trace_length, arity) + _rounds(read_steps, arity)

@@ -91,16 +91,6 @@ def required_deposit(n_functionaries: int, fee_rate: int,
     return per_protocol * fee_rate * (n_functionaries - 1)
 
 
-def worst_case_protocol_count(n_functionaries: int) -> tuple[int, int]:
-    """(gross, secured) protocol counts for one deposit.
-
-    Gross counts both directions against a single disruptive actor,
-    2*(N-1); only N-1 must actually be secured because the first lost
-    dispute burns all of the actor's enablers.
-    """
-    return 2 * (n_functionaries - 1), n_functionaries - 1
-
-
 def btc(sats: int) -> str:
     """Format satoshis as a BTC decimal; a single trailing zero is trimmed
     so deposit-table cells read with 7 fractional digits."""

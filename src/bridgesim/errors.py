@@ -111,10 +111,6 @@ class NotTriggered(BridgeSimError):
     pass
 
 
-class ActiveOperation(BridgeSimError):
-    pass
-
-
 # harness
 class InvalidScenario(BridgeSimError):
     pass

@@ -20,8 +20,7 @@ from .dispute import (ExecutionTrace, challenge, drive, open_game,
                       resolve_no_challenge, settle_counter_proof)
 from .errors import InvalidScenario, NoCapacity, TimeoutExpired
 from .lightclient import AltChainInput, CheckChainInput
-from .protocol import (Bridge, PegOut, PegOutState, FunctionaryStatus,
-                       event_lines)
+from .protocol import Bridge, PegOut, PegOutState, event_lines
 from .stopwatch import power_of_two_markers
 from .txgraph import TxKind, VmxoState
 
@@ -334,19 +333,16 @@ class Runner:
     # -- peg-outs ----------------------------------------------------------
 
     def _pick_operator(self) -> str:
-        """An active operator, honest if any, who can front soonest."""
+        """An unslashed operator, honest if any, who can front soonest."""
         b, sc = self.bridge, self.sc
-        pool = [f for f in self.honest
-                if b.functionaries[f].status == FunctionaryStatus.ACTIVE]
+        pool = [f for f in self.honest if f not in b.slashed]
         if not pool:
-            pool = [f for f in sc.functionary_ids
-                    if b.functionaries[f].status == FunctionaryStatus.ACTIVE]
+            pool = [f for f in sc.functionary_ids if f not in b.slashed]
         return min(pool, key=lambda f: (b.separation_left(f), f))
 
     def _honest_verifiers(self, excluding: str) -> list[str]:
-        return [f for f in self.honest if f != excluding
-                and self.bridge.functionaries[f].status ==
-                FunctionaryStatus.ACTIVE]
+        return [f for f in self.honest
+                if f != excluding and f not in self.bridge.slashed]
 
     def _front_and_kick_off(self, pegout: PegOut, operator: str) -> None:
         """The guarded path: front, prove the confirmed front, kick off."""
@@ -373,8 +369,7 @@ class Runner:
         adv = sc.adversary_id
         griefer = (adv if sc.strategy == Strategy.GRIEFING_VERIFIER
                    and adv not in (None, operator)
-                   and b.functionaries[adv].status ==
-                   FunctionaryStatus.ACTIVE else None)
+                   and adv not in b.slashed else None)
         if griefer is not None:
             self._run_dispute(operator, griefer, honest_trace, honest_trace)
             self.outcomes.append(
@@ -484,9 +479,7 @@ class Runner:
                                      f"vmxo to link, unserved")
                 continue
             adversarial = (i == 0 and sc.strategy in PROVER_STRATEGIES
-                           and adv is not None
-                           and b.functionaries[adv].status ==
-                           FunctionaryStatus.ACTIVE)
+                           and adv is not None and adv not in b.slashed)
             if not adversarial:
                 operator = self._pick_operator()
                 self._honest_pegout_flow(pegout, operator)
@@ -526,10 +519,7 @@ class Runner:
                   amount=b.ledger.balances[account])
         verdicts = check_invariants(b.records)
         honest_costs = sum(b.dispute_costs.get(f, 0) for f in self.honest)
-        slashed = sum(
-            b.deposit_per_functionary
-            for f, rec in b.functionaries.items()
-            if rec.status == FunctionaryStatus.SLASHED)
+        slashed = len(b.slashed) * b.deposit_per_functionary
         return RunReport(
             scenario=sc.name, seed=sc.seed, records=b.records,
             outcomes=list(self.outcomes), verdicts=verdicts,

@@ -1,9 +1,10 @@
 """Peg-in / peg-out orchestration, deposits, slashing, enabler recycling.
 
 ``Bridge`` holds the full protocol state for one packet: both chains, the
-presigned template graph, functionary records, the satoshi ledger, and an
-append-only event log, kept as records and rendered as lines only on read.
-All methods are deterministic; the harness drives them from a scenario script.
+presigned template graph, the functionaries and the set of slashed ones,
+the satoshi ledger, and an append-only event log, kept as records and
+rendered as lines only on read.  All methods are deterministic; the harness
+drives them from a scenario script.
 
 Deposits are denominated on the source chain.  Slashing pays the losing
 party's deposit into a pot that first reimburses every challenger's dispute
@@ -18,23 +19,11 @@ from typing import Optional
 
 from .chain import SECONDARY, SOURCE, ChainView, SimClock
 from .econ import CostTable, DISPUTE_ACTION_VBYTES, required_deposit
-from .errors import (ActiveOperation, ConcurrencyLimit, EnablerUnavailable,
+from .errors import (ConcurrencyLimit, EnablerUnavailable,
                      InsufficientConfirmations, MissingSignature, NoCapacity,
                      NotLinked, NotTriggered, WrongDenomination)
 from .txgraph import (EXTERNAL, SLASHING_KINDS, EnablerRole, EnablerState,
                       PacketGraph, TxKind, VmxoState, build_packet_templates)
-
-
-class FunctionaryStatus(str, Enum):
-    ACTIVE = "Active"
-    SLASHED = "Slashed"
-    WITHDRAWN = "Withdrawn"
-
-
-@dataclass
-class Functionary:
-    id: str
-    status: FunctionaryStatus = FunctionaryStatus.ACTIVE
 
 
 class PegOutState(str, Enum):
@@ -86,9 +75,6 @@ class Ledger:
         self.balances[frm] -= amount
         self.balances[to] = self.balances.get(to, 0) + amount
 
-    def total(self) -> int:
-        return sum(self.balances.values())
-
 
 def event_lines(records: list[dict[str, str]]) -> list[str]:
     """Each record's text line ``t=.. seq=.. ev=.. k=v ...``, in order."""
@@ -119,7 +105,8 @@ class Bridge:
         deposit = required_deposit(len(functionary_ids), fee_rate,
                                    self.cost_table)
         self.deposit_per_functionary = deposit
-        self.functionaries = {f: Functionary(f) for f in functionary_ids}
+        self.functionaries = list(functionary_ids)
+        self.slashed: set[str] = set()
         self.graph: PacketGraph = build_packet_templates(
             functionary_ids, vmxo_count, denomination,
             deposit_per_functionary=deposit)
@@ -227,11 +214,11 @@ class Bridge:
     def request_pegout(self, user: str, amount: int) -> PegOut:
         if amount != self.denomination:
             raise WrongDenomination(f"{amount} != {self.denomination}")
-        pegout = PegOut(user, amount)
-        self.pegouts.append(pegout)
-        pegout.burn_tx = f"burn:{user}:{len(self.pegouts)}"
+        pegout = PegOut(user, amount,
+                        burn_tx=f"burn:{user}:{len(self.pegouts) + 1}")
         self.transfer(f"user:{user}:wrapped", "wrapped-issuance", amount,
                       "burn")
+        self.pegouts.append(pegout)
         self.log("pegout_burn", user=user, tx=pegout.burn_tx, amount=amount)
         return pegout
 
@@ -249,9 +236,7 @@ class Bridge:
         raise NoCapacity("no locked vmxo to link")
 
     def front_funds(self, pegout: PegOut, operator: str) -> str:
-        rec = self.functionaries[operator]
-        if rec.status != FunctionaryStatus.ACTIVE:
-            raise EnablerUnavailable(f"{operator} is {rec.status.value}")
+        """A slashed or unknown operator has no live operator enabler."""
         if pegout.vmxo_id is None:
             raise NotLinked(pegout.burn_tx or "?")
         if pegout.burn_block is None or \
@@ -287,6 +272,8 @@ class Bridge:
         ``honest_flow`` False marks a raw kick-off that skipped the guarded
         path (the template itself carries no concurrency check on-chain)."""
         vmxo = self.graph.vmxos[pegout.vmxo_id]
+        if vmxo.state != VmxoState.LOCKED:
+            raise NotTriggered(f"{pegout.vmxo_id} is {vmxo.state.value}")
         kick = self.graph.template(f"kickoff:{pegout.vmxo_id}:{operator}")
         self.graph.execute(kick)
         self._log_spends(kick)
@@ -352,7 +339,7 @@ class Bridge:
         """Burn the loser's enablers and pay out its deposit, once; then
         refund the enabler of every challenger of ``vmxo_id`` but the
         winner, since their channels against the loser become no-ops."""
-        if self.functionaries[loser].status != FunctionaryStatus.SLASHED:
+        if loser not in self.slashed:
             self._burn_and_pay(loser, winner, trigger_kind, challengers)
         for ch in challengers:
             if ch == winner:
@@ -366,8 +353,8 @@ class Bridge:
                       challengers: list[str]) -> None:
         if trigger_kind not in SLASHING_KINDS:
             raise NotTriggered(trigger_kind.value)
-        self.functionaries[loser].status = FunctionaryStatus.SLASHED
-        kill = self.graph.template(f"kill:{loser}")
+        kill = self.graph.template(f"kill:{loser}")  # refuses an unknown loser
+        self.slashed.add(loser)
         burnt = self.graph.burn_enablers(loser, kill)
         self.log("enablers_burnt", loser=loser, count=burnt)
         # deposit pot: reimburse challengers' dispute costs, rest to winner
@@ -417,17 +404,6 @@ class Bridge:
             counts[state.value.lower()] += 1
         self.log("enablers_recycled", vmxo=pegout.vmxo_id, **counts)
         return counts
-
-    def withdraw_deposit(self, functionary: str) -> None:
-        rec = self.functionaries[functionary]
-        if self.open_pegouts(functionary):
-            raise ActiveOperation(functionary)
-        rec.status = FunctionaryStatus.WITHDRAWN
-        amount = self.ledger.balances.get(f"deposit:{functionary}", 0)
-        if amount:
-            self.transfer(f"deposit:{functionary}", f"wallet:{functionary}",
-                          amount, "withdraw")
-        self.log("withdrawn", functionary=functionary, amount=amount)
 
     # -- queries -----------------------------------------------------------
 

@@ -30,20 +30,18 @@ ones an eager build would give; ``templates`` holds the built ones by
 name.  An enabler's output index in its owner's enabler-creation template
 is closed-form, and an enabler is live until a run consumes or burns it, so
 the graph stores only those states, by VMXO, in ``used_enablers``.
-``template_count`` and
-``enabler_count`` give the sizes of the whole graph in closed form,
-``template_names`` lists it, and ``build_all`` builds what is left of it.
+``template_count`` and ``enabler_count`` give the sizes of the whole graph
+in closed form.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Optional
 
 from .econ import CostTable
 from .errors import (AlreadyClosed, NoTrigger, NotSameOperator,
@@ -113,11 +111,6 @@ class SimOutput:
     condition: SpendCondition = SpendCondition()
     tag: str = ""  # owner / channel routing, e.g. "enabler:f1:Operator:v0"
 
-    def serial(self) -> list:
-        return [self.kind.value, self.amount,
-                sorted(self.condition.signers),
-                self.condition.timelock, self.condition.predicate, self.tag]
-
 
 EXTERNAL = "ext"  # pseudo tx-id prefix for wallet-funded inputs
 
@@ -128,8 +121,10 @@ TEMPLATE_CACHE_SIZE = 256
 
 def _serial(template_kind: TxKind, inputs: tuple, outputs: tuple,
             vbytes: int) -> str:
-    return json.dumps([template_kind.value, inputs,
-                       [o.serial() for o in outputs], vbytes],
+    outs = [[o.kind.value, o.amount, sorted(o.condition.signers),
+             o.condition.timelock, o.condition.predicate, o.tag]
+            for o in outputs]
+    return json.dumps([template_kind.value, inputs, outs, vbytes],
                       separators=(",", ":"))
 
 
@@ -161,10 +156,6 @@ class SimTx:
         set_(self, "outputs", tuple(self.outputs))
         set_(self, "id", _template_id(self.template_kind, self.inputs,
                                       self.outputs, self.vbytes))
-
-    def serial(self) -> str:
-        return _serial(self.template_kind, self.inputs, self.outputs,
-                       self.vbytes)
 
 
 def _enabler_key(owner: str, role: EnablerRole, vmxo_id: str,
@@ -324,29 +315,6 @@ class PacketGraph:
                      [SimOutput(OutputKind.REWARD, 0,
                                 SpendCondition(predicate="killEnablers"),
                                 tag=f"loser:{f}")], vbytes=350)
-
-    def template_names(self) -> Iterable[str]:
-        """The name of every template in the graph, built or not."""
-        fs, vs = self.functionaries, self.vmxo_ids
-        for f in fs:
-            yield from (f"deposit:{f}", f"enablers:{f}", f"kill:{f}")
-        for v in vs:
-            yield f"locking:{v}"
-            for f in fs:
-                yield from (f"kickoff:{v}:{f}", f"unlocking:{v}:{f}")
-                for w in fs:
-                    if w != f:
-                        for kind in LOSER_TERMINALS:
-                            yield f"{kind}:{v}:{f}:{w}"
-        for f in fs:
-            for i, va in enumerate(vs):
-                for vb in vs[i + 1:]:
-                    yield f"forceclose:{f}:{va}:{vb}"
-
-    def build_all(self) -> None:
-        """Build every template not built yet."""
-        for name in self.template_names():
-            self.template(name)
 
     def template_count(self) -> int:
         """Templates in the whole graph, built or not: deposit, enabler
@@ -508,71 +476,3 @@ def build_packet_templates(functionaries: list[str], vmxo_count: int,
     vmxo_ids = [f"pkt0:vmxo{i}" for i in range(vmxo_count)]
     return PacketGraph(functionaries, vmxo_ids, amount,
                        deposit_per_functionary)
-
-
-def validate_graph(g: PacketGraph) -> list[str]:
-    """Structural checks over the whole template graph, built first;
-    violations as strings."""
-    g.build_all()
-    violations: list[str] = []
-    by_id = {tx.id: tx for tx in g.templates.values()}
-
-    # (i) every internal input references an existing template output
-    for name, tx in g.templates.items():
-        for ref in tx.inputs:
-            if ref[0].startswith(EXTERNAL):
-                continue
-            parent = by_id.get(ref[0])
-            if parent is None or ref[1] >= len(parent.outputs):
-                violations.append(f"dangling input in {name}: {ref}")
-
-    # (ii) every loser terminal maps to a kill-enablers template covering
-    # all of the loser's enablers; per functionary with a kill template, the
-    # number of its enabler outputs that template leaves unspent
-    kill_misses = {}
-    for f in g.functionaries:
-        if f"kill:{f}" in g.templates:
-            create = g.template(f"enablers:{f}").id
-            refs = {(create, g._enabler_index(f, *slot))
-                    for slot in g._enabler_slots(f)}
-            kill_misses[f] = len(refs - set(g.template(f"kill:{f}").inputs))
-    for name, tx in g.templates.items():
-        if tx.template_kind not in (TxKind.PROVER_LOSES, TxKind.VERIFIER_LOSES):
-            continue
-        losers = [o.tag.split(":", 1)[1] for o in tx.outputs
-                  if o.tag.startswith("loser:")]
-        for loser in losers:
-            if loser not in kill_misses:
-                violations.append(f"{name}: no kill-enablers template for {loser}")
-            elif kill_misses[loser]:
-                violations.append(f"{name}: kill template for {loser} misses "
-                                  f"{kill_misses[loser]} enablers")
-
-    # (iii) unlocking spends exactly one operator enabler + the open kick-off
-    for name, tx in g.templates.items():
-        if tx.template_kind != TxKind.UNLOCKING:
-            continue
-        vmxo_id = name.split(":", 1)[1].rsplit(":", 1)[0]
-        f = name.rsplit(":", 1)[1]
-        op_ref = (g.template(f"enablers:{f}").id,
-                  g._enabler_index(f, EnablerRole.OPERATOR, vmxo_id))
-        if sum(r == op_ref for r in tx.inputs) != 1:
-            violations.append(f"{name}: must consume exactly one operator enabler")
-        kick = g.template(f"kickoff:{vmxo_id}:{f}")
-        if (kick.id, 0) not in tx.inputs:
-            violations.append(f"{name}: missing open kick-off input")
-
-    # (iv) each kickoff's dispute-channel outputs have terminal templates
-    terminal_spends = Counter(
-        ref for t in g.templates.values()
-        if t.template_kind in (TxKind.PROVER_LOSES, TxKind.VERIFIER_LOSES)
-        for ref in set(t.inputs))
-    for name, tx in g.templates.items():
-        if tx.template_kind != TxKind.KICKOFF:
-            continue
-        for idx, out in enumerate(tx.outputs):
-            if out.kind != OutputKind.DISPUTE_CHANNEL:
-                continue
-            if terminal_spends[(tx.id, idx)] < 2:
-                violations.append(f"{name}: channel {idx} lacks loser terminals")
-    return violations

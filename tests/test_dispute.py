@@ -4,10 +4,9 @@ import pytest
 
 from bridgesim import dispute
 from bridgesim.dispute import (DisputeGame, ExecutionTrace, Outcome, Phase,
-                              Reason, challenge, leaf_check, max_rounds,
-                              open_game, resolve_no_challenge, reveal_trace,
-                              run_search, search_round, settle_counter_proof,
-                              step)
+                              Reason, challenge, leaf_check, open_game,
+                              resolve_no_challenge, reveal_trace, run_search,
+                              search_round, settle_counter_proof, step)
 from bridgesim.errors import (DifficultyNotHigher, MalformedInput,
                              TimeoutExpired, WindowOpen, WrongPhase)
 
@@ -20,6 +19,20 @@ def new_game(trace_len=16, corrupt_at=None, arity=4, threshold=1000):
     prover_trace = honest if corrupt_at is None else honest.corrupted_at(corrupt_at)
     return open_game("p", "v", None, prover_trace, honest, arity=arity,
                      watch_threshold=threshold)
+
+
+def _rounds(length, arity):
+    """Smallest r with arity**r >= max(2, length), in integers."""
+    r = 0
+    while arity ** r < max(2, length):
+        r += 1
+    return r
+
+
+def max_rounds(trace_length, read_steps, arity):
+    """Upper bound on on-chain search rounds, main plus read search: a
+    reference the run code does not call."""
+    return _rounds(trace_length, arity) + _rounds(read_steps, arity)
 
 
 def test_main_search_rounds_log4_of_16():
@@ -377,10 +390,13 @@ def test_game_rejects_arity_below_two(arity):
         DisputeGame("p", "v", honest, honest, arity=arity)
 
 
-@pytest.mark.parametrize("arity", [1, 0, -2])
-def test_max_rounds_rejects_arity_below_two(arity):
+def test_game_rejects_same_prover_and_verifier():
+    # one party would hold the game's only stop watch
+    honest = ExecutionTrace.honest("prog", 16)
     with pytest.raises(ValueError):
-        max_rounds(16, 16, arity)
+        open_game("p", "p", None, honest.corrupted_at(5), honest)
+    with pytest.raises(ValueError):
+        DisputeGame("p", "p", honest, honest)
 
 
 @pytest.mark.parametrize("missing", ["alt_input", "main_difficulty"])

@@ -3,8 +3,7 @@ import pytest
 from bridgesim.econ import (CostTable, TimingParams, btc,
                            format_deposit_table, max_parallelism,
                            min_separation, reproduce_deposit_table,
-                           required_deposit, worst_case_protocol_count,
-                           worst_case_vbytes)
+                           required_deposit, worst_case_vbytes)
 
 PUBLISHED_TABLE = {
     (10, 5): "0.1216494", (10, 10): "0.2432988",
@@ -67,10 +66,6 @@ def test_deposit_monotone_in_n_and_fee():
     assert all(a < b for a, b in zip(deposits_n, deposits_n[1:]))
     deposits_x = [required_deposit(10, x) for x in range(1, 40)]
     assert all(a < b for a, b in zip(deposits_x, deposits_x[1:]))
-
-
-def test_worst_case_protocol_count():
-    assert worst_case_protocol_count(10) == (18, 9)
 
 
 def test_format_deposit_table_has_all_rows():

@@ -109,6 +109,25 @@ def test_censored_verifier_alt_chain_timeout_gives_report():
     assert len(outcomes) == 1 and "reason=Timeout" in outcomes[0]
 
 
+# A ForkProver whose honest verifier is censored through the nested game:
+# the alt-chain counter-proof is defeated and the outer prover wins.
+COUNTER_PROOF_DEFEATED = Scenario(
+    name="counter-proof-defeated", seed=1948531827, n_functionaries=3,
+    vmxo_count=3, n_pegins=2, n_pegouts=1, adversary=0,
+    strategy=Strategy.FORK_PROVER, censor=[CensorSpec("f1", 21, 61)])
+
+
+def test_defeated_counter_proof_gives_wellformed_report():
+    # its verdicts are not pinned: the run also logs a self-slash
+    # (slashed loser=f0 ... winner=f0), an open defect, and every verdict
+    # passes
+    report = run_scenario(COUNTER_PROOF_DEFEATED)
+    assert isinstance(report, RunReport)
+    outcomes = [line for line in report.log if " ev=dispute_outcome " in line]
+    assert len(outcomes) == 1 and "reason=CounterProofDefeated" in outcomes[0]
+    assert malformed_log(report.log) is None
+
+
 def test_fork_kickoff_proof_passes_check_chain(monkeypatch):
     # the fork chain itself checks out, so only the alt-chain counter-proof
     # can show the fraud: every ForkProver kick-off's main input must pass

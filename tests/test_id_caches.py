@@ -7,12 +7,14 @@ from bridgesim import chain, txgraph
 from bridgesim.chain import BlockHeader, _digest
 from bridgesim.harness import (generate_adversarial_scenarios, run_scenario,
                                scenario_corpus)
-from bridgesim.txgraph import build_packet_templates
+from bridgesim.txgraph import _serial, build_packet_templates
+from test_txgraph import build_all
 
 
 def template_ids_recomputed(graph):
     for tx in graph.templates.values():
-        assert tx.id == hashlib.sha256(tx.serial().encode()).hexdigest()[:16]
+        serial = _serial(tx.template_kind, tx.inputs, tx.outputs, tx.vbytes)
+        assert tx.id == hashlib.sha256(serial.encode()).hexdigest()[:16]
 
 
 def test_cached_ids_equal_cache_free_recomputation(run_with_bridge,
@@ -37,7 +39,7 @@ def test_cached_ids_equal_cache_free_recomputation(run_with_bridge,
                                      commit, hid)
     assert len({h.id for _, h in made}) < len(made)  # headers made again
     g = build_packet_templates([f"f{i}" for i in range(10)], 4, 100_000)
-    g.build_all()
+    build_all(g)
     assert len(g.templates) == g.template_count()
     template_ids_recomputed(g)
 

@@ -1,13 +1,11 @@
 import pytest
 
-from bridgesim.errors import (ActiveOperation, ConcurrencyLimit,
-                             EnablerUnavailable, InsufficientConfirmations,
-                             MissingSignature, NoCapacity, NotTriggered,
-                             WrongDenomination)
+from bridgesim.errors import (ConcurrencyLimit, EnablerUnavailable,
+                             InsufficientConfirmations, MissingSignature,
+                             NoCapacity, NotTriggered, WrongDenomination)
 from bridgesim import harness
 from bridgesim.harness import Scenario, Strategy
-from bridgesim.protocol import (Bridge, FunctionaryStatus, PegIn,
-                                PegOutState)
+from bridgesim.protocol import Bridge, PegIn, PegOutState
 from bridgesim.txgraph import EnablerRole, EnablerState, TxKind, VmxoState
 
 DENOM = 100_000_000
@@ -118,6 +116,39 @@ def test_pegout_links_oldest_locked_vmxo():
     assert pegout.state == PegOutState.LINKED
 
 
+def test_refused_pegout_leaves_no_ghost():
+    b = make_bridge()
+    do_pegin(b, "u0")
+    balances, records = dict(b.ledger.balances), list(b.records)
+    # u1 holds no wrapped balance to burn
+    with pytest.raises(ValueError):
+        b.request_pegout("u1", DENOM)
+    assert b.pegouts == [] and b.records == records
+    assert b.ledger.balances == balances
+    pegout = b.request_pegout("u0", DENOM)
+    assert b.pegouts == [pegout] and pegout.burn_tx == "burn:u0:1"
+
+
+def test_front_by_unknown_operator_refused():
+    b = make_bridge()
+    do_pegin(b)
+    pegout = do_linked_pegout(b)
+    with pytest.raises(EnablerUnavailable):
+        b.front_funds(pegout, "f7")
+
+
+def test_kickoff_only_on_locked_vmxo():
+    b = make_bridge()
+    do_pegin(b)
+    pegout = do_linked_pegout(b)
+    b.publish_kickoff(pegout, "f1", honest_flow=False)
+    records = list(b.records)
+    with pytest.raises(NotTriggered):
+        b.publish_kickoff(pegout, "f1", honest_flow=False)
+    assert b.records == records
+    assert sum(r["ev"] == "kickoff" for r in b.records) == 1
+
+
 def test_front_requires_burn_confirmations():
     b = make_bridge()
     do_pegin(b)
@@ -199,7 +230,7 @@ def test_slash_burns_enablers_and_pays_pot():
     pot = b.ledger.balances["deposit:f1"]
     f0_before = b.ledger.balances["wallet:f0"]
     b.slash("f1", "f0", TxKind.PROVER_LOSES, ["f0"], pegout.vmxo_id)
-    assert b.functionaries["f1"].status == FunctionaryStatus.SLASHED
+    assert b.slashed == {"f1"}
     assert b.ledger.balances["deposit:f1"] == 0
     assert b.ledger.balances["wallet:f0"] == f0_before + pot
     assert all(b.graph.enabler_state("f1", *slot) == EnablerState.BURNT
@@ -209,10 +240,19 @@ def test_slash_burns_enablers_and_pays_pot():
 def test_slash_idempotent():
     b = make_bridge()
     b.slash("f1", "f0", TxKind.PROVER_LOSES, [], "pkt0:vmxo0")
-    total = b.ledger.total()
+    total = sum(b.ledger.balances.values())
     b.slash("f1", "f2", TxKind.VERIFIER_LOSES, [], "pkt0:vmxo0")
-    assert b.ledger.total() == total
+    assert sum(b.ledger.balances.values()) == total
     assert b.ledger.balances["deposit:f1"] == 0
+
+
+def test_slash_refuses_unknown_loser_before_any_change():
+    b = make_bridge()
+    balances, records = dict(b.ledger.balances), list(b.records)
+    with pytest.raises(KeyError):
+        b.slash("f7", "f0", TxKind.PROVER_LOSES, ["f0"], "pkt0:vmxo0")
+    assert b.slashed == set()
+    assert b.ledger.balances == balances and b.records == records
 
 
 def test_slash_rejects_non_terminal_trigger():
@@ -298,24 +338,6 @@ def test_adhoc_theft_with_all_keys_leaked():
     assert b.ledger.balances[f"vmxo:{pegin.vmxo_id}"] == 0
 
 
-def test_withdraw_blocked_while_operating():
-    b = make_bridge()
-    do_pegin(b)
-    pegout = do_linked_pegout(b)
-    b.front_funds(pegout, "f0")
-    with pytest.raises(ActiveOperation):
-        b.withdraw_deposit("f0")
-
-
-def test_withdraw_returns_deposit():
-    b = make_bridge()
-    before = b.ledger.balances["wallet:f2"]
-    b.withdraw_deposit("f2")
-    assert b.ledger.balances["wallet:f2"] == \
-        before + b.deposit_per_functionary
-    assert b.ledger.balances["deposit:f2"] == 0
-
-
 def test_slashed_operator_cannot_front():
     b = make_bridge()
     do_pegin(b)
@@ -379,10 +401,10 @@ def test_recycle_counts_match_every_slot_after_slash_and_refund():
 def test_ledger_conservation_over_full_flow():
     b = make_bridge()
     do_pegin(b, "u0")
-    total = b.ledger.total()
+    total = sum(b.ledger.balances.values())
     pegout = do_linked_pegout(b, "u0")
     full_honest_pegout(b, pegout, "f0")
-    assert b.ledger.total() == total
+    assert sum(b.ledger.balances.values()) == total
 
 
 def test_honest_unlock_oracle_tracks_canonical_burn():
@@ -406,9 +428,8 @@ def test_raw_kickoff_does_not_count_toward_pegout_limit():
     raw = do_linked_pegout(b, "u0")
     b.publish_kickoff(raw, "f1", honest_flow=False)
     assert b.active_pegouts("f1") == 0
-    # an open raw kick-off still keeps the deposit in place
-    with pytest.raises(ActiveOperation):
-        b.withdraw_deposit("f1")
+    # an open raw kick-off is still in flight
+    assert b.open_pegouts("f1") == [raw]
     fronted = do_linked_pegout(b, "u1")
     b.front_funds(fronted, "f1")
     assert b.active_pegouts("f1") == 1

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
@@ -8,10 +9,10 @@ from bridgesim.econ import CostTable
 from bridgesim.errors import (AlreadyClosed, NoTrigger, NotSameOperator,
                              PrematureDeletion, SpendRejected,
                              TooFewFunctionaries)
-from bridgesim.txgraph import (EnablerRole, EnablerState, OutputKind,
-                              SimOutput, SimTx, SpendCondition, TxKind,
-                              VmxoState, build_packet_templates,
-                              validate_graph)
+from bridgesim.txgraph import (EXTERNAL, EnablerRole, EnablerState,
+                              OutputKind, SimOutput, SimTx, SpendCondition,
+                              TxKind, VmxoState, _serial,
+                              build_packet_templates)
 
 F3 = ["f0", "f1", "f2"]
 
@@ -27,7 +28,7 @@ def test_too_few_functionaries():
 
 def test_n2_counts():
     g = packet(["f0", "f1"])
-    g.build_all()
+    build_all(g)
     kickoffs = [t for t in g.templates.values()
                 if t.template_kind == TxKind.KICKOFF]
     assert len(kickoffs) == 2
@@ -42,7 +43,7 @@ def test_n2_counts():
 
 def test_n3_channel_count():
     g = packet()
-    g.build_all()
+    build_all(g)
     channels = [o for t in g.templates.values() for o in t.outputs
                 if o.kind == OutputKind.DISPUTE_CHANNEL]
     assert len(channels) == 6  # 3 kickoffs x 2 channels
@@ -286,11 +287,12 @@ def test_templates_are_frozen():
 
 def test_id_is_content_hash():
     g = packet(vmxos=2)
-    g.build_all()
+    build_all(g)
     ids = [tx.id for tx in g.templates.values()]
     assert len(set(ids)) == len(ids) == g.template_count()
     for tx in g.templates.values():
-        assert tx.id == hashlib.sha256(tx.serial().encode()).hexdigest()[:16]
+        serial = _serial(tx.template_kind, tx.inputs, tx.outputs, tx.vbytes)
+        assert tx.id == hashlib.sha256(serial.encode()).hexdigest()[:16]
 
 
 def template_count(n, v):
@@ -308,7 +310,7 @@ def test_packet_count_and_validation(n, v):
     fs = [f"f{i}" for i in range(n)]
     g = packet(fs, vmxos=v)
     assert g.template_count() == template_count(n, v)
-    g.build_all()
+    build_all(g)
     assert len(g.templates) == template_count(n, v)
     assert validate_graph(g) == []
     # each functionary's slots are its enabler outputs, in order
@@ -320,7 +322,7 @@ def test_packet_count_and_validation(n, v):
 
 def test_templates_never_mint_value():
     g = packet(vmxos=2)
-    g.build_all()
+    build_all(g)
     outputs = {tx.id: tx.outputs for tx in g.templates.values()}
     for tx in g.templates.values():
         internal_only = all(not r[0].startswith("ext") for r in tx.inputs)
@@ -365,9 +367,9 @@ def test_lazy_terminals_match_eager_build(n, v):
     random.Random(10 * n + v).shuffle(names)
     assert {name: lazy.template(name).id for name in names} == eager
     whole = packet(fs, vmxos=v)
-    whole.build_all()
+    build_all(whole)
     assert {name: whole.templates[name].id for name in eager} == eager
-    lazy.build_all()
+    build_all(lazy)
     assert ({name: tx.id for name, tx in lazy.templates.items()}
             == {name: tx.id for name, tx in whole.templates.items()})
     assert len(lazy.templates) == lazy.template_count()
@@ -479,13 +481,86 @@ def eager_reference(functionaries, vmxo_count, amount, deposit):
     return txs, outpoints
 
 
+def build_all(g):
+    """Build every template of ``g``: the eager reference names them all."""
+    for name in eager_reference(g.functionaries, len(g.vmxo_ids), 0, 0)[0]:
+        g.template(name)
+
+
+def validate_graph(g):
+    """Structural checks over the whole template graph, built first;
+    violations as strings: a reference the run code does not call."""
+    build_all(g)
+    violations = []
+    by_id = {tx.id: tx for tx in g.templates.values()}
+
+    # (i) every internal input references an existing template output
+    for name, tx in g.templates.items():
+        for ref in tx.inputs:
+            if ref[0].startswith(EXTERNAL):
+                continue
+            parent = by_id.get(ref[0])
+            if parent is None or ref[1] >= len(parent.outputs):
+                violations.append(f"dangling input in {name}: {ref}")
+
+    # (ii) every loser terminal maps to a kill-enablers template covering
+    # all of the loser's enablers; per functionary with a kill template, the
+    # number of its enabler outputs that template leaves unspent
+    kill_misses = {}
+    for f in g.functionaries:
+        if f"kill:{f}" in g.templates:
+            create = g.template(f"enablers:{f}").id
+            refs = {(create, g._enabler_index(f, *slot))
+                    for slot in g._enabler_slots(f)}
+            kill_misses[f] = len(refs - set(g.template(f"kill:{f}").inputs))
+    for name, tx in g.templates.items():
+        if tx.template_kind not in (TxKind.PROVER_LOSES, TxKind.VERIFIER_LOSES):
+            continue
+        losers = [o.tag.split(":", 1)[1] for o in tx.outputs
+                  if o.tag.startswith("loser:")]
+        for loser in losers:
+            if loser not in kill_misses:
+                violations.append(f"{name}: no kill-enablers template for {loser}")
+            elif kill_misses[loser]:
+                violations.append(f"{name}: kill template for {loser} misses "
+                                  f"{kill_misses[loser]} enablers")
+
+    # (iii) unlocking spends exactly one operator enabler + the open kick-off
+    for name, tx in g.templates.items():
+        if tx.template_kind != TxKind.UNLOCKING:
+            continue
+        vmxo_id = name.split(":", 1)[1].rsplit(":", 1)[0]
+        f = name.rsplit(":", 1)[1]
+        op_ref = (g.template(f"enablers:{f}").id,
+                  g._enabler_index(f, EnablerRole.OPERATOR, vmxo_id))
+        if sum(r == op_ref for r in tx.inputs) != 1:
+            violations.append(f"{name}: must consume exactly one operator enabler")
+        kick = g.template(f"kickoff:{vmxo_id}:{f}")
+        if (kick.id, 0) not in tx.inputs:
+            violations.append(f"{name}: missing open kick-off input")
+
+    # (iv) each kickoff's dispute-channel outputs have terminal templates
+    terminal_spends = Counter(
+        ref for t in g.templates.values()
+        if t.template_kind in (TxKind.PROVER_LOSES, TxKind.VERIFIER_LOSES)
+        for ref in set(t.inputs))
+    for name, tx in g.templates.items():
+        if tx.template_kind != TxKind.KICKOFF:
+            continue
+        for idx, out in enumerate(tx.outputs):
+            if out.kind != OutputKind.DISPUTE_CHANNEL:
+                continue
+            if terminal_spends[(tx.id, idx)] < 2:
+                violations.append(f"{name}: channel {idx} lacks loser terminals")
+    return violations
+
+
 @pytest.mark.parametrize("n", range(2, 7))
 @pytest.mark.parametrize("v", range(1, 4))
 def test_every_lookup_matches_eager_reference(n, v):
     fs = [f"f{i}" for i in range(n)]
     ref, outpoints = eager_reference(fs, v, 100_000, 7_000)
     g = build_packet_templates(fs, v, 100_000, deposit_per_functionary=7_000)
-    assert sorted(g.template_names()) == sorted(ref)
     assert g.template_count() == len(ref)
     assert g.enabler_count() == len(outpoints)
     names = sorted(ref)
