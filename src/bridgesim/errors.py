@@ -24,6 +24,10 @@ class MalformedInput(BridgeSimError):
 
 
 # txgraph
+class UnknownId(BridgeSimError, KeyError):
+    """No such template, functionary or VMXO in the packet; a KeyError too."""
+
+
 class TooFewFunctionaries(BridgeSimError):
     pass
 

@@ -48,7 +48,7 @@ RNG_ALGORITHM = "python-random-mt19937"
 # least value of each Scenario field that has one; a run breaks on a
 # smaller value
 _MINIMUMS = {"n_functionaries": 2, "vmxo_count": 1, "fee_rate": 1,
-            "pegout_limit": 1, "denomination": 0}
+            "pegout_limit": 1, "denomination": 0, "challenge_window": 0}
 
 
 @dataclass
@@ -390,7 +390,7 @@ class Runner:
                             silent: bool) -> None:
         """Kick-off with an invalid execution proof and no fronting."""
         b, sc = self.bridge, self.sc
-        b.publish_kickoff(pegout, adv, honest_flow=False)
+        b.publish_kickoff(pegout, adv)
         honest_trace = ExecutionTrace.honest(
             f"pegout:{pegout.burn_tx}", TRACE_LENGTH)
         corrupt_pos = self.rng.randint(1, TRACE_LENGTH)
@@ -416,7 +416,7 @@ class Runner:
             fork_headers, pegin_proof, pegin_header,
             sec.prove_inclusion(fake_burn, f1.id),
             sum(h.difficulty for h in fork_headers))
-        b.publish_kickoff(pegout, adv, honest_flow=False)
+        b.publish_kickoff(pegout, adv)
         b.log("fork_mined", by=adv, blocks=2, anchor=anchor.id)
         # honest verifier counter-proof: canonical continuation from the
         # same anchor, excluding the fake-burn block
@@ -446,7 +446,7 @@ class Runner:
         if victim is not None:
             fake = PegOut(user="-", amount=sc.denomination, vmxo_id=victim,
                           state=PegOutState.LINKED)
-            b.publish_kickoff(fake, adv, honest_flow=False)
+            b.publish_kickoff(fake, adv)
         closers = self._honest_verifiers(adv)
         if fake is None or not closers:
             # no second kick-off, or nobody to force-close it: every

@@ -23,7 +23,8 @@ from .errors import (ConcurrencyLimit, EnablerUnavailable,
                      InsufficientConfirmations, MissingSignature, NoCapacity,
                      NotLinked, NotTriggered, WrongDenomination)
 from .txgraph import (EXTERNAL, SLASHING_KINDS, EnablerRole, EnablerState,
-                      PacketGraph, TxKind, VmxoState, build_packet_templates)
+                      PacketGraph, TxKind, Vmxo, VmxoState,
+                      build_packet_templates)
 
 
 class PegOutState(str, Enum):
@@ -235,10 +236,14 @@ class Bridge:
                 return v
         raise NoCapacity("no locked vmxo to link")
 
-    def front_funds(self, pegout: PegOut, operator: str) -> str:
-        """A slashed or unknown operator has no live operator enabler."""
+    def _linked_vmxo(self, pegout: PegOut) -> Vmxo:
         if pegout.vmxo_id is None:
             raise NotLinked(pegout.burn_tx or "?")
+        return self.graph.vmxos[pegout.vmxo_id]
+
+    def front_funds(self, pegout: PegOut, operator: str) -> str:
+        """A slashed or unknown operator has no live operator enabler."""
+        self._linked_vmxo(pegout)
         if pegout.burn_block is None or \
                 self.secondary.confirmations(pegout.burn_block) < self.secondary_confirmations:
             raise InsufficientConfirmations(pegout.burn_tx or "?")
@@ -265,16 +270,16 @@ class Bridge:
         pegout.state = PegOutState.PROVEN
         self.log("front_proven", tx=pegout.fronted_tx)
 
-    def publish_kickoff(self, pegout: PegOut, operator: str,
-                        honest_flow: bool = True) -> None:
-        """Operator commits the proof of the verification predicate.
-
-        ``honest_flow`` False marks a raw kick-off that skipped the guarded
-        path (the template itself carries no concurrency check on-chain)."""
-        vmxo = self.graph.vmxos[pegout.vmxo_id]
+    def publish_kickoff(self, pegout: PegOut, operator: str) -> None:
+        """Operator commits the proof of the verification predicate.  It is
+        logged ``honest=True`` after the guarded path (front, prove, then
+        kick off), and ``False`` for a raw kick-off, which skipped it: the
+        template itself carries no concurrency check on-chain."""
+        vmxo = self._linked_vmxo(pegout)
         if vmxo.state != VmxoState.LOCKED:
             raise NotTriggered(f"{pegout.vmxo_id} is {vmxo.state.value}")
-        kick = self.graph.template(f"kickoff:{pegout.vmxo_id}:{operator}")
+        kick = self.graph.template(TxKind.KICKOFF, pegout.vmxo_id, operator)
+        honest = pegout.state == PegOutState.PROVEN
         self.graph.execute(kick)
         self._log_spends(kick)
         vmxo.state = VmxoState.KICKOFF_OPEN
@@ -284,17 +289,18 @@ class Bridge:
         self.last_kickoff_tick[operator] = self.clock.now
         self.pay_dispute_fee(operator, "commit-proof")
         self.log("kickoff", operator=operator, vmxo=pegout.vmxo_id,
-                 honest=honest_flow)
+                 honest=honest)
 
     def unlock(self, pegout: PegOut) -> None:
         """No-challenge (or all-challenges-defeated) completion: the
         Unlocking template pays the operator, consuming the operator enabler
         and the open kick-off output."""
         operator = pegout.operator
-        vmxo = self.graph.vmxos[pegout.vmxo_id]
+        vmxo = self._linked_vmxo(pegout)
         if vmxo.state != VmxoState.KICKOFF_OPEN or vmxo.operator != operator:
             raise NotTriggered(pegout.vmxo_id)
-        unlock = self.graph.template(f"unlocking:{pegout.vmxo_id}:{operator}")
+        unlock = self.graph.template(TxKind.UNLOCKING, pegout.vmxo_id,
+                                     operator)
         self.graph.execute(unlock)
         self._log_spends(unlock)
         self.graph.set_enabler_state(EnablerState.CONSUMED, operator,
@@ -311,10 +317,10 @@ class Bridge:
         """Attempt a non-template multisig spend of a locked VMXO.
 
         Possible only if every functionary retained (leaked) their keys."""
+        vmxo = self.graph.vmxo(vmxo_id)
         if not self.graph.adhoc_spend_allowed(vmxo_id):
             self.log("theft_rejected", thief=thief, vmxo=vmxo_id)
             return False
-        vmxo = self.graph.vmxos[vmxo_id]
         vmxo.state = VmxoState.UNLOCKED
         self.transfer(f"vmxo:{vmxo_id}", f"wallet:{thief}",
                       vmxo.amount, "adhoc-theft")
@@ -324,7 +330,7 @@ class Bridge:
     def force_close(self, vmxo_a: str, vmxo_b: str, closer: str) -> None:
         """An honest functionary terminates an operator's second concurrent
         kick-off, exposing the operator's deposit."""
-        operator = self.graph.vmxos[vmxo_a].operator
+        operator = self.graph.vmxo(vmxo_a).operator
         tx = self.graph.apply_force_close(vmxo_a, vmxo_b)
         self._log_spends(tx)
         self.dispute_costs[closer] += self.pay_fee(closer, tx.vbytes,
@@ -353,7 +359,8 @@ class Bridge:
                       challengers: list[str]) -> None:
         if trigger_kind not in SLASHING_KINDS:
             raise NotTriggered(trigger_kind.value)
-        kill = self.graph.template(f"kill:{loser}")  # refuses an unknown loser
+        # refuses an unknown loser before any change
+        kill = self.graph.template(TxKind.KILL_ENABLERS, loser)
         self.slashed.add(loser)
         burnt = self.graph.burn_enablers(loser, kill)
         self.log("enablers_burnt", loser=loser, count=burnt)

@@ -21,15 +21,16 @@ only if every functionary leaked its key.
 
 A packet holds 3·N + V + 2·N·V + 2·N·(N−1)·V + N·V·(V−1)/2 templates and
 N²·V enablers, and a run touches few of them, so nothing is built up front.
-Each template is built on its first lookup by name (``deposit:{f}``,
-``enablers:{f}``, ``kill:{f}``, ``locking:{v}``, ``kickoff:{v}:{f}``,
-``unlocking:{v}:{f}``, ``proverloses:{v}:{f}:{w}``,
-``verifierloses:{v}:{f}:{w}``, ``forceclose:{f}:{va}:{vb}``), from the name
-alone and its parents, which are built first; so its content and id are the
-ones an eager build would give; ``templates`` holds the built ones by
-name.  An enabler's output index in its owner's enabler-creation template
-is closed-form, and an enabler is live until a run consumes or burns it, so
-the graph stores only those states, by VMXO, in ``used_enablers``.
+Each template is built on its first lookup by ``(TxKind, *ids)``: its kind
+and the functionary (f, w) and VMXO (v, va before vb) ids it is for, as
+DepositCreate (f), EnablerCreate (f), KillEnablers (f), Locking (v),
+Kickoff (v, f), Unlocking (v, f), ProverLoses and VerifierLoses (v, f, w)
+and ForceClose (f, va, vb).  It is built from those alone and its parents,
+which are built first; so its content and id are the ones an eager build
+would give; ``templates`` holds the built ones by that key.  An enabler's
+output index in its owner's enabler-creation template is closed-form, and
+an enabler is live until a run consumes or burns it, so the graph stores
+only those states, by VMXO, in ``used_enablers``.
 ``template_count`` and ``enabler_count`` give the sizes of the whole graph
 in closed form.
 """
@@ -45,7 +46,8 @@ from typing import Optional
 
 from .econ import CostTable
 from .errors import (AlreadyClosed, NoTrigger, NotSameOperator,
-                     PrematureDeletion, SpendRejected, TooFewFunctionaries)
+                     PrematureDeletion, SpendRejected, TooFewFunctionaries,
+                     UnknownId)
 
 
 class OutputKind(str, Enum):
@@ -72,10 +74,6 @@ class TxKind(str, Enum):
 # template kinds whose execution lets a loser's enablers be burnt
 SLASHING_KINDS = frozenset({TxKind.PROVER_LOSES, TxKind.VERIFIER_LOSES,
                             TxKind.FORCE_CLOSE, TxKind.KILL_ENABLERS})
-
-# name prefix of a loser terminal -> its kind
-LOSER_TERMINALS = {"proverloses": TxKind.PROVER_LOSES,
-                   "verifierloses": TxKind.VERIFIER_LOSES}
 
 
 class EnablerRole(str, Enum):
@@ -183,7 +181,7 @@ class PacketGraph:
         # VMXO -> index, which orders enabler outputs and force-close pairs
         self.position = {f: i for i, f in enumerate(self.functionaries)}
         self.vmxo_position = {v: i for i, v in enumerate(self.vmxo_ids)}
-        self.templates: dict[str, SimTx] = {}  # built templates, by name
+        self.templates: dict[tuple, SimTx] = {}  # built, by (kind, *ids)
         self.signers: dict[str, None] = {}  # the ceremony's, in order
         # VMXO -> (owner, output index) -> state of each enabler a run has
         # consumed or burnt; an enabler not in it is live
@@ -195,33 +193,30 @@ class PacketGraph:
 
     # -- construction ------------------------------------------------------
 
-    def template(self, name: str) -> SimTx:
-        """Template ``name``; on first lookup it is built from its name
-        alone, its parents first, and reads the ceremony's record."""
-        tx = self.templates.get(name)
+    def template(self, kind: TxKind, *ids: str) -> SimTx:
+        """Template ``(kind, *ids)``; on first lookup it is built from those
+        alone, its parents first, and reads the ceremony's record.  Raises
+        ``UnknownId`` unless the packet has such a template."""
+        key = (kind, *ids)
+        tx = self.templates.get(key)
         if tx is None:
-            kind, _, rest = name.partition(":")
-            try:
-                tx = _RULES[kind](self, rest)
-            except KeyError:  # no such kind, functionary or VMXO
-                raise KeyError(name) from None
+            rule, shape = _RULES.get(kind, (None, ""))
+            tables = {"f": self.position, "v": self.vmxo_position}
+            if rule is None or len(ids) != len(shape) or not all(
+                    i in tables[t] for t, i in zip(shape, ids)):
+                raise UnknownId(key)
+            tx = rule(self, *ids)
             object.__setattr__(tx, "signatures", self.signers)
-            self.templates[name] = tx
+            self.templates[key] = tx
         return tx
 
-    def _functionary(self, f: str) -> str:
-        if f not in self.position:
-            raise KeyError(f)
-        return f
-
-    def _vmxo_and_functionary(self, rest: str) -> tuple[str, str]:
-        v, _, f = rest.rpartition(":")
-        if v not in self.vmxos:
-            raise KeyError(v)
-        return v, self._functionary(f)
+    def vmxo(self, vmxo_id: str) -> Vmxo:
+        """The VMXO's state; ``UnknownId`` if the packet has no such VMXO."""
+        if vmxo_id not in self.vmxos:
+            raise UnknownId(vmxo_id)
+        return self.vmxos[vmxo_id]
 
     def _deposit(self, f: str) -> SimTx:
-        f = self._functionary(f)
         return SimTx(TxKind.DEPOSIT_CREATE, [(f"{EXTERNAL}:{f}", 0)],
                      [SimOutput(OutputKind.DEPOSIT,
                                 self.deposit_per_functionary,
@@ -230,7 +225,6 @@ class PacketGraph:
 
     def _enabler_create(self, f: str) -> SimTx:
         """One enabler output per (VMXO, role): see ``_enabler_index``."""
-        f = self._functionary(f)
         owned = SpendCondition(signers=frozenset({f}))
         keys = [_enabler_key(f, role, v, cp)
                 for role, v, cp in self._enabler_slots(f)]
@@ -240,7 +234,7 @@ class PacketGraph:
 
     def _kill(self, f: str) -> SimTx:
         """Spends every enabler output of ``f``."""
-        create = self.template(f"enablers:{f}")
+        create = self.template(TxKind.ENABLER_CREATE, f)
         refs = [(create.id, i) for i in range(len(create.outputs))]
         return SimTx(TxKind.KILL_ENABLERS, refs,
                      [SimOutput(OutputKind.REWARD, 0,
@@ -255,10 +249,9 @@ class PacketGraph:
                                     signers=frozenset(self.functionaries)),
                                 tag=f"lock:{v}")], vbytes=300)
 
-    def _kickoff(self, rest: str) -> SimTx:
+    def _kickoff(self, v: str, f: str) -> SimTx:
         """Output 0 is the open kick-off; output 1 + i is the dispute
         channel to the i-th of the operator's verifiers."""
-        v, f = self._vmxo_and_functionary(rest)
         outs = [SimOutput(OutputKind.OPEN_KICKOFF, 0,
                           SpendCondition(signers=frozenset({f})),
                           tag=f"openkick:{v}:{f}")]
@@ -269,28 +262,25 @@ class PacketGraph:
         return SimTx(TxKind.KICKOFF, [(f"{EXTERNAL}:{f}", 0)], outs,
                      vbytes=CostTable.commit_proof)
 
-    def _unlocking(self, rest: str) -> SimTx:
-        v, f = self._vmxo_and_functionary(rest)
+    def _unlocking(self, v: str, f: str) -> SimTx:
         return SimTx(
             TxKind.UNLOCKING,
-            [(self.template(f"locking:{v}").id, 0),
-             (self.template(f"kickoff:{v}:{f}").id, 0),
-             (self.template(f"enablers:{f}").id,
+            [(self.template(TxKind.LOCKING, v).id, 0),
+             (self.template(TxKind.KICKOFF, v, f).id, 0),
+             (self.template(TxKind.ENABLER_CREATE, f).id,
               self._enabler_index(f, EnablerRole.OPERATOR, v))],
             [SimOutput(OutputKind.REWARD, self.vmxos[v].amount,
                        SpendCondition(signers=frozenset({f}), timelock=1),
                        tag=f"payout:{f}")],
             vbytes=500)
 
-    def _terminal(self, rest: str, kind: TxKind) -> SimTx:
-        """Loser terminal ``{kind}:{vmxo}:{f}:{w}``: it spends the channel
+    def _terminal(self, v: str, f: str, w: str, kind: TxKind) -> SimTx:
+        """Loser terminal ``(kind, v, f, w)``: it spends the channel
         between operator f and verifier w and pays the winner."""
-        head, _, w = rest.rpartition(":")
-        v, f = self._vmxo_and_functionary(head)
         if w == f:
-            raise KeyError(w)
+            raise UnknownId((kind, v, f, w))
         pw = self.position[w]
-        chan_ref = (self.template(f"kickoff:{v}:{f}").id,
+        chan_ref = (self.template(TxKind.KICKOFF, v, f).id,
                     1 + pw - (pw > self.position[f]))
         winner, loser = (w, f) if kind == TxKind.PROVER_LOSES else (f, w)
         return SimTx(kind, [chan_ref],
@@ -299,18 +289,13 @@ class PacketGraph:
                                                predicate="killEnablers"),
                                 tag=f"loser:{loser}")], vbytes=400)
 
-    def _force_close(self, rest: str) -> SimTx:
-        """``forceclose:{f}:{va}:{vb}``, va before vb in VMXO order: spends
+    def _force_close(self, f: str, va: str, vb: str) -> SimTx:
+        """``(FORCE_CLOSE, f, va, vb)``, va before vb in VMXO order: spends
         both of f's open kick-off outputs."""
-        f, _, pair = rest.partition(":")
-        for i, va in enumerate(self.vmxo_ids):
-            vb = pair[len(va) + 1:]
-            if pair.startswith(f"{va}:") and vb in self.vmxo_ids[i + 1:]:
-                break
-        else:
-            raise KeyError(pair)
+        if self.vmxo_position[va] >= self.vmxo_position[vb]:
+            raise UnknownId((TxKind.FORCE_CLOSE, f, va, vb))
         return SimTx(TxKind.FORCE_CLOSE,
-                     [(self.template(f"kickoff:{v}:{f}").id, 0)
+                     [(self.template(TxKind.KICKOFF, v, f).id, 0)
                       for v in (va, vb)],
                      [SimOutput(OutputKind.REWARD, 0,
                                 SpendCondition(predicate="killEnablers"),
@@ -344,7 +329,8 @@ class PacketGraph:
 
     def _enabler_index(self, owner: str, role: EnablerRole, vmxo_id: str,
                        counterparty: Optional[str] = None) -> Optional[int]:
-        """The enabler's output of ``enablers:{owner}``, in closed form."""
+        """The enabler's output of its owner's EnablerCreate template, in
+        closed form."""
         po, vi = self.position.get(owner), self.vmxo_position.get(vmxo_id)
         pc = self.position.get(counterparty) if counterparty else None
         if po is None or vi is None:
@@ -372,7 +358,7 @@ class PacketGraph:
                           counterparty: Optional[str] = None) -> None:
         index = self._enabler_index(owner, role, vmxo_id, counterparty)
         if index is None:
-            raise KeyError((owner, role.value, vmxo_id, counterparty))
+            raise UnknownId((owner, role.value, vmxo_id, counterparty))
         self.used_enablers.setdefault(vmxo_id, {})[owner, index] = state
 
     # -- signing and key management ---------------------------------------
@@ -384,9 +370,9 @@ class PacketGraph:
         self.signers.update(dict.fromkeys(self.functionaries))
 
     def _key(self, functionary: str, vmxo_id: str) -> tuple[str, str]:
-        if vmxo_id not in self.vmxos:
-            raise KeyError(vmxo_id)
-        return self._functionary(functionary), vmxo_id
+        if functionary not in self.position or vmxo_id not in self.vmxos:
+            raise UnknownId((functionary, vmxo_id))
+        return functionary, vmxo_id
 
     def delete_keys(self, functionary: str, vmxo_id: str) -> None:
         """Delete a key, which the ceremony must have used first.  A deleted
@@ -437,30 +423,31 @@ class PacketGraph:
 
     def apply_force_close(self, vmxo_a: str, vmxo_b: str) -> SimTx:
         """Terminate the second of two simultaneous kick-offs by one operator."""
-        va, vb = self.vmxos[vmxo_a], self.vmxos[vmxo_b]
+        va, vb = self.vmxo(vmxo_a), self.vmxo(vmxo_b)
         if va.state != VmxoState.KICKOFF_OPEN or vb.state != VmxoState.KICKOFF_OPEN:
             raise AlreadyClosed(f"{vmxo_a},{vmxo_b}")
         if va.operator is None or va.operator != vb.operator:
             raise NotSameOperator(f"{va.operator} vs {vb.operator}")
         first, second = sorted((vmxo_a, vmxo_b),
                                key=self.vmxo_position.__getitem__)
-        tx = self.template(f"forceclose:{va.operator}:{first}:{second}")
+        tx = self.template(TxKind.FORCE_CLOSE, va.operator, first, second)
         self.execute(tx)
         vb.state = VmxoState.LOCKED
         vb.operator = None
         return tx
 
 
-# template name prefix -> the rule that builds it from the rest of the name
-_RULES = {"deposit": PacketGraph._deposit,
-          "enablers": PacketGraph._enabler_create,
-          "kill": PacketGraph._kill,
-          "locking": PacketGraph._locking,
-          "kickoff": PacketGraph._kickoff,
-          "unlocking": PacketGraph._unlocking,
-          "forceclose": PacketGraph._force_close,
-          **{prefix: partial(PacketGraph._terminal, kind=kind)
-             for prefix, kind in LOSER_TERMINALS.items()}}
+# template kind -> the rule that builds it from its ids, and what each id
+# is: f a functionary, v a VMXO of the packet
+_RULES = {TxKind.DEPOSIT_CREATE: (PacketGraph._deposit, "f"),
+          TxKind.ENABLER_CREATE: (PacketGraph._enabler_create, "f"),
+          TxKind.KILL_ENABLERS: (PacketGraph._kill, "f"),
+          TxKind.LOCKING: (PacketGraph._locking, "v"),
+          TxKind.KICKOFF: (PacketGraph._kickoff, "vf"),
+          TxKind.UNLOCKING: (PacketGraph._unlocking, "vf"),
+          TxKind.FORCE_CLOSE: (PacketGraph._force_close, "fvv"),
+          **{kind: (partial(PacketGraph._terminal, kind=kind), "vff")
+             for kind in (TxKind.PROVER_LOSES, TxKind.VERIFIER_LOSES)}}
 
 
 def build_packet_templates(functionaries: list[str], vmxo_count: int,

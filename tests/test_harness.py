@@ -4,11 +4,13 @@ import random
 import pytest
 
 from bridgesim.errors import InvalidScenario
-from bridgesim.harness import (INT_KEYS, CensorSpec, Runner, RunReport,
-                              Scenario, Strategy, _parse, check_invariants,
+from bridgesim.harness import (_MINIMUMS, INT_KEYS, CensorSpec, Runner,
+                              RunReport, Scenario, Strategy, _parse,
+                              check_invariants,
                               generate_adversarial_scenarios, malformed_log,
                               parse_scenario, run_scenario, scenario_corpus)
 from bridgesim.lightclient import check_chain
+from bridgesim.txgraph import TxKind
 
 
 def test_happy_path_all_invariants():
@@ -177,6 +179,22 @@ def test_scenario_validation():
         Scenario(strategy=Strategy.SILENT_PROVER).validate()
     with pytest.raises(InvalidScenario):
         Scenario(censor=[CensorSpec("f0", 0, 1000)]).validate()
+    # advance(challenge_window + 1) would turn the clock back
+    with pytest.raises(InvalidScenario):
+        Scenario(challenge_window=-5).validate()
+
+
+@pytest.mark.parametrize("field, least", sorted(_MINIMUMS.items()))
+def test_least_value_of_each_field_runs_to_a_wellformed_log(field, least):
+    # one below the least is refused: challenge_window=-5 used to validate,
+    # then turned the clock back, and malformed_log refused the run's log
+    with pytest.raises(InvalidScenario):
+        Scenario(**{field: least - 1}).validate()
+    for strategy in Strategy:
+        sc = Scenario(name=f"least-{field}", seed=3, n_pegins=1, n_pegouts=1,
+                      adversary=None if strategy == Strategy.HONEST else 1,
+                      strategy=strategy, **{field: least})
+        assert malformed_log(run_scenario(sc).log) is None, strategy
 
 
 @pytest.mark.parametrize("name", ["x ev=theft thief=f0 vmxo=v0", "a b",
@@ -360,8 +378,8 @@ def test_run_builds_no_unused_loser_terminal():
     spenders = {l.rsplit(" by=", 1)[1].split()[0]
                 for l in report.log if " ev=spend " in l}
     g = runner.bridge.graph
-    unused = [name for name, tx in g.templates.items()
-              if name.startswith(("proverloses:", "verifierloses:"))
+    unused = [key for key, tx in g.templates.items()
+              if key[0] in (TxKind.PROVER_LOSES, TxKind.VERIFIER_LOSES)
               and tx.id not in spenders]
     assert unused == []
 

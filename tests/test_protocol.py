@@ -2,7 +2,8 @@ import pytest
 
 from bridgesim.errors import (ConcurrencyLimit, EnablerUnavailable,
                              InsufficientConfirmations, MissingSignature,
-                             NoCapacity, NotTriggered, WrongDenomination)
+                             NoCapacity, NotLinked, NotTriggered, UnknownId,
+                             WrongDenomination)
 from bridgesim import harness
 from bridgesim.harness import Scenario, Strategy
 from bridgesim.protocol import Bridge, PegIn, PegOutState
@@ -141,10 +142,10 @@ def test_kickoff_only_on_locked_vmxo():
     b = make_bridge()
     do_pegin(b)
     pegout = do_linked_pegout(b)
-    b.publish_kickoff(pegout, "f1", honest_flow=False)
+    b.publish_kickoff(pegout, "f1")
     records = list(b.records)
     with pytest.raises(NotTriggered):
-        b.publish_kickoff(pegout, "f1", honest_flow=False)
+        b.publish_kickoff(pegout, "f1")
     assert b.records == records
     assert sum(r["ev"] == "kickoff" for r in b.records) == 1
 
@@ -225,7 +226,7 @@ def test_slash_burns_enablers_and_pays_pot():
     do_pegin(b)
     pegout = do_linked_pegout(b)
     b.front_funds(pegout, "f1")
-    b.publish_kickoff(pegout, "f1", honest_flow=False)
+    b.publish_kickoff(pegout, "f1")
     b.pay_dispute_fee("f0", "challenge")
     pot = b.ledger.balances["deposit:f1"]
     f0_before = b.ledger.balances["wallet:f0"]
@@ -249,10 +250,51 @@ def test_slash_idempotent():
 def test_slash_refuses_unknown_loser_before_any_change():
     b = make_bridge()
     balances, records = dict(b.ledger.balances), list(b.records)
-    with pytest.raises(KeyError):
+    with pytest.raises(UnknownId):
         b.slash("f7", "f0", TxKind.PROVER_LOSES, ["f0"], "pkt0:vmxo0")
-    assert b.slashed == set()
+    assert b.slashed == set() and b.graph.spent == {}
     assert b.ledger.balances == balances and b.records == records
+
+
+# each refused call, on the bridge of ``test_refusal_changes_nothing``:
+# the error and the call, given the bridge, a linked peg-out whose VMXO is
+# locked and a peg-out that was never linked
+REFUSALS = {
+    "kickoff-by-unknown-operator": (
+        UnknownId, lambda b, linked, unlinked:
+        b.publish_kickoff(linked, "f7")),
+    "kickoff-unlinked": (
+        NotLinked, lambda b, linked, unlinked:
+        b.publish_kickoff(unlinked, "f1")),
+    "unlock-unlinked": (
+        NotLinked, lambda b, linked, unlinked: b.unlock(unlinked)),
+    "force-close-unknown-second-vmxo": (
+        UnknownId, lambda b, linked, unlinked:
+        b.force_close("pkt0:vmxo0", "pkt0:vmxo9", "f0")),
+    "force-close-unknown-first-vmxo": (
+        UnknownId, lambda b, linked, unlinked:
+        b.force_close("pkt0:vmxo9", "pkt0:vmxo0", "f0")),
+    "adhoc-theft-of-unknown-vmxo": (
+        UnknownId, lambda b, linked, unlinked:
+        b.adhoc_theft("pkt0:vmxo9", "f0")),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSALS))
+def test_refusal_changes_nothing(case):
+    # a raw kick-off by f1 is open on vmxo0, vmxo1 is linked and locked,
+    # and a third peg-out is burnt but not linked
+    b = make_bridge(vmxos=3)
+    for user in ("u0", "u1", "u2"):
+        do_pegin(b, user)
+    b.publish_kickoff(do_linked_pegout(b, "u0"), "f1")
+    linked = do_linked_pegout(b, "u1")
+    unlinked = b.request_pegout("u2", DENOM)
+    before = (list(b.records), dict(b.ledger.balances), dict(b.graph.spent))
+    error, call = REFUSALS[case]
+    with pytest.raises(error):
+        call(b, linked, unlinked)
+    assert (b.records, b.ledger.balances, b.graph.spent) == before
 
 
 def test_slash_rejects_non_terminal_trigger():
@@ -287,7 +329,7 @@ def test_slash_releases_unfronted_pegout():
     b = make_bridge()
     do_pegin(b)
     pegout = do_linked_pegout(b)
-    b.publish_kickoff(pegout, "f1", honest_flow=False)
+    b.publish_kickoff(pegout, "f1")
     b.slash("f1", "f0", TxKind.PROVER_LOSES, [], pegout.vmxo_id)
     assert pegout.state == PegOutState.LINKED
     assert pegout.operator is None
@@ -302,7 +344,7 @@ def test_slash_invalidates_fronted_pegout():
     do_pegin(b)
     pegout = do_linked_pegout(b)
     b.front_funds(pegout, "f1")
-    b.publish_kickoff(pegout, "f1", honest_flow=False)
+    b.publish_kickoff(pegout, "f1")
     b.slash("f1", "f0", TxKind.PROVER_LOSES, [], pegout.vmxo_id)
     assert pegout.state == PegOutState.INVALIDATED
     assert b.graph.vmxos[pegout.vmxo_id].state == VmxoState.INVALIDATED
@@ -314,8 +356,8 @@ def test_force_close_frees_second_vmxo():
     do_pegin(b, "u1")
     p1 = do_linked_pegout(b, "u0")
     p2 = do_linked_pegout(b, "u1")
-    b.publish_kickoff(p1, "f1", honest_flow=False)
-    b.publish_kickoff(p2, "f1", honest_flow=False)
+    b.publish_kickoff(p1, "f1")
+    b.publish_kickoff(p2, "f1")
     b.force_close(p1.vmxo_id, p2.vmxo_id, "f0")
     assert b.graph.vmxos[p2.vmxo_id].state == VmxoState.LOCKED
     assert b.graph.vmxos[p1.vmxo_id].state == VmxoState.KICKOFF_OPEN
@@ -383,7 +425,7 @@ def test_recycle_counts_match_every_slot_after_slash_and_refund():
     do_pegin(b)
     pegout = do_linked_pegout(b)
     b.front_funds(pegout, "f1")
-    b.publish_kickoff(pegout, "f1", honest_flow=False)
+    b.publish_kickoff(pegout, "f1")
     b.slash("f1", "f0", TxKind.PROVER_LOSES, ["f0", "f2"], pegout.vmxo_id)
     assert pegout.state == PegOutState.INVALIDATED
     counts = b.recycle_enablers(pegout)
@@ -426,7 +468,7 @@ def test_raw_kickoff_does_not_count_toward_pegout_limit():
     do_pegin(b, "u0")
     do_pegin(b, "u1")
     raw = do_linked_pegout(b, "u0")
-    b.publish_kickoff(raw, "f1", honest_flow=False)
+    b.publish_kickoff(raw, "f1")
     assert b.active_pegouts("f1") == 0
     # an open raw kick-off is still in flight
     assert b.open_pegouts("f1") == [raw]
@@ -463,7 +505,7 @@ def test_slashed_operator_stops_counting(force_close):
     trigger = TxKind.PROVER_LOSES
     if force_close:
         second = do_linked_pegout(b, "u1")
-        b.publish_kickoff(second, "f1", honest_flow=False)
+        b.publish_kickoff(second, "f1")
         b.force_close(pegout.vmxo_id, second.vmxo_id, "f0")
         trigger = TxKind.FORCE_CLOSE
     b.slash("f1", "f0", trigger, [], pegout.vmxo_id)

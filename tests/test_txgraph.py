@@ -8,7 +8,7 @@ import pytest
 from bridgesim.econ import CostTable
 from bridgesim.errors import (AlreadyClosed, NoTrigger, NotSameOperator,
                              PrematureDeletion, SpendRejected,
-                             TooFewFunctionaries)
+                             TooFewFunctionaries, UnknownId)
 from bridgesim.txgraph import (EXTERNAL, EnablerRole, EnablerState,
                               OutputKind, SimOutput, SimTx, SpendCondition,
                               TxKind, VmxoState, _serial,
@@ -61,7 +61,7 @@ def test_n3_two_vmxos_enabler_pool():
 
 def test_sign_idempotent():
     g = packet()
-    tmpl = g.template(f"locking:{g.vmxo_ids[0]}")
+    tmpl = g.template(TxKind.LOCKING, g.vmxo_ids[0])
     g.sign_all()
     g.sign_all()
     assert list(g.signers) == F3
@@ -70,7 +70,7 @@ def test_sign_idempotent():
 
 def test_full_signing_completes_template():
     g = packet()
-    tmpl = g.template(f"locking:{g.vmxo_ids[0]}")
+    tmpl = g.template(TxKind.LOCKING, g.vmxo_ids[0])
     assert tmpl.signatures == {}
     g.sign_all()
     assert set(tmpl.signatures) == set(F3)
@@ -127,9 +127,10 @@ def test_fresh_packet_validates_clean():
 
 def test_missing_kill_edge_detected():
     g = packet()
-    kill = g.template("kill:f0")
+    kill = g.template(TxKind.KILL_ENABLERS, "f0")
     # drop one enabler-burn edge
-    g.templates["kill:f0"] = replace(kill, inputs=kill.inputs[1:])
+    g.templates[TxKind.KILL_ENABLERS, "f0"] = replace(
+        kill, inputs=kill.inputs[1:])
     violations = validate_graph(g)
     assert any("misses" in v for v in violations)
 
@@ -137,10 +138,10 @@ def test_missing_kill_edge_detected():
 def test_unlocking_missing_kickoff_input_detected():
     g = packet()
     v = g.vmxo_ids[0]
-    unlock = g.template(f"unlocking:{v}:f0")
-    kick = g.template(f"kickoff:{v}:f0")
+    unlock = g.template(TxKind.UNLOCKING, v, "f0")
+    kick = g.template(TxKind.KICKOFF, v, "f0")
     assert kick.outputs[0].kind == OutputKind.OPEN_KICKOFF
-    g.templates[f"unlocking:{v}:f0"] = replace(
+    g.templates[TxKind.UNLOCKING, v, "f0"] = replace(
         unlock, inputs=[r for r in unlock.inputs if r != (kick.id, 0)])
     violations = validate_graph(g)
     assert any("kick-off" in v for v in violations)
@@ -149,7 +150,7 @@ def test_unlocking_missing_kickoff_input_detected():
 def test_single_spend_enforced():
     g = packet()
     v = g.vmxo_ids[0]
-    unlock = g.template(f"unlocking:{v}:f0")
+    unlock = g.template(TxKind.UNLOCKING, v, "f0")
     g.execute(unlock)
     with pytest.raises(SpendRejected):
         g.execute(unlock)
@@ -186,15 +187,15 @@ def test_force_close_pair_given_in_reverse():
         g.vmxos[v].state = VmxoState.KICKOFF_OPEN
         g.vmxos[v].operator = "f0"
     tx = g.apply_force_close(v1, v0)
-    assert g.templates[f"forceclose:f0:{v0}:{v1}"] is tx
-    assert f"forceclose:f0:{v1}:{v0}" not in g.templates
+    assert g.templates[TxKind.FORCE_CLOSE, "f0", v0, v1] is tx
+    assert (TxKind.FORCE_CLOSE, "f0", v1, v0) not in g.templates
     assert g.vmxos[v0].state == VmxoState.LOCKED
     assert g.vmxos[v1].state == VmxoState.KICKOFF_OPEN
 
 
 def test_burn_enablers_all_live_to_burnt():
     g = packet(vmxos=2)
-    trigger = g.template(f"proverloses:{g.vmxo_ids[0]}:f0:f1")
+    trigger = g.template(TxKind.PROVER_LOSES, g.vmxo_ids[0], "f0", "f1")
     slots = list(g._enabler_slots("f0"))
     assert len(slots) == 6
     assert g.burn_enablers("f0", trigger) == 6
@@ -210,7 +211,8 @@ def test_burn_skips_consumed_enabler():
     g = packet()
     v = g.vmxo_ids[0]
     g.set_enabler_state(EnablerState.CONSUMED, "f0", EnablerRole.OPERATOR, v)
-    assert g.burn_enablers("f0", g.template("kill:f0")) == 2
+    kill = g.template(TxKind.KILL_ENABLERS, "f0")
+    assert g.burn_enablers("f0", kill) == 2
     assert g.enabler_state("f0", EnablerRole.OPERATOR,
                            v) == EnablerState.CONSUMED
     assert g.enabler_state("f0", EnablerRole.VERIFIER, v,
@@ -228,7 +230,8 @@ def test_no_such_enabler_has_no_state():
         assert g.enabler_state(*slot) is None
         with pytest.raises(KeyError):
             g.set_enabler_state(EnablerState.CONSUMED, *slot)
-    assert g.burn_enablers("f9", g.template("kill:f0")) == 0
+    kill = g.template(TxKind.KILL_ENABLERS, "f0")
+    assert g.burn_enablers("f9", kill) == 0
     assert g.used_enablers == {}
 
 
@@ -236,14 +239,14 @@ def test_burn_requires_trigger():
     g = packet()
     with pytest.raises(NoTrigger):
         g.burn_enablers("f0", None)
-    locking = g.template(f"locking:{g.vmxo_ids[0]}")
+    locking = g.template(TxKind.LOCKING, g.vmxo_ids[0])
     with pytest.raises(NoTrigger):
         g.burn_enablers("f0", locking)
 
 
 def test_post_burn_kickoff_lacks_operator_enabler():
     g = packet()
-    trigger = g.template(f"proverloses:{g.vmxo_ids[0]}:f0:f1")
+    trigger = g.template(TxKind.PROVER_LOSES, g.vmxo_ids[0], "f0", "f1")
     g.burn_enablers("f0", trigger)
     assert g.enabler_state("f0", EnablerRole.OPERATOR,
                            g.vmxo_ids[0]) == EnablerState.BURNT
@@ -252,8 +255,8 @@ def test_post_burn_kickoff_lacks_operator_enabler():
 def test_signature_invalidation_cascade():
     g = packet()
     v = g.vmxo_ids[0]
-    kick = g.template(f"kickoff:{v}:f0")
-    unlock = g.template(f"unlocking:{v}:f0")
+    kick = g.template(TxKind.KICKOFF, v, "f0")
+    unlock = g.template(TxKind.UNLOCKING, v, "f0")
     g.sign_all()
     assert set(kick.signatures) == set(unlock.signatures) == set(F3)
     # change the kickoff's first output: that is a new kickoff with a new id,
@@ -275,7 +278,7 @@ def test_signature_invalidation_cascade():
 
 def test_templates_are_frozen():
     g = packet()
-    kick = g.template(f"kickoff:{g.vmxo_ids[0]}:f0")
+    kick = g.template(TxKind.KICKOFF, g.vmxo_ids[0], "f0")
     with pytest.raises(FrozenInstanceError):
         kick.vbytes = 1
     with pytest.raises(FrozenInstanceError):
@@ -316,8 +319,10 @@ def test_packet_count_and_validation(n, v):
     # each functionary's slots are its enabler outputs, in order
     for f in fs:
         assert [g._enabler_index(f, *slot) for slot in g._enabler_slots(f)] \
-            == list(range(len(g.template(f"enablers:{f}").outputs)))
-    assert n * len(g.template("enablers:f0").outputs) == g.enabler_count()
+            == list(range(len(g.template(TxKind.ENABLER_CREATE,
+                                         f).outputs)))
+    create = g.template(TxKind.ENABLER_CREATE, "f0")
+    assert n * len(create.outputs) == g.enabler_count()
 
 
 def test_templates_never_mint_value():
@@ -339,19 +344,19 @@ def eager_terminal_ids(g):
     ids = {}
     for v in g.vmxo_ids:
         for f in g.functionaries:
-            kick = g.template(f"kickoff:{v}:{f}")
+            kick = g.template(TxKind.KICKOFF, v, f)
             verifiers = [x for x in g.functionaries if x != f]
             for ci, w in enumerate(verifiers):
                 chan = [(kick.id, 1 + ci)]
-                for kind, payee, loser, name in [
-                        (TxKind.PROVER_LOSES, w, f, "proverloses"),
-                        (TxKind.VERIFIER_LOSES, f, w, "verifierloses")]:
+                for kind, payee, loser in [
+                        (TxKind.PROVER_LOSES, w, f),
+                        (TxKind.VERIFIER_LOSES, f, w)]:
                     tx = SimTx(kind, chan, [SimOutput(
                         OutputKind.REWARD, 0,
                         SpendCondition(signers=frozenset({payee}),
                                        predicate="killEnablers"),
                         tag=f"loser:{loser}")], vbytes=400)
-                    ids[f"{name}:{v}:{f}:{w}"] = tx.id
+                    ids[kind, v, f, w] = tx.id
     return ids
 
 
@@ -363,15 +368,15 @@ def test_lazy_terminals_match_eager_build(n, v):
     assert len(eager) == 2 * v * n * (n - 1)
     # looked up one by one in a shuffled order, and built all at once
     lazy = packet(fs, vmxos=v)
-    names = sorted(eager)
-    random.Random(10 * n + v).shuffle(names)
-    assert {name: lazy.template(name).id for name in names} == eager
+    keys = sorted(eager)
+    random.Random(10 * n + v).shuffle(keys)
+    assert {key: lazy.template(*key).id for key in keys} == eager
     whole = packet(fs, vmxos=v)
     build_all(whole)
-    assert {name: whole.templates[name].id for name in eager} == eager
+    assert {key: whole.templates[key].id for key in eager} == eager
     build_all(lazy)
-    assert ({name: tx.id for name, tx in lazy.templates.items()}
-            == {name: tx.id for name, tx in whole.templates.items()})
+    assert ({key: tx.id for key, tx in lazy.templates.items()}
+            == {key: tx.id for key, tx in whole.templates.items()})
     assert len(lazy.templates) == lazy.template_count()
     assert validate_graph(lazy) == [] and validate_graph(whole) == []
 
@@ -382,34 +387,44 @@ def test_terminal_built_after_ceremony_carries_its_signers():
     for v in g.vmxo_ids:
         for f in F3:
             g.delete_keys(f, v)
-    name = f"proverloses:{g.vmxo_ids[1]}:f2:f0"
-    assert name not in g.templates
-    tx = g.template(name)
-    assert g.templates[name] is tx
+    key = (TxKind.PROVER_LOSES, g.vmxo_ids[1], "f2", "f0")
+    assert key not in g.templates
+    tx = g.template(*key)
+    assert g.templates[key] is tx
     assert set(tx.signatures) == set(F3)
-    for bad in [f"proverloses:{g.vmxo_ids[0]}:f0:f0",  # no channel to self
-                "proverloses:pkt0:vmxo9:f0:f1",  # no such VMXO
-                f"proverloses:{g.vmxo_ids[0]}:f0:f7",  # no such verifier
-                f"winnerpays:{g.vmxo_ids[0]}:f0:f1",  # no such kind
-                "proverloses:f0",
-                "deposit:f7", "enablers:", "kill:f7", "locking:pkt0:vmxo9",
-                f"kickoff:{g.vmxo_ids[0]}:f7", "unlocking:pkt0:vmxo9:f0",
+    built = dict(g.templates)
+    v0, v1 = g.vmxo_ids
+    P, K = TxKind.PROVER_LOSES, TxKind.KICKOFF
+    for bad in [(P, v0, "f0", "f0"),  # no channel to self
+                (P, "pkt0:vmxo9", "f0", "f1"),  # no such VMXO
+                (P, v0, "f0", "f7"),  # no such verifier
+                ("ProverPays", v0, "f0", "f1"),  # no such kind
+                (OutputKind.REWARD, "f0"),
+                (P, "f0"), (P, v0, "f0", "f1", "f2"), (K,),  # wrong count
+                (K, "f0", v0),  # ids swapped
+                (TxKind.DEPOSIT_CREATE, "f7"), (TxKind.ENABLER_CREATE, ""),
+                (TxKind.KILL_ENABLERS, "f7"), (TxKind.LOCKING, "pkt0:vmxo9"),
+                (TxKind.LOCKING, f"{v0}:f0"), (K, v0, "f7"),
+                (TxKind.UNLOCKING, "pkt0:vmxo9", "f0"),
                 # a pair is named once, in VMXO order
-                f"forceclose:f0:{g.vmxo_ids[1]}:{g.vmxo_ids[0]}",
-                f"forceclose:f0:{g.vmxo_ids[0]}:{g.vmxo_ids[0]}",
-                f"forceclose:f7:{g.vmxo_ids[0]}:{g.vmxo_ids[1]}"]:
-        with pytest.raises(KeyError):
-            g.template(bad)
+                (TxKind.FORCE_CLOSE, "f0", v1, v0),
+                (TxKind.FORCE_CLOSE, "f0", v0, v0),
+                (TxKind.FORCE_CLOSE, "f7", v0, v1)]:
+        with pytest.raises(UnknownId) as refused:
+            g.template(*bad)
+        assert isinstance(refused.value, KeyError)
+    # a refused lookup builds nothing
+    assert g.templates == built
 
 
 def eager_reference(functionaries, vmxo_count, amount, deposit):
-    """Every template by name and every enabler's outpoint by (owner,
-    role, VMXO, counterparty), built in one pass up front: a frozen copy of
-    the eager build that on-lookup building must agree with."""
+    """Every template by (kind, *ids) and every enabler's outpoint by
+    (owner, role, VMXO, counterparty), built in one pass up front: a frozen
+    copy of the eager build that on-lookup building must agree with."""
     vmxo_ids = [f"pkt0:vmxo{i}" for i in range(vmxo_count)]
     txs, outpoints = {}, {}
     for f in functionaries:
-        txs[f"deposit:{f}"] = SimTx(
+        txs[TxKind.DEPOSIT_CREATE, f] = SimTx(
             TxKind.DEPOSIT_CREATE, [(f"ext:{f}", 0)],
             [SimOutput(OutputKind.DEPOSIT, deposit,
                        SpendCondition(predicate="loserTerminal"),
@@ -425,18 +440,18 @@ def eager_reference(functionaries, vmxo_count, amount, deposit):
                                   tag=f"enabler:{f}:{r.value}:{v}:{w or '-'}")
                         for f, r, v, w in slots],
                        vbytes=100 + 30 * len(slots))
-        txs[f"enablers:{f}"] = create
+        txs[TxKind.ENABLER_CREATE, f] = create
         outpoints.update((slot, (create.id, i))
                          for i, slot in enumerate(slots))
     for v in vmxo_ids:
-        locking = txs[f"locking:{v}"] = SimTx(
+        locking = txs[TxKind.LOCKING, v] = SimTx(
             TxKind.LOCKING, [("ext:user", 0)],
             [SimOutput(OutputKind.LOCKING, amount,
                        SpendCondition(signers=frozenset(functionaries)),
                        tag=f"lock:{v}")], vbytes=300)
         for f in functionaries:
             verifiers = [w for w in functionaries if w != f]
-            kick = txs[f"kickoff:{v}:{f}"] = SimTx(
+            kick = txs[TxKind.KICKOFF, v, f] = SimTx(
                 TxKind.KICKOFF, [(f"ext:{f}", 0)],
                 [SimOutput(OutputKind.OPEN_KICKOFF, 0,
                            SpendCondition(signers=frozenset({f})),
@@ -445,7 +460,7 @@ def eager_reference(functionaries, vmxo_count, amount, deposit):
                              SpendCondition(signers=frozenset({f, w})),
                              tag=f"channel:{v}:{f}:{w}") for w in verifiers],
                 vbytes=CostTable.commit_proof)
-            txs[f"unlocking:{v}:{f}"] = SimTx(
+            txs[TxKind.UNLOCKING, v, f] = SimTx(
                 TxKind.UNLOCKING,
                 [(locking.id, 0), (kick.id, 0),
                  outpoints[(f, EnablerRole.OPERATOR, v, None)]],
@@ -453,10 +468,10 @@ def eager_reference(functionaries, vmxo_count, amount, deposit):
                            SpendCondition(signers=frozenset({f}), timelock=1),
                            tag=f"payout:{f}")], vbytes=500)
             for ci, w in enumerate(verifiers):
-                for kind, name, winner, loser in [
-                        (TxKind.PROVER_LOSES, "proverloses", w, f),
-                        (TxKind.VERIFIER_LOSES, "verifierloses", f, w)]:
-                    txs[f"{name}:{v}:{f}:{w}"] = SimTx(
+                for kind, winner, loser in [
+                        (TxKind.PROVER_LOSES, w, f),
+                        (TxKind.VERIFIER_LOSES, f, w)]:
+                    txs[kind, v, f, w] = SimTx(
                         kind, [(kick.id, 1 + ci)],
                         [SimOutput(OutputKind.REWARD, 0, SpendCondition(
                             signers=frozenset({winner}),
@@ -464,17 +479,17 @@ def eager_reference(functionaries, vmxo_count, amount, deposit):
                             tag=f"loser:{loser}")], vbytes=400)
     for f in functionaries:
         refs = sorted(op for slot, op in outpoints.items() if slot[0] == f)
-        txs[f"kill:{f}"] = SimTx(
+        txs[TxKind.KILL_ENABLERS, f] = SimTx(
             TxKind.KILL_ENABLERS, refs,
             [SimOutput(OutputKind.REWARD, 0,
                        SpendCondition(predicate="loserTerminal"),
                        tag=f"killed:{f}")], vbytes=200 + 20 * len(refs))
         for i, va in enumerate(vmxo_ids):
             for vb in vmxo_ids[i + 1:]:
-                txs[f"forceclose:{f}:{va}:{vb}"] = SimTx(
+                txs[TxKind.FORCE_CLOSE, f, va, vb] = SimTx(
                     TxKind.FORCE_CLOSE,
-                    [(txs[f"kickoff:{va}:{f}"].id, 0),
-                     (txs[f"kickoff:{vb}:{f}"].id, 0)],
+                    [(txs[TxKind.KICKOFF, va, f].id, 0),
+                     (txs[TxKind.KICKOFF, vb, f].id, 0)],
                     [SimOutput(OutputKind.REWARD, 0,
                                SpendCondition(predicate="killEnablers"),
                                tag=f"loser:{f}")], vbytes=350)
@@ -482,9 +497,9 @@ def eager_reference(functionaries, vmxo_count, amount, deposit):
 
 
 def build_all(g):
-    """Build every template of ``g``: the eager reference names them all."""
-    for name in eager_reference(g.functionaries, len(g.vmxo_ids), 0, 0)[0]:
-        g.template(name)
+    """Build every template of ``g``: the eager reference keys them all."""
+    for key in eager_reference(g.functionaries, len(g.vmxo_ids), 0, 0)[0]:
+        g.template(*key)
 
 
 def validate_graph(g):
@@ -495,63 +510,63 @@ def validate_graph(g):
     by_id = {tx.id: tx for tx in g.templates.values()}
 
     # (i) every internal input references an existing template output
-    for name, tx in g.templates.items():
+    for key, tx in g.templates.items():
         for ref in tx.inputs:
             if ref[0].startswith(EXTERNAL):
                 continue
             parent = by_id.get(ref[0])
             if parent is None or ref[1] >= len(parent.outputs):
-                violations.append(f"dangling input in {name}: {ref}")
+                violations.append(f"dangling input in {key}: {ref}")
 
     # (ii) every loser terminal maps to a kill-enablers template covering
     # all of the loser's enablers; per functionary with a kill template, the
     # number of its enabler outputs that template leaves unspent
     kill_misses = {}
     for f in g.functionaries:
-        if f"kill:{f}" in g.templates:
-            create = g.template(f"enablers:{f}").id
+        if (TxKind.KILL_ENABLERS, f) in g.templates:
+            create = g.template(TxKind.ENABLER_CREATE, f).id
             refs = {(create, g._enabler_index(f, *slot))
                     for slot in g._enabler_slots(f)}
-            kill_misses[f] = len(refs - set(g.template(f"kill:{f}").inputs))
-    for name, tx in g.templates.items():
+            kill = g.template(TxKind.KILL_ENABLERS, f)
+            kill_misses[f] = len(refs - set(kill.inputs))
+    for key, tx in g.templates.items():
         if tx.template_kind not in (TxKind.PROVER_LOSES, TxKind.VERIFIER_LOSES):
             continue
         losers = [o.tag.split(":", 1)[1] for o in tx.outputs
                   if o.tag.startswith("loser:")]
         for loser in losers:
             if loser not in kill_misses:
-                violations.append(f"{name}: no kill-enablers template for {loser}")
+                violations.append(f"{key}: no kill-enablers template for {loser}")
             elif kill_misses[loser]:
-                violations.append(f"{name}: kill template for {loser} misses "
+                violations.append(f"{key}: kill template for {loser} misses "
                                   f"{kill_misses[loser]} enablers")
 
     # (iii) unlocking spends exactly one operator enabler + the open kick-off
-    for name, tx in g.templates.items():
+    for key, tx in g.templates.items():
         if tx.template_kind != TxKind.UNLOCKING:
             continue
-        vmxo_id = name.split(":", 1)[1].rsplit(":", 1)[0]
-        f = name.rsplit(":", 1)[1]
-        op_ref = (g.template(f"enablers:{f}").id,
+        _, vmxo_id, f = key
+        op_ref = (g.template(TxKind.ENABLER_CREATE, f).id,
                   g._enabler_index(f, EnablerRole.OPERATOR, vmxo_id))
         if sum(r == op_ref for r in tx.inputs) != 1:
-            violations.append(f"{name}: must consume exactly one operator enabler")
-        kick = g.template(f"kickoff:{vmxo_id}:{f}")
+            violations.append(f"{key}: must consume exactly one operator enabler")
+        kick = g.template(TxKind.KICKOFF, vmxo_id, f)
         if (kick.id, 0) not in tx.inputs:
-            violations.append(f"{name}: missing open kick-off input")
+            violations.append(f"{key}: missing open kick-off input")
 
     # (iv) each kickoff's dispute-channel outputs have terminal templates
     terminal_spends = Counter(
         ref for t in g.templates.values()
         if t.template_kind in (TxKind.PROVER_LOSES, TxKind.VERIFIER_LOSES)
         for ref in set(t.inputs))
-    for name, tx in g.templates.items():
+    for key, tx in g.templates.items():
         if tx.template_kind != TxKind.KICKOFF:
             continue
         for idx, out in enumerate(tx.outputs):
             if out.kind != OutputKind.DISPUTE_CHANNEL:
                 continue
             if terminal_spends[(tx.id, idx)] < 2:
-                violations.append(f"{name}: channel {idx} lacks loser terminals")
+                violations.append(f"{key}: channel {idx} lacks loser terminals")
     return violations
 
 
@@ -563,27 +578,27 @@ def test_every_lookup_matches_eager_reference(n, v):
     g = build_packet_templates(fs, v, 100_000, deposit_per_functionary=7_000)
     assert g.template_count() == len(ref)
     assert g.enabler_count() == len(outpoints)
-    names = sorted(ref)
-    random.Random(10 * n + v).shuffle(names)
-    half = len(names) // 2
+    keys = sorted(ref)
+    random.Random(10 * n + v).shuffle(keys)
+    half = len(keys) // 2
     # looked up before the ceremony: no signature until it is held
-    for name in names[:half]:
-        tx = g.template(name)
-        assert tx.id == ref[name].id and tx == ref[name]
+    for key in keys[:half]:
+        tx = g.template(*key)
+        assert tx.id == ref[key].id and tx == ref[key]
         assert set(tx.signatures) == set()
     g.sign_all()
     # looked up after it: signed as if built before it
-    for name in names[half:]:
-        tx = g.template(name)
-        assert tx.id == ref[name].id and tx == ref[name]
-    for name in names:
-        assert set(g.template(name).signatures) == set(fs)
+    for key in keys[half:]:
+        tx = g.template(*key)
+        assert tx.id == ref[key].id and tx == ref[key]
+    for key in keys:
+        assert set(g.template(*key).signatures) == set(fs)
     assert len(g.templates) == len(ref)
     slots = list(outpoints)
     random.Random(n - v).shuffle(slots)
     for slot in slots:
         assert g.enabler_state(*slot) == EnablerState.LIVE
-        assert (g.template(f"enablers:{slot[0]}").id,
+        assert (g.template(TxKind.ENABLER_CREATE, slot[0]).id,
                 g._enabler_index(*slot)) == outpoints[slot]
     assert g.used_enablers == {}
     assert validate_graph(g) == []
