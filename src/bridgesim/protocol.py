@@ -21,7 +21,7 @@ from .chain import SECONDARY, SOURCE, ChainView, SimClock
 from .econ import CostTable, DISPUTE_ACTION_VBYTES, required_deposit
 from .errors import (ConcurrencyLimit, EnablerUnavailable,
                      InsufficientConfirmations, MissingSignature, NoCapacity,
-                     NotLinked, NotTriggered, WrongDenomination)
+                     NotLinked, NotTriggered, UnknownId, WrongDenomination)
 from .txgraph import (EXTERNAL, SLASHING_KINDS, EnablerRole, EnablerState,
                       PacketGraph, TxKind, Vmxo, VmxoState,
                       build_packet_templates)
@@ -239,7 +239,7 @@ class Bridge:
     def _linked_vmxo(self, pegout: PegOut) -> Vmxo:
         if pegout.vmxo_id is None:
             raise NotLinked(pegout.burn_tx or "?")
-        return self.graph.vmxos[pegout.vmxo_id]
+        return self.graph.vmxo(pegout.vmxo_id)
 
     def front_funds(self, pegout: PegOut, operator: str) -> str:
         """A slashed or unknown operator has no live operator enabler."""
@@ -330,6 +330,8 @@ class Bridge:
     def force_close(self, vmxo_a: str, vmxo_b: str, closer: str) -> None:
         """An honest functionary terminates an operator's second concurrent
         kick-off, exposing the operator's deposit."""
+        if closer not in self.graph.position:
+            raise UnknownId(closer)
         operator = self.graph.vmxo(vmxo_a).operator
         tx = self.graph.apply_force_close(vmxo_a, vmxo_b)
         self._log_spends(tx)
@@ -400,10 +402,12 @@ class Bridge:
 
     def recycle_enablers(self, pegout: PegOut) -> dict[str, int]:
         """Post-terminal counts of the N² enablers of the peg-out's VMXO,
-        from that VMXO's stored states alone: one with none is live."""
+        from that VMXO's stored states alone: one with none is live.
+        ``UnknownId`` if the packet has no such VMXO."""
         if pegout.state not in (PegOutState.UNLOCKED,
                                 PegOutState.INVALIDATED):
             raise NotTriggered(pegout.burn_tx or "?")
+        self.graph.vmxo(pegout.vmxo_id)
         states = self.graph.used_enablers.get(pegout.vmxo_id, {})
         counts = {"live": len(self.functionaries) ** 2 - len(states),
                   "consumed": 0, "burnt": 0}

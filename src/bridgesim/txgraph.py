@@ -7,17 +7,14 @@ functionary, and Force-close templates for each pair of an operator's
 Open-kick-off outputs across the packet.
 
 Templates are immutable and content-addressed: a template's id is the hash
-of its serialised content.  Runs of the same shape build the same
-templates, so each distinct content is serialised and hashed once per
-process and its id kept in a bounded cache keyed by that content.  A
-changed template is a new template with a new id, and since inputs
-reference their parents by id, every descendant must be rebuilt too.  One
-ceremony presigns the whole packet, and the graph records it once, as its
-ordered ``signers``: every template it builds reads that one record as its
-``signatures``, whether built before or after the ceremony, and a changed
-template carries no signature.  Key deletion is allowed once the ceremony
-has been held; a VMXO can then be spent outside the presigned templates
-only if every functionary leaked its key.
+of its serialised content.  A changed template is a new template with a new
+id, and since inputs reference their parents by id, every descendant must
+be rebuilt too.  One ceremony presigns the whole packet, and the graph
+records it once, as its ordered ``signers``: every template it holds reads
+that one record as its ``signatures``, whether built before or after the
+ceremony, and a changed template carries no signature.  Key deletion is
+allowed once the ceremony has been held; a VMXO can then be spent outside
+the presigned templates only if every functionary leaked its key.
 
 A packet holds 3·N + V + 2·N·V + 2·N·(N−1)·V + N·V·(V−1)/2 templates and
 N²·V enablers, and a run touches few of them, so nothing is built up front.
@@ -27,10 +24,21 @@ DepositCreate (f), EnablerCreate (f), KillEnablers (f), Locking (v),
 Kickoff (v, f), Unlocking (v, f), ProverLoses and VerifierLoses (v, f, w)
 and ForceClose (f, va, vb).  It is built from those alone and its parents,
 which are built first; so its content and id are the ones an eager build
-would give; ``templates`` holds the built ones by that key.  An enabler's
-output index in its owner's enabler-creation template is closed-form, and
-an enabler is live until a run consumes or burns it, so the graph stores
-only those states, by VMXO, in ``used_enablers``.
+would give; ``templates`` holds the built ones by that key.
+
+Packets of one shape (the ordered functionary and VMXO ids and the VMXO
+amount) have the same templates, so each template is memoised per process
+by its recipe: the shape, ``(TxKind, *ids)``, and for DepositCreate alone
+the deposit, which only its rule reads.  A recipe is built once, in a
+bounded LRU cache of ``TEMPLATE_CACHE_SIZE`` entries; its id is still the
+hash of its content.  An entry keeps the parents its build looked up, and a
+hit looks them up first, so ``templates`` fills in the same order either
+way.  Each graph holds its own shallow copy, which reads its own ceremony
+record.
+
+An enabler's output index in its owner's enabler-creation template is
+closed-form, and an enabler is live until a run consumes or burns it, so
+the graph stores only those states, by VMXO, in ``used_enablers``.
 ``template_count`` and ``enabler_count`` give the sizes of the whole graph
 in closed form.
 """
@@ -39,8 +47,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 from enum import Enum
 from typing import Optional
 
@@ -112,9 +121,9 @@ class SimOutput:
 
 EXTERNAL = "ext"  # pseudo tx-id prefix for wallet-funded inputs
 
-# distinct template contents whose ids are kept: at 256, about 92% of the
-# templates a sweep builds are hits
-TEMPLATE_CACHE_SIZE = 256
+# template recipes kept per process: a 1,500-op sweep needs about 500, and
+# at 256 a quarter of its lookups miss
+TEMPLATE_CACHE_SIZE = 1024
 
 
 def _serial(template_kind: TxKind, inputs: tuple, outputs: tuple,
@@ -124,16 +133,6 @@ def _serial(template_kind: TxKind, inputs: tuple, outputs: tuple,
             for o in outputs]
     return json.dumps([template_kind.value, inputs, outs, vbytes],
                       separators=(",", ":"))
-
-
-# keyed by exactly the fields ``_serial`` reads; typed, so that a field
-# equal to another of a different type (200 and 200.0) is no hit.  Nested
-# values are the strings, ints and enum members the graph builds.
-@lru_cache(maxsize=TEMPLATE_CACHE_SIZE, typed=True)
-def _template_id(template_kind: TxKind, inputs: tuple, outputs: tuple,
-                 vbytes: int) -> str:
-    serial = _serial(template_kind, inputs, outputs, vbytes)
-    return hashlib.sha256(serial.encode()).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -152,8 +151,14 @@ class SimTx:
         set_ = object.__setattr__
         set_(self, "inputs", tuple(self.inputs))
         set_(self, "outputs", tuple(self.outputs))
-        set_(self, "id", _template_id(self.template_kind, self.inputs,
-                                      self.outputs, self.vbytes))
+        serial = _serial(self.template_kind, self.inputs, self.outputs,
+                         self.vbytes)
+        set_(self, "id", hashlib.sha256(serial.encode()).hexdigest()[:16])
+
+
+# recipe -> (the template built from it, the keys of the parents its build
+# looked up, in order); least recently used first
+_TEMPLATE_CACHE: OrderedDict[tuple, tuple[SimTx, tuple]] = OrderedDict()
 
 
 def _enabler_key(owner: str, role: EnablerRole, vmxo_id: str,
@@ -181,6 +186,13 @@ class PacketGraph:
         # VMXO -> index, which orders enabler outputs and force-close pairs
         self.position = {f: i for i, f in enumerate(self.functionaries)}
         self.vmxo_position = {v: i for i, v in enumerate(self.vmxo_ids)}
+        # what the rules read besides the ids, typed so that 100 and 100.0
+        # are different recipes; DepositCreate's alone reads the deposit
+        self._shape = (tuple(self.functionaries), tuple(self.vmxo_ids),
+                       amount, type(amount))
+        self._deposit_shape = self._shape + (deposit_per_functionary,
+                                             type(deposit_per_functionary))
+        self._parents: list[tuple] = []  # looked up by the rule running
         self.templates: dict[tuple, SimTx] = {}  # built, by (kind, *ids)
         self.signers: dict[str, None] = {}  # the ceremony's, in order
         # VMXO -> (owner, output index) -> state of each enabler a run has
@@ -194,21 +206,49 @@ class PacketGraph:
     # -- construction ------------------------------------------------------
 
     def template(self, kind: TxKind, *ids: str) -> SimTx:
-        """Template ``(kind, *ids)``; on first lookup it is built from those
-        alone, its parents first, and reads the ceremony's record.  Raises
-        ``UnknownId`` unless the packet has such a template."""
+        """Template ``(kind, *ids)``; on first lookup its parents are looked
+        up first and it is taken from the recipe cache, or built from the
+        ids alone, and it reads the ceremony's record.  Raises ``UnknownId``
+        unless the packet has such a template."""
         key = (kind, *ids)
         tx = self.templates.get(key)
         if tx is None:
-            rule, shape = _RULES.get(kind, (None, ""))
-            tables = {"f": self.position, "v": self.vmxo_position}
-            if rule is None or len(ids) != len(shape) or not all(
-                    i in tables[t] for t, i in zip(shape, ids)):
-                raise UnknownId(key)
-            tx = rule(self, *ids)
-            object.__setattr__(tx, "signatures", self.signers)
+            shape = (self._deposit_shape if kind == TxKind.DEPOSIT_CREATE
+                     else self._shape)
+            recipe = (shape, key)
+            entry = _TEMPLATE_CACHE.get(recipe)
+            if entry is None:
+                entry = _TEMPLATE_CACHE[recipe] = self._build(key)
+                if len(_TEMPLATE_CACHE) > TEMPLATE_CACHE_SIZE:
+                    _TEMPLATE_CACHE.popitem(last=False)
+            else:
+                _TEMPLATE_CACHE.move_to_end(recipe)
+                for parent in entry[1]:
+                    self.template(*parent)
+            tx = object.__new__(SimTx)
+            tx.__dict__.update(entry[0].__dict__, signatures=self.signers)
             self.templates[key] = tx
         return tx
+
+    def _build(self, key: tuple) -> tuple[SimTx, tuple]:
+        """``key`` built by its rule, and the keys of the parents the rule
+        looked up, in order."""
+        kind, *ids = key
+        rule, shape = _RULES.get(kind, (None, ""))
+        tables = {"f": self.position, "v": self.vmxo_position}
+        if rule is None or len(ids) != len(shape) or not all(
+                i in tables[t] for t, i in zip(shape, ids)):
+            raise UnknownId(key)
+        outer, self._parents = self._parents, []
+        try:
+            return rule(self, *ids), tuple(self._parents)
+        finally:
+            self._parents = outer
+
+    def _parent(self, kind: TxKind, *ids: str) -> SimTx:
+        """A parent of the template being built, recorded as such."""
+        self._parents.append((kind, *ids))
+        return self.template(kind, *ids)
 
     def vmxo(self, vmxo_id: str) -> Vmxo:
         """The VMXO's state; ``UnknownId`` if the packet has no such VMXO."""
@@ -234,7 +274,7 @@ class PacketGraph:
 
     def _kill(self, f: str) -> SimTx:
         """Spends every enabler output of ``f``."""
-        create = self.template(TxKind.ENABLER_CREATE, f)
+        create = self._parent(TxKind.ENABLER_CREATE, f)
         refs = [(create.id, i) for i in range(len(create.outputs))]
         return SimTx(TxKind.KILL_ENABLERS, refs,
                      [SimOutput(OutputKind.REWARD, 0,
@@ -265,9 +305,9 @@ class PacketGraph:
     def _unlocking(self, v: str, f: str) -> SimTx:
         return SimTx(
             TxKind.UNLOCKING,
-            [(self.template(TxKind.LOCKING, v).id, 0),
-             (self.template(TxKind.KICKOFF, v, f).id, 0),
-             (self.template(TxKind.ENABLER_CREATE, f).id,
+            [(self._parent(TxKind.LOCKING, v).id, 0),
+             (self._parent(TxKind.KICKOFF, v, f).id, 0),
+             (self._parent(TxKind.ENABLER_CREATE, f).id,
               self._enabler_index(f, EnablerRole.OPERATOR, v))],
             [SimOutput(OutputKind.REWARD, self.vmxos[v].amount,
                        SpendCondition(signers=frozenset({f}), timelock=1),
@@ -280,7 +320,7 @@ class PacketGraph:
         if w == f:
             raise UnknownId((kind, v, f, w))
         pw = self.position[w]
-        chan_ref = (self.template(TxKind.KICKOFF, v, f).id,
+        chan_ref = (self._parent(TxKind.KICKOFF, v, f).id,
                     1 + pw - (pw > self.position[f]))
         winner, loser = (w, f) if kind == TxKind.PROVER_LOSES else (f, w)
         return SimTx(kind, [chan_ref],
@@ -295,7 +335,7 @@ class PacketGraph:
         if self.vmxo_position[va] >= self.vmxo_position[vb]:
             raise UnknownId((TxKind.FORCE_CLOSE, f, va, vb))
         return SimTx(TxKind.FORCE_CLOSE,
-                     [(self.template(TxKind.KICKOFF, v, f).id, 0)
+                     [(self._parent(TxKind.KICKOFF, v, f).id, 0)
                       for v in (va, vb)],
                      [SimOutput(OutputKind.REWARD, 0,
                                 SpendCondition(predicate="killEnablers"),

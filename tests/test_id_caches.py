@@ -1,26 +1,46 @@
-"""Block header and template ids are memoised by their content; each must
-still equal the hash of that content, taken without the cache."""
+"""Block header ids are memoised by their content and templates by their
+recipe; each must still equal what a cache-free build gives, id included."""
 
 import hashlib
 
+import pytest
+
 from bridgesim import chain, txgraph
 from bridgesim.chain import BlockHeader, _digest
-from bridgesim.harness import (generate_adversarial_scenarios, run_scenario,
-                               scenario_corpus)
-from bridgesim.txgraph import _serial, build_packet_templates
-from test_txgraph import build_all
+from bridgesim.harness import generate_adversarial_scenarios, scenario_corpus
+from bridgesim.txgraph import TxKind, _serial, build_packet_templates
+from test_txgraph import build_all, eager_reference
+
+F10 = [f"f{i}" for i in range(10)]
 
 
-def template_ids_recomputed(graph):
-    for tx in graph.templates.values():
+def full_graph(deposit=0):
+    g = build_packet_templates(F10, 4, 100_000, deposit)
+    build_all(g)
+    assert len(g.templates) == g.template_count()
+    return g
+
+
+def templates_equal_cache_free_builds(graph):
+    """Every template equals the eager reference's, and its id is the hash
+    of its content."""
+    amount = graph.vmxos[graph.vmxo_ids[0]].amount
+    reference = eager_reference(graph.functionaries, len(graph.vmxo_ids),
+                                amount, graph.deposit_per_functionary)[0]
+    for key, tx in graph.templates.items():
+        assert tx == reference[key] and tx.id == reference[key].id, key
         serial = _serial(tx.template_kind, tx.inputs, tx.outputs, tx.vbytes)
         assert tx.id == hashlib.sha256(serial.encode()).hexdigest()[:16]
 
 
+def sweep_and_corpus():
+    return generate_adversarial_scenarios(500) + scenario_corpus()
+
+
 def test_cached_ids_equal_cache_free_recomputation(run_with_bridge,
                                                    monkeypatch):
-    # the behaviour digest's scenario set, then a whole N = 10, V = 4 graph;
-    # every header made is the one its arguments describe, id included
+    # the sweep and the corpus, then a whole N = 10, V = 4 graph; every
+    # header made is the one its arguments describe, id included
     made = []
     make = BlockHeader.make
 
@@ -29,28 +49,79 @@ def test_cached_ids_equal_cache_free_recomputation(run_with_bridge,
         return made[-1][1]
 
     monkeypatch.setattr(BlockHeader, "make", staticmethod(recording_make))
-    for sc in generate_adversarial_scenarios(60) + scenario_corpus():
+    for sc in sweep_and_corpus():
         _, bridge = run_with_bridge(sc)
-        template_ids_recomputed(bridge.graph)
+        templates_equal_cache_free_builds(bridge.graph)
     for (chain_id, height, parent_id, difficulty, txs), header in made:
         commit = _digest("txs", tuple(txs))
         hid = _digest(chain_id, height, parent_id, difficulty, commit)
         assert header == BlockHeader(chain_id, height, parent_id, difficulty,
                                      commit, hid)
     assert len({h.id for _, h in made}) < len(made)  # headers made again
-    g = build_packet_templates([f"f{i}" for i in range(10)], 4, 100_000)
-    build_all(g)
-    assert len(g.templates) == g.template_count()
-    template_ids_recomputed(g)
+    templates_equal_cache_free_builds(full_graph())
 
 
-def test_caches_stay_bounded_over_the_sweep():
+def test_templates_fill_in_the_same_order_cold_and_warm(run_with_bridge):
+    # a hit looks up the parents its build looked up, so a graph's
+    # templates hold the same keys in the same order either way
+    def cold_and_warm(run):
+        txgraph._TEMPLATE_CACHE.clear()
+        cold = list(run().templates)
+        assert list(run().templates) == cold
+
+    for sc in sweep_and_corpus():
+        cold_and_warm(lambda: run_with_bridge(sc)[1].graph)
+    cold_and_warm(full_graph)
+
+
+def test_graphs_of_one_shape_hold_their_own_templates():
+    a, b = (build_packet_templates(F10[:3], 2, 100_000, 7_000)
+            for _ in range(2))
+    a.sign_all()
+    build_all(a)
+    build_all(b)
+    assert list(a.templates) == list(b.templates)
+    for key, tx in a.templates.items():
+        other = b.templates[key]
+        assert tx is not other and tx == other and tx.id == other.id
+        assert tx.signatures is a.signers and other.signatures is b.signers
+    assert set(a.template(TxKind.LOCKING, "pkt0:vmxo0").signatures) == \
+        set(F10[:3])
+    assert b.template(TxKind.LOCKING, "pkt0:vmxo0").signatures == {}
+
+
+def test_only_deposit_create_reads_the_deposit():
+    a, b = full_graph(7_000), full_graph(8_000)
+    for key, tx in a.templates.items():
+        if key[0] == TxKind.DEPOSIT_CREATE:
+            assert tx.id != b.templates[key].id
+        else:
+            assert tx.id == b.templates[key].id, key
+
+
+def test_caches_stay_bounded_over_the_sweep(run_with_bridge, monkeypatch):
+    txgraph._TEMPLATE_CACHE.clear()
+    built = []
+    for kind, (rule, ids) in list(txgraph._RULES.items()):
+        def counted(*args, rule=rule, **kwargs):
+            built.append(args)
+            return rule(*args, **kwargs)
+        monkeypatch.setitem(txgraph._RULES, kind, (counted, ids))
+    held = 0
     for sc in generate_adversarial_scenarios(500):
-        run_scenario(sc)
-    for cached, bound in ((chain._header, chain.HEADER_CACHE_SIZE),
-                          (txgraph._template_id,
-                           txgraph.TEMPLATE_CACHE_SIZE)):
-        info = cached.cache_info()
-        assert info.maxsize == bound
-        assert 0 < info.currsize <= bound
-        assert info.hits > 0
+        held += len(run_with_bridge(sc)[1].graph.templates)
+    assert 0 < len(built) < held  # hits: templates held but not built
+    assert 0 < len(txgraph._TEMPLATE_CACHE) <= txgraph.TEMPLATE_CACHE_SIZE
+    info = chain._header.cache_info()
+    assert info.maxsize == chain.HEADER_CACHE_SIZE
+    assert 0 < info.currsize <= chain.HEADER_CACHE_SIZE
+    assert info.hits > 0
+
+
+@pytest.mark.parametrize("size", [0, 1])
+def test_a_cache_too_small_to_hit_builds_the_same(size, monkeypatch):
+    monkeypatch.setattr(txgraph, "TEMPLATE_CACHE_SIZE", size)
+    txgraph._TEMPLATE_CACHE.clear()
+    g = full_graph()
+    assert len(txgraph._TEMPLATE_CACHE) <= size
+    templates_equal_cache_free_builds(g)

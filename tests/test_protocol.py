@@ -6,7 +6,7 @@ from bridgesim.errors import (ConcurrencyLimit, EnablerUnavailable,
                              WrongDenomination)
 from bridgesim import harness
 from bridgesim.harness import Scenario, Strategy
-from bridgesim.protocol import Bridge, PegIn, PegOutState
+from bridgesim.protocol import Bridge, PegIn, PegOut, PegOutState
 from bridgesim.txgraph import EnablerRole, EnablerState, TxKind, VmxoState
 
 DENOM = 100_000_000
@@ -256,6 +256,12 @@ def test_slash_refuses_unknown_loser_before_any_change():
     assert b.ledger.balances == balances and b.records == records
 
 
+def elsewhere(pegout):
+    """The peg-out, linked to a VMXO the packet does not have."""
+    pegout.vmxo_id = "pkt0:vmxo9"
+    return pegout
+
+
 # each refused call, on the bridge of ``test_refusal_changes_nothing``:
 # the error and the call, given the bridge, a linked peg-out whose VMXO is
 # locked and a peg-out that was never linked
@@ -268,6 +274,18 @@ REFUSALS = {
         b.publish_kickoff(unlinked, "f1")),
     "unlock-unlinked": (
         NotLinked, lambda b, linked, unlinked: b.unlock(unlinked)),
+    "front-linked-to-unknown-vmxo": (
+        UnknownId, lambda b, linked, unlinked:
+        b.front_funds(elsewhere(linked), "f0")),
+    "kickoff-linked-to-unknown-vmxo": (
+        UnknownId, lambda b, linked, unlinked:
+        b.publish_kickoff(elsewhere(linked), "f0")),
+    "unlock-linked-to-unknown-vmxo": (
+        UnknownId, lambda b, linked, unlinked: b.unlock(elsewhere(linked))),
+    "recycle-unknown-vmxo": (
+        UnknownId, lambda b, linked, unlinked:
+        b.recycle_enablers(PegOut("u9", DENOM, vmxo_id="pkt0:vmxo9",
+                                  state=PegOutState.UNLOCKED))),
     "force-close-unknown-second-vmxo": (
         UnknownId, lambda b, linked, unlinked:
         b.force_close("pkt0:vmxo0", "pkt0:vmxo9", "f0")),
@@ -361,6 +379,24 @@ def test_force_close_frees_second_vmxo():
     b.force_close(p1.vmxo_id, p2.vmxo_id, "f0")
     assert b.graph.vmxos[p2.vmxo_id].state == VmxoState.LOCKED
     assert b.graph.vmxos[p1.vmxo_id].state == VmxoState.KICKOFF_OPEN
+
+
+def test_force_close_refuses_unknown_closer_before_any_change():
+    b = make_bridge(vmxos=2, pegout_limit=5)
+    do_pegin(b, "u0")
+    do_pegin(b, "u1")
+    p1 = do_linked_pegout(b, "u0")
+    p2 = do_linked_pegout(b, "u1")
+    b.publish_kickoff(p1, "f1")
+    b.publish_kickoff(p2, "f1")
+    before = (dict(b.graph.spent),
+              {v: (x.state, x.operator) for v, x in b.graph.vmxos.items()},
+              dict(b.ledger.balances), list(b.records))
+    with pytest.raises(UnknownId):
+        b.force_close(p1.vmxo_id, p2.vmxo_id, "f9")
+    assert (dict(b.graph.spent),
+            {v: (x.state, x.operator) for v, x in b.graph.vmxos.items()},
+            b.ledger.balances, b.records) == before
 
 
 def test_adhoc_theft_rejected_without_full_leak():
