@@ -1,9 +1,10 @@
 """Command line front end: run scenarios, sweep parameter grids, print the
 deposit table, and re-check invariants over a saved event log.
 
-Exit status is 0 only when every invariant check passed; 2 marks input
-that cannot be run or checked (an invalid scenario or grid, a malformed
-log).
+Exit status is 0 only when every invariant check passed; 1 means an
+invariant failed, and 2 marks input that cannot be run or checked (an
+invalid scenario or grid, a malformed log, a file that cannot be read or
+written).
 """
 
 from __future__ import annotations
@@ -19,8 +20,26 @@ from .harness import (INT_KEYS, Scenario, Strategy, check_invariants,
                       malformed_log, parse_scenario, run_scenario)
 
 
+class _Unusable(Exception):
+    """A file a command cannot read or write; the command exits 2."""
+
+
+def _file(path: str, text: str | None = None) -> str:
+    """The UTF-8 text of ``path``, or, given ``text``, ``text`` written
+    there; ``_Unusable`` with the reason if that fails."""
+    try:
+        if text is None:
+            return Path(path).read_text(encoding="utf-8")
+        Path(path).write_text(text, encoding="utf-8")
+        return text
+    except (OSError, UnicodeError) as exc:
+        verb = "read" if text is None else "write"
+        reason = getattr(exc, "strerror", None) or exc
+        raise _Unusable(f"cannot {verb} {path}: {reason}") from exc
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
-    text = Path(args.scenario).read_text()
+    text = _file(args.scenario)
     try:
         scenario = parse_scenario(text)
     except InvalidScenario as exc:
@@ -30,7 +49,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         scenario.seed = args.seed
     report = run_scenario(scenario)
     if args.log:
-        Path(args.log).write_text("\n".join(report.log) + "\n")
+        _file(args.log, "\n".join(report.log) + "\n")
     print(report.to_text())
     return 0 if report.all_passed else 1
 
@@ -72,7 +91,7 @@ def _parse_grid(text: str) -> list[Scenario]:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     try:
-        scenarios = _parse_grid(Path(args.grid).read_text())
+        scenarios = _parse_grid(_file(args.grid))
     except InvalidScenario as exc:
         print(f"invalid grid: {exc}", file=sys.stderr)
         return 2
@@ -100,7 +119,7 @@ def _cmd_deposit_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    log = Path(args.log_file).read_text().splitlines()
+    log = _file(args.log_file).splitlines()
     reason = malformed_log(log)
     if reason is not None:
         print(f"malformed log: {reason}", file=sys.stderr)
@@ -146,7 +165,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Unusable as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

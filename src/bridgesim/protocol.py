@@ -190,6 +190,9 @@ class Bridge:
         return pegin.deposit_tx
 
     def execute_pegin(self, pegin: PegIn) -> None:
+        vmxo = self.graph.vmxo(pegin.vmxo_id)
+        if vmxo.state != VmxoState.AWAITING_PEGIN:
+            raise NotTriggered(f"{pegin.vmxo_id} is {vmxo.state.value}")
         required = set(self.functionaries) | {pegin.user}
         missing = required - pegin.signatures
         if missing:
@@ -197,10 +200,9 @@ class Bridge:
         if pegin.deposit_block is None or \
                 self.source.confirmations(pegin.deposit_block) < self.source_confirmations:
             raise InsufficientConfirmations(pegin.deposit_tx or "?")
-        vmxo = self.graph.vmxos[pegin.vmxo_id]
-        vmxo.state = VmxoState.LOCKED
         self.transfer(f"user:{pegin.user}:src", f"vmxo:{pegin.vmxo_id}",
                       pegin.amount, "pegin-lock")
+        vmxo.state = VmxoState.LOCKED
         # wrapped issuance is a liability account and may go negative
         self.ledger.fund(f"user:{pegin.user}:wrapped", pegin.amount)
         self.ledger.fund("wrapped-issuance", -pegin.amount)
@@ -225,6 +227,8 @@ class Bridge:
 
     def link_pegout(self, pegout: PegOut) -> str:
         """Deterministic link: oldest unlinked Locked VMXO of the amount."""
+        if pegout.state != PegOutState.REQUESTED:
+            raise NotTriggered(f"{pegout.burn_tx} is {pegout.state.value}")
         for v in self.graph.vmxo_ids:
             if v in self.linked_vmxos:
                 continue

@@ -22,19 +22,19 @@ Each template is built on its first lookup by ``(TxKind, *ids)``: its kind
 and the functionary (f, w) and VMXO (v, va before vb) ids it is for, as
 DepositCreate (f), EnablerCreate (f), KillEnablers (f), Locking (v),
 Kickoff (v, f), Unlocking (v, f), ProverLoses and VerifierLoses (v, f, w)
-and ForceClose (f, va, vb).  It is built from those alone and its parents,
-which are built first; so its content and id are the ones an eager build
-would give; ``templates`` holds the built ones by that key.
+and ForceClose (f, va, vb).  It is built from those alone and the ids of
+its parents, so its content and id are the ones an eager build would give;
+``templates`` holds the ones looked up, by that key.
 
 Packets of one shape (the ordered functionary and VMXO ids and the VMXO
 amount) have the same templates, so each template is memoised per process
 by its recipe: the shape, ``(TxKind, *ids)``, and for DepositCreate alone
 the deposit, which only its rule reads.  A recipe is built once, in a
 bounded LRU cache of ``TEMPLATE_CACHE_SIZE`` entries; its id is still the
-hash of its content.  An entry keeps the parents its build looked up, and a
-hit looks them up first, so ``templates`` fills in the same order either
-way.  Each graph holds its own shallow copy, which reads its own ceremony
-record.
+hash of its content.  A rule reads its parents from that cache too, so a
+graph's ``templates`` holds only what its callers looked up, in the order
+they did, cold or warm.  Each graph holds its own shallow copy, which reads
+its own ceremony record.
 
 An enabler's output index in its owner's enabler-creation template is
 closed-form, and an enabler is live until a run consumes or burns it, so
@@ -156,9 +156,8 @@ class SimTx:
         set_(self, "id", hashlib.sha256(serial.encode()).hexdigest()[:16])
 
 
-# recipe -> (the template built from it, the keys of the parents its build
-# looked up, in order); least recently used first
-_TEMPLATE_CACHE: OrderedDict[tuple, tuple[SimTx, tuple]] = OrderedDict()
+# recipe -> the template built from it; least recently used first
+_TEMPLATE_CACHE: OrderedDict[tuple, SimTx] = OrderedDict()
 
 
 def _enabler_key(owner: str, role: EnablerRole, vmxo_id: str,
@@ -192,8 +191,7 @@ class PacketGraph:
                        amount, type(amount))
         self._deposit_shape = self._shape + (deposit_per_functionary,
                                              type(deposit_per_functionary))
-        self._parents: list[tuple] = []  # looked up by the rule running
-        self.templates: dict[tuple, SimTx] = {}  # built, by (kind, *ids)
+        self.templates: dict[tuple, SimTx] = {}  # looked up, by (kind, *ids)
         self.signers: dict[str, None] = {}  # the ceremony's, in order
         # VMXO -> (owner, output index) -> state of each enabler a run has
         # consumed or burnt; an enabler not in it is live
@@ -206,49 +204,38 @@ class PacketGraph:
     # -- construction ------------------------------------------------------
 
     def template(self, kind: TxKind, *ids: str) -> SimTx:
-        """Template ``(kind, *ids)``; on first lookup its parents are looked
-        up first and it is taken from the recipe cache, or built from the
-        ids alone, and it reads the ceremony's record.  Raises ``UnknownId``
-        unless the packet has such a template."""
+        """Template ``(kind, *ids)``: the graph's own copy of the recipe's,
+        which reads the ceremony's record.  Raises ``UnknownId`` unless the
+        packet has such a template."""
         key = (kind, *ids)
         tx = self.templates.get(key)
         if tx is None:
-            shape = (self._deposit_shape if kind == TxKind.DEPOSIT_CREATE
-                     else self._shape)
-            recipe = (shape, key)
-            entry = _TEMPLATE_CACHE.get(recipe)
-            if entry is None:
-                entry = _TEMPLATE_CACHE[recipe] = self._build(key)
-                if len(_TEMPLATE_CACHE) > TEMPLATE_CACHE_SIZE:
-                    _TEMPLATE_CACHE.popitem(last=False)
-            else:
-                _TEMPLATE_CACHE.move_to_end(recipe)
-                for parent in entry[1]:
-                    self.template(*parent)
             tx = object.__new__(SimTx)
-            tx.__dict__.update(entry[0].__dict__, signatures=self.signers)
+            tx.__dict__.update(self._shared(key).__dict__,
+                               signatures=self.signers)
             self.templates[key] = tx
         return tx
 
-    def _build(self, key: tuple) -> tuple[SimTx, tuple]:
-        """``key`` built by its rule, and the keys of the parents the rule
-        looked up, in order."""
+    def _shared(self, key: tuple) -> SimTx:
+        """Template ``key`` from the recipe cache, built by its rule on a
+        miss; the one way into the cache, for lookups and rules alike."""
+        shape = (self._deposit_shape if key[0] == TxKind.DEPOSIT_CREATE
+                 else self._shape)
+        recipe = (shape, key)
+        tx = _TEMPLATE_CACHE.get(recipe)
+        if tx is not None:
+            _TEMPLATE_CACHE.move_to_end(recipe)
+            return tx
         kind, *ids = key
-        rule, shape = _RULES.get(kind, (None, ""))
+        rule, kinds = _RULES.get(kind, (None, ""))
         tables = {"f": self.position, "v": self.vmxo_position}
-        if rule is None or len(ids) != len(shape) or not all(
-                i in tables[t] for t, i in zip(shape, ids)):
+        if rule is None or len(ids) != len(kinds) or not all(
+                i in tables[t] for t, i in zip(kinds, ids)):
             raise UnknownId(key)
-        outer, self._parents = self._parents, []
-        try:
-            return rule(self, *ids), tuple(self._parents)
-        finally:
-            self._parents = outer
-
-    def _parent(self, kind: TxKind, *ids: str) -> SimTx:
-        """A parent of the template being built, recorded as such."""
-        self._parents.append((kind, *ids))
-        return self.template(kind, *ids)
+        tx = _TEMPLATE_CACHE[recipe] = rule(self, *ids)
+        if len(_TEMPLATE_CACHE) > TEMPLATE_CACHE_SIZE:
+            _TEMPLATE_CACHE.popitem(last=False)
+        return tx
 
     def vmxo(self, vmxo_id: str) -> Vmxo:
         """The VMXO's state; ``UnknownId`` if the packet has no such VMXO."""
@@ -274,7 +261,7 @@ class PacketGraph:
 
     def _kill(self, f: str) -> SimTx:
         """Spends every enabler output of ``f``."""
-        create = self._parent(TxKind.ENABLER_CREATE, f)
+        create = self._shared((TxKind.ENABLER_CREATE, f))
         refs = [(create.id, i) for i in range(len(create.outputs))]
         return SimTx(TxKind.KILL_ENABLERS, refs,
                      [SimOutput(OutputKind.REWARD, 0,
@@ -305,9 +292,9 @@ class PacketGraph:
     def _unlocking(self, v: str, f: str) -> SimTx:
         return SimTx(
             TxKind.UNLOCKING,
-            [(self._parent(TxKind.LOCKING, v).id, 0),
-             (self._parent(TxKind.KICKOFF, v, f).id, 0),
-             (self._parent(TxKind.ENABLER_CREATE, f).id,
+            [(self._shared((TxKind.LOCKING, v)).id, 0),
+             (self._shared((TxKind.KICKOFF, v, f)).id, 0),
+             (self._shared((TxKind.ENABLER_CREATE, f)).id,
               self._enabler_index(f, EnablerRole.OPERATOR, v))],
             [SimOutput(OutputKind.REWARD, self.vmxos[v].amount,
                        SpendCondition(signers=frozenset({f}), timelock=1),
@@ -320,7 +307,7 @@ class PacketGraph:
         if w == f:
             raise UnknownId((kind, v, f, w))
         pw = self.position[w]
-        chan_ref = (self._parent(TxKind.KICKOFF, v, f).id,
+        chan_ref = (self._shared((TxKind.KICKOFF, v, f)).id,
                     1 + pw - (pw > self.position[f]))
         winner, loser = (w, f) if kind == TxKind.PROVER_LOSES else (f, w)
         return SimTx(kind, [chan_ref],
@@ -335,7 +322,7 @@ class PacketGraph:
         if self.vmxo_position[va] >= self.vmxo_position[vb]:
             raise UnknownId((TxKind.FORCE_CLOSE, f, va, vb))
         return SimTx(TxKind.FORCE_CLOSE,
-                     [(self._parent(TxKind.KICKOFF, v, f).id, 0)
+                     [(self._shared((TxKind.KICKOFF, v, f)).id, 0)
                       for v in (va, vb)],
                      [SimOutput(OutputKind.REWARD, 0,
                                 SpendCondition(predicate="killEnablers"),

@@ -136,6 +136,34 @@ def test_check_rejects_malformed_log(tmp_path, capsys, damage, reason):
     assert captured.err.startswith(f"malformed log: {reason}")
 
 
+# a file a command cannot read or write: the arguments, with {d} the test's
+# directory, and what the error names
+UNUSABLE = {
+    "check-missing-file": (["check", "{d}/missing.log"],
+                           "read {d}/missing.log"),
+    "check-non-utf8-file": (["check", "{d}/latin1.txt"],
+                            "read {d}/latin1.txt"),
+    "run-directory": (["run", "{d}"], "read {d}"),
+    "run-non-utf8-file": (["run", "{d}/latin1.txt"], "read {d}/latin1.txt"),
+    "sweep-missing-grid": (["sweep", "--grid", "{d}/missing.grid"],
+                           "read {d}/missing.grid"),
+    "run-log-into-missing-directory": (
+        ["run", "{d}/demo.scenario", "--log", "{d}/missing/run.log"],
+        "write {d}/missing/run.log"),
+}
+
+
+@pytest.mark.parametrize("case", list(UNUSABLE))
+def test_unusable_file_exits_two(tmp_path, capsys, case):
+    (tmp_path / "demo.scenario").write_text(SCENARIO)
+    (tmp_path / "latin1.txt").write_bytes("name café\n".encode("latin-1"))
+    argv, names = UNUSABLE[case]
+    assert main([arg.format(d=tmp_path) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot {names.format(d=tmp_path)}: "), err
+    assert "Traceback" not in err
+
+
 def test_deposit_table_default(capsys):
     assert main(["deposit-table"]) == 0
     out = capsys.readouterr().out

@@ -62,8 +62,8 @@ def test_cached_ids_equal_cache_free_recomputation(run_with_bridge,
 
 
 def test_templates_fill_in_the_same_order_cold_and_warm(run_with_bridge):
-    # a hit looks up the parents its build looked up, so a graph's
-    # templates hold the same keys in the same order either way
+    # a graph's templates hold what its callers looked up, whatever the
+    # process cache held, so the same keys in the same order either way
     def cold_and_warm(run):
         txgraph._TEMPLATE_CACHE.clear()
         cold = list(run().templates)
@@ -72,6 +72,30 @@ def test_templates_fill_in_the_same_order_cold_and_warm(run_with_bridge):
     for sc in sweep_and_corpus():
         cold_and_warm(lambda: run_with_bridge(sc)[1].graph)
     cold_and_warm(full_graph)
+
+
+def test_a_lookup_holds_only_the_template_looked_up():
+    # the parents an Unlocking build reads stay in the process cache
+    key = (TxKind.UNLOCKING, "pkt0:vmxo0", "f0")
+    reference = eager_reference(F10[:3], 2, 100_000, 0)[0][key]
+    txgraph._TEMPLATE_CACHE.clear()
+    for cached in (0, 4):  # cold, then warm
+        assert len(txgraph._TEMPLATE_CACHE) == cached
+        g = build_packet_templates(F10[:3], 2, 100_000)
+        tx = g.template(*key)
+        assert list(g.templates) == [key]
+        assert tx == reference and tx.id == reference.id
+
+
+# the kinds protocol looks up; every other template is only a parent
+LOOKED_UP = {TxKind.KICKOFF, TxKind.UNLOCKING, TxKind.KILL_ENABLERS,
+             TxKind.FORCE_CLOSE}
+
+
+def test_runs_hold_only_the_templates_protocol_looks_up(run_with_bridge):
+    for sc in sweep_and_corpus():
+        graph = run_with_bridge(sc)[1].graph
+        assert {key[0] for key in graph.templates} <= LOOKED_UP, sc.name
 
 
 def test_graphs_of_one_shape_hold_their_own_templates():

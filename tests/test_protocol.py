@@ -34,8 +34,9 @@ def mine_secondary(b, txs):
     return blk.id
 
 
-def do_pegin(b, user="u0"):
-    fund_user(b, user)
+def do_pegin(b, user="u0", funded=True):
+    if funded:
+        fund_user(b, user)
     pegin = b.request_pegin(user, DENOM)
     b.sign_pegin(pegin, user)
     for f in b.functionaries:
@@ -295,6 +296,11 @@ REFUSALS = {
     "adhoc-theft-of-unknown-vmxo": (
         UnknownId, lambda b, linked, unlinked:
         b.adhoc_theft("pkt0:vmxo9", "f0")),
+    "execute-executed-pegin": (
+        NotTriggered, lambda b, linked, unlinked:
+        b.execute_pegin(b.pegins[1])),
+    "relink-linked-pegout": (
+        NotTriggered, lambda b, linked, unlinked: b.link_pegout(linked)),
 }
 
 
@@ -308,11 +314,38 @@ def test_refusal_changes_nothing(case):
     b.publish_kickoff(do_linked_pegout(b, "u0"), "f1")
     linked = do_linked_pegout(b, "u1")
     unlinked = b.request_pegout("u2", DENOM)
-    before = (list(b.records), dict(b.ledger.balances), dict(b.graph.spent))
+    before = (list(b.records), dict(b.ledger.balances), dict(b.graph.spent),
+              set(b.linked_vmxos))
     error, call = REFUSALS[case]
     with pytest.raises(error):
         call(b, linked, unlinked)
-    assert (b.records, b.ledger.balances, b.graph.spent) == before
+    assert (b.records, b.ledger.balances, b.graph.spent,
+            b.linked_vmxos) == before
+
+
+def test_executed_pegin_does_not_mint_again():
+    # the user still holds a second denomination, so the VMXO's state alone
+    # stands between a repeated call and a second mint
+    b = make_bridge()
+    pegin = do_pegin(b)
+    fund_user(b, "u0")
+    before = (list(b.records), dict(b.ledger.balances))
+    with pytest.raises(NotTriggered):
+        b.execute_pegin(pegin)
+    assert (b.records, b.ledger.balances) == before
+    assert b.ledger.balances["user:u0:wrapped"] == DENOM
+    assert b.ledger.balances[f"vmxo:{pegin.vmxo_id}"] == DENOM
+
+
+def test_unfunded_pegin_leaves_its_vmxo_awaiting_pegin():
+    b = make_bridge()
+    with pytest.raises(ValueError):
+        do_pegin(b, funded=False)
+    pegin = b.pegins[0]
+    assert b.graph.vmxos[pegin.vmxo_id].state == VmxoState.AWAITING_PEGIN
+    fund_user(b, "u0")
+    b.execute_pegin(pegin)
+    assert b.graph.vmxos[pegin.vmxo_id].state == VmxoState.LOCKED
 
 
 def test_slash_rejects_non_terminal_trigger():
