@@ -10,9 +10,10 @@ re-executes the isolated transition.  A party may publish exactly while
 their stop watch runs.
 
 ``ExecutionTrace.digest(i)`` is the on-chain commitment to state i that
-the model describes.  The search compares the committed states themselves,
-``(program_id, state(i))``, which is exactly what ``digest(i)`` hashes, so
-it checks the same boundaries and picks the same segments without hashing.
+the model describes.  It hashes ``(program_id, state(i))``, and two traces
+that disagree at one step disagree at every later one; so each search round
+finds the first disagreeing boundary from ``first_divergence`` in closed
+form, and picks the segment that comparing digests would pick.
 
 A challenge may instead present an alternative header chain with higher
 accumulated difficulty, opening one nested game with the roles reversed.
@@ -70,6 +71,16 @@ class ExecutionTrace:
 
     def digest(self, i: int) -> str:
         return _h(self.program_id, *self.state(i))
+
+    def first_divergence(self, other: "ExecutionTrace") -> Optional[int]:
+        """The least step whose ``(program_id, state(i))`` differs from the
+        other trace's, or None: the smaller nonzero ``corrupt_from``."""
+        if self.program_id != other.program_id:
+            return 0
+        mine, theirs = self.corrupt_from, other.corrupt_from
+        if mine == theirs:
+            return None
+        return min(mine, theirs) if mine and theirs else mine or theirs
 
     def reads(self, i: int, read_steps: int) -> "ExecutionTrace":
         """The read values step i consumes, as a trace of their own: wrong
@@ -155,16 +166,16 @@ class DisputeGame:
     def _publish(self, party: str, action: str, delay: int) -> None:
         """Advance the virtual clock by the responder's delay and record the
         publication, flipping the stop watches."""
+        if delay < 0:
+            raise MalformedInput(f"negative delay {delay}")
         watch = self.watches[party]
-        if not watch.running:
+        if watch.running_since is None:
             raise WrongTurn(party)
         self.clock += delay
-        if watch.aggregate_timeout(self.clock):
+        if watch.stop(self.clock) > watch.threshold:
             # the responder ran out their whole censorship budget
             self.expire(party)
-            watch.stop(self.clock)
             raise TimeoutExpired(party)
-        watch.stop(self.clock)
         other = self.verifier if party == self.prover else self.prover
         self.watches[other].start(self.clock)
         self.publications.append((self.clock, party, action))
@@ -235,53 +246,45 @@ def challenge(game: DisputeGame, kind: str = "Execution",
     return game
 
 
-def _boundaries(lo: int, hi: int, arity: int) -> list[int]:
-    span = hi - lo
-    seg = -(-span // arity)  # ceil(span / arity), exact in integers
-    bounds, b = [], lo + seg
-    while b < hi:
-        bounds.append(b)
-        b += seg
-    bounds.append(hi)
-    return bounds
-
-
 def _narrow(lo: int, hi: int, arity: int, prover: ExecutionTrace,
             verifier: ExecutionTrace) -> tuple[int, int]:
     """One narrowing round: the prover commits to the boundary states, the
     verifier picks the first one that disagrees with its own.  A griefing
     verifier with no real divergence always picks the first segment.
 
-    Two commitments ``digest(b)`` agree exactly when ``(program_id,
-    state(b))`` agree, up to hash collisions, so the search compares those
-    pairs directly and hashes nothing."""
-    bounds = _boundaries(lo, hi, arity)
-    prev = lo
-    same_program = prover.program_id == verifier.program_id
-    for b in bounds:
-        if not same_program or prover.state(b) != verifier.state(b):
-            return prev, b
-        prev = b
-    # no boundary disagrees: a challenger without a real divergence (or one
-    # straddled inside the first segment) recurses into the first segment
-    return lo, bounds[0]
+    The boundaries are lo + k seg for k = 1 .. arity, capped at hi, with
+    seg = ceil((hi - lo) / arity); the one at b disagrees exactly when b is
+    at or past the traces' first divergence d."""
+    seg = -(-(hi - lo) // arity)  # ceil, exact in integers
+    d = prover.first_divergence(verifier)
+    if d is None or d > hi:
+        # no boundary disagrees (a griefer, or a divergence past hi)
+        return lo, min(lo + seg, hi)
+    k = max(1, -(-(d - lo) // seg))
+    return lo + (k - 1) * seg, min(lo + k * seg, hi)
+
+
+# the prover's and the verifier's publication in each phase's search round
+_SEARCH_ACTIONS = {
+    Phase.MAIN_SEARCH: ("publish-hashes", "publish-choice"),
+    Phase.READ_SEARCH: ("publish-read-hashes", "publish-read-choice"),
+}
 
 
 def search_round(game: DisputeGame, prover_delay: int = 1,
                  verifier_delay: int = 1) -> DisputeGame:
     """One on-chain round: the responder commits segment digests and the
     challenger picks the segment to recurse into."""
-    if game.phase not in (Phase.MAIN_SEARCH, Phase.READ_SEARCH):
+    actions = _SEARCH_ACTIONS.get(game.phase)
+    if actions is None:
         raise WrongPhase(game.phase.value)
     game.rounds += 1
-    reading = game.phase == Phase.READ_SEARCH
-    kind = "-read" if reading else ""
-    game._publish(game.prover, f"publish{kind}-hashes", prover_delay)
-    game._publish(game.verifier, f"publish{kind}-choice", verifier_delay)
+    game._publish(game.prover, actions[0], prover_delay)
+    game._publish(game.verifier, actions[1], verifier_delay)
     game.lo, game.hi = _narrow(game.lo, game.hi, game.arity, *game.searched)
     if game.hi - game.lo != 1:
         return game
-    if reading:
+    if game.phase == Phase.READ_SEARCH:
         game.phase = Phase.LEAF_CHECK
     else:
         game.isolated_step = game.hi
@@ -372,15 +375,13 @@ def drive(game: DisputeGame,
     A responder who runs out their stop watch raises ``TimeoutExpired``
     with ``game.outcome`` already set.
     """
-    def step_delays() -> tuple[int, int]:
-        return delay(game.prover, game.clock), delay(game.verifier, game.clock)
-
+    p, v = game.prover, game.verifier
     while game.phase == Phase.MAIN_SEARCH:
-        search_round(game, *step_delays())
-    reveal_trace(game, *step_delays())
+        search_round(game, delay(p, game.clock), delay(v, game.clock))
+    reveal_trace(game, delay(p, game.clock), delay(v, game.clock))
     while game.phase == Phase.READ_SEARCH:
-        search_round(game, *step_delays())
-    return leaf_check(game, delay(game.prover, game.clock))
+        search_round(game, delay(p, game.clock), delay(v, game.clock))
+    return leaf_check(game, delay(p, game.clock))
 
 
 def run_search(game: DisputeGame, prover_delay: int = 1,

@@ -83,6 +83,10 @@ class NotRunning(BridgeSimError):
 
 
 # protocol
+class Insolvent(BridgeSimError, ValueError):
+    """A negative transfer, or one its account cannot pay; a ValueError too."""
+
+
 class NoCapacity(BridgeSimError):
     pass
 

@@ -19,7 +19,7 @@ from typing import Optional
 
 from .chain import SECONDARY, SOURCE, ChainView, SimClock
 from .econ import CostTable, DISPUTE_ACTION_VBYTES, required_deposit
-from .errors import (ConcurrencyLimit, EnablerUnavailable,
+from .errors import (ConcurrencyLimit, EnablerUnavailable, Insolvent,
                      InsufficientConfirmations, MissingSignature, NoCapacity,
                      NotLinked, NotTriggered, UnknownId, WrongDenomination)
 from .txgraph import (EXTERNAL, SLASHING_KINDS, EnablerRole, EnablerState,
@@ -70,9 +70,9 @@ class Ledger:
 
     def transfer(self, frm: str, to: str, amount: int) -> None:
         if amount < 0:
-            raise ValueError("negative transfer")
+            raise Insolvent(f"negative transfer {amount}")
         if self.balances.get(frm, 0) < amount:
-            raise ValueError(f"insolvent account {frm}")
+            raise Insolvent(f"insolvent account {frm}")
         self.balances[frm] -= amount
         self.balances[to] = self.balances.get(to, 0) + amount
 
@@ -269,6 +269,8 @@ class Bridge:
         return pegout.fronted_tx
 
     def prove_front(self, pegout: PegOut, front_block: str) -> None:
+        if pegout.state != PegOutState.FRONTED:
+            raise NotTriggered(f"{pegout.burn_tx} is {pegout.state.value}")
         if self.source.confirmations(front_block) < self.source_confirmations:
             raise InsufficientConfirmations(pegout.fronted_tx or "?")
         pegout.state = PegOutState.PROVEN

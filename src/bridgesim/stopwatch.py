@@ -2,8 +2,9 @@
 
 Instead of a per-step timelock, each party carries one watch that runs while
 it is their turn to respond.  Elapsed intervals are committed write-once
-(modeling one-time signatures) and summed; when the total exceeds the
-censorship-resistance threshold the party's enablers become burnable.
+(modeling one-time signatures) and kept as a running total, read in O(1);
+when the total exceeds the censorship-resistance threshold the party's
+enablers become burnable.
 
 Interval marker outputs use power-of-two denominations, so any elapsed time
 in an open interval is provable with at most log2(t) markers.
@@ -11,10 +12,10 @@ in an open interval is provable with at most log2(t) markers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import AlreadyRunning, NotRunning
+from .errors import AlreadyRunning, MalformedInput, NotRunning
 
 
 def power_of_two_markers(elapsed: int) -> list[int]:
@@ -32,31 +33,36 @@ class StopWatch:
     threshold: int
     intervals: tuple[int, ...] = ()
     running_since: Optional[int] = None
+    total: int = field(init=False)  # sum(intervals)
 
-    @property
-    def running(self) -> bool:
-        return self.running_since is not None
+    def __post_init__(self):
+        self.total = sum(self.intervals)
 
     def accumulated(self, now: Optional[int] = None) -> int:
-        total = sum(self.intervals)
-        if self.running:
-            if now is None:
-                raise ValueError("now required while running")
-            total += now - self.running_since
-        return total
+        if self.running_since is None:
+            return self.total
+        if now is None:
+            raise ValueError("now required while running")
+        return self.total + now - self.running_since
 
     def start(self, now: int) -> None:
-        if self.running:
+        if self.running_since is not None:
             raise AlreadyRunning(self.party)
         self.running_since = now
 
-    def stop(self, now: int) -> None:
-        if not self.running:
+    def stop(self, now: int) -> int:
+        """Commit the interval since ``start`` and return the new total."""
+        if self.running_since is None:
             raise NotRunning(self.party)
+        interval = now - self.running_since
+        if interval < 0:
+            raise MalformedInput(f"{self.party}: stop {now} before start")
         # write-once: committed intervals are one-time-signed, so appending
         # is the only mutation
-        self.intervals = self.intervals + (now - self.running_since,)
+        self.intervals += (interval,)
+        self.total += interval
         self.running_since = None
+        return self.total
 
     def aggregate_timeout(self, now: Optional[int] = None) -> bool:
         """True once total measured time exceeds the threshold."""

@@ -243,6 +243,60 @@ def test_search_publication_pattern(length, arity, read_rounds):
             assert g.isolated_step == pos and out.loser == "p"
 
 
+@pytest.mark.parametrize("length,arity", [(64, 2), (64, 4), (27, 3)])
+def test_watch_total_is_the_sum_of_its_intervals(monkeypatch, length, arity):
+    # the games of test_search_publication_pattern, checked after every
+    # publication; then one whose prover stalls into a timeout
+    checked = []
+    publish = DisputeGame._publish
+
+    def checked_publish(game, party, action, delay):
+        try:
+            publish(game, party, action, delay)
+        finally:
+            for watch in game.watches.values():
+                assert watch.total == sum(watch.intervals), (action, watch)
+            checked.append(action)
+
+    monkeypatch.setattr(DisputeGame, "_publish", checked_publish)
+    for pos in list(range(1, length + 1)) + [None]:
+        checked.clear()
+        g = new_game(length, corrupt_at=pos, arity=arity)
+        challenge(g)
+        run_search(g)
+        assert checked == [a for _, _, a in g.publications[1:]], pos
+    g = new_game(length, corrupt_at=1, arity=arity, threshold=10)
+    challenge(g)
+    with pytest.raises(TimeoutExpired):
+        run_search(g, prover_delay=4)
+    assert g.watches["p"].total == 12 > g.watches["p"].threshold
+
+
+def test_negative_delay_refused_before_the_clock_moves():
+    # a negative delay would wind the game clock back and keep the
+    # responder's watch below its threshold forever
+    g = new_game(16, corrupt_at=5, threshold=10)
+
+    def state():
+        return (g.clock, list(g.publications), g.phase,
+                {p: (w.intervals, w.total, w.running_since)
+                 for p, w in g.watches.items()})
+
+    before = state()
+    with pytest.raises(MalformedInput):
+        challenge(g, delay=-3)
+    assert state() == before
+    challenge(g)
+    before = state()
+    with pytest.raises(MalformedInput):
+        run_search(g, prover_delay=-100)
+    assert state() == before
+    # zero stays legal
+    search_round(g, prover_delay=0, verifier_delay=0)
+    assert g.publications[-2:] == [(1, "p", "publish-hashes"),
+                                   (1, "v", "publish-choice")]
+
+
 def test_zero_length_trace_refuses_challenge():
     g = new_game(0)
     with pytest.raises(MalformedInput):
@@ -281,10 +335,22 @@ def test_corrupting_twice_keeps_the_first_wrong_transition():
 
 # -- the search compares committed states --------------------------------------
 
+def boundaries(lo, hi, arity):
+    """The segment ends of one round: lo + seg, lo + 2 seg, ... below hi,
+    then hi, with seg = ceil((hi - lo) / arity)."""
+    seg = -(-(hi - lo) // arity)
+    bounds, b = [], lo + seg
+    while b < hi:
+        bounds.append(b)
+        b += seg
+    bounds.append(hi)
+    return bounds
+
+
 def digest_narrow(lo, hi, arity, prover, verifier):
     """Reference: the narrowing round that compares the two traces'
     commitments ``digest(b)`` at each boundary."""
-    bounds = dispute._boundaries(lo, hi, arity)
+    bounds = boundaries(lo, hi, arity)
     prev = lo
     for b in bounds:
         if prover.digest(b) != verifier.digest(b):
@@ -295,8 +361,10 @@ def digest_narrow(lo, hi, arity, prover, verifier):
 
 def narrowing_pairs(length):
     """(prover, verifier) trace pairs of one length: every corruption
-    position on either side, equal traces, and two different programs
-    (whose commitments disagree at every boundary)."""
+    position on either side, equal traces, two different programs (whose
+    commitments disagree at every boundary), and both sides corrupted at
+    different positions: each position against its mirror image and its
+    neighbours, and every pair of positions up to length 16."""
     honest = ExecutionTrace.honest("prog", length)
     pairs = [(honest, honest),
              (honest, ExecutionTrace.honest("other", length)),
@@ -304,6 +372,14 @@ def narrowing_pairs(length):
     for pos in range(1, length + 1):
         pairs += [(honest.corrupted_at(pos), honest),
                   (honest, honest.corrupted_at(pos))]
+    both = {(a, b) for a in range(1, length + 1)
+            for b in (length + 1 - a, a - 1, a + 1)
+            if 1 <= b <= length and b != a}
+    if length <= 16:
+        both |= {(a, b) for a in range(1, length + 1)
+                 for b in range(1, length + 1) if a != b}
+    pairs += [(honest.corrupted_at(a), honest.corrupted_at(b))
+              for a, b in sorted(both)]
     return pairs
 
 

@@ -1,6 +1,7 @@
 import pytest
 
-from bridgesim.errors import (ConcurrencyLimit, EnablerUnavailable,
+from bridgesim.errors import (BridgeSimError, ConcurrencyLimit,
+                             EnablerUnavailable, Insolvent,
                              InsufficientConfirmations, MissingSignature,
                              NoCapacity, NotLinked, NotTriggered, UnknownId,
                              WrongDenomination)
@@ -123,7 +124,7 @@ def test_refused_pegout_leaves_no_ghost():
     do_pegin(b, "u0")
     balances, records = dict(b.ledger.balances), list(b.records)
     # u1 holds no wrapped balance to burn
-    with pytest.raises(ValueError):
+    with pytest.raises(Insolvent):
         b.request_pegout("u1", DENOM)
     assert b.pegouts == [] and b.records == records
     assert b.ledger.balances == balances
@@ -301,6 +302,12 @@ REFUSALS = {
         b.execute_pegin(b.pegins[1])),
     "relink-linked-pegout": (
         NotTriggered, lambda b, linked, unlinked: b.link_pegout(linked)),
+    "prove-unlinked-pegout": (
+        NotTriggered, lambda b, linked, unlinked:
+        b.prove_front(unlinked, b.pegins[0].deposit_block)),
+    "prove-unfronted-pegout": (
+        NotTriggered, lambda b, linked, unlinked:
+        b.prove_front(linked, b.pegins[0].deposit_block)),
 }
 
 
@@ -339,13 +346,39 @@ def test_executed_pegin_does_not_mint_again():
 
 def test_unfunded_pegin_leaves_its_vmxo_awaiting_pegin():
     b = make_bridge()
-    with pytest.raises(ValueError):
+    with pytest.raises(Insolvent):
         do_pegin(b, funded=False)
     pegin = b.pegins[0]
     assert b.graph.vmxos[pegin.vmxo_id].state == VmxoState.AWAITING_PEGIN
     fund_user(b, "u0")
     b.execute_pegin(pegin)
     assert b.graph.vmxos[pegin.vmxo_id].state == VmxoState.LOCKED
+
+
+def test_insolvent_calls_raise_a_package_error_and_change_nothing():
+    # u1's peg-in was never funded and u2 holds nothing wrapped to burn
+    b = make_bridge(vmxos=3)
+    do_pegin(b, "u0")
+    with pytest.raises(Insolvent):
+        do_pegin(b, "u1", funded=False)
+    unfunded = b.pegins[-1]
+
+    def state():
+        return (list(b.records), dict(b.ledger.balances), list(b.pegouts),
+                {v: b.graph.vmxos[v].state for v in b.graph.vmxo_ids})
+
+    before = state()
+    for call in (lambda: b.execute_pegin(unfunded),
+                 lambda: b.request_pegout("u2", DENOM)):
+        with pytest.raises(Insolvent):
+            call()
+        assert state() == before
+    assert before[3][unfunded.vmxo_id] == VmxoState.AWAITING_PEGIN
+    with pytest.raises(Insolvent):
+        b.ledger.transfer("user:u0:wrapped", "wrapped-issuance", -1)
+    # a package error, and still the ValueError it used to be
+    assert issubclass(Insolvent, BridgeSimError)
+    assert issubclass(Insolvent, ValueError)
 
 
 def test_slash_rejects_non_terminal_trigger():

@@ -1,6 +1,6 @@
 import pytest
 
-from bridgesim.errors import AlreadyRunning, NotRunning
+from bridgesim.errors import AlreadyRunning, BridgeSimError, NotRunning
 from bridgesim.stopwatch import StopWatch, power_of_two_markers
 
 
@@ -22,7 +22,7 @@ def test_stop_commits_interval():
     w.start(10)
     w.stop(12)
     assert w.intervals == (2,)
-    assert not w.running
+    assert w.running_since is None
 
 
 def test_stop_idle_rejected():
@@ -58,13 +58,11 @@ def test_markers_monotone_while_running():
 
 
 def test_aggregate_timeout_cases():
-    w = StopWatch("f1", threshold=7)
-    w.intervals = (2, 3, 1)
+    w = StopWatch("f1", threshold=7, intervals=(2, 3, 1))
     assert not w.aggregate_timeout()
-    w.intervals = (4, 4)
+    w = StopWatch("f1", threshold=7, intervals=(4, 4))
     assert w.aggregate_timeout()
-    w = StopWatch("f1", threshold=7)
-    w.intervals = (3,)
+    w = StopWatch("f1", threshold=7, intervals=(3,))
     w.start(100)
     assert w.aggregate_timeout(105)  # 3 + 5 > 7
 
@@ -87,3 +85,24 @@ def test_bounded_by_per_turn_budget():
         w.stop(t)
         assert not w.aggregate_timeout()
     assert w.accumulated() == k * r
+
+
+def test_total_is_the_sum_of_committed_intervals():
+    w = StopWatch("f1", threshold=100, intervals=(4, 1))
+    assert w.total == 5
+    w.start(10)
+    assert w.stop(13) == w.total == 8
+    # a zero interval is legal: a counter-proof's watch stops where it began
+    w.start(20)
+    assert w.stop(20) == 8
+    assert w.intervals == (4, 1, 3, 0)
+
+
+def test_stop_before_start_refused():
+    w = StopWatch("f1", threshold=100, intervals=(2,))
+    w.start(10)
+    with pytest.raises(BridgeSimError):
+        w.stop(9)
+    # nothing was committed and the watch still runs
+    assert (w.intervals, w.total, w.running_since) == ((2,), 2, 10)
+    assert w.stop(11) == 3
