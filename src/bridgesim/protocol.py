@@ -20,11 +20,11 @@ from typing import Optional
 from .chain import SECONDARY, SOURCE, ChainView, SimClock
 from .econ import CostTable, DISPUTE_ACTION_VBYTES, required_deposit
 from .errors import (ConcurrencyLimit, EnablerUnavailable, Insolvent,
-                     InsufficientConfirmations, MissingSignature, NoCapacity,
-                     NotLinked, NotTriggered, UnknownId, WrongDenomination)
-from .txgraph import (EXTERNAL, SLASHING_KINDS, EnablerRole, EnablerState,
-                      PacketGraph, TxKind, Vmxo, VmxoState,
-                      build_packet_templates)
+                     InsufficientConfirmations, MalformedInput,
+                     MissingSignature, NoCapacity, NotLinked, NotTriggered,
+                     UnknownId, WrongDenomination)
+from .txgraph import (EXTERNAL, SLASHING_KINDS, EnablerState, PacketGraph,
+                      TxKind, Vmxo, VmxoState, build_packet_templates)
 
 
 class PegOutState(str, Enum):
@@ -85,7 +85,6 @@ def event_lines(records: list[dict[str, str]]) -> list[str]:
 class Bridge:
     """Protocol engine for one packet on one pair of chains."""
 
-    fee_fraction = 0.001  # the operator's cut of a fronted peg-out
     cost_table = CostTable()
     # confirmations before a peg-in mints or a front counts (source chain)
     # and before a burn counts (secondary chain)
@@ -157,6 +156,8 @@ class Bridge:
                 self.log("spend", out=f"{ref[0]}:{ref[1]}", by=tx.id)
 
     def pay_dispute_fee(self, party: str, action: str) -> int:
+        if action not in DISPUTE_ACTION_VBYTES:
+            raise MalformedInput(f"unknown dispute action {action!r}")
         vb = getattr(self.cost_table, DISPUTE_ACTION_VBYTES[action])
         fee = self.pay_fee(party, vb, f"dispute:{action}")
         self.dispute_costs[party] = self.dispute_costs.get(party, 0) + fee
@@ -246,19 +247,20 @@ class Bridge:
         return self.graph.vmxo(pegout.vmxo_id)
 
     def front_funds(self, pegout: PegOut, operator: str) -> str:
-        """A slashed or unknown operator has no live operator enabler."""
+        """A slashed operator has no live operator enabler, and an unknown
+        one raises ``UnknownId``; the operator keeps a 0.1% cut."""
         self._linked_vmxo(pegout)
         if pegout.burn_block is None or \
                 self.secondary.confirmations(pegout.burn_block) < self.secondary_confirmations:
             raise InsufficientConfirmations(pegout.burn_tx or "?")
-        if self.graph.enabler_state(operator, EnablerRole.OPERATOR,
+        if self.graph.enabler_state(operator,
                                     pegout.vmxo_id) != EnablerState.LIVE:
             raise EnablerUnavailable(f"operator enabler for {operator}")
         if self.active_pegouts(operator) >= self.pegout_limit:
             raise ConcurrencyLimit(operator)
         if self.separation_left(operator):
             raise ConcurrencyLimit(f"{operator}: t_sep not elapsed")
-        fronted = pegout.amount - int(pegout.amount * self.fee_fraction)
+        fronted = pegout.amount - pegout.amount // 1000
         pegout.operator = operator
         pegout.fronted_tx = f"front:{operator}:{pegout.burn_tx}"
         pegout.state = PegOutState.FRONTED
@@ -310,7 +312,7 @@ class Bridge:
         self.graph.execute(unlock)
         self._log_spends(unlock)
         self.graph.set_enabler_state(EnablerState.CONSUMED, operator,
-                                     EnablerRole.OPERATOR, pegout.vmxo_id)
+                                     pegout.vmxo_id)
         vmxo.state = VmxoState.UNLOCKED
         pegout.state = PegOutState.UNLOCKED
         self.pay_fee(operator, unlock.vbytes, "unlocking")
@@ -327,9 +329,9 @@ class Bridge:
         if not self.graph.adhoc_spend_allowed(vmxo_id):
             self.log("theft_rejected", thief=thief, vmxo=vmxo_id)
             return False
-        vmxo.state = VmxoState.UNLOCKED
         self.transfer(f"vmxo:{vmxo_id}", f"wallet:{thief}",
                       vmxo.amount, "adhoc-theft")
+        vmxo.state = VmxoState.UNLOCKED
         self.log("theft", thief=thief, vmxo=vmxo_id, amount=vmxo.amount)
         return True
 
@@ -352,13 +354,21 @@ class Bridge:
               challengers: list[str], vmxo_id: str) -> None:
         """Burn the loser's enablers and pay out its deposit, once; then
         refund the enabler of every challenger of ``vmxo_id`` but the
-        winner, since their channels against the loser become no-ops."""
+        winner, since their channels against the loser become no-ops.
+        Refuses an unknown winner, challenger, loser or VMXO, and a loser
+        among its own challengers, before any write."""
+        self.graph.vmxo(vmxo_id)
+        for party in (winner, *challengers):
+            if party not in self.graph.position:
+                raise UnknownId(party)
+        if loser in challengers:
+            raise MalformedInput(f"{loser} among its own challengers")
         if loser not in self.slashed:
             self._burn_and_pay(loser, winner, trigger_kind, challengers)
         for ch in challengers:
             if ch == winner:
                 continue
-            slot = (ch, EnablerRole.VERIFIER, vmxo_id, loser)
+            slot = (ch, vmxo_id, loser)
             if self.graph.enabler_state(*slot) == EnablerState.LIVE:
                 self.graph.set_enabler_state(EnablerState.CONSUMED, *slot)
                 self.log("challenge_refunded", verifier=ch, vmxo=vmxo_id)
@@ -376,8 +386,6 @@ class Bridge:
         pot = self.ledger.balances.get(f"deposit:{loser}", 0)
         paid = 0
         for ch in sorted(set(challengers)):
-            if ch == loser:
-                continue
             refund = min(self.dispute_costs.get(ch, 0), pot - paid)
             if refund > 0:
                 self.transfer(f"deposit:{loser}", f"wallet:{ch}", refund,

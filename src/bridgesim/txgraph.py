@@ -36,9 +36,12 @@ graph's ``templates`` holds only what its callers looked up, in the order
 they did, cold or warm.  Each graph holds its own shallow copy, which reads
 its own ceremony record.
 
-An enabler's output index in its owner's enabler-creation template is
-closed-form, and an enabler is live until a run consumes or burns it, so
-the graph stores only those states, by VMXO, in ``used_enablers``.
+An enabler is ``(owner, vmxo_id, counterparty)``: counterparty None is
+the owner's operator enabler, and another functionary the verifier enabler
+that watches it.  Any other triple, or an unknown loser to burn, raises
+``UnknownId``.  An enabler is live until a run consumes or burns it, so the
+graph stores only those states, by VMXO and ``(owner, counterparty)``, in
+``used_enablers``.
 ``template_count`` and ``enabler_count`` give the sizes of the whole graph
 in closed form.
 """
@@ -83,11 +86,6 @@ class TxKind(str, Enum):
 # template kinds whose execution lets a loser's enablers be burnt
 SLASHING_KINDS = frozenset({TxKind.PROVER_LOSES, TxKind.VERIFIER_LOSES,
                             TxKind.FORCE_CLOSE, TxKind.KILL_ENABLERS})
-
-
-class EnablerRole(str, Enum):
-    OPERATOR = "Operator"
-    VERIFIER = "Verifier"
 
 
 class EnablerState(str, Enum):
@@ -160,10 +158,10 @@ class SimTx:
 _TEMPLATE_CACHE: OrderedDict[tuple, SimTx] = OrderedDict()
 
 
-def _enabler_key(owner: str, role: EnablerRole, vmxo_id: str,
-                counterparty: Optional[str] = None) -> str:
-    cp = counterparty or "-"
-    return f"enabler:{owner}:{role.value}:{vmxo_id}:{cp}"
+def _enabler_key(owner: str, vmxo_id: str,
+                 counterparty: Optional[str] = None) -> str:
+    role = "Verifier" if counterparty else "Operator"
+    return f"enabler:{owner}:{role}:{vmxo_id}:{counterparty or '-'}"
 
 
 @dataclass
@@ -193,9 +191,9 @@ class PacketGraph:
                                              type(deposit_per_functionary))
         self.templates: dict[tuple, SimTx] = {}  # looked up, by (kind, *ids)
         self.signers: dict[str, None] = {}  # the ceremony's, in order
-        # VMXO -> (owner, output index) -> state of each enabler a run has
+        # VMXO -> (owner, counterparty) -> state of each enabler a run has
         # consumed or burnt; an enabler not in it is live
-        self.used_enablers: dict[str, dict[tuple[str, int],
+        self.used_enablers: dict[str, dict[tuple[str, Optional[str]],
                                            EnablerState]] = {}
         self.leaked: set[tuple[str, str]] = set()  # (functionary, VMXO)
         self.vmxos = {v: Vmxo(amount) for v in self.vmxo_ids}
@@ -251,10 +249,9 @@ class PacketGraph:
                                 tag=f"deposit:{f}")], vbytes=150)
 
     def _enabler_create(self, f: str) -> SimTx:
-        """One enabler output per (VMXO, role): see ``_enabler_index``."""
+        """One enabler output per slot, in ``_enabler_slots`` order."""
         owned = SpendCondition(signers=frozenset({f}))
-        keys = [_enabler_key(f, role, v, cp)
-                for role, v, cp in self._enabler_slots(f)]
+        keys = [_enabler_key(f, v, cp) for v, cp in self._enabler_slots(f)]
         return SimTx(TxKind.ENABLER_CREATE, [(f"{EXTERNAL}:{f}", 0)],
                      [SimOutput(OutputKind.ENABLER, 0, owned, tag=key)
                       for key in keys], vbytes=100 + 30 * len(keys))
@@ -290,12 +287,14 @@ class PacketGraph:
                      vbytes=CostTable.commit_proof)
 
     def _unlocking(self, v: str, f: str) -> SimTx:
+        """Spends f's operator enabler for v: the first of its N outputs
+        for v."""
         return SimTx(
             TxKind.UNLOCKING,
             [(self._shared((TxKind.LOCKING, v)).id, 0),
              (self._shared((TxKind.KICKOFF, v, f)).id, 0),
              (self._shared((TxKind.ENABLER_CREATE, f)).id,
-              self._enabler_index(f, EnablerRole.OPERATOR, v))],
+              self.vmxo_position[v] * len(self.functionaries))],
             [SimOutput(OutputKind.REWARD, self.vmxos[v].amount,
                        SpendCondition(signers=frozenset({f}), timelock=1),
                        tag=f"payout:{f}")],
@@ -345,48 +344,35 @@ class PacketGraph:
     # -- lookups -----------------------------------------------------------
 
     def _enabler_slots(self, owner: str):
-        """(role, VMXO, counterparty) of each of ``owner``'s enablers, in
-        output order: per VMXO, the operator enabler, then one verifier
-        enabler per other functionary in order."""
+        """(VMXO, counterparty) of each of ``owner``'s enablers, in output
+        order: per VMXO, the operator enabler (counterparty None), then one
+        verifier enabler per other functionary in order."""
         for v in self.vmxo_ids:
-            yield EnablerRole.OPERATOR, v, None
+            yield v, None
             for w in self.functionaries:
                 if w != owner:
-                    yield EnablerRole.VERIFIER, v, w
+                    yield v, w
 
-    def _enabler_index(self, owner: str, role: EnablerRole, vmxo_id: str,
-                       counterparty: Optional[str] = None) -> Optional[int]:
-        """The enabler's output of its owner's EnablerCreate template, in
-        closed form."""
-        po, vi = self.position.get(owner), self.vmxo_position.get(vmxo_id)
-        pc = self.position.get(counterparty) if counterparty else None
-        if po is None or vi is None:
-            return None
-        if role == EnablerRole.OPERATOR and counterparty is None:
-            slot = 0
-        elif role == EnablerRole.VERIFIER and pc is not None and pc != po:
-            slot = 1 + pc - (pc > po)
-        else:
-            return None
-        return vi * len(self.functionaries) + slot
+    def _check_enabler(self, owner: str, vmxo_id: str,
+                       counterparty: Optional[str]) -> None:
+        known = (owner in self.position and vmxo_id in self.vmxos
+                 and (counterparty is None or counterparty in self.position))
+        if not known or counterparty == owner:
+            raise UnknownId((owner, vmxo_id, counterparty))
 
-    def enabler_state(self, owner: str, role: EnablerRole, vmxo_id: str,
-                      counterparty: Optional[str] = None
-                      ) -> Optional[EnablerState]:
-        """The enabler's state, or None if there is no such enabler."""
-        index = self._enabler_index(owner, role, vmxo_id, counterparty)
-        if index is None:
-            return None
-        return self.used_enablers.get(vmxo_id, {}).get((owner, index),
+    def enabler_state(self, owner: str, vmxo_id: str,
+                      counterparty: Optional[str] = None) -> EnablerState:
+        """The enabler's state; ``UnknownId`` if there is no such enabler."""
+        self._check_enabler(owner, vmxo_id, counterparty)
+        return self.used_enablers.get(vmxo_id, {}).get((owner, counterparty),
                                                        EnablerState.LIVE)
 
     def set_enabler_state(self, state: EnablerState, owner: str,
-                          role: EnablerRole, vmxo_id: str,
+                          vmxo_id: str,
                           counterparty: Optional[str] = None) -> None:
-        index = self._enabler_index(owner, role, vmxo_id, counterparty)
-        if index is None:
-            raise UnknownId((owner, role.value, vmxo_id, counterparty))
-        self.used_enablers.setdefault(vmxo_id, {})[owner, index] = state
+        self._check_enabler(owner, vmxo_id, counterparty)
+        self.used_enablers.setdefault(vmxo_id, {})[owner, counterparty] = \
+            state
 
     # -- signing and key management ---------------------------------------
 
@@ -432,20 +418,20 @@ class PacketGraph:
     # -- enabler/force-close semantics -------------------------------------
 
     def burn_enablers(self, loser: str, trigger: Optional[SimTx]) -> int:
-        """Mark each of the loser's live enablers burnt; how many it marked."""
+        """Mark each of the loser's live enablers burnt; how many it marked.
+        ``UnknownId`` if the packet has no such functionary."""
         if trigger is None:
             raise NoTrigger(loser)
         if trigger.template_kind not in SLASHING_KINDS:
             raise NoTrigger(trigger.template_kind.value)
         if loser not in self.position:
-            return 0
-        n, burnt = len(self.functionaries), 0
-        for vi, v in enumerate(self.vmxo_ids):
+            raise UnknownId(loser)
+        burnt = 0
+        for v, cp in self._enabler_slots(loser):
             states = self.used_enablers.setdefault(v, {})
-            for index in range(vi * n, vi * n + n):
-                if (loser, index) not in states:
-                    states[loser, index] = EnablerState.BURNT
-                    burnt += 1
+            if (loser, cp) not in states:
+                states[loser, cp] = EnablerState.BURNT
+                burnt += 1
         return burnt
 
     def apply_force_close(self, vmxo_a: str, vmxo_b: str) -> SimTx:

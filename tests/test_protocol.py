@@ -2,13 +2,13 @@ import pytest
 
 from bridgesim.errors import (BridgeSimError, ConcurrencyLimit,
                              EnablerUnavailable, Insolvent,
-                             InsufficientConfirmations, MissingSignature,
-                             NoCapacity, NotLinked, NotTriggered, UnknownId,
-                             WrongDenomination)
+                             InsufficientConfirmations, MalformedInput,
+                             MissingSignature, NoCapacity, NotLinked,
+                             NotTriggered, UnknownId, WrongDenomination)
 from bridgesim import harness
 from bridgesim.harness import Scenario, Strategy
 from bridgesim.protocol import Bridge, PegIn, PegOut, PegOutState
-from bridgesim.txgraph import EnablerRole, EnablerState, TxKind, VmxoState
+from bridgesim.txgraph import EnablerState, TxKind, VmxoState
 
 DENOM = 100_000_000
 
@@ -20,7 +20,7 @@ def make_bridge(n=3, vmxos=2, **kw):
 
 
 def fund_user(b, user):
-    b.ledger.fund(f"user:{user}:src", DENOM)
+    b.ledger.fund(f"user:{user}:src", b.denomination)
 
 
 def mine_source(b, txs):
@@ -38,7 +38,7 @@ def mine_secondary(b, txs):
 def do_pegin(b, user="u0", funded=True):
     if funded:
         fund_user(b, user)
-    pegin = b.request_pegin(user, DENOM)
+    pegin = b.request_pegin(user, b.denomination)
     b.sign_pegin(pegin, user)
     for f in b.functionaries:
         b.sign_pegin(pegin, f)
@@ -51,7 +51,7 @@ def do_pegin(b, user="u0", funded=True):
 
 
 def do_linked_pegout(b, user="u0"):
-    pegout = b.request_pegout(user, DENOM)
+    pegout = b.request_pegout(user, b.denomination)
     pegout.burn_block = mine_secondary(b, [pegout.burn_tx])
     for _ in range(b.secondary_confirmations):
         mine_secondary(b, [f"spad{b.clock.now}"])
@@ -136,8 +136,11 @@ def test_front_by_unknown_operator_refused():
     b = make_bridge()
     do_pegin(b)
     pegout = do_linked_pegout(b)
-    with pytest.raises(EnablerUnavailable):
+    before = (list(b.records), dict(b.ledger.balances), pegout.state)
+    with pytest.raises(UnknownId):
         b.front_funds(pegout, "f7")
+    assert (b.records, b.ledger.balances, pegout.state) == before
+    assert pegout.operator is None and pegout.fronted_tx is None
 
 
 def test_kickoff_only_on_locked_vmxo():
@@ -181,7 +184,7 @@ def test_honest_pegout_pays_operator_from_vmxo():
     assert pegout.state == PegOutState.UNLOCKED
     assert b.ledger.balances[f"vmxo:{pegout.vmxo_id}"] == 0
     # operator nets the vmxo minus the fronted amount minus fees
-    fronted = DENOM - int(DENOM * b.fee_fraction)
+    fronted = DENOM - DENOM // 1000
     fees = (b.cost_table.commit_proof + 500) * b.fee_rate
     assert b.ledger.balances["wallet:f0"] == before - fronted + DENOM - fees
 
@@ -308,6 +311,23 @@ REFUSALS = {
     "prove-unfronted-pegout": (
         NotTriggered, lambda b, linked, unlinked:
         b.prove_front(linked, b.pegins[0].deposit_block)),
+    "dispute-fee-for-unknown-action": (
+        MalformedInput, lambda b, linked, unlinked:
+        b.pay_dispute_fee("f0", "bribe")),
+    "slash-paying-unknown-winner": (
+        UnknownId, lambda b, linked, unlinked:
+        b.slash("f0", "f9", TxKind.PROVER_LOSES, [], "pkt0:vmxo0")),
+    "slash-refunding-unknown-challenger": (
+        UnknownId, lambda b, linked, unlinked:
+        b.slash("f1", "f0", TxKind.PROVER_LOSES, ["f0", "f9"],
+                "pkt0:vmxo0")),
+    "slash-on-unknown-vmxo": (
+        UnknownId, lambda b, linked, unlinked:
+        b.slash("f1", "f0", TxKind.PROVER_LOSES, ["f0"], "pkt0:vmxo9")),
+    "slash-loser-among-its-challengers": (
+        MalformedInput, lambda b, linked, unlinked:
+        b.slash("f1", "f0", TxKind.PROVER_LOSES, ["f0", "f1"],
+                "pkt0:vmxo0")),
 }
 
 
@@ -321,13 +341,20 @@ def test_refusal_changes_nothing(case):
     b.publish_kickoff(do_linked_pegout(b, "u0"), "f1")
     linked = do_linked_pegout(b, "u1")
     unlinked = b.request_pegout("u2", DENOM)
-    before = (list(b.records), dict(b.ledger.balances), dict(b.graph.spent),
-              set(b.linked_vmxos))
+
+    def state():
+        return (list(b.records), dict(b.ledger.balances),
+                dict(b.graph.spent), set(b.linked_vmxos), set(b.slashed),
+                dict(b.dispute_costs),
+                {v: dict(s) for v, s in b.graph.used_enablers.items()},
+                {v: (x.state, x.operator) for v, x in b.graph.vmxos.items()},
+                [(p.state, p.operator, p.fronted_tx) for p in b.pegouts])
+
+    before = state()
     error, call = REFUSALS[case]
     with pytest.raises(error):
         call(b, linked, unlinked)
-    assert (b.records, b.ledger.balances, b.graph.spent,
-            b.linked_vmxos) == before
+    assert state() == before
 
 
 def test_executed_pegin_does_not_mint_again():
@@ -402,8 +429,8 @@ def test_slash_refunds_later_challengers_even_when_already_slashed():
     b = make_bridge(n=3)
     for vmxo in b.graph.vmxo_ids:
         b.slash("f1", "f0", TxKind.PROVER_LOSES, ["f0", "f2"], vmxo)
-        assert b.graph.enabler_state("f2", EnablerRole.VERIFIER, vmxo,
-                                     counterparty="f1") == EnablerState.CONSUMED
+        assert b.graph.enabler_state("f2", vmxo, counterparty="f1") \
+            == EnablerState.CONSUMED
         assert b.events[-1].endswith(
             f"ev=challenge_refunded verifier=f2 vmxo={vmxo}")
     assert sum(" ev=slashed " in line for line in b.events) == 1
@@ -482,6 +509,42 @@ def test_adhoc_theft_with_all_keys_leaked():
     assert b.ledger.balances[f"vmxo:{pegin.vmxo_id}"] == 0
 
 
+def test_refused_theft_leaves_its_vmxo_awaiting_pegin():
+    # every key of vmxo1 leaked, but no peg-in has locked anything in it
+    b = make_bridge(vmxos=2)
+    do_pegin(b, "u0")
+    free = b.graph.vmxo_ids[1]
+    for f in b.functionaries:
+        b.graph.leak_keys(f, free)
+
+    def state():
+        return (list(b.records), dict(b.ledger.balances),
+                {v: (x.state, x.operator) for v, x in b.graph.vmxos.items()})
+
+    before = state()
+    with pytest.raises(Insolvent):
+        b.adhoc_theft(free, "f0")
+    assert state() == before
+    assert b.graph.vmxos[free].state == VmxoState.AWAITING_PEGIN
+    assert b.request_pegin("u1", DENOM).vmxo_id == free
+
+
+def test_operator_cut_is_exact_above_float_precision():
+    # above 2**53 a float 0.1% cut of this amount is one sat too high
+    amount = 13_035_838_819_189_999
+    assert int(amount * 0.001) == amount // 1000 + 1
+    b = Bridge(["f0", "f1", "f2"], 1, amount)
+    b.graph.sign_all()
+    do_pegin(b)
+    pegout = do_linked_pegout(b)
+    before = b.ledger.balances["wallet:f0"]
+    b.front_funds(pegout, "f0")
+    fronted = amount - 13_035_838_819_189
+    assert before - b.ledger.balances["wallet:f0"] == fronted
+    assert b.ledger.balances["user:u0:src"] == fronted
+    assert b.records[-1]["amount"] == f"{fronted}"
+
+
 def test_slashed_operator_cannot_front():
     b = make_bridge()
     do_pegin(b)
@@ -507,7 +570,7 @@ def test_recycle_enabler_accounting():
 def test_refund_skips_burnt_and_consumed_enablers():
     b = make_bridge(n=3)
     vmxo = b.graph.vmxo_ids[0]
-    slot = ("f2", EnablerRole.VERIFIER, vmxo, "f1")
+    slot = ("f2", vmxo, "f1")
     # f2 lost first, so its enabler against f1 is burnt: no refund
     b.slash("f2", "f0", TxKind.PROVER_LOSES, [], vmxo)
     b.slash("f1", "f0", TxKind.PROVER_LOSES, ["f0", "f2"], vmxo)
@@ -517,8 +580,7 @@ def test_refund_skips_burnt_and_consumed_enablers():
     other = b.graph.vmxo_ids[1]
     for _ in range(2):
         b.slash("f1", "f2", TxKind.VERIFIER_LOSES, ["f0", "f2"], other)
-    assert b.graph.enabler_state("f0", EnablerRole.VERIFIER, other,
-                                 "f1") == EnablerState.CONSUMED
+    assert b.graph.enabler_state("f0", other, "f1") == EnablerState.CONSUMED
     assert sum(" ev=challenge_refunded " in line for line in b.events) == 1
 
 
@@ -532,8 +594,8 @@ def test_recycle_counts_match_every_slot_after_slash_and_refund():
     assert pegout.state == PegOutState.INVALIDATED
     counts = b.recycle_enablers(pegout)
     g = b.graph
-    states = [g.enabler_state(owner, role, v, cp) for owner in g.functionaries
-              for role, v, cp in g._enabler_slots(owner)
+    states = [g.enabler_state(owner, v, cp) for owner in g.functionaries
+              for v, cp in g._enabler_slots(owner)
               if v == pegout.vmxo_id]
     assert len(states) == 3 ** 2
     assert counts == {state.value.lower(): states.count(state)

@@ -9,10 +9,9 @@ from bridgesim.econ import CostTable
 from bridgesim.errors import (AlreadyClosed, NoTrigger, NotSameOperator,
                              PrematureDeletion, SpendRejected,
                              TooFewFunctionaries, UnknownId)
-from bridgesim.txgraph import (EXTERNAL, EnablerRole, EnablerState,
-                              OutputKind, SimOutput, SimTx, SpendCondition,
-                              TxKind, VmxoState, _serial,
-                              build_packet_templates)
+from bridgesim.txgraph import (EXTERNAL, EnablerState, OutputKind,
+                              SimOutput, SimTx, SpendCondition, TxKind,
+                              VmxoState, _serial, build_packet_templates)
 
 F3 = ["f0", "f1", "f2"]
 
@@ -35,10 +34,9 @@ def test_n2_counts():
     for k in kickoffs:
         channels = [o for o in k.outputs if o.kind == OutputKind.DISPUTE_CHANNEL]
         assert len(channels) == 1
-    roles = [role for f in g.functionaries
-             for role, _, _ in g._enabler_slots(f)]
-    assert roles.count(EnablerRole.OPERATOR) == 2
-    assert roles.count(EnablerRole.VERIFIER) == 2
+    counterparties = [cp for f in g.functionaries
+                      for _, cp in g._enabler_slots(f)]
+    assert counterparties == [None, "f1", None, "f0"]
 
 
 def test_n3_channel_count():
@@ -203,35 +201,31 @@ def test_burn_enablers_all_live_to_burnt():
         EnablerState.BURNT}
     # a repeat burn marks none
     assert g.burn_enablers("f0", trigger) == 0
-    assert g.enabler_state("f1", EnablerRole.OPERATOR,
-                           g.vmxo_ids[0]) == EnablerState.LIVE
+    assert g.enabler_state("f1", g.vmxo_ids[0]) == EnablerState.LIVE
 
 
 def test_burn_skips_consumed_enabler():
     g = packet()
     v = g.vmxo_ids[0]
-    g.set_enabler_state(EnablerState.CONSUMED, "f0", EnablerRole.OPERATOR, v)
+    g.set_enabler_state(EnablerState.CONSUMED, "f0", v)
     kill = g.template(TxKind.KILL_ENABLERS, "f0")
     assert g.burn_enablers("f0", kill) == 2
-    assert g.enabler_state("f0", EnablerRole.OPERATOR,
-                           v) == EnablerState.CONSUMED
-    assert g.enabler_state("f0", EnablerRole.VERIFIER, v,
-                           "f2") == EnablerState.BURNT
+    assert g.enabler_state("f0", v) == EnablerState.CONSUMED
+    assert g.enabler_state("f0", v, "f2") == EnablerState.BURNT
 
 
 def test_no_such_enabler_has_no_state():
     g = packet()
     v = g.vmxo_ids[0]
-    for slot in [("f0", EnablerRole.VERIFIER, v, "f0"),  # its own loser
-                 ("f0", EnablerRole.OPERATOR, "nov"),
-                 ("f9", EnablerRole.OPERATOR, v),
-                 ("f0", EnablerRole.OPERATOR, v, "f1"),
-                 ("f0", EnablerRole.VERIFIER, v)]:
-        assert g.enabler_state(*slot) is None
-        with pytest.raises(KeyError):
+    for slot in [("f0", v, "f0"),  # no enabler watches its own owner
+                 ("f0", "nov"), ("f9", v), ("f0", v, "f9"), ("f9", v, "f0")]:
+        with pytest.raises(UnknownId):
+            g.enabler_state(*slot)
+        with pytest.raises(UnknownId):
             g.set_enabler_state(EnablerState.CONSUMED, *slot)
     kill = g.template(TxKind.KILL_ENABLERS, "f0")
-    assert g.burn_enablers("f9", kill) == 0
+    with pytest.raises(UnknownId):
+        g.burn_enablers("f9", kill)
     assert g.used_enablers == {}
 
 
@@ -248,8 +242,7 @@ def test_post_burn_kickoff_lacks_operator_enabler():
     g = packet()
     trigger = g.template(TxKind.PROVER_LOSES, g.vmxo_ids[0], "f0", "f1")
     g.burn_enablers("f0", trigger)
-    assert g.enabler_state("f0", EnablerRole.OPERATOR,
-                           g.vmxo_ids[0]) == EnablerState.BURNT
+    assert g.enabler_state("f0", g.vmxo_ids[0]) == EnablerState.BURNT
 
 
 def test_signature_invalidation_cascade():
@@ -318,7 +311,7 @@ def test_packet_count_and_validation(n, v):
     assert validate_graph(g) == []
     # each functionary's slots are its enabler outputs, in order
     for f in fs:
-        assert [g._enabler_index(f, *slot) for slot in g._enabler_slots(f)] \
+        assert [enabler_index(g, f, *slot) for slot in g._enabler_slots(f)] \
             == list(range(len(g.template(TxKind.ENABLER_CREATE,
                                          f).outputs)))
     create = g.template(TxKind.ENABLER_CREATE, "f0")
@@ -419,8 +412,8 @@ def test_terminal_built_after_ceremony_carries_its_signers():
 
 def eager_reference(functionaries, vmxo_count, amount, deposit):
     """Every template by (kind, *ids) and every enabler's outpoint by
-    (owner, role, VMXO, counterparty), built in one pass up front: a frozen
-    copy of the eager build that on-lookup building must agree with."""
+    (owner, VMXO, counterparty), built in one pass up front: a frozen copy
+    of the eager build that on-lookup building must agree with."""
     vmxo_ids = [f"pkt0:vmxo{i}" for i in range(vmxo_count)]
     txs, outpoints = {}, {}
     for f in functionaries:
@@ -431,14 +424,15 @@ def eager_reference(functionaries, vmxo_count, amount, deposit):
                        tag=f"deposit:{f}")], vbytes=150)
         slots = []
         for v in vmxo_ids:
-            slots.append((f, EnablerRole.OPERATOR, v, None))
-            slots += [(f, EnablerRole.VERIFIER, v, w)
-                      for w in functionaries if w != f]
+            slots.append((f, v, None))
+            slots += [(f, v, w) for w in functionaries if w != f]
         owned = SpendCondition(signers=frozenset({f}))
         create = SimTx(TxKind.ENABLER_CREATE, [(f"ext:{f}", 0)],
                        [SimOutput(OutputKind.ENABLER, 0, owned,
-                                  tag=f"enabler:{f}:{r.value}:{v}:{w or '-'}")
-                        for f, r, v, w in slots],
+                                  tag=f"enabler:{f}:Operator:{v}:-"
+                                  if w is None else
+                                  f"enabler:{f}:Verifier:{v}:{w}")
+                        for f, v, w in slots],
                        vbytes=100 + 30 * len(slots))
         txs[TxKind.ENABLER_CREATE, f] = create
         outpoints.update((slot, (create.id, i))
@@ -463,7 +457,7 @@ def eager_reference(functionaries, vmxo_count, amount, deposit):
             txs[TxKind.UNLOCKING, v, f] = SimTx(
                 TxKind.UNLOCKING,
                 [(locking.id, 0), (kick.id, 0),
-                 outpoints[(f, EnablerRole.OPERATOR, v, None)]],
+                 outpoints[(f, v, None)]],
                 [SimOutput(OutputKind.REWARD, amount,
                            SpendCondition(signers=frozenset({f}), timelock=1),
                            tag=f"payout:{f}")], vbytes=500)
@@ -502,6 +496,17 @@ def build_all(g):
         g.template(*key)
 
 
+def enabler_index(g, owner, vmxo_id, counterparty=None):
+    """The enabler's output in its owner's EnablerCreate template, in
+    closed form: N per VMXO, the operator enabler (counterparty None)
+    first, then one per other functionary in order."""
+    slot = 0
+    if counterparty is not None:
+        pc, po = g.position[counterparty], g.position[owner]
+        slot = 1 + pc - (pc > po)
+    return g.vmxo_position[vmxo_id] * len(g.functionaries) + slot
+
+
 def validate_graph(g):
     """Structural checks over the whole template graph, built first;
     violations as strings: a reference the run code does not call."""
@@ -525,7 +530,7 @@ def validate_graph(g):
     for f in g.functionaries:
         if (TxKind.KILL_ENABLERS, f) in g.templates:
             create = g.template(TxKind.ENABLER_CREATE, f).id
-            refs = {(create, g._enabler_index(f, *slot))
+            refs = {(create, enabler_index(g, f, *slot))
                     for slot in g._enabler_slots(f)}
             kill = g.template(TxKind.KILL_ENABLERS, f)
             kill_misses[f] = len(refs - set(kill.inputs))
@@ -547,7 +552,7 @@ def validate_graph(g):
             continue
         _, vmxo_id, f = key
         op_ref = (g.template(TxKind.ENABLER_CREATE, f).id,
-                  g._enabler_index(f, EnablerRole.OPERATOR, vmxo_id))
+                  enabler_index(g, f, vmxo_id))
         if sum(r == op_ref for r in tx.inputs) != 1:
             violations.append(f"{key}: must consume exactly one operator enabler")
         kick = g.template(TxKind.KICKOFF, vmxo_id, f)
@@ -599,6 +604,6 @@ def test_every_lookup_matches_eager_reference(n, v):
     for slot in slots:
         assert g.enabler_state(*slot) == EnablerState.LIVE
         assert (g.template(TxKind.ENABLER_CREATE, slot[0]).id,
-                g._enabler_index(*slot)) == outpoints[slot]
+                enabler_index(g, *slot)) == outpoints[slot]
     assert g.used_enablers == {}
     assert validate_graph(g) == []
