@@ -247,9 +247,11 @@ class Bridge:
         return self.graph.vmxo(pegout.vmxo_id)
 
     def front_funds(self, pegout: PegOut, operator: str) -> str:
-        """A slashed operator has no live operator enabler, and an unknown
-        one raises ``UnknownId``; the operator keeps a 0.1% cut."""
+        """Front a ``Linked`` peg-out once; a slashed operator has no live
+        enabler, an unknown one raises ``UnknownId``.  It keeps a 0.1% cut."""
         self._linked_vmxo(pegout)
+        if pegout.state != PegOutState.LINKED:
+            raise NotTriggered(f"{pegout.burn_tx} is {pegout.state.value}")
         if pegout.burn_block is None or \
                 self.secondary.confirmations(pegout.burn_block) < self.secondary_confirmations:
             raise InsufficientConfirmations(pegout.burn_tx or "?")
@@ -378,9 +380,8 @@ class Bridge:
         if trigger_kind not in SLASHING_KINDS:
             raise NotTriggered(trigger_kind.value)
         # refuses an unknown loser before any change
-        kill = self.graph.template(TxKind.KILL_ENABLERS, loser)
+        burnt = self.graph.burn_enablers(loser, trigger_kind)
         self.slashed.add(loser)
-        burnt = self.graph.burn_enablers(loser, kill)
         self.log("enablers_burnt", loser=loser, count=burnt)
         # deposit pot: reimburse challengers' dispute costs, rest to winner
         pot = self.ledger.balances.get(f"deposit:{loser}", 0)

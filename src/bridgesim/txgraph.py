@@ -39,11 +39,11 @@ its own ceremony record.
 An enabler is ``(owner, vmxo_id, counterparty)``: counterparty None is
 the owner's operator enabler, and another functionary the verifier enabler
 that watches it.  Any other triple, or an unknown loser to burn, raises
-``UnknownId``.  An enabler is live until a run consumes or burns it, so the
+``UnknownId``.  A burn takes the slashing template's kind, so it builds no
+template.  An enabler is live until a run consumes or burns it, so the
 graph stores only those states, by VMXO and ``(owner, counterparty)``, in
-``used_enablers``.
-``template_count`` and ``enabler_count`` give the sizes of the whole graph
-in closed form.
+``used_enablers``.  ``template_count`` and ``enabler_count`` give the sizes
+of the whole graph in closed form.
 """
 
 from __future__ import annotations
@@ -417,13 +417,12 @@ class PacketGraph:
 
     # -- enabler/force-close semantics -------------------------------------
 
-    def burn_enablers(self, loser: str, trigger: Optional[SimTx]) -> int:
+    def burn_enablers(self, loser: str, trigger: Optional[TxKind]) -> int:
         """Mark each of the loser's live enablers burnt; how many it marked.
-        ``UnknownId`` if the packet has no such functionary."""
-        if trigger is None:
-            raise NoTrigger(loser)
-        if trigger.template_kind not in SLASHING_KINDS:
-            raise NoTrigger(trigger.template_kind.value)
+        ``NoTrigger`` unless ``trigger`` is a slashing kind, and ``UnknownId``
+        for an unknown loser, both before any write."""
+        if trigger not in SLASHING_KINDS:
+            raise NoTrigger(trigger.value if trigger else loser)
         if loser not in self.position:
             raise UnknownId(loser)
         burnt = 0

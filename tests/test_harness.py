@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from bridgesim import txgraph
 from bridgesim.errors import InvalidScenario
 from bridgesim.harness import (_MINIMUMS, INT_KEYS, CensorSpec, Runner,
                               RunReport, Scenario, Strategy, _parse,
@@ -419,6 +420,7 @@ def test_n100_run_builds_only_what_it_touches(strategy):
                   vmxo_count=v, n_pegins=2, n_pegouts=2,
                   adversary=None if strategy == Strategy.HONEST else 1,
                   strategy=strategy)
+    txgraph._TEMPLATE_CACHE.clear()
     runner = Runner(sc)
     runner.setup()
     runner.run_pegins()
@@ -432,6 +434,9 @@ def test_n100_run_builds_only_what_it_touches(strategy):
     assert hashlib.sha256(log).hexdigest()[:16] == N100_LOGS[strategy]
     setup_done = next(l for l in report.log if " ev=setup_done " in l)
     assert setup_done.endswith(" enablers=40000 templates=80904")
+    # the cache, cleared before the run, holds what the run built: the
+    # templates it looked up and their parents
     g = runner.bridge.graph
-    assert len(g.templates) <= 20
+    assert len(g.templates) <= 5
+    assert len(txgraph._TEMPLATE_CACHE) <= 8
     assert sum(map(len, g.used_enablers.values())) <= 3 * n * v

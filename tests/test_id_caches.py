@@ -7,7 +7,9 @@ import pytest
 
 from bridgesim import chain, txgraph
 from bridgesim.chain import BlockHeader, _digest
-from bridgesim.harness import generate_adversarial_scenarios, scenario_corpus
+from bridgesim.harness import (Scenario, Strategy,
+                               generate_adversarial_scenarios, run_scenario,
+                               scenario_corpus)
 from bridgesim.txgraph import TxKind, _serial, build_packet_templates
 from test_txgraph import build_all, eager_reference
 
@@ -88,8 +90,7 @@ def test_a_lookup_holds_only_the_template_looked_up():
 
 
 # the kinds protocol looks up; every other template is only a parent
-LOOKED_UP = {TxKind.KICKOFF, TxKind.UNLOCKING, TxKind.KILL_ENABLERS,
-             TxKind.FORCE_CLOSE}
+LOOKED_UP = {TxKind.KICKOFF, TxKind.UNLOCKING, TxKind.FORCE_CLOSE}
 
 
 def test_runs_hold_only_the_templates_protocol_looks_up(run_with_bridge):
@@ -123,14 +124,20 @@ def test_only_deposit_create_reads_the_deposit():
             assert tx.id == b.templates[key].id, key
 
 
-def test_caches_stay_bounded_over_the_sweep(run_with_bridge, monkeypatch):
-    txgraph._TEMPLATE_CACHE.clear()
+def counted_builds(monkeypatch) -> list:
+    """From now on, each rule call's ``(kind, *ids)``, in order."""
     built = []
     for kind, (rule, ids) in list(txgraph._RULES.items()):
-        def counted(*args, rule=rule, **kwargs):
-            built.append(args)
-            return rule(*args, **kwargs)
+        def counted(graph, *args, kind=kind, rule=rule, **kwargs):
+            built.append((kind, *args))
+            return rule(graph, *args, **kwargs)
         monkeypatch.setitem(txgraph._RULES, kind, (counted, ids))
+    return built
+
+
+def test_caches_stay_bounded_over_the_sweep(run_with_bridge, monkeypatch):
+    txgraph._TEMPLATE_CACHE.clear()
+    built = counted_builds(monkeypatch)
     held = 0
     for sc in generate_adversarial_scenarios(500):
         held += len(run_with_bridge(sc)[1].graph.templates)
@@ -140,6 +147,21 @@ def test_caches_stay_bounded_over_the_sweep(run_with_bridge, monkeypatch):
     assert info.maxsize == chain.HEADER_CACHE_SIZE
     assert 0 < info.currsize <= chain.HEADER_CACHE_SIZE
     assert info.hits > 0
+
+
+def test_a_slash_builds_no_kill_template(monkeypatch):
+    # a committee-sized run whose adversary is slashed, on a cold cache
+    txgraph._TEMPLATE_CACHE.clear()
+    built = counted_builds(monkeypatch)
+    sc = Scenario(name="committee-n50", seed=1, n_functionaries=50,
+                  vmxo_count=4, n_pegins=2, n_pegouts=2, adversary=7,
+                  strategy=Strategy.FAKE_PROOF_PROVER)
+    report = run_scenario(sc)
+    assert report.all_passed
+    assert any(" ev=slashed loser=f7 " in line for line in report.log)
+    assert (TxKind.KICKOFF, "pkt0:vmxo0", "f7") in built
+    assert not [key for key in built if key[0] == TxKind.KILL_ENABLERS]
+    assert (TxKind.ENABLER_CREATE, "f7") not in built
 
 
 @pytest.mark.parametrize("size", [0, 1])

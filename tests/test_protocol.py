@@ -143,6 +143,22 @@ def test_front_by_unknown_operator_refused():
     assert pegout.operator is None and pegout.fronted_tx is None
 
 
+def test_second_front_refused_before_any_change():
+    # the limit would let f1 front too: the peg-out's state alone refuses
+    b = make_bridge(pegout_limit=5)
+    do_pegin(b)
+    pegout = do_linked_pegout(b)
+    b.front_funds(pegout, "f0")
+    before = (list(b.records), dict(b.ledger.balances), pegout.state,
+              pegout.operator, pegout.fronted_tx)
+    with pytest.raises(NotTriggered):
+        b.front_funds(pegout, "f1")
+    assert (b.records, b.ledger.balances, pegout.state, pegout.operator,
+            pegout.fronted_tx) == before
+    assert b.ledger.balances["user:u0:src"] == DENOM - DENOM // 1000
+    assert b.active_pegouts("f0") == 1
+
+
 def test_kickoff_only_on_locked_vmxo():
     b = make_bridge()
     do_pegin(b)
@@ -258,6 +274,7 @@ def test_slash_refuses_unknown_loser_before_any_change():
     with pytest.raises(UnknownId):
         b.slash("f7", "f0", TxKind.PROVER_LOSES, ["f0"], "pkt0:vmxo0")
     assert b.slashed == set() and b.graph.spent == {}
+    assert b.graph.used_enablers == {}
     assert b.ledger.balances == balances and b.records == records
 
 
@@ -279,6 +296,9 @@ REFUSALS = {
         b.publish_kickoff(unlinked, "f1")),
     "unlock-unlinked": (
         NotLinked, lambda b, linked, unlinked: b.unlock(unlinked)),
+    "front-kicked-off-pegout": (
+        NotTriggered, lambda b, linked, unlinked:
+        b.front_funds(b.pegouts[0], "f0")),
     "front-linked-to-unknown-vmxo": (
         UnknownId, lambda b, linked, unlinked:
         b.front_funds(elsewhere(linked), "f0")),

@@ -193,14 +193,14 @@ def test_force_close_pair_given_in_reverse():
 
 def test_burn_enablers_all_live_to_burnt():
     g = packet(vmxos=2)
-    trigger = g.template(TxKind.PROVER_LOSES, g.vmxo_ids[0], "f0", "f1")
     slots = list(g._enabler_slots("f0"))
     assert len(slots) == 6
-    assert g.burn_enablers("f0", trigger) == 6
+    assert g.burn_enablers("f0", TxKind.PROVER_LOSES) == 6
     assert {g.enabler_state("f0", *slot) for slot in slots} == {
         EnablerState.BURNT}
-    # a repeat burn marks none
-    assert g.burn_enablers("f0", trigger) == 0
+    # a repeat burn marks none, and a burn builds no template
+    assert g.burn_enablers("f0", TxKind.PROVER_LOSES) == 0
+    assert g.templates == {}
     assert g.enabler_state("f1", g.vmxo_ids[0]) == EnablerState.LIVE
 
 
@@ -208,8 +208,7 @@ def test_burn_skips_consumed_enabler():
     g = packet()
     v = g.vmxo_ids[0]
     g.set_enabler_state(EnablerState.CONSUMED, "f0", v)
-    kill = g.template(TxKind.KILL_ENABLERS, "f0")
-    assert g.burn_enablers("f0", kill) == 2
+    assert g.burn_enablers("f0", TxKind.KILL_ENABLERS) == 2
     assert g.enabler_state("f0", v) == EnablerState.CONSUMED
     assert g.enabler_state("f0", v, "f2") == EnablerState.BURNT
 
@@ -223,25 +222,22 @@ def test_no_such_enabler_has_no_state():
             g.enabler_state(*slot)
         with pytest.raises(UnknownId):
             g.set_enabler_state(EnablerState.CONSUMED, *slot)
-    kill = g.template(TxKind.KILL_ENABLERS, "f0")
     with pytest.raises(UnknownId):
-        g.burn_enablers("f9", kill)
+        g.burn_enablers("f9", TxKind.KILL_ENABLERS)
     assert g.used_enablers == {}
 
 
 def test_burn_requires_trigger():
     g = packet()
-    with pytest.raises(NoTrigger):
-        g.burn_enablers("f0", None)
-    locking = g.template(TxKind.LOCKING, g.vmxo_ids[0])
-    with pytest.raises(NoTrigger):
-        g.burn_enablers("f0", locking)
+    for kind in (None, TxKind.LOCKING):
+        with pytest.raises(NoTrigger):
+            g.burn_enablers("f0", kind)
+    assert g.used_enablers == {}
 
 
 def test_post_burn_kickoff_lacks_operator_enabler():
     g = packet()
-    trigger = g.template(TxKind.PROVER_LOSES, g.vmxo_ids[0], "f0", "f1")
-    g.burn_enablers("f0", trigger)
+    g.burn_enablers("f0", TxKind.PROVER_LOSES)
     assert g.enabler_state("f0", g.vmxo_ids[0]) == EnablerState.BURNT
 
 
