@@ -20,7 +20,7 @@ from .dispute import (ExecutionTrace, challenge, drive, open_game,
                       resolve_no_challenge, settle_counter_proof)
 from .errors import InvalidScenario, NoCapacity, TimeoutExpired
 from .lightclient import AltChainInput, CheckChainInput
-from .protocol import Bridge, PegOut, PegOutState, event_lines
+from .protocol import EVENT_SCHEMA, Bridge, PegOut, PegOutState, event_lines
 from .stopwatch import power_of_two_markers
 from .txgraph import TxKind, VmxoState
 
@@ -147,8 +147,13 @@ class Runner:
         scenario.validate()
         self.sc = scenario
         self.rng = random.Random(scenario.seed)
+        # the parties, computed once
+        self.functionaries = scenario.functionary_ids
+        self.adversary = scenario.adversary_id
+        self.honest = [] if scenario.leak_all else [
+            f for f in self.functionaries if f != self.adversary]
         self.bridge = Bridge(
-            scenario.functionary_ids, scenario.vmxo_count,
+            self.functionaries, scenario.vmxo_count,
             scenario.denomination, fee_rate=scenario.fee_rate,
             pegout_limit=scenario.pegout_limit, t_sep=scenario.t_sep)
         self.bridge.clock.censor_windows = list(scenario.censor)
@@ -156,11 +161,6 @@ class Runner:
         self.outcomes: list[str] = []
 
     # -- helpers -----------------------------------------------------------
-
-    @property
-    def honest(self) -> list[str]:
-        return [] if self.sc.leak_all else [
-            f for f in self.sc.functionary_ids if f != self.sc.adversary_id]
 
     def mine_source(self, txs: list[str]) -> str:
         b = self.bridge.source.mine_block(self.bridge.source.tip().id, txs)
@@ -180,9 +180,9 @@ class Runner:
         b.log("meta", kind="scenario", name=sc.name, seed=sc.seed,
               rng=RNG_ALGORITHM)
         b.log("meta", kind="parties",
-              functionaries=",".join(sc.functionary_ids),
+              functionaries=",".join(self.functionaries),
               honest=",".join(self.honest) or "-",
-              adversary=sc.adversary_id or "-",
+              adversary=self.adversary or "-",
               strategy=sc.strategy.value, leak_all=sc.leak_all)
         b.log("meta", kind="params", denomination=sc.denomination,
               fee_rate=sc.fee_rate, threshold=sc.watch_threshold,
@@ -197,13 +197,12 @@ class Runner:
         # record that every template reads, built now or later; then keys
         # are deleted (or leaked, for the dishonest)
         b.graph.sign_all()
-        functionaries = sc.functionary_ids
+        leakers = set(self.functionaries) if sc.leak_all else set()
+        if sc.strategy == Strategy.KEY_LEAKER:
+            leakers.add(self.adversary)
         for v in b.graph.vmxo_ids:
-            for f in functionaries:
-                leaks = sc.leak_all or (
-                    sc.strategy == Strategy.KEY_LEAKER
-                    and f == sc.adversary_id)
-                if leaks:
+            for f in self.functionaries:
+                if f in leakers:
                     b.graph.leak_keys(f, v)
                     b.log("keys_leaked", functionary=f, vmxo=v)
                 else:
@@ -218,7 +217,7 @@ class Runner:
         for u in self.users:
             pegin = b.request_pegin(u, sc.denomination)
             b.sign_pegin(pegin, u)
-            for f in sc.functionary_ids:
+            for f in self.functionaries:
                 b.sign_pegin(pegin, f)
             tx = b.broadcast_pegin(pegin)
             pegin.deposit_block = self.mine_source([tx])
@@ -334,10 +333,10 @@ class Runner:
 
     def _pick_operator(self) -> str:
         """An unslashed operator, honest if any, who can front soonest."""
-        b, sc = self.bridge, self.sc
+        b = self.bridge
         pool = [f for f in self.honest if f not in b.slashed]
         if not pool:
-            pool = [f for f in sc.functionary_ids if f not in b.slashed]
+            pool = [f for f in self.functionaries if f not in b.slashed]
         return min(pool, key=lambda f: (b.separation_left(f), f))
 
     def _honest_verifiers(self, excluding: str) -> list[str]:
@@ -366,7 +365,7 @@ class Runner:
         self._front_and_kick_off(pegout, operator)
         honest_trace = ExecutionTrace.honest(
             f"pegout:{pegout.burn_tx}", TRACE_LENGTH)
-        adv = sc.adversary_id
+        adv = self.adversary
         griefer = (adv if sc.strategy == Strategy.GRIEFING_VERIFIER
                    and adv not in (None, operator)
                    and adv not in b.slashed else None)
@@ -465,7 +464,7 @@ class Runner:
 
     def run_pegouts(self) -> None:
         b, sc = self.bridge, self.sc
-        adv = sc.adversary_id
+        adv = self.adversary
         for i in range(sc.n_pegouts):
             user = self.users[i]
             pegout = b.request_pegout(user, sc.denomination)
@@ -504,7 +503,7 @@ class Runner:
         wants_theft = sc.leak_all or sc.strategy == Strategy.KEY_LEAKER
         if not wants_theft:
             return
-        thief = sc.adversary_id or sc.functionary_ids[0]
+        thief = self.adversary or self.functionaries[0]
         target = next((v for v in b.graph.vmxo_ids
                        if b.graph.vmxos[v].state == VmxoState.LOCKED), None)
         if target is not None:
@@ -549,38 +548,42 @@ def _parse(line: str) -> dict:
 
 EVENT_LINE = re.compile(r"t=-?\d+ seq=\d+ ev=\w+(?: .*)?")
 INTEGER = re.compile(r"-?\d+")
-# the fields check_invariants reads from each kind of event
-EVENT_FIELDS = {
-    "balance": ("account", "amount"), "final_balance": ("account", "amount"),
-    "transfer": ("src", "dst", "amount"), "spend": ("out",),
-    "pegin_requested": ("user",), "minted": ("user",),
-    "pegout_burn": ("tx",), "pegout_linked": ("tx", "vmxo"),
-    "fronted": ("tx",), "burn_confirmed": ("tx",), "unlocked": ("vmxo",),
-    "theft": ("thief", "vmxo"), "slashed": ("loser",),
-    "enablers_burnt": ("loser",),
-}
+# the kinds of event that no verdict reads
+UNREAD = frozenset({
+    "challenge_refunded", "challenge_window_expired", "dispute_outcome",
+    "enablers_recycled", "force_close", "fork_mined", "front_proven",
+    "keys_leaked", "pegout_invalidated", "pegout_released", "setup_done",
+    "sw_stop", "sw_tick", "theft_rejected", "watch_total"})
 
 
 def malformed_log(events: Sequence[Union[str, dict]]) -> Optional[str]:
     """Why a saved log cannot be one whole run's log, or None.  Each event
     is a text line or a record, which must render as such a line.  Every
-    line must be an event with the fields the checker reads, its amounts
-    integers, and the run's scenario, parameters, end of setup and a final
-    balance for every account it moved must be there.  Lines run in the
-    order they were logged: ``seq`` counts 1, 2, ... and ``t`` never
-    decreases, so a deleted or reordered line shows."""
+    line must be an event with its amounts integers and exactly its kind's
+    fields, in ``EVENT_SCHEMA`` order, and the run's scenario, parameters,
+    end of setup and a final balance for every account it moved must be
+    there.  Lines run in the order they were logged: ``seq`` counts 1, 2,
+    ... and ``t`` never decreases, so a deleted or reordered line shows."""
     log = [e if isinstance(e, str) else event_lines([e])[0] for e in events]
     for lineno, line in enumerate(log, 1):
         if not EVENT_LINE.fullmatch(line):
             return f"line {lineno} is not an event: {line[:60]!r}"
     events = [_parse(e) if isinstance(e, str) else e for e in events]
     for lineno, e in enumerate(events, 1):
-        for name in EVENT_FIELDS.get(e["ev"], ()):
-            if name not in e:
-                return f"line {lineno} has no {name}: {log[lineno - 1][:60]!r}"
         for name in ("t", "seq", "amount", "bound"):
             if name in e and not INTEGER.fullmatch(e[name]):
                 return f"line {lineno} has a non-integer {name}: {e[name]!r}"
+        line = log[lineno - 1]
+        names = EVENT_SCHEMA.get(e["ev"]) or EVENT_SCHEMA.get(
+            (e["ev"], e.get("kind")))
+        if names is None:
+            return f"line {lineno} is of no known kind: {line[:60]!r}"
+        fields = tuple(p.partition("=")[0] for p in line.split()[3:])
+        if fields != names:
+            missing = [n for n in names if n not in fields]
+            what = (f"no {missing[0]}" if missing else
+                    f"fields {' '.join(fields)}, not {' '.join(names)}")
+            return f"line {lineno} has {what}: {line[:60]!r}"
     seen = {(e["ev"], e.get("kind")) for e in events}
     for ev, kind, what in [("meta", "scenario", "meta kind=scenario"),
                            ("meta", "params", "meta kind=params"),
@@ -628,10 +631,16 @@ def check_invariants(events: Sequence[Union[str, dict]]) -> list[Verdict]:
         if isinstance(e, str):
             e = _parse(e)
         ev = e.get("ev")
+        if ev in UNREAD:
+            continue
         if ev == "transfer":
             amount = int(e["amount"])
             moved[e["src"]] = moved.get(e["src"], 0) - amount
             moved[e["dst"]] = moved.get(e["dst"], 0) + amount
+        elif ev == "balance":
+            opening[e["account"]] = int(e["amount"])
+        elif ev == "final_balance":
+            finals[e["account"]] = int(e["amount"])
         elif ev == "dispute_pub" or ev == "kickoff" or ev == "fronted":
             actor = e.get("actor" if ev == "dispute_pub" else "operator")
             if actor in burnt_at and int(e.get("seq", 0)) > burnt_at[actor]:
@@ -645,10 +654,6 @@ def check_invariants(events: Sequence[Union[str, dict]]) -> list[Verdict]:
                 if e["out"] in spent:
                     double_spent = e["out"]
                 spent.add(e["out"])
-        elif ev == "balance":
-            opening[e["account"]] = int(e["amount"])
-        elif ev == "final_balance":
-            finals[e["account"]] = int(e["amount"])
         elif ev == "meta":
             if e.get("kind") == "parties":
                 parties = e

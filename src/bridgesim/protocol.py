@@ -13,6 +13,7 @@ costs, with the remainder going to the first-confirmed winner.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -77,6 +78,45 @@ class Ledger:
         self.balances[to] = self.balances.get(to, 0) + amount
 
 
+# Each event kind's fields in the order its record holds them, which is by
+# name; a meta event is keyed by its kind.
+EVENT_SCHEMA = {
+    "balance": ("account", "amount"),
+    "burn_confirmed": ("block", "canonical", "tx"),
+    "challenge_refunded": ("verifier", "vmxo"),
+    "challenge_window_expired": ("operator", "vmxo"),
+    "dispute_outcome": ("kind", "loser", "prover", "reason", "verifier",
+                        "winner"),
+    "dispute_pub": ("action", "actor", "at"),
+    "enablers_burnt": ("count", "loser"),
+    "enablers_recycled": ("burnt", "consumed", "live", "vmxo"),
+    "final_balance": ("account", "amount"),
+    "force_close": ("closer", "operator", "vmxo_a", "vmxo_b"),
+    "fork_mined": ("anchor", "blocks", "by"), "front_proven": ("tx",),
+    "fronted": ("amount", "operator", "tx", "user"),
+    "keys_leaked": ("functionary", "vmxo"),
+    "kickoff": ("honest", "operator", "vmxo"),
+    "minted": ("amount", "user", "vmxo"),
+    "pegin_requested": ("amount", "user", "vmxo"),
+    "pegout_burn": ("amount", "tx", "user"),
+    "pegout_invalidated": ("operator", "vmxo"),
+    "pegout_linked": ("tx", "vmxo"), "pegout_released": ("loser", "vmxo"),
+    "setup_done": ("enablers", "templates"),
+    "slashed": ("loser", "pot", "reimbursed", "winner"),
+    "spend": ("by", "out"), "sw_stop": ("interval", "party"),
+    "sw_tick": ("duration", "party"), "theft": ("amount", "thief", "vmxo"),
+    "theft_rejected": ("thief", "vmxo"),
+    "transfer": ("amount", "dst", "src", "why"),
+    "unlocked": ("amount", "operator", "vmxo"),
+    "watch_total": ("accumulated", "party", "threshold", "timeout"),
+    ("meta", "scenario"): ("kind", "name", "rng", "seed"),
+    ("meta", "parties"): ("adversary", "functionaries", "honest", "kind",
+                          "leak_all", "strategy"),
+    ("meta", "params"): ("bound", "denomination", "deposit", "fee_rate",
+                         "kind", "threshold", "window"),
+}
+
+
 def event_lines(records: list[dict[str, str]]) -> list[str]:
     """Each record's text line ``t=.. seq=.. ev=.. k=v ...``, in order."""
     return [" ".join(map("=".join, r.items())) for r in records]
@@ -126,14 +166,20 @@ class Bridge:
     # -- event log ---------------------------------------------------------
 
     def log(self, event: str, **fields) -> None:
-        """Append ``{"t", "seq", "ev", **fields}`` to ``records``, fields
-        sorted by name, values as strings; a field may not be t, seq or ev."""
-        if "t" in fields or "seq" in fields or "ev" in fields:
-            raise ValueError(f"reserved field name in {sorted(fields)}")
+        """Append ``{"t", "seq", "ev", **fields}`` to ``records``, fields in
+        ``EVENT_SCHEMA`` order, values as strings.  ``ValueError``, before
+        any write, unless the fields are exactly the kind's."""
+        names = EVENT_SCHEMA.get(event) or EVENT_SCHEMA.get(
+            (event, f"{fields.get('kind')}"))
+        if names is None or len(names) != len(fields):
+            raise ValueError(f"{event} with fields {sorted(fields)}")
         record = {"t": f"{self.clock.now}", "seq": f"{len(self.records) + 1}",
                   "ev": event}
-        for k in sorted(fields):
-            record[k] = f"{fields[k]}"
+        try:
+            for k in names:
+                record[k] = f"{fields[k]}"
+        except KeyError:
+            raise ValueError(f"{event} with fields {sorted(fields)}") from None
         self.records.append(record)
 
     @property
@@ -367,12 +413,11 @@ class Bridge:
             raise MalformedInput(f"{loser} among its own challengers")
         if loser not in self.slashed:
             self._burn_and_pay(loser, winner, trigger_kind, challengers)
+        # every id is checked above, so the states are read directly
+        states = self.graph.used_enablers.setdefault(vmxo_id, {})
         for ch in challengers:
-            if ch == winner:
-                continue
-            slot = (ch, vmxo_id, loser)
-            if self.graph.enabler_state(*slot) == EnablerState.LIVE:
-                self.graph.set_enabler_state(EnablerState.CONSUMED, *slot)
+            if ch != winner and (ch, loser) not in states:
+                states[ch, loser] = EnablerState.CONSUMED
                 self.log("challenge_refunded", verifier=ch, vmxo=vmxo_id)
 
     def _burn_and_pay(self, loser: str, winner: str, trigger_kind: TxKind,
@@ -424,10 +469,10 @@ class Bridge:
             raise NotTriggered(pegout.burn_tx or "?")
         self.graph.vmxo(pegout.vmxo_id)
         states = self.graph.used_enablers.get(pegout.vmxo_id, {})
+        stored = Counter(states.values())
         counts = {"live": len(self.functionaries) ** 2 - len(states),
-                  "consumed": 0, "burnt": 0}
-        for state in states.values():
-            counts[state.value.lower()] += 1
+                  "consumed": stored[EnablerState.CONSUMED],
+                  "burnt": stored[EnablerState.BURNT]}
         self.log("enablers_recycled", vmxo=pegout.vmxo_id, **counts)
         return counts
 

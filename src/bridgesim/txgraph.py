@@ -425,12 +425,15 @@ class PacketGraph:
             raise NoTrigger(trigger.value if trigger else loser)
         if loser not in self.position:
             raise UnknownId(loser)
+        # the loser's enablers of one VMXO, in ``_enabler_slots`` order
+        keys = [(loser, None)] + [(loser, w) for w in self.functionaries
+                                  if w != loser]
         burnt = 0
-        for v, cp in self._enabler_slots(loser):
+        for v in self.vmxo_ids:
             states = self.used_enablers.setdefault(v, {})
-            if (loser, cp) not in states:
-                states[loser, cp] = EnablerState.BURNT
-                burnt += 1
+            fresh = [key for key in keys if key not in states]
+            states.update(dict.fromkeys(fresh, EnablerState.BURNT))
+            burnt += len(fresh)
         return burnt
 
     def apply_force_close(self, vmxo_a: str, vmxo_b: str) -> SimTx:

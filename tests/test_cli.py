@@ -112,7 +112,17 @@ def _swap_outcome_back_and_renumber(lines):
     (_cut_final_balances, "no final_balance lines"),
     (_keep_one_final_balance, "no final_balance for "),
     (lambda lines: lines[:5] + ["t=99 seq=999 ev=spend"] + lines[5:],
-     "line 6 has no out"),
+     "line 6 has no by"),
+    (lambda lines: lines[:5] + ["t=99 seq=999 ev=spend by=x out=y z=1"]
+     + lines[5:], "line 6 has fields by out z, not by out"),
+    (lambda lines: lines[:5] + ["t=99 seq=999 ev=spend by=x out=y out=z"]
+     + lines[5:], "line 6 has fields by out out, not by out"),
+    (lambda lines: lines[:5] + ["t=99 seq=999 ev=spend out=y by=x"]
+     + lines[5:], "line 6 has fields out by, not by out"),
+    (lambda lines: lines[:5] + ["t=99 seq=999 ev=spent by=x out=y"]
+     + lines[5:], "line 6 is of no known kind"),
+    (lambda lines: lines[:5] + ["t=99 seq=999 ev=meta kind=x"] + lines[5:],
+     "line 6 is of no known kind"),
     (lambda lines: lines[:5] + ["t=99 seq=999 ev=transfer src=a dst=b "
                                 "amount=1.5"] + lines[5:],
      "line 6 has a non-integer amount"),
@@ -120,7 +130,9 @@ def _swap_outcome_back_and_renumber(lines):
     (_swap_outcome_back, "line 77 has seq=78, not 77"),
     (_swap_outcome_back_and_renumber, "line 78 has t=12, before t=24"),
 ], ids=["empty", "garbage", "bad-tick", "no-setup", "truncated",
-        "final-balances-cut", "missing-field", "bad-amount", "deleted-line",
+        "final-balances-cut", "missing-field", "extra-field",
+        "repeated-field", "reordered-fields", "unknown-kind",
+        "unknown-meta-kind", "bad-amount", "deleted-line",
         "swapped-line", "swapped-renumbered-line"])
 def test_check_rejects_malformed_log(tmp_path, capsys, damage, reason):
     sc = tmp_path / "demo.scenario"

@@ -1,6 +1,10 @@
 """The event log is kept once, as records, and its text lines are rendered
 only when read: the rendered lines against a frozen copy of the builder
-that kept both, the reserved field names, and the count of renders."""
+that kept both, the event schema every record fits, the calls the log
+refuses, and the count of renders."""
+
+import re
+from pathlib import Path
 
 import pytest
 
@@ -8,7 +12,11 @@ from bridgesim import harness, protocol
 from bridgesim.harness import (Scenario, Strategy,
                                generate_adversarial_scenarios, run_scenario,
                                scenario_corpus)
-from bridgesim.protocol import Bridge
+from bridgesim.protocol import EVENT_SCHEMA, Bridge
+
+from test_harness import _fuzz_scenarios
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 class TwoListBridge(Bridge):
@@ -66,15 +74,74 @@ def test_lines_match_two_list_builder_at_n100(run_with_bridge, monkeypatch):
 @pytest.mark.parametrize("name", ["t", "seq", "ev"])
 def test_reserved_field_name_rejected(name):
     # such a field would overwrite its key in place and so move in the
-    # rendered line; the log is left as it was
+    # rendered line; no schema entry holds one, so the log is left as it was
     b = Bridge(["f0", "f1"], 1, 100_000_000)
     before = list(b.records)
     with pytest.raises(ValueError):
         b.log("meta", **{name: 1})
+    with pytest.raises(ValueError):
+        b.log("front_proven", **{name: 1})
     assert b.records == before
-    b.log("meta", kind="x")
+    b.log("front_proven", tx="x")
     assert b.records[-1]["seq"] == f"{len(before) + 1}"
-    assert b.events[-1].endswith(" ev=meta kind=x")
+    assert b.events[-1].endswith(" ev=front_proven tx=x")
+
+
+@pytest.mark.parametrize("event, fields", [
+    ("fronted_twice", {"tx": "x"}),
+    ("meta", {"kind": "x"}),
+    ("meta", {"kind": "scenario", "name": "n", "rng": "r"}),
+    ("spend", {"out": "a:0"}),
+    ("spend", {"out": "a:0", "by": "b", "at": 1}),
+    ("spend", {"out": "a:0", "at": 1}),
+    ("transfer", {}),
+], ids=["unknown-kind", "unknown-meta-kind", "meta-missing-field",
+        "missing-field", "extra-field", "wrong-field", "no-fields"])
+def test_log_refuses_what_the_schema_lacks(event, fields):
+    b = Bridge(["f0", "f1"], 1, 100_000_000)
+    b.log("spend", out="a:0", by="b")
+    before = [dict(r) for r in b.records]
+    with pytest.raises(ValueError):
+        b.log(event, **fields)
+    assert b.records == before
+
+
+def test_schema_entries_list_their_fields_by_name():
+    # the order a record holds its fields in, so the lines read as they did
+    # when each call sorted its fields
+    assert len(EVENT_SCHEMA) == 34
+    for key, names in EVENT_SCHEMA.items():
+        assert list(names) == sorted(set(names)), key
+        assert not {"t", "seq", "ev"} & set(names), key
+        if isinstance(key, tuple):
+            assert key[0] == "meta" and "kind" in names, key
+    # the checker skips only kinds the log has
+    assert harness.UNREAD < set(EVENT_SCHEMA)
+
+
+def test_every_record_fits_its_schema_entry():
+    scenarios = (scenario_corpus() + generate_adversarial_scenarios(500)
+                 + [n100_scenario(strategy) for strategy in Strategy]
+                 + list(_fuzz_scenarios(1000)))
+    seen = set()
+    for sc in scenarios:
+        for r in run_scenario(sc).records:
+            key = (r["ev"], r["kind"]) if r["ev"] == "meta" else r["ev"]
+            assert tuple(r) == ("t", "seq", "ev", *EVENT_SCHEMA[key]), sc
+            seen.add(key)
+    # every entry is written by some run
+    assert seen == set(EVENT_SCHEMA)
+
+
+def test_readme_lists_the_schema():
+    # the README's event table: one row per kind, its fields in order
+    rows = re.findall(r"^\| `([a-z_]+)(?: kind=([a-z]+))?` \| ([^|]*) \|",
+                      README.read_text(), re.M)
+    listed = {(ev, kind) if kind else ev: tuple(fields.replace("`", "")
+                                                 .split(", "))
+              for ev, kind, fields in rows}
+    assert len(rows) == len(listed)
+    assert listed == EVENT_SCHEMA
 
 
 def test_run_renders_only_when_log_is_read(monkeypatch):
