@@ -20,7 +20,8 @@ from .dispute import (ExecutionTrace, challenge, drive, open_game,
                       resolve_no_challenge, settle_counter_proof)
 from .errors import InvalidScenario, NoCapacity, TimeoutExpired
 from .lightclient import AltChainInput, CheckChainInput
-from .protocol import EVENT_SCHEMA, Bridge, PegOut, PegOutState, event_lines
+from .protocol import (EVENT_SCHEMA, INTEGER_FIELDS, Bridge, PegOut,
+                       PegOutState, event_lines)
 from .stopwatch import power_of_two_markers
 from .txgraph import TxKind, VmxoState
 
@@ -43,6 +44,12 @@ PROVER_STRATEGIES = {Strategy.SILENT_PROVER, Strategy.FAKE_PROOF_PROVER,
 TRACE_LENGTH = 16
 LIVENESS_BOUND = 500
 RNG_ALGORITHM = "python-random-mt19937"
+# Ticks from a peg-out's burn to the front that re-serves it after a silent
+# prover, besides the prover's stall of watch_threshold + 1: the burn's block
+# and its confirmations, one tick each, and the honest challenge's tick.
+# The re-serve fronts as soon as the game ends, so a threshold passes
+# validate only if the stall plus these ticks is within LIVENESS_BOUND.
+RESERVE_TICKS = 1 + Bridge.secondary_confirmations + 1
 
 
 # least value of each Scenario field that has one; a run breaks on a
@@ -87,6 +94,9 @@ class Scenario:
         for w in self.censor:
             if w.length > self.watch_threshold:
                 raise InvalidScenario("censor window exceeds threshold")
+        if self.watch_threshold + 1 + RESERVE_TICKS > LIVENESS_BOUND:
+            raise InvalidScenario("watch_threshold stalls a peg-out past "
+                                  "the liveness bound")
         if any(c.isspace() for c in f"{self.name}"):
             # the name is one field of the log's meta kind=scenario line
             raise InvalidScenario("name contains whitespace")
@@ -559,20 +569,21 @@ UNREAD = frozenset({
 def malformed_log(events: Sequence[Union[str, dict]]) -> Optional[str]:
     """Why a saved log cannot be one whole run's log, or None.  Each event
     is a text line or a record, which must render as such a line.  Every
-    line must be an event with its amounts integers and exactly its kind's
-    fields, in ``EVENT_SCHEMA`` order, and the run's scenario, parameters,
-    end of setup and a final balance for every account it moved must be
-    there.  Lines run in the order they were logged: ``seq`` counts 1, 2,
-    ... and ``t`` never decreases, so a deleted or reordered line shows."""
+    line must be an event with exactly its kind's fields, in
+    ``EVENT_SCHEMA`` order, and an integer in each field ``INTEGER_FIELDS``
+    marks; the run's scenario, parameters, end of setup and a final balance
+    for every account it moved must be there.  Lines run in the order they
+    were logged: ``seq`` counts 1, 2, ... and ``t`` never decreases, so a
+    deleted or reordered line shows."""
     log = [e if isinstance(e, str) else event_lines([e])[0] for e in events]
     for lineno, line in enumerate(log, 1):
         if not EVENT_LINE.fullmatch(line):
             return f"line {lineno} is not an event: {line[:60]!r}"
     events = [_parse(e) if isinstance(e, str) else e for e in events]
     for lineno, e in enumerate(events, 1):
-        for name in ("t", "seq", "amount", "bound"):
-            if name in e and not INTEGER.fullmatch(e[name]):
-                return f"line {lineno} has a non-integer {name}: {e[name]!r}"
+        for name, value in e.items():
+            if name in INTEGER_FIELDS and not INTEGER.fullmatch(value):
+                return f"line {lineno} has a non-integer {name}: {value!r}"
         line = log[lineno - 1]
         names = EVENT_SCHEMA.get(e["ev"]) or EVENT_SCHEMA.get(
             (e["ev"], e.get("kind")))

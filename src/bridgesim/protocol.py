@@ -116,6 +116,13 @@ EVENT_SCHEMA = {
                          "kind", "threshold", "window"),
 }
 
+# the schema's fields whose values are integers, in every kind that has them
+INTEGER_FIELDS = frozenset({
+    "accumulated", "amount", "at", "blocks", "bound", "burnt", "canonical",
+    "consumed", "count", "denomination", "deposit", "duration", "enablers",
+    "fee_rate", "interval", "live", "pot", "reimbursed", "seed", "templates",
+    "threshold", "window"})
+
 
 def event_lines(records: list[dict[str, str]]) -> list[str]:
     """Each record's text line ``t=.. seq=.. ev=.. k=v ...``, in order."""

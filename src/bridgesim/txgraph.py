@@ -54,7 +54,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import partial
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .econ import CostTable
 from .errors import (AlreadyClosed, NoTrigger, NotSameOperator,
@@ -102,15 +102,13 @@ class VmxoState(str, Enum):
     INVALIDATED = "Invalidated"
 
 
-@dataclass(frozen=True)
-class SpendCondition:
+class SpendCondition(NamedTuple):
     signers: frozenset[str] = frozenset()
     timelock: Optional[int] = None  # relative, in ticks
     predicate: Optional[str] = None  # e.g. "admitCounterProof", "loserTerminal"
 
 
-@dataclass(frozen=True)
-class SimOutput:
+class SimOutput(NamedTuple):
     kind: OutputKind
     amount: int
     condition: SpendCondition = SpendCondition()
@@ -124,13 +122,18 @@ EXTERNAL = "ext"  # pseudo tx-id prefix for wallet-funded inputs
 TEMPLATE_CACHE_SIZE = 1024
 
 
+# the one encoder of every template's content: JSON writes a ``str`` enum
+# member as its value, and each content is a list built afresh by
+# ``_serial``, so it has no cycle to check for
+_ENCODE = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
+
+
 def _serial(template_kind: TxKind, inputs: tuple, outputs: tuple,
             vbytes: int) -> str:
-    outs = [[o.kind.value, o.amount, sorted(o.condition.signers),
-             o.condition.timelock, o.condition.predicate, o.tag]
-            for o in outputs]
-    return json.dumps([template_kind.value, inputs, outs, vbytes],
-                      separators=(",", ":"))
+    """The content a template's id hashes, read in one pass."""
+    outs = [[kind, amount, sorted(signers), timelock, predicate, tag]
+            for kind, amount, (signers, timelock, predicate), tag in outputs]
+    return _ENCODE([template_kind, inputs, outs, vbytes])
 
 
 @dataclass(frozen=True)
@@ -156,12 +159,6 @@ class SimTx:
 
 # recipe -> the template built from it; least recently used first
 _TEMPLATE_CACHE: OrderedDict[tuple, SimTx] = OrderedDict()
-
-
-def _enabler_key(owner: str, vmxo_id: str,
-                 counterparty: Optional[str] = None) -> str:
-    role = "Verifier" if counterparty else "Operator"
-    return f"enabler:{owner}:{role}:{vmxo_id}:{counterparty or '-'}"
 
 
 @dataclass
@@ -251,10 +248,13 @@ class PacketGraph:
     def _enabler_create(self, f: str) -> SimTx:
         """One enabler output per slot, in ``_enabler_slots`` order."""
         owned = SpendCondition(signers=frozenset({f}))
-        keys = [_enabler_key(f, v, cp) for v, cp in self._enabler_slots(f)]
+        tags = [f"enabler:{f}:Verifier:{v}:{w}" if w else
+                f"enabler:{f}:Operator:{v}:-"
+                for v, w in self._enabler_slots(f)]
+        enabler = OutputKind.ENABLER
         return SimTx(TxKind.ENABLER_CREATE, [(f"{EXTERNAL}:{f}", 0)],
-                     [SimOutput(OutputKind.ENABLER, 0, owned, tag=key)
-                      for key in keys], vbytes=100 + 30 * len(keys))
+                     [SimOutput(enabler, 0, owned, tag) for tag in tags],
+                     vbytes=100 + 30 * len(tags))
 
     def _kill(self, f: str) -> SimTx:
         """Spends every enabler output of ``f``."""
@@ -279,9 +279,9 @@ class PacketGraph:
         outs = [SimOutput(OutputKind.OPEN_KICKOFF, 0,
                           SpendCondition(signers=frozenset({f})),
                           tag=f"openkick:{v}:{f}")]
-        outs += [SimOutput(OutputKind.DISPUTE_CHANNEL, 0,
-                           SpendCondition(signers=frozenset({f, w})),
-                           tag=f"channel:{v}:{f}:{w}")
+        channel = OutputKind.DISPUTE_CHANNEL
+        outs += [SimOutput(channel, 0, SpendCondition(frozenset({f, w})),
+                           f"channel:{v}:{f}:{w}")
                  for w in self.functionaries if w != f]
         return SimTx(TxKind.KICKOFF, [(f"{EXTERNAL}:{f}", 0)], outs,
                      vbytes=CostTable.commit_proof)

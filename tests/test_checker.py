@@ -9,6 +9,7 @@ import pytest
 from bridgesim.harness import (INTEGER, Verdict, _parse, check_invariants,
                                generate_adversarial_scenarios, malformed_log,
                                scenario_corpus)
+from bridgesim.protocol import INTEGER_FIELDS
 
 
 # -- reference: the ten-pass checker, frozen ----------------------------------
@@ -227,6 +228,21 @@ def test_events_may_mix_records_and_lines(runs):
         f"{report.log[half - 1].replace(f'seq={half}', 'seq=x')[:60]!r}")
     assert malformed_log([{"t": "0", "seq": "1"}]) == (
         "line 1 is not an event: 't=0 seq=1'")
+
+
+def test_every_marked_integer_is_checked(runs):
+    # each field the schema marks an integer, edited to a non-integer on
+    # the first line that has it, makes the log malformed
+    unchecked = set(INTEGER_FIELDS)
+    for _, b in runs:
+        for i, r in enumerate(b.records):
+            for name in unchecked & r.keys():
+                edited = b.records[:i] + [dict(r, **{name: "1.5"})] \
+                    + b.records[i + 1:]
+                assert malformed_log(edited) == (
+                    f"line {i + 1} has a non-integer {name}: '1.5'")
+                unchecked.discard(name)
+    assert not unchecked
 
 
 @pytest.mark.parametrize("mutation", MUTATIONS)

@@ -102,6 +102,15 @@ def _swap_outcome_back_and_renumber(lines):
             for n, l in enumerate(_swap_outcome_back(lines), 1)]
 
 
+def _edited(ev, name, value):
+    """The damage that sets ``name`` on the first ``ev`` line to ``value``."""
+    def damage(lines):
+        i = next(i for i, l in enumerate(lines) if f" ev={ev} " in l)
+        return lines[:i] + [re.sub(f" {name}=[^ ]*", f" {name}={value}",
+                                   lines[i])] + lines[i + 1:]
+    return damage
+
+
 @pytest.mark.parametrize("damage, reason", [
     (lambda lines: [], "no meta kind=scenario"),
     (lambda lines: ["garbage"], "line 1 is not an event"),
@@ -126,14 +135,18 @@ def _swap_outcome_back_and_renumber(lines):
     (lambda lines: lines[:5] + ["t=99 seq=999 ev=transfer src=a dst=b "
                                 "amount=1.5"] + lines[5:],
      "line 6 has a non-integer amount"),
+    # integers the checker reads nowhere else
+    (_edited("slashed", "pot", "1.5"), "line 83 has a non-integer pot"),
+    (_edited("sw_stop", "interval", "x"),
+     "line 31 has a non-integer interval"),
     (_delete_outcome, "line 78 has seq=79, not 78"),
     (_swap_outcome_back, "line 77 has seq=78, not 77"),
     (_swap_outcome_back_and_renumber, "line 78 has t=12, before t=24"),
 ], ids=["empty", "garbage", "bad-tick", "no-setup", "truncated",
         "final-balances-cut", "missing-field", "extra-field",
         "repeated-field", "reordered-fields", "unknown-kind",
-        "unknown-meta-kind", "bad-amount", "deleted-line",
-        "swapped-line", "swapped-renumbered-line"])
+        "unknown-meta-kind", "bad-amount", "bad-pot", "bad-interval",
+        "deleted-line", "swapped-line", "swapped-renumbered-line"])
 def test_check_rejects_malformed_log(tmp_path, capsys, damage, reason):
     sc = tmp_path / "demo.scenario"
     sc.write_text(SCENARIO)

@@ -9,10 +9,10 @@ from pathlib import Path
 import pytest
 
 from bridgesim import harness, protocol
-from bridgesim.harness import (Scenario, Strategy,
-                               generate_adversarial_scenarios, run_scenario,
-                               scenario_corpus)
-from bridgesim.protocol import EVENT_SCHEMA, Bridge
+from bridgesim.harness import (INTEGER, Scenario, Strategy,
+                               generate_adversarial_scenarios, malformed_log,
+                               run_scenario, scenario_corpus)
+from bridgesim.protocol import EVENT_SCHEMA, INTEGER_FIELDS, Bridge
 
 from test_harness import _fuzz_scenarios
 
@@ -123,14 +123,22 @@ def test_every_record_fits_its_schema_entry():
     scenarios = (scenario_corpus() + generate_adversarial_scenarios(500)
                  + [n100_scenario(strategy) for strategy in Strategy]
                  + list(_fuzz_scenarios(1000)))
-    seen = set()
+    seen, not_integer = set(), set()
     for sc in scenarios:
-        for r in run_scenario(sc).records:
+        records = run_scenario(sc).records
+        for r in records:
             key = (r["ev"], r["kind"]) if r["ev"] == "meta" else r["ev"]
             assert tuple(r) == ("t", "seq", "ev", *EVENT_SCHEMA[key]), sc
             seen.add(key)
+            not_integer.update(k for k, v in r.items()
+                               if not INTEGER.fullmatch(v))
+        assert malformed_log(records) is None, sc
     # every entry is written by some run
     assert seen == set(EVENT_SCHEMA)
+    # the marked fields are exactly those no run gives a non-integer
+    assert not_integer.isdisjoint(INTEGER_FIELDS)
+    assert not_integer | INTEGER_FIELDS == {
+        name for names in EVENT_SCHEMA.values() for name in names} | {"ev"}
 
 
 def test_readme_lists_the_schema():

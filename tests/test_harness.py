@@ -1,12 +1,14 @@
 import hashlib
 import random
+from dataclasses import replace
 
 import pytest
 
 from bridgesim import txgraph
 from bridgesim.errors import InvalidScenario
-from bridgesim.harness import (_MINIMUMS, INT_KEYS, CensorSpec, Runner,
-                              RunReport, Scenario, Strategy, _parse,
+from bridgesim.harness import (_MINIMUMS, INT_KEYS, LIVENESS_BOUND,
+                              RESERVE_TICKS, CensorSpec, Runner, RunReport,
+                              Scenario, Strategy, _parse,
                               check_invariants,
                               generate_adversarial_scenarios, malformed_log,
                               parse_scenario, run_scenario, scenario_corpus)
@@ -183,6 +185,29 @@ def test_scenario_validation():
     # advance(challenge_window + 1) would turn the clock back
     with pytest.raises(InvalidScenario):
         Scenario(challenge_window=-5).validate()
+
+
+def test_watch_threshold_keeps_a_stalled_pegout_live(monkeypatch):
+    # a silent prover stalls the first peg-out for threshold + 1 ticks; the
+    # re-serve fronts RESERVE_TICKS later than that after the burn, so the
+    # largest threshold validate admits meets the bound exactly
+    limit = LIVENESS_BOUND - 1 - RESERVE_TICKS
+    assert limit == 494
+    sc = Scenario(seed=1, n_functionaries=3, vmxo_count=2, n_pegins=2,
+                  n_pegouts=1, adversary=0, strategy=Strategy.SILENT_PROVER,
+                  watch_threshold=limit)
+    report = run_scenario(sc)
+    assert report.all_passed
+    burn = next(int(r["t"]) for r in report.records
+                if r["ev"] == "pegout_burn")
+    assert _fronts(report)[0][0] - burn == LIVENESS_BOUND
+    # one more is refused, and a run of it misses the bound
+    over = replace(sc, watch_threshold=limit + 1)
+    with pytest.raises(InvalidScenario):
+        over.validate()
+    monkeypatch.setattr(Scenario, "validate", lambda self: None)
+    liveness = {v.name: v for v in run_scenario(over).verdicts}["liveness"]
+    assert liveness.detail == "burn burn:u0:1 not fronted in time"
 
 
 @pytest.mark.parametrize("field, least", sorted(_MINIMUMS.items()))

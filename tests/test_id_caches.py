@@ -2,6 +2,7 @@
 recipe; each must still equal what a cache-free build gives, id included."""
 
 import hashlib
+import json
 
 import pytest
 
@@ -33,6 +34,37 @@ def templates_equal_cache_free_builds(graph):
         assert tx == reference[key] and tx.id == reference[key].id, key
         serial = _serial(tx.template_kind, tx.inputs, tx.outputs, tx.vbytes)
         assert tx.id == hashlib.sha256(serial.encode()).hexdigest()[:16]
+
+
+def _serial_at_pin(template_kind, inputs, outputs, vbytes):
+    """A literal copy of ``txgraph._serial`` as it was when
+    ``PINNED_IDS`` was recorded: enum ``.value`` strings and the default
+    ``json.dumps`` checks."""
+    outs = [[o.kind.value, o.amount, sorted(o.condition.signers),
+             o.condition.timelock, o.condition.predicate, o.tag]
+            for o in outputs]
+    return json.dumps([template_kind.value, inputs, outs, vbytes],
+                      separators=(",", ":"))
+
+
+# sha256 over the (key, id) line of every template of ``full_graph(7_777)``,
+# recorded at commit 191ddbb
+PINNED_IDS = "5403c7da5cb9674d"
+
+
+def test_template_ids_match_the_pinned_serial():
+    # a change to ``_serial`` would move the ids and the cache-free
+    # references together, so the ids are pinned apart from it: each is
+    # the hash of the pinned serial, and all of them hash to one constant
+    g = full_graph(deposit=7_777)
+    lines = []
+    for key, tx in g.templates.items():
+        serial = _serial_at_pin(tx.template_kind, tx.inputs, tx.outputs,
+                                tx.vbytes)
+        assert tx.id == hashlib.sha256(serial.encode()).hexdigest()[:16], key
+        lines.append(" ".join((key[0].value, *key[1:], tx.id)))
+    pin = hashlib.sha256("\n".join(sorted(lines)).encode()).hexdigest()
+    assert pin[:16] == PINNED_IDS
 
 
 def sweep_and_corpus():
