@@ -7,9 +7,9 @@ lowest header id so runs are reproducible.
 
 Fork choice is kept up to date as blocks are mined, the way Bitcoin Core
 keeps its active chain: the tip changes only when a new header beats it,
-and the canonical chain is a list indexed by height, of which a reorg
-rewrites only the part after the fork point.  Tip, canonical membership and
-confirmations are then O(1) queries.
+and the canonical chain is a list indexed by height, whose last header is
+the tip and of which a reorg rewrites only the part after the fork point.
+Tip, canonical membership and confirmations are then O(1) queries.
 
 A header is content-addressed, and runs of the same shape mine the same
 headers, so each distinct header is made and hashed once per process and
@@ -103,7 +103,6 @@ class ChainView:
         self.headers: dict[str, BlockHeader] = {self.genesis.id: self.genesis}
         self.block_txs: dict[str, tuple] = {self.genesis.id: ()}
         self._acc: dict[str, int] = {self.genesis.id: 1}
-        self._tip = self.genesis
         # the canonical chain, indexed by height
         self._canonical: list[BlockHeader] = [self.genesis]
 
@@ -120,8 +119,9 @@ class ChainView:
         self.headers[header.id] = header
         self.block_txs[header.id] = tuple(txs)
         acc = self._acc[header.id] = self._acc[parent_id] + difficulty
-        tip_acc = self._acc[self._tip.id]
-        if acc > tip_acc or (acc == tip_acc and header.id < self._tip.id):
+        tip = self._canonical[-1]
+        tip_acc = self._acc[tip.id]
+        if acc > tip_acc or (acc == tip_acc and header.id < tip.id):
             self._reorg(header)
         return header
 
@@ -136,10 +136,9 @@ class ChainView:
             h = self.headers[h.parent_id]
         del self._canonical[h.height + 1:]
         self._canonical.extend(reversed(branch))
-        self._tip = tip
 
     def tip(self) -> BlockHeader:
-        return self._tip
+        return self._canonical[-1]
 
     def canonical_chain(self) -> list[BlockHeader]:
         return list(self._canonical)
@@ -184,7 +183,11 @@ class SimClock:
         self.now += ticks
 
     def censored_until(self, party: str, tick: int) -> Optional[int]:
-        """End of the first window that censors `party` at `tick`, or None."""
-        return next((w.start + w.length for w in self.censor_windows
-                     if w.party == party
-                     and w.start <= tick < w.start + w.length), None)
+        """First tick from `tick` on that no window of `party` covers, or None
+        if none covers `tick`; overlapping and adjacent windows act as one."""
+        end = tick
+        while ends := [w.start + w.length for w in self.censor_windows
+                       if w.party == party
+                       and w.start <= end < w.start + w.length]:
+            end = max(ends)
+        return None if end == tick else end

@@ -27,7 +27,7 @@ from enum import Enum
 from typing import Callable, Optional
 
 from .errors import (DifficultyNotHigher, MalformedInput, TimeoutExpired,
-                     WindowOpen, WrongPhase, WrongTurn)
+                     WrongPhase, WrongTurn)
 from .lightclient import AltChainInput, admit_counter_proof, check_alt_chain
 from .stopwatch import StopWatch
 
@@ -325,13 +325,10 @@ def leaf_check(game: DisputeGame, delay: int = 1) -> Outcome:
     return game.outcome
 
 
-def resolve_no_challenge(game: DisputeGame, elapsed: int,
-                         window: int) -> Outcome:
-    """Prover wins if the challenge window passed without a challenge."""
+def resolve_no_challenge(game: DisputeGame) -> Outcome:
+    """Prover wins: the challenge window passed without a challenge."""
     if game.phase != Phase.AWAIT_CHALLENGE:
         raise WrongPhase(game.phase.value)
-    if elapsed <= window:
-        raise WindowOpen(f"{elapsed} <= {window}")
     game.phase = Phase.TERMINAL
     reason = Reason.COUNTER_PROOF_DEFEATED if game.alt_defeated \
         else Reason.NO_CHALLENGE

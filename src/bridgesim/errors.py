@@ -44,10 +44,6 @@ class AlreadyClosed(BridgeSimError):
     pass
 
 
-class NoTrigger(BridgeSimError):
-    pass
-
-
 class SpendRejected(BridgeSimError):
     pass
 
@@ -66,10 +62,6 @@ class WrongTurn(BridgeSimError):
 
 
 class TimeoutExpired(BridgeSimError):
-    pass
-
-
-class WindowOpen(BridgeSimError):
     pass
 
 

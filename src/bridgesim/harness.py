@@ -13,17 +13,18 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from itertools import count
 from typing import Optional, Sequence, Union
 
 from .chain import CensorSpec
-from .dispute import (ExecutionTrace, challenge, drive, open_game,
-                      resolve_no_challenge, settle_counter_proof)
+from .dispute import (DisputeGame, ExecutionTrace, challenge, drive,
+                      open_game, resolve_no_challenge, settle_counter_proof)
 from .errors import InvalidScenario, NoCapacity, TimeoutExpired
 from .lightclient import AltChainInput, CheckChainInput
 from .protocol import (EVENT_SCHEMA, INTEGER_FIELDS, Bridge, PegOut,
                        PegOutState, event_lines)
 from .stopwatch import power_of_two_markers
-from .txgraph import TxKind, VmxoState
+from .txgraph import VmxoState
 
 
 class Strategy(str, Enum):
@@ -53,9 +54,14 @@ RESERVE_TICKS = 1 + Bridge.secondary_confirmations + 1
 
 
 # least value of each Scenario field that has one; a run breaks on a
-# smaller value
+# smaller value.  An uncensored honest party's watch takes one tick per reply:
+# one per search round over the trace and over the isolated step's reads,
+# and two more (a challenge and a read challenge, or the trace and the leaf)
 _MINIMUMS = {"n_functionaries": 2, "vmxo_count": 1, "fee_rate": 1,
-            "pegout_limit": 1, "denomination": 0, "challenge_window": 0}
+            "pegout_limit": 1, "denomination": 0, "challenge_window": 0,
+            "watch_threshold": 2 + sum(
+                next(r for r in count() if DisputeGame.arity ** r >= max(2, n))
+                for n in (TRACE_LENGTH, DisputeGame.read_steps))}
 
 
 @dataclass
@@ -305,8 +311,7 @@ class Runner:
             # the alt-chain claim failed; the outer game resumes and, absent
             # any further challenge, the original prover wins
             b.clock.advance(sc.challenge_window + 1)
-            outcome = resolve_no_challenge(game, sc.challenge_window + 1,
-                                           sc.challenge_window)
+            outcome = resolve_no_challenge(game)
         b.log("dispute_outcome", prover=prover, verifier=verifier,
               winner=outcome.winner, loser=outcome.loser,
               reason=outcome.reason.value,
@@ -334,8 +339,7 @@ class Runner:
                            b.clock.now)
         outcome = self._run_dispute(adv, challengers[0], prover_trace,
                                     honest_trace, **dispute_args)
-        b.slash(adv, outcome.winner, TxKind.PROVER_LOSES, challengers,
-                pegout.vmxo_id)
+        b.slash(adv, outcome.winner, challengers, pegout.vmxo_id)
         self.outcomes.append(f"pegout {pegout.burn_tx}: {what} kickoff by "
                              f"{adv} defeated ({outcome.reason.value})")
 
@@ -384,8 +388,7 @@ class Runner:
             self.outcomes.append(
                 f"pegout {pegout.burn_tx}: griefing challenge by {griefer} "
                 f"defeated")
-            b.slash(griefer, operator, TxKind.VERIFIER_LOSES, [operator],
-                    pegout.vmxo_id)
+            b.slash(griefer, operator, [operator], pegout.vmxo_id)
         else:
             b.clock.advance(sc.challenge_window + 1)
             b.log("challenge_window_expired", vmxo=pegout.vmxo_id,
@@ -468,7 +471,7 @@ class Runner:
                                  f"{adv} not force-closed, unlocked")
             return
         b.force_close(pegout.vmxo_id, victim, closers[0])
-        b.slash(adv, closers[0], TxKind.FORCE_CLOSE, closers[:1], victim)
+        b.slash(adv, closers[0], closers[:1], victim)
         self.outcomes.append(
             f"pegout {pegout.burn_tx}: double operator {adv} force-closed")
 

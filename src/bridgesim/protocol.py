@@ -24,8 +24,8 @@ from .errors import (ConcurrencyLimit, EnablerUnavailable, Insolvent,
                      InsufficientConfirmations, MalformedInput,
                      MissingSignature, NoCapacity, NotLinked, NotTriggered,
                      UnknownId, WrongDenomination)
-from .txgraph import (EXTERNAL, SLASHING_KINDS, EnablerState, PacketGraph,
-                      TxKind, Vmxo, VmxoState, build_packet_templates)
+from .txgraph import (EXTERNAL, EnablerState, PacketGraph, TxKind, Vmxo,
+                      VmxoState, build_packet_templates)
 
 
 class PegOutState(str, Enum):
@@ -405,8 +405,8 @@ class Bridge:
 
     # -- slashing and recycling -------------------------------------------
 
-    def slash(self, loser: str, winner: str, trigger_kind: TxKind,
-              challengers: list[str], vmxo_id: str) -> None:
+    def slash(self, loser: str, winner: str, challengers: list[str],
+              vmxo_id: str) -> None:
         """Burn the loser's enablers and pay out its deposit, once; then
         refund the enabler of every challenger of ``vmxo_id`` but the
         winner, since their channels against the loser become no-ops.
@@ -419,7 +419,7 @@ class Bridge:
         if loser in challengers:
             raise MalformedInput(f"{loser} among its own challengers")
         if loser not in self.slashed:
-            self._burn_and_pay(loser, winner, trigger_kind, challengers)
+            self._burn_and_pay(loser, winner, challengers)
         # every id is checked above, so the states are read directly
         states = self.graph.used_enablers.setdefault(vmxo_id, {})
         for ch in challengers:
@@ -427,12 +427,10 @@ class Bridge:
                 states[ch, loser] = EnablerState.CONSUMED
                 self.log("challenge_refunded", verifier=ch, vmxo=vmxo_id)
 
-    def _burn_and_pay(self, loser: str, winner: str, trigger_kind: TxKind,
+    def _burn_and_pay(self, loser: str, winner: str,
                       challengers: list[str]) -> None:
-        if trigger_kind not in SLASHING_KINDS:
-            raise NotTriggered(trigger_kind.value)
         # refuses an unknown loser before any change
-        burnt = self.graph.burn_enablers(loser, trigger_kind)
+        burnt = self.graph.burn_enablers(loser)
         self.slashed.add(loser)
         self.log("enablers_burnt", loser=loser, count=burnt)
         # deposit pot: reimburse challengers' dispute costs, rest to winner

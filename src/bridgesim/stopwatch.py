@@ -1,9 +1,9 @@
 """Accumulated-time stop watch for dispute timeouts.
 
 Instead of a per-step timelock, each party carries one watch that runs while
-it is their turn to respond.  Elapsed intervals are committed write-once
-(modeling one-time signatures) and kept as a running total, read in O(1);
-when the total exceeds the censorship-resistance threshold the party's
+it is their turn to respond.  Each elapsed interval is committed write-once
+(modeling one-time signatures) by adding it to the watch's total, read in
+O(1); when the total exceeds the censorship-resistance threshold the party's
 enablers become burnable.
 
 Interval marker outputs use power-of-two denominations, so any elapsed time
@@ -12,7 +12,7 @@ in an open interval is provable with at most log2(t) markers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import AlreadyRunning, MalformedInput, NotRunning
@@ -31,12 +31,8 @@ def power_of_two_markers(elapsed: int) -> list[int]:
 class StopWatch:
     party: str
     threshold: int
-    intervals: tuple[int, ...] = ()
+    total: int = 0
     running_since: Optional[int] = None
-    total: int = field(init=False)  # sum(intervals)
-
-    def __post_init__(self):
-        self.total = sum(self.intervals)
 
     def accumulated(self, now: Optional[int] = None) -> int:
         if self.running_since is None:
@@ -57,9 +53,8 @@ class StopWatch:
         interval = now - self.running_since
         if interval < 0:
             raise MalformedInput(f"{self.party}: stop {now} before start")
-        # write-once: committed intervals are one-time-signed, so appending
-        # is the only mutation
-        self.intervals += (interval,)
+        # write-once: a committed interval is one-time-signed, so adding it
+        # to the total is the only mutation
         self.total += interval
         self.running_since = None
         return self.total

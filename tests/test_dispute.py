@@ -8,7 +8,8 @@ from bridgesim.dispute import (DisputeGame, ExecutionTrace, Outcome, Phase,
                               resolve_no_challenge, reveal_trace, run_search,
                               search_round, settle_counter_proof, step)
 from bridgesim.errors import (DifficultyNotHigher, MalformedInput,
-                             TimeoutExpired, WindowOpen, WrongPhase)
+                             TimeoutExpired, WrongPhase)
+from bridgesim.stopwatch import StopWatch
 
 from test_lightclient import build_instance
 from bridgesim.lightclient import AltChainInput
@@ -112,16 +113,10 @@ def test_expire_without_response():
 
 def test_no_challenge_resolution():
     g = new_game(16)
-    out = resolve_no_challenge(g, elapsed=101, window=100)
+    out = resolve_no_challenge(g)
     assert out.winner == "p" and out.reason == Reason.NO_CHALLENGE
     with pytest.raises(WrongPhase):
-        resolve_no_challenge(g, 200, 100)
-
-
-def test_no_challenge_window_still_open():
-    g = new_game(16)
-    with pytest.raises(WindowOpen):
-        resolve_no_challenge(g, elapsed=99, window=100)
+        resolve_no_challenge(g)
 
 
 def make_alt(valid=True, d2=None):
@@ -173,7 +168,7 @@ def test_bogus_counter_proof_loses_inner_and_outer_resumes():
     with pytest.raises(WrongPhase):
         challenge(g, "AltChain", alt_input=alt,
                   main_difficulty=inp.claimed_difficulty)
-    out = resolve_no_challenge(g, elapsed=200, window=100)
+    out = resolve_no_challenge(g)
     assert out == Outcome("p", "v", Reason.COUNTER_PROOF_DEFEATED)
 
 
@@ -187,8 +182,11 @@ def test_execution_challenge_after_defeated_counter_proof():
               main_difficulty=inp.claimed_difficulty)
     challenge(g.nested)
     run_search(g.nested)
+    watch = g.watches["p"]
+    total = watch.total
     settle_counter_proof(g)
-    assert g.watches["p"].intervals[-1] == 0
+    # the prover's watch stops where the counter-proof started it
+    assert (watch.total, watch.running_since) == (total, None)
     challenge(g, "Execution")
     out = run_search(g)
     assert out == Outcome("v", "p", Reason.CONFLICTING_COMMIT)
@@ -246,25 +244,35 @@ def test_search_publication_pattern(length, arity, read_rounds):
 @pytest.mark.parametrize("length,arity", [(64, 2), (64, 4), (27, 3)])
 def test_watch_total_is_the_sum_of_its_intervals(monkeypatch, length, arity):
     # the games of test_search_publication_pattern, checked after every
-    # publication; then one whose prover stalls into a timeout
-    checked = []
-    publish = DisputeGame._publish
+    # publication against the intervals each watch's stop committed; then
+    # one whose prover stalls into a timeout
+    checked, sums = [], {}
+    publish, stop = DisputeGame._publish, StopWatch.stop
+
+    def summing_stop(watch, now):
+        since = watch.running_since
+        total = stop(watch, now)
+        sums[watch.party] = sums.get(watch.party, 0) + now - since
+        return total
 
     def checked_publish(game, party, action, delay):
         try:
             publish(game, party, action, delay)
         finally:
             for watch in game.watches.values():
-                assert watch.total == sum(watch.intervals), (action, watch)
+                assert watch.total == sums.get(watch.party, 0), (action, watch)
             checked.append(action)
 
+    monkeypatch.setattr(StopWatch, "stop", summing_stop)
     monkeypatch.setattr(DisputeGame, "_publish", checked_publish)
     for pos in list(range(1, length + 1)) + [None]:
         checked.clear()
+        sums.clear()
         g = new_game(length, corrupt_at=pos, arity=arity)
         challenge(g)
         run_search(g)
         assert checked == [a for _, _, a in g.publications[1:]], pos
+    sums.clear()
     g = new_game(length, corrupt_at=1, arity=arity, threshold=10)
     challenge(g)
     with pytest.raises(TimeoutExpired):
@@ -279,7 +287,7 @@ def test_negative_delay_refused_before_the_clock_moves():
 
     def state():
         return (g.clock, list(g.publications), g.phase,
-                {p: (w.intervals, w.total, w.running_since)
+                {p: (w.total, w.running_since)
                  for p, w in g.watches.items()})
 
     before = state()

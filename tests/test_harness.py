@@ -223,6 +223,31 @@ def test_least_value_of_each_field_runs_to_a_wellformed_log(field, least):
         assert malformed_log(run_scenario(sc).log) is None, strategy
 
 
+def _honest_timeouts(threshold):
+    """Games an honest, uncensored party lost by timeout, over ten seeds
+    of each strategy."""
+    lost = []
+    for strategy in Strategy:
+        for seed in range(10):
+            adversary = None if strategy == Strategy.HONEST else seed % 3
+            sc = Scenario(seed=seed, vmxo_count=2, n_pegins=2, n_pegouts=2,
+                          adversary=adversary, strategy=strategy,
+                          watch_threshold=threshold)
+            lost += [(strategy, seed) for r in run_scenario(sc).records
+                     if r["ev"] == "dispute_outcome"
+                     and r["reason"] == "Timeout"
+                     and r["loser"] != f"f{adversary}"]
+    return lost
+
+
+def test_least_watch_threshold_fits_every_honest_reply(monkeypatch):
+    least = _MINIMUMS["watch_threshold"]
+    assert _honest_timeouts(least) == []
+    # one below, an honest party runs out its budget
+    monkeypatch.setattr(Scenario, "validate", lambda self: None)
+    assert _honest_timeouts(least - 1) != []
+
+
 @pytest.mark.parametrize("name", ["x ev=theft thief=f0 vmxo=v0", "a b",
                                   "tab\there", "new\nline", "trailing "])
 def test_scenario_name_with_whitespace_rejected(name):

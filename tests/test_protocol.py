@@ -8,7 +8,7 @@ from bridgesim.errors import (BridgeSimError, ConcurrencyLimit,
 from bridgesim import harness
 from bridgesim.harness import Scenario, Strategy
 from bridgesim.protocol import Bridge, PegIn, PegOut, PegOutState
-from bridgesim.txgraph import EnablerState, TxKind, VmxoState
+from bridgesim.txgraph import EnablerState, VmxoState
 
 DENOM = 100_000_000
 
@@ -251,7 +251,7 @@ def test_slash_burns_enablers_and_pays_pot():
     b.pay_dispute_fee("f0", "challenge")
     pot = b.ledger.balances["deposit:f1"]
     f0_before = b.ledger.balances["wallet:f0"]
-    b.slash("f1", "f0", TxKind.PROVER_LOSES, ["f0"], pegout.vmxo_id)
+    b.slash("f1", "f0", ["f0"], pegout.vmxo_id)
     assert b.slashed == {"f1"}
     assert b.ledger.balances["deposit:f1"] == 0
     assert b.ledger.balances["wallet:f0"] == f0_before + pot
@@ -261,9 +261,9 @@ def test_slash_burns_enablers_and_pays_pot():
 
 def test_slash_idempotent():
     b = make_bridge()
-    b.slash("f1", "f0", TxKind.PROVER_LOSES, [], "pkt0:vmxo0")
+    b.slash("f1", "f0", [], "pkt0:vmxo0")
     total = sum(b.ledger.balances.values())
-    b.slash("f1", "f2", TxKind.VERIFIER_LOSES, [], "pkt0:vmxo0")
+    b.slash("f1", "f2", [], "pkt0:vmxo0")
     assert sum(b.ledger.balances.values()) == total
     assert b.ledger.balances["deposit:f1"] == 0
 
@@ -272,7 +272,7 @@ def test_slash_refuses_unknown_loser_before_any_change():
     b = make_bridge()
     balances, records = dict(b.ledger.balances), list(b.records)
     with pytest.raises(UnknownId):
-        b.slash("f7", "f0", TxKind.PROVER_LOSES, ["f0"], "pkt0:vmxo0")
+        b.slash("f7", "f0", ["f0"], "pkt0:vmxo0")
     assert b.slashed == set() and b.graph.spent == {}
     assert b.graph.used_enablers == {}
     assert b.ledger.balances == balances and b.records == records
@@ -336,17 +336,17 @@ REFUSALS = {
         b.pay_dispute_fee("f0", "bribe")),
     "slash-paying-unknown-winner": (
         UnknownId, lambda b, linked, unlinked:
-        b.slash("f0", "f9", TxKind.PROVER_LOSES, [], "pkt0:vmxo0")),
+        b.slash("f0", "f9", [], "pkt0:vmxo0")),
     "slash-refunding-unknown-challenger": (
         UnknownId, lambda b, linked, unlinked:
-        b.slash("f1", "f0", TxKind.PROVER_LOSES, ["f0", "f9"],
+        b.slash("f1", "f0", ["f0", "f9"],
                 "pkt0:vmxo0")),
     "slash-on-unknown-vmxo": (
         UnknownId, lambda b, linked, unlinked:
-        b.slash("f1", "f0", TxKind.PROVER_LOSES, ["f0"], "pkt0:vmxo9")),
+        b.slash("f1", "f0", ["f0"], "pkt0:vmxo9")),
     "slash-loser-among-its-challengers": (
         MalformedInput, lambda b, linked, unlinked:
-        b.slash("f1", "f0", TxKind.PROVER_LOSES, ["f0", "f1"],
+        b.slash("f1", "f0", ["f0", "f1"],
                 "pkt0:vmxo0")),
 }
 
@@ -428,19 +428,13 @@ def test_insolvent_calls_raise_a_package_error_and_change_nothing():
     assert issubclass(Insolvent, ValueError)
 
 
-def test_slash_rejects_non_terminal_trigger():
-    b = make_bridge()
-    with pytest.raises(NotTriggered):
-        b.slash("f1", "f0", TxKind.LOCKING, [], "pkt0:vmxo0")
-
-
 def test_slash_reimburses_challenger_costs_first():
     b = make_bridge(n=3)
     b.pay_dispute_fee("f0", "challenge")
     b.pay_dispute_fee("f2", "challenge")
     cost = b.dispute_costs["f0"]
     f2_before = b.ledger.balances["wallet:f2"]
-    b.slash("f1", "f0", TxKind.PROVER_LOSES, ["f0", "f2"], "pkt0:vmxo0")
+    b.slash("f1", "f0", ["f0", "f2"], "pkt0:vmxo0")
     # f2's challenge fee comes back even though f0 took the remainder
     assert b.ledger.balances["wallet:f2"] == f2_before + cost
 
@@ -448,7 +442,7 @@ def test_slash_reimburses_challenger_costs_first():
 def test_slash_refunds_later_challengers_even_when_already_slashed():
     b = make_bridge(n=3)
     for vmxo in b.graph.vmxo_ids:
-        b.slash("f1", "f0", TxKind.PROVER_LOSES, ["f0", "f2"], vmxo)
+        b.slash("f1", "f0", ["f0", "f2"], vmxo)
         assert b.graph.enabler_state("f2", vmxo, counterparty="f1") \
             == EnablerState.CONSUMED
         assert b.events[-1].endswith(
@@ -461,7 +455,7 @@ def test_slash_releases_unfronted_pegout():
     do_pegin(b)
     pegout = do_linked_pegout(b)
     b.publish_kickoff(pegout, "f1")
-    b.slash("f1", "f0", TxKind.PROVER_LOSES, [], pegout.vmxo_id)
+    b.slash("f1", "f0", [], pegout.vmxo_id)
     assert pegout.state == PegOutState.LINKED
     assert pegout.operator is None
     assert b.graph.vmxos[pegout.vmxo_id].state == VmxoState.LOCKED
@@ -476,7 +470,7 @@ def test_slash_invalidates_fronted_pegout():
     pegout = do_linked_pegout(b)
     b.front_funds(pegout, "f1")
     b.publish_kickoff(pegout, "f1")
-    b.slash("f1", "f0", TxKind.PROVER_LOSES, [], pegout.vmxo_id)
+    b.slash("f1", "f0", [], pegout.vmxo_id)
     assert pegout.state == PegOutState.INVALIDATED
     assert b.graph.vmxos[pegout.vmxo_id].state == VmxoState.INVALIDATED
 
@@ -569,7 +563,7 @@ def test_slashed_operator_cannot_front():
     b = make_bridge()
     do_pegin(b)
     pegout = do_linked_pegout(b)
-    b.slash("f0", "f1", TxKind.PROVER_LOSES, [], pegout.vmxo_id)
+    b.slash("f0", "f1", [], pegout.vmxo_id)
     with pytest.raises(EnablerUnavailable):
         b.front_funds(pegout, "f0")
 
@@ -592,14 +586,14 @@ def test_refund_skips_burnt_and_consumed_enablers():
     vmxo = b.graph.vmxo_ids[0]
     slot = ("f2", vmxo, "f1")
     # f2 lost first, so its enabler against f1 is burnt: no refund
-    b.slash("f2", "f0", TxKind.PROVER_LOSES, [], vmxo)
-    b.slash("f1", "f0", TxKind.PROVER_LOSES, ["f0", "f2"], vmxo)
+    b.slash("f2", "f0", [], vmxo)
+    b.slash("f1", "f0", ["f0", "f2"], vmxo)
     assert b.graph.enabler_state(*slot) == EnablerState.BURNT
     assert not any(" ev=challenge_refunded " in line for line in b.events)
     # f0's enabler against f1 on another VMXO is refunded once
     other = b.graph.vmxo_ids[1]
     for _ in range(2):
-        b.slash("f1", "f2", TxKind.VERIFIER_LOSES, ["f0", "f2"], other)
+        b.slash("f1", "f2", ["f0", "f2"], other)
     assert b.graph.enabler_state("f0", other, "f1") == EnablerState.CONSUMED
     assert sum(" ev=challenge_refunded " in line for line in b.events) == 1
 
@@ -610,7 +604,7 @@ def test_recycle_counts_match_every_slot_after_slash_and_refund():
     pegout = do_linked_pegout(b)
     b.front_funds(pegout, "f1")
     b.publish_kickoff(pegout, "f1")
-    b.slash("f1", "f0", TxKind.PROVER_LOSES, ["f0", "f2"], pegout.vmxo_id)
+    b.slash("f1", "f0", ["f0", "f2"], pegout.vmxo_id)
     assert pegout.state == PegOutState.INVALIDATED
     counts = b.recycle_enablers(pegout)
     g = b.graph
@@ -686,13 +680,11 @@ def test_slashed_operator_stops_counting(force_close):
     b.front_funds(pegout, "f1")
     b.publish_kickoff(pegout, "f1")
     assert b.active_pegouts("f1") == 1
-    trigger = TxKind.PROVER_LOSES
     if force_close:
         second = do_linked_pegout(b, "u1")
         b.publish_kickoff(second, "f1")
         b.force_close(pegout.vmxo_id, second.vmxo_id, "f0")
-        trigger = TxKind.FORCE_CLOSE
-    b.slash("f1", "f0", trigger, [], pegout.vmxo_id)
+    b.slash("f1", "f0", [], pegout.vmxo_id)
     assert b.active_pegouts("f1") == 0
 
 

@@ -21,7 +21,7 @@ def test_stop_commits_interval():
     w = StopWatch("f1", threshold=100)
     w.start(10)
     w.stop(12)
-    assert w.intervals == (2,)
+    assert w.total == 2
     assert w.running_since is None
 
 
@@ -58,11 +58,11 @@ def test_markers_monotone_while_running():
 
 
 def test_aggregate_timeout_cases():
-    w = StopWatch("f1", threshold=7, intervals=(2, 3, 1))
+    w = StopWatch("f1", threshold=7, total=6)
     assert not w.aggregate_timeout()
-    w = StopWatch("f1", threshold=7, intervals=(4, 4))
+    w = StopWatch("f1", threshold=7, total=8)
     assert w.aggregate_timeout()
-    w = StopWatch("f1", threshold=7, intervals=(3,))
+    w = StopWatch("f1", threshold=7, total=3)
     w.start(100)
     assert w.aggregate_timeout(105)  # 3 + 5 > 7
 
@@ -88,21 +88,20 @@ def test_bounded_by_per_turn_budget():
 
 
 def test_total_is_the_sum_of_committed_intervals():
-    w = StopWatch("f1", threshold=100, intervals=(4, 1))
-    assert w.total == 5
+    w = StopWatch("f1", threshold=100, total=5)
     w.start(10)
     assert w.stop(13) == w.total == 8
     # a zero interval is legal: a counter-proof's watch stops where it began
     w.start(20)
-    assert w.stop(20) == 8
-    assert w.intervals == (4, 1, 3, 0)
+    assert w.stop(20) == w.total == 8
+    assert w.running_since is None
 
 
 def test_stop_before_start_refused():
-    w = StopWatch("f1", threshold=100, intervals=(2,))
+    w = StopWatch("f1", threshold=100, total=2)
     w.start(10)
     with pytest.raises(BridgeSimError):
         w.stop(9)
     # nothing was committed and the watch still runs
-    assert (w.intervals, w.total, w.running_since) == ((2,), 2, 10)
+    assert (w.total, w.running_since) == (2, 10)
     assert w.stop(11) == 3

@@ -6,7 +6,7 @@ from dataclasses import FrozenInstanceError, replace
 import pytest
 
 from bridgesim.econ import CostTable
-from bridgesim.errors import (AlreadyClosed, NoTrigger, NotSameOperator,
+from bridgesim.errors import (AlreadyClosed, NotSameOperator,
                              PrematureDeletion, SpendRejected,
                              TooFewFunctionaries, UnknownId)
 from bridgesim.txgraph import (EXTERNAL, EnablerState, OutputKind,
@@ -195,11 +195,11 @@ def test_burn_enablers_all_live_to_burnt():
     g = packet(vmxos=2)
     slots = list(g._enabler_slots("f0"))
     assert len(slots) == 6
-    assert g.burn_enablers("f0", TxKind.PROVER_LOSES) == 6
+    assert g.burn_enablers("f0") == 6
     assert {g.enabler_state("f0", *slot) for slot in slots} == {
         EnablerState.BURNT}
     # a repeat burn marks none, and a burn builds no template
-    assert g.burn_enablers("f0", TxKind.PROVER_LOSES) == 0
+    assert g.burn_enablers("f0") == 0
     assert g.templates == {}
     assert g.enabler_state("f1", g.vmxo_ids[0]) == EnablerState.LIVE
 
@@ -208,7 +208,7 @@ def test_burn_skips_consumed_enabler():
     g = packet()
     v = g.vmxo_ids[0]
     g.set_enabler_state(EnablerState.CONSUMED, "f0", v)
-    assert g.burn_enablers("f0", TxKind.KILL_ENABLERS) == 2
+    assert g.burn_enablers("f0") == 2
     assert g.enabler_state("f0", v) == EnablerState.CONSUMED
     assert g.enabler_state("f0", v, "f2") == EnablerState.BURNT
 
@@ -223,21 +223,13 @@ def test_no_such_enabler_has_no_state():
         with pytest.raises(UnknownId):
             g.set_enabler_state(EnablerState.CONSUMED, *slot)
     with pytest.raises(UnknownId):
-        g.burn_enablers("f9", TxKind.KILL_ENABLERS)
-    assert g.used_enablers == {}
-
-
-def test_burn_requires_trigger():
-    g = packet()
-    for kind in (None, TxKind.LOCKING):
-        with pytest.raises(NoTrigger):
-            g.burn_enablers("f0", kind)
+        g.burn_enablers("f9")
     assert g.used_enablers == {}
 
 
 def test_post_burn_kickoff_lacks_operator_enabler():
     g = packet()
-    g.burn_enablers("f0", TxKind.PROVER_LOSES)
+    g.burn_enablers("f0")
     assert g.enabler_state("f0", g.vmxo_ids[0]) == EnablerState.BURNT
 
 
