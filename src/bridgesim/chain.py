@@ -40,7 +40,7 @@ HEADER_CACHE_SIZE = 128
 
 def _digest(*parts: object) -> str:
     """Each part's repr, each followed by a NUL byte, hashed."""
-    data = "".join(f"{p!r}\x00" for p in parts).encode()
+    data = "\x00".join([*map(repr, parts), ""]).encode()
     return hashlib.sha256(data).hexdigest()[:16]
 
 
@@ -119,23 +119,20 @@ class ChainView:
         self.headers[header.id] = header
         self.block_txs[header.id] = tuple(txs)
         acc = self._acc[header.id] = self._acc[parent_id] + difficulty
-        tip = self._canonical[-1]
-        tip_acc = self._acc[tip.id]
-        if acc > tip_acc or (acc == tip_acc and header.id < tip.id):
-            self._reorg(header)
+        canonical, tip = self._canonical, self._canonical[-1]
+        if parent is tip:
+            # a positive difficulty makes a block on the tip the heavier
+            canonical.append(header)
+        elif (acc, tip.id) > (self._acc[tip.id], header.id):
+            # heavier, or as heavy with a lower id: rewrite the chain after
+            # the last header the new tip's branch shares with it
+            branch, h = [], header
+            while h.height >= len(canonical) or canonical[h.height] is not h:
+                branch.append(h)
+                h = self.headers[h.parent_id]
+            del canonical[h.height + 1:]
+            canonical.extend(reversed(branch))
         return header
-
-    def _reorg(self, tip: BlockHeader) -> None:
-        """Make ``tip`` the tip: rewrite the canonical chain after the last
-        header it shares with the new tip's branch."""
-        branch = []
-        h = tip
-        while h.height >= len(self._canonical) or \
-                self._canonical[h.height] is not h:
-            branch.append(h)
-            h = self.headers[h.parent_id]
-        del self._canonical[h.height + 1:]
-        self._canonical.extend(reversed(branch))
 
     def tip(self) -> BlockHeader:
         return self._canonical[-1]

@@ -22,7 +22,7 @@ from .dispute import (DisputeGame, ExecutionTrace, challenge, drive,
 from .errors import InvalidScenario, NoCapacity, TimeoutExpired
 from .lightclient import AltChainInput, CheckChainInput
 from .protocol import (EVENT_SCHEMA, INTEGER_FIELDS, Bridge, PegOut,
-                       PegOutState, event_lines)
+                       PegOutState, event_lines, event_records)
 from .stopwatch import power_of_two_markers
 from .txgraph import VmxoState
 
@@ -98,6 +98,9 @@ class Scenario:
                 and not self.leak_all:
             raise InvalidScenario("strategy without adversary")
         for w in self.censor:
+            if w.party not in self.functionary_ids or w.start < 0 \
+                    or w.length < 1:
+                raise InvalidScenario(f"{w} censors nobody as written")
             if w.length > self.watch_threshold:
                 raise InvalidScenario("censor window exceeds threshold")
         if self.watch_threshold + 1 + RESERVE_TICKS > LIVENESS_BOUND:
@@ -125,15 +128,19 @@ class Verdict:
 
 @dataclass
 class RunReport:
-    """A run's outcome; ``log`` renders its event ``records`` on first read."""
+    """A run's outcome; its ``records`` and ``log`` render ``rows`` once."""
     scenario: str
     seed: int
-    records: list[dict[str, str]]
+    rows: list[tuple]
     outcomes: list[str]
     verdicts: list[Verdict]
     dispute_costs: dict[str, int]
     deposit_sats: int
     deposit_sufficient: bool
+
+    @cached_property
+    def records(self) -> list[dict[str, str]]:
+        return event_records(self.rows)
 
     @cached_property
     def log(self) -> list[str]:
@@ -529,12 +536,11 @@ class Runner:
         for account in sorted(b.ledger.balances):
             b.log("final_balance", account=account,
                   amount=b.ledger.balances[account])
-        verdicts = check_invariants(b.records)
         honest_costs = sum(b.dispute_costs.get(f, 0) for f in self.honest)
         slashed = len(b.slashed) * b.deposit_per_functionary
         return RunReport(
-            scenario=sc.name, seed=sc.seed, records=b.records,
-            outcomes=list(self.outcomes), verdicts=verdicts,
+            scenario=sc.name, seed=sc.seed, rows=b.rows,
+            outcomes=list(self.outcomes), verdicts=check_invariants(b.rows),
             dispute_costs=dict(b.dispute_costs),
             deposit_sats=b.deposit_per_functionary,
             deposit_sufficient=slashed == 0 or honest_costs <= slashed)
@@ -552,11 +558,7 @@ def run_scenario(scenario: Scenario) -> RunReport:
 # -- invariant checking over the raw log -----------------------------------
 
 def _parse(line: str) -> dict:
-    fields = {}
-    for part in line.split():
-        k, _, v = part.partition("=")
-        fields[k] = v
-    return fields
+    return dict(part.partition("=")[::2] for part in line.split())
 
 
 EVENT_LINE = re.compile(r"t=-?\d+ seq=\d+ ev=\w+(?: .*)?")
@@ -624,14 +626,15 @@ def malformed_log(events: Sequence[Union[str, dict]]) -> Optional[str]:
     return None
 
 
-def check_invariants(events: Sequence[Union[str, dict]]) -> list[Verdict]:
+def check_invariants(events: Sequence[tuple | str | dict]) -> list[Verdict]:
     """The five verdicts (conservation, single-spend, safety, liveness,
-    exclusion) from the log alone, in one pass with a handler per ``ev=``
-    kind; what depends on a later line (honest set, liveness bound, final
-    balances) is decided after it.  Each event is a record, or a text line
-    that is parsed first; a run passes its ``Bridge.records``, a saved log
-    its lines."""
-    parties, params = {}, {}  # the last meta line of each kind
+    exclusion) from the log alone, in one pass with a handler per kind;
+    what depends on a later line (honest set, liveness bound, final
+    balances) is decided after it.  A run passes its ``Bridge.rows``: a row's
+    values are read by position, and its ``seq`` is its position.  A record
+    or a line (a saved log) is made a row first; one that lacks ``t`` or a
+    field of its kind raises ``KeyError``."""
+    honest, bound = "-", 10 ** 9  # from the last meta line of each kind
     # conservation: opening balances and net transfers per account are kept
     # apart, so that their order in the log does not matter
     opening, moved, finals = {}, {}, {}
@@ -641,64 +644,61 @@ def check_invariants(events: Sequence[Union[str, dict]]) -> list[Verdict]:
     linked, canonical_burns, unsafe, slashed = {}, set(), "", []
     pegin_users, minted, burns, fronts = [], set(), {}, {}  # liveness
     burnt_at, excluded = {}, ""  # exclusion
-    for e in events:
-        if isinstance(e, str):
-            e = _parse(e)
-        ev = e.get("ev")
-        if ev in UNREAD:
+    for seq, row in enumerate(events, 1):
+        if not isinstance(row, tuple):
+            e = _parse(row) if isinstance(row, str) else row
+            ev, seq = e.get("ev"), e.get("seq", 0)
+            key = ev if ev in EVENT_SCHEMA else (ev, e.get("kind"))
+            row = e["t"], key, tuple(e[n] for n in EVENT_SCHEMA.get(key, ()))
+        t, key, values = row
+        if key in UNREAD:
             continue
-        if ev == "transfer":
-            amount = int(e["amount"])
-            moved[e["src"]] = moved.get(e["src"], 0) - amount
-            moved[e["dst"]] = moved.get(e["dst"], 0) + amount
-        elif ev == "balance":
-            opening[e["account"]] = int(e["amount"])
-        elif ev == "final_balance":
-            finals[e["account"]] = int(e["amount"])
-        elif ev == "dispute_pub" or ev == "kickoff" or ev == "fronted":
-            actor = e.get("actor" if ev == "dispute_pub" else "operator")
-            if actor in burnt_at and int(e.get("seq", 0)) > burnt_at[actor]:
+        if key == "transfer":
+            amount, dst, src, _ = values
+            moved[src] = moved.get(src, 0) - int(amount)
+            moved[dst] = moved.get(dst, 0) + int(amount)
+        elif key == "balance" or key == "final_balance":
+            account, amount = values
+            (opening if key == "balance" else finals)[account] = int(amount)
+        elif key == "dispute_pub" or key == "kickoff" or key == "fronted":
+            actor = values[1]  # the actor, or operator, of each of these
+            if actor in burnt_at and int(seq) > burnt_at[actor]:
                 excluded = f"{actor} acted after burn"
-            if ev == "fronted":
-                fronts.setdefault(
-                    e["tx"].split("front:", 1)[-1].split(":", 1)[-1],
-                    int(e["t"]))
-        elif ev == "spend":
-            if not double_spent:
-                if e["out"] in spent:
-                    double_spent = e["out"]
-                spent.add(e["out"])
-        elif ev == "meta":
-            if e.get("kind") == "parties":
-                parties = e
-            elif e.get("kind") == "params":
-                params = e
-        elif ev == "pegout_linked":
-            linked[e["vmxo"]] = e["tx"]
-        elif ev == "burn_confirmed":
-            if e.get("canonical") == "1":
-                canonical_burns.add(e["tx"])
-        elif ev == "unlocked":
-            if linked.get(e["vmxo"]) not in canonical_burns:
-                unsafe = f"unlock of {e['vmxo']} without canonical burn"
+            if key == "fronted":
+                tx = values[2].split("front:", 1)[-1].split(":", 1)[-1]
+                fronts.setdefault(tx, int(t))
+        elif key == "spend" and not double_spent:
+            if values[1] in spent:
+                double_spent = values[1]
+            spent.add(values[1])
+        elif key == "pegout_linked":
+            tx, vmxo = values
+            linked[vmxo] = tx
+        elif key == "burn_confirmed":
+            if f"{values[1]}" == "1":
+                canonical_burns.add(values[2])
+        elif key == "unlocked":
+            if linked.get(values[2]) not in canonical_burns:
+                unsafe = f"unlock of {values[2]} without canonical burn"
                 slashed = []
-        elif ev == "theft":
-            unsafe, slashed = f"theft of {e['vmxo']} by {e['thief']}", []
-        elif ev == "slashed":
-            slashed.append(e["loser"])
-        elif ev == "pegin_requested":
-            pegin_users.append(e["user"])
-        elif ev == "minted":
-            minted.add(e["user"])
-        elif ev == "pegout_burn":
-            burns[e["tx"]] = int(e["t"])
-        elif ev == "enablers_burnt":
-            burnt_at.setdefault(e["loser"], int(e.get("seq", 0)))
+        elif key == "theft":
+            unsafe, slashed = f"theft of {values[2]} by {values[1]}", []
+        elif key == "slashed":
+            slashed.append(values[0])
+        elif key == "pegin_requested":
+            pegin_users.append(values[1])
+        elif key == "minted":
+            minted.add(values[1])
+        elif key == "pegout_burn":
+            burns[values[1]] = int(t)
+        elif key == "enablers_burnt":
+            burnt_at.setdefault(values[1], int(seq))
+        elif key == ("meta", "parties"):
+            honest = values[2]
+        elif key == ("meta", "params"):
+            bound = values[0]
 
-    honest = set()
-    if parties.get("honest", "-") != "-":
-        honest = set(parties["honest"].split(","))
-    bound = int(params.get("bound", 10 ** 9))
+    honest = set() if honest == "-" else set(honest.split(","))
     verdicts = []
 
     # conservation: initial balances + transfers == final balances, exactly
@@ -723,7 +723,7 @@ def check_invariants(events: Sequence[Union[str, dict]]) -> list[Verdict]:
     # liveness: every peg-in mints; every burn is fronted within the bound
     late = [f"pegin {u} never minted" for u in pegin_users if u not in minted]
     late += [f"burn {tx} not fronted in time" for tx, t0 in burns.items()
-             if fronts.get(tx) is None or fronts[tx] - t0 > bound]
+             if fronts.get(tx) is None or fronts[tx] - t0 > int(bound)]
     verdicts.append(Verdict("liveness", not late, "; ".join(late)))
 
     # exclusion: after a party's enablers are burnt they take no further

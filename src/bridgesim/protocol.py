@@ -2,9 +2,10 @@
 
 ``Bridge`` holds the full protocol state for one packet: both chains, the
 presigned template graph, the functionaries and the set of slashed ones,
-the satoshi ledger, and an append-only event log, kept as records and
-rendered as lines only on read.  All methods are deterministic; the harness
-drives them from a scenario script.
+the satoshi ledger, and an append-only event log.  The log keeps each event
+as one raw row ``(tick, schema key, values)``, the values as passed; its
+records and text lines are rendered only on read.  All methods are
+deterministic; the harness drives them from a scenario script.
 
 Deposits are denominated on the source chain.  Slashing pays the losing
 party's deposit into a pot that first reimburses every challenger's dispute
@@ -16,6 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 from typing import Optional
 
 from .chain import SECONDARY, SOURCE, ChainView, SimClock
@@ -124,6 +126,21 @@ INTEGER_FIELDS = frozenset({
     "threshold", "window"})
 
 
+# each schema key's picker of a kind's field values, as a tuple in order
+_PICKS = {key: itemgetter(*names) if len(names) > 1
+          else lambda fields, pick=itemgetter(*names): (pick(fields),)
+          for key, names in EVENT_SCHEMA.items()}
+
+
+def event_records(rows) -> list[dict[str, str]]:
+    """Each row's record ``{"t", "seq", "ev", **fields}``, every value
+    ``format()``ed and ``seq`` the row's position, in order."""
+    return [{"t": f"{t}", "seq": f"{seq}",
+             "ev": key if isinstance(key, str) else key[0],
+             **dict(zip(EVENT_SCHEMA[key], map(format, values)))}
+            for seq, (t, key, values) in enumerate(rows, 1)]
+
+
 def event_lines(records: list[dict[str, str]]) -> list[str]:
     """Each record's text line ``t=.. seq=.. ev=.. k=v ...``, in order."""
     return [" ".join(map("=".join, r.items())) for r in records]
@@ -158,7 +175,7 @@ class Bridge:
             functionary_ids, vmxo_count, denomination,
             deposit_per_functionary=deposit)
         self.ledger = Ledger()
-        self.records: list[dict[str, str]] = []
+        self.rows: list[tuple] = []
         self.pegins: list[PegIn] = []
         self.pegouts: list[PegOut] = []
         # VMXOs a peg-in has taken, and VMXOs a peg-out is linked to
@@ -173,26 +190,22 @@ class Bridge:
     # -- event log ---------------------------------------------------------
 
     def log(self, event: str, **fields) -> None:
-        """Append ``{"t", "seq", "ev", **fields}`` to ``records``, fields in
-        ``EVENT_SCHEMA`` order, values as strings.  ``ValueError``, before
-        any write, unless the fields are exactly the kind's."""
-        names = EVENT_SCHEMA.get(event) or EVENT_SCHEMA.get(
-            (event, f"{fields.get('kind')}"))
-        if names is None or len(names) != len(fields):
-            raise ValueError(f"{event} with fields {sorted(fields)}")
-        record = {"t": f"{self.clock.now}", "seq": f"{len(self.records) + 1}",
-                  "ev": event}
+        """Append the row ``(clock.now, EVENT_SCHEMA key, values as passed
+        in its order)``; ``seq`` is its position.  ``ValueError``, before any
+        write, unless the fields are exactly the kind's."""
+        key = event if event in _PICKS else (event, fields.get("kind"))
         try:
-            for k in names:
-                record[k] = f"{fields[k]}"
-        except KeyError:
-            raise ValueError(f"{event} with fields {sorted(fields)}") from None
-        self.records.append(record)
+            values = _PICKS[key](fields)
+        except (KeyError, TypeError):
+            values = None
+        if values is None or len(values) != len(fields):
+            raise ValueError(f"{event} with fields {sorted(fields)}")
+        self.rows.append((self.clock.now, key, values))
 
     @property
     def events(self) -> list[str]:
-        """The text lines of ``records``, rendered on each read."""
-        return event_lines(self.records)
+        """The text lines of ``rows``, rendered on each read."""
+        return event_lines(event_records(self.rows))
 
     def transfer(self, frm: str, to: str, amount: int, why: str) -> None:
         self.ledger.transfer(frm, to, amount)

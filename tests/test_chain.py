@@ -226,6 +226,38 @@ def test_fork_choice_matches_scanning_reference(seed):
     assert reorgs > 0
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_extensions_overtakes_and_ties_match_scanning_reference(seed):
+    # seeded sequences of three moves: a block on the tip; a side branch
+    # from a canonical header below the tip, grown until it overtakes the
+    # tip; and one block whose accumulated difficulty equals the tip's,
+    # which wins only with the lower id
+    rng = random.Random(seed)
+    c, ref = ChainView(SECONDARY), ScanningChain(SECONDARY)
+    seen = {"extended": 0, "overtaken": 0, "tie won": 0, "tie lost": 0}
+    for step in range(40):
+        tip, below = c.tip(), c.canonical_chain()[:-1]
+        move = rng.choice(("extend", "overtake", "tie") if below
+                          else ("extend",))
+        if move == "extend":
+            h = _mine_both(c, ref, tip.id, [f"e{step}"], rng.randint(1, 3))
+            assert c.tip() is h
+            seen["extended"] += 1
+        elif move == "overtake":
+            h = rng.choice(below[-5:])
+            while ref._acc[h.id] <= ref._acc[tip.id]:
+                h = _mine_both(c, ref, h.id, [f"o{step}"], rng.randint(1, 3))
+            assert c.tip() is h and c.confirmations(tip.id) == 0
+            seen["overtaken"] += 1
+        else:
+            fork = rng.choice(below[-5:])
+            h = _mine_both(c, ref, fork.id, [f"t{step}:{rng.random()}"],
+                           ref._acc[tip.id] - ref._acc[fork.id])
+            assert c.tip() is min(tip, h, key=lambda x: x.id)
+            seen["tie won" if c.tip() is h else "tie lost"] += 1
+    assert all(seen.values()), seen
+
+
 def test_equal_work_fork_lowest_id_then_reorg():
     c, ref = ChainView(SOURCE), ScanningChain(SOURCE)
     a = _mine_both(c, ref, c.genesis.id, ["a"], 2)

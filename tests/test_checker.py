@@ -1,5 +1,5 @@
 """The one-pass log checker against a frozen copy of the ten-pass checker it
-replaced, and a run's records against the parse of its own log."""
+replaced, and a run's rows and records against the parse of its own log."""
 
 import random
 import re
@@ -118,10 +118,11 @@ def runs(run_with_bridge):
 
 
 def test_records_equal_parsed_log(runs):
-    # the checker may read a run's records instead of its lines only because
-    # they are the same events
+    # the checker may read a run's rows or records instead of its lines only
+    # because they are the same events
     for report, b in runs:
-        assert [_parse(l) for l in b.events] == b.records, report.scenario
+        assert report.rows is b.rows
+        assert [_parse(l) for l in b.events] == report.records, report.scenario
         assert report.log == b.events
 
 
@@ -209,19 +210,23 @@ def _assert_same_verdicts(log, records):
 def test_run_verdicts_match_reference(runs):
     for report, b in runs:
         assert report.verdicts == reference_check_invariants(report.log)
-        _assert_same_verdicts(report.log, b.records)
+        assert check_invariants(b.rows) == report.verdicts
+        _assert_same_verdicts(report.log, report.records)
         assert malformed_log(report.log) is None
-        assert malformed_log(b.records) is None
+        assert malformed_log(report.records) is None
 
 
 def test_events_may_mix_records_and_lines(runs):
     report, b = runs[2]
-    half = len(b.records) // 2
-    mixed = b.records[:half] + report.log[half:]
+    third = len(b.rows) // 3
+    assert check_invariants(b.rows[:third] + report.records[third:2 * third]
+                            + report.log[2 * third:]) == report.verdicts
+    half = len(report.records) // 2
+    mixed = report.records[:half] + report.log[half:]
     assert check_invariants(mixed) == report.verdicts
     assert malformed_log(mixed) is None
     # a record is checked as the line it renders
-    broken = mixed[:half - 1] + [dict(b.records[half - 1], seq="x")] \
+    broken = mixed[:half - 1] + [dict(report.records[half - 1], seq="x")] \
         + mixed[half:]
     assert malformed_log(broken) == (
         f"line {half} is not an event: "
@@ -234,11 +239,11 @@ def test_every_marked_integer_is_checked(runs):
     # each field the schema marks an integer, edited to a non-integer on
     # the first line that has it, makes the log malformed
     unchecked = set(INTEGER_FIELDS)
-    for _, b in runs:
-        for i, r in enumerate(b.records):
+    for report, _ in runs:
+        for i, r in enumerate(report.records):
             for name in unchecked & r.keys():
-                edited = b.records[:i] + [dict(r, **{name: "1.5"})] \
-                    + b.records[i + 1:]
+                edited = report.records[:i] + [dict(r, **{name: "1.5"})] \
+                    + report.records[i + 1:]
                 assert malformed_log(edited) == (
                     f"line {i + 1} has a non-integer {name}: '1.5'")
                 unchecked.discard(name)

@@ -216,6 +216,15 @@ def test_invalid_scenario_file(tmp_path, capsys):
     assert main(["run", str(sc)]) == 2
 
 
+def test_censor_of_no_functionary_rejected(tmp_path, capsys):
+    # with N = 3 there is no f9: the run used to print five PASS lines and
+    # exit 0, censoring nobody
+    sc = tmp_path / "typo.scenario"
+    sc.write_text(SCENARIO + "censor f9 10 20\n")
+    assert main(["run", str(sc)]) == 2
+    assert "invalid scenario: CensorSpec(party='f9'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("grid", ["seed 1 x\n", "strategy Bogus\n", "seed\n",
                                   "", "# nothing\n"],
                          ids=["bad-int", "bad-strategy", "no-values", "empty",

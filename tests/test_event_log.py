@@ -1,7 +1,7 @@
-"""The event log is kept once, as records, and its text lines are rendered
-only when read: the rendered lines against a frozen copy of the builder
-that kept both, the event schema every record fits, the calls the log
-refuses, and the count of renders."""
+"""The event log is kept once, as raw rows, and its records and text lines
+are rendered only when read: the rendered lines against a frozen copy of
+the builder that kept both, the event schema every row and record fits,
+the calls the log refuses, and the count of renders."""
 
 import re
 from pathlib import Path
@@ -12,7 +12,8 @@ from bridgesim import harness, protocol
 from bridgesim.harness import (INTEGER, Scenario, Strategy,
                                generate_adversarial_scenarios, malformed_log,
                                run_scenario, scenario_corpus)
-from bridgesim.protocol import EVENT_SCHEMA, INTEGER_FIELDS, Bridge
+from bridgesim.protocol import (EVENT_SCHEMA, INTEGER_FIELDS, Bridge,
+                                event_records)
 
 from test_harness import _fuzz_scenarios
 
@@ -24,6 +25,7 @@ class TwoListBridge(Bridge):
     record and as its text line, frozen as the reference for the lines."""
 
     def __init__(self, *args, **kwargs):
+        self.records: list[dict[str, str]] = []
         self.lines: list[str] = []
         self._seq = 0
         super().__init__(*args, **kwargs)
@@ -76,15 +78,15 @@ def test_reserved_field_name_rejected(name):
     # such a field would overwrite its key in place and so move in the
     # rendered line; no schema entry holds one, so the log is left as it was
     b = Bridge(["f0", "f1"], 1, 100_000_000)
-    before = list(b.records)
+    before = list(b.rows)
     with pytest.raises(ValueError):
         b.log("meta", **{name: 1})
     with pytest.raises(ValueError):
         b.log("front_proven", **{name: 1})
-    assert b.records == before
+    assert b.rows == before
     b.log("front_proven", tx="x")
-    assert b.records[-1]["seq"] == f"{len(before) + 1}"
-    assert b.events[-1].endswith(" ev=front_proven tx=x")
+    assert b.rows[-1] == (0, "front_proven", ("x",))
+    assert b.events[-1] == f"t=0 seq={len(before) + 1} ev=front_proven tx=x"
 
 
 @pytest.mark.parametrize("event, fields", [
@@ -100,10 +102,10 @@ def test_reserved_field_name_rejected(name):
 def test_log_refuses_what_the_schema_lacks(event, fields):
     b = Bridge(["f0", "f1"], 1, 100_000_000)
     b.log("spend", out="a:0", by="b")
-    before = [dict(r) for r in b.records]
+    before = list(b.rows)
     with pytest.raises(ValueError):
         b.log(event, **fields)
-    assert b.records == before
+    assert b.rows == before
 
 
 def test_schema_entries_list_their_fields_by_name():
@@ -125,7 +127,13 @@ def test_every_record_fits_its_schema_entry():
                  + list(_fuzz_scenarios(1000)))
     seen, not_integer = set(), set()
     for sc in scenarios:
-        records = run_scenario(sc).records
+        report = run_scenario(sc)
+        # a row keeps each value as passed; only these render on read as
+        # they rendered at emit, whatever changed in between
+        assert all(type(v) in (str, int, bool)
+                   for _, _, values in report.rows for v in values), sc
+        assert event_records(report.rows) == report.records, sc
+        records = report.records
         for r in records:
             key = (r["ev"], r["kind"]) if r["ev"] == "meta" else r["ev"]
             assert tuple(r) == ("t", "seq", "ev", *EVENT_SCHEMA[key]), sc
@@ -153,23 +161,30 @@ def test_readme_lists_the_schema():
 
 
 def test_run_renders_only_when_log_is_read(monkeypatch):
-    # a run keeps records only; report.log renders each record once, on
-    # its first read
-    rendered, render = [], protocol.event_lines
+    # a run keeps rows only; report.log renders each row to its record and
+    # each record to its line once, on its first read
+    rendered = {"event_records": [], "event_lines": []}
 
-    def counting(records):
-        rendered.extend(records)
-        return render(records)
+    def counting(name, render):
+        def count(events):
+            rendered[name].extend(events)
+            return render(events)
+        return count
 
-    for module in (protocol, harness):
-        monkeypatch.setattr(module, "event_lines", counting)
+    for name in rendered:
+        count = counting(name, getattr(protocol, name))
+        for module in (protocol, harness):
+            monkeypatch.setattr(module, name, count)
     report = run_scenario(Scenario(name="n10", seed=5, n_functionaries=10,
                                    adversary=2,
                                    strategy=Strategy.FAKE_PROOF_PROVER))
     assert report.all_passed
-    assert rendered == []
+    assert rendered == {"event_records": [], "event_lines": []}
     lines = report.log
-    assert len(rendered) == len(report.records) > 0
-    assert all(a is b for a, b in zip(rendered, report.records))
+    assert len(rendered["event_records"]) == len(report.rows) > 0
+    assert all(a is b for a, b in zip(rendered["event_records"],
+                                      report.rows))
+    assert all(a is b for a, b in zip(rendered["event_lines"],
+                                      report.records))
     assert report.log is lines
-    assert len(rendered) == len(report.records)
+    assert [len(v) for v in rendered.values()] == [len(report.rows)] * 2

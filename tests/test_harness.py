@@ -187,6 +187,16 @@ def test_scenario_validation():
         Scenario(challenge_window=-5).validate()
 
 
+@pytest.mark.parametrize("window", [
+    CensorSpec("f9", 10, 20), CensorSpec("f1", 10, 0),
+    CensorSpec("f1", 10, -5), CensorSpec("f1", -30, 20)],
+    ids=["unknown-party", "zero-length", "negative-length", "negative-start"])
+def test_censor_window_that_censors_nobody_as_written_rejected(window):
+    # each validated and ran with nobody censored, so a typo tested nothing
+    with pytest.raises(InvalidScenario):
+        Scenario(seed=1, censor=[window]).validate()
+
+
 def test_watch_threshold_keeps_a_stalled_pegout_live(monkeypatch):
     # a silent prover stalls the first peg-out for threshold + 1 ticks; the
     # re-serve fronts RESERVE_TICKS later than that after the burn, so the
@@ -357,12 +367,13 @@ def _fuzz_scenarios(count: int):
 
 def test_fuzz_valid_scenarios_end_in_wellformed_reports(run_with_bridge):
     # every scenario that validates, leak_all and t_sep included, ends in a
-    # report whose log the checker accepts as whole, and the records the
+    # report whose log the checker accepts as whole, and the rows the
     # checker read are that log's events
     for sc in _fuzz_scenarios(300):
         report, b = run_with_bridge(sc)
         assert malformed_log(report.log) is None, sc
-        assert [_parse(l) for l in b.events] == b.records, sc
+        assert report.rows is b.rows
+        assert [_parse(l) for l in b.events] == report.records, sc
 
 
 def test_parse_scenario_rejects_unknown_key():

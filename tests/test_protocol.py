@@ -7,7 +7,8 @@ from bridgesim.errors import (BridgeSimError, ConcurrencyLimit,
                              NotTriggered, UnknownId, WrongDenomination)
 from bridgesim import harness
 from bridgesim.harness import Scenario, Strategy
-from bridgesim.protocol import Bridge, PegIn, PegOut, PegOutState
+from bridgesim.protocol import (Bridge, PegIn, PegOut, PegOutState,
+                                event_records)
 from bridgesim.txgraph import EnablerState, VmxoState
 
 DENOM = 100_000_000
@@ -122,11 +123,11 @@ def test_pegout_links_oldest_locked_vmxo():
 def test_refused_pegout_leaves_no_ghost():
     b = make_bridge()
     do_pegin(b, "u0")
-    balances, records = dict(b.ledger.balances), list(b.records)
+    balances, rows = dict(b.ledger.balances), list(b.rows)
     # u1 holds no wrapped balance to burn
     with pytest.raises(Insolvent):
         b.request_pegout("u1", DENOM)
-    assert b.pegouts == [] and b.records == records
+    assert b.pegouts == [] and b.rows == rows
     assert b.ledger.balances == balances
     pegout = b.request_pegout("u0", DENOM)
     assert b.pegouts == [pegout] and pegout.burn_tx == "burn:u0:1"
@@ -136,10 +137,10 @@ def test_front_by_unknown_operator_refused():
     b = make_bridge()
     do_pegin(b)
     pegout = do_linked_pegout(b)
-    before = (list(b.records), dict(b.ledger.balances), pegout.state)
+    before = (list(b.rows), dict(b.ledger.balances), pegout.state)
     with pytest.raises(UnknownId):
         b.front_funds(pegout, "f7")
-    assert (b.records, b.ledger.balances, pegout.state) == before
+    assert (b.rows, b.ledger.balances, pegout.state) == before
     assert pegout.operator is None and pegout.fronted_tx is None
 
 
@@ -149,11 +150,11 @@ def test_second_front_refused_before_any_change():
     do_pegin(b)
     pegout = do_linked_pegout(b)
     b.front_funds(pegout, "f0")
-    before = (list(b.records), dict(b.ledger.balances), pegout.state,
+    before = (list(b.rows), dict(b.ledger.balances), pegout.state,
               pegout.operator, pegout.fronted_tx)
     with pytest.raises(NotTriggered):
         b.front_funds(pegout, "f1")
-    assert (b.records, b.ledger.balances, pegout.state, pegout.operator,
+    assert (b.rows, b.ledger.balances, pegout.state, pegout.operator,
             pegout.fronted_tx) == before
     assert b.ledger.balances["user:u0:src"] == DENOM - DENOM // 1000
     assert b.active_pegouts("f0") == 1
@@ -164,11 +165,11 @@ def test_kickoff_only_on_locked_vmxo():
     do_pegin(b)
     pegout = do_linked_pegout(b)
     b.publish_kickoff(pegout, "f1")
-    records = list(b.records)
+    rows = list(b.rows)
     with pytest.raises(NotTriggered):
         b.publish_kickoff(pegout, "f1")
-    assert b.records == records
-    assert sum(r["ev"] == "kickoff" for r in b.records) == 1
+    assert b.rows == rows
+    assert sum(key == "kickoff" for _, key, _ in b.rows) == 1
 
 
 def test_front_requires_burn_confirmations():
@@ -270,12 +271,12 @@ def test_slash_idempotent():
 
 def test_slash_refuses_unknown_loser_before_any_change():
     b = make_bridge()
-    balances, records = dict(b.ledger.balances), list(b.records)
+    balances, rows = dict(b.ledger.balances), list(b.rows)
     with pytest.raises(UnknownId):
         b.slash("f7", "f0", ["f0"], "pkt0:vmxo0")
     assert b.slashed == set() and b.graph.spent == {}
     assert b.graph.used_enablers == {}
-    assert b.ledger.balances == balances and b.records == records
+    assert b.ledger.balances == balances and b.rows == rows
 
 
 def elsewhere(pegout):
@@ -363,7 +364,7 @@ def test_refusal_changes_nothing(case):
     unlinked = b.request_pegout("u2", DENOM)
 
     def state():
-        return (list(b.records), dict(b.ledger.balances),
+        return (list(b.rows), dict(b.ledger.balances),
                 dict(b.graph.spent), set(b.linked_vmxos), set(b.slashed),
                 dict(b.dispute_costs),
                 {v: dict(s) for v, s in b.graph.used_enablers.items()},
@@ -383,10 +384,10 @@ def test_executed_pegin_does_not_mint_again():
     b = make_bridge()
     pegin = do_pegin(b)
     fund_user(b, "u0")
-    before = (list(b.records), dict(b.ledger.balances))
+    before = (list(b.rows), dict(b.ledger.balances))
     with pytest.raises(NotTriggered):
         b.execute_pegin(pegin)
-    assert (b.records, b.ledger.balances) == before
+    assert (b.rows, b.ledger.balances) == before
     assert b.ledger.balances["user:u0:wrapped"] == DENOM
     assert b.ledger.balances[f"vmxo:{pegin.vmxo_id}"] == DENOM
 
@@ -411,7 +412,7 @@ def test_insolvent_calls_raise_a_package_error_and_change_nothing():
     unfunded = b.pegins[-1]
 
     def state():
-        return (list(b.records), dict(b.ledger.balances), list(b.pegouts),
+        return (list(b.rows), dict(b.ledger.balances), list(b.pegouts),
                 {v: b.graph.vmxos[v].state for v in b.graph.vmxo_ids})
 
     before = state()
@@ -498,12 +499,12 @@ def test_force_close_refuses_unknown_closer_before_any_change():
     b.publish_kickoff(p2, "f1")
     before = (dict(b.graph.spent),
               {v: (x.state, x.operator) for v, x in b.graph.vmxos.items()},
-              dict(b.ledger.balances), list(b.records))
+              dict(b.ledger.balances), list(b.rows))
     with pytest.raises(UnknownId):
         b.force_close(p1.vmxo_id, p2.vmxo_id, "f9")
     assert (dict(b.graph.spent),
             {v: (x.state, x.operator) for v, x in b.graph.vmxos.items()},
-            b.ledger.balances, b.records) == before
+            b.ledger.balances, b.rows) == before
 
 
 def test_adhoc_theft_rejected_without_full_leak():
@@ -532,7 +533,7 @@ def test_refused_theft_leaves_its_vmxo_awaiting_pegin():
         b.graph.leak_keys(f, free)
 
     def state():
-        return (list(b.records), dict(b.ledger.balances),
+        return (list(b.rows), dict(b.ledger.balances),
                 {v: (x.state, x.operator) for v, x in b.graph.vmxos.items()})
 
     before = state()
@@ -556,7 +557,8 @@ def test_operator_cut_is_exact_above_float_precision():
     fronted = amount - 13_035_838_819_189
     assert before - b.ledger.balances["wallet:f0"] == fronted
     assert b.ledger.balances["user:u0:src"] == fronted
-    assert b.records[-1]["amount"] == f"{fronted}"
+    assert b.rows[-1][2][0] == fronted
+    assert event_records(b.rows)[-1]["amount"] == f"{fronted}"
 
 
 def test_slashed_operator_cannot_front():
@@ -741,8 +743,8 @@ def test_pegs_link_as_the_scanning_reference(run_with_bridge, monkeypatch,
     monkeypatch.setattr(harness, "Bridge", ScanningBridge)
     _, reference = run_with_bridge(sc)
     assert isinstance(reference, ScanningBridge)
-    assert bridge.records == reference.records
-    assert any(r["ev"] == "pegout_linked" for r in bridge.records)
+    assert bridge.rows == reference.rows
+    assert any(key == "pegout_linked" for _, key, _ in bridge.rows)
 
 
 def test_pending_pegins_take_distinct_vmxos():
@@ -753,6 +755,6 @@ def test_pending_pegins_take_distinct_vmxos():
         vmxos = [b.request_pegin(u, DENOM).vmxo_id for u in ("u0", "u1")]
         with pytest.raises(NoCapacity):
             b.request_pegin("u2", DENOM)
-        runs.append((vmxos, b.records))
+        runs.append((vmxos, b.rows))
     assert runs[0] == runs[1]
     assert runs[0][0] == b.graph.vmxo_ids
