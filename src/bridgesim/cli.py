@@ -15,9 +15,9 @@ import sys
 from pathlib import Path
 
 from .econ import format_deposit_table, reproduce_deposit_table
-from .errors import InvalidScenario
+from .errors import InvalidScenario, MalformedInput
 from .harness import (INT_KEYS, Scenario, Strategy, check_invariants,
-                      malformed_log, parse_scenario, run_scenario)
+                      parse_scenario, read_log, run_scenario)
 
 
 class _Unusable(Exception):
@@ -119,12 +119,12 @@ def _cmd_deposit_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    log = _file(args.log_file).splitlines()
-    reason = malformed_log(log)
-    if reason is not None:
-        print(f"malformed log: {reason}", file=sys.stderr)
+    try:
+        rows = read_log(_file(args.log_file).splitlines())
+    except MalformedInput as exc:
+        print(f"malformed log: {exc}", file=sys.stderr)
         return 2
-    verdicts = check_invariants(log)
+    verdicts = check_invariants(rows)
     for v in verdicts:
         status = "PASS" if v.passed else "FAIL"
         print(f"[{status}] {v.name} {v.detail}".rstrip())

@@ -9,20 +9,19 @@ byte-identical event log.
 from __future__ import annotations
 
 import random
-import re
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import count
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .chain import CensorSpec
 from .dispute import (DisputeGame, ExecutionTrace, challenge, drive,
                       open_game, resolve_no_challenge, settle_counter_proof)
 from .errors import InvalidScenario, NoCapacity, TimeoutExpired
 from .lightclient import AltChainInput, CheckChainInput
-from .protocol import (EVENT_SCHEMA, INTEGER_FIELDS, Bridge, PegOut,
-                       PegOutState, event_lines, event_records)
+from .protocol import (Bridge, PegOut, PegOutState, event_lines,
+                       read_log)
 from .stopwatch import power_of_two_markers
 from .txgraph import VmxoState
 
@@ -128,7 +127,7 @@ class Verdict:
 
 @dataclass
 class RunReport:
-    """A run's outcome; its ``records`` and ``log`` render ``rows`` once."""
+    """A run's outcome; its ``log`` renders ``rows`` once, on first read."""
     scenario: str
     seed: int
     rows: list[tuple]
@@ -139,12 +138,8 @@ class RunReport:
     deposit_sufficient: bool
 
     @cached_property
-    def records(self) -> list[dict[str, str]]:
-        return event_records(self.rows)
-
-    @cached_property
     def log(self) -> list[str]:
-        return event_lines(self.records)
+        return event_lines(self.rows)
 
     @property
     def all_passed(self) -> bool:
@@ -557,12 +552,6 @@ def run_scenario(scenario: Scenario) -> RunReport:
 
 # -- invariant checking over the raw log -----------------------------------
 
-def _parse(line: str) -> dict:
-    return dict(part.partition("=")[::2] for part in line.split())
-
-
-EVENT_LINE = re.compile(r"t=-?\d+ seq=\d+ ev=\w+(?: .*)?")
-INTEGER = re.compile(r"-?\d+")
 # the kinds of event that no verdict reads
 UNREAD = frozenset({
     "challenge_refunded", "challenge_window_expired", "dispute_outcome",
@@ -571,70 +560,14 @@ UNREAD = frozenset({
     "sw_stop", "sw_tick", "theft_rejected", "watch_total"})
 
 
-def malformed_log(events: Sequence[Union[str, dict]]) -> Optional[str]:
-    """Why a saved log cannot be one whole run's log, or None.  Each event
-    is a text line or a record, which must render as such a line.  Every
-    line must be an event with exactly its kind's fields, in
-    ``EVENT_SCHEMA`` order, and an integer in each field ``INTEGER_FIELDS``
-    marks; the run's scenario, parameters, end of setup and a final balance
-    for every account it moved must be there.  Lines run in the order they
-    were logged: ``seq`` counts 1, 2, ... and ``t`` never decreases, so a
-    deleted or reordered line shows."""
-    log = [e if isinstance(e, str) else event_lines([e])[0] for e in events]
-    for lineno, line in enumerate(log, 1):
-        if not EVENT_LINE.fullmatch(line):
-            return f"line {lineno} is not an event: {line[:60]!r}"
-    events = [_parse(e) if isinstance(e, str) else e for e in events]
-    for lineno, e in enumerate(events, 1):
-        for name, value in e.items():
-            if name in INTEGER_FIELDS and not INTEGER.fullmatch(value):
-                return f"line {lineno} has a non-integer {name}: {value!r}"
-        line = log[lineno - 1]
-        names = EVENT_SCHEMA.get(e["ev"]) or EVENT_SCHEMA.get(
-            (e["ev"], e.get("kind")))
-        if names is None:
-            return f"line {lineno} is of no known kind: {line[:60]!r}"
-        fields = tuple(p.partition("=")[0] for p in line.split()[3:])
-        if fields != names:
-            missing = [n for n in names if n not in fields]
-            what = (f"no {missing[0]}" if missing else
-                    f"fields {' '.join(fields)}, not {' '.join(names)}")
-            return f"line {lineno} has {what}: {line[:60]!r}"
-    seen = {(e["ev"], e.get("kind")) for e in events}
-    for ev, kind, what in [("meta", "scenario", "meta kind=scenario"),
-                           ("meta", "params", "meta kind=params"),
-                           ("setup_done", None, "setup_done")]:
-        if (ev, kind) not in seen:
-            return f"no {what} line"
-    accounts = {e.get("account") for e in events if e["ev"] == "balance"}
-    for e in events:
-        if e["ev"] == "transfer":
-            accounts.update((e.get("src"), e.get("dst")))
-    finals = {e.get("account") for e in events if e["ev"] == "final_balance"}
-    if not finals:
-        return "no final_balance lines"
-    missing = sorted(str(a) for a in accounts - finals)
-    if missing:
-        return f"no final_balance for {missing[0]}"
-    t = None
-    for lineno, e in enumerate(events, 1):
-        if int(e["seq"]) != lineno:
-            return f"line {lineno} has seq={e['seq']}, not {lineno}"
-        if t is not None and int(e["t"]) < t:
-            return f"line {lineno} has t={e['t']}, before t={t}"
-        t = int(e["t"])
-    return None
-
-
-def check_invariants(events: Sequence[tuple | str | dict]) -> list[Verdict]:
+def check_invariants(events: Sequence) -> list[Verdict]:
     """The five verdicts (conservation, single-spend, safety, liveness,
-    exclusion) from the log alone, in one pass with a handler per kind;
-    what depends on a later line (honest set, liveness bound, final
-    balances) is decided after it.  A run passes its ``Bridge.rows``: a row's
-    values are read by position, and its ``seq`` is its position.  A record
-    or a line (a saved log) is made a row first; one that lacks ``t`` or a
-    field of its kind raises ``KeyError``."""
-    honest, bound = "-", 10 ** 9  # from the last meta line of each kind
+    exclusion) from the log alone, in one pass over its rows with a handler
+    per kind, a row's ``seq`` its position; what depends on a later line
+    (honest set, liveness bound, final balances) is decided after it.  Text
+    lines, or no events, are read with ``read_log`` first."""
+    rows = events if events and type(events[0]) is tuple else read_log(events)
+    honest, bound = "-", 10 ** 9
     # conservation: opening balances and net transfers per account are kept
     # apart, so that their order in the log does not matter
     opening, moved, finals = {}, {}, {}
@@ -644,29 +577,23 @@ def check_invariants(events: Sequence[tuple | str | dict]) -> list[Verdict]:
     linked, canonical_burns, unsafe, slashed = {}, set(), "", []
     pegin_users, minted, burns, fronts = [], set(), {}, {}  # liveness
     burnt_at, excluded = {}, ""  # exclusion
-    for seq, row in enumerate(events, 1):
-        if not isinstance(row, tuple):
-            e = _parse(row) if isinstance(row, str) else row
-            ev, seq = e.get("ev"), e.get("seq", 0)
-            key = ev if ev in EVENT_SCHEMA else (ev, e.get("kind"))
-            row = e["t"], key, tuple(e[n] for n in EVENT_SCHEMA.get(key, ()))
-        t, key, values = row
+    for seq, (t, key, values) in enumerate(rows, 1):
         if key in UNREAD:
             continue
         if key == "transfer":
             amount, dst, src, _ = values
-            moved[src] = moved.get(src, 0) - int(amount)
-            moved[dst] = moved.get(dst, 0) + int(amount)
+            moved[src] = moved.get(src, 0) - amount
+            moved[dst] = moved.get(dst, 0) + amount
         elif key == "balance" or key == "final_balance":
             account, amount = values
-            (opening if key == "balance" else finals)[account] = int(amount)
+            (opening if key == "balance" else finals)[account] = amount
         elif key == "dispute_pub" or key == "kickoff" or key == "fronted":
             actor = values[1]  # the actor, or operator, of each of these
-            if actor in burnt_at and int(seq) > burnt_at[actor]:
+            if actor in burnt_at and seq > burnt_at[actor]:
                 excluded = f"{actor} acted after burn"
             if key == "fronted":
                 tx = values[2].split("front:", 1)[-1].split(":", 1)[-1]
-                fronts.setdefault(tx, int(t))
+                fronts.setdefault(tx, t)
         elif key == "spend" and not double_spent:
             if values[1] in spent:
                 double_spent = values[1]
@@ -675,7 +602,7 @@ def check_invariants(events: Sequence[tuple | str | dict]) -> list[Verdict]:
             tx, vmxo = values
             linked[vmxo] = tx
         elif key == "burn_confirmed":
-            if f"{values[1]}" == "1":
+            if values[1] == 1:
                 canonical_burns.add(values[2])
         elif key == "unlocked":
             if linked.get(values[2]) not in canonical_burns:
@@ -690,9 +617,9 @@ def check_invariants(events: Sequence[tuple | str | dict]) -> list[Verdict]:
         elif key == "minted":
             minted.add(values[1])
         elif key == "pegout_burn":
-            burns[values[1]] = int(t)
+            burns[values[1]] = t
         elif key == "enablers_burnt":
-            burnt_at.setdefault(values[1], int(seq))
+            burnt_at.setdefault(values[1], seq)
         elif key == ("meta", "parties"):
             honest = values[2]
         elif key == ("meta", "params"):
@@ -723,7 +650,7 @@ def check_invariants(events: Sequence[tuple | str | dict]) -> list[Verdict]:
     # liveness: every peg-in mints; every burn is fronted within the bound
     late = [f"pegin {u} never minted" for u in pegin_users if u not in minted]
     late += [f"burn {tx} not fronted in time" for tx, t0 in burns.items()
-             if fronts.get(tx) is None or fronts[tx] - t0 > int(bound)]
+             if fronts.get(tx) is None or fronts[tx] - t0 > bound]
     verdicts.append(Verdict("liveness", not late, "; ".join(late)))
 
     # exclusion: after a party's enablers are burnt they take no further

@@ -4,8 +4,8 @@
 presigned template graph, the functionaries and the set of slashed ones,
 the satoshi ledger, and an append-only event log.  The log keeps each event
 as one raw row ``(tick, schema key, values)``, the values as passed; its
-records and text lines are rendered only on read.  All methods are
-deterministic; the harness drives them from a scenario script.
+text lines are rendered on read, and ``read_log`` reads them back.  All
+methods are deterministic; the harness drives them from a scenario script.
 
 Deposits are denominated on the source chain.  Slashing pays the losing
 party's deposit into a pot that first reimburses every challenger's dispute
@@ -80,7 +80,7 @@ class Ledger:
         self.balances[to] = self.balances.get(to, 0) + amount
 
 
-# Each event kind's fields in the order its record holds them, which is by
+# Each event kind's fields in the order its line holds them, which is by
 # name; a meta event is keyed by its kind.
 EVENT_SCHEMA = {
     "balance": ("account", "amount"),
@@ -130,20 +130,92 @@ INTEGER_FIELDS = frozenset({
 _PICKS = {key: itemgetter(*names) if len(names) > 1
           else lambda fields, pick=itemgetter(*names): (pick(fields),)
           for key, names in EVENT_SCHEMA.items()}
+# each schema key's line, ``t`` and ``seq`` then the values to fill in
+_LINES = {key: " ".join(["t={} seq={}",
+                         f"ev={key if isinstance(key, str) else key[0]}",
+                         *(f"{name}={{}}" for name in names)])
+          for key, names in EVENT_SCHEMA.items()}
+# the lines a whole run's log holds exactly once, as a refusal names them
+ONCE = {("meta", "scenario"): "meta kind=scenario",
+        ("meta", "parties"): "meta kind=parties",
+        ("meta", "params"): "meta kind=params",
+        "setup_done": "setup_done"}
 
 
-def event_records(rows) -> list[dict[str, str]]:
-    """Each row's record ``{"t", "seq", "ev", **fields}``, every value
+def event_lines(rows) -> list[str]:
+    """Each row's text line ``t=.. seq=.. ev=.. k=v ...``, every value
     ``format()``ed and ``seq`` the row's position, in order."""
-    return [{"t": f"{t}", "seq": f"{seq}",
-             "ev": key if isinstance(key, str) else key[0],
-             **dict(zip(EVENT_SCHEMA[key], map(format, values)))}
+    return [_LINES[key].format(t, seq, *values)
             for seq, (t, key, values) in enumerate(rows, 1)]
 
 
-def event_lines(records: list[dict[str, str]]) -> list[str]:
-    """Each record's text line ``t=.. seq=.. ev=.. k=v ...``, in order."""
-    return [" ".join(map("=".join, r.items())) for r in records]
+def _integer(lineno: int, name: str, value: str) -> int:
+    """``value`` as the ``int`` that ``format()`` writes as it."""
+    try:
+        number = int(value)
+    except ValueError:  # no integer, or more digits than int() reads
+        raise MalformedInput(f"line {lineno} has a non-integer {name}: "
+                             f"{value!r}") from None
+    if f"{number}" != value:
+        raise MalformedInput(f"line {lineno} has a non-canonical {name}: "
+                             f"{value!r}")
+    return number
+
+
+def read_log(lines) -> list[tuple]:
+    """The rows of a saved log, each the row ``event_lines`` renders as its
+    line, ``t`` and each ``INTEGER_FIELDS`` value an ``int``; else
+    ``MalformedInput`` names the first fault, in this order: a line not
+    ``t=<int> seq=<int> ev=<kind>`` then single-spaced ``name=value`` fields,
+    an integer not written as ``format()`` writes it, a kind not in
+    ``EVENT_SCHEMA`` or without exactly its fields, a second line of a kind
+    in ``ONCE``; a kind in ``ONCE``, or the final balance of an account the
+    log moves, missing; a ``seq`` not 1, 2, ... or a ``t`` that decreases."""
+    rows, seen, disorder = [], set(), None
+    for lineno, line in enumerate(lines, 1):
+        tokens = [token.split("=", 1) for token in line.split(" ")]
+        if [name for name, *_ in tokens[:3]] != ["t", "seq", "ev"] \
+                or min(map(len, tokens)) < 2 \
+                or not tokens[0][1].removeprefix("-").isdecimal() \
+                or not tokens[1][1].isdecimal():
+            raise MalformedInput(f"line {lineno} is not an event: "
+                                 f"{line[:60]!r}")
+        (_, t), (_, seq), (_, ev), *fields = tokens
+        t, seq = _integer(lineno, "t", t), _integer(lineno, "seq", seq)
+        values = tuple(_integer(lineno, name, value)
+                       if name in INTEGER_FIELDS else value
+                       for name, value in fields)
+        key = ev if ev in EVENT_SCHEMA else (ev, dict(fields).get("kind"))
+        names, got = EVENT_SCHEMA.get(key), tuple(name for name, _ in fields)
+        if names is None:
+            raise MalformedInput(f"line {lineno} is of no known kind: "
+                                 f"{line[:60]!r}")
+        if got != names:
+            missing = [n for n in names if n not in got]
+            what = (f"no {missing[0]}" if missing else
+                    f"fields {' '.join(got)}, not {' '.join(names)}")
+            raise MalformedInput(f"line {lineno} has {what}: {line[:60]!r}")
+        if key in ONCE and key in seen:
+            raise MalformedInput(f"line {lineno} is a second {ONCE[key]}")
+        seen.add(key)
+        if disorder is None and seq != lineno:
+            disorder = f"line {lineno} has seq={seq}, not {lineno}"
+        elif disorder is None and rows and t < rows[-1][0]:
+            disorder = f"line {lineno} has t={t}, before t={rows[-1][0]}"
+        rows.append((t, key, values))
+    for key, what in ONCE.items():
+        if key not in seen:
+            raise MalformedInput(f"no {what} line")
+    finals = {values[0] for _, key, values in rows if key == "final_balance"}
+    moved = {values[0] for _, key, values in rows if key == "balance"}.union(
+        *(values[1:3] for _, key, values in rows if key == "transfer"))
+    if not finals:
+        raise MalformedInput("no final_balance lines")
+    if moved - finals:
+        raise MalformedInput(f"no final_balance for {min(moved - finals)}")
+    if disorder is not None:
+        raise MalformedInput(disorder)
+    return rows
 
 
 class Bridge:
@@ -205,7 +277,7 @@ class Bridge:
     @property
     def events(self) -> list[str]:
         """The text lines of ``rows``, rendered on each read."""
-        return event_lines(event_records(self.rows))
+        return event_lines(self.rows)
 
     def transfer(self, frm: str, to: str, amount: int, why: str) -> None:
         self.ledger.transfer(frm, to, amount)

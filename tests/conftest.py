@@ -6,7 +6,7 @@ from bridgesim.harness import Runner
 @pytest.fixture(scope="session")
 def run_with_bridge():
     """Runs a scenario the way ``run_scenario`` does and returns its report
-    with the run's bridge, whose records the checker read."""
+    with the run's bridge, whose rows the checker read."""
     def run(scenario):
         runner = Runner(scenario)
         runner.setup()

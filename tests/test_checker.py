@@ -1,18 +1,24 @@
 """The one-pass log checker against a frozen copy of the ten-pass checker it
-replaced, and a run's rows and records against the parse of its own log."""
+replaced, over the logs runs write and those logs mutated, and the saved-log
+reader's refusals."""
 
 import random
 import re
 
 import pytest
 
-from bridgesim.harness import (INTEGER, Verdict, _parse, check_invariants,
-                               generate_adversarial_scenarios, malformed_log,
+from bridgesim.errors import MalformedInput
+from bridgesim.harness import (Verdict, check_invariants,
+                               generate_adversarial_scenarios,
                                scenario_corpus)
-from bridgesim.protocol import EVENT_SCHEMA, INTEGER_FIELDS
+from bridgesim.protocol import EVENT_SCHEMA, INTEGER_FIELDS, read_log
 
 
 # -- reference: the ten-pass checker, frozen ----------------------------------
+
+def _parse(line: str) -> dict:
+    return dict(part.partition("=")[::2] for part in line.split())
+
 
 def reference_check_invariants(log: list[str]) -> list[Verdict]:
     events = [_parse(l) for l in log]
@@ -117,15 +123,6 @@ def runs(run_with_bridge):
             scenario_corpus() + generate_adversarial_scenarios(500)]
 
 
-def test_records_equal_parsed_log(runs):
-    # the checker may read a run's rows or records instead of its lines only
-    # because they are the same events
-    for report, b in runs:
-        assert report.rows is b.rows
-        assert [_parse(l) for l in b.events] == report.records, report.scenario
-        assert report.log == b.events
-
-
 # -- mutations -----------------------------------------------------------------
 
 def _delete(rng, log):
@@ -150,7 +147,7 @@ def _edit(rng, log):
     fields = log[i].split()
     k = rng.choice([n for n, f in enumerate(fields) if not f.startswith("ev=")])
     name, _, value = fields[k].partition("=")
-    if INTEGER.fullmatch(value):
+    if value.removeprefix("-").isdecimal():
         new = str(int(value) + rng.choice([-3, -1, 1, 2, 1000]))
     else:
         others = sorted({f.partition("=")[2] for line in log
@@ -194,45 +191,51 @@ MUTATIONS = {
 }
 
 
-def _outcome(fn, *args):
+def _in_order(log):
+    """``log`` with each ``seq`` its position and each ``t`` lifted to the
+    previous line's tick, so that only what a mutation changed can make
+    ``read_log`` refuse it."""
+    out, last = [], None
+    for seq, line in enumerate(log, 1):
+        t, _, event = line.split(" ", 2)
+        t = int(t.removeprefix("t="))
+        last = t if last is None else max(last, t)
+        out.append(f"t={last} seq={seq} {event}")
+    return out
+
+
+def _accepted_with_reference_verdicts(log) -> bool:
+    """False if ``read_log`` refuses ``log``; else True, once the checker
+    has given the reference's verdicts, details included, from the rows
+    read and from the lines alike."""
     try:
-        return fn(*args)
-    except (KeyError, ValueError) as exc:
-        return type(exc).__name__
-
-
-def _assert_same_verdicts(log, records):
-    want = _outcome(reference_check_invariants, log)
-    assert _outcome(check_invariants, log) == want
-    assert _outcome(check_invariants, records) == want
+        rows = read_log(log)
+    except MalformedInput:
+        return False
+    want = reference_check_invariants(log)
+    assert check_invariants(rows) == want
+    assert check_invariants(log) == want
+    return True
 
 
 def test_run_verdicts_match_reference(runs):
     for report, b in runs:
         assert report.verdicts == reference_check_invariants(report.log)
         assert check_invariants(b.rows) == report.verdicts
-        _assert_same_verdicts(report.log, report.records)
-        assert malformed_log(report.log) is None
-        assert malformed_log(report.records) is None
+        assert _accepted_with_reference_verdicts(report.log)
 
 
-def test_events_may_mix_records_and_lines(runs):
-    report, b = runs[2]
-    third = len(b.rows) // 3
-    assert check_invariants(b.rows[:third] + report.records[third:2 * third]
-                            + report.log[2 * third:]) == report.verdicts
-    half = len(report.records) // 2
-    mixed = report.records[:half] + report.log[half:]
-    assert check_invariants(mixed) == report.verdicts
-    assert malformed_log(mixed) is None
-    # a record is checked as the line it renders
-    broken = mixed[:half - 1] + [dict(report.records[half - 1], seq="x")] \
-        + mixed[half:]
-    assert malformed_log(broken) == (
-        f"line {half} is not an event: "
-        f"{report.log[half - 1].replace(f'seq={half}', 'seq=x')[:60]!r}")
-    assert malformed_log([{"t": "0", "seq": "1"}]) == (
-        "line 1 is not an event: 't=0 seq=1'")
+def _refusal(log) -> str:
+    with pytest.raises(MalformedInput) as refused:
+        read_log(log)
+    return str(refused.value)
+
+
+def _with_token(log, i, j, token):
+    """``log`` with token ``j`` of line ``i`` replaced by ``token``."""
+    tokens = log[i].split(" ")
+    return log[:i] + [" ".join(tokens[:j] + [token] + tokens[j + 1:])] \
+        + log[i + 1:]
 
 
 def test_every_marked_integer_is_checked(runs):
@@ -240,14 +243,50 @@ def test_every_marked_integer_is_checked(runs):
     # the first line that has it, makes the log malformed
     unchecked = set(INTEGER_FIELDS)
     for report, _ in runs:
-        for i, r in enumerate(report.records):
-            for name in unchecked & r.keys():
-                edited = report.records[:i] + [dict(r, **{name: "1.5"})] \
-                    + report.records[i + 1:]
-                assert malformed_log(edited) == (
-                    f"line {i + 1} has a non-integer {name}: '1.5'")
-                unchecked.discard(name)
+        for i, line in enumerate(report.log):
+            for j, token in enumerate(line.split(" ")):
+                name = token.partition("=")[0]
+                if name in unchecked:
+                    edited = _with_token(report.log, i, j, f"{name}=1.5")
+                    assert _refusal(edited) == (
+                        f"line {i + 1} has a non-integer {name}: '1.5'")
+                    unchecked.discard(name)
     assert not unchecked
+
+
+ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663"
+                             "\u0664\u0665\u0666\u0667\u0668\u0669")
+
+
+def _respellings(value):
+    """An integer as ``format()`` writes it, written as ``int()`` still
+    reads it: zero-padded, in Arabic-Indic digits, and ``-0`` for 0."""
+    sign, digits = ("-", value[1:]) if value.startswith("-") else ("", value)
+    yield f"{sign}0{digits}"
+    yield sign + digits.translate(ARABIC_INDIC)
+    if value == "0":
+        yield "-0"
+
+
+def test_every_integer_respelled_is_refused(runs):
+    # t, seq and every marked integer of the corpus logs, one at a time,
+    # written as int() still reads it but format() never writes it: each
+    # edit is refused, so a log read_log accepts renders back to itself
+    integers = INTEGER_FIELDS | {"t", "seq"}
+    respelled = 0
+    for report, _ in runs[:len(scenario_corpus())]:
+        for i, line in enumerate(report.log):
+            for j, token in enumerate(line.split(" ")):
+                name, _, value = token.partition("=")
+                if name not in integers:
+                    continue
+                for new in _respellings(value):
+                    assert int(new) == int(value)
+                    edited = _with_token(report.log, i, j, f"{name}={new}")
+                    assert _refusal(edited) == (
+                        f"line {i + 1} has a non-canonical {name}: {new!r}")
+                    respelled += 1
+    assert respelled > 2000
 
 
 def _schema_edits(log, rng, names):
@@ -270,32 +309,31 @@ def test_every_sampled_schema_edit_of_the_corpus_is_malformed(runs):
     names = sorted({"t", "seq", "ev"}.union(*EVENT_SCHEMA.values()))
     edits = []
     for report, _ in runs[:len(scenario_corpus())]:
-        assert malformed_log(report.log) is None, report.scenario
+        read_log(report.log)
         edits += [(report.log, i, line)
                   for i, line in _schema_edits(report.log, rng, names)]
     for log, i, line in rng.sample(edits, 1500):
-        assert malformed_log(log[:i] + [line] + log[i + 1:]) is not None, line
+        _refusal(log[:i] + [line] + log[i + 1:])
 
 
 @pytest.mark.parametrize("mutation", MUTATIONS)
 def test_mutated_logs_match_reference(runs, mutation):
-    # every mutated log gets the reference's verdicts, details included,
-    # from lines and from their records alike, and the same malformed_log
-    # reason from both.
+    # every mutated log, rewritten in order, is either refused by read_log
+    # or gets the reference's verdicts, details included.
     # Each mutation takes every third run, so the runs share the mutations.
     mutate = MUTATIONS[mutation]
     rng = random.Random(mutation)
-    mutated = failed = 0
+    accepted = failed = 0
     for report, _ in runs[list(MUTATIONS).index(mutation) % 3::3]:
         log = mutate(rng, report.log)
         if log is None:
             continue
-        mutated += 1
-        records = [_parse(l) for l in log]
-        _assert_same_verdicts(log, records)
-        failed += not all(v.passed for v in reference_check_invariants(log))
-        assert malformed_log(records) == malformed_log(log)
-    assert mutated >= 50
+        log = _in_order(log)
+        if _accepted_with_reference_verdicts(log):
+            accepted += 1
+            failed += not all(v.passed
+                              for v in reference_check_invariants(log))
+    assert accepted >= 100
     if mutation != "parties-after-slash":
         assert failed > 0  # the mutations reach the verdicts
 
@@ -354,25 +392,30 @@ CRAFTED = {
         l, 5, _line(l, "balance").replace("amount=", "amount=7")),
     "final-balance-restated": lambda l: l + [
         _line(l, "final_balance").replace("amount=", "amount=7")],
-    # exclusion: a party is excluded from its first burn on, whatever
-    # ``seq`` a later burn line carries
+    # exclusion: a party is excluded from its first burn on, not from a
+    # later restated one
     "act-after-two-burns": lambda l: l + [
-        re.sub(r" seq=\d+ ", " seq=99999 ", _line(l, "enablers_burnt")),
-        re.sub(r" seq=\d+ (.*) operator=\S+", rf" seq={len(l) + 2} \1 "
-               "operator=f1", _line(l, "kickoff"))],
-    # the last parties line names the honest set
+        _line(l, "enablers_burnt"),
+        re.sub(r" operator=\S+", " operator=f1", _line(l, "kickoff"))],
+    # a second parties line would rename the honest set, and a second
+    # params line reset the bound: read_log refuses both
     "parties-restated": lambda l: l + [
         next(x for x in _honest_loser(l) if " kind=parties " in x)],
-    # the last params line sets the bound
     "params-restated": lambda l: l + [re.sub(r"bound=\d+", "bound=0", next(
         x for x in l if " kind=params " in x))],
 }
+REFUSED = {"parties-restated": "a second meta kind=parties",
+           "params-restated": "a second meta kind=params"}
 
 
 @pytest.mark.parametrize("craft", CRAFTED)
 def test_crafted_logs_match_reference(runs, craft):
-    # cases where a verdict keeps the first or the last of several events
+    # cases where a verdict keeps the first or the last of several events,
+    # each rewritten in order; read_log accepts each but those it refuses
     report, _ = runs[2]
     assert report.scenario == "adversary-FakeProofProver"
-    log = CRAFTED[craft](report.log)
-    _assert_same_verdicts(log, [_parse(l) for l in log])
+    log = _in_order(CRAFTED[craft](report.log))
+    if craft in REFUSED:
+        assert _refusal(log) == f"line {len(log)} is {REFUSED[craft]}"
+    else:
+        assert _accepted_with_reference_verdicts(log)

@@ -1,8 +1,10 @@
 import dataclasses
 import re
+import sys
 
 import pytest
 
+from bridgesim import cli, harness, protocol
 from bridgesim.cli import main
 
 SCENARIO = """
@@ -66,11 +68,31 @@ def test_check_flags_tampered_log(tmp_path):
     main(["run", str(sc), "--log", str(log)])
     lines = log.read_text().splitlines()
     spend = next(l for l in lines if " ev=spend " in l)
-    # replay the spend as the log's next line, so the log stays in order
-    replay = re.sub(r"^t=-?\d+ seq=\d+ ",
-                    f"{lines[-1].split()[0]} seq={len(lines) + 1} ", spend)
-    log.write_text("\n".join(lines + [replay]) + "\n")
+    log.write_text("\n".join(_appended(lines, spend)) + "\n")
     assert main(["check", str(log)]) == 1
+
+
+def test_check_reads_the_log_once(tmp_path, capsys, monkeypatch):
+    sc = tmp_path / "demo.scenario"
+    sc.write_text(SCENARIO)
+    log = tmp_path / "run.log"
+    main(["run", str(sc), "--log", str(log)])
+    reads = []
+
+    def counting(lines):
+        reads.append(len(lines))
+        return protocol.read_log(lines)
+
+    for module in (cli, harness):
+        monkeypatch.setattr(module, "read_log", counting)
+    assert main(["check", str(log)]) == 0
+    assert reads == [len(log.read_text().splitlines())]
+
+
+def _appended(lines, line):
+    """``lines`` with ``line`` replayed as the log's next line, in order."""
+    event = line.split(" ", 2)[2]
+    return lines + [f"{lines[-1].split()[0]} seq={len(lines) + 1} {event}"]
 
 
 def _cut_final_balances(lines):
@@ -142,11 +164,26 @@ def _edited(ev, name, value):
     (_delete_outcome, "line 78 has seq=79, not 78"),
     (_swap_outcome_back, "line 77 has seq=78, not 77"),
     (_swap_outcome_back_and_renumber, "line 78 has t=12, before t=24"),
+    # integers written otherwise than format() writes them
+    (_edited("transfer", "amount", "0100000000"),
+     "line 14 has a non-canonical amount: '0100000000'"),
+    (_edited("transfer", "seq", "014"), "line 14 has a non-canonical seq"),
+    (lambda lines: [lines[0].replace("t=0 ", "t=-0 ", 1)] + lines[1:],
+     "line 1 has a non-canonical t: '-0'"),
+    # the parties line, which names the honest set, exactly once
+    (lambda lines: _appended(lines, next(
+        l for l in lines if " kind=parties " in l).replace(
+            "honest=f0,f2", "honest=f1")),
+     "line 114 is a second meta kind=parties"),
+    (lambda lines: [l for l in lines if " kind=parties " not in l],
+     "no meta kind=parties"),
 ], ids=["empty", "garbage", "bad-tick", "no-setup", "truncated",
         "final-balances-cut", "missing-field", "extra-field",
         "repeated-field", "reordered-fields", "unknown-kind",
         "unknown-meta-kind", "bad-amount", "bad-pot", "bad-interval",
-        "deleted-line", "swapped-line", "swapped-renumbered-line"])
+        "deleted-line", "swapped-line", "swapped-renumbered-line",
+        "padded-amount", "padded-seq", "negative-zero-tick",
+        "parties-restated", "no-parties"])
 def test_check_rejects_malformed_log(tmp_path, capsys, damage, reason):
     sc = tmp_path / "demo.scenario"
     sc.write_text(SCENARIO)
@@ -159,6 +196,25 @@ def test_check_rejects_malformed_log(tmp_path, capsys, damage, reason):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"malformed log: {reason}")
+
+
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not INT_DIGITS, reason="int() reads any number of digits")
+def test_check_refuses_more_digits_than_int_reads(tmp_path, capsys):
+    # int() refuses a decimal string longer than its digit limit, 4300 by
+    # default, with a ValueError that check used to end in
+    sc = tmp_path / "demo.scenario"
+    sc.write_text(SCENARIO)
+    log = tmp_path / "run.log"
+    main(["run", str(sc), "--log", str(log)])
+    capsys.readouterr()
+    damage = _edited("transfer", "amount", "1" * (INT_DIGITS + 1))
+    log.write_text("\n".join(damage(log.read_text().splitlines())) + "\n")
+    assert main(["check", str(log)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "malformed log: line 14 has a non-integer amount: '111")
 
 
 # a file a command cannot read or write: the arguments, with {d} the test's

@@ -1,7 +1,8 @@
-"""The event log is kept once, as raw rows, and its records and text lines
-are rendered only when read: the rendered lines against a frozen copy of
-the builder that kept both, the event schema every row and record fits,
-the calls the log refuses, and the count of renders."""
+"""The event log is kept once, as raw rows, and its text lines are rendered
+only when read: the rendered lines against a frozen copy of the builder
+that kept each event as a line, the event schema every row fits, the calls
+the log refuses, the round trip from rows to lines and back, and the count
+of renders."""
 
 import re
 from pathlib import Path
@@ -9,11 +10,11 @@ from pathlib import Path
 import pytest
 
 from bridgesim import harness, protocol
-from bridgesim.harness import (INTEGER, Scenario, Strategy,
-                               generate_adversarial_scenarios, malformed_log,
-                               run_scenario, scenario_corpus)
+from bridgesim.harness import (Scenario, Strategy, check_invariants,
+                               generate_adversarial_scenarios, run_scenario,
+                               scenario_corpus)
 from bridgesim.protocol import (EVENT_SCHEMA, INTEGER_FIELDS, Bridge,
-                                event_records)
+                                event_lines, read_log)
 
 from test_harness import _fuzz_scenarios
 
@@ -22,24 +23,21 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 class TwoListBridge(Bridge):
     """``Bridge.log`` as it was when each event was kept twice, as its
-    record and as its text line, frozen as the reference for the lines."""
+    record and as its text line, frozen as the reference for the lines.  It
+    keeps the rows too, which the checker reads."""
 
     def __init__(self, *args, **kwargs):
-        self.records: list[dict[str, str]] = []
         self.lines: list[str] = []
         self._seq = 0
         super().__init__(*args, **kwargs)
 
     def log(self, event: str, **fields) -> None:
         self._seq += 1
-        t, seq = f"{self.clock.now}", f"{self._seq}"
-        record = {"t": t, "seq": seq, "ev": event}
-        line = f"t={t} seq={seq} ev={event}"
+        line = f"t={self.clock.now} seq={self._seq} ev={event}"
         for k in sorted(fields):
-            v = record[k] = f"{fields[k]}"
-            line += f" {k}={v}"
-        self.records.append(record)
+            line += f" {k}={fields[k]}"
         self.lines.append(line)
+        super().log(event, **fields)
 
 
 def n100_scenario(strategy):
@@ -57,7 +55,6 @@ def _assert_lines_match_reference(run_with_bridge, monkeypatch, scenarios):
     for sc, report in zip(scenarios, reports):
         _, reference = run_with_bridge(sc)
         assert report.log == reference.lines, sc.name
-        assert report.records == reference.records, sc.name
 
 
 def test_lines_match_two_list_builder_over_sweep_and_corpus(
@@ -109,7 +106,7 @@ def test_log_refuses_what_the_schema_lacks(event, fields):
 
 
 def test_schema_entries_list_their_fields_by_name():
-    # the order a record holds its fields in, so the lines read as they did
+    # the order a line holds its fields in, so the lines read as they did
     # when each call sorted its fields
     assert len(EVENT_SCHEMA) == 34
     for key, names in EVENT_SCHEMA.items():
@@ -121,7 +118,7 @@ def test_schema_entries_list_their_fields_by_name():
     assert harness.UNREAD < set(EVENT_SCHEMA)
 
 
-def test_every_record_fits_its_schema_entry():
+def test_every_row_fits_its_schema_entry():
     scenarios = (scenario_corpus() + generate_adversarial_scenarios(500)
                  + [n100_scenario(strategy) for strategy in Strategy]
                  + list(_fuzz_scenarios(1000)))
@@ -132,21 +129,40 @@ def test_every_record_fits_its_schema_entry():
         # they rendered at emit, whatever changed in between
         assert all(type(v) in (str, int, bool)
                    for _, _, values in report.rows for v in values), sc
-        assert event_records(report.rows) == report.records, sc
-        records = report.records
-        for r in records:
-            key = (r["ev"], r["kind"]) if r["ev"] == "meta" else r["ev"]
-            assert tuple(r) == ("t", "seq", "ev", *EVENT_SCHEMA[key]), sc
+        for _, key, values in report.rows:
+            names = EVENT_SCHEMA[key]
+            assert len(values) == len(names), sc
             seen.add(key)
-            not_integer.update(k for k, v in r.items()
-                               if not INTEGER.fullmatch(v))
-        assert malformed_log(records) is None, sc
+            not_integer.update(name for name, v in zip(names, values)
+                               if type(v) is not int)
+        assert read_log(report.log), sc
     # every entry is written by some run
     assert seen == set(EVENT_SCHEMA)
     # the marked fields are exactly those no run gives a non-integer
     assert not_integer.isdisjoint(INTEGER_FIELDS)
     assert not_integer | INTEGER_FIELDS == {
-        name for names in EVENT_SCHEMA.values() for name in names} | {"ev"}
+        name for names in EVENT_SCHEMA.values() for name in names}
+
+
+def _as_written(rows):
+    """``rows`` with each ``bool`` value formatted, as its line holds it."""
+    return [(t, key, tuple(f"{v}" if type(v) is bool else v for v in values))
+            for t, key, values in rows]
+
+
+def test_read_log_and_event_lines_invert_each_other():
+    # over the corpus, the 500-scenario sweep, the seven N = 100 runs and
+    # 300 fuzz scenarios: a run's lines read back to its rows, those render
+    # back to the same lines, and the rows give the run's verdicts
+    scenarios = (scenario_corpus() + generate_adversarial_scenarios(500)
+                 + [n100_scenario(strategy) for strategy in Strategy]
+                 + list(_fuzz_scenarios(300)))
+    for sc in scenarios:
+        report = run_scenario(sc)
+        rows = read_log(report.log)
+        assert event_lines(rows) == report.log, sc
+        assert check_invariants(rows) == report.verdicts, sc
+        assert rows == _as_written(report.rows), sc
 
 
 def test_readme_lists_the_schema():
@@ -161,30 +177,23 @@ def test_readme_lists_the_schema():
 
 
 def test_run_renders_only_when_log_is_read(monkeypatch):
-    # a run keeps rows only; report.log renders each row to its record and
-    # each record to its line once, on its first read
-    rendered = {"event_records": [], "event_lines": []}
+    # a run keeps rows only; report.log renders each row to its line once,
+    # on its first read
+    rendered = []
 
-    def counting(name, render):
-        def count(events):
-            rendered[name].extend(events)
-            return render(events)
-        return count
+    def counting(rows):
+        rendered.extend(rows)
+        return event_lines(rows)
 
-    for name in rendered:
-        count = counting(name, getattr(protocol, name))
-        for module in (protocol, harness):
-            monkeypatch.setattr(module, name, count)
+    for module in (protocol, harness):
+        monkeypatch.setattr(module, "event_lines", counting)
     report = run_scenario(Scenario(name="n10", seed=5, n_functionaries=10,
                                    adversary=2,
                                    strategy=Strategy.FAKE_PROOF_PROVER))
     assert report.all_passed
-    assert rendered == {"event_records": [], "event_lines": []}
+    assert rendered == []
     lines = report.log
-    assert len(rendered["event_records"]) == len(report.rows) > 0
-    assert all(a is b for a, b in zip(rendered["event_records"],
-                                      report.rows))
-    assert all(a is b for a, b in zip(rendered["event_lines"],
-                                      report.records))
+    assert len(rendered) == len(report.rows) > 0
+    assert all(a is b for a, b in zip(rendered, report.rows))
     assert report.log is lines
-    assert [len(v) for v in rendered.values()] == [len(report.rows)] * 2
+    assert len(rendered) == len(report.rows)

@@ -8,11 +8,11 @@ from bridgesim import txgraph
 from bridgesim.errors import InvalidScenario
 from bridgesim.harness import (_MINIMUMS, INT_KEYS, LIVENESS_BOUND,
                               RESERVE_TICKS, CensorSpec, Runner, RunReport,
-                              Scenario, Strategy, _parse,
-                              check_invariants,
-                              generate_adversarial_scenarios, malformed_log,
-                              parse_scenario, run_scenario, scenario_corpus)
+                              Scenario, Strategy, check_invariants,
+                              generate_adversarial_scenarios, parse_scenario,
+                              run_scenario, scenario_corpus)
 from bridgesim.lightclient import check_chain
+from bridgesim.protocol import read_log
 from bridgesim.txgraph import TxKind
 
 
@@ -25,7 +25,7 @@ def test_happy_path_all_invariants():
 def test_every_corpus_scenario_runs():
     for sc in scenario_corpus():
         report = run_scenario(sc)
-        assert malformed_log(report.log) is None, sc.name
+        assert check_invariants(read_log(report.log)) == report.verdicts
         if sc.leak_all:
             # negative control: theft must surface as a safety failure
             failed = {v.name for v in report.verdicts if not v.passed}
@@ -130,7 +130,7 @@ def test_defeated_counter_proof_gives_wellformed_report():
     assert isinstance(report, RunReport)
     outcomes = [line for line in report.log if " ev=dispute_outcome " in line]
     assert len(outcomes) == 1 and "reason=CounterProofDefeated" in outcomes[0]
-    assert malformed_log(report.log) is None
+    assert check_invariants(read_log(report.log)) == report.verdicts
 
 
 def test_fork_kickoff_proof_passes_check_chain(monkeypatch):
@@ -166,8 +166,11 @@ def test_checker_flags_tampered_log():
 def test_checker_flags_duplicate_spend():
     report = run_scenario(Scenario(name="t", seed=3))
     spend = next(l for l in report.log if " ev=spend " in l)
+    # replay the spend as the log's next line, so the log stays in order
+    event = spend.split(" ", 2)[2]
+    replay = f"{report.log[-1].split()[0]} seq={len(report.log) + 1} {event}"
     verdicts = {v.name: v.passed
-                for v in check_invariants(report.log + [spend])}
+                for v in check_invariants(report.log + [replay])}
     assert not verdicts["single_spend"]
 
 
@@ -208,8 +211,7 @@ def test_watch_threshold_keeps_a_stalled_pegout_live(monkeypatch):
                   watch_threshold=limit)
     report = run_scenario(sc)
     assert report.all_passed
-    burn = next(int(r["t"]) for r in report.records
-                if r["ev"] == "pegout_burn")
+    burn = next(t for t, key, _ in report.rows if key == "pegout_burn")
     assert _fronts(report)[0][0] - burn == LIVENESS_BOUND
     # one more is refused, and a run of it misses the bound
     over = replace(sc, watch_threshold=limit + 1)
@@ -223,14 +225,14 @@ def test_watch_threshold_keeps_a_stalled_pegout_live(monkeypatch):
 @pytest.mark.parametrize("field, least", sorted(_MINIMUMS.items()))
 def test_least_value_of_each_field_runs_to_a_wellformed_log(field, least):
     # one below the least is refused: challenge_window=-5 used to validate,
-    # then turned the clock back, and malformed_log refused the run's log
+    # then turned the clock back, and read_log refused the run's log
     with pytest.raises(InvalidScenario):
         Scenario(**{field: least - 1}).validate()
     for strategy in Strategy:
         sc = Scenario(name=f"least-{field}", seed=3, n_pegins=1, n_pegouts=1,
                       adversary=None if strategy == Strategy.HONEST else 1,
                       strategy=strategy, **{field: least})
-        assert malformed_log(run_scenario(sc).log) is None, strategy
+        assert read_log(run_scenario(sc).log), strategy
 
 
 def _honest_timeouts(threshold):
@@ -243,10 +245,11 @@ def _honest_timeouts(threshold):
             sc = Scenario(seed=seed, vmxo_count=2, n_pegins=2, n_pegouts=2,
                           adversary=adversary, strategy=strategy,
                           watch_threshold=threshold)
-            lost += [(strategy, seed) for r in run_scenario(sc).records
-                     if r["ev"] == "dispute_outcome"
-                     and r["reason"] == "Timeout"
-                     and r["loser"] != f"f{adversary}"]
+            # a dispute_outcome's values: kind, loser, prover, reason, ...
+            lost += [(strategy, seed)
+                     for _, key, values in run_scenario(sc).rows
+                     if key == "dispute_outcome" and values[3] == "Timeout"
+                     and values[1] != f"f{adversary}"]
     return lost
 
 
@@ -368,12 +371,11 @@ def _fuzz_scenarios(count: int):
 def test_fuzz_valid_scenarios_end_in_wellformed_reports(run_with_bridge):
     # every scenario that validates, leak_all and t_sep included, ends in a
     # report whose log the checker accepts as whole, and the rows the
-    # checker read are that log's events
+    # checker read give the verdicts that log gives
     for sc in _fuzz_scenarios(300):
         report, b = run_with_bridge(sc)
-        assert malformed_log(report.log) is None, sc
         assert report.rows is b.rows
-        assert [_parse(l) for l in b.events] == report.records, sc
+        assert check_invariants(read_log(b.events)) == report.verdicts, sc
 
 
 def test_parse_scenario_rejects_unknown_key():
