@@ -21,9 +21,8 @@ id.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import NotIncluded, UnknownBlock, UnknownParent
 
@@ -48,8 +47,7 @@ def tx_commitment(txs: Iterable[str]) -> str:
     return _digest("txs", tuple(txs))
 
 
-@dataclass(frozen=True)
-class BlockHeader:
+class BlockHeader(NamedTuple):
     chain_id: str
     height: int
     parent_id: Optional[str]
@@ -74,8 +72,7 @@ def _header(chain_id: str, height: int, parent_id: Optional[str],
     return BlockHeader(chain_id, height, parent_id, difficulty, commit, hid)
 
 
-@dataclass(frozen=True)
-class InclusionProof:
+class InclusionProof(NamedTuple):
     """Binds a tx id to a header's tx commitment.
 
     The audit path is the full ordered tx list; verification recomputes the
@@ -161,8 +158,7 @@ class ChainView:
         return InclusionProof(tx_id, block_id, txs)
 
 
-@dataclass
-class CensorSpec:
+class CensorSpec(NamedTuple):
     """`party` is censored from `start` for `length` ticks; windows are
     finite (eventual delivery)."""
 
@@ -171,10 +167,13 @@ class CensorSpec:
     length: int
 
 
-@dataclass
 class SimClock:
-    now: int = 0
-    censor_windows: list[CensorSpec] = field(default_factory=list)
+    __slots__ = ("now", "censor_windows")
+
+    def __init__(self, now: int = 0,
+                 censor_windows: Optional[list[CensorSpec]] = None):
+        self.now = now
+        self.censor_windows = [] if censor_windows is None else censor_windows
 
     def advance(self, ticks: int = 1) -> None:
         self.now += ticks

@@ -3,8 +3,8 @@ deposit table, and re-check invariants over a saved event log.
 
 Exit status is 0 only when every invariant check passed; 1 means an
 invariant failed, and 2 marks input that cannot be run or checked (an
-invalid scenario or grid, a malformed log, a file that cannot be read or
-written).
+invalid scenario, grid or deposit-table axis, a malformed log, a file that
+cannot be read or written).
 """
 
 from __future__ import annotations
@@ -112,8 +112,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_deposit_table(args: argparse.Namespace) -> int:
-    rows = reproduce_deposit_table(args.fee_rates or None,
-                                   args.functionaries or None)
+    try:
+        rows = reproduce_deposit_table(args.fee_rates, args.functionaries)
+    except ValueError as exc:
+        print(f"invalid deposit table: {exc}", file=sys.stderr)
+        return 2
     print(format_deposit_table(rows))
     return 0
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import (DifficultyNotHigher, MalformedInput, TimeoutExpired,
                      WrongPhase, WrongTurn)
@@ -46,8 +46,7 @@ def step(state: tuple[int, int]) -> tuple[int, int]:
     return i + 1, branch
 
 
-@dataclass(frozen=True)
-class ExecutionTrace:
+class ExecutionTrace(NamedTuple):
     """States s_0 .. s_length: branch 0 when honest, and from the first
     wrong transition ``corrupt_from`` on, branch ``corrupt_from``."""
     program_id: str
@@ -110,6 +109,7 @@ class Reason(str, Enum):
 
 @dataclass(frozen=True)
 class Outcome:
+    """A finished game: who won, who lost, and why."""
     winner: str
     loser: str
     reason: Reason
@@ -121,6 +121,8 @@ class Outcome:
 
 @dataclass
 class DisputeGame:
+    """One dispute between a prover and a verifier, with its search state,
+    stop watches and the publications made so far."""
     prover: str
     verifier: str
     prover_trace: ExecutionTrace

@@ -50,6 +50,7 @@ DISPUTE_ACTION_VBYTES = {
 
 @dataclass(frozen=True)
 class TimingParams:
+    """The bridge's timelocks, in ticks."""
     t_max: int
     t_min: int
     t_force: int
@@ -84,9 +85,10 @@ def required_deposit(n_functionaries: int, fee_rate: int,
     """Deposit in satoshis covering N-1 worst-case dispute protocols at
     ``fee_rate`` sats per vByte."""
     if n_functionaries < 1:
-        raise ValueError("need at least one functionary")
+        raise ValueError(
+            f"need at least one functionary, got {n_functionaries}")
     if fee_rate <= 0:
-        raise ValueError("fee rate must be positive")
+        raise ValueError(f"fee rate must be positive, got {fee_rate}")
     per_protocol = worst_case_vbytes(table or CostTable())
     return per_protocol * fee_rate * (n_functionaries - 1)
 

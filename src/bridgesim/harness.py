@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import count
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .chain import CensorSpec
 from .dispute import (DisputeGame, ExecutionTrace, challenge, drive,
@@ -65,6 +65,8 @@ _MINIMUMS = {"n_functionaries": 2, "vmxo_count": 1, "fee_rate": 1,
 
 @dataclass
 class Scenario:
+    """Every free choice of one run; ``validate`` refuses a scenario that
+    cannot run."""
     name: str = "scenario"
     seed: int = 0
     n_functionaries: int = 3
@@ -118,8 +120,7 @@ class Scenario:
         return None if self.adversary is None else f"f{self.adversary}"
 
 
-@dataclass
-class Verdict:
+class Verdict(NamedTuple):
     name: str
     passed: bool
     detail: str = ""

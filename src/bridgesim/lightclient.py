@@ -10,15 +10,13 @@ whether a counter-proof may open the nested dispute game.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .chain import BlockHeader, InclusionProof
 from .errors import MalformedInput
 
 
-@dataclass(frozen=True)
-class CheckChainInput:
+class CheckChainInput(NamedTuple):
     headers: tuple[BlockHeader, ...]
     pegin_proof: InclusionProof
     pegin_header: BlockHeader  # source-chain header named by pegin_proof
@@ -26,8 +24,7 @@ class CheckChainInput:
     claimed_difficulty: int
 
 
-@dataclass(frozen=True)
-class AltChainInput:
+class AltChainInput(NamedTuple):
     headers: tuple[BlockHeader, ...]
     pegin_proof: InclusionProof
     pegin_header: BlockHeader

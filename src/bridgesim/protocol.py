@@ -15,7 +15,6 @@ costs, with the remainder going to the first-confirmed winner.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from enum import Enum
 from operator import itemgetter
 from typing import Optional
@@ -40,26 +39,33 @@ class PegOutState(str, Enum):
     INVALIDATED = "Invalidated"
 
 
-@dataclass
 class PegIn:
-    user: str
-    amount: int
-    vmxo_id: str
-    deposit_tx: Optional[str] = None
-    deposit_block: Optional[str] = None
-    signatures: set[str] = field(default_factory=set)
+    __slots__ = ("user", "amount", "vmxo_id", "deposit_tx", "deposit_block",
+                 "signatures")
+
+    def __init__(self, user: str, amount: int, vmxo_id: str,
+                 deposit_tx: Optional[str] = None,
+                 deposit_block: Optional[str] = None,
+                 signatures: Optional[set[str]] = None):
+        self.user, self.amount, self.vmxo_id = user, amount, vmxo_id
+        self.deposit_tx, self.deposit_block = deposit_tx, deposit_block
+        self.signatures = set() if signatures is None else signatures
 
 
-@dataclass
 class PegOut:
-    user: str
-    amount: int
-    burn_tx: Optional[str] = None
-    burn_block: Optional[str] = None
-    vmxo_id: Optional[str] = None
-    operator: Optional[str] = None
-    fronted_tx: Optional[str] = None
-    state: PegOutState = PegOutState.REQUESTED
+    __slots__ = ("user", "amount", "burn_tx", "burn_block", "vmxo_id",
+                 "operator", "fronted_tx", "state")
+
+    def __init__(self, user: str, amount: int, burn_tx: Optional[str] = None,
+                 burn_block: Optional[str] = None,
+                 vmxo_id: Optional[str] = None,
+                 operator: Optional[str] = None,
+                 fronted_tx: Optional[str] = None,
+                 state: PegOutState = PegOutState.REQUESTED):
+        self.user, self.amount = user, amount
+        self.burn_tx, self.burn_block = burn_tx, burn_block
+        self.vmxo_id, self.operator = vmxo_id, operator
+        self.fronted_tx, self.state = fronted_tx, state
 
 
 class Ledger:

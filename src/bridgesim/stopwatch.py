@@ -12,7 +12,6 @@ in an open interval is provable with at most log2(t) markers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import AlreadyRunning, MalformedInput, NotRunning
@@ -27,12 +26,15 @@ def power_of_two_markers(elapsed: int) -> list[int]:
     return out
 
 
-@dataclass
 class StopWatch:
-    party: str
-    threshold: int
-    total: int = 0
-    running_since: Optional[int] = None
+    __slots__ = ("party", "threshold", "total", "running_since")
+
+    def __init__(self, party: str, threshold: int, total: int = 0,
+                 running_since: Optional[int] = None):
+        self.party = party
+        self.threshold = threshold
+        self.total = total
+        self.running_since = running_since
 
     def accumulated(self, now: Optional[int] = None) -> int:
         if self.running_since is None:

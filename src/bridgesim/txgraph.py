@@ -132,6 +132,7 @@ def _serial(template_kind: TxKind, inputs: tuple, outputs: tuple,
 
 @dataclass(frozen=True)
 class SimTx:
+    """A transaction template, content-addressed by its ``id``."""
     template_kind: TxKind
     inputs: tuple[tuple[str, int], ...]
     outputs: tuple[SimOutput, ...]
@@ -155,11 +156,14 @@ class SimTx:
 _TEMPLATE_CACHE: OrderedDict[tuple, SimTx] = OrderedDict()
 
 
-@dataclass
 class Vmxo:
-    amount: int
-    state: VmxoState = VmxoState.AWAITING_PEGIN
-    operator: Optional[str] = None  # set while KickoffOpen / after Unlocked
+    __slots__ = ("amount", "state", "operator")
+
+    def __init__(self, amount: int,
+                 state: VmxoState = VmxoState.AWAITING_PEGIN,
+                 operator: Optional[str] = None):
+        self.amount, self.state = amount, state
+        self.operator = operator  # set while KickoffOpen / after Unlocked
 
 
 class PacketGraph:

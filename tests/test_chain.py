@@ -191,6 +191,8 @@ class ScanningChain:
 
 
 def _assert_same_fork_choice(c: ChainView, ref: ScanningChain) -> None:
+    # headers are tuples, equal to any tuple of the same fields
+    assert {type(h) for h in c.canonical_chain()} == {BlockHeader}
     assert c.tip() == ref.tip()
     assert c.canonical_chain() == ref.canonical_chain()
     for block_id in ref.headers:

@@ -220,6 +220,8 @@ def _accepted_with_reference_verdicts(log) -> bool:
 
 def test_run_verdicts_match_reference(runs):
     for report, b in runs:
+        # a Verdict equals any tuple of its fields, so its type is checked
+        assert {type(v) for v in report.verdicts} == {Verdict}
         assert report.verdicts == reference_check_invariants(report.log)
         assert check_invariants(b.rows) == report.verdicts
         assert _accepted_with_reference_verdicts(report.log)

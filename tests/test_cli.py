@@ -258,6 +258,19 @@ def test_deposit_table_custom_axes(capsys):
     assert "0.0027033" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("axis,value,reason", [
+    ("--fee-rates", "0", "fee rate must be positive, got 0"),
+    ("--fee-rates", "-3", "fee rate must be positive, got -3"),
+    ("--functionaries", "0", "need at least one functionary, got 0"),
+    ("--functionaries", "-2", "need at least one functionary, got -2")])
+def test_deposit_table_refuses_a_bad_axis(capsys, axis, value, reason):
+    # a bad value after a good one: refused before any row is printed
+    assert main(["deposit-table", axis, "5", value]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"invalid deposit table: {reason}\n"
+
+
 def test_sweep_grid(tmp_path, capsys):
     grid = tmp_path / "grid.txt"
     grid.write_text("seed 1 2\nfunctionaries 2 3\nstrategy Honest\n")

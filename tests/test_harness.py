@@ -286,6 +286,7 @@ def test_parse_scenario_roundtrip():
     assert sc.n_functionaries == 4 and sc.adversary == 2
     assert sc.strategy == Strategy.SILENT_PROVER
     assert sc.censor == [CensorSpec("f1", 10, 4)]
+    assert type(sc.censor[0]) is CensorSpec  # == holds for a plain tuple too
 
 
 BOUNDARY_SCENARIOS = [

@@ -89,6 +89,9 @@ def test_cached_ids_equal_cache_free_recomputation(run_with_bridge,
     for (chain_id, height, parent_id, difficulty, txs), header in made:
         commit = _digest("txs", tuple(txs))
         hid = _digest(chain_id, height, parent_id, difficulty, commit)
+        # a header is a tuple and equals any tuple of its fields: the type
+        # is checked apart
+        assert type(header) is BlockHeader
         assert header == BlockHeader(chain_id, height, parent_id, difficulty,
                                      commit, hid)
     assert len({h.id for _, h in made}) < len(made)  # headers made again
