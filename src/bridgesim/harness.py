@@ -165,7 +165,6 @@ class Runner:
     def __init__(self, scenario: Scenario):
         scenario.validate()
         self.sc = scenario
-        self.rng = random.Random(scenario.seed)
         # the parties, computed once
         self.functionaries = scenario.functionary_ids
         self.adversary = scenario.adversary_id
@@ -180,6 +179,11 @@ class Runner:
         self.outcomes: list[str] = []
 
     # -- helpers -----------------------------------------------------------
+
+    @cached_property
+    def rng(self) -> random.Random:
+        """The run's RNG, seeded on its first draw: most runs draw none."""
+        return random.Random(self.sc.seed)
 
     def mine_source(self, txs: list[str]) -> str:
         b = self.bridge.source.mine_block(self.bridge.source.tip().id, txs)
@@ -209,9 +213,7 @@ class Runner:
               deposit=b.deposit_per_functionary)
         for u in self.users:
             b.ledger.fund(f"user:{u}:src", sc.denomination)
-        for account in sorted(b.ledger.balances):
-            b.log("balance", account=account,
-                  amount=b.ledger.balances[account])
+        b.log_balances("balance")
         # signing ceremony: every functionary signs the whole packet, one
         # record that every template reads, built now or later; then keys
         # are deleted (or leaked, for the dishonest)
@@ -219,13 +221,14 @@ class Runner:
         leakers = set(self.functionaries) if sc.leak_all else set()
         if sc.strategy == Strategy.KEY_LEAKER:
             leakers.add(self.adversary)
+        leaking = [f for f in self.functionaries if f in leakers]
         for v in b.graph.vmxo_ids:
-            for f in self.functionaries:
-                if f in leakers:
-                    b.graph.leak_keys(f, v)
-                    b.log("keys_leaked", functionary=f, vmxo=v)
-                else:
-                    b.graph.delete_keys(f, v)
+            for f in leaking:
+                b.graph.leak_keys(f, v)
+                b.log("keys_leaked", functionary=f, vmxo=v)
+        for f in self.functionaries:
+            if f not in leakers:
+                b.graph.delete_keys(f, *b.graph.vmxo_ids)
         b.log("setup_done", templates=b.graph.template_count(),
               enablers=b.graph.enabler_count())
 
@@ -235,9 +238,7 @@ class Runner:
         b, sc = self.bridge, self.sc
         for u in self.users:
             pegin = b.request_pegin(u, sc.denomination)
-            b.sign_pegin(pegin, u)
-            for f in self.functionaries:
-                b.sign_pegin(pegin, f)
+            b.sign_pegin(pegin, u, *self.functionaries)
             tx = b.broadcast_pegin(pegin)
             pegin.deposit_block = self.mine_source([tx])
             for _ in range(b.source_confirmations):
@@ -338,8 +339,7 @@ class Runner:
             self.outcomes.append(f"pegout {pegout.burn_tx}: {what} kickoff "
                                  f"by {adv} unchallenged, unlocked")
             return
-        self._account_game([(0, ch, "challenge") for ch in challengers[1:]],
-                           b.clock.now)
+        b.publish_challenges(challengers[1:])
         outcome = self._run_dispute(adv, challengers[0], prover_trace,
                                     honest_trace, **dispute_args)
         b.slash(adv, outcome.winner, challengers, pegout.vmxo_id)
@@ -354,7 +354,7 @@ class Runner:
         pool = [f for f in self.honest if f not in b.slashed]
         if not pool:
             pool = [f for f in self.functionaries if f not in b.slashed]
-        return min(pool, key=lambda f: (b.separation_left(f), f))
+        return b.next_operator(pool)
 
     def _honest_verifiers(self, excluding: str) -> list[str]:
         return [f for f in self.honest
@@ -529,9 +529,7 @@ class Runner:
 
     def finish(self) -> RunReport:
         b, sc = self.bridge, self.sc
-        for account in sorted(b.ledger.balances):
-            b.log("final_balance", account=account,
-                  amount=b.ledger.balances[account])
+        b.log_balances("final_balance")
         honest_costs = sum(b.dispute_costs.get(f, 0) for f in self.honest)
         slashed = len(b.slashed) * b.deposit_per_functionary
         return RunReport(

@@ -10,7 +10,7 @@ whether a counter-proof may open the nested dispute game.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .chain import BlockHeader, InclusionProof
 from .errors import MalformedInput
@@ -32,13 +32,16 @@ class AltChainInput(NamedTuple):
     claimed_difficulty: int
 
 
-def _linked(headers: Sequence[BlockHeader]) -> bool:
+def _pegin_linked(inp: CheckChainInput | AltChainInput) -> bool:
+    """Whether the peg-in proof verifies against its source header;
+    ``MalformedInput`` first for no headers or headers not parent-linked."""
+    headers = inp.headers
     if not headers:
-        return False
+        raise MalformedInput("empty header sequence")
     for prev, cur in zip(headers, headers[1:]):
         if cur.parent_id != prev.id or cur.height != prev.height + 1:
-            return False
-    return True
+            raise MalformedInput("headers not parent-linked")
+    return inp.pegin_proof.verify(inp.pegin_header)
 
 
 def check_chain(inp: CheckChainInput) -> bool:
@@ -48,11 +51,7 @@ def check_chain(inp: CheckChainInput) -> bool:
     source header, (c) peg-out proof verifies against a header inside the
     sequence, (d) difficulties sum to the claimed total.
     """
-    if not inp.headers:
-        raise MalformedInput("empty header sequence")
-    if not _linked(inp.headers):
-        raise MalformedInput("headers not parent-linked")
-    if not inp.pegin_proof.verify(inp.pegin_header):
+    if not _pegin_linked(inp):
         return False
     by_id = {h.id: h for h in inp.headers}
     target = by_id.get(inp.pegout_proof.block_id)
@@ -64,11 +63,7 @@ def check_chain(inp: CheckChainInput) -> bool:
 def check_alt_chain(inp: AltChainInput) -> bool:
     """True iff the alternative sequence is valid and excludes the contested
     peg-out block while keeping the peg-in linkage."""
-    if not inp.headers:
-        raise MalformedInput("empty header sequence")
-    if not _linked(inp.headers):
-        raise MalformedInput("headers not parent-linked")
-    if not inp.pegin_proof.verify(inp.pegin_header):
+    if not _pegin_linked(inp):
         return False
     if any(h.id == inp.contested_block_id for h in inp.headers):
         return False

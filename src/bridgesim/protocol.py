@@ -4,8 +4,11 @@
 presigned template graph, the functionaries and the set of slashed ones,
 the satoshi ledger, and an append-only event log.  The log keeps each event
 as one raw row ``(tick, schema key, values)``, the values as passed; its
-text lines are rendered on read, and ``read_log`` reads them back.  All
-methods are deterministic; the harness drives them from a scenario script.
+text lines are rendered on read, and ``read_log`` reads them back.
+``log`` writes every kind but the most frequent three, ``transfer``,
+``balance`` and ``final_balance``, whose one writer each appends its rows
+itself, as ``log``'s checks cost more per row than the append.  All methods
+are deterministic; the harness drives them from a scenario script.
 
 Deposits are denominated on the source chain.  Slashing pays the losing
 party's deposit into a pot that first reimburses every challenger's dispute
@@ -132,6 +135,11 @@ INTEGER_FIELDS = frozenset({
     "threshold", "window"})
 
 
+# the value orders of the kinds that Bridge writes without ``log``
+assert EVENT_SCHEMA["transfer"] == ("amount", "dst", "src", "why")
+assert EVENT_SCHEMA["balance"] == EVENT_SCHEMA["final_balance"] == (
+    "account", "amount")
+
 # each schema key's picker of a kind's field values, as a tuple in order
 _PICKS = {key: itemgetter(*names) if len(names) > 1
           else lambda fields, pick=itemgetter(*names): (pick(fields),)
@@ -237,6 +245,12 @@ class Bridge:
                  denomination: int, fee_rate: int = 1,
                  pegout_limit: int = 1,
                  t_sep: int = 0):
+        deposit = required_deposit(len(functionary_ids), fee_rate,
+                                   self.cost_table)
+        # first, so that too few, repeated or non-word ids leave no state
+        self.graph: PacketGraph = build_packet_templates(
+            functionary_ids, vmxo_count, denomination,
+            deposit_per_functionary=deposit)
         self.clock = SimClock()
         self.source = ChainView(SOURCE)
         self.secondary = ChainView(SECONDARY)
@@ -244,14 +258,9 @@ class Bridge:
         self.denomination = denomination
         self.pegout_limit = pegout_limit
         self.t_sep = t_sep
-        deposit = required_deposit(len(functionary_ids), fee_rate,
-                                   self.cost_table)
         self.deposit_per_functionary = deposit
         self.functionaries = list(functionary_ids)
         self.slashed: set[str] = set()
-        self.graph: PacketGraph = build_packet_templates(
-            functionary_ids, vmxo_count, denomination,
-            deposit_per_functionary=deposit)
         self.ledger = Ledger()
         self.rows: list[tuple] = []
         self.pegins: list[PegIn] = []
@@ -260,17 +269,21 @@ class Bridge:
         self.taken_vmxos: set[str] = set()
         self.linked_vmxos: set[str] = set()
         self.last_kickoff_tick: dict[str, int] = {}
-        self.dispute_costs: dict[str, int] = {f: 0 for f in functionary_ids}
+        self.dispute_costs: dict[str, int] = dict.fromkeys(functionary_ids, 0)
+        # the ids are distinct, so each account opens once, as fund() would
+        balances = self.ledger.balances
+        wallet = 50 * denomination + 100 * deposit
         for f in functionary_ids:
-            self.ledger.fund(f"deposit:{f}", deposit)
-            self.ledger.fund(f"wallet:{f}", 50 * denomination + 100 * deposit)
+            balances[f"deposit:{f}"], balances[f"wallet:{f}"] = deposit, wallet
 
     # -- event log ---------------------------------------------------------
 
     def log(self, event: str, **fields) -> None:
         """Append the row ``(clock.now, EVENT_SCHEMA key, values as passed
         in its order)``; ``seq`` is its position.  ``ValueError``, before any
-        write, unless the fields are exactly the kind's."""
+        write, unless the fields are exactly the kind's.  It writes every
+        kind but ``transfer``, ``balance`` and ``final_balance``, which
+        ``_log_transfer`` and ``log_balances`` write."""
         key = event if event in _PICKS else (event, fields.get("kind"))
         try:
             values = _PICKS[key](fields)
@@ -287,7 +300,23 @@ class Bridge:
 
     def transfer(self, frm: str, to: str, amount: int, why: str) -> None:
         self.ledger.transfer(frm, to, amount)
-        self.log("transfer", src=frm, dst=to, amount=amount, why=why)
+        self._log_transfer(frm, to, amount, why)
+
+    def _log_transfer(self, frm: str, to: str, amount: int, why: str) -> None:
+        """Append a ``transfer`` row, the one writer of that kind: without
+        ``log``'s keyword dict and schema pick, which cost more than the
+        append, in the order asserted beside ``EVENT_SCHEMA``."""
+        self.rows.append((self.clock.now, "transfer", (amount, to, frm, why)))
+
+    def log_balances(self, kind: str) -> None:
+        """Append a ``kind`` row, ``balance`` or ``final_balance``, per
+        account by name in one extension, the one writer of both kinds;
+        else ``ValueError``, no write."""
+        if kind != "balance" and kind != "final_balance":
+            raise ValueError(f"{kind} is not a balance snapshot")
+        now, balances = self.clock.now, self.ledger.balances
+        self.rows.extend([(now, kind, (account, balances[account]))
+                          for account in sorted(balances)])
 
     def pay_fee(self, party: str, vbytes: int, why: str) -> int:
         fee = vbytes * self.fee_rate
@@ -307,6 +336,18 @@ class Bridge:
         self.dispute_costs[party] = self.dispute_costs.get(party, 0) + fee
         return fee
 
+    def publish_challenges(self, challengers: list[str]) -> None:
+        """Each challenger, in order, publishes a challenge now: pays its
+        fee, read once for all, as ``pay_dispute_fee`` would, and logs its
+        ``dispute_pub``."""
+        fee = getattr(self.cost_table,
+                      DISPUTE_ACTION_VBYTES["challenge"]) * self.fee_rate
+        now, costs = self.clock.now, self.dispute_costs
+        for ch in challengers:
+            self.transfer(f"wallet:{ch}", "fees", fee, "dispute:challenge")
+            costs[ch] = costs.get(ch, 0) + fee
+            self.log("dispute_pub", actor=ch, action="challenge", at=now)
+
     # -- peg-in ------------------------------------------------------------
 
     def request_pegin(self, user: str, amount: int) -> PegIn:
@@ -325,8 +366,8 @@ class Bridge:
                  amount=amount)
         return pegin
 
-    def sign_pegin(self, pegin: PegIn, signer: str) -> None:
-        pegin.signatures.add(signer)
+    def sign_pegin(self, pegin: PegIn, *signers: str) -> None:
+        pegin.signatures.update(signers)
 
     def broadcast_pegin(self, pegin: PegIn) -> str:
         """User's deposit transaction hits the source chain mempool; the
@@ -351,9 +392,8 @@ class Bridge:
         # wrapped issuance is a liability account and may go negative
         self.ledger.fund(f"user:{pegin.user}:wrapped", pegin.amount)
         self.ledger.fund("wrapped-issuance", -pegin.amount)
-        self.log("transfer", src="wrapped-issuance",
-                 dst=f"user:{pegin.user}:wrapped", amount=pegin.amount,
-                 why="mint")
+        self._log_transfer("wrapped-issuance", f"user:{pegin.user}:wrapped",
+                           pegin.amount, "mint")
         self.log("minted", user=pegin.user, vmxo=pegin.vmxo_id,
                  amount=pegin.amount)
 
@@ -589,6 +629,14 @@ class Bridge:
         """Ticks until the operator may front again under ``t_sep``."""
         last = self.last_kickoff_tick.get(operator, -self.t_sep)
         return max(0, last + self.t_sep - self.clock.now)
+
+    def next_operator(self, pool: list[str]) -> str:
+        """The operator of ``pool`` with the least ``(separation_left,
+        name)``; one that never kicked off waits 0 ticks, as ``clock.now``
+        is not negative, so only the others are asked."""
+        kicked = self.last_kickoff_tick
+        return min(pool, key=lambda f: (
+            self.separation_left(f) if f in kicked else 0, f))
 
     def honest_unlock_allowed(self, pegout: PegOut) -> bool:
         """Oracle: does the peg-out's burn sit on the canonical secondary

@@ -7,12 +7,13 @@ functionary, and Force-close templates for each pair of an operator's
 Open-kick-off outputs across the packet.
 
 Templates are immutable and content-addressed: a template's id is the hash
-of its serialised content.  A changed template is a new template with a new
-id, and since inputs reference their parents by id, every descendant must
-be rebuilt too.  One ceremony presigns the whole packet, and the graph
-records it once, as its ordered ``signers``: every template it holds reads
-that one record as its ``signatures``, whether built before or after the
-ceremony, and a changed template carries no signature.  Key deletion is
+of its serialised content, taken when the id is first read.  A changed
+template is a new template with a new id, and since inputs reference their
+parents by id, every descendant must be rebuilt too.  One ceremony presigns
+the whole packet, and the graph records it once, as its ordered
+``signers``: every template it holds reads that one record as its
+``signatures``, whether built before or after the ceremony, and a changed
+template carries no signature.  Key deletion is
 allowed once the ceremony has been held; a VMXO can then be spent outside
 the presigned templates only if every functionary leaked its key.
 
@@ -31,10 +32,10 @@ amount) have the same templates, so each template is memoised per process
 by its recipe: the shape, ``(TxKind, *ids)``, and for DepositCreate alone
 the deposit, which only its rule reads.  A recipe is built once, in a
 bounded LRU cache of ``TEMPLATE_CACHE_SIZE`` entries; its id is still the
-hash of its content.  A rule reads its parents from that cache too, so a
-graph's ``templates`` holds only what its callers looked up, in the order
-they did, cold or warm.  Each graph holds its own shallow copy, which reads
-its own ceremony record.
+hash of its content, taken once.  A rule reads its parents from that cache
+too, so a graph's ``templates`` holds only what its callers looked up, in
+the order they did, cold or warm.  Each graph holds its own shallow copy,
+which reads its own ceremony record and its recipe's id.
 
 An enabler is ``(owner, vmxo_id, counterparty)``: counterparty None is
 the owner's operator enabler, and another functionary the verifier enabler
@@ -52,13 +53,14 @@ import hashlib
 import json
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from enum import Enum
 from typing import NamedTuple, Optional
 
 from .econ import CostTable
-from .errors import (AlreadyClosed, NotSameOperator, PrematureDeletion,
-                     SpendRejected, TooFewFunctionaries, UnknownId)
+from .errors import (AlreadyClosed, MalformedInput, NotSameOperator,
+                     PrematureDeletion, SpendRejected, TooFewFunctionaries,
+                     UnknownId)
 
 
 class OutputKind(str, Enum):
@@ -132,7 +134,9 @@ def _serial(template_kind: TxKind, inputs: tuple, outputs: tuple,
 
 @dataclass(frozen=True)
 class SimTx:
-    """A transaction template, content-addressed by its ``id``."""
+    """A transaction template, content-addressed by its ``id``, which is
+    hashed on its first read: a run reads the ids of few of the templates
+    it builds (a kick-off only published, never spent from, not at all)."""
     template_kind: TxKind
     inputs: tuple[tuple[str, int], ...]
     outputs: tuple[SimOutput, ...]
@@ -141,15 +145,20 @@ class SimTx:
     # the content; a copy made by ``dataclasses.replace`` carries none
     signatures: dict[str, None] = field(init=False, compare=False,
                                         default_factory=dict)
-    id: str = field(init=False, compare=False)
 
     def __post_init__(self):
         set_ = object.__setattr__
         set_(self, "inputs", tuple(self.inputs))
         set_(self, "outputs", tuple(self.outputs))
+
+    @cached_property
+    def id(self) -> str:
+        shared = self.__dict__.get("shared")  # a graph's copy: its recipe's
+        if shared is not None:
+            return shared.id
         serial = _serial(self.template_kind, self.inputs, self.outputs,
                          self.vbytes)
-        set_(self, "id", hashlib.sha256(serial.encode()).hexdigest()[:16])
+        return hashlib.sha256(serial.encode()).hexdigest()[:16]
 
 
 # recipe -> the template built from it; least recently used first
@@ -203,9 +212,10 @@ class PacketGraph:
         key = (kind, *ids)
         tx = self.templates.get(key)
         if tx is None:
+            shared = self._shared(key)
             tx = object.__new__(SimTx)
-            tx.__dict__.update(self._shared(key).__dict__,
-                               signatures=self.signers)
+            tx.__dict__.update(shared.__dict__, signatures=self.signers,
+                               shared=shared)
             self.templates[key] = tx
         return tx
 
@@ -385,12 +395,14 @@ class PacketGraph:
             raise UnknownId((functionary, vmxo_id))
         return functionary, vmxo_id
 
-    def delete_keys(self, functionary: str, vmxo_id: str) -> None:
-        """Delete a key, which the ceremony must have used first.  A deleted
-        key is one not leaked, so nothing is recorded."""
-        self._key(functionary, vmxo_id)
+    def delete_keys(self, functionary: str, *vmxo_ids: str) -> None:
+        """Delete the functionary's key for each VMXO, which the ceremony
+        must have used first.  A deleted key is one not leaked, so nothing
+        is recorded."""
+        for vmxo_id in vmxo_ids:
+            self._key(functionary, vmxo_id)
         if not self.signers:
-            raise PrematureDeletion(vmxo_id)
+            raise PrematureDeletion(",".join(vmxo_ids))
 
     def leak_keys(self, functionary: str, vmxo_id: str) -> None:
         self.leaked.add(self._key(functionary, vmxo_id))
@@ -468,6 +480,10 @@ def build_packet_templates(functionaries: list[str], vmxo_count: int,
     n = len(functionaries)
     if n < 2:
         raise TooFewFunctionaries(str(n))
+    if len(set(functionaries)) < n or \
+            " ".join(functionaries).split() != list(functionaries):
+        raise MalformedInput(f"functionary ids {functionaries!r} are not "
+                             "distinct words without whitespace")
     if vmxo_count < 1:
         raise ValueError("vmxo_count must be >= 1")
     vmxo_ids = [f"pkt0:vmxo{i}" for i in range(vmxo_count)]

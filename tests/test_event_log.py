@@ -23,21 +23,37 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 class TwoListBridge(Bridge):
     """``Bridge.log`` as it was when each event was kept twice, as its
-    record and as its text line, frozen as the reference for the lines.  It
-    keeps the rows too, which the checker reads."""
+    record and as its text line, frozen as the reference for the lines.
+    ``_log_transfer`` and ``log_balances``, which write their own rows,
+    format theirs from their named arguments alike.  It keeps the rows too, which
+    the checker reads."""
 
     def __init__(self, *args, **kwargs):
         self.lines: list[str] = []
         self._seq = 0
         super().__init__(*args, **kwargs)
 
-    def log(self, event: str, **fields) -> None:
+    def _line(self, event: str, **fields) -> None:
         self._seq += 1
         line = f"t={self.clock.now} seq={self._seq} ev={event}"
         for k in sorted(fields):
             line += f" {k}={fields[k]}"
         self.lines.append(line)
+
+    def log(self, event: str, **fields) -> None:
+        self._line(event, **fields)
         super().log(event, **fields)
+
+    def _log_transfer(self, frm: str, to: str, amount: int,
+                      why: str) -> None:
+        super()._log_transfer(frm, to, amount, why)
+        self._line("transfer", src=frm, dst=to, amount=amount, why=why)
+
+    def log_balances(self, kind: str) -> None:
+        super().log_balances(kind)
+        for account in sorted(self.ledger.balances):
+            self._line(kind, account=account,
+                       amount=self.ledger.balances[account])
 
 
 def n100_scenario(strategy):
@@ -84,6 +100,40 @@ def test_reserved_field_name_rejected(name):
     b.log("front_proven", tx="x")
     assert b.rows[-1] == (0, "front_proven", ("x",))
     assert b.events[-1] == f"t=0 seq={len(before) + 1} ev=front_proven tx=x"
+
+
+def test_direct_writers_append_the_rows_log_appends():
+    # _log_transfer (through transfer or for a mint) and log_balances skip
+    # log's checks; each appends exactly the rows that log appends for the
+    # same named fields
+    direct, logged = (Bridge(["f0", "f1"], 1, 100_000_000) for _ in range(2))
+    for b in (direct, logged):
+        b.clock.advance(7)
+    direct.transfer("wallet:f0", "fees", 5, "x")
+    logged.ledger.transfer("wallet:f0", "fees", 5)
+    logged.log("transfer", src="wallet:f0", dst="fees", amount=5, why="x")
+    direct._log_transfer("wrapped-issuance", "user:u0:wrapped", 9, "mint")
+    logged.log("transfer", src="wrapped-issuance", dst="user:u0:wrapped",
+               amount=9, why="mint")
+    for kind in ("balance", "final_balance"):
+        direct.log_balances(kind)
+        for account, amount in sorted(logged.ledger.balances.items()):
+            logged.log(kind, account=account, amount=amount)
+    assert len(direct.rows) == 2 + 2 * 5
+    assert direct.rows == logged.rows
+    assert [tuple(map(type, values)) for _, _, values in direct.rows] == \
+        [tuple(map(type, values)) for _, _, values in logged.rows]
+    # a snapshot of an empty ledger writes no row
+    empty = Bridge(["f0", "f1"], 1, 100_000_000)
+    empty.ledger.balances.clear()
+    empty.log_balances("final_balance")
+    assert empty.rows == []
+    # any other kind is refused before any write
+    before = list(direct.rows)
+    for kind in ("transfer", "spend", "meta"):
+        with pytest.raises(ValueError):
+            direct.log_balances(kind)
+    assert direct.rows == before
 
 
 @pytest.mark.parametrize("event, fields", [

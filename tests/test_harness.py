@@ -4,11 +4,11 @@ from dataclasses import replace
 
 import pytest
 
-from bridgesim import txgraph
+from bridgesim import harness, txgraph
 from bridgesim.errors import InvalidScenario
 from bridgesim.harness import (_MINIMUMS, INT_KEYS, LIVENESS_BOUND,
-                              RESERVE_TICKS, CensorSpec, Runner, RunReport,
-                              Scenario, Strategy, check_invariants,
+                              RESERVE_TICKS, TRACE_LENGTH, CensorSpec, Runner,
+                              RunReport, Scenario, Strategy, check_invariants,
                               generate_adversarial_scenarios, parse_scenario,
                               run_scenario, scenario_corpus)
 from bridgesim.lightclient import check_chain
@@ -367,6 +367,52 @@ def _fuzz_scenarios(count: int):
             continue
         count -= 1
         yield sc
+
+
+class AskEveryOperatorRunner(Runner):
+    """``_pick_operator`` as it was when it asked ``separation_left`` of
+    every operator in the pool, frozen as the reference for the picks."""
+
+    def _pick_operator(self) -> str:
+        b = self.bridge
+        pool = [f for f in self.honest if f not in b.slashed]
+        if not pool:
+            pool = [f for f in self.functionaries if f not in b.slashed]
+        return min(pool, key=lambda f: (b.separation_left(f), f))
+
+
+def test_operator_pick_matches_asking_every_operator(monkeypatch):
+    # an operator that never kicked off waits 0 ticks, so the pick asks
+    # only the others; over 300 fuzz scenarios (t_sep 0 to 200) and the
+    # t_sep runs above, every log equals the reference's
+    scenarios = list(_fuzz_scenarios(300)) + [
+        Scenario(n_functionaries=n, vmxo_count=3, n_pegins=3, n_pegouts=3,
+                 t_sep=t_sep, adversary=1, strategy=strategy)
+        for n, strategy in ((2, Strategy.KEY_LEAKER), (3, Strategy.HONEST))
+        for t_sep in (100, 1000)]
+    reports = [run_scenario(sc) for sc in scenarios]
+    monkeypatch.setattr(harness, "Runner", AskEveryOperatorRunner)
+    for sc, report in zip(scenarios, reports):
+        assert run_scenario(sc).rows == report.rows, sc
+
+
+def test_rng_is_seeded_on_first_draw():
+    # a run that draws nothing builds no RNG; a FakeProofProver run draws
+    # one corruption position from the stream random.Random(seed) gives
+    def played(sc):
+        runner = Runner(sc)
+        runner.setup()
+        runner.run_pegins()
+        runner.run_theft_attempts()
+        runner.run_pegouts()
+        return runner
+
+    assert "rng" not in vars(played(Scenario(seed=3)))
+    fake = played(Scenario(seed=3, adversary=1,
+                           strategy=Strategy.FAKE_PROOF_PROVER))
+    reference = random.Random(3)
+    reference.randint(1, TRACE_LENGTH)
+    assert fake.rng.getstate() == reference.getstate()
 
 
 def test_fuzz_valid_scenarios_end_in_wellformed_reports(run_with_bridge):

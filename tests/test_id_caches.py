@@ -199,6 +199,56 @@ def test_a_slash_builds_no_kill_template(monkeypatch):
     assert (TxKind.ENABLER_CREATE, "f7") not in built
 
 
+def counted_hashes(monkeypatch) -> list:
+    """From now on, the kind of each template whose content is hashed."""
+    hashed = []
+    serial = txgraph._serial
+
+    def counted(template_kind, *args):
+        hashed.append(template_kind)
+        return serial(template_kind, *args)
+
+    monkeypatch.setattr(txgraph, "_serial", counted)
+    return hashed
+
+
+def test_an_id_is_hashed_once_on_its_first_read(monkeypatch):
+    ids = {key: tx.id for key, tx
+           in eager_reference(F10[:3], 2, 100_000, 0)[0].items()}
+    txgraph._TEMPLATE_CACHE.clear()
+    hashed = counted_hashes(monkeypatch)
+    a, b = (build_packet_templates(F10[:3], 2, 100_000) for _ in range(2))
+    kick = (TxKind.KICKOFF, "pkt0:vmxo0", "f0")
+    assert a.template(*kick) == b.template(*kick) and hashed == []
+    # the two graphs' copies read their recipe's id, hashed once
+    assert a.template(*kick).id == b.template(*kick).id == ids[kick]
+    assert hashed == [TxKind.KICKOFF]
+    # an Unlocking build reads its parents' ids, not its own
+    unlock = (TxKind.UNLOCKING, "pkt0:vmxo0", "f0")
+    tx = a.template(*unlock)
+    assert hashed == [TxKind.KICKOFF, TxKind.LOCKING, TxKind.ENABLER_CREATE]
+    assert tx.id == b.template(*unlock).id == ids[unlock]
+    assert hashed[3:] == [TxKind.UNLOCKING]
+
+
+def test_a_slashed_kickoff_is_built_but_never_hashed(monkeypatch):
+    # its outputs are never spent, so no row and no template reads its id
+    txgraph._TEMPLATE_CACHE.clear()
+    hashed = counted_hashes(monkeypatch)
+    sc = Scenario(name="committee-n10", seed=1, n_functionaries=10,
+                  vmxo_count=4, n_pegins=2, n_pegouts=2, adversary=7,
+                  strategy=Strategy.FAKE_PROOF_PROVER)
+    report = run_scenario(sc)
+    assert any(" ev=slashed loser=f7 " in line for line in report.log)
+    kickoffs = {key[1][1:]: tx for key, tx in txgraph._TEMPLATE_CACHE.items()
+                if key[1][0] == TxKind.KICKOFF}
+    assert set(kickoffs) == {("pkt0:vmxo0", "f7"), ("pkt0:vmxo0", "f0"),
+                             ("pkt0:vmxo1", "f0")}
+    assert "id" not in vars(kickoffs["pkt0:vmxo0", "f7"])
+    assert all("id" in vars(kickoffs["pkt0:vmxo" + v, "f0"]) for v in "01")
+    assert hashed.count(TxKind.KICKOFF) == 2
+
+
 @pytest.mark.parametrize("size", [0, 1])
 def test_a_cache_too_small_to_hit_builds_the_same(size, monkeypatch):
     monkeypatch.setattr(txgraph, "TEMPLATE_CACHE_SIZE", size)

@@ -7,8 +7,8 @@ from bridgesim.errors import (BridgeSimError, ConcurrencyLimit,
                              NotTriggered, UnknownId, WrongDenomination)
 from bridgesim import harness
 from bridgesim.harness import Scenario, Strategy
-from bridgesim.protocol import Bridge, PegIn, PegOut, PegOutState
-from bridgesim.txgraph import EnablerState, VmxoState
+from bridgesim.protocol import Bridge, Ledger, PegIn, PegOut, PegOutState
+from bridgesim.txgraph import EnablerState, VmxoState, build_packet_templates
 
 DENOM = 100_000_000
 
@@ -63,6 +63,35 @@ def test_deposit_equals_econ_formula():
     b = make_bridge(n=4, fee_rate=3)
     assert b.deposit_per_functionary == 270332 * 3 * 3
     assert b.ledger.balances["deposit:f0"] == b.deposit_per_functionary
+
+
+def test_functionary_accounts_open_as_fund_opens_them():
+    b = make_bridge(n=4, fee_rate=3)
+    ledger = Ledger()
+    for f in b.functionaries:
+        ledger.fund(f"deposit:{f}", b.deposit_per_functionary)
+        ledger.fund(f"wallet:{f}", 50 * DENOM + 100 * b.deposit_per_functionary)
+    assert list(b.ledger.balances.items()) == list(ledger.balances.items())
+
+
+@pytest.mark.parametrize("ids", [["f0", "f0", "f1"], ["f0", "f1", "f0"]],
+                         ids=["adjacent", "apart"])
+def test_repeated_functionary_id_refused(ids):
+    # f0 would open its deposit twice and hold two positions
+    with pytest.raises(MalformedInput, match="not distinct"):
+        Bridge(ids, 2, DENOM)
+    with pytest.raises(MalformedInput):
+        build_packet_templates(ids, 2, DENOM)
+
+
+@pytest.mark.parametrize("bad", ["f 0", "f0\t", "\nf0", "f\u00a00", ""],
+                         ids=["space", "tab", "newline", "nbsp", "empty"])
+def test_functionary_id_with_whitespace_refused(bad):
+    # its accounts would split a logged line that read_log then refuses
+    with pytest.raises(MalformedInput, match="without whitespace"):
+        Bridge([bad, "f1"], 2, DENOM)
+    with pytest.raises(MalformedInput):
+        build_packet_templates(["f1", bad], 2, DENOM)
 
 
 def test_pegin_wrong_denomination():
@@ -257,6 +286,23 @@ def test_slash_burns_enablers_and_pays_pot():
     assert b.ledger.balances["wallet:f0"] == f0_before + pot
     assert all(b.graph.enabler_state("f1", *slot) == EnablerState.BURNT
                for slot in b.graph._enabler_slots("f1"))
+
+
+def test_publish_challenges_pays_and_logs_as_one_fee_at_a_time():
+    # one call for every challenger, the fee read once, gives what paying
+    # and logging each challenge in turn gives
+    batch, each = make_bridge(n=4, fee_rate=3), make_bridge(n=4, fee_rate=3)
+    for b in (batch, each):
+        b.clock.advance(5)
+    batch.publish_challenges(["f2", "f0", "f3"])
+    for ch in ("f2", "f0", "f3"):
+        each.pay_dispute_fee(ch, "challenge")
+        each.log("dispute_pub", actor=ch, action="challenge", at=5)
+    assert batch.rows == each.rows and len(batch.rows) == 6
+    assert batch.ledger.balances == each.ledger.balances
+    assert batch.dispute_costs == each.dispute_costs
+    batch.publish_challenges([])
+    assert batch.rows == each.rows
 
 
 def test_slash_idempotent():

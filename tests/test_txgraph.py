@@ -93,6 +93,17 @@ def test_premature_deletion_rejected():
     assert not g.leaked
 
 
+def test_delete_keys_of_every_vmxo_at_once():
+    g = packet(vmxos=3)
+    with pytest.raises(PrematureDeletion, match="pkt0:vmxo0,pkt0:vmxo2"):
+        g.delete_keys("f0", "pkt0:vmxo0", "pkt0:vmxo2")
+    g.sign_all()
+    g.delete_keys("f0", *g.vmxo_ids)
+    with pytest.raises(KeyError):
+        g.delete_keys("f0", "pkt0:vmxo1", "nov")
+    assert not g.leaked
+
+
 @pytest.mark.parametrize("functionary,vmxo", [
     ("f9", "pkt0:vmxo0"), ("nobody", "nov"), ("f0", "nov")])
 def test_key_deletion_and_leak_reject_unknown_names(functionary, vmxo):
