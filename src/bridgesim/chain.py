@@ -20,8 +20,8 @@ id.
 
 from __future__ import annotations
 
-import hashlib
 from functools import lru_cache
+from hashlib import sha256
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import NotIncluded, UnknownBlock, UnknownParent
@@ -39,8 +39,8 @@ HEADER_CACHE_SIZE = 128
 
 def _digest(*parts: object) -> str:
     """Each part's repr, each followed by a NUL byte, hashed."""
-    data = "\x00".join([*map(repr, parts), ""]).encode()
-    return hashlib.sha256(data).hexdigest()[:16]
+    data = ("%r\x00" * len(parts)) % parts
+    return sha256(data.encode()).hexdigest()[:16]
 
 
 def tx_commitment(txs: Iterable[str]) -> str:
@@ -103,19 +103,24 @@ class ChainView:
         # the canonical chain, indexed by height
         self._canonical: list[BlockHeader] = [self.genesis]
 
-    def mine_block(self, parent_id: str, txs: list[str],
+    def mine_block(self, parent_id: str, txs: Iterable[str],
                    difficulty: int = 1) -> BlockHeader:
-        parent = self.headers.get(parent_id)
+        headers = self.headers
+        parent = headers.get(parent_id)
         if parent is None:
             raise UnknownParent(parent_id)
-        header = BlockHeader.make(self.chain_id, parent.height + 1, parent_id,
-                                  difficulty, txs)
-        if header.id in self.headers:
+        if difficulty <= 0:
+            raise ValueError("difficulty must be positive")
+        txs = tuple(txs)
+        header = _header(self.chain_id, parent.height + 1, parent_id,
+                         difficulty, txs)
+        hid = header.id
+        if hid in headers:
             # the same block mined again changes nothing
-            return self.headers[header.id]
-        self.headers[header.id] = header
-        self.block_txs[header.id] = tuple(txs)
-        acc = self._acc[header.id] = self._acc[parent_id] + difficulty
+            return headers[hid]
+        headers[hid] = header
+        self.block_txs[hid] = txs
+        acc = self._acc[hid] = self._acc[parent_id] + difficulty
         canonical, tip = self._canonical, self._canonical[-1]
         if parent is tip:
             # a positive difficulty makes a block on the tip the heavier
@@ -181,6 +186,8 @@ class SimClock:
     def censored_until(self, party: str, tick: int) -> Optional[int]:
         """First tick from `tick` on that no window of `party` covers, or None
         if none covers `tick`; overlapping and adjacent windows act as one."""
+        if not self.censor_windows:
+            return None
         end = tick
         while ends := [w.start + w.length for w in self.censor_windows
                        if w.party == party

@@ -15,14 +15,13 @@ from functools import cached_property
 from itertools import count
 from typing import NamedTuple, Optional, Sequence
 
-from .chain import CensorSpec
+from .chain import CensorSpec, ChainView
 from .dispute import (DisputeGame, ExecutionTrace, challenge, drive,
                       open_game, resolve_no_challenge, settle_counter_proof)
 from .errors import InvalidScenario, NoCapacity, TimeoutExpired
 from .lightclient import AltChainInput, CheckChainInput
 from .protocol import (Bridge, PegOut, PegOutState, event_lines,
                        read_log)
-from .stopwatch import power_of_two_markers
 from .txgraph import VmxoState
 
 
@@ -107,7 +106,8 @@ class Scenario:
         if self.watch_threshold + 1 + RESERVE_TICKS > LIVENESS_BOUND:
             raise InvalidScenario("watch_threshold stalls a peg-out past "
                                   "the liveness bound")
-        if any(c.isspace() for c in f"{self.name}"):
+        name = f"{self.name}"
+        if name and name.split() != [name]:
             # the name is one field of the log's meta kind=scenario line
             raise InvalidScenario("name contains whitespace")
 
@@ -185,16 +185,19 @@ class Runner:
         """The run's RNG, seeded on its first draw: most runs draw none."""
         return random.Random(self.sc.seed)
 
-    def mine_source(self, txs: list[str]) -> str:
-        b = self.bridge.source.mine_block(self.bridge.source.tip().id, txs)
-        self.bridge.clock.advance()
-        return b.id
-
-    def mine_secondary(self, txs: list[str]) -> str:
-        b = self.bridge.secondary.mine_block(
-            self.bridge.secondary.tip().id, txs, difficulty=2)
-        self.bridge.clock.advance()
-        return b.id
+    def _mine_confirmed(self, chain: ChainView, tx: str, pads: int,
+                        pad: str, difficulty: int = 1) -> str:
+        """Mine ``tx`` on ``chain``'s tip, then ``pads`` blocks on it, each
+        holding ``pad`` formatted with the tick it is mined at; the clock
+        advances a tick per block.  The id of ``tx``'s block."""
+        clock, mine = self.bridge.clock, chain.mine_block
+        block = top = mine(chain.tip().id, (tx,), difficulty).id
+        clock.now += 1
+        for _ in range(pads):
+            # a block on the tip is the new tip, so the tip is not re-read
+            top = mine(top, (pad.format(clock.now),), difficulty).id
+            clock.now += 1
+        return block
 
     # -- setup -------------------------------------------------------------
 
@@ -239,30 +242,13 @@ class Runner:
         for u in self.users:
             pegin = b.request_pegin(u, sc.denomination)
             b.sign_pegin(pegin, u, *self.functionaries)
-            tx = b.broadcast_pegin(pegin)
-            pegin.deposit_block = self.mine_source([tx])
-            for _ in range(b.source_confirmations):
-                self.mine_source([f"pad:{b.clock.now}:{u}"])
+            pegin.deposit_block = self._mine_confirmed(
+                b.source, b.broadcast_pegin(pegin), b.source_confirmations,
+                "pad:{}:" + u)
             b.execute_pegin(pegin)
             self.outcomes.append(f"pegin {u} minted")
 
     # -- dispute plumbing --------------------------------------------------
-
-    def _account_game(self, publications: list[tuple[int, str, str]],
-                      base_tick: int) -> None:
-        """Pay and log publications with their stop-watch markers."""
-        b = self.bridge
-        prev_t = 0
-        for t, party, action in publications:
-            b.pay_dispute_fee(party, action)
-            b.log("dispute_pub", actor=party, action=action,
-                  at=base_tick + t)
-            interval = t - prev_t
-            if interval > 0:
-                for d in power_of_two_markers(interval):
-                    b.log("sw_tick", party=party, duration=d)
-                b.log("sw_stop", party=party, interval=interval)
-            prev_t = t
 
     def _run_dispute(self, prover: str, verifier: str,
                      prover_trace: ExecutionTrace,
@@ -299,10 +285,10 @@ class Runner:
         except TimeoutExpired:
             pass
         # the outer commit-proof was paid with the kick-off
-        self._account_game(game.publications[1:], base)
+        b.account_publications(game.publications[1:], base)
         if played is not game:
             settle_counter_proof(game)
-            self._account_game(played.publications, base)
+            b.account_publications(played.publications, base)
         for party in sorted(played.watches):
             watch = played.watches[party]
             b.log("watch_total", party=party,
@@ -365,9 +351,9 @@ class Runner:
         b = self.bridge
         b.clock.advance(b.separation_left(operator))
         b.front_funds(pegout, operator)
-        front_block = self.mine_source([pegout.fronted_tx])
-        for _ in range(b.source_confirmations):
-            self.mine_source([f"pad:{b.clock.now}:front"])
+        front_block = self._mine_confirmed(
+            b.source, pegout.fronted_tx, b.source_confirmations,
+            "pad:{}:front")
         b.prove_front(pegout, front_block)
         b.publish_kickoff(pegout, operator)
 
@@ -484,9 +470,9 @@ class Runner:
         for i in range(sc.n_pegouts):
             user = self.users[i]
             pegout = b.request_pegout(user, sc.denomination)
-            pegout.burn_block = self.mine_secondary([pegout.burn_tx])
-            for _ in range(b.secondary_confirmations):
-                self.mine_secondary([f"spad:{b.clock.now}"])
+            pegout.burn_block = self._mine_confirmed(
+                b.secondary, pegout.burn_tx, b.secondary_confirmations,
+                "spad:{}", difficulty=2)
             try:
                 b.link_pegout(pegout)
             except NoCapacity:

@@ -5,10 +5,11 @@ presigned template graph, the functionaries and the set of slashed ones,
 the satoshi ledger, and an append-only event log.  The log keeps each event
 as one raw row ``(tick, schema key, values)``, the values as passed; its
 text lines are rendered on read, and ``read_log`` reads them back.
-``log`` writes every kind but the most frequent three, ``transfer``,
-``balance`` and ``final_balance``, whose one writer each appends its rows
-itself, as ``log``'s checks cost more per row than the append.  All methods
-are deterministic; the harness drives them from a scenario script.
+``log`` writes every kind but the most frequent seven (``transfer``, the
+balances, ``spend``, ``dispute_pub`` and the stop-watch rows), whose one
+writer each appends its rows itself, as ``log``'s checks cost more per row
+than the append.  All methods are deterministic; the harness drives them
+from a scenario script.
 
 Deposits are denominated on the source chain.  Slashing pays the losing
 party's deposit into a pot that first reimburses every challenger's dispute
@@ -17,7 +18,6 @@ costs, with the remainder going to the first-confirmed winner.
 
 from __future__ import annotations
 
-from collections import Counter
 from enum import Enum
 from operator import itemgetter
 from typing import Optional
@@ -28,6 +28,7 @@ from .errors import (ConcurrencyLimit, EnablerUnavailable, Insolvent,
                      InsufficientConfirmations, MalformedInput,
                      MissingSignature, NoCapacity, NotLinked, NotTriggered,
                      UnknownId, WrongDenomination)
+from .stopwatch import power_of_two_markers
 from .txgraph import (EXTERNAL, EnablerState, PacketGraph, TxKind, Vmxo,
                       VmxoState, build_packet_templates)
 
@@ -81,12 +82,19 @@ class Ledger:
         self.balances[account] = self.balances.get(account, 0) + amount
 
     def transfer(self, frm: str, to: str, amount: int) -> None:
+        """Move ``amount`` from ``frm`` to ``to``; ``Insolvent``, before any
+        write, for a negative amount, an account never opened or one that
+        cannot pay."""
         if amount < 0:
             raise Insolvent(f"negative transfer {amount}")
-        if self.balances.get(frm, 0) < amount:
+        balances = self.balances
+        have = balances.get(frm)
+        if have is None:
+            raise Insolvent(f"no account {frm}")
+        if have < amount:
             raise Insolvent(f"insolvent account {frm}")
-        self.balances[frm] -= amount
-        self.balances[to] = self.balances.get(to, 0) + amount
+        balances[frm] = have - amount
+        balances[to] = balances.get(to, 0) + amount
 
 
 # Each event kind's fields in the order its line holds them, which is by
@@ -139,6 +147,10 @@ INTEGER_FIELDS = frozenset({
 assert EVENT_SCHEMA["transfer"] == ("amount", "dst", "src", "why")
 assert EVENT_SCHEMA["balance"] == EVENT_SCHEMA["final_balance"] == (
     "account", "amount")
+assert EVENT_SCHEMA["spend"] == ("by", "out")
+assert EVENT_SCHEMA["dispute_pub"] == ("action", "actor", "at")
+assert EVENT_SCHEMA["sw_tick"] == ("duration", "party")
+assert EVENT_SCHEMA["sw_stop"] == ("interval", "party")
 
 # each schema key's picker of a kind's field values, as a tuple in order
 _PICKS = {key: itemgetter(*names) if len(names) > 1
@@ -282,8 +294,8 @@ class Bridge:
         """Append the row ``(clock.now, EVENT_SCHEMA key, values as passed
         in its order)``; ``seq`` is its position.  ``ValueError``, before any
         write, unless the fields are exactly the kind's.  It writes every
-        kind but ``transfer``, ``balance`` and ``final_balance``, which
-        ``_log_transfer`` and ``log_balances`` write."""
+        kind but those of ``_log_transfer``, ``log_balances``,
+        ``_log_spends`` and ``account_publications``."""
         key = event if event in _PICKS else (event, fields.get("kind"))
         try:
             values = _PICKS[key](fields)
@@ -324,9 +336,14 @@ class Bridge:
         return fee
 
     def _log_spends(self, tx) -> None:
-        for ref in tx.inputs:
-            if not ref[0].startswith(EXTERNAL):
-                self.log("spend", out=f"{ref[0]}:{ref[1]}", by=tx.id)
+        """Append a ``spend`` row per input of ``tx`` from the graph, the one
+        writer of that kind, in the order asserted beside ``EVENT_SCHEMA``.
+        ``tx.id`` is read only if there is one, since reading it may hash."""
+        outs = [f"{ref[0]}:{ref[1]}" for ref in tx.inputs
+                if not ref[0].startswith(EXTERNAL)]
+        if outs:
+            now, by = self.clock.now, tx.id
+            self.rows.extend([(now, "spend", (by, out)) for out in outs])
 
     def pay_dispute_fee(self, party: str, action: str) -> int:
         if action not in DISPUTE_ACTION_VBYTES:
@@ -336,17 +353,29 @@ class Bridge:
         self.dispute_costs[party] = self.dispute_costs.get(party, 0) + fee
         return fee
 
+    def account_publications(self, publications, base: int) -> None:
+        """Pay and log a dispute game's publications, each ``(t, party,
+        action)`` at tick ``base + t``, in order: ``pay_dispute_fee``, its
+        ``dispute_pub`` row and, if ``t`` is past the publication before, a
+        ``sw_tick`` row per marker of the interval and a ``sw_stop``.  The
+        one writer of these three kinds, in the orders asserted beside
+        ``EVENT_SCHEMA``."""
+        rows, now, prev = self.rows, self.clock.now, 0
+        for t, party, action in publications:
+            self.pay_dispute_fee(party, action)
+            rows.append((now, "dispute_pub", (action, party, base + t)))
+            if t > prev:
+                interval = t - prev
+                rows.extend([(now, "sw_tick", (d, party))
+                             for d in power_of_two_markers(interval)])
+                rows.append((now, "sw_stop", (interval, party)))
+            prev = t
+
     def publish_challenges(self, challengers: list[str]) -> None:
-        """Each challenger, in order, publishes a challenge now: pays its
-        fee, read once for all, as ``pay_dispute_fee`` would, and logs its
-        ``dispute_pub``."""
-        fee = getattr(self.cost_table,
-                      DISPUTE_ACTION_VBYTES["challenge"]) * self.fee_rate
-        now, costs = self.clock.now, self.dispute_costs
-        for ch in challengers:
-            self.transfer(f"wallet:{ch}", "fees", fee, "dispute:challenge")
-            costs[ch] = costs.get(ch, 0) + fee
-            self.log("dispute_pub", actor=ch, action="challenge", at=now)
+        """Each challenger, in order, publishes a challenge now, paid and
+        logged as ``account_publications`` does."""
+        self.account_publications([(0, ch, "challenge")
+                                   for ch in challengers], self.clock.now)
 
     # -- peg-in ------------------------------------------------------------
 
@@ -605,10 +634,10 @@ class Bridge:
             raise NotTriggered(pegout.burn_tx or "?")
         self.graph.vmxo(pegout.vmxo_id)
         states = self.graph.used_enablers.get(pegout.vmxo_id, {})
-        stored = Counter(states.values())
+        stored = list(states.values())
         counts = {"live": len(self.functionaries) ** 2 - len(states),
-                  "consumed": stored[EnablerState.CONSUMED],
-                  "burnt": stored[EnablerState.BURNT]}
+                  "consumed": stored.count(EnablerState.CONSUMED),
+                  "burnt": stored.count(EnablerState.BURNT)}
         self.log("enablers_recycled", vmxo=pegout.vmxo_id, **counts)
         return counts
 

@@ -5,6 +5,7 @@ the log refuses, the round trip from rows to lines and back, and the count
 of renders."""
 
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,8 @@ from bridgesim.harness import (Scenario, Strategy, check_invariants,
                                scenario_corpus)
 from bridgesim.protocol import (EVENT_SCHEMA, INTEGER_FIELDS, Bridge,
                                 event_lines, read_log)
+from bridgesim.stopwatch import power_of_two_markers
+from bridgesim.txgraph import EXTERNAL, TxKind
 
 from test_harness import _fuzz_scenarios
 
@@ -25,8 +28,10 @@ class TwoListBridge(Bridge):
     """``Bridge.log`` as it was when each event was kept twice, as its
     record and as its text line, frozen as the reference for the lines.
     ``_log_transfer`` and ``log_balances``, which write their own rows,
-    format theirs from their named arguments alike.  It keeps the rows too, which
-    the checker reads."""
+    format theirs from their named arguments alike; ``_log_spends`` and
+    ``account_publications`` write theirs through ``log``, as they did
+    before they wrote their own.  It keeps the rows too, which the checker
+    reads."""
 
     def __init__(self, *args, **kwargs):
         self.lines: list[str] = []
@@ -54,6 +59,23 @@ class TwoListBridge(Bridge):
         for account in sorted(self.ledger.balances):
             self._line(kind, account=account,
                        amount=self.ledger.balances[account])
+
+    def _log_spends(self, tx) -> None:
+        for ref in tx.inputs:
+            if not ref[0].startswith(EXTERNAL):
+                self.log("spend", out=f"{ref[0]}:{ref[1]}", by=tx.id)
+
+    def account_publications(self, publications, base: int) -> None:
+        prev_t = 0
+        for t, party, action in publications:
+            self.pay_dispute_fee(party, action)
+            self.log("dispute_pub", actor=party, action=action, at=base + t)
+            interval = t - prev_t
+            if interval > 0:
+                for d in power_of_two_markers(interval):
+                    self.log("sw_tick", party=party, duration=d)
+                self.log("sw_stop", party=party, interval=interval)
+            prev_t = t
 
 
 def n100_scenario(strategy):
@@ -102,10 +124,20 @@ def test_reserved_field_name_rejected(name):
     assert b.events[-1] == f"t=0 seq={len(before) + 1} ev=front_proven tx=x"
 
 
+class IdUnread:
+    """A template of wallet-funded inputs only, whose id must not be read."""
+
+    inputs = ((f"{EXTERNAL}:f0", 0), (f"{EXTERNAL}:user", 0))
+
+    @property
+    def id(self):
+        raise AssertionError("id read")
+
+
 def test_direct_writers_append_the_rows_log_appends():
-    # _log_transfer (through transfer or for a mint) and log_balances skip
-    # log's checks; each appends exactly the rows that log appends for the
-    # same named fields
+    # _log_transfer (through transfer or for a mint), log_balances,
+    # account_publications and _log_spends skip log's checks; each appends
+    # exactly the rows that log appends for the same named fields
     direct, logged = (Bridge(["f0", "f1"], 1, 100_000_000) for _ in range(2))
     for b in (direct, logged):
         b.clock.advance(7)
@@ -115,11 +147,45 @@ def test_direct_writers_append_the_rows_log_appends():
     direct._log_transfer("wrapped-issuance", "user:u0:wrapped", 9, "mint")
     logged.log("transfer", src="wrapped-issuance", dst="user:u0:wrapped",
                amount=9, why="mint")
+    # two games' publications: repeated and rising ticks, gaps of 1, 5 and
+    # 8 (one, three and four markers), then challenges as
+    # publish_challenges pays them
+    publications = [(0, "f1", "challenge"), (1, "f0", "publish-hashes"),
+                    (1, "f1", "publish-choice"), (6, "f0", "execute-leaf"),
+                    (14, "f1", "alt-chain-proof")]
+    direct.account_publications(publications, 40)
+    direct.account_publications(publications[:2], 60)
+    direct.publish_challenges(["f0", "f1"])
+    for pubs, base in ((publications, 40), (publications[:2], 60),
+                       ([(0, "f0", "challenge"), (0, "f1", "challenge")], 7)):
+        prev = 0
+        for t, party, action in pubs:
+            logged.pay_dispute_fee(party, action)
+            logged.log("dispute_pub", actor=party, action=action, at=base + t)
+            if t > prev:
+                for d in power_of_two_markers(t - prev):
+                    logged.log("sw_tick", party=party, duration=d)
+                logged.log("sw_stop", party=party, interval=t - prev)
+            prev = t
+    assert direct.dispute_costs == logged.dispute_costs
+    # an unlocking spends graph outputs; wallet-funded inputs write no row
+    # and leave the id unread
+    unlock = direct.graph.template(TxKind.UNLOCKING, "pkt0:vmxo0", "f0")
+    for b in (direct, logged):
+        b.clock.advance(2)
+    direct._log_spends(unlock)
+    direct._log_spends(IdUnread())
+    for out, index in unlock.inputs:
+        assert not out.startswith(EXTERNAL)
+        logged.log("spend", out=f"{out}:{index}", by=unlock.id)
     for kind in ("balance", "final_balance"):
         direct.log_balances(kind)
         for account, amount in sorted(logged.ledger.balances.items()):
             logged.log(kind, account=account, amount=amount)
-    assert len(direct.rows) == 2 + 2 * 5
+    counts = Counter(key for _, key, _ in direct.rows)
+    assert counts == {"transfer": 2 + 9, "dispute_pub": 9, "sw_tick": 9,
+                      "sw_stop": 4, "spend": len(unlock.inputs),
+                      "balance": 5, "final_balance": 5}
     assert direct.rows == logged.rows
     assert [tuple(map(type, values)) for _, _, values in direct.rows] == \
         [tuple(map(type, values)) for _, _, values in logged.rows]

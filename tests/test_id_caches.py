@@ -7,11 +7,12 @@ import json
 import pytest
 
 from bridgesim import chain, txgraph
-from bridgesim.chain import BlockHeader, _digest
+from bridgesim.chain import SOURCE, BlockHeader, ChainView, _digest
 from bridgesim.harness import (Scenario, Strategy,
                                generate_adversarial_scenarios, run_scenario,
                                scenario_corpus)
 from bridgesim.txgraph import TxKind, _serial, build_packet_templates
+from test_event_log import n100_scenario
 from test_txgraph import build_all, eager_reference
 
 F10 = [f"f{i}" for i in range(10)]
@@ -74,15 +75,16 @@ def sweep_and_corpus():
 def test_cached_ids_equal_cache_free_recomputation(run_with_bridge,
                                                    monkeypatch):
     # the sweep and the corpus, then a whole N = 10, V = 4 graph; every
-    # header made is the one its arguments describe, id included
+    # header made, through the cache that mine_block and BlockHeader.make
+    # call, is the one its arguments describe, id included
     made = []
-    make = BlockHeader.make
+    header_of = chain._header
 
-    def recording_make(*args):
-        made.append((args, make(*args)))
+    def recording_header(*args):
+        made.append((args, header_of(*args)))
         return made[-1][1]
 
-    monkeypatch.setattr(BlockHeader, "make", staticmethod(recording_make))
+    monkeypatch.setattr(chain, "_header", recording_header)
     for sc in sweep_and_corpus():
         _, bridge = run_with_bridge(sc)
         templates_equal_cache_free_builds(bridge.graph)
@@ -95,7 +97,47 @@ def test_cached_ids_equal_cache_free_recomputation(run_with_bridge,
         assert header == BlockHeader(chain_id, height, parent_id, difficulty,
                                      commit, hid)
     assert len({h.id for _, h in made}) < len(made)  # headers made again
+    assert {h.height for _, h in made} > {0, 1}  # mined, not only geneses
     templates_equal_cache_free_builds(full_graph())
+
+
+def _digest_at_pin(*parts):
+    """A literal copy of ``chain._digest`` as it was before it formatted
+    its parts in one pass."""
+    data = "\x00".join([*map(repr, parts), ""]).encode()
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def _header_at_pin(chain_id, height, parent_id, difficulty, txs):
+    """The ``(tx_commitment, id)`` that ``chain._header`` gave with that
+    ``_digest``."""
+    commit = _digest_at_pin("txs", tuple(txs))
+    return commit, _digest_at_pin(chain_id, height, parent_id, difficulty,
+                                  commit)
+
+
+def test_header_ids_match_the_frozen_digest(run_with_bridge):
+    # every header the corpus, the sweep and the N = 100 runs mine, forks
+    # included, has the commitment and id the old digest gives its content
+    checked = 0
+    for sc in sweep_and_corpus() + [n100_scenario(s) for s in Strategy]:
+        bridge = run_with_bridge(sc)[1]
+        for view in (bridge.source, bridge.secondary):
+            for hid, h in view.headers.items():
+                assert hid == h.id
+                assert (h.tx_commitment, h.id) == _header_at_pin(
+                    h.chain_id, h.height, h.parent_id, h.difficulty,
+                    view.block_txs[hid]), sc.name
+                checked += 1
+    assert checked > 10_000
+    # 1 and True hash alike but have different reprs, so different ids
+    views = ChainView(SOURCE), ChainView(SOURCE)
+    one, true = (view.mine_block(view.genesis.id, ["t"], d)
+                 for view, d in zip(views, (1, True)))
+    assert one.id != true.id and true.difficulty is True
+    for h in (one, true):
+        assert (h.tx_commitment, h.id) == _header_at_pin(
+            SOURCE, 1, h.parent_id, h.difficulty, ["t"])
 
 
 def test_templates_fill_in_the_same_order_cold_and_warm(run_with_bridge):

@@ -289,8 +289,8 @@ def test_slash_burns_enablers_and_pays_pot():
 
 
 def test_publish_challenges_pays_and_logs_as_one_fee_at_a_time():
-    # one call for every challenger, the fee read once, gives what paying
-    # and logging each challenge in turn gives
+    # one call for every challenger gives what paying and logging each
+    # challenge in turn gives
     batch, each = make_bridge(n=4, fee_rate=3), make_bridge(n=4, fee_rate=3)
     for b in (batch, each):
         b.clock.advance(5)
@@ -380,6 +380,9 @@ REFUSALS = {
     "dispute-fee-for-unknown-action": (
         MalformedInput, lambda b, linked, unlinked:
         b.pay_dispute_fee("f0", "bribe")),
+    "publication-of-unknown-action": (
+        MalformedInput, lambda b, linked, unlinked:
+        b.account_publications([(3, "f0", "bribe")], 0)),
     "slash-paying-unknown-winner": (
         UnknownId, lambda b, linked, unlinked:
         b.slash("f0", "f9", [], "pkt0:vmxo0")),
@@ -472,6 +475,26 @@ def test_insolvent_calls_raise_a_package_error_and_change_nothing():
     # a package error, and still the ValueError it used to be
     assert issubclass(Insolvent, BridgeSimError)
     assert issubclass(Insolvent, ValueError)
+
+
+def test_ledger_refuses_a_zero_transfer_from_an_unopened_account():
+    # 0 is no more than the balance an absent account reads as, but there is
+    # no account to pay it from; an opened empty one pays it
+    ledger = Ledger()
+    with pytest.raises(Insolvent):
+        ledger.transfer("nobody", "fees", 0)
+    assert ledger.balances == {}
+    ledger.fund("empty", 0)
+    ledger.transfer("empty", "fees", 0)
+    assert ledger.balances == {"empty": 0, "fees": 0}
+
+
+def test_bridge_refuses_a_zero_transfer_from_an_unopened_account():
+    b = Bridge(["f0", "f1"], 1, 100_000_000)
+    balances = dict(b.ledger.balances)
+    with pytest.raises(Insolvent):
+        b.transfer("nobody", "fees", 0, "x")
+    assert b.rows == [] and b.ledger.balances == balances
 
 
 def test_slash_reimburses_challenger_costs_first():
