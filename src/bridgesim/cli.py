@@ -1,5 +1,8 @@
 """Command line front end: run scenarios, sweep parameter grids, print the
-deposit table, and re-check invariants over a saved event log.
+deposit table, and re-check invariants over a saved event log.  `run` and
+`check` print one report read from the log's rows alone: the verdicts, the
+deposit against the honest parties' dispute costs (the meta lines name the
+deposit and the honest set), and the lines of `harness.OUTCOME_KINDS`.
 
 Exit status is 0 only when every invariant check passed; 1 means an
 invariant failed, and 2 marks input that cannot be run or checked (an
@@ -16,7 +19,7 @@ from pathlib import Path
 
 from .econ import format_deposit_table, reproduce_deposit_table
 from .errors import InvalidScenario, MalformedInput
-from .harness import (INT_KEYS, Scenario, Strategy, check_invariants,
+from .harness import (INT_KEYS, RunReport, Scenario, Strategy,
                       parse_scenario, read_log, run_scenario)
 
 
@@ -127,11 +130,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
     except MalformedInput as exc:
         print(f"malformed log: {exc}", file=sys.stderr)
         return 2
-    verdicts = check_invariants(rows)
-    for v in verdicts:
-        status = "PASS" if v.passed else "FAIL"
-        print(f"[{status}] {v.name} {v.detail}".rstrip())
-    return 0 if all(v.passed for v in verdicts) else 1
+    report = RunReport(rows)
+    print(report.to_text())
+    return 0 if report.all_passed else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -20,8 +20,8 @@ from .dispute import (DisputeGame, ExecutionTrace, challenge, drive,
                       open_game, resolve_no_challenge, settle_counter_proof)
 from .errors import InvalidScenario, NoCapacity, TimeoutExpired
 from .lightclient import AltChainInput, CheckChainInput
-from .protocol import (Bridge, PegOut, PegOutState, event_lines,
-                       read_log)
+from .protocol import (EVENT_SCHEMA, Bridge, PegOut, PegOutState,
+                       event_lines, read_log)
 from .txgraph import VmxoState
 
 
@@ -126,36 +126,69 @@ class Verdict(NamedTuple):
     detail: str = ""
 
 
+# the kinds of event whose lines a report lists as the run's outcomes
+OUTCOME_KINDS = frozenset({
+    "minted", "pegout_burn", "pegout_linked", "challenge_window_expired",
+    "dispute_outcome", "slashed", "force_close", "pegout_invalidated",
+    "theft", "theft_rejected", "unlocked"})
+
+
 @dataclass
 class RunReport:
-    """A run's outcome; its ``log`` renders ``rows`` once, on first read."""
-    scenario: str
-    seed: int
+    """A run's report, a view of its rows alone: the verdicts are checked as
+    it is built, every other field is read from the rows when it is read."""
     rows: list[tuple]
-    outcomes: list[str]
-    verdicts: list[Verdict]
-    dispute_costs: dict[str, int]
-    deposit_sats: int
-    deposit_sufficient: bool
+    verdicts: list[Verdict] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.verdicts = check_invariants(self.rows)
 
     @cached_property
-    def log(self) -> list[str]:
-        return event_lines(self.rows)
+    def _meta(self) -> dict:
+        """The fields of the meta lines by name; they share only ``kind``."""
+        return {name: value for _, key, values in self.rows
+                if type(key) is tuple
+                for name, value in zip(EVENT_SCHEMA[key], values)}
+
+    log = cached_property(lambda self: event_lines(self.rows))
+    scenario = property(lambda self: self._meta["name"])
+    seed = property(lambda self: self._meta["seed"])
+    deposit_sats = property(lambda self: self._meta["deposit"])
+    all_passed = property(lambda self: all(v.passed for v in self.verdicts))
+
+    @cached_property
+    def dispute_costs(self) -> dict[str, int]:
+        """The fees each functionary paid in disputes and force-closes."""
+        costs = dict.fromkeys(self._meta["functionaries"].split(","), 0)
+        for _, key, values in self.rows:
+            if key == "transfer" and values[1] == "fees" and \
+                    values[3].partition(":")[0] in ("dispute", "force-close"):
+                party = values[2].removeprefix("wallet:")
+                costs[party] = costs.get(party, 0) + values[0]
+        return costs
 
     @property
-    def all_passed(self) -> bool:
-        return all(v.passed for v in self.verdicts)
+    def deposit_sufficient(self) -> bool:
+        """Whether the deposits slashed cover honest parties' dispute costs."""
+        honest = set(self._meta["honest"].split(",")) - {"-"}
+        paid = sum(self.dispute_costs.get(f, 0) for f in honest)
+        slashed = sum(key == "slashed" for _, key, _ in self.rows)
+        return slashed == 0 or paid <= slashed * self.deposit_sats
+
+    @property
+    def outcomes(self) -> list[str]:
+        """The log's lines of the kinds in ``OUTCOME_KINDS``, in order."""
+        return [line for line, (_, key, _) in zip(self.log, self.rows)
+                if key in OUTCOME_KINDS]
 
     def to_text(self) -> str:
         lines = [f"scenario={self.scenario} seed={self.seed} "
-                 f"rng={RNG_ALGORITHM}"]
-        for v in self.verdicts:
-            status = "PASS" if v.passed else "FAIL"
-            lines.append(f"  [{status}] {v.name} {v.detail}".rstrip())
+                 f"rng={self._meta['rng']}"]
+        lines += [f"  [{'PASS' if v.passed else 'FAIL'}] {v.name} "
+                  f"{v.detail}".rstrip() for v in self.verdicts]
         lines.append(f"  deposit={self.deposit_sats} "
                      f"sufficient={self.deposit_sufficient}")
-        for o in self.outcomes:
-            lines.append(f"  outcome: {o}")
+        lines += [f"  outcome: {line}" for line in self.outcomes]
         return "\n".join(lines)
 
 
@@ -176,7 +209,6 @@ class Runner:
             pegout_limit=scenario.pegout_limit, t_sep=scenario.t_sep)
         self.bridge.clock.censor_windows = list(scenario.censor)
         self.users = [f"u{i}" for i in range(scenario.n_pegins)]
-        self.outcomes: list[str] = []
 
     # -- helpers -----------------------------------------------------------
 
@@ -246,7 +278,6 @@ class Runner:
                 b.source, b.broadcast_pegin(pegin), b.source_confirmations,
                 "pad:{}:" + u)
             b.execute_pegin(pegin)
-            self.outcomes.append(f"pegin {u} minted")
 
     # -- dispute plumbing --------------------------------------------------
 
@@ -309,12 +340,12 @@ class Runner:
                     else "VerifierLoses"))
         return outcome
 
-    def _contest_kickoff(self, pegout: PegOut, adv: str, what: str,
+    def _contest_kickoff(self, pegout: PegOut, adv: str,
                          prover_trace: ExecutionTrace,
                          honest_trace: ExecutionTrace, **dispute_args) -> None:
-        """Every honest verifier challenges the adversary's ``what``
-        kick-off; the first plays the dispute and the adversary is slashed.
-        With no honest verifier the kick-off stands and unlocks."""
+        """Every honest verifier challenges the adversary's kick-off, the
+        first plays the dispute and the adversary is slashed; with none, the
+        kick-off stands and unlocks."""
         b, sc = self.bridge, self.sc
         challengers = self._honest_verifiers(adv)
         if not challengers:
@@ -322,15 +353,11 @@ class Runner:
             b.log("challenge_window_expired", vmxo=pegout.vmxo_id,
                   operator=adv)
             b.unlock(pegout)
-            self.outcomes.append(f"pegout {pegout.burn_tx}: {what} kickoff "
-                                 f"by {adv} unchallenged, unlocked")
             return
         b.publish_challenges(challengers[1:])
         outcome = self._run_dispute(adv, challengers[0], prover_trace,
                                     honest_trace, **dispute_args)
         b.slash(adv, outcome.winner, challengers, pegout.vmxo_id)
-        self.outcomes.append(f"pegout {pegout.burn_tx}: {what} kickoff by "
-                             f"{adv} defeated ({outcome.reason.value})")
 
     # -- peg-outs ----------------------------------------------------------
 
@@ -374,9 +401,6 @@ class Runner:
                    and adv not in b.slashed else None)
         if griefer is not None:
             self._run_dispute(operator, griefer, honest_trace, honest_trace)
-            self.outcomes.append(
-                f"pegout {pegout.burn_tx}: griefing challenge by {griefer} "
-                f"defeated")
             b.slash(griefer, operator, [operator], pegout.vmxo_id)
         else:
             b.clock.advance(sc.challenge_window + 1)
@@ -384,8 +408,6 @@ class Runner:
                   operator=operator)
         self._confirm_burn_and_unlock(pegout)
         b.recycle_enablers(pegout)
-        self.outcomes.append(
-            f"pegout {pegout.burn_tx}: unlocked by {operator}")
 
     def _fraudulent_kickoff(self, pegout: PegOut, adv: str,
                             silent: bool) -> None:
@@ -396,7 +418,7 @@ class Runner:
             f"pegout:{pegout.burn_tx}", TRACE_LENGTH)
         corrupt_pos = self.rng.randint(1, TRACE_LENGTH)
         prover_trace = honest_trace.corrupted_at(corrupt_pos)
-        self._contest_kickoff(pegout, adv, "fraudulent", prover_trace,
+        self._contest_kickoff(pegout, adv, prover_trace,
                               honest_trace, silent_prover=silent)
 
     def _fork_kickoff(self, pegout: PegOut, adv: str) -> None:
@@ -433,7 +455,7 @@ class Runner:
         # branch can show
         honest = ExecutionTrace.honest(
             f"main:{main_input.pegout_proof.tx_id}", TRACE_LENGTH)
-        self._contest_kickoff(pegout, adv, "fork", honest, honest,
+        self._contest_kickoff(pegout, adv, honest, honest,
                               main_input=main_input, alt_input=alt_input)
 
     def _double_operator(self, pegout: PegOut, adv: str) -> None:
@@ -456,13 +478,9 @@ class Runner:
             self._confirm_burn_and_unlock(pegout)
             if fake is not None:
                 b.unlock(fake)
-            self.outcomes.append(f"pegout {pegout.burn_tx}: double operator "
-                                 f"{adv} not force-closed, unlocked")
             return
         b.force_close(pegout.vmxo_id, victim, closers[0])
         b.slash(adv, closers[0], closers[:1], victim)
-        self.outcomes.append(
-            f"pegout {pegout.burn_tx}: double operator {adv} force-closed")
 
     def run_pegouts(self) -> None:
         b, sc = self.bridge, self.sc
@@ -476,8 +494,6 @@ class Runner:
             try:
                 b.link_pegout(pegout)
             except NoCapacity:
-                self.outcomes.append(f"pegout {pegout.burn_tx}: no locked "
-                                     f"vmxo to link, unserved")
                 continue
             adversarial = (i == 0 and sc.strategy in PROVER_STRATEGIES
                            and adv is not None and adv not in b.slashed)
@@ -514,16 +530,8 @@ class Runner:
     # -- finish ------------------------------------------------------------
 
     def finish(self) -> RunReport:
-        b, sc = self.bridge, self.sc
-        b.log_balances("final_balance")
-        honest_costs = sum(b.dispute_costs.get(f, 0) for f in self.honest)
-        slashed = len(b.slashed) * b.deposit_per_functionary
-        return RunReport(
-            scenario=sc.name, seed=sc.seed, rows=b.rows,
-            outcomes=list(self.outcomes), verdicts=check_invariants(b.rows),
-            dispute_costs=dict(b.dispute_costs),
-            deposit_sats=b.deposit_per_functionary,
-            deposit_sufficient=slashed == 0 or honest_costs <= slashed)
+        self.bridge.log_balances("final_balance")
+        return RunReport(self.bridge.rows)
 
 
 def run_scenario(scenario: Scenario) -> RunReport:

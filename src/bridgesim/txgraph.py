@@ -399,6 +399,8 @@ class PacketGraph:
         """Delete the functionary's key for each VMXO, which the ceremony
         must have used first.  A deleted key is one not leaked, so nothing
         is recorded."""
+        if functionary not in self.position:
+            raise UnknownId(functionary)
         for vmxo_id in vmxo_ids:
             self._key(functionary, vmxo_id)
         if not self.signers:

@@ -61,6 +61,18 @@ def test_check_on_saved_log(tmp_path, capsys):
     assert "[PASS] safety" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("text, status", [(SCENARIO, 0), (LEAKED, 1)],
+                         ids=["demo", "leaked"])
+def test_check_prints_what_run_printed(tmp_path, capsys, text, status):
+    sc = tmp_path / "run.scenario"
+    sc.write_text(text)
+    log = tmp_path / "run.log"
+    assert main(["run", str(sc), "--log", str(log)]) == status
+    ran = capsys.readouterr().out
+    assert main(["check", str(log)]) == status
+    assert capsys.readouterr().out == ran
+
+
 def test_check_flags_tampered_log(tmp_path):
     sc = tmp_path / "demo.scenario"
     sc.write_text(SCENARIO)

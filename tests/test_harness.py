@@ -133,6 +133,70 @@ def test_defeated_counter_proof_gives_wellformed_report():
     assert check_invariants(read_log(report.log)) == report.verdicts
 
 
+# Found by drawing valid scenarios: the censored honest operator f0 loses
+# the griefing game by Timeout, and the winning griefer f1 is slashed anyway.
+GRIEFED = parse_scenario("""
+name griefed
+seed 57608
+functionaries 8
+vmxos 4
+pegins 1
+pegouts 1
+fee_rate 2
+challenge_window 21
+watch_threshold 37
+t_sep 5
+adversary 1 GriefingVerifier
+censor f4 41 33
+censor f0 17 35
+""")
+
+
+def test_griefed_report_says_what_its_log_says():
+    # its verdicts are not pinned: the winning griefer's slash is an open
+    # defect, and every verdict passes
+    report = run_scenario(GRIEFED)
+    games = [line for line in report.outcomes if " ev=dispute_outcome " in line]
+    assert len(games) == 1
+    assert " loser=f0 " in games[0] and games[0].endswith(" winner=f1")
+    assert "defeated" not in report.to_text()
+
+
+def _deposit_covers_honest_costs(scenario, bridge):
+    """Whether the deposits slashed cover the honest parties' dispute costs,
+    from the bridge's own state at the end of a run."""
+    honest = [] if scenario.leak_all else [
+        f for f in scenario.functionary_ids if f != scenario.adversary_id]
+    honest_costs = sum(bridge.dispute_costs.get(f, 0) for f in honest)
+    slashed = len(bridge.slashed) * bridge.deposit_per_functionary
+    return slashed == 0 or honest_costs <= slashed
+
+
+def test_report_is_read_from_the_rows_alone(run_with_bridge):
+    # a saved log reads back as the same report, and what the report reads
+    # from the rows is what the bridge kept while the run went on
+    for sc in scenario_corpus() + generate_adversarial_scenarios(500) + [
+            COUNTER_PROOF_DEFEATED, GRIEFED]:
+        report, b = run_with_bridge(sc)
+        assert RunReport(read_log(report.log)).to_text() == report.to_text()
+        assert (report.scenario, report.seed) == (sc.name, sc.seed)
+        assert report.deposit_sats == b.deposit_per_functionary
+        assert report.dispute_costs == dict(b.dispute_costs), sc.name
+        assert report.deposit_sufficient == \
+            _deposit_covers_honest_costs(sc, b), sc.name
+
+
+def test_outcomes_are_the_log_lines_of_the_outcome_kinds():
+    report = run_scenario(COUNTER_PROOF_DEFEATED)
+    assert report.outcomes == [
+        line for line in report.log
+        if line.split(" ", 3)[2].removeprefix("ev=") in harness.OUTCOME_KINDS]
+    assert {line.split(" ", 3)[2] for line in report.outcomes} == {
+        "ev=minted", "ev=pegout_burn", "ev=pegout_linked",
+        "ev=dispute_outcome", "ev=slashed", "ev=challenge_window_expired",
+        "ev=unlocked"}
+
+
 def test_fork_kickoff_proof_passes_check_chain(monkeypatch):
     # the fork chain itself checks out, so only the alt-chain counter-proof
     # can show the fraud: every ForkProver kick-off's main input must pass

@@ -115,6 +115,18 @@ def test_key_deletion_and_leak_reject_unknown_names(functionary, vmxo):
     assert not g.leaked
 
 
+@pytest.mark.parametrize("vmxos", [(), ("pkt0:vmxo0",)],
+                         ids=["no-vmxo", "one-vmxo"])
+def test_delete_keys_of_unknown_functionary_rejected(vmxos):
+    # with no VMXO id named, the functionary is still checked
+    g = packet()
+    g.sign_all()
+    with pytest.raises(UnknownId):
+        g.delete_keys("nobody", *vmxos)
+    g.delete_keys("f0")
+    assert not g.leaked
+
+
 def test_adhoc_spend_only_when_all_leaked():
     g = packet()
     v = g.vmxo_ids[0]
