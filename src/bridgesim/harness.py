@@ -15,9 +15,9 @@ from functools import cached_property
 from itertools import count
 from typing import NamedTuple, Optional, Sequence
 
-from .chain import CensorSpec, ChainView
-from .dispute import (DisputeGame, ExecutionTrace, challenge, drive,
-                      open_game, resolve_no_challenge, settle_counter_proof)
+from .chain import CensorSpec, ChainView, SimClock
+from .dispute import (DisputeGame, ExecutionTrace, Outcome, challenge, drive,
+                      open_game, settle_counter_proof)
 from .errors import InvalidScenario, NoCapacity, TimeoutExpired
 from .lightclient import AltChainInput, CheckChainInput
 from .protocol import (EVENT_SCHEMA, Bridge, PegOut, PegOutState,
@@ -51,10 +51,10 @@ RNG_ALGORITHM = "python-random-mt19937"
 RESERVE_TICKS = 1 + Bridge.secondary_confirmations + 1
 
 
-# least value of each Scenario field that has one; a run breaks on a
-# smaller value.  An uncensored honest party's watch takes one tick per reply:
-# one per search round over the trace and over the isolated step's reads,
-# and two more (a challenge and a read challenge, or the trace and the leaf)
+# least value of each Scenario field that has one; a run breaks on a smaller
+# value.  An honest party's watch takes a tick per reply: one per search round
+# over the trace and the isolated step's reads, and two more (a challenge and
+# a read challenge, or trace and leaf); the rest is its censorship budget.
 _MINIMUMS = {"n_functionaries": 2, "vmxo_count": 1, "fee_rate": 1,
             "pegout_limit": 1, "denomination": 0, "challenge_window": 0,
             "watch_threshold": 2 + sum(
@@ -97,12 +97,17 @@ class Scenario:
         if self.strategy != Strategy.HONEST and self.adversary is None \
                 and not self.leak_all:
             raise InvalidScenario("strategy without adversary")
-        for w in self.censor:
-            if w.party not in self.functionary_ids or w.start < 0 \
-                    or w.length < 1:
-                raise InvalidScenario(f"{w} censors nobody as written")
-            if w.length > self.watch_threshold:
-                raise InvalidScenario("censor window exceeds threshold")
+        budget = self.watch_threshold - _MINIMUMS["watch_threshold"]
+        clock, merged_end, ticks = SimClock(0, self.censor), {}, {}
+        for party, start, length in sorted(self.censor):
+            if party not in self.functionary_ids or start < 0 or length < 1:
+                raise InvalidScenario(f"{CensorSpec(party, start, length)} "
+                                      "censors nobody as written")
+            if start >= merged_end.get(party, 0):
+                merged_end[party] = clock.censored_until(party, start)
+                ticks[party] = ticks.get(party, 0) + merged_end[party] - start
+                if ticks[party] > budget:
+                    raise InvalidScenario(f"{party} censored > {budget} ticks")
         if self.watch_threshold + 1 + RESERVE_TICKS > LIVENESS_BOUND:
             raise InvalidScenario("watch_threshold stalls a peg-out past "
                                   "the liveness bound")
@@ -328,11 +333,6 @@ class Runner:
                   timeout=watch.aggregate_timeout(played.clock))
         b.clock.advance(game.clock)
         outcome = game.outcome
-        if outcome is None:
-            # the alt-chain claim failed; the outer game resumes and, absent
-            # any further challenge, the original prover wins
-            b.clock.advance(sc.challenge_window + 1)
-            outcome = resolve_no_challenge(game)
         b.log("dispute_outcome", prover=prover, verifier=verifier,
               winner=outcome.winner, loser=outcome.loser,
               reason=outcome.reason.value,
@@ -340,24 +340,26 @@ class Runner:
                     else "VerifierLoses"))
         return outcome
 
-    def _contest_kickoff(self, pegout: PegOut, adv: str,
-                         prover_trace: ExecutionTrace,
-                         honest_trace: ExecutionTrace, **dispute_args) -> None:
-        """Every honest verifier challenges the adversary's kick-off, the
-        first plays the dispute and the adversary is slashed; with none, the
-        kick-off stands and unlocks."""
-        b, sc = self.bridge, self.sc
-        challengers = self._honest_verifiers(adv)
+    def _contest_kickoff(self, pegout: PegOut, defender: str,
+                         challengers: list[str], prover_trace: ExecutionTrace,
+                         honest_trace: ExecutionTrace,
+                         **dispute_args) -> Optional[Outcome]:
+        """A kick-off's one contest: unchallenged, its window expires (None);
+        else all but the first challenger publish a challenge, the first
+        plays the dispute, and the game's loser is slashed for its winner."""
+        b = self.bridge
         if not challengers:
-            b.clock.advance(sc.challenge_window + 1)
+            b.clock.advance(self.sc.challenge_window + 1)
             b.log("challenge_window_expired", vmxo=pegout.vmxo_id,
-                  operator=adv)
-            b.unlock(pegout)
-            return
+                  operator=defender)
+            return None
         b.publish_challenges(challengers[1:])
-        outcome = self._run_dispute(adv, challengers[0], prover_trace,
+        outcome = self._run_dispute(defender, challengers[0], prover_trace,
                                     honest_trace, **dispute_args)
-        b.slash(adv, outcome.winner, challengers, pegout.vmxo_id)
+        b.slash(outcome.loser, outcome.winner,
+                [p for p in (defender, *challengers) if p != outcome.loser],
+                pegout.vmxo_id)
+        return outcome
 
     # -- peg-outs ----------------------------------------------------------
 
@@ -396,16 +398,10 @@ class Runner:
         honest_trace = ExecutionTrace.honest(
             f"pegout:{pegout.burn_tx}", TRACE_LENGTH)
         adv = self.adversary
-        griefer = (adv if sc.strategy == Strategy.GRIEFING_VERIFIER
-                   and adv not in (None, operator)
-                   and adv not in b.slashed else None)
-        if griefer is not None:
-            self._run_dispute(operator, griefer, honest_trace, honest_trace)
-            b.slash(griefer, operator, [operator], pegout.vmxo_id)
-        else:
-            b.clock.advance(sc.challenge_window + 1)
-            b.log("challenge_window_expired", vmxo=pegout.vmxo_id,
-                  operator=operator)
+        griefers = [adv] if sc.strategy == Strategy.GRIEFING_VERIFIER \
+            and adv not in (None, operator, *b.slashed) else []
+        self._contest_kickoff(pegout, operator, griefers, honest_trace,
+                              honest_trace)
         self._confirm_burn_and_unlock(pegout)
         b.recycle_enablers(pegout)
 
@@ -418,8 +414,10 @@ class Runner:
             f"pegout:{pegout.burn_tx}", TRACE_LENGTH)
         corrupt_pos = self.rng.randint(1, TRACE_LENGTH)
         prover_trace = honest_trace.corrupted_at(corrupt_pos)
-        self._contest_kickoff(pegout, adv, prover_trace,
-                              honest_trace, silent_prover=silent)
+        if self._contest_kickoff(pegout, adv, self._honest_verifiers(adv),
+                                 prover_trace, honest_trace,
+                                 silent_prover=silent) is None:
+            b.unlock(pegout)
 
     def _fork_kickoff(self, pegout: PegOut, adv: str) -> None:
         """Kick-off whose proof is internally valid but over a counterfeit
@@ -455,8 +453,10 @@ class Runner:
         # branch can show
         honest = ExecutionTrace.honest(
             f"main:{main_input.pegout_proof.tx_id}", TRACE_LENGTH)
-        self._contest_kickoff(pegout, adv, honest, honest,
-                              main_input=main_input, alt_input=alt_input)
+        if self._contest_kickoff(pegout, adv, self._honest_verifiers(adv),
+                                 honest, honest, main_input=main_input,
+                                 alt_input=alt_input) is None:
+            b.unlock(pegout)
 
     def _double_operator(self, pegout: PegOut, adv: str) -> None:
         """Adversary fronts one peg-out, then opens a second raw kick-off."""

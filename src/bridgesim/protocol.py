@@ -570,14 +570,14 @@ class Bridge:
         """Burn the loser's enablers and pay out its deposit, once; then
         refund the enabler of every challenger of ``vmxo_id`` but the
         winner, since their channels against the loser become no-ops.
-        Refuses an unknown winner, challenger, loser or VMXO, and a loser
-        among its own challengers, before any write."""
+        Refuses an unknown winner, challenger, loser or VMXO, a loser that
+        is its own winner or among its own challengers, before any write."""
         self.graph.vmxo(vmxo_id)
         for party in (winner, *challengers):
             if party not in self.graph.position:
                 raise UnknownId(party)
-        if loser in challengers:
-            raise MalformedInput(f"{loser} among its own challengers")
+        if loser == winner or loser in challengers:
+            raise MalformedInput(f"{loser} its own winner or challenger")
         if loser not in self.slashed:
             self._burn_and_pay(loser, winner, challengers)
         # every id is checked above, so the states are read directly

@@ -393,6 +393,9 @@ REFUSALS = {
     "slash-on-unknown-vmxo": (
         UnknownId, lambda b, linked, unlinked:
         b.slash("f1", "f0", ["f0"], "pkt0:vmxo9")),
+    "slash-naming-loser-as-winner": (
+        MalformedInput, lambda b, linked, unlinked:
+        b.slash("f0", "f0", ["f1"], "pkt0:vmxo0")),
     "slash-loser-among-its-challengers": (
         MalformedInput, lambda b, linked, unlinked:
         b.slash("f1", "f0", ["f0", "f1"],
