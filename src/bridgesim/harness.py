@@ -84,6 +84,14 @@ class Scenario:
     t_sep: int = 0
 
     def validate(self) -> None:
+        for name in INT_KEYS.values():
+            value = getattr(self, name)
+            if type(value) is not int and (name, value) != ("adversary", None):
+                raise InvalidScenario(f"{name} must be an int, not {value!r}")
+        if not isinstance(self.strategy, Strategy):
+            raise InvalidScenario(f"strategy {self.strategy!r} is no Strategy")
+        if any(type(n) is not int for spec in self.censor for n in spec[1:]):
+            raise InvalidScenario("censor start and length must be ints")
         for name, least in _MINIMUMS.items():
             if getattr(self, name) < least:
                 raise InvalidScenario(f"{name} must be at least {least}")
@@ -286,23 +294,34 @@ class Runner:
 
     # -- dispute plumbing --------------------------------------------------
 
-    def _run_dispute(self, prover: str, verifier: str,
-                     prover_trace: ExecutionTrace,
-                     honest_trace: ExecutionTrace,
-                     silent_prover: bool = False,
-                     main_input: Optional[CheckChainInput] = None,
-                     alt_input: Optional[AltChainInput] = None):
-        """Play the verifier's challenge to the prover's kick-off; settle,
-        account and log the outcome.  With ``alt_input`` the challenge is an
-        alt-chain counter-proof, and the nested game, roles reversed, is
-        the one played."""
+    def _contest_kickoff(self, pegout: PegOut, defender: str,
+                         challengers: list[str], prover_trace: ExecutionTrace,
+                         main_input: Optional[CheckChainInput] = None,
+                         alt_input: Optional[AltChainInput] = None
+                         ) -> Optional[Outcome]:
+        """A kick-off's one contest: unchallenged, its window expires (None);
+        else all but the first challenger publish a challenge, and the first,
+        holding the honest run of the prover's program, plays the game; it
+        is settled, accounted and logged, and the loser slashed.  With
+        ``alt_input`` the challenge is an alt-chain counter-proof, and the
+        nested game, roles reversed, is the one played."""
         b, sc = self.bridge, self.sc
-        base = b.clock.now
-        game = open_game(prover, verifier, None, prover_trace, honest_trace,
+        if not challengers:
+            b.clock.advance(sc.challenge_window + 1)
+            b.log("challenge_window_expired", vmxo=pegout.vmxo_id,
+                  operator=defender)
+            return None
+        b.publish_challenges(challengers[1:])
+        verifier, base = challengers[0], b.clock.now
+        game = open_game(defender, verifier, None, prover_trace,
+                         ExecutionTrace.honest(prover_trace.program_id,
+                                               prover_trace.length),
                          watch_threshold=sc.watch_threshold)
+        stalls = sc.strategy == Strategy.SILENT_PROVER and \
+            defender == self.adversary
 
         def delay(party: str, clock: int) -> int:
-            if silent_prover and party == prover:
+            if stalls and party == defender:
                 return sc.watch_threshold + 1
             end = b.clock.censored_until(party, base + clock)
             return 1 if end is None else end - (base + clock) + 1
@@ -333,29 +352,11 @@ class Runner:
                   timeout=watch.aggregate_timeout(played.clock))
         b.clock.advance(game.clock)
         outcome = game.outcome
-        b.log("dispute_outcome", prover=prover, verifier=verifier,
+        b.log("dispute_outcome", prover=defender, verifier=verifier,
               winner=outcome.winner, loser=outcome.loser,
               reason=outcome.reason.value,
-              kind=("ProverLoses" if outcome.loser == prover
+              kind=("ProverLoses" if outcome.loser == defender
                     else "VerifierLoses"))
-        return outcome
-
-    def _contest_kickoff(self, pegout: PegOut, defender: str,
-                         challengers: list[str], prover_trace: ExecutionTrace,
-                         honest_trace: ExecutionTrace,
-                         **dispute_args) -> Optional[Outcome]:
-        """A kick-off's one contest: unchallenged, its window expires (None);
-        else all but the first challenger publish a challenge, the first
-        plays the dispute, and the game's loser is slashed for its winner."""
-        b = self.bridge
-        if not challengers:
-            b.clock.advance(self.sc.challenge_window + 1)
-            b.log("challenge_window_expired", vmxo=pegout.vmxo_id,
-                  operator=defender)
-            return None
-        b.publish_challenges(challengers[1:])
-        outcome = self._run_dispute(defender, challengers[0], prover_trace,
-                                    honest_trace, **dispute_args)
         b.slash(outcome.loser, outcome.winner,
                 [p for p in (defender, *challengers) if p != outcome.loser],
                 pegout.vmxo_id)
@@ -400,23 +401,19 @@ class Runner:
         adv = self.adversary
         griefers = [adv] if sc.strategy == Strategy.GRIEFING_VERIFIER \
             and adv not in (None, operator, *b.slashed) else []
-        self._contest_kickoff(pegout, operator, griefers, honest_trace,
-                              honest_trace)
+        self._contest_kickoff(pegout, operator, griefers, honest_trace)
         self._confirm_burn_and_unlock(pegout)
         b.recycle_enablers(pegout)
 
-    def _fraudulent_kickoff(self, pegout: PegOut, adv: str,
-                            silent: bool) -> None:
+    def _fraudulent_kickoff(self, pegout: PegOut, adv: str) -> None:
         """Kick-off with an invalid execution proof and no fronting."""
-        b, sc = self.bridge, self.sc
+        b = self.bridge
         b.publish_kickoff(pegout, adv)
-        honest_trace = ExecutionTrace.honest(
-            f"pegout:{pegout.burn_tx}", TRACE_LENGTH)
-        corrupt_pos = self.rng.randint(1, TRACE_LENGTH)
-        prover_trace = honest_trace.corrupted_at(corrupt_pos)
+        prover_trace = ExecutionTrace.honest(
+            f"pegout:{pegout.burn_tx}", TRACE_LENGTH).corrupted_at(
+                self.rng.randint(1, TRACE_LENGTH))
         if self._contest_kickoff(pegout, adv, self._honest_verifiers(adv),
-                                 prover_trace, honest_trace,
-                                 silent_prover=silent) is None:
+                                 prover_trace) is None:
             b.unlock(pegout)
 
     def _fork_kickoff(self, pegout: PegOut, adv: str) -> None:
@@ -454,7 +451,7 @@ class Runner:
         honest = ExecutionTrace.honest(
             f"main:{main_input.pegout_proof.tx_id}", TRACE_LENGTH)
         if self._contest_kickoff(pegout, adv, self._honest_verifiers(adv),
-                                 honest, honest, main_input=main_input,
+                                 honest, main_input=main_input,
                                  alt_input=alt_input) is None:
             b.unlock(pegout)
 
@@ -495,24 +492,18 @@ class Runner:
                 b.link_pegout(pegout)
             except NoCapacity:
                 continue
-            adversarial = (i == 0 and sc.strategy in PROVER_STRATEGIES
-                           and adv is not None and adv not in b.slashed)
-            if not adversarial:
-                operator = self._pick_operator()
-                self._honest_pegout_flow(pegout, operator)
-                continue
-            if sc.strategy == Strategy.DOUBLE_OPERATOR:
-                self._double_operator(pegout, adv)
-            elif sc.strategy == Strategy.FORK_PROVER:
-                self._fork_kickoff(pegout, adv)
-            else:
-                self._fraudulent_kickoff(
-                    pegout, adv,
-                    silent=sc.strategy == Strategy.SILENT_PROVER)
-            # a released peg-out is re-served by an honest operator
+            if i == 0 and sc.strategy in PROVER_STRATEGIES \
+                    and adv is not None:
+                if sc.strategy == Strategy.DOUBLE_OPERATOR:
+                    self._double_operator(pegout, adv)
+                elif sc.strategy == Strategy.FORK_PROVER:
+                    self._fork_kickoff(pegout, adv)
+                else:
+                    self._fraudulent_kickoff(pegout, adv)
+            # a peg-out still linked, fresh or released by its adversarial
+            # kick-off, is served by an honest operator
             if pegout.state == PegOutState.LINKED:
-                operator = self._pick_operator()
-                self._honest_pegout_flow(pegout, operator)
+                self._honest_pegout_flow(pegout, self._pick_operator())
 
     # -- theft attempts ----------------------------------------------------
 

@@ -285,6 +285,24 @@ def test_censor_window_that_censors_nobody_as_written_rejected(window):
         Scenario(seed=1, censor=[window]).validate()
 
 
+@pytest.mark.parametrize("changes", [
+    {"adversary": True}, {"adversary": 1.0},
+    {"strategy": "FakeProofProver"}, {"n_functionaries": 3.0},
+    {"seed": 1.5}, {"fee_rate": 2.5}, {"watch_threshold": 64.5},
+    {"denomination": 1.5}, {"challenge_window": True},
+    {"censor": [CensorSpec("f1", 12.5, 3)]},
+], ids=["adversary-bool", "adversary-float", "strategy-str",
+        "n_functionaries-float", "seed-float", "fee_rate-float",
+        "watch_threshold-float", "denomination-float", "challenge_window-bool",
+        "censor-start-float"])
+def test_field_of_the_wrong_type_rejected(changes):
+    # each passed validate, then its run raised (UnknownId for f1.0,
+    # AttributeError, TypeError) or wrote a log that read_log refuses
+    # ("non-integer deposit", "at: '17.5'")
+    with pytest.raises(InvalidScenario):
+        replace(CENSORED_TO_BUDGET, **changes).validate()
+
+
 @pytest.mark.parametrize("windows, admitted", [
     ([("f1", 0, 30), ("f1", 100, 28)], True),
     ([("f1", 0, 30), ("f1", 100, 29)], False),
