@@ -16,8 +16,8 @@ from itertools import count
 from typing import NamedTuple, Optional, Sequence
 
 from .chain import CensorSpec, ChainView, SimClock
-from .dispute import (DisputeGame, ExecutionTrace, Outcome, challenge, drive,
-                      open_game, settle_counter_proof)
+from .dispute import (DisputeGame, ExecutionTrace, challenge, drive,
+                      open_game, resolve_no_challenge, settle_counter_proof)
 from .errors import InvalidScenario, NoCapacity, TimeoutExpired
 from .lightclient import AltChainInput, CheckChainInput
 from .protocol import (EVENT_SCHEMA, Bridge, PegOut, PegOutState,
@@ -90,6 +90,8 @@ class Scenario:
                 raise InvalidScenario(f"{name} must be an int, not {value!r}")
         if not isinstance(self.strategy, Strategy):
             raise InvalidScenario(f"strategy {self.strategy!r} is no Strategy")
+        if type(self.leak_all) is not bool or type(self.name) is not str:
+            raise InvalidScenario("leak_all must be a bool and name a str")
         if any(type(n) is not int for spec in self.censor for n in spec[1:]):
             raise InvalidScenario("censor start and length must be ints")
         for name, least in _MINIMUMS.items():
@@ -119,8 +121,7 @@ class Scenario:
         if self.watch_threshold + 1 + RESERVE_TICKS > LIVENESS_BOUND:
             raise InvalidScenario("watch_threshold stalls a peg-out past "
                                   "the liveness bound")
-        name = f"{self.name}"
-        if name and name.split() != [name]:
+        if self.name and self.name.split() != [self.name]:
             # the name is one field of the log's meta kind=scenario line
             raise InvalidScenario("name contains whitespace")
 
@@ -294,24 +295,23 @@ class Runner:
 
     # -- dispute plumbing --------------------------------------------------
 
-    def _contest_kickoff(self, pegout: PegOut, defender: str,
-                         challengers: list[str], prover_trace: ExecutionTrace,
+    def _contest_kickoff(self, pegout: PegOut, challengers: list[str],
+                         prover_trace: ExecutionTrace,
                          main_input: Optional[CheckChainInput] = None,
-                         alt_input: Optional[AltChainInput] = None
-                         ) -> Optional[Outcome]:
-        """A kick-off's one contest: unchallenged, its window expires (None);
-        else all but the first challenger publish a challenge, and the first,
-        holding the honest run of the prover's program, plays the game; it
-        is settled, accounted and logged, and the loser slashed.  With
-        ``alt_input`` the challenge is an alt-chain counter-proof, and the
-        nested game, roles reversed, is the one played."""
-        b, sc = self.bridge, self.sc
+                         alt_input: Optional[AltChainInput] = None) -> None:
+        """A kick-off's one contest, which decides it: unchallenged, its
+        window expires; else the first challenger, holding the honest run
+        of the prover's program, plays the game, the others' challenges and
+        the game are paid and logged, and the loser slashed.  With
+        ``alt_input`` the game played is the nested one, roles reversed, of
+        an alt-chain counter-proof.  Unless its operator lost, it unlocks."""
+        b, sc, defender = self.bridge, self.sc, pegout.operator
         if not challengers:
             b.clock.advance(sc.challenge_window + 1)
             b.log("challenge_window_expired", vmxo=pegout.vmxo_id,
                   operator=defender)
-            return None
-        b.publish_challenges(challengers[1:])
+            self._unlock(pegout)
+            return
         verifier, base = challengers[0], b.clock.now
         game = open_game(defender, verifier, None, prover_trace,
                          ExecutionTrace.honest(prover_trace.program_id,
@@ -339,11 +339,13 @@ class Runner:
             drive(played, delay)
         except TimeoutExpired:
             pass
+        publications = [(0, ch, "challenge") for ch in challengers[1:]]
         # the outer commit-proof was paid with the kick-off
-        b.account_publications(game.publications[1:], base)
+        publications += game.publications[1:]
         if played is not game:
             settle_counter_proof(game)
-            b.account_publications(played.publications, base)
+            publications += played.publications
+        b.account_publications(publications, base)
         for party in sorted(played.watches):
             watch = played.watches[party]
             b.log("watch_total", party=party,
@@ -351,7 +353,8 @@ class Runner:
                   threshold=watch.threshold,
                   timeout=watch.aggregate_timeout(played.clock))
         b.clock.advance(game.clock)
-        outcome = game.outcome
+        # a defeated counter-proof leaves the outer game unchallenged
+        outcome = game.outcome or resolve_no_challenge(game)
         b.log("dispute_outcome", prover=defender, verifier=verifier,
               winner=outcome.winner, loser=outcome.loser,
               reason=outcome.reason.value,
@@ -360,7 +363,16 @@ class Runner:
         b.slash(outcome.loser, outcome.winner,
                 [p for p in (defender, *challengers) if p != outcome.loser],
                 pegout.vmxo_id)
-        return outcome
+        if outcome.loser != defender:
+            self._unlock(pegout)
+
+    def _unlock(self, pegout: PegOut) -> None:
+        """Unlock a standing kick-off, a fronted one once its burn is seen."""
+        b = self.bridge
+        if pegout.fronted_tx is not None:
+            b.log("burn_confirmed", tx=pegout.burn_tx, block=pegout.burn_block,
+                  canonical=int(b.honest_unlock_allowed(pegout)))
+        b.unlock(pegout)
 
     # -- peg-outs ----------------------------------------------------------
 
@@ -387,12 +399,6 @@ class Runner:
         b.prove_front(pegout, front_block)
         b.publish_kickoff(pegout, operator)
 
-    def _confirm_burn_and_unlock(self, pegout: PegOut) -> None:
-        b = self.bridge
-        b.log("burn_confirmed", tx=pegout.burn_tx, block=pegout.burn_block,
-              canonical=int(b.honest_unlock_allowed(pegout)))
-        b.unlock(pegout)
-
     def _honest_pegout_flow(self, pegout: PegOut, operator: str) -> None:
         b, sc = self.bridge, self.sc
         self._front_and_kick_off(pegout, operator)
@@ -401,8 +407,7 @@ class Runner:
         adv = self.adversary
         griefers = [adv] if sc.strategy == Strategy.GRIEFING_VERIFIER \
             and adv not in (None, operator, *b.slashed) else []
-        self._contest_kickoff(pegout, operator, griefers, honest_trace)
-        self._confirm_burn_and_unlock(pegout)
+        self._contest_kickoff(pegout, griefers, honest_trace)
         b.recycle_enablers(pegout)
 
     def _fraudulent_kickoff(self, pegout: PegOut, adv: str) -> None:
@@ -412,9 +417,8 @@ class Runner:
         prover_trace = ExecutionTrace.honest(
             f"pegout:{pegout.burn_tx}", TRACE_LENGTH).corrupted_at(
                 self.rng.randint(1, TRACE_LENGTH))
-        if self._contest_kickoff(pegout, adv, self._honest_verifiers(adv),
-                                 prover_trace) is None:
-            b.unlock(pegout)
+        self._contest_kickoff(pegout, self._honest_verifiers(adv),
+                              prover_trace)
 
     def _fork_kickoff(self, pegout: PegOut, adv: str) -> None:
         """Kick-off whose proof is internally valid but over a counterfeit
@@ -450,10 +454,8 @@ class Runner:
         # branch can show
         honest = ExecutionTrace.honest(
             f"main:{main_input.pegout_proof.tx_id}", TRACE_LENGTH)
-        if self._contest_kickoff(pegout, adv, self._honest_verifiers(adv),
-                                 honest, main_input=main_input,
-                                 alt_input=alt_input) is None:
-            b.unlock(pegout)
+        self._contest_kickoff(pegout, self._honest_verifiers(adv), honest,
+                              main_input=main_input, alt_input=alt_input)
 
     def _double_operator(self, pegout: PegOut, adv: str) -> None:
         """Adversary fronts one peg-out, then opens a second raw kick-off."""
@@ -472,9 +474,9 @@ class Runner:
             # no second kick-off, or nobody to force-close it: every
             # kick-off stands and unlocks
             b.clock.advance(sc.challenge_window + 1)
-            self._confirm_burn_and_unlock(pegout)
+            self._unlock(pegout)
             if fake is not None:
-                b.unlock(fake)
+                self._unlock(fake)
             return
         b.force_close(pegout.vmxo_id, victim, closers[0])
         b.slash(adv, closers[0], closers[:1], victim)

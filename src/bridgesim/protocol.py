@@ -371,12 +371,6 @@ class Bridge:
                 rows.append((now, "sw_stop", (interval, party)))
             prev = t
 
-    def publish_challenges(self, challengers: list[str]) -> None:
-        """Each challenger, in order, publishes a challenge now, paid and
-        logged as ``account_publications`` does."""
-        self.account_publications([(0, ch, "challenge")
-                                   for ch in challengers], self.clock.now)
-
     # -- peg-in ------------------------------------------------------------
 
     def request_pegin(self, user: str, amount: int) -> PegIn:
@@ -539,8 +533,11 @@ class Bridge:
     def adhoc_theft(self, vmxo_id: str, thief: str) -> bool:
         """Attempt a non-template multisig spend of a locked VMXO.
 
-        Possible only if every functionary retained (leaked) their keys."""
+        Possible only if every functionary retained (leaked) their keys.
+        Refuses an unknown VMXO or thief before any write."""
         vmxo = self.graph.vmxo(vmxo_id)
+        if thief not in self.graph.position:
+            raise UnknownId(thief)
         if not self.graph.adhoc_spend_allowed(vmxo_id):
             self.log("theft_rejected", thief=thief, vmxo=vmxo_id)
             return False

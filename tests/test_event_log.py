@@ -148,14 +148,15 @@ def test_direct_writers_append_the_rows_log_appends():
     logged.log("transfer", src="wrapped-issuance", dst="user:u0:wrapped",
                amount=9, why="mint")
     # two games' publications: repeated and rising ticks, gaps of 1, 5 and
-    # 8 (one, three and four markers), then challenges as
-    # publish_challenges pays them
+    # 8 (one, three and four markers), then challenges as a contest pays
+    # the ones besides its game's
     publications = [(0, "f1", "challenge"), (1, "f0", "publish-hashes"),
                     (1, "f1", "publish-choice"), (6, "f0", "execute-leaf"),
                     (14, "f1", "alt-chain-proof")]
     direct.account_publications(publications, 40)
     direct.account_publications(publications[:2], 60)
-    direct.publish_challenges(["f0", "f1"])
+    direct.account_publications([(0, ch, "challenge")
+                                 for ch in ("f0", "f1")], 7)
     for pubs, base in ((publications, 40), (publications[:2], 60),
                        ([(0, "f0", "challenge"), (0, "f1", "challenge")], 7)):
         prev = 0

@@ -152,6 +152,36 @@ def test_griefed_scenario_refused():
         parse_scenario(GRIEFED)
 
 
+@pytest.mark.parametrize("case, safety, last_outcomes", [
+    # the honest operator f0 lost its game, so its fronted peg-out is
+    # invalidated, not unlocked
+    ("griefed", "honest f0 slashed", [
+        "ev=dispute_outcome kind=ProverLoses loser=f0 prover=f0 "
+        "reason=Timeout verifier=f1 winner=f1",
+        "ev=slashed loser=f0 pot=3784648 reimbursed=2126 winner=f1",
+        "ev=pegout_invalidated operator=f0 vmxo=pkt0:vmxo0"]),
+    # f1's alt-chain counter-proof was defeated: f1 loses and is slashed,
+    # and f0's fork kick-off stands and unlocks
+    ("counter-proof-defeated", "unlock of pkt0:vmxo0 without canonical burn", [
+        "ev=dispute_outcome kind=VerifierLoses loser=f1 prover=f0 "
+        "reason=CounterProofDefeated verifier=f1 winner=f0",
+        "ev=slashed loser=f1 pot=1081328 reimbursed=10174 winner=f0",
+        "ev=unlocked amount=100000000 operator=f0 vmxo=pkt0:vmxo0"]),
+], ids=["griefed", "counter-proof-defeated"])
+def test_run_past_the_budget_ends_in_a_report(case, safety, last_outcomes,
+                                              monkeypatch):
+    # the contest decides the kick-off whoever loses: run anyway, the
+    # honest party that lost is slashed and the run still ends in a report
+    monkeypatch.setattr(Scenario, "validate", lambda self: None)
+    sc = parse_scenario(GRIEFED) if case == "griefed" \
+        else COUNTER_PROOF_DEFEATED
+    report = run_scenario(sc)
+    assert isinstance(report, RunReport)
+    assert {v.name: v.detail for v in report.verdicts}["safety"] == safety
+    assert [line.split(" ", 2)[2]
+            for line in report.outcomes[-3:]] == last_outcomes
+
+
 def _fake_proof_censoring_f1(length):
     """A FakeProofProver f0 whose one honest challenger f1 is censored
     ``length`` ticks from tick 12."""
@@ -171,14 +201,21 @@ def test_challenger_censored_to_the_budget_wins(monkeypatch):
     slashes = [line for line in report.outcomes if " ev=slashed " in line]
     assert len(slashes) == 1
     assert " loser=f0 " in slashes[0] and slashes[0].endswith(" winner=f1")
-    # one tick more is refused; run anyway, f1 loses by Timeout, and the
-    # slash that follows the game's outcome fails safety
+    # one tick more is refused; run anyway, f1 loses by Timeout and is
+    # slashed, f0's fraudulent kick-off stands and unlocks, and safety
+    # fails on that unlock
     over = _fake_proof_censoring_f1(59)
     with pytest.raises(InvalidScenario):
         over.validate()
     monkeypatch.setattr(Scenario, "validate", lambda self: None)
-    verdicts = {v.name: v for v in run_scenario(over).verdicts}
-    assert verdicts["safety"].detail == "honest f1 slashed"
+    report = run_scenario(over)
+    verdicts = {v.name: v for v in report.verdicts}
+    assert verdicts["safety"].detail == \
+        "unlock of pkt0:vmxo0 without canonical burn"
+    assert any(" ev=slashed loser=f1 " in line for line in report.log)
+    assert any(" ev=unlocked " in line and
+               line.endswith(" operator=f0 vmxo=pkt0:vmxo0")
+               for line in report.log)
 
 
 def _deposit_covers_honest_costs(scenario, bridge):
@@ -290,15 +327,18 @@ def test_censor_window_that_censors_nobody_as_written_rejected(window):
     {"strategy": "FakeProofProver"}, {"n_functionaries": 3.0},
     {"seed": 1.5}, {"fee_rate": 2.5}, {"watch_threshold": 64.5},
     {"denomination": 1.5}, {"challenge_window": True},
-    {"censor": [CensorSpec("f1", 12.5, 3)]},
+    {"censor": [CensorSpec("f1", 12.5, 3)]}, {"leak_all": "no"},
+    {"leak_all": 0}, {"name": 7}, {"name": None},
 ], ids=["adversary-bool", "adversary-float", "strategy-str",
         "n_functionaries-float", "seed-float", "fee_rate-float",
         "watch_threshold-float", "denomination-float", "challenge_window-bool",
-        "censor-start-float"])
+        "censor-start-float", "leak_all-str", "leak_all-int", "name-int",
+        "name-none"])
 def test_field_of_the_wrong_type_rejected(changes):
     # each passed validate, then its run raised (UnknownId for f1.0,
     # AttributeError, TypeError) or wrote a log that read_log refuses
-    # ("non-integer deposit", "at: '17.5'")
+    # ("non-integer deposit", "at: '17.5'"); leak_all="no" ran with every
+    # key leaked, since the string is true
     with pytest.raises(InvalidScenario):
         replace(CENSORED_TO_BUDGET, **changes).validate()
 
@@ -346,10 +386,17 @@ def test_bench_op_censored_past_the_budget_refused(monkeypatch):
                for w in VALID_161.censor)
     with pytest.raises(InvalidScenario, match="f0 censored > 58"):
         VALID_161.validate()
-    # run anyway, f0 loses its game and the slash that follows fails safety
+    # run anyway: f0 loses its game and is slashed, f1's fraudulent
+    # kick-off stands and unlocks, and safety fails on that unlock
     monkeypatch.setattr(Scenario, "validate", lambda self: None)
-    verdicts = {v.name: v for v in run_scenario(VALID_161).verdicts}
-    assert verdicts["safety"].detail == "honest f0 slashed"
+    report = run_scenario(VALID_161)
+    verdicts = {v.name: v for v in report.verdicts}
+    assert verdicts["safety"].detail == \
+        "unlock of pkt0:vmxo0 without canonical burn"
+    assert any(" ev=slashed loser=f0 " in line for line in report.log)
+    assert any(" ev=unlocked " in line and
+               line.endswith(" operator=f1 vmxo=pkt0:vmxo0")
+               for line in report.log)
 
 
 def test_watch_threshold_keeps_a_stalled_pegout_live(monkeypatch):

@@ -294,14 +294,15 @@ def test_publish_challenges_pays_and_logs_as_one_fee_at_a_time():
     batch, each = make_bridge(n=4, fee_rate=3), make_bridge(n=4, fee_rate=3)
     for b in (batch, each):
         b.clock.advance(5)
-    batch.publish_challenges(["f2", "f0", "f3"])
+    batch.account_publications([(0, ch, "challenge")
+                                for ch in ("f2", "f0", "f3")], 5)
     for ch in ("f2", "f0", "f3"):
         each.pay_dispute_fee(ch, "challenge")
         each.log("dispute_pub", actor=ch, action="challenge", at=5)
     assert batch.rows == each.rows and len(batch.rows) == 6
     assert batch.ledger.balances == each.ledger.balances
     assert batch.dispute_costs == each.dispute_costs
-    batch.publish_challenges([])
+    batch.account_publications([], 5)
     assert batch.rows == each.rows
 
 
@@ -366,6 +367,9 @@ REFUSALS = {
     "adhoc-theft-of-unknown-vmxo": (
         UnknownId, lambda b, linked, unlinked:
         b.adhoc_theft("pkt0:vmxo9", "f0")),
+    "adhoc-theft-by-unknown-thief": (
+        UnknownId, lambda b, linked, unlinked:
+        b.adhoc_theft("pkt0:vmxo1", "nobody")),
     "execute-executed-pegin": (
         NotTriggered, lambda b, linked, unlinked:
         b.execute_pegin(b.pegins[1])),

@@ -30,9 +30,11 @@ ALLOWED = {
     "dispute.py:run_search.delay": "imported by the acceptance suite",
     "protocol.py:Bridge.events": "read by perfbench",
     "dispute.py:ExecutionTrace.digest": "a test reference",
-    # the ForkProver's counter-proof comes from the canonical chain, so
-    # only an honest verifier censored past its budget could lose it
-    "dispute.py:resolve_no_challenge": "tested by test_dispute.py",
+    # the contest calls it when a counter-proof is defeated; the
+    # ForkProver's counter-proof comes from the canonical chain, so only an
+    # honest verifier censored past its budget loses it
+    "dispute.py:resolve_no_challenge":
+        "run by test_run_past_the_budget_ends_in_a_report",
     # open: the kick-off's light-client claim is to be checked by it
     "lightclient.py:check_chain": "open: no kick-off input runs it yet",
     # open: a slash is to spend the loser terminal and deposit outputs
