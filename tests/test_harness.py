@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 from dataclasses import replace
 
@@ -775,6 +776,49 @@ def test_criterion6_sweep_logs_match_reference():
         h.update("\n".join(log).encode())
     assert h.hexdigest()[:16] == SWEEP_LOGS
     assert slashes == 417
+
+
+def _off_default_scenarios():
+    """Every N 2-3, V 1-2, strategy and adversary, peg-ins 1 to V and
+    peg-outs 0 to peg-ins, at each challenge window 0/1/20, watch threshold
+    6/12/70 and t_sep 0/5/30.  Every second scenario with a censorship
+    budget has one window of the whole budget, its party and start (5 or
+    15) taken in turn."""
+    i = 0
+    for n, strategy, v, window, threshold, t_sep in itertools.product(
+            (2, 3), Strategy, (1, 2), (0, 1, 20), (6, 12, 70), (0, 5, 30)):
+        for adversary in [None] if strategy == Strategy.HONEST else range(n):
+            for pegins in range(1, v + 1):
+                for pegouts in range(pegins + 1):
+                    i += 1
+                    censor = [CensorSpec(f"f{i // 2 % n}",
+                                         5 + i // (2 * n) % 2 * 10,
+                                         threshold - _MINIMUMS[
+                                             "watch_threshold"])
+                              ] if i % 2 and threshold > 6 else []
+                    yield Scenario(
+                        name=f"off-default-{i}", seed=i, n_functionaries=n,
+                        vmxo_count=v, n_pegins=pegins, n_pegouts=pegouts,
+                        challenge_window=window, watch_threshold=threshold,
+                        t_sep=t_sep, adversary=adversary, strategy=strategy,
+                        censor=censor)
+
+
+# sha256 over the logs of the 6,048 runs of _off_default_scenarios, in
+# order: the digest and SWEEP_LOGS run only at the default window,
+# threshold and t_sep, where an expiry, stall or separation off by one tick
+# changed no byte
+OFF_DEFAULT_LOGS = "f36ee238e1129eda"
+
+
+def test_off_default_space_logs_match_reference():
+    h = hashlib.sha256()
+    runs = 0
+    for sc in _off_default_scenarios():
+        h.update("\n".join(run_scenario(sc).log).encode())
+        runs += 1
+    assert runs == 6048
+    assert h.hexdigest()[:16] == OFF_DEFAULT_LOGS
 
 
 # log digest of each strategy's N = 100, V = 4 run, as an eager build of
