@@ -21,7 +21,7 @@ from .dispute import (DisputeGame, ExecutionTrace, challenge, drive,
 from .errors import InvalidScenario, NoCapacity, TimeoutExpired
 from .lightclient import AltChainInput, CheckChainInput
 from .protocol import (EVENT_SCHEMA, Bridge, PegOut, PegOutState,
-                       event_lines, read_log)
+                       dispute_fees, event_lines, read_log)
 from .txgraph import VmxoState
 
 
@@ -51,13 +51,13 @@ RNG_ALGORITHM = "python-random-mt19937"
 RESERVE_TICKS = 1 + Bridge.secondary_confirmations + 1
 
 
-# least value of each Scenario field that has one; a run breaks on a smaller
-# value.  An honest party's watch takes a tick per reply: one per search round
-# over the trace and the isolated step's reads, and two more (a challenge and
-# a read challenge, or trace and leaf); the rest is its censorship budget.
+# least values of Scenario fields: below one, a run breaks or misreads it.
+# An honest party's watch takes a tick per reply: one per search round over
+# the trace and the isolated step's reads, and two more (a challenge and a
+# read challenge, or trace and leaf); the rest is its censorship budget.
 _MINIMUMS = {"n_functionaries": 2, "vmxo_count": 1, "fee_rate": 1,
-            "pegout_limit": 1, "denomination": 0, "challenge_window": 0,
-            "watch_threshold": 2 + sum(
+            "n_pegins": 0, "n_pegouts": 0, "t_sep": 0, "denomination": 0,
+            "challenge_window": 0, "watch_threshold": 2 + sum(
                 next(r for r in count() if DisputeGame.arity ** r >= max(2, n))
                 for n in (TRACE_LENGTH, DisputeGame.read_steps))}
 
@@ -80,7 +80,6 @@ class Scenario:
     strategy: Strategy = Strategy.HONEST
     leak_all: bool = False
     censor: list[CensorSpec] = field(default_factory=list)
-    pegout_limit: int = 1
     t_sep: int = 0
 
     def validate(self) -> None:
@@ -173,13 +172,8 @@ class RunReport:
     @cached_property
     def dispute_costs(self) -> dict[str, int]:
         """The fees each functionary paid in disputes and force-closes."""
-        costs = dict.fromkeys(self._meta["functionaries"].split(","), 0)
-        for _, key, values in self.rows:
-            if key == "transfer" and values[1] == "fees" and \
-                    values[3].partition(":")[0] in ("dispute", "force-close"):
-                party = values[2].removeprefix("wallet:")
-                costs[party] = costs.get(party, 0) + values[0]
-        return costs
+        return {**dict.fromkeys(self._meta["functionaries"].split(","), 0),
+                **dispute_fees(self.rows)}
 
     @property
     def deposit_sufficient(self) -> bool:
@@ -218,9 +212,8 @@ class Runner:
         self.honest = [] if scenario.leak_all else [
             f for f in self.functionaries if f != self.adversary]
         self.bridge = Bridge(
-            self.functionaries, scenario.vmxo_count,
-            scenario.denomination, fee_rate=scenario.fee_rate,
-            pegout_limit=scenario.pegout_limit, t_sep=scenario.t_sep)
+            self.functionaries, scenario.vmxo_count, scenario.denomination,
+            fee_rate=scenario.fee_rate, t_sep=scenario.t_sep)
         self.bridge.clock.censor_windows = list(scenario.censor)
         self.users = [f"u{i}" for i in range(scenario.n_pegins)]
 
@@ -701,7 +694,6 @@ INT_KEYS = {
     "challenge_window": "challenge_window",
     "watch_threshold": "watch_threshold",
     "adversary": "adversary",
-    "pegout_limit": "pegout_limit",
     "t_sep": "t_sep",
 }
 # number of values each scenario-file key takes

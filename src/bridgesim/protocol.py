@@ -12,8 +12,9 @@ than the append.  All methods are deterministic; the harness drives them
 from a scenario script.
 
 Deposits are denominated on the source chain.  Slashing pays the losing
-party's deposit into a pot that first reimburses every challenger's dispute
-costs, with the remainder going to the first-confirmed winner.
+party's deposit into a pot that first refunds each challenger its fees in
+the contest it settles, each fee once, as ``dispute_fees`` reads them from
+the log; the rest goes to the first-confirmed winner.
 """
 
 from __future__ import annotations
@@ -47,13 +48,10 @@ class PegIn:
     __slots__ = ("user", "amount", "vmxo_id", "deposit_tx", "deposit_block",
                  "signatures")
 
-    def __init__(self, user: str, amount: int, vmxo_id: str,
-                 deposit_tx: Optional[str] = None,
-                 deposit_block: Optional[str] = None,
-                 signatures: Optional[set[str]] = None):
+    def __init__(self, user: str, amount: int, vmxo_id: str):
         self.user, self.amount, self.vmxo_id = user, amount, vmxo_id
-        self.deposit_tx, self.deposit_block = deposit_tx, deposit_block
-        self.signatures = set() if signatures is None else signatures
+        self.deposit_tx = self.deposit_block = None
+        self.signatures: set[str] = set()
 
 
 class PegOut:
@@ -61,15 +59,11 @@ class PegOut:
                  "operator", "fronted_tx", "state")
 
     def __init__(self, user: str, amount: int, burn_tx: Optional[str] = None,
-                 burn_block: Optional[str] = None,
                  vmxo_id: Optional[str] = None,
-                 operator: Optional[str] = None,
-                 fronted_tx: Optional[str] = None,
                  state: PegOutState = PegOutState.REQUESTED):
         self.user, self.amount = user, amount
-        self.burn_tx, self.burn_block = burn_tx, burn_block
-        self.vmxo_id, self.operator = vmxo_id, operator
-        self.fronted_tx, self.state = fronted_tx, state
+        self.burn_tx, self.vmxo_id, self.state = burn_tx, vmxo_id, state
+        self.burn_block = self.operator = self.fronted_tx = None
 
 
 class Ledger:
@@ -173,6 +167,17 @@ def event_lines(rows) -> list[str]:
     ``format()``ed and ``seq`` the row's position, in order."""
     return [_LINES[key].format(t, seq, *values)
             for seq, (t, key, values) in enumerate(rows, 1)]
+
+
+def dispute_fees(rows) -> dict[str, int]:
+    """Each party's fees paid for disputes and force-closes, from rows."""
+    fees: dict[str, int] = {}
+    for _, key, values in rows:
+        if key == "transfer" and values[1] == "fees" and \
+                values[3].partition(":")[0] in ("dispute", "force-close"):
+            party = values[2].removeprefix("wallet:")
+            fees[party] = fees.get(party, 0) + values[0]
+    return fees
 
 
 def _integer(lineno: int, name: str, value: str) -> int:
@@ -281,7 +286,6 @@ class Bridge:
         self.taken_vmxos: set[str] = set()
         self.linked_vmxos: set[str] = set()
         self.last_kickoff_tick: dict[str, int] = {}
-        self.dispute_costs: dict[str, int] = dict.fromkeys(functionary_ids, 0)
         # the ids are distinct, so each account opens once, as fund() would
         balances = self.ledger.balances
         wallet = 50 * denomination + 100 * deposit
@@ -349,9 +353,7 @@ class Bridge:
         if action not in DISPUTE_ACTION_VBYTES:
             raise MalformedInput(f"unknown dispute action {action!r}")
         vb = getattr(self.cost_table, DISPUTE_ACTION_VBYTES[action])
-        fee = self.pay_fee(party, vb, f"dispute:{action}")
-        self.dispute_costs[party] = self.dispute_costs.get(party, 0) + fee
-        return fee
+        return self.pay_fee(party, vb, f"dispute:{action}")
 
     def account_publications(self, publications, base: int) -> None:
         """Pay and log a dispute game's publications, each ``(t, party,
@@ -555,8 +557,7 @@ class Bridge:
         operator = self.graph.vmxo(vmxo_a).operator
         tx = self.graph.apply_force_close(vmxo_a, vmxo_b)
         self._log_spends(tx)
-        self.dispute_costs[closer] += self.pay_fee(closer, tx.vbytes,
-                                                   "force-close")
+        self.pay_fee(closer, tx.vbytes, "force-close")
         self.log("force_close", closer=closer, operator=operator,
                  vmxo_a=vmxo_a, vmxo_b=vmxo_b)
 
@@ -564,9 +565,10 @@ class Bridge:
 
     def slash(self, loser: str, winner: str, challengers: list[str],
               vmxo_id: str) -> None:
-        """Burn the loser's enablers and pay out its deposit, once; then
-        refund the enabler of every challenger of ``vmxo_id`` but the
-        winner, since their channels against the loser become no-ops.
+        """Burn the loser's enablers and pay out its deposit, once, refunding
+        each challenger its fees in the contest over ``vmxo_id``; then refund
+        the enabler of every such challenger but the winner, since their
+        channels against the loser become no-ops.
         Refuses an unknown winner, challenger, loser or VMXO, a loser that
         is its own winner or among its own challengers, before any write."""
         self.graph.vmxo(vmxo_id)
@@ -576,7 +578,7 @@ class Bridge:
         if loser == winner or loser in challengers:
             raise MalformedInput(f"{loser} its own winner or challenger")
         if loser not in self.slashed:
-            self._burn_and_pay(loser, winner, challengers)
+            self._burn_and_pay(loser, winner, challengers, vmxo_id)
         # every id is checked above, so the states are read directly
         states = self.graph.used_enablers.setdefault(vmxo_id, {})
         for ch in challengers:
@@ -585,16 +587,25 @@ class Bridge:
                 self.log("challenge_refunded", verifier=ch, vmxo=vmxo_id)
 
     def _burn_and_pay(self, loser: str, winner: str,
-                      challengers: list[str]) -> None:
+                      challengers: list[str], vmxo_id: str) -> None:
         # refuses an unknown loser before any change
         burnt = self.graph.burn_enablers(loser)
         self.slashed.add(loser)
+        # the contest's fees: from the commit-proof row before the VMXO's
+        # last kick-off, or after the last slash if later, so none twice
+        rows, start = self.rows, 0
+        for i in range(len(rows) - 1, -1, -1):
+            _, key, values = rows[i]
+            if key == "slashed" or key == "kickoff" and values[2] == vmxo_id:
+                start = i + 1 if key == "slashed" else i - 1
+                break
+        fees = dispute_fees(rows[start:])
         self.log("enablers_burnt", loser=loser, count=burnt)
-        # deposit pot: reimburse challengers' dispute costs, rest to winner
+        # deposit pot: refund the challengers' fees, the rest to the winner
         pot = self.ledger.balances.get(f"deposit:{loser}", 0)
         paid = 0
         for ch in sorted(set(challengers)):
-            refund = min(self.dispute_costs.get(ch, 0), pot - paid)
+            refund = min(fees.get(ch, 0), pot - paid)
             if refund > 0:
                 self.transfer(f"deposit:{loser}", f"wallet:{ch}", refund,
                               "cost-reimbursement")

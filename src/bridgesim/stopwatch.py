@@ -29,12 +29,11 @@ def power_of_two_markers(elapsed: int) -> list[int]:
 class StopWatch:
     __slots__ = ("party", "threshold", "total", "running_since")
 
-    def __init__(self, party: str, threshold: int, total: int = 0,
-                 running_since: Optional[int] = None):
+    def __init__(self, party: str, threshold: int, total: int = 0):
         self.party = party
         self.threshold = threshold
         self.total = total
-        self.running_since = running_since
+        self.running_since: Optional[int] = None
 
     def accumulated(self, now: Optional[int] = None) -> int:
         if self.running_since is None:

@@ -168,11 +168,9 @@ _TEMPLATE_CACHE: OrderedDict[tuple, SimTx] = OrderedDict()
 class Vmxo:
     __slots__ = ("amount", "state", "operator")
 
-    def __init__(self, amount: int,
-                 state: VmxoState = VmxoState.AWAITING_PEGIN,
-                 operator: Optional[str] = None):
-        self.amount, self.state = amount, state
-        self.operator = operator  # set while KickoffOpen / after Unlocked
+    def __init__(self, amount: int):
+        self.amount, self.state = amount, VmxoState.AWAITING_PEGIN
+        self.operator = None  # set while KickoffOpen / after Unlocked
 
 
 class PacketGraph:

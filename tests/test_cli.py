@@ -330,6 +330,15 @@ def test_out_of_range_value_rejected(tmp_path, capsys):
     assert "skip sweep-0" in out and "[PASS] sweep-1" in out
 
 
+def test_pegout_limit_is_an_unknown_key(tmp_path, capsys):
+    # the field changed no run and is deleted: a file that sets it is
+    # refused, not run as if it bound anything
+    sc = tmp_path / "limit.scenario"
+    sc.write_text("pegout_limit 1\n")
+    assert main(["run", str(sc)]) == 2
+    assert "unknown key 'pegout_limit'" in capsys.readouterr().err
+
+
 EVERY_KEY = """
 name every-key
 seed 5
@@ -344,7 +353,6 @@ watch_threshold 70
 adversary 1 FakeProofProver
 leak_all true
 censor f1 10 4
-pegout_limit 2
 t_sep 1
 """
 

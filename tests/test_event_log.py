@@ -15,7 +15,7 @@ from bridgesim.harness import (Scenario, Strategy, check_invariants,
                                generate_adversarial_scenarios, run_scenario,
                                scenario_corpus)
 from bridgesim.protocol import (EVENT_SCHEMA, INTEGER_FIELDS, Bridge,
-                                event_lines, read_log)
+                                dispute_fees, event_lines, read_log)
 from bridgesim.stopwatch import power_of_two_markers
 from bridgesim.txgraph import EXTERNAL, TxKind
 
@@ -168,7 +168,7 @@ def test_direct_writers_append_the_rows_log_appends():
                     logged.log("sw_tick", party=party, duration=d)
                 logged.log("sw_stop", party=party, interval=t - prev)
             prev = t
-    assert direct.dispute_costs == logged.dispute_costs
+    assert dispute_fees(direct.rows) == dispute_fees(logged.rows)
     # an unlocking spends graph outputs; wallet-funded inputs write no row
     # and leave the id unread
     unlock = direct.graph.template(TxKind.UNLOCKING, "pkt0:vmxo0", "f0")

@@ -7,7 +7,9 @@ from bridgesim.errors import (BridgeSimError, ConcurrencyLimit,
                              NotTriggered, UnknownId, WrongDenomination)
 from bridgesim import harness
 from bridgesim.harness import Scenario, Strategy
-from bridgesim.protocol import Bridge, Ledger, PegIn, PegOut, PegOutState
+from bridgesim.econ import DISPUTE_ACTION_VBYTES
+from bridgesim.protocol import (Bridge, Ledger, PegIn, PegOut, PegOutState,
+                                dispute_fees)
 from bridgesim.txgraph import EnablerState, VmxoState, build_packet_templates
 
 DENOM = 100_000_000
@@ -301,7 +303,9 @@ def test_publish_challenges_pays_and_logs_as_one_fee_at_a_time():
         each.log("dispute_pub", actor=ch, action="challenge", at=5)
     assert batch.rows == each.rows and len(batch.rows) == 6
     assert batch.ledger.balances == each.ledger.balances
-    assert batch.dispute_costs == each.dispute_costs
+    fee = 3 * getattr(Bridge.cost_table, DISPUTE_ACTION_VBYTES["challenge"])
+    assert dispute_fees(batch.rows) == dispute_fees(each.rows) == \
+        {"f2": fee, "f0": fee, "f3": fee}
     batch.account_publications([], 5)
     assert batch.rows == each.rows
 
@@ -421,7 +425,6 @@ def test_refusal_changes_nothing(case):
     def state():
         return (list(b.rows), dict(b.ledger.balances),
                 dict(b.graph.spent), set(b.linked_vmxos), set(b.slashed),
-                dict(b.dispute_costs),
                 {v: dict(s) for v, s in b.graph.used_enablers.items()},
                 {v: (x.state, x.operator) for v, x in b.graph.vmxos.items()},
                 [(p.state, p.operator, p.fronted_tx) for p in b.pegouts])
@@ -507,12 +510,78 @@ def test_bridge_refuses_a_zero_transfer_from_an_unopened_account():
 def test_slash_reimburses_challenger_costs_first():
     b = make_bridge(n=3)
     b.pay_dispute_fee("f0", "challenge")
-    b.pay_dispute_fee("f2", "challenge")
-    cost = b.dispute_costs["f0"]
+    cost = b.pay_dispute_fee("f2", "challenge")
     f2_before = b.ledger.balances["wallet:f2"]
     b.slash("f1", "f0", ["f0", "f2"], "pkt0:vmxo0")
     # f2's challenge fee comes back even though f0 took the remainder
     assert b.ledger.balances["wallet:f2"] == f2_before + cost
+
+
+def _refunds(b, since=0):
+    """The ``(wallet, amount)`` of each cost-reimbursement from row
+    ``since`` on, in order."""
+    return [(values[1], values[0]) for _, key, values in b.rows[since:]
+            if key == "transfer" and values[3] == "cost-reimbursement"]
+
+
+def test_two_contests_refund_each_challenger_its_fees_once():
+    # f1 loses its raw kick-off on vmxo0 to f0 and f2; then f2 loses a
+    # challenge of f0's kick-off on vmxo1.  Each slash refunds the fees of
+    # its own contest, f0's commit-proof included, and f0's challenge of
+    # the first contest is not refunded again by the second
+    b = make_bridge(n=3)
+    for user in ("u0", "u1"):
+        do_pegin(b, user)
+    first, second = do_linked_pegout(b, "u0"), do_linked_pegout(b, "u1")
+    b.publish_kickoff(first, "f1")
+    challenge = b.pay_dispute_fee("f0", "challenge")
+    b.pay_dispute_fee("f2", "challenge")
+    start = len(b.rows)
+    b.slash("f1", "f0", ["f0", "f2"], first.vmxo_id)
+    assert _refunds(b, start) == [("wallet:f0", challenge),
+                                  ("wallet:f2", challenge)]
+    b.publish_kickoff(second, "f0")
+    commit = b.cost_table.commit_proof * b.fee_rate
+    b.pay_dispute_fee("f2", "challenge")
+    hashes = b.pay_dispute_fee("f0", "publish-hashes")
+    start = len(b.rows)
+    b.slash("f2", "f0", ["f0"], second.vmxo_id)
+    assert _refunds(b, start) == [("wallet:f0", commit + hashes)]
+    assert b.events[start + 3].endswith(
+        f" ev=slashed loser=f2 pot={b.deposit_per_functionary} "
+        f"reimbursed={commit + hashes} winner=f0")
+
+
+def test_second_slash_in_a_contest_refunds_only_fees_paid_since_the_first():
+    b = make_bridge(n=4)
+    do_pegin(b)
+    pegout = do_linked_pegout(b)
+    b.publish_kickoff(pegout, "f1")
+    challenge = b.pay_dispute_fee("f0", "challenge")
+    b.pay_dispute_fee("f2", "challenge")
+    b.slash("f1", "f0", ["f0", "f2"], pegout.vmxo_id)
+    assert _refunds(b) == [("wallet:f0", challenge), ("wallet:f2", challenge)]
+    # f2 loses too, with no kick-off since: f0's challenge is not refunded
+    # again, only what it paid after the first slash
+    start = len(b.rows)
+    b.slash("f2", "f0", ["f0"], pegout.vmxo_id)
+    assert _refunds(b, start) == []
+    choice = b.pay_dispute_fee("f0", "publish-choice")
+    start = len(b.rows)
+    b.slash("f3", "f0", ["f0"], pegout.vmxo_id)
+    assert _refunds(b, start) == [("wallet:f0", choice)]
+
+
+def test_two_slashes_refund_a_fee_paid_once_once():
+    # f0's challenge and choice, 858 sats, came back from both f1's and
+    # f2's deposits when the refund was a lifetime total
+    b = make_bridge(n=3)
+    b.pay_dispute_fee("f0", "challenge")
+    b.pay_dispute_fee("f0", "publish-choice")
+    v0, v1 = b.graph.vmxo_ids
+    b.slash("f1", "f0", ["f0"], v0)
+    b.slash("f2", "f0", ["f0"], v1)
+    assert _refunds(b) == [("wallet:f0", 858)]
 
 
 def test_slash_refunds_later_challengers_even_when_already_slashed():
