@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -331,6 +332,82 @@ def test_paper_depth_game(arity):
         else:
             assert out.loser == "p" and g.isolated_step == pos
     assert max_rounds(n, 16, arity) == {2: 36, 4: 18}[arity]
+
+
+def game_state(g):
+    """Everything a game exposes once played, nested game included."""
+    return (g.publications, g.rounds, g.isolated_step, g.phase.value,
+            g.outcome and (g.outcome.winner, g.outcome.loser,
+                           g.outcome.reason.value),
+            g.clock, [(p, w.total, w.running_since)
+                      for p, w in g.watches.items()],
+            g.nested and game_state(g.nested))
+
+
+def paper_depth_games(arity):
+    """Games on 4**8-step traces: corrupt at one position per eighth of the
+    trace plus 1 and the last step, a griefer, stalls by either party, and
+    alt-chain counter-proofs refused, upheld and defeated."""
+    n = 4 ** 8
+    for pos in [1] + [s * n // 8 + 1 for s in range(1, 8)] + [n]:
+        g = new_game(n, corrupt_at=pos, arity=arity)
+        challenge(g)
+        run_search(g)
+        yield g
+    g = new_game(n, arity=arity)
+    challenge(g)
+    run_search(g, verifier_honest=False)
+    yield g
+    for threshold in (16, 64, 100, 256):
+        for stall_at in (1, 3, 6):
+            delay = threshold // stall_at + 1
+            for p_delay, v_delay, leaf in ((delay, 1, delay), (1, delay, 1),
+                                           (1, 1, threshold + 1)):
+                g = new_game(n, corrupt_at=n // 3, arity=arity,
+                             threshold=threshold)
+                challenge(g)
+                with pytest.raises(TimeoutExpired):
+                    run_search(g, prover_delay=p_delay,
+                               verifier_delay=v_delay, leaf_delay=leaf)
+                yield g
+    for valid, d2, corrupt_at in ((True, 5, None), (True, None, None),
+                                  (True, None, n // 5), (False, 999, None),
+                                  (False, 999, n // 5)):
+        g = new_game(n, corrupt_at=corrupt_at, arity=arity)
+        inp, alt = make_alt(valid=valid, d2=d2)
+        try:
+            challenge(g, "AltChain", alt_input=alt,
+                      main_difficulty=inp.claimed_difficulty,
+                      main_anchor_id=inp.headers[0].id)
+        except DifficultyNotHigher:
+            yield g
+            continue
+        challenge(g.nested)
+        run_search(g.nested)
+        settle_counter_proof(g)
+        if g.phase == Phase.AWAIT_CHALLENGE:
+            if corrupt_at is None:
+                resolve_no_challenge(g)
+            else:
+                challenge(g)
+                run_search(g)
+        yield g
+
+
+# sha256 over game_state of every paper-depth game, arity 2 then 4: the
+# behaviour digest plays only 16-step traces
+PAPER_DEPTH_GAMES = "5bc9e46b087c60e1"
+
+
+def test_paper_depth_games_match_reference():
+    h = hashlib.sha256()
+    outcomes = set()
+    for arity in (2, 4):
+        for g in paper_depth_games(arity):
+            outcomes.add(g.outcome and g.outcome.reason)
+            h.update(repr(game_state(g)).encode())
+    assert outcomes == set(Reason) - {Reason.NO_CHALLENGE} | {None}
+    assert h.hexdigest()[:16] == PAPER_DEPTH_GAMES
 
 
 def test_corrupting_twice_keeps_the_first_wrong_transition():
