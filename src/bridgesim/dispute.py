@@ -11,9 +11,10 @@ their stop watch runs.
 
 ``ExecutionTrace.digest(i)`` is the on-chain commitment to state i that
 the model describes.  It hashes ``(program_id, state(i))``, and two traces
-that disagree at one step disagree at every later one; so each search round
-finds the first disagreeing boundary from ``first_divergence`` in closed
-form, and picks the segment that comparing digests would pick.
+that disagree at one step disagree at every later one; so a search keeps
+the searched traces' ``first_divergence`` from when it opens, finds each
+round's first disagreeing boundary from it in closed form, and picks the
+segment that comparing digests would pick.
 
 A challenge may instead present an alternative header chain with higher
 accumulated difficulty, opening one nested game with the roles reversed.
@@ -132,12 +133,12 @@ class DisputeGame:
     read_steps = 16  # read values consumed by one step; not a field
 
     phase: Phase = Phase.AWAIT_CHALLENGE
-    # the current search: the open segment lo..hi of the prover's and the
-    # verifier's traces, their execution traces in MainSearch and the
-    # isolated step's reads in ReadSearch
+    # the current search: the open segment lo..hi of the searched traces
+    # (execution traces in MainSearch, the isolated step's reads in
+    # ReadSearch) and their first divergence, fixed as the search opens
     lo: int = 0
     hi: int = 0
-    searched: tuple[ExecutionTrace, ...] = ()
+    divergence: Optional[int] = None
     rounds: int = 0
     isolated_step: Optional[int] = None
     nested: Optional["DisputeGame"] = None
@@ -170,17 +171,18 @@ class DisputeGame:
         publication, flipping the stop watches."""
         if delay < 0:
             raise MalformedInput(f"negative delay {delay}")
-        watch = self.watches[party]
+        watches = self.watches
+        watch = watches[party]
         if watch.running_since is None:
             raise WrongTurn(party)
-        self.clock += delay
-        if watch.stop(self.clock) > watch.threshold:
+        self.clock = clock = self.clock + delay
+        if watch.stop(clock) > watch.threshold:
             # the responder ran out their whole censorship budget
             self.expire(party)
             raise TimeoutExpired(party)
         other = self.verifier if party == self.prover else self.prover
-        self.watches[other].start(self.clock)
-        self.publications.append((self.clock, party, action))
+        watches[other].start(clock)
+        self.publications.append((clock, party, action))
 
     def expire(self, party: str) -> Outcome:
         """Terminal timeout for a party that never responded."""
@@ -215,8 +217,8 @@ def challenge(game: DisputeGame, kind: str = "Execution",
             raise MalformedInput("execution trace has no transition")
         game._publish(game.verifier, "challenge", delay)
         game.phase = Phase.MAIN_SEARCH
-        game.lo, game.hi = 0, game.prover_trace.length
-        game.searched = (game.prover_trace, game.verifier_trace)
+        p, v = game.prover_trace, game.verifier_trace
+        game.lo, game.hi, game.divergence = 0, p.length, p.first_divergence(v)
         return game
     if kind != "AltChain":
         raise ValueError(kind)
@@ -248,21 +250,20 @@ def challenge(game: DisputeGame, kind: str = "Execution",
     return game
 
 
-def _narrow(lo: int, hi: int, arity: int, prover: ExecutionTrace,
-            verifier: ExecutionTrace) -> tuple[int, int]:
+def _narrow(lo: int, hi: int, arity: int,
+            divergence: Optional[int]) -> tuple[int, int]:
     """One narrowing round: the prover commits to the boundary states, the
     verifier picks the first one that disagrees with its own.  A griefing
     verifier with no real divergence always picks the first segment.
 
     The boundaries are lo + k seg for k = 1 .. arity, capped at hi, with
     seg = ceil((hi - lo) / arity); the one at b disagrees exactly when b is
-    at or past the traces' first divergence d."""
+    at or past the searched traces' first divergence."""
     seg = -(-(hi - lo) // arity)  # ceil, exact in integers
-    d = prover.first_divergence(verifier)
-    if d is None or d > hi:
+    if divergence is None or divergence > hi:
         # no boundary disagrees (a griefer, or a divergence past hi)
         return lo, min(lo + seg, hi)
-    k = max(1, -(-(d - lo) // seg))
+    k = max(1, -(-(divergence - lo) // seg))
     return lo + (k - 1) * seg, min(lo + k * seg, hi)
 
 
@@ -277,16 +278,19 @@ def search_round(game: DisputeGame, prover_delay: int = 1,
                  verifier_delay: int = 1) -> DisputeGame:
     """One on-chain round: the responder commits segment digests and the
     challenger picks the segment to recurse into."""
-    actions = _SEARCH_ACTIONS.get(game.phase)
+    phase = game.phase
+    actions = _SEARCH_ACTIONS.get(phase)
     if actions is None:
-        raise WrongPhase(game.phase.value)
+        raise WrongPhase(phase.value)
+    if prover_delay < 0 or verifier_delay < 0:
+        raise MalformedInput(f"negative delay {prover_delay, verifier_delay}")
     game.rounds += 1
     game._publish(game.prover, actions[0], prover_delay)
     game._publish(game.verifier, actions[1], verifier_delay)
-    game.lo, game.hi = _narrow(game.lo, game.hi, game.arity, *game.searched)
+    game.lo, game.hi = _narrow(game.lo, game.hi, game.arity, game.divergence)
     if game.hi - game.lo != 1:
         return game
-    if game.phase == Phase.READ_SEARCH:
+    if phase is Phase.READ_SEARCH:
         game.phase = Phase.LEAF_CHECK
     else:
         game.isolated_step = game.hi
@@ -300,12 +304,14 @@ def reveal_trace(game: DisputeGame, prover_delay: int = 1,
     read challenge opens the second search over that step's read values."""
     if game.phase != Phase.TRACE_REVEAL:
         raise WrongPhase(game.phase.value)
+    if prover_delay < 0 or verifier_delay < 0:
+        raise MalformedInput(f"negative delay {prover_delay, verifier_delay}")
     game._publish(game.prover, "publish-full-trace", prover_delay)
     game._publish(game.verifier, "read-challenge", verifier_delay)
-    i = game.isolated_step
-    game.searched = tuple(trace.reads(i, game.read_steps)
-                          for trace in (game.prover_trace, game.verifier_trace))
-    game.lo, game.hi = 0, game.read_steps
+    i, n = game.isolated_step, game.read_steps
+    game.divergence = game.prover_trace.reads(i, n).first_divergence(
+        game.verifier_trace.reads(i, n))
+    game.lo, game.hi = 0, n
     game.phase = Phase.READ_SEARCH
     return game
 
@@ -375,10 +381,11 @@ def drive(game: DisputeGame,
     with ``game.outcome`` already set.
     """
     p, v = game.prover, game.verifier
-    while game.phase == Phase.MAIN_SEARCH:
+    main, read = Phase.MAIN_SEARCH, Phase.READ_SEARCH
+    while game.phase is main:
         search_round(game, delay(p, game.clock), delay(v, game.clock))
     reveal_trace(game, delay(p, game.clock), delay(v, game.clock))
-    while game.phase == Phase.READ_SEARCH:
+    while game.phase is read:
         search_round(game, delay(p, game.clock), delay(v, game.clock))
     return leaf_check(game, delay(p, game.clock))
 
@@ -392,9 +399,11 @@ def run_search(game: DisputeGame, prover_delay: int = 1,
     ``verifier_honest`` is ignored: a griefing verifier is one whose trace
     agrees with the prover's, and the search follows from the traces alone.
     """
+    leaf = Phase.LEAF_CHECK
+
     def delay(party: str, clock: int) -> int:
         if party == game.verifier:
             return verifier_delay
-        return leaf_delay if game.phase == Phase.LEAF_CHECK else prover_delay
+        return leaf_delay if game.phase is leaf else prover_delay
 
     return drive(game, delay)

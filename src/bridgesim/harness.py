@@ -46,8 +46,9 @@ RNG_ALGORITHM = "python-random-mt19937"
 # Ticks from a peg-out's burn to the front that re-serves it after a silent
 # prover, besides the prover's stall of watch_threshold + 1: the burn's block
 # and its confirmations, one tick each, and the honest challenge's tick.
-# The re-serve fronts as soon as the game ends, so a threshold passes
-# validate only if the stall plus these ticks is within LIVENESS_BOUND.
+# The re-serve fronts as soon as the game ends, which censored challengers
+# delay; so validate admits a scenario only if the stall, these ticks and
+# the most ticks one party is censored fit in LIVENESS_BOUND.
 RESERVE_TICKS = 1 + Bridge.secondary_confirmations + 1
 
 
@@ -117,9 +118,10 @@ class Scenario:
                 ticks[party] = ticks.get(party, 0) + merged_end[party] - start
                 if ticks[party] > budget:
                     raise InvalidScenario(f"{party} censored > {budget} ticks")
-        if self.watch_threshold + 1 + RESERVE_TICKS > LIVENESS_BOUND:
-            raise InvalidScenario("watch_threshold stalls a peg-out past "
-                                  "the liveness bound")
+        if self.watch_threshold + 1 + RESERVE_TICKS + max(
+                ticks.values(), default=0) > LIVENESS_BOUND:
+            raise InvalidScenario("watch_threshold and censorship stall a "
+                                  "peg-out past the liveness bound")
         if self.name and self.name.split() != [self.name]:
             # the name is one field of the log's meta kind=scenario line
             raise InvalidScenario("name contains whitespace")

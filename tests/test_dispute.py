@@ -283,27 +283,42 @@ def test_watch_total_is_the_sum_of_its_intervals(monkeypatch, length, arity):
 
 def test_negative_delay_refused_before_the_clock_moves():
     # a negative delay would wind the game clock back and keep the
-    # responder's watch below its threshold forever
+    # responder's watch below its threshold forever; either party's is
+    # refused before the round's first publication, so the game is left
+    # as it was and can go on
     g = new_game(16, corrupt_at=5, threshold=10)
 
     def state():
-        return (g.clock, list(g.publications), g.phase,
-                {p: (w.total, w.running_since)
-                 for p, w in g.watches.items()})
+        return (g.clock, list(g.publications), g.phase, g.rounds, g.lo,
+                g.hi, g.divergence, {p: (w.total, w.running_since)
+                                     for p, w in g.watches.items()})
 
-    before = state()
-    with pytest.raises(MalformedInput):
-        challenge(g, delay=-3)
-    assert state() == before
+    def refused(move, *delays, **kwargs):
+        before = state()
+        with pytest.raises(MalformedInput):
+            move(g, *delays, **kwargs)
+        assert state() == before, (move, delays, kwargs)
+
+    refused(challenge, delay=-3)
     challenge(g)
-    before = state()
-    with pytest.raises(MalformedInput):
-        run_search(g, prover_delay=-100)
-    assert state() == before
+    refused(run_search, prover_delay=-100)
+    for delays in ((-1, 1), (1, -1), (-2, -2)):
+        refused(search_round, *delays)
     # zero stays legal
     search_round(g, prover_delay=0, verifier_delay=0)
     assert g.publications[-2:] == [(1, "p", "publish-hashes"),
                                    (1, "v", "publish-choice")]
+    search_round(g)
+    assert g.phase == Phase.TRACE_REVEAL
+    for delays in ((-1, 1), (1, -1)):
+        refused(reveal_trace, *delays)
+    reveal_trace(g)
+    for delays in ((-1, 1), (1, -1)):
+        refused(search_round, *delays)
+    while g.phase == Phase.READ_SEARCH:
+        search_round(g)
+    refused(leaf_check, -1)
+    assert leaf_check(g) == Outcome("v", "p", Reason.CONFLICTING_COMMIT)
 
 
 def test_zero_length_trace_refuses_challenge():
@@ -487,7 +502,8 @@ def assert_narrow_matches_digest(pairs, his, arity):
     for prover, verifier in pairs:
         for hi in his:
             for lo in range(hi):
-                assert (dispute._narrow(lo, hi, arity, prover, verifier)
+                divergence = prover.first_divergence(verifier)
+                assert (dispute._narrow(lo, hi, arity, divergence)
                         == digest_narrow(lo, hi, arity, prover, verifier)), \
                     (prover, verifier, lo, hi)
 
@@ -510,11 +526,20 @@ def test_read_narrow_matches_digest_reference(arity):
     assert_narrow_matches_digest(pairs, range(1, 17), arity)
 
 
-def play(monkeypatch, narrow, length, arity, pos, delays):
+def play(monkeypatch, by_digest, length, arity, pos, delays):
+    g = new_game(length, corrupt_at=pos, arity=arity, threshold=delays[2])
+
+    def narrow(lo, hi, arity, divergence):
+        # digest_narrow over the game's own searched traces; the game's
+        # divergence is never read
+        traces = (g.prover_trace, g.verifier_trace)
+        if g.phase == Phase.READ_SEARCH:
+            traces = [t.reads(g.isolated_step, g.read_steps) for t in traces]
+        return digest_narrow(lo, hi, arity, *traces)
+
     with monkeypatch.context() as m:
-        m.setattr(dispute, "_narrow", narrow)
-        g = new_game(length, corrupt_at=pos, arity=arity,
-                     threshold=delays[2])
+        if by_digest:
+            m.setattr(dispute, "_narrow", narrow)
         challenge(g)
         try:
             run_search(g, prover_delay=delays[0], verifier_delay=delays[1],
@@ -533,8 +558,8 @@ def test_full_games_match_digest_reference(monkeypatch, arity):
     delays = [(1, 1, 10 ** 6), (3, 2, 10 ** 6), (40, 1, 100), (1, 40, 100)]
     for pos in positions:
         for d in delays:
-            ours = play(monkeypatch, dispute._narrow, n, arity, pos, d)
-            ref = play(monkeypatch, digest_narrow, n, arity, pos, d)
+            ours = play(monkeypatch, False, n, arity, pos, d)
+            ref = play(monkeypatch, True, n, arity, pos, d)
             assert ours == ref, (pos, d)
             assert ours[3] is not None
 

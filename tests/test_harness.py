@@ -455,6 +455,34 @@ def test_watch_threshold_keeps_a_stalled_pegout_live(monkeypatch):
     assert liveness.detail == "burn burn:u0:1 not fronted in time"
 
 
+@pytest.mark.parametrize("threshold, length", [(400, 100), (300, 200)])
+def test_censored_challengers_keep_a_stalled_pegout_live(monkeypatch,
+                                                         threshold, length):
+    # the honest challengers f1 and f2 wait out their censor windows before
+    # the silent prover's stall; each window is within the budget, but the
+    # wait and the stall together missed the bound by 6 ticks, so validate
+    # counts the longest censorship too
+    sc = Scenario(seed=1, n_functionaries=3, vmxo_count=2, n_pegins=2,
+                  n_pegouts=1, adversary=0, strategy=Strategy.SILENT_PROVER,
+                  watch_threshold=threshold,
+                  censor=[CensorSpec("f1", 12, length),
+                          CensorSpec("f2", 12, length)])
+    with pytest.raises(InvalidScenario, match="past the liveness bound$"):
+        sc.validate()
+    # the largest threshold it admits with these windows meets the bound
+    fit = replace(sc, watch_threshold=LIVENESS_BOUND - 1 - RESERVE_TICKS
+                  - length)
+    report = run_scenario(fit)
+    assert report.all_passed
+    burn = next(t for t, key, _ in report.rows if key == "pegout_burn")
+    assert _fronts(report)[0][0] - burn == LIVENESS_BOUND
+    with pytest.raises(InvalidScenario):
+        replace(fit, watch_threshold=fit.watch_threshold + 1).validate()
+    monkeypatch.setattr(Scenario, "validate", lambda self: None)
+    liveness = {v.name: v for v in run_scenario(sc).verdicts}["liveness"]
+    assert liveness.detail == "burn burn:u0:1 not fronted in time"
+
+
 @pytest.mark.parametrize("field, least", sorted(_MINIMUMS.items()))
 def test_least_value_of_each_field_runs_to_a_wellformed_log(field, least):
     # one below the least is refused: challenge_window=-5 used to validate,
@@ -666,15 +694,14 @@ def _game_faults(rows) -> list[str]:
 
 def test_wide_draw_honest_parties_win_every_game_they_play():
     # under the censorship budget no admitted scenario has an honest party
-    # lose a game, and every slash follows its game's outcome; liveness is
-    # left out, since a silent prover's stall plus a long censor window can
-    # still outlast the bound
+    # lose a game, and every slash follows its game's outcome; every one
+    # but a leak of every key also keeps each peg-out live
     for sc in _wide_scenarios(2000, 18):
         report = run_scenario(sc)
         assert _game_faults(report.rows) == [], sc
         failed = {v.name for v in report.verdicts if not v.passed}
-        assert failed - {"liveness"} <= ({"safety"} if sc.leak_all
-                                         else set()), sc
+        assert failed <= ({"safety", "liveness"} if sc.leak_all
+                          else set()), sc
 
 
 class AskEveryOperatorRunner(Runner):
