@@ -4,17 +4,18 @@ The virtual CPU is abstracted to ``step``: state ``(i, branch)`` goes to
 ``(i + 1, branch)``, and a trace computes any state in O(1).  A fraudulent
 prover diverges from the honest trace at some step and stays divergent
 (their claimed final state is wrong); the n-ary search then isolates the
-first divergent transition, a second n-ary search over that step's reads,
-a trace of their own, resolves its read values, and the leaf check
-re-executes the isolated transition.  A party may publish exactly while
-their stop watch runs.
+first divergent transition, a second n-ary search over that step's reads
+resolves its read values, and the leaf check re-executes the isolated
+transition.  A party may publish exactly while their stop watch runs.
 
 ``ExecutionTrace.digest(i)`` is the on-chain commitment to state i that
 the model describes.  It hashes ``(program_id, state(i))``, and two traces
-that disagree at one step disagree at every later one; so a search keeps
-the searched traces' ``first_divergence`` from when it opens, finds each
+that disagree at one step disagree at every later one; so the main search
+keeps the traces' ``first_divergence`` from when it opens, finds each
 round's first disagreeing boundary from it in closed form, and picks the
-segment that comparing digests would pick.
+segment that comparing digests would pick.  The read search has a fixed
+descent: a wrong step's reads are wrong from the first read and a right
+step's agree, so the verifier picks the first segment in every round.
 
 A challenge may instead present an alternative header chain with higher
 accumulated difficulty, opening one nested game with the roles reversed.
@@ -82,13 +83,6 @@ class ExecutionTrace(NamedTuple):
             return None
         return min(mine, theirs) if mine and theirs else mine or theirs
 
-    def reads(self, i: int, read_steps: int) -> "ExecutionTrace":
-        """The read values step i consumes, as a trace of their own: wrong
-        from the first read on when step i is a wrong transition."""
-        wrong = step(self.state(i - 1)) != self.state(i)
-        return ExecutionTrace(_h("read", self.program_id, i), read_steps,
-                              1 if wrong else 0)
-
 
 class Phase(str, Enum):
     AWAIT_CHALLENGE = "AwaitChallenge"
@@ -133,9 +127,9 @@ class DisputeGame:
     read_steps = 16  # read values consumed by one step; not a field
 
     phase: Phase = Phase.AWAIT_CHALLENGE
-    # the current search: the open segment lo..hi of the searched traces
-    # (execution traces in MainSearch, the isolated step's reads in
-    # ReadSearch) and their first divergence, fixed as the search opens
+    # the current search: the open segment lo..hi (of the execution traces
+    # in MainSearch, of the isolated step's reads in ReadSearch) and the
+    # first divergence, fixed as it opens: None in the fixed read descent
     lo: int = 0
     hi: int = 0
     divergence: Optional[int] = None
@@ -308,10 +302,9 @@ def reveal_trace(game: DisputeGame, prover_delay: int = 1,
         raise MalformedInput(f"negative delay {prover_delay, verifier_delay}")
     game._publish(game.prover, "publish-full-trace", prover_delay)
     game._publish(game.verifier, "read-challenge", verifier_delay)
-    i, n = game.isolated_step, game.read_steps
-    game.divergence = game.prover_trace.reads(i, n).first_divergence(
-        game.verifier_trace.reads(i, n))
-    game.lo, game.hi = 0, n
+    # a wrong step's reads diverge at read 1 and a right step's agree,
+    # and _narrow(0, hi, arity, 1) == _narrow(0, hi, arity, None)
+    game.lo, game.hi, game.divergence = 0, game.read_steps, None
     game.phase = Phase.READ_SEARCH
     return game
 

@@ -92,8 +92,12 @@ class Scenario:
             raise InvalidScenario(f"strategy {self.strategy!r} is no Strategy")
         if type(self.leak_all) is not bool or type(self.name) is not str:
             raise InvalidScenario("leak_all must be a bool and name a str")
-        if any(type(n) is not int for spec in self.censor for n in spec[1:]):
-            raise InvalidScenario("censor start and length must be ints")
+        if not isinstance(self.censor, (list, tuple)) or not all(
+                type(w) is CensorSpec and type(w.party) is str
+                and type(w.start) is type(w.length) is int
+                for w in self.censor):
+            raise InvalidScenario("censor must list CensorSpec windows, each "
+                                  "a str party and int start and length")
         for name, least in _MINIMUMS.items():
             if getattr(self, name) < least:
                 raise InvalidScenario(f"{name} must be at least {least}")

@@ -75,20 +75,22 @@ class Ledger:
     def fund(self, account: str, amount: int) -> None:
         self.balances[account] = self.balances.get(account, 0) + amount
 
-    def transfer(self, frm: str, to: str, amount: int) -> None:
-        """Move ``amount`` from ``frm`` to ``to``; ``Insolvent``, before any
-        write, for a negative amount, an account never opened or one that
-        cannot pay."""
+    def payable(self, frm: str, amount: int) -> int:
+        """The balance of ``frm`` if it can pay ``amount``; ``Insolvent`` for
+        a negative amount, an account never opened or one that cannot pay."""
         if amount < 0:
             raise Insolvent(f"negative transfer {amount}")
-        balances = self.balances
-        have = balances.get(frm)
+        have = self.balances.get(frm)
         if have is None:
             raise Insolvent(f"no account {frm}")
         if have < amount:
             raise Insolvent(f"insolvent account {frm}")
-        balances[frm] = have - amount
-        balances[to] = balances.get(to, 0) + amount
+        return have
+
+    def transfer(self, frm: str, to: str, amount: int) -> None:
+        """Move ``amount`` from ``frm`` to ``to`` if it is ``payable``."""
+        self.balances[frm] = self.payable(frm, amount) - amount
+        self.balances[to] = self.balances.get(to, 0) + amount
 
 
 # Each event kind's fields in the order its line holds them, which is by
@@ -282,9 +284,7 @@ class Bridge:
         self.rows: list[tuple] = []
         self.pegins: list[PegIn] = []
         self.pegouts: list[PegOut] = []
-        # VMXOs a peg-in has taken, and VMXOs a peg-out is linked to
-        self.taken_vmxos: set[str] = set()
-        self.linked_vmxos: set[str] = set()
+        self.linked_vmxos: set[str] = set()  # VMXOs linked to a peg-out
         self.last_kickoff_tick: dict[str, int] = {}
         # the ids are distinct, so each account opens once, as fund() would
         balances = self.ledger.balances
@@ -378,15 +378,12 @@ class Bridge:
     def request_pegin(self, user: str, amount: int) -> PegIn:
         if amount != self.denomination:
             raise WrongDenomination(f"{amount} != {self.denomination}")
-        vmxos = self.graph.vmxos
-        free = next((v for v in self.graph.vmxo_ids
-                     if v not in self.taken_vmxos
-                     and vmxos[v].state == VmxoState.AWAITING_PEGIN), None)
-        if free is None:
+        # in order: only executing a requested peg-in moves its VMXO on
+        vmxo_ids, taken = self.graph.vmxo_ids, len(self.pegins)
+        if taken == len(vmxo_ids):
             raise NoCapacity("no vmxo awaiting peg-in")
-        pegin = PegIn(user, amount, free)
+        pegin = PegIn(user, amount, vmxo_ids[taken])
         self.pegins.append(pegin)
-        self.taken_vmxos.add(free)
         self.log("pegin_requested", user=user, vmxo=pegin.vmxo_id,
                  amount=amount)
         return pegin
@@ -499,6 +496,8 @@ class Bridge:
             raise NotTriggered(f"{pegout.vmxo_id} is {vmxo.state.value}")
         kick = self.graph.template(TxKind.KICKOFF, pegout.vmxo_id, operator)
         honest = pegout.state == PegOutState.PROVEN
+        # it logs no spend row, so its fee is paid first, before any write
+        self.pay_dispute_fee(operator, "commit-proof")
         self.graph.execute(kick)
         self._log_spends(kick)
         vmxo.state = VmxoState.KICKOFF_OPEN
@@ -506,7 +505,6 @@ class Bridge:
         pegout.operator = operator
         pegout.state = PegOutState.KICKOFF
         self.last_kickoff_tick[operator] = self.clock.now
-        self.pay_dispute_fee(operator, "commit-proof")
         self.log("kickoff", operator=operator, vmxo=pegout.vmxo_id,
                  honest=honest)
 
@@ -520,6 +518,8 @@ class Bridge:
             raise NotTriggered(pegout.vmxo_id)
         unlock = self.graph.template(TxKind.UNLOCKING, pegout.vmxo_id,
                                      operator)
+        # its spend rows come before the fee's, so that is checked first
+        self.ledger.payable(f"wallet:{operator}", unlock.vbytes * self.fee_rate)
         self.graph.execute(unlock)
         self._log_spends(unlock)
         self.graph.set_enabler_state(EnablerState.CONSUMED, operator,
@@ -555,7 +555,9 @@ class Bridge:
         if closer not in self.graph.position:
             raise UnknownId(closer)
         operator = self.graph.vmxo(vmxo_a).operator
-        tx = self.graph.apply_force_close(vmxo_a, vmxo_b)
+        tx = self.graph.force_close_tx(vmxo_a, vmxo_b)
+        self.ledger.payable(f"wallet:{closer}", tx.vbytes * self.fee_rate)
+        self.graph.apply_force_close(vmxo_a, vmxo_b)
         self._log_spends(tx)
         self.pay_fee(closer, tx.vbytes, "force-close")
         self.log("force_close", closer=closer, operator=operator,

@@ -199,7 +199,7 @@ class PacketGraph:
                                            EnablerState]] = {}
         self.leaked: set[tuple[str, str]] = set()  # (functionary, VMXO)
         self.vmxos = {v: Vmxo(amount) for v in self.vmxo_ids}
-        self.spent: dict[tuple[str, int], str] = {}  # outpoint -> spender id
+        self.spent: set[tuple[str, int]] = set()  # spent outpoints
 
     # -- construction ------------------------------------------------------
 
@@ -415,14 +415,11 @@ class PacketGraph:
 
     def execute(self, tx: SimTx) -> SimTx:
         """Record a template execution, enforcing single-spend."""
-        for ref in tx.inputs:
-            if ref[0].startswith(EXTERNAL):
-                continue
+        refs = [ref for ref in tx.inputs if not ref[0].startswith(EXTERNAL)]
+        for ref in refs:
             if ref in self.spent:
                 raise SpendRejected(f"double spend of {ref}")
-        for ref in tx.inputs:
-            if not ref[0].startswith(EXTERNAL):
-                self.spent[ref] = tx.id
+        self.spent.update(refs)
         return tx
 
     # -- enabler/force-close semantics -------------------------------------
@@ -443,8 +440,8 @@ class PacketGraph:
             burnt += len(fresh)
         return burnt
 
-    def apply_force_close(self, vmxo_a: str, vmxo_b: str) -> SimTx:
-        """Terminate the second of two simultaneous kick-offs by one operator."""
+    def force_close_tx(self, vmxo_a: str, vmxo_b: str) -> SimTx:
+        """The force-close of two simultaneous kick-offs by one operator."""
         va, vb = self.vmxo(vmxo_a), self.vmxo(vmxo_b)
         if va.state != VmxoState.KICKOFF_OPEN or vb.state != VmxoState.KICKOFF_OPEN:
             raise AlreadyClosed(f"{vmxo_a},{vmxo_b}")
@@ -452,10 +449,13 @@ class PacketGraph:
             raise NotSameOperator(f"{va.operator} vs {vb.operator}")
         first, second = sorted((vmxo_a, vmxo_b),
                                key=self.vmxo_position.__getitem__)
-        tx = self.template(TxKind.FORCE_CLOSE, va.operator, first, second)
-        self.execute(tx)
-        vb.state = VmxoState.LOCKED
-        vb.operator = None
+        return self.template(TxKind.FORCE_CLOSE, va.operator, first, second)
+
+    def apply_force_close(self, vmxo_a: str, vmxo_b: str) -> SimTx:
+        """Execute ``force_close_tx``, terminating the kick-off on vmxo_b."""
+        tx = self.execute(self.force_close_tx(vmxo_a, vmxo_b))
+        vb = self.vmxos[vmxo_b]
+        vb.state, vb.operator = VmxoState.LOCKED, None
         return tx
 
 

@@ -363,16 +363,20 @@ def test_censor_window_that_censors_nobody_as_written_rejected(window):
     {"denomination": 1.5}, {"challenge_window": True},
     {"censor": [CensorSpec("f1", 12.5, 3)]}, {"leak_all": "no"},
     {"leak_all": 0}, {"name": 7}, {"name": None},
+    {"censor": [("f0", 1)]}, {"censor": "f0 1 2"}, {"censor": None},
+    {"censor": [("f1", 12, 3)]},
 ], ids=["adversary-bool", "adversary-float", "strategy-str",
         "n_functionaries-float", "seed-float", "fee_rate-float",
         "watch_threshold-float", "denomination-float", "challenge_window-bool",
         "censor-start-float", "leak_all-str", "leak_all-int", "name-int",
-        "name-none"])
+        "name-none", "censor-two-fields", "censor-str", "censor-none",
+        "censor-plain-tuple"])
 def test_field_of_the_wrong_type_rejected(changes):
     # each passed validate, then its run raised (UnknownId for f1.0,
     # AttributeError, TypeError) or wrote a log that read_log refuses
     # ("non-integer deposit", "at: '17.5'"); leak_all="no" ran with every
-    # key leaked, since the string is true
+    # key leaked, since the string is true.  A malformed censor list raised
+    # ValueError, TypeError or AttributeError from validate itself
     with pytest.raises(InvalidScenario):
         replace(CENSORED_TO_BUDGET, **changes).validate()
 

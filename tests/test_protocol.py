@@ -324,7 +324,7 @@ def test_slash_refuses_unknown_loser_before_any_change():
     balances, rows = dict(b.ledger.balances), list(b.rows)
     with pytest.raises(UnknownId):
         b.slash("f7", "f0", ["f0"], "pkt0:vmxo0")
-    assert b.slashed == set() and b.graph.spent == {}
+    assert b.slashed == set() and b.graph.spent == set()
     assert b.graph.used_enablers == {}
     assert b.ledger.balances == balances and b.rows == rows
 
@@ -335,9 +335,24 @@ def elsewhere(pegout):
     return pegout
 
 
+def drain(party):
+    """A setup that empties the party's wallet before the snapshot."""
+    def setup(b, linked):
+        wallet = f"wallet:{party}"
+        b.ledger.transfer(wallet, "fees", b.ledger.balances[wallet])
+    return setup
+
+
+def drain_after_second_kickoff(b, linked):
+    # f1 kicks off vmxo1 too, so that vmxo0 and vmxo1 can be force-closed
+    b.publish_kickoff(linked, "f1")
+    drain("f0")(b, linked)
+
+
 # each refused call, on the bridge of ``test_refusal_changes_nothing``:
 # the error and the call, given the bridge, a linked peg-out whose VMXO is
-# locked and a peg-out that was never linked
+# locked and a peg-out that was never linked; and optionally a setup, given
+# the bridge and the linked peg-out, run before the state is taken
 REFUSALS = {
     "kickoff-by-unknown-operator": (
         UnknownId, lambda b, linked, unlinked:
@@ -408,6 +423,17 @@ REFUSALS = {
         MalformedInput, lambda b, linked, unlinked:
         b.slash("f1", "f0", ["f0", "f1"],
                 "pkt0:vmxo0")),
+    # each of these three wrote before its fee's transfer refused
+    "kickoff-by-insolvent-operator": (
+        Insolvent, lambda b, linked, unlinked:
+        b.publish_kickoff(linked, "f2"), drain("f2")),
+    "unlock-by-insolvent-operator": (
+        Insolvent, lambda b, linked, unlinked: b.unlock(b.pegouts[0]),
+        drain("f1")),
+    "force-close-by-insolvent-closer": (
+        Insolvent, lambda b, linked, unlinked:
+        b.force_close("pkt0:vmxo0", "pkt0:vmxo1", "f0"),
+        drain_after_second_kickoff),
 }
 
 
@@ -424,13 +450,16 @@ def test_refusal_changes_nothing(case):
 
     def state():
         return (list(b.rows), dict(b.ledger.balances),
-                dict(b.graph.spent), set(b.linked_vmxos), set(b.slashed),
+                set(b.graph.spent), set(b.linked_vmxos), set(b.slashed),
                 {v: dict(s) for v, s in b.graph.used_enablers.items()},
                 {v: (x.state, x.operator) for v, x in b.graph.vmxos.items()},
-                [(p.state, p.operator, p.fronted_tx) for p in b.pegouts])
+                [(p.state, p.operator, p.fronted_tx) for p in b.pegouts],
+                dict(b.last_kickoff_tick))
 
+    error, call, *setup = REFUSALS[case]
+    for prepare in setup:
+        prepare(b, linked)
     before = state()
-    error, call = REFUSALS[case]
     with pytest.raises(error):
         call(b, linked, unlinked)
     assert state() == before
@@ -641,12 +670,12 @@ def test_force_close_refuses_unknown_closer_before_any_change():
     p2 = do_linked_pegout(b, "u1")
     b.publish_kickoff(p1, "f1")
     b.publish_kickoff(p2, "f1")
-    before = (dict(b.graph.spent),
+    before = (set(b.graph.spent),
               {v: (x.state, x.operator) for v, x in b.graph.vmxos.items()},
               dict(b.ledger.balances), list(b.rows))
     with pytest.raises(UnknownId):
         b.force_close(p1.vmxo_id, p2.vmxo_id, "f9")
-    assert (dict(b.graph.spent),
+    assert (set(b.graph.spent),
             {v: (x.state, x.operator) for v, x in b.graph.vmxos.items()},
             b.ledger.balances, b.rows) == before
 
