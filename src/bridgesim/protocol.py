@@ -261,9 +261,7 @@ class Bridge:
     secondary_confirmations = 3
 
     def __init__(self, functionary_ids: list[str], vmxo_count: int,
-                 denomination: int, fee_rate: int = 1,
-                 pegout_limit: int = 1,
-                 t_sep: int = 0):
+                 denomination: int, fee_rate: int = 1, t_sep: int = 0):
         deposit = required_deposit(len(functionary_ids), fee_rate,
                                    self.cost_table)
         # first, so that too few, repeated or non-word ids leave no state
@@ -275,7 +273,6 @@ class Bridge:
         self.secondary = ChainView(SECONDARY)
         self.fee_rate = fee_rate
         self.denomination = denomination
-        self.pegout_limit = pegout_limit
         self.t_sep = t_sep
         self.deposit_per_functionary = deposit
         self.functionaries = list(functionary_ids)
@@ -398,7 +395,12 @@ class Bridge:
         return pegin.deposit_tx
 
     def execute_pegin(self, pegin: PegIn) -> None:
+        """Mint for a peg-in that ``request_pegin`` made, once, after every
+        signature and enough confirmations; any other is refused first."""
         vmxo = self.graph.vmxo(pegin.vmxo_id)
+        i = self.graph.vmxo_position[pegin.vmxo_id]
+        if i >= len(self.pegins) or self.pegins[i] is not pegin:
+            raise NotTriggered(f"{pegin.vmxo_id}: no such peg-in requested")
         if vmxo.state != VmxoState.AWAITING_PEGIN:
             raise NotTriggered(f"{pegin.vmxo_id} is {vmxo.state.value}")
         required = set(self.functionaries) | {pegin.user}
@@ -464,8 +466,6 @@ class Bridge:
         if self.graph.enabler_state(operator,
                                     pegout.vmxo_id) != EnablerState.LIVE:
             raise EnablerUnavailable(f"operator enabler for {operator}")
-        if self.active_pegouts(operator) >= self.pegout_limit:
-            raise ConcurrencyLimit(operator)
         if self.separation_left(operator):
             raise ConcurrencyLimit(f"{operator}: t_sep not elapsed")
         fronted = pegout.amount - pegout.amount // 1000
@@ -658,11 +658,6 @@ class Bridge:
         return [p for p in self.pegouts if p.operator == operator
                 and p.state in (PegOutState.FRONTED, PegOutState.PROVEN,
                                 PegOutState.KICKOFF)]
-
-    def active_pegouts(self, operator: str) -> int:
-        """Fronted peg-outs still in flight; ``pegout_limit`` bounds them."""
-        return sum(p.fronted_tx is not None
-                   for p in self.open_pegouts(operator))
 
     def separation_left(self, operator: str) -> int:
         """Ticks until the operator may front again under ``t_sep``."""

@@ -326,6 +326,18 @@ def test_nonpositive_difficulty_raises_after_cached_hit():
             BlockHeader.make(SOURCE, 1, "p", difficulty, ["t"])
 
 
+@pytest.mark.parametrize("difficulty", [0, -1])
+def test_mine_block_refuses_nonpositive_difficulty(difficulty):
+    # a block of no work would tie its parent's branch weight, and one of
+    # negative work would lighten it; neither enters the view
+    c = ChainView(SOURCE)
+    tip = c.mine_block(c.genesis.id, ["t"])
+    with pytest.raises(ValueError):
+        c.mine_block(tip.id, ["u"], difficulty=difficulty)
+    assert c.tip() is tip and len(c.headers) == 2
+    assert c.canonical_chain() == [c.genesis, tip]
+
+
 class CountingHeaders(dict):
     """A header table that counts every walk over it."""
 

@@ -332,6 +332,19 @@ def test_zero_length_trace_refuses_challenge():
     assert g.clock == 0 and g.rounds == 0 and g.outcome is None
 
 
+@pytest.mark.parametrize("corrupt_at,winner", [(1, "v"), (None, "p")])
+def test_one_step_trace_game_plays_to_its_end(corrupt_at, winner):
+    # the shortest trace with a transition: one search round isolates it
+    g = new_game(1, corrupt_at=corrupt_at)
+    challenge(g)
+    assert (g.phase, g.lo, g.hi) == (Phase.MAIN_SEARCH, 0, 1)
+    out = run_search(g)
+    assert g.phase == Phase.TERMINAL and g.isolated_step == 1
+    assert out.winner == winner and out.reason == Reason.CONFLICTING_COMMIT
+    assert [a for _, _, a in g.publications][:4] == [
+        "commit-proof", "challenge", "publish-hashes", "publish-choice"]
+
+
 @pytest.mark.parametrize("arity", [2, 4])
 def test_paper_depth_game(arity):
     # 2**32 steps: every state is computed on demand, so a full game costs

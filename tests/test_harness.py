@@ -14,7 +14,7 @@ from bridgesim.harness import (_MINIMUMS, INT_KEYS, LIVENESS_BOUND,
                               generate_adversarial_scenarios, parse_scenario,
                               run_scenario, scenario_corpus)
 from bridgesim.lightclient import check_chain
-from bridgesim.protocol import Bridge, read_log
+from bridgesim.protocol import EVENT_SCHEMA, Bridge, read_log
 from bridgesim.txgraph import TxKind
 
 
@@ -274,6 +274,27 @@ def test_report_is_read_from_the_rows_alone(run_with_bridge, monkeypatch):
         assert report.deposit_sufficient == \
             _deposit_covers_honest_costs(sc, b, lifetime), sc.name
     assert len(refunds) == 895
+
+
+def test_deposit_sufficient_at_exact_equality():
+    # one slash: a deposit of exactly the honest parties' fees covers them,
+    # and one sat less does not
+    report = run_scenario(Scenario(
+        name="x", seed=11, n_functionaries=3, vmxo_count=3, n_pegins=3,
+        n_pegouts=2, adversary=0, strategy=Strategy.FAKE_PROOF_PROVER))
+    assert sum(key == "slashed" for _, key, _ in report.rows) == 1
+    paid = report.dispute_costs["f1"] + report.dispute_costs["f2"]
+    at = EVENT_SCHEMA["meta", "params"].index("deposit")
+
+    def with_deposit(deposit):
+        return RunReport([
+            (t, key, values[:at] + (deposit,) + values[at + 1:])
+            if key == ("meta", "params") else (t, key, values)
+            for t, key, values in report.rows])
+
+    assert 0 < paid < report.deposit_sats
+    assert with_deposit(paid).deposit_sufficient
+    assert not with_deposit(paid - 1).deposit_sufficient
 
 
 def test_outcomes_are_the_log_lines_of_the_outcome_kinds():
@@ -932,3 +953,33 @@ def test_n100_run_builds_only_what_it_touches(strategy):
     assert len(g.templates) <= 5
     assert len(txgraph._TEMPLATE_CACHE) <= 8
     assert sum(map(len, g.used_enablers.values())) <= 3 * n * v
+
+
+# log digest of each strategy's N = 10 run over 512 VMXOs, peg-ins and
+# peg-outs: many peg-outs one after another, past the point where the
+# template cache evicts
+HORIZON_LOGS = {Strategy.HONEST: "edda0ce17c943891",
+                Strategy.SILENT_PROVER: "507d099a0e4e1676",
+                Strategy.FAKE_PROOF_PROVER: "b11dc291117d134e",
+                Strategy.FORK_PROVER: "4ea47ad195b3828d",
+                Strategy.GRIEFING_VERIFIER: "71b5310df78ad1ad",
+                Strategy.DOUBLE_OPERATOR: "5c194d44bd0b3da2",
+                Strategy.KEY_LEAKER: "3df08689a5bcd739"}
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_long_horizon_logs_match_reference(strategy):
+    v = 512
+    sc = Scenario(name=f"horizon-{strategy.value}", seed=3,
+                  n_functionaries=10, vmxo_count=v, n_pegins=v, n_pegouts=v,
+                  adversary=None if strategy == Strategy.HONEST else 1,
+                  strategy=strategy)
+    txgraph._TEMPLATE_CACHE.clear()
+    report = run_scenario(sc)
+    assert [(x.name, x.passed, x.detail) for x in report.verdicts] == [
+        (name, True, "") for name in ("conservation", "single_spend",
+                                      "safety", "liveness", "exclusion")]
+    log = "\n".join(report.log).encode()
+    assert hashlib.sha256(log).hexdigest()[:16] == HORIZON_LOGS[strategy]
+    # the run built more templates than the cache holds, so it evicted
+    assert len(txgraph._TEMPLATE_CACHE) == txgraph.TEMPLATE_CACHE_SIZE

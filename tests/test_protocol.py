@@ -175,8 +175,8 @@ def test_front_by_unknown_operator_refused():
 
 
 def test_second_front_refused_before_any_change():
-    # the limit would let f1 front too: the peg-out's state alone refuses
-    b = make_bridge(pegout_limit=5)
+    # f1 is not the operator in flight: the peg-out's state alone refuses
+    b = make_bridge()
     do_pegin(b)
     pegout = do_linked_pegout(b)
     b.front_funds(pegout, "f0")
@@ -187,7 +187,7 @@ def test_second_front_refused_before_any_change():
     assert (b.rows, b.ledger.balances, pegout.state, pegout.operator,
             pegout.fronted_tx) == before
     assert b.ledger.balances["user:u0:src"] == DENOM - DENOM // 1000
-    assert b.active_pegouts("f0") == 1
+    assert b.open_pegouts("f0") == [pegout] and b.open_pegouts("f1") == []
 
 
 def test_kickoff_only_on_locked_vmxo():
@@ -210,6 +210,55 @@ def test_front_requires_burn_confirmations():
     b.link_pegout(pegout)
     with pytest.raises(InsufficientConfirmations):
         b.front_funds(pegout, "f0")
+
+
+def at_the_edge(b, chain, block, needed, call):
+    """Pad ``block`` to one confirmation short of ``needed``, where ``call``
+    is refused and changes nothing; then one block more, where it runs."""
+    mine = mine_source if chain is b.source else mine_secondary
+    while chain.confirmations(block) < needed - 1:
+        mine(b, [f"pad{b.clock.now}"])
+    before = (list(b.rows), dict(b.ledger.balances))
+    with pytest.raises(InsufficientConfirmations):
+        call()
+    assert (b.rows, b.ledger.balances) == before
+    mine(b, [f"pad{b.clock.now}"])
+    assert chain.confirmations(block) == needed == 3
+    call()
+
+
+def test_pegin_mints_at_exactly_its_confirmations():
+    # the deposit's block and two on it are three confirmations
+    b = make_bridge()
+    fund_user(b, "u0")
+    pegin = b.request_pegin("u0", DENOM)
+    b.sign_pegin(pegin, "u0", *b.functionaries)
+    pegin.deposit_block = mine_source(b, [b.broadcast_pegin(pegin)])
+    at_the_edge(b, b.source, pegin.deposit_block, b.source_confirmations,
+                lambda: b.execute_pegin(pegin))
+    assert b.graph.vmxos[pegin.vmxo_id].state == VmxoState.LOCKED
+
+
+def test_front_counts_a_burn_at_exactly_its_confirmations():
+    b = make_bridge()
+    do_pegin(b)
+    pegout = b.request_pegout("u0", DENOM)
+    pegout.burn_block = mine_secondary(b, [pegout.burn_tx])
+    b.link_pegout(pegout)
+    at_the_edge(b, b.secondary, pegout.burn_block, b.secondary_confirmations,
+                lambda: b.front_funds(pegout, "f0"))
+    assert pegout.state == PegOutState.FRONTED
+
+
+def test_front_proven_at_exactly_its_confirmations():
+    b = make_bridge()
+    do_pegin(b)
+    pegout = do_linked_pegout(b)
+    b.front_funds(pegout, "f0")
+    front_block = mine_source(b, [pegout.fronted_tx])
+    at_the_edge(b, b.source, front_block, b.source_confirmations,
+                lambda: b.prove_front(pegout, front_block))
+    assert pegout.state == PegOutState.PROVEN
 
 
 def full_honest_pegout(b, pegout, operator):
@@ -236,19 +285,8 @@ def test_honest_pegout_pays_operator_from_vmxo():
     assert b.ledger.balances["wallet:f0"] == before - fronted + DENOM - fees
 
 
-def test_front_concurrency_limit():
-    b = make_bridge(vmxos=2, pegout_limit=1)
-    do_pegin(b, "u0")
-    do_pegin(b, "u1")
-    p1 = do_linked_pegout(b, "u0")
-    b.front_funds(p1, "f0")
-    p2 = do_linked_pegout(b, "u1")
-    with pytest.raises(ConcurrencyLimit):
-        b.front_funds(p2, "f0")
-
-
 def test_front_separation_interval():
-    b = make_bridge(vmxos=2, pegout_limit=5, t_sep=1000)
+    b = make_bridge(vmxos=2, t_sep=1000)
     do_pegin(b, "u0")
     do_pegin(b, "u1")
     p1 = do_linked_pegout(b, "u0")
@@ -343,6 +381,15 @@ def drain(party):
     return setup
 
 
+def forged_pegin(b):
+    """A peg-in for vmxo3, which no request took, signed by every party and
+    confirmed in u0's deposit block."""
+    pegin = PegIn("u9", DENOM, "pkt0:vmxo3")
+    b.sign_pegin(pegin, "u9", *b.functionaries)
+    pegin.deposit_block = b.pegins[0].deposit_block
+    return pegin
+
+
 def drain_after_second_kickoff(b, linked):
     # f1 kicks off vmxo1 too, so that vmxo0 and vmxo1 can be force-closed
     b.publish_kickoff(linked, "f1")
@@ -392,6 +439,12 @@ REFUSALS = {
     "execute-executed-pegin": (
         NotTriggered, lambda b, linked, unlinked:
         b.execute_pegin(b.pegins[1])),
+    # it minted and locked vmxo3, so that the peg-in a request then gave
+    # vmxo3 to was refused
+    "execute-pegin-never-requested": (
+        NotTriggered, lambda b, linked, unlinked:
+        b.execute_pegin(forged_pegin(b)),
+        lambda b, linked: fund_user(b, "u9")),
     "relink-linked-pegout": (
         NotTriggered, lambda b, linked, unlinked: b.link_pegout(linked)),
     "prove-unlinked-pegout": (
@@ -440,8 +493,8 @@ REFUSALS = {
 @pytest.mark.parametrize("case", list(REFUSALS))
 def test_refusal_changes_nothing(case):
     # a raw kick-off by f1 is open on vmxo0, vmxo1 is linked and locked,
-    # and a third peg-out is burnt but not linked
-    b = make_bridge(vmxos=3)
+    # a third peg-out is burnt but not linked, and vmxo3 awaits a peg-in
+    b = make_bridge(vmxos=4)
     for user in ("u0", "u1", "u2"):
         do_pegin(b, user)
     b.publish_kickoff(do_linked_pegout(b, "u0"), "f1")
@@ -477,6 +530,23 @@ def test_executed_pegin_does_not_mint_again():
     assert (b.rows, b.ledger.balances) == before
     assert b.ledger.balances["user:u0:wrapped"] == DENOM
     assert b.ledger.balances[f"vmxo:{pegin.vmxo_id}"] == DENOM
+
+
+def test_pegin_never_requested_leaves_its_vmxo_to_a_request():
+    # a peg-in built by hand for the next free VMXO mints nothing, and the
+    # peg-in that a request then makes for that VMXO mints
+    b = make_bridge()
+    fund_user(b, "u9")
+    forged = PegIn("u9", DENOM, b.graph.vmxo_ids[0])
+    b.sign_pegin(forged, "u9", *b.functionaries)
+    forged.deposit_block = mine_source(b, [b.broadcast_pegin(forged)])
+    for _ in range(b.source_confirmations):
+        mine_source(b, [f"pad{b.clock.now}"])
+    with pytest.raises(NotTriggered):
+        b.execute_pegin(forged)
+    assert b.rows == [] and "user:u9:wrapped" not in b.ledger.balances
+    assert do_pegin(b, "u1").vmxo_id == forged.vmxo_id
+    assert b.ledger.balances["user:u1:wrapped"] == DENOM
 
 
 def test_unfunded_pegin_leaves_its_vmxo_awaiting_pegin():
@@ -613,6 +683,26 @@ def test_two_slashes_refund_a_fee_paid_once_once():
     assert _refunds(b) == [("wallet:f0", 858)]
 
 
+def test_slash_whose_refunds_use_the_whole_pot_pays_no_remainder():
+    # f0's fees in the contest exceed f1's whole deposit: the refund is the
+    # pot, and no zero slash transfer to the winner follows it
+    b = make_bridge(n=2)
+    do_pegin(b)
+    pegout = do_linked_pegout(b)
+    b.publish_kickoff(pegout, "f1")
+    pot = b.deposit_per_functionary
+    while dispute_fees(b.rows).get("f0", 0) <= pot:
+        b.pay_dispute_fee("f0", "execute-leaf")
+    start = len(b.rows)
+    b.slash("f1", "f0", ["f0"], pegout.vmxo_id)
+    assert _refunds(b, start) == [("wallet:f0", pot)]
+    assert [values[3] for _, key, values in b.rows[start:]
+            if key == "transfer"] == ["cost-reimbursement"]
+    assert f" ev=slashed loser=f1 pot={pot} reimbursed={pot} winner=f0" \
+        in "\n".join(b.events[start:])
+    assert b.ledger.balances["deposit:f1"] == 0
+
+
 def test_slash_refunds_later_challengers_even_when_already_slashed():
     b = make_bridge(n=3)
     for vmxo in b.graph.vmxo_ids:
@@ -650,7 +740,7 @@ def test_slash_invalidates_fronted_pegout():
 
 
 def test_force_close_frees_second_vmxo():
-    b = make_bridge(vmxos=2, pegout_limit=5)
+    b = make_bridge(vmxos=2)
     do_pegin(b, "u0")
     do_pegin(b, "u1")
     p1 = do_linked_pegout(b, "u0")
@@ -663,7 +753,7 @@ def test_force_close_frees_second_vmxo():
 
 
 def test_force_close_refuses_unknown_closer_before_any_change():
-    b = make_bridge(vmxos=2, pegout_limit=5)
+    b = make_bridge(vmxos=2)
     do_pegin(b, "u0")
     do_pegin(b, "u1")
     p1 = do_linked_pegout(b, "u0")
@@ -816,18 +906,19 @@ def test_honest_unlock_oracle_tracks_canonical_burn():
     assert not b.honest_unlock_allowed(pegout)
 
 
-def test_raw_kickoff_does_not_count_toward_pegout_limit():
-    b = make_bridge(vmxos=2, pegout_limit=1)
+def test_raw_kickoff_stays_in_flight():
+    # a kick-off that skipped the front is in flight as a fronted one is,
+    # and f1 may still front another peg-out beside it
+    b = make_bridge(vmxos=2)
     do_pegin(b, "u0")
     do_pegin(b, "u1")
     raw = do_linked_pegout(b, "u0")
+    assert b.open_pegouts("f1") == []
     b.publish_kickoff(raw, "f1")
-    assert b.active_pegouts("f1") == 0
-    # an open raw kick-off is still in flight
-    assert b.open_pegouts("f1") == [raw]
+    assert b.open_pegouts("f1") == [raw] and raw.fronted_tx is None
     fronted = do_linked_pegout(b, "u1")
     b.front_funds(fronted, "f1")
-    assert b.active_pegouts("f1") == 1
+    assert b.open_pegouts("f1") == [raw, fronted]
 
 
 def test_fronted_pegout_counts_until_unlock():
@@ -835,15 +926,16 @@ def test_fronted_pegout_counts_until_unlock():
     do_pegin(b)
     pegout = do_linked_pegout(b)
     b.front_funds(pegout, "f0")
-    assert b.active_pegouts("f0") == 1
+    assert b.open_pegouts("f0") == [pegout]
     front_block = mine_source(b, [pegout.fronted_tx])
     for _ in range(b.source_confirmations):
         mine_source(b, ["pad"])
     b.prove_front(pegout, front_block)
+    assert b.open_pegouts("f0") == [pegout]
     b.publish_kickoff(pegout, "f0")
-    assert b.active_pegouts("f0") == 1
+    assert b.open_pegouts("f0") == [pegout]
     b.unlock(pegout)
-    assert b.active_pegouts("f0") == 0
+    assert b.open_pegouts("f0") == []
 
 
 @pytest.mark.parametrize("force_close", [False, True])
@@ -854,13 +946,13 @@ def test_slashed_operator_stops_counting(force_close):
     pegout = do_linked_pegout(b, "u0")
     b.front_funds(pegout, "f1")
     b.publish_kickoff(pegout, "f1")
-    assert b.active_pegouts("f1") == 1
+    assert b.open_pegouts("f1") == [pegout]
     if force_close:
         second = do_linked_pegout(b, "u1")
         b.publish_kickoff(second, "f1")
         b.force_close(pegout.vmxo_id, second.vmxo_id, "f0")
     b.slash("f1", "f0", [], pegout.vmxo_id)
-    assert b.active_pegouts("f1") == 0
+    assert b.open_pegouts("f1") == []
 
 
 class ScanningBridge(Bridge):
