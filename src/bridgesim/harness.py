@@ -21,7 +21,7 @@ from .dispute import (DisputeGame, ExecutionTrace, challenge, drive,
 from .errors import InvalidScenario, NoCapacity, TimeoutExpired
 from .lightclient import AltChainInput, CheckChainInput
 from .protocol import (EVENT_SCHEMA, Bridge, PegOut, PegOutState,
-                       dispute_fees, event_lines, read_log)
+                       contest_fees, dispute_fees, event_lines, read_log)
 from .txgraph import VmxoState
 
 
@@ -183,11 +183,18 @@ class RunReport:
 
     @property
     def deposit_sufficient(self) -> bool:
-        """Whether the deposits slashed cover honest parties' dispute costs."""
+        """Whether each slash's pot covers the honest parties' fees in the
+        contest it settles, over the VMXO kicked off last before it."""
         honest = set(self._meta["honest"].split(",")) - {"-"}
-        paid = sum(self.dispute_costs.get(f, 0) for f in honest)
-        slashed = sum(key == "slashed" for _, key, _ in self.rows)
-        return slashed == 0 or paid <= slashed * self.deposit_sats
+        vmxo = None
+        for end, (_, key, values) in enumerate(self.rows):
+            if key == "kickoff":
+                vmxo = values[2]
+            elif key == "slashed":
+                fees = contest_fees(self.rows, end, vmxo)
+                if sum(fees.get(f, 0) for f in honest) > values[1]:
+                    return False
+        return True
 
     @property
     def outcomes(self) -> list[str]:
@@ -248,17 +255,14 @@ class Runner:
 
     def setup(self) -> None:
         b, sc = self.bridge, self.sc
-        b.log("meta", kind="scenario", name=sc.name, seed=sc.seed,
-              rng=RNG_ALGORITHM)
-        b.log("meta", kind="parties",
-              functionaries=",".join(self.functionaries),
-              honest=",".join(self.honest) or "-",
-              adversary=self.adversary or "-",
-              strategy=sc.strategy.value, leak_all=sc.leak_all)
-        b.log("meta", kind="params", denomination=sc.denomination,
-              fee_rate=sc.fee_rate, threshold=sc.watch_threshold,
-              window=sc.challenge_window, bound=LIVENESS_BOUND,
-              deposit=b.deposit_per_functionary)
+        b.emit(("meta", "scenario"), "scenario", sc.name, RNG_ALGORITHM,
+               sc.seed)
+        b.emit(("meta", "parties"), self.adversary or "-",
+               ",".join(self.functionaries), ",".join(self.honest) or "-",
+               "parties", sc.leak_all, sc.strategy.value)
+        b.emit(("meta", "params"), LIVENESS_BOUND, sc.denomination,
+               b.deposit_per_functionary, sc.fee_rate, "params",
+               sc.watch_threshold, sc.challenge_window)
         for u in self.users:
             b.ledger.fund(f"user:{u}:src", sc.denomination)
         b.log_balances("balance")
@@ -273,12 +277,12 @@ class Runner:
         for v in b.graph.vmxo_ids:
             for f in leaking:
                 b.graph.leak_keys(f, v)
-                b.log("keys_leaked", functionary=f, vmxo=v)
+                b.emit("keys_leaked", f, v)
         for f in self.functionaries:
             if f not in leakers:
                 b.graph.delete_keys(f, *b.graph.vmxo_ids)
-        b.log("setup_done", templates=b.graph.template_count(),
-              enablers=b.graph.enabler_count())
+        b.emit("setup_done", b.graph.enabler_count(),
+               b.graph.template_count())
 
     # -- peg-ins -----------------------------------------------------------
 
@@ -307,8 +311,7 @@ class Runner:
         b, sc, defender = self.bridge, self.sc, pegout.operator
         if not challengers:
             b.clock.advance(sc.challenge_window + 1)
-            b.log("challenge_window_expired", vmxo=pegout.vmxo_id,
-                  operator=defender)
+            b.emit("challenge_window_expired", defender, pegout.vmxo_id)
             self._unlock(pegout)
             return
         verifier, base = challengers[0], b.clock.now
@@ -347,18 +350,15 @@ class Runner:
         b.account_publications(publications, base)
         for party in sorted(played.watches):
             watch = played.watches[party]
-            b.log("watch_total", party=party,
-                  accumulated=watch.accumulated(played.clock),
-                  threshold=watch.threshold,
-                  timeout=watch.aggregate_timeout(played.clock))
+            b.emit("watch_total", watch.accumulated(played.clock), party,
+                   watch.threshold, watch.aggregate_timeout(played.clock))
         b.clock.advance(game.clock)
         # a defeated counter-proof leaves the outer game unchallenged
         outcome = game.outcome or resolve_no_challenge(game)
-        b.log("dispute_outcome", prover=defender, verifier=verifier,
-              winner=outcome.winner, loser=outcome.loser,
-              reason=outcome.reason.value,
-              kind=("ProverLoses" if outcome.loser == defender
-                    else "VerifierLoses"))
+        b.emit("dispute_outcome",
+               "ProverLoses" if outcome.loser == defender
+               else "VerifierLoses", outcome.loser, defender,
+               outcome.reason.value, verifier, outcome.winner)
         b.slash(outcome.loser, outcome.winner,
                 [p for p in (defender, *challengers) if p != outcome.loser],
                 pegout.vmxo_id)
@@ -369,8 +369,8 @@ class Runner:
         """Unlock a standing kick-off, a fronted one once its burn is seen."""
         b = self.bridge
         if pegout.fronted_tx is not None:
-            b.log("burn_confirmed", tx=pegout.burn_tx, block=pegout.burn_block,
-                  canonical=int(b.honest_unlock_allowed(pegout)))
+            b.emit("burn_confirmed", pegout.burn_block,
+                   int(b.honest_unlock_allowed(pegout)), pegout.burn_tx)
         b.unlock(pegout)
 
     # -- peg-outs ----------------------------------------------------------
@@ -438,7 +438,7 @@ class Runner:
             sec.prove_inclusion(fake_burn, f1.id),
             sum(h.difficulty for h in fork_headers))
         b.publish_kickoff(pegout, adv)
-        b.log("fork_mined", by=adv, blocks=2, anchor=anchor.id)
+        b.emit("fork_mined", anchor.id, 2, adv)
         # honest verifier counter-proof: canonical continuation from the
         # same anchor, excluding the fake-burn block
         canonical = sec.canonical_chain()

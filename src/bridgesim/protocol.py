@@ -3,12 +3,10 @@
 ``Bridge`` holds the full protocol state for one packet: both chains, the
 presigned template graph, the functionaries and the set of slashed ones,
 the satoshi ledger, and an append-only event log.  The log keeps each event
-as one raw row ``(tick, schema key, values)``, the values as passed; its
-text lines are rendered on read, and ``read_log`` reads them back.
-``log`` writes every kind but the most frequent seven (``transfer``, the
-balances, ``spend``, ``dispute_pub`` and the stop-watch rows), whose one
-writer each appends its rows itself, as ``log``'s checks cost more per row
-than the append.  All methods are deterministic; the harness drives them
+as one raw row ``(tick, schema key, values)``, the values as passed, in the
+schema's order; ``Bridge.emit`` is its one writer, which checks the key and
+the count of values.  Its text lines are rendered on read, and ``read_log``
+reads them back.  All methods are deterministic; the harness drives them
 from a scenario script.
 
 Deposits are denominated on the source chain.  Slashing pays the losing
@@ -20,7 +18,6 @@ the log; the rest goes to the first-confirmed winner.
 from __future__ import annotations
 
 from enum import Enum
-from operator import itemgetter
 from typing import Optional
 
 from .chain import SECONDARY, SOURCE, ChainView, SimClock
@@ -138,20 +135,8 @@ INTEGER_FIELDS = frozenset({
     "fee_rate", "interval", "live", "pot", "reimbursed", "seed", "templates",
     "threshold", "window"})
 
-
-# the value orders of the kinds that Bridge writes without ``log``
-assert EVENT_SCHEMA["transfer"] == ("amount", "dst", "src", "why")
-assert EVENT_SCHEMA["balance"] == EVENT_SCHEMA["final_balance"] == (
-    "account", "amount")
-assert EVENT_SCHEMA["spend"] == ("by", "out")
-assert EVENT_SCHEMA["dispute_pub"] == ("action", "actor", "at")
-assert EVENT_SCHEMA["sw_tick"] == ("duration", "party")
-assert EVENT_SCHEMA["sw_stop"] == ("interval", "party")
-
-# each schema key's picker of a kind's field values, as a tuple in order
-_PICKS = {key: itemgetter(*names) if len(names) > 1
-          else lambda fields, pick=itemgetter(*names): (pick(fields),)
-          for key, names in EVENT_SCHEMA.items()}
+# each schema key's count of values, which ``Bridge.emit`` checks
+_ARITY = {key: len(names) for key, names in EVENT_SCHEMA.items()}
 # each schema key's line, ``t`` and ``seq`` then the values to fill in
 _LINES = {key: " ".join(["t={} seq={}",
                          f"ev={key if isinstance(key, str) else key[0]}",
@@ -180,6 +165,20 @@ def dispute_fees(rows) -> dict[str, int]:
             party = values[2].removeprefix("wallet:")
             fees[party] = fees.get(party, 0) + values[0]
     return fees
+
+
+def contest_fees(rows, end: int, vmxo_id) -> dict[str, int]:
+    """Each party's ``dispute_fees`` in the contest over ``vmxo_id`` that a
+    slash at row ``end`` settles: from the commit-proof row before the
+    VMXO's last kick-off, or after the last ``slashed`` row if later, so
+    that no fee counts in two contests."""
+    start = 0
+    for i in range(end - 1, -1, -1):
+        _, key, values = rows[i]
+        if key == "slashed" or key == "kickoff" and values[2] == vmxo_id:
+            start = i + 1 if key == "slashed" else i - 1
+            break
+    return dispute_fees(rows[start:end])
 
 
 def _integer(lineno: int, name: str, value: str) -> int:
@@ -291,19 +290,16 @@ class Bridge:
 
     # -- event log ---------------------------------------------------------
 
-    def log(self, event: str, **fields) -> None:
-        """Append the row ``(clock.now, EVENT_SCHEMA key, values as passed
-        in its order)``; ``seq`` is its position.  ``ValueError``, before any
-        write, unless the fields are exactly the kind's.  It writes every
-        kind but those of ``_log_transfer``, ``log_balances``,
-        ``_log_spends`` and ``account_publications``."""
-        key = event if event in _PICKS else (event, fields.get("kind"))
-        try:
-            values = _PICKS[key](fields)
-        except (KeyError, TypeError):
-            values = None
-        if values is None or len(values) != len(fields):
-            raise ValueError(f"{event} with fields {sorted(fields)}")
+    def emit(self, key, *values) -> None:
+        """Append the row ``(clock.now, key, values)``, the one writer of
+        ``rows``: ``key`` is an ``EVENT_SCHEMA`` key, ``("meta", kind)`` for
+        a meta event, and ``values`` its fields' values in the schema's
+        order; ``seq`` is the row's position.  ``ValueError``, before any
+        write, for another key, another count of values or a meta row of
+        another kind than its key's."""
+        if len(values) != _ARITY.get(key) or type(key) is tuple and \
+                values[EVENT_SCHEMA[key].index("kind")] != key[1]:
+            raise ValueError(f"{key} with values {values}")
         self.rows.append((self.clock.now, key, values))
 
     @property
@@ -313,23 +309,16 @@ class Bridge:
 
     def transfer(self, frm: str, to: str, amount: int, why: str) -> None:
         self.ledger.transfer(frm, to, amount)
-        self._log_transfer(frm, to, amount, why)
-
-    def _log_transfer(self, frm: str, to: str, amount: int, why: str) -> None:
-        """Append a ``transfer`` row, the one writer of that kind: without
-        ``log``'s keyword dict and schema pick, which cost more than the
-        append, in the order asserted beside ``EVENT_SCHEMA``."""
-        self.rows.append((self.clock.now, "transfer", (amount, to, frm, why)))
+        self.emit("transfer", amount, to, frm, why)
 
     def log_balances(self, kind: str) -> None:
-        """Append a ``kind`` row, ``balance`` or ``final_balance``, per
-        account by name in one extension, the one writer of both kinds;
-        else ``ValueError``, no write."""
+        """Emit a ``kind`` row, ``balance`` or ``final_balance``, per
+        account by name; else ``ValueError``, no write."""
         if kind != "balance" and kind != "final_balance":
             raise ValueError(f"{kind} is not a balance snapshot")
-        now, balances = self.clock.now, self.ledger.balances
-        self.rows.extend([(now, kind, (account, balances[account]))
-                          for account in sorted(balances)])
+        balances = self.ledger.balances
+        for account in sorted(balances):
+            self.emit(kind, account, balances[account])
 
     def pay_fee(self, party: str, vbytes: int, why: str) -> int:
         fee = vbytes * self.fee_rate
@@ -337,14 +326,11 @@ class Bridge:
         return fee
 
     def _log_spends(self, tx) -> None:
-        """Append a ``spend`` row per input of ``tx`` from the graph, the one
-        writer of that kind, in the order asserted beside ``EVENT_SCHEMA``.
+        """Emit a ``spend`` row per input of ``tx`` from the graph.
         ``tx.id`` is read only if there is one, since reading it may hash."""
-        outs = [f"{ref[0]}:{ref[1]}" for ref in tx.inputs
-                if not ref[0].startswith(EXTERNAL)]
-        if outs:
-            now, by = self.clock.now, tx.id
-            self.rows.extend([(now, "spend", (by, out)) for out in outs])
+        for ref in tx.inputs:
+            if not ref[0].startswith(EXTERNAL):
+                self.emit("spend", tx.id, f"{ref[0]}:{ref[1]}")
 
     def pay_dispute_fee(self, party: str, action: str) -> int:
         if action not in DISPUTE_ACTION_VBYTES:
@@ -356,18 +342,16 @@ class Bridge:
         """Pay and log a dispute game's publications, each ``(t, party,
         action)`` at tick ``base + t``, in order: ``pay_dispute_fee``, its
         ``dispute_pub`` row and, if ``t`` is past the publication before, a
-        ``sw_tick`` row per marker of the interval and a ``sw_stop``.  The
-        one writer of these three kinds, in the orders asserted beside
-        ``EVENT_SCHEMA``."""
-        rows, now, prev = self.rows, self.clock.now, 0
+        ``sw_tick`` row per marker of the interval and a ``sw_stop``."""
+        prev = 0
         for t, party, action in publications:
             self.pay_dispute_fee(party, action)
-            rows.append((now, "dispute_pub", (action, party, base + t)))
+            self.emit("dispute_pub", action, party, base + t)
             if t > prev:
                 interval = t - prev
-                rows.extend([(now, "sw_tick", (d, party))
-                             for d in power_of_two_markers(interval)])
-                rows.append((now, "sw_stop", (interval, party)))
+                for d in power_of_two_markers(interval):
+                    self.emit("sw_tick", d, party)
+                self.emit("sw_stop", interval, party)
             prev = t
 
     # -- peg-in ------------------------------------------------------------
@@ -381,8 +365,7 @@ class Bridge:
             raise NoCapacity("no vmxo awaiting peg-in")
         pegin = PegIn(user, amount, vmxo_ids[taken])
         self.pegins.append(pegin)
-        self.log("pegin_requested", user=user, vmxo=pegin.vmxo_id,
-                 amount=amount)
+        self.emit("pegin_requested", amount, user, pegin.vmxo_id)
         return pegin
 
     def sign_pegin(self, pegin: PegIn, *signers: str) -> None:
@@ -416,10 +399,9 @@ class Bridge:
         # wrapped issuance is a liability account and may go negative
         self.ledger.fund(f"user:{pegin.user}:wrapped", pegin.amount)
         self.ledger.fund("wrapped-issuance", -pegin.amount)
-        self._log_transfer("wrapped-issuance", f"user:{pegin.user}:wrapped",
-                           pegin.amount, "mint")
-        self.log("minted", user=pegin.user, vmxo=pegin.vmxo_id,
-                 amount=pegin.amount)
+        self.emit("transfer", pegin.amount, f"user:{pegin.user}:wrapped",
+                  "wrapped-issuance", "mint")
+        self.emit("minted", pegin.amount, pegin.user, pegin.vmxo_id)
 
     # -- peg-out -----------------------------------------------------------
 
@@ -431,7 +413,7 @@ class Bridge:
         self.transfer(f"user:{user}:wrapped", "wrapped-issuance", amount,
                       "burn")
         self.pegouts.append(pegout)
-        self.log("pegout_burn", user=user, tx=pegout.burn_tx, amount=amount)
+        self.emit("pegout_burn", amount, pegout.burn_tx, user)
         return pegout
 
     def link_pegout(self, pegout: PegOut) -> str:
@@ -445,7 +427,7 @@ class Bridge:
                 pegout.vmxo_id = v
                 self.linked_vmxos.add(v)
                 pegout.state = PegOutState.LINKED
-                self.log("pegout_linked", tx=pegout.burn_tx, vmxo=v)
+                self.emit("pegout_linked", pegout.burn_tx, v)
                 return v
         raise NoCapacity("no locked vmxo to link")
 
@@ -474,8 +456,8 @@ class Bridge:
         pegout.state = PegOutState.FRONTED
         self.transfer(f"wallet:{operator}", f"user:{pegout.user}:src",
                       fronted, "front")
-        self.log("fronted", operator=operator, tx=pegout.fronted_tx,
-                 amount=fronted, user=pegout.user)
+        self.emit("fronted", fronted, operator, pegout.fronted_tx,
+                  pegout.user)
         return pegout.fronted_tx
 
     def prove_front(self, pegout: PegOut, front_block: str) -> None:
@@ -484,29 +466,28 @@ class Bridge:
         if self.source.confirmations(front_block) < self.source_confirmations:
             raise InsufficientConfirmations(pegout.fronted_tx or "?")
         pegout.state = PegOutState.PROVEN
-        self.log("front_proven", tx=pegout.fronted_tx)
+        self.emit("front_proven", pegout.fronted_tx)
 
     def publish_kickoff(self, pegout: PegOut, operator: str) -> None:
         """Operator commits the proof of the verification predicate.  It is
         logged ``honest=True`` after the guarded path (front, prove, then
         kick off), and ``False`` for a raw kick-off, which skipped it: the
-        template itself carries no concurrency check on-chain."""
+        template itself carries no concurrency check on-chain.  Its one
+        input is the operator's wallet, so it spends no graph output and
+        its template is not built here."""
         vmxo = self._linked_vmxo(pegout)
         if vmxo.state != VmxoState.LOCKED:
             raise NotTriggered(f"{pegout.vmxo_id} is {vmxo.state.value}")
-        kick = self.graph.template(TxKind.KICKOFF, pegout.vmxo_id, operator)
+        if operator not in self.graph.position:
+            raise UnknownId(operator)
         honest = pegout.state == PegOutState.PROVEN
-        # it logs no spend row, so its fee is paid first, before any write
         self.pay_dispute_fee(operator, "commit-proof")
-        self.graph.execute(kick)
-        self._log_spends(kick)
         vmxo.state = VmxoState.KICKOFF_OPEN
         vmxo.operator = operator
         pegout.operator = operator
         pegout.state = PegOutState.KICKOFF
         self.last_kickoff_tick[operator] = self.clock.now
-        self.log("kickoff", operator=operator, vmxo=pegout.vmxo_id,
-                 honest=honest)
+        self.emit("kickoff", honest, operator, pegout.vmxo_id)
 
     def unlock(self, pegout: PegOut) -> None:
         """No-challenge (or all-challenges-defeated) completion: the
@@ -529,8 +510,7 @@ class Bridge:
         self.pay_fee(operator, unlock.vbytes, "unlocking")
         self.transfer(f"vmxo:{pegout.vmxo_id}", f"wallet:{operator}",
                       pegout.amount, "unlock")
-        self.log("unlocked", operator=operator, vmxo=pegout.vmxo_id,
-                 amount=pegout.amount)
+        self.emit("unlocked", pegout.amount, operator, pegout.vmxo_id)
 
     def adhoc_theft(self, vmxo_id: str, thief: str) -> bool:
         """Attempt a non-template multisig spend of a locked VMXO.
@@ -541,12 +521,12 @@ class Bridge:
         if thief not in self.graph.position:
             raise UnknownId(thief)
         if not self.graph.adhoc_spend_allowed(vmxo_id):
-            self.log("theft_rejected", thief=thief, vmxo=vmxo_id)
+            self.emit("theft_rejected", thief, vmxo_id)
             return False
         self.transfer(f"vmxo:{vmxo_id}", f"wallet:{thief}",
                       vmxo.amount, "adhoc-theft")
         vmxo.state = VmxoState.UNLOCKED
-        self.log("theft", thief=thief, vmxo=vmxo_id, amount=vmxo.amount)
+        self.emit("theft", vmxo.amount, thief, vmxo_id)
         return True
 
     def force_close(self, vmxo_a: str, vmxo_b: str, closer: str) -> None:
@@ -560,8 +540,7 @@ class Bridge:
         self.graph.apply_force_close(vmxo_a, vmxo_b)
         self._log_spends(tx)
         self.pay_fee(closer, tx.vbytes, "force-close")
-        self.log("force_close", closer=closer, operator=operator,
-                 vmxo_a=vmxo_a, vmxo_b=vmxo_b)
+        self.emit("force_close", closer, operator, vmxo_a, vmxo_b)
 
     # -- slashing and recycling -------------------------------------------
 
@@ -586,23 +565,15 @@ class Bridge:
         for ch in challengers:
             if ch != winner and (ch, loser) not in states:
                 states[ch, loser] = EnablerState.CONSUMED
-                self.log("challenge_refunded", verifier=ch, vmxo=vmxo_id)
+                self.emit("challenge_refunded", ch, vmxo_id)
 
     def _burn_and_pay(self, loser: str, winner: str,
                       challengers: list[str], vmxo_id: str) -> None:
         # refuses an unknown loser before any change
         burnt = self.graph.burn_enablers(loser)
         self.slashed.add(loser)
-        # the contest's fees: from the commit-proof row before the VMXO's
-        # last kick-off, or after the last slash if later, so none twice
-        rows, start = self.rows, 0
-        for i in range(len(rows) - 1, -1, -1):
-            _, key, values = rows[i]
-            if key == "slashed" or key == "kickoff" and values[2] == vmxo_id:
-                start = i + 1 if key == "slashed" else i - 1
-                break
-        fees = dispute_fees(rows[start:])
-        self.log("enablers_burnt", loser=loser, count=burnt)
+        fees = contest_fees(self.rows, len(self.rows), vmxo_id)
+        self.emit("enablers_burnt", burnt, loser)
         # deposit pot: refund the challengers' fees, the rest to the winner
         pot = self.ledger.balances.get(f"deposit:{loser}", 0)
         paid = 0
@@ -616,8 +587,7 @@ class Bridge:
         if remainder > 0:
             self.transfer(f"deposit:{loser}", f"wallet:{winner}", remainder,
                           "slash")
-        self.log("slashed", loser=loser, winner=winner, pot=pot,
-                 reimbursed=paid)
+        self.emit("slashed", loser, pot, paid, winner)
         # the loser's in-flight peg-outs: never-fronted ones return to the
         # pool for an honest operator; fronted ones stay locked
         for p in self.open_pegouts(loser):
@@ -628,12 +598,12 @@ class Bridge:
                 if vmxo.state == VmxoState.KICKOFF_OPEN:
                     vmxo.state = VmxoState.LOCKED
                     vmxo.operator = None
-                self.log("pegout_released", loser=loser, vmxo=p.vmxo_id)
+                self.emit("pegout_released", loser, p.vmxo_id)
             else:
                 p.state = PegOutState.INVALIDATED
                 if vmxo.state == VmxoState.KICKOFF_OPEN:
                     vmxo.state = VmxoState.INVALIDATED
-                self.log("pegout_invalidated", operator=loser, vmxo=p.vmxo_id)
+                self.emit("pegout_invalidated", loser, p.vmxo_id)
 
     def recycle_enablers(self, pegout: PegOut) -> dict[str, int]:
         """Post-terminal counts of the N² enablers of the peg-out's VMXO,
@@ -648,7 +618,8 @@ class Bridge:
         counts = {"live": len(self.functionaries) ** 2 - len(states),
                   "consumed": stored.count(EnablerState.CONSUMED),
                   "burnt": stored.count(EnablerState.BURNT)}
-        self.log("enablers_recycled", vmxo=pegout.vmxo_id, **counts)
+        self.emit("enablers_recycled", counts["burnt"], counts["consumed"],
+                  counts["live"], pegout.vmxo_id)
         return counts
 
     # -- queries -----------------------------------------------------------

@@ -5,7 +5,7 @@ the log refuses, the round trip from rows to lines and back, and the count
 of renders."""
 
 import re
-from collections import Counter
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,9 +15,8 @@ from bridgesim.harness import (Scenario, Strategy, check_invariants,
                                generate_adversarial_scenarios, run_scenario,
                                scenario_corpus)
 from bridgesim.protocol import (EVENT_SCHEMA, INTEGER_FIELDS, Bridge,
-                                dispute_fees, event_lines, read_log)
-from bridgesim.stopwatch import power_of_two_markers
-from bridgesim.txgraph import EXTERNAL, TxKind
+                                event_lines, read_log)
+from bridgesim.txgraph import EXTERNAL
 
 from test_harness import _fuzz_scenarios
 
@@ -25,13 +24,11 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 class TwoListBridge(Bridge):
-    """``Bridge.log`` as it was when each event was kept twice, as its
-    record and as its text line, frozen as the reference for the lines.
-    ``_log_transfer`` and ``log_balances``, which write their own rows,
-    format theirs from their named arguments alike; ``_log_spends`` and
-    ``account_publications`` write theirs through ``log``, as they did
-    before they wrote their own.  It keeps the rows too, which the checker
-    reads."""
+    """The line builder of when each event was kept twice, as its record and
+    as its text line, frozen as the reference for the lines: every row that
+    ``emit`` appends is also written as a line, its fields named by the
+    schema and sorted by name, as each call once sorted its keywords.  It
+    keeps the rows too, which the checker reads."""
 
     def __init__(self, *args, **kwargs):
         self.lines: list[str] = []
@@ -45,37 +42,10 @@ class TwoListBridge(Bridge):
             line += f" {k}={fields[k]}"
         self.lines.append(line)
 
-    def log(self, event: str, **fields) -> None:
-        self._line(event, **fields)
-        super().log(event, **fields)
-
-    def _log_transfer(self, frm: str, to: str, amount: int,
-                      why: str) -> None:
-        super()._log_transfer(frm, to, amount, why)
-        self._line("transfer", src=frm, dst=to, amount=amount, why=why)
-
-    def log_balances(self, kind: str) -> None:
-        super().log_balances(kind)
-        for account in sorted(self.ledger.balances):
-            self._line(kind, account=account,
-                       amount=self.ledger.balances[account])
-
-    def _log_spends(self, tx) -> None:
-        for ref in tx.inputs:
-            if not ref[0].startswith(EXTERNAL):
-                self.log("spend", out=f"{ref[0]}:{ref[1]}", by=tx.id)
-
-    def account_publications(self, publications, base: int) -> None:
-        prev_t = 0
-        for t, party, action in publications:
-            self.pay_dispute_fee(party, action)
-            self.log("dispute_pub", actor=party, action=action, at=base + t)
-            interval = t - prev_t
-            if interval > 0:
-                for d in power_of_two_markers(interval):
-                    self.log("sw_tick", party=party, duration=d)
-                self.log("sw_stop", party=party, interval=interval)
-            prev_t = t
+    def emit(self, key, *values) -> None:
+        super().emit(key, *values)
+        self._line(key if isinstance(key, str) else key[0],
+                   **dict(zip(EVENT_SCHEMA[key], values)))
 
 
 def n100_scenario(strategy):
@@ -108,22 +78,6 @@ def test_lines_match_two_list_builder_at_n100(run_with_bridge, monkeypatch):
         [n100_scenario(strategy) for strategy in Strategy])
 
 
-@pytest.mark.parametrize("name", ["t", "seq", "ev"])
-def test_reserved_field_name_rejected(name):
-    # such a field would overwrite its key in place and so move in the
-    # rendered line; no schema entry holds one, so the log is left as it was
-    b = Bridge(["f0", "f1"], 1, 100_000_000)
-    before = list(b.rows)
-    with pytest.raises(ValueError):
-        b.log("meta", **{name: 1})
-    with pytest.raises(ValueError):
-        b.log("front_proven", **{name: 1})
-    assert b.rows == before
-    b.log("front_proven", tx="x")
-    assert b.rows[-1] == (0, "front_proven", ("x",))
-    assert b.events[-1] == f"t=0 seq={len(before) + 1} ev=front_proven tx=x"
-
-
 class IdUnread:
     """A template of wallet-funded inputs only, whose id must not be read."""
 
@@ -134,92 +88,115 @@ class IdUnread:
         raise AssertionError("id read")
 
 
-def test_direct_writers_append_the_rows_log_appends():
-    # _log_transfer (through transfer or for a mint), log_balances,
-    # account_publications and _log_spends skip log's checks; each appends
-    # exactly the rows that log appends for the same named fields
-    direct, logged = (Bridge(["f0", "f1"], 1, 100_000_000) for _ in range(2))
-    for b in (direct, logged):
-        b.clock.advance(7)
-    direct.transfer("wallet:f0", "fees", 5, "x")
-    logged.ledger.transfer("wallet:f0", "fees", 5)
-    logged.log("transfer", src="wallet:f0", dst="fees", amount=5, why="x")
-    direct._log_transfer("wrapped-issuance", "user:u0:wrapped", 9, "mint")
-    logged.log("transfer", src="wrapped-issuance", dst="user:u0:wrapped",
-               amount=9, why="mint")
-    # two games' publications: repeated and rising ticks, gaps of 1, 5 and
-    # 8 (one, three and four markers), then challenges as a contest pays
-    # the ones besides its game's
-    publications = [(0, "f1", "challenge"), (1, "f0", "publish-hashes"),
-                    (1, "f1", "publish-choice"), (6, "f0", "execute-leaf"),
-                    (14, "f1", "alt-chain-proof")]
-    direct.account_publications(publications, 40)
-    direct.account_publications(publications[:2], 60)
-    direct.account_publications([(0, ch, "challenge")
-                                 for ch in ("f0", "f1")], 7)
-    for pubs, base in ((publications, 40), (publications[:2], 60),
-                       ([(0, "f0", "challenge"), (0, "f1", "challenge")], 7)):
-        prev = 0
-        for t, party, action in pubs:
-            logged.pay_dispute_fee(party, action)
-            logged.log("dispute_pub", actor=party, action=action, at=base + t)
-            if t > prev:
-                for d in power_of_two_markers(t - prev):
-                    logged.log("sw_tick", party=party, duration=d)
-                logged.log("sw_stop", party=party, interval=t - prev)
-            prev = t
-    assert dispute_fees(direct.rows) == dispute_fees(logged.rows)
-    # an unlocking spends graph outputs; wallet-funded inputs write no row
-    # and leave the id unread
-    unlock = direct.graph.template(TxKind.UNLOCKING, "pkt0:vmxo0", "f0")
-    for b in (direct, logged):
-        b.clock.advance(2)
-    direct._log_spends(unlock)
-    direct._log_spends(IdUnread())
-    for out, index in unlock.inputs:
-        assert not out.startswith(EXTERNAL)
-        logged.log("spend", out=f"{out}:{index}", by=unlock.id)
-    for kind in ("balance", "final_balance"):
-        direct.log_balances(kind)
-        for account, amount in sorted(logged.ledger.balances.items()):
-            logged.log(kind, account=account, amount=amount)
-    counts = Counter(key for _, key, _ in direct.rows)
-    assert counts == {"transfer": 2 + 9, "dispute_pub": 9, "sw_tick": 9,
-                      "sw_stop": 4, "spend": len(unlock.inputs),
-                      "balance": 5, "final_balance": 5}
-    assert direct.rows == logged.rows
-    assert [tuple(map(type, values)) for _, _, values in direct.rows] == \
-        [tuple(map(type, values)) for _, _, values in logged.rows]
-    # a snapshot of an empty ledger writes no row
-    empty = Bridge(["f0", "f1"], 1, 100_000_000)
-    empty.ledger.balances.clear()
-    empty.log_balances("final_balance")
-    assert empty.rows == []
-    # any other kind is refused before any write
-    before = list(direct.rows)
+def test_batch_writers_refuse_or_skip_before_any_write():
+    # a snapshot of an empty ledger writes no row; a template of
+    # wallet-funded inputs writes no spend row and leaves its id unread
+    b = Bridge(["f0", "f1"], 1, 100_000_000)
+    b.ledger.balances.clear()
+    b.log_balances("final_balance")
+    b._log_spends(IdUnread())
+    assert b.rows == []
+    # a snapshot of any other kind is refused before any write
+    b.ledger.fund("wallet:f0", 5)
+    b.log_balances("balance")
+    before = list(b.rows)
     for kind in ("transfer", "spend", "meta"):
         with pytest.raises(ValueError):
-            direct.log_balances(kind)
-    assert direct.rows == before
+            b.log_balances(kind)
+    assert b.rows == before == [(0, "balance", ("wallet:f0", 5))]
 
 
-@pytest.mark.parametrize("event, fields", [
-    ("fronted_twice", {"tx": "x"}),
-    ("meta", {"kind": "x"}),
-    ("meta", {"kind": "scenario", "name": "n", "rng": "r"}),
-    ("spend", {"out": "a:0"}),
-    ("spend", {"out": "a:0", "by": "b", "at": 1}),
-    ("spend", {"out": "a:0", "at": 1}),
-    ("transfer", {}),
+def test_publications_emit_a_fee_a_pub_and_the_watch_rows_of_each_gap():
+    # repeated and rising ticks, gaps of 1, 5 and 8: a transfer of the fee
+    # and a dispute_pub per publication, each at the bridge's tick; after a
+    # gap, a sw_tick per power-of-two marker and a sw_stop of the gap
+    b = Bridge(["f0", "f1"], 1, 100_000_000)
+    b.clock.advance(7)
+    b.account_publications([(0, "f1", "challenge"),
+                            (1, "f0", "publish-hashes"),
+                            (1, "f1", "publish-choice"),
+                            (6, "f0", "execute-leaf"),
+                            (14, "f1", "alt-chain-proof")], 40)
+    assert all(t == 7 for t, _, _ in b.rows)
+    assert [(key, values) for _, key, values in b.rows
+            if key != "transfer"] == [
+        ("dispute_pub", ("challenge", "f1", 40)),
+        ("dispute_pub", ("publish-hashes", "f0", 41)),
+        ("sw_tick", (1, "f0")), ("sw_stop", (1, "f0")),
+        ("dispute_pub", ("publish-choice", "f1", 41)),
+        ("dispute_pub", ("execute-leaf", "f0", 46)),
+        ("sw_tick", (1, "f0")), ("sw_tick", (2, "f0")),
+        ("sw_tick", (4, "f0")), ("sw_stop", (5, "f0")),
+        ("dispute_pub", ("alt-chain-proof", "f1", 54)),
+        ("sw_tick", (1, "f1")), ("sw_tick", (2, "f1")),
+        ("sw_tick", (4, "f1")), ("sw_tick", (8, "f1")),
+        ("sw_stop", (8, "f1"))]
+    assert [values[2:] for _, key, values in b.rows if key == "transfer"] == [
+        (f"wallet:{party}", f"dispute:{action}") for party, action in (
+            ("f1", "challenge"), ("f0", "publish-hashes"),
+            ("f1", "publish-choice"), ("f0", "execute-leaf"),
+            ("f1", "alt-chain-proof"))]
+
+
+@pytest.mark.parametrize("key, values", [
+    ("fronted_twice", ("x",)),
+    (("meta", "x"), ("x",)),
+    (("meta", "scenario"), ("scenario", "n", "r")),
+    ("spend", ("b",)),
+    ("spend", ("b", "a:0", 1)),
+    (("meta", "scenario"), ("parties", "n", "r", 1)),
+    ("transfer", ()),
 ], ids=["unknown-kind", "unknown-meta-kind", "meta-missing-field",
         "missing-field", "extra-field", "wrong-field", "no-fields"])
-def test_log_refuses_what_the_schema_lacks(event, fields):
+def test_log_refuses_what_the_schema_lacks(key, values):
+    # emit, the log's one writer, refuses before any write a key the schema
+    # lacks, a count of values other than the key's fields, and a meta row
+    # whose kind is not its key's
     b = Bridge(["f0", "f1"], 1, 100_000_000)
-    b.log("spend", out="a:0", by="b")
+    b.emit("spend", "b", "a:0")
     before = list(b.rows)
     with pytest.raises(ValueError):
-        b.log(event, **fields)
+        b.emit(key, *values)
     assert b.rows == before
+
+
+def test_emit_appends_one_row_of_the_values_as_passed():
+    b = Bridge(["f0", "f1"], 1, 100_000_000)
+    b.clock.advance(7)
+    b.emit("front_proven", "x")
+    b.emit(("meta", "scenario"), "scenario", "n", "r", 3)
+    assert b.rows == [(7, "front_proven", ("x",)),
+                      (7, ("meta", "scenario"), ("scenario", "n", "r", 3))]
+    assert b.events == ["t=7 seq=1 ev=front_proven tx=x",
+                        "t=7 seq=2 ev=meta kind=scenario name=n rng=r seed=3"]
+
+
+class EmitOnlyRows(list):
+    """A bridge's rows that take a row only from ``Bridge.emit``."""
+
+    def append(self, row):
+        assert sys._getframe(1).f_code.co_name == "emit"
+        super().append(row)
+
+    def _refused(self, *args):
+        raise AssertionError("rows written besides emit")
+
+    extend = insert = __iadd__ = __setitem__ = _refused
+
+
+class EmitOnlyBridge(Bridge):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.rows = EmitOnlyRows()
+
+
+def test_emit_is_the_one_row_writer(run_with_bridge, monkeypatch):
+    # over the corpus and the sweep, every row a run writes comes through
+    # emit, whichever name the rows are reached by
+    monkeypatch.setattr(harness, "Bridge", EmitOnlyBridge)
+    for sc in scenario_corpus() + generate_adversarial_scenarios(500):
+        report, bridge = run_with_bridge(sc)
+        assert type(bridge.rows) is EmitOnlyRows and report.rows, sc.name
 
 
 def test_schema_entries_list_their_fields_by_name():

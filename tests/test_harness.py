@@ -14,7 +14,7 @@ from bridgesim.harness import (_MINIMUMS, INT_KEYS, LIVENESS_BOUND,
                               generate_adversarial_scenarios, parse_scenario,
                               run_scenario, scenario_corpus)
 from bridgesim.lightclient import check_chain
-from bridgesim.protocol import EVENT_SCHEMA, Bridge, read_log
+from bridgesim.protocol import EVENT_SCHEMA, Bridge, dispute_fees, read_log
 from bridgesim.txgraph import TxKind
 
 
@@ -219,34 +219,39 @@ def test_challenger_censored_to_the_budget_wins(monkeypatch):
                for line in report.log)
 
 
-def _deposit_covers_honest_costs(scenario, bridge, costs):
-    """Whether the deposits slashed cover the honest parties' dispute
-    ``costs``, from the bridge's own state at the end of a run."""
-    honest = [] if scenario.leak_all else [
-        f for f in scenario.functionary_ids if f != scenario.adversary_id]
-    honest_costs = sum(costs.get(f, 0) for f in honest)
-    slashed = len(bridge.slashed) * bridge.deposit_per_functionary
-    return slashed == 0 or honest_costs <= slashed
-
-
 def test_report_is_read_from_the_rows_alone(run_with_bridge, monkeypatch):
     # a saved log reads back as the same report, and what the report reads
     # from the rows is what the bridge's calls paid while the run went on.
     # Each party's lifetime sum of dispute and force-close fees is kept
     # beside the run, and each refund is checked against it: the sum capped
-    # at what is left of the pot, in every slash a run makes
-    lifetime, refunds = {}, []
-    pay_fee, slash = Bridge.pay_fee, Bridge.slash
+    # at what is left of the pot, in every slash a run makes.  The fees of
+    # each contest, since its VMXO's kick-off or the slash before if later,
+    # are kept too: the deposit suffices if each slash's pot covers the
+    # honest parties' fees in its contest
+    lifetime, refunds, covered, honest = {}, [], [], []
+    since_slash, since_kickoff = {}, {}
+    pay_fee, slash, kick = (Bridge.pay_fee, Bridge.slash,
+                            Bridge.publish_kickoff)
 
     def paying(self, party, vbytes, why):
         fee = pay_fee(self, party, vbytes, why)
         if why.startswith("dispute:") or why == "force-close":
-            lifetime[party] = lifetime.get(party, 0) + fee
+            for fees in (lifetime, since_slash, *since_kickoff.values()):
+                fees[party] = fees.get(party, 0) + fee
         return fee
+
+    def kicking(self, pegout, operator):
+        since_kickoff[pegout.vmxo_id] = {}
+        kick(self, pegout, operator)
 
     def slashing(self, loser, winner, challengers, vmxo_id):
         first, start = loser not in self.slashed, len(self.rows)
         pot = self.ledger.balances[f"deposit:{loser}"]
+        if first:
+            contest = since_kickoff.get(vmxo_id, since_slash)
+            covered.append(sum(contest.get(f, 0) for f in honest) <= pot)
+            since_slash.clear()
+            since_kickoff.clear()
         slash(self, loser, winner, challengers, vmxo_id)
         expected, paid = [], 0
         for ch in sorted(set(challengers)) if first else ():
@@ -262,39 +267,63 @@ def test_report_is_read_from_the_rows_alone(run_with_bridge, monkeypatch):
 
     monkeypatch.setattr(Bridge, "pay_fee", paying)
     monkeypatch.setattr(Bridge, "slash", slashing)
+    monkeypatch.setattr(Bridge, "publish_kickoff", kicking)
     for sc in scenario_corpus() + generate_adversarial_scenarios(500) + [
             CENSORED_TO_BUDGET]:
-        lifetime.clear()
+        for kept in (lifetime, covered, since_slash, since_kickoff):
+            kept.clear()
+        honest[:] = [] if sc.leak_all else [
+            f for f in sc.functionary_ids if f != sc.adversary_id]
         report, b = run_with_bridge(sc)
         assert RunReport(read_log(report.log)).to_text() == report.to_text()
         assert (report.scenario, report.seed) == (sc.name, sc.seed)
         assert report.deposit_sats == b.deposit_per_functionary
         assert report.dispute_costs == {
             **dict.fromkeys(sc.functionary_ids, 0), **lifetime}, sc.name
-        assert report.deposit_sufficient == \
-            _deposit_covers_honest_costs(sc, b, lifetime), sc.name
+        assert report.deposit_sufficient == all(covered), sc.name
     assert len(refunds) == 895
 
 
 def test_deposit_sufficient_at_exact_equality():
-    # one slash: a deposit of exactly the honest parties' fees covers them,
-    # and one sat less does not
+    # one slash: a pot of exactly the honest parties' fees in the contest
+    # it settles covers them, and one sat less does not.  The honest
+    # kick-offs after the slash are no part of that contest
     report = run_scenario(Scenario(
         name="x", seed=11, n_functionaries=3, vmxo_count=3, n_pegins=3,
         n_pegouts=2, adversary=0, strategy=Strategy.FAKE_PROOF_PROVER))
-    assert sum(key == "slashed" for _, key, _ in report.rows) == 1
-    paid = report.dispute_costs["f1"] + report.dispute_costs["f2"]
-    at = EVENT_SCHEMA["meta", "params"].index("deposit")
+    slashes = [i for i, (_, key, _) in enumerate(report.rows)
+               if key == "slashed"]
+    assert len(slashes) == 1
+    # the adversary's kick-off opens the run's first contest
+    fees = dispute_fees(report.rows[:slashes[0]])
+    paid = fees["f1"] + fees["f2"]
+    assert report.dispute_costs["f1"] > fees["f1"]
+    at = EVENT_SCHEMA["slashed"].index("pot")
 
-    def with_deposit(deposit):
+    def with_pot(pot):
         return RunReport([
-            (t, key, values[:at] + (deposit,) + values[at + 1:])
-            if key == ("meta", "params") else (t, key, values)
+            (t, key, values[:at] + (pot,) + values[at + 1:])
+            if key == "slashed" else (t, key, values)
             for t, key, values in report.rows])
 
     assert 0 < paid < report.deposit_sats
-    assert with_deposit(paid).deposit_sufficient
-    assert not with_deposit(paid - 1).deposit_sufficient
+    assert with_pot(paid).deposit_sufficient
+    assert not with_pot(paid - 1).deposit_sufficient
+
+
+def test_deposit_sufficient_leaves_out_uncontested_kickoffs():
+    # N = 2, V = 110: f1's fraudulent kick-off is contested and slashed,
+    # then honest f0 kicks off 110 times unchallenged.  Those commit-proof
+    # fees exceed the deposit, yet the pot covered the one contest's fees
+    report = run_scenario(Scenario(
+        name="uncontested", seed=3, n_functionaries=2, vmxo_count=110,
+        n_pegins=110, n_pegouts=110, adversary=1,
+        strategy=Strategy.FAKE_PROOF_PROVER))
+    assert report.all_passed
+    assert sum(key == "slashed" for _, key, _ in report.rows) == 1
+    assert report.dispute_costs["f0"] > report.deposit_sats
+    assert report.deposit_sufficient
+    assert "sufficient=True" in report.to_text()
 
 
 def test_outcomes_are_the_log_lines_of_the_outcome_kinds():

@@ -236,7 +236,10 @@ def test_a_slash_builds_no_kill_template(monkeypatch):
     report = run_scenario(sc)
     assert report.all_passed
     assert any(" ev=slashed loser=f7 " in line for line in report.log)
-    assert (TxKind.KICKOFF, "pkt0:vmxo0", "f7") in built
+    # the slashed kick-off is published, never built; an unlocked one is
+    # built as its Unlocking's parent
+    assert (TxKind.KICKOFF, "pkt0:vmxo0", "f7") not in built
+    assert (TxKind.KICKOFF, "pkt0:vmxo0", "f0") in built
     assert not [key for key in built if key[0] == TxKind.KILL_ENABLERS]
     assert (TxKind.ENABLER_CREATE, "f7") not in built
 
@@ -273,22 +276,26 @@ def test_an_id_is_hashed_once_on_its_first_read(monkeypatch):
     assert hashed[3:] == [TxKind.UNLOCKING]
 
 
-def test_a_slashed_kickoff_is_built_but_never_hashed(monkeypatch):
-    # its outputs are never spent, so no row and no template reads its id
+def test_a_slashed_kickoff_is_never_built(monkeypatch, run_with_bridge):
+    # its outputs are never spent, so no template reads it as a parent, and
+    # publishing it builds nothing; the unlocked ones are built as parents
+    # of their Unlockings and hashed once each
     txgraph._TEMPLATE_CACHE.clear()
     hashed = counted_hashes(monkeypatch)
     sc = Scenario(name="committee-n10", seed=1, n_functionaries=10,
                   vmxo_count=4, n_pegins=2, n_pegouts=2, adversary=7,
                   strategy=Strategy.FAKE_PROOF_PROVER)
-    report = run_scenario(sc)
+    report, bridge = run_with_bridge(sc)
     assert any(" ev=slashed loser=f7 " in line for line in report.log)
+    assert any(" ev=kickoff honest=False operator=f7 " in line
+               for line in report.log)
     kickoffs = {key[1][1:]: tx for key, tx in txgraph._TEMPLATE_CACHE.items()
                 if key[1][0] == TxKind.KICKOFF}
-    assert set(kickoffs) == {("pkt0:vmxo0", "f7"), ("pkt0:vmxo0", "f0"),
-                             ("pkt0:vmxo1", "f0")}
-    assert "id" not in vars(kickoffs["pkt0:vmxo0", "f7"])
+    assert set(kickoffs) == {("pkt0:vmxo0", "f0"), ("pkt0:vmxo1", "f0")}
     assert all("id" in vars(kickoffs["pkt0:vmxo" + v, "f0"]) for v in "01")
     assert hashed.count(TxKind.KICKOFF) == 2
+    assert not [key for key in bridge.graph.templates
+                if key[0] == TxKind.KICKOFF]
 
 
 @pytest.mark.parametrize("size", [0, 1])

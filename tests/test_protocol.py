@@ -9,7 +9,7 @@ from bridgesim import harness
 from bridgesim.harness import Scenario, Strategy
 from bridgesim.econ import DISPUTE_ACTION_VBYTES
 from bridgesim.protocol import (Bridge, Ledger, PegIn, PegOut, PegOutState,
-                                dispute_fees)
+                                contest_fees, dispute_fees)
 from bridgesim.txgraph import EnablerState, VmxoState, build_packet_templates
 
 DENOM = 100_000_000
@@ -328,6 +328,28 @@ def test_slash_burns_enablers_and_pays_pot():
                for slot in b.graph._enabler_slots("f1"))
 
 
+def test_contest_fees_start_at_the_kickoff_or_after_the_last_slash():
+    # a contest's fees: from the commit-proof row before its VMXO's last
+    # kick-off, another VMXO's kick-off aside, up to the row it ends at;
+    # after a later slash, only what follows that slash
+    def fee(party, amount, why="dispute:challenge"):
+        return (0, "transfer", (amount, "fees", f"wallet:{party}", why))
+
+    rows = [fee("f1", 1), fee("f0", 2, "dispute:commit-proof"),
+            (0, "kickoff", (False, "f0", "v0")), fee("f1", 4),
+            (0, "kickoff", (True, "f2", "v1")), fee("f2", 8, "force-close"),
+            (0, "transfer", (16, "wallet:f1", "deposit:f0", "slash"))]
+    assert contest_fees(rows, len(rows), "v0") == {"f0": 2, "f1": 4, "f2": 8}
+    assert contest_fees(rows, 4, "v0") == {"f0": 2, "f1": 4}
+    assert contest_fees(rows, len(rows), "v1") == {"f1": 4, "f2": 8}
+    assert contest_fees(rows, len(rows), "v9") == \
+        {"f0": 2, "f1": 5, "f2": 8}
+    rows += [(0, "slashed", ("f0", 16, 0, "f1")), fee("f1", 32)]
+    assert contest_fees(rows, len(rows), "v0") == {"f1": 32}
+    assert contest_fees(rows, len(rows) - 2, "v0") == \
+        {"f0": 2, "f1": 4, "f2": 8}
+
+
 def test_publish_challenges_pays_and_logs_as_one_fee_at_a_time():
     # one call for every challenger gives what paying and logging each
     # challenge in turn gives
@@ -338,7 +360,7 @@ def test_publish_challenges_pays_and_logs_as_one_fee_at_a_time():
                                 for ch in ("f2", "f0", "f3")], 5)
     for ch in ("f2", "f0", "f3"):
         each.pay_dispute_fee(ch, "challenge")
-        each.log("dispute_pub", actor=ch, action="challenge", at=5)
+        each.emit("dispute_pub", "challenge", ch, 5)
     assert batch.rows == each.rows and len(batch.rows) == 6
     assert batch.ledger.balances == each.ledger.balances
     fee = 3 * getattr(Bridge.cost_table, DISPUTE_ACTION_VBYTES["challenge"])
@@ -970,8 +992,7 @@ class ScanningBridge(Bridge):
             raise NoCapacity("no vmxo awaiting peg-in")
         pegin = PegIn(user, amount, free[0])
         self.pegins.append(pegin)
-        self.log("pegin_requested", user=user, vmxo=pegin.vmxo_id,
-                 amount=amount)
+        self.emit("pegin_requested", amount, user, pegin.vmxo_id)
         return pegin
 
     def link_pegout(self, pegout):
@@ -982,7 +1003,7 @@ class ScanningBridge(Bridge):
             if self.graph.vmxos[v].state == VmxoState.LOCKED:
                 pegout.vmxo_id = v
                 pegout.state = PegOutState.LINKED
-                self.log("pegout_linked", tx=pegout.burn_tx, vmxo=v)
+                self.emit("pegout_linked", pegout.burn_tx, v)
                 return v
         raise NoCapacity("no locked vmxo to link")
 

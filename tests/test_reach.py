@@ -29,6 +29,8 @@ ALLOWED = {
     "dispute.py:run_search": "imported by the acceptance suite",
     "dispute.py:run_search.delay": "imported by the acceptance suite",
     "protocol.py:Bridge.events": "read by perfbench",
+    "harness.py:RunReport.dispute_costs":
+        "read by the acceptance suite and perfbench",
     "dispute.py:ExecutionTrace.digest": "a test reference",
     # the contest calls it when a counter-proof is defeated; the
     # ForkProver's counter-proof comes from the canonical chain, so only an
