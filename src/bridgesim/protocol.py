@@ -22,12 +22,12 @@ from typing import Optional
 
 from .chain import SECONDARY, SOURCE, ChainView, SimClock
 from .econ import CostTable, DISPUTE_ACTION_VBYTES, required_deposit
-from .errors import (ConcurrencyLimit, EnablerUnavailable, Insolvent,
-                     InsufficientConfirmations, MalformedInput,
-                     MissingSignature, NoCapacity, NotLinked, NotTriggered,
-                     UnknownId, WrongDenomination)
+from .errors import (AlreadyClosed, ConcurrencyLimit, EnablerUnavailable,
+                     Insolvent, InsufficientConfirmations, MalformedInput,
+                     MissingSignature, NoCapacity, NotLinked, NotSameOperator,
+                     NotTriggered, UnknownId, WrongDenomination)
 from .stopwatch import power_of_two_markers
-from .txgraph import (EXTERNAL, EnablerState, PacketGraph, TxKind, Vmxo,
+from .txgraph import (EnablerState, PacketGraph, SimTx, TxKind, Vmxo,
                       VmxoState, build_packet_templates)
 
 
@@ -325,12 +325,15 @@ class Bridge:
         self.transfer(f"wallet:{party}", "fees", fee, why)
         return fee
 
-    def _log_spends(self, tx) -> None:
-        """Emit a ``spend`` row per input of ``tx`` from the graph.
-        ``tx.id`` is read only if there is one, since reading it may hash."""
-        for ref in tx.inputs:
-            if not ref[0].startswith(EXTERNAL):
-                self.emit("spend", tx.id, f"{ref[0]}:{ref[1]}")
+    def _spend(self, tx: SimTx, payer: str, why: str) -> None:
+        """Execute template ``tx``, its fee paid by ``payer``: the one way a
+        template executes.  A payer who cannot pay and an output spent
+        already are refused before any write; then a ``spend`` row per
+        graph output it spends, in input order, and the fee."""
+        self.ledger.payable(f"wallet:{payer}", tx.vbytes * self.fee_rate)
+        for txid, index in self.graph.execute(tx):
+            self.emit("spend", tx.id, f"{txid}:{index}")
+        self.pay_fee(payer, tx.vbytes, why)
 
     def pay_dispute_fee(self, party: str, action: str) -> int:
         if action not in DISPUTE_ACTION_VBYTES:
@@ -390,9 +393,8 @@ class Bridge:
         missing = required - pegin.signatures
         if missing:
             raise MissingSignature(",".join(sorted(missing)))
-        if pegin.deposit_block is None or \
-                self.source.confirmations(pegin.deposit_block) < self.source_confirmations:
-            raise InsufficientConfirmations(pegin.deposit_tx or "?")
+        self._confirmed(self.source, pegin.deposit_block, pegin.deposit_tx,
+                        self.source_confirmations)
         self.transfer(f"user:{pegin.user}:src", f"vmxo:{pegin.vmxo_id}",
                       pegin.amount, "pegin-lock")
         vmxo.state = VmxoState.LOCKED
@@ -417,7 +419,9 @@ class Bridge:
         return pegout
 
     def link_pegout(self, pegout: PegOut) -> str:
-        """Deterministic link: oldest unlinked Locked VMXO of the amount."""
+        """Deterministic link of a peg-out that ``request_pegout`` made:
+        oldest unlinked Locked VMXO of the amount."""
+        self._requested(pegout)
         if pegout.state != PegOutState.REQUESTED:
             raise NotTriggered(f"{pegout.burn_tx} is {pegout.state.value}")
         for v in self.graph.vmxo_ids:
@@ -431,20 +435,34 @@ class Bridge:
                 return v
         raise NoCapacity("no locked vmxo to link")
 
+    def _requested(self, pegout: PegOut) -> None:
+        # a PegOut compares by identity, so this is a scan for that object
+        if pegout not in self.pegouts:
+            raise NotTriggered(f"{pegout.burn_tx}: no such peg-out requested")
+
+    def _confirmed(self, chain: ChainView, block: Optional[str],
+                   tx: Optional[str], depth: int) -> None:
+        """``InsufficientConfirmations`` naming ``tx`` unless ``block`` is
+        ``depth`` deep on ``chain`` and holds ``tx``."""
+        if block is None or chain.confirmations(block) < depth or \
+                tx not in chain.block_txs[block]:
+            raise InsufficientConfirmations(tx or "?")
+
     def _linked_vmxo(self, pegout: PegOut) -> Vmxo:
         if pegout.vmxo_id is None:
             raise NotLinked(pegout.burn_tx or "?")
         return self.graph.vmxo(pegout.vmxo_id)
 
     def front_funds(self, pegout: PegOut, operator: str) -> str:
-        """Front a ``Linked`` peg-out once; a slashed operator has no live
-        enabler, an unknown one raises ``UnknownId``.  It keeps a 0.1% cut."""
+        """Front a ``Linked`` peg-out that ``request_pegout`` made, once;
+        a slashed operator has no live enabler, an unknown one raises
+        ``UnknownId``.  It keeps a 0.1% cut."""
+        self._requested(pegout)
         self._linked_vmxo(pegout)
         if pegout.state != PegOutState.LINKED:
             raise NotTriggered(f"{pegout.burn_tx} is {pegout.state.value}")
-        if pegout.burn_block is None or \
-                self.secondary.confirmations(pegout.burn_block) < self.secondary_confirmations:
-            raise InsufficientConfirmations(pegout.burn_tx or "?")
+        self._confirmed(self.secondary, pegout.burn_block, pegout.burn_tx,
+                        self.secondary_confirmations)
         if self.graph.enabler_state(operator,
                                     pegout.vmxo_id) != EnablerState.LIVE:
             raise EnablerUnavailable(f"operator enabler for {operator}")
@@ -463,8 +481,8 @@ class Bridge:
     def prove_front(self, pegout: PegOut, front_block: str) -> None:
         if pegout.state != PegOutState.FRONTED:
             raise NotTriggered(f"{pegout.burn_tx} is {pegout.state.value}")
-        if self.source.confirmations(front_block) < self.source_confirmations:
-            raise InsufficientConfirmations(pegout.fronted_tx or "?")
+        self._confirmed(self.source, front_block, pegout.fronted_tx,
+                        self.source_confirmations)
         pegout.state = PegOutState.PROVEN
         self.emit("front_proven", pegout.fronted_tx)
 
@@ -497,17 +515,12 @@ class Bridge:
         vmxo = self._linked_vmxo(pegout)
         if vmxo.state != VmxoState.KICKOFF_OPEN or vmxo.operator != operator:
             raise NotTriggered(pegout.vmxo_id)
-        unlock = self.graph.template(TxKind.UNLOCKING, pegout.vmxo_id,
-                                     operator)
-        # its spend rows come before the fee's, so that is checked first
-        self.ledger.payable(f"wallet:{operator}", unlock.vbytes * self.fee_rate)
-        self.graph.execute(unlock)
-        self._log_spends(unlock)
+        self._spend(self.graph.template(TxKind.UNLOCKING, pegout.vmxo_id,
+                                        operator), operator, "unlocking")
         self.graph.set_enabler_state(EnablerState.CONSUMED, operator,
                                      pegout.vmxo_id)
         vmxo.state = VmxoState.UNLOCKED
         pegout.state = PegOutState.UNLOCKED
-        self.pay_fee(operator, unlock.vbytes, "unlocking")
         self.transfer(f"vmxo:{pegout.vmxo_id}", f"wallet:{operator}",
                       pegout.amount, "unlock")
         self.emit("unlocked", pegout.amount, operator, pegout.vmxo_id)
@@ -530,16 +543,23 @@ class Bridge:
         return True
 
     def force_close(self, vmxo_a: str, vmxo_b: str, closer: str) -> None:
-        """An honest functionary terminates an operator's second concurrent
-        kick-off, exposing the operator's deposit."""
+        """An honest functionary spends an operator's two open kick-offs,
+        exposing the operator's deposit; ``vmxo_b``, the second, is locked
+        again.  ``AlreadyClosed`` unless both are open, then
+        ``NotSameOperator`` unless one operator opened both."""
         if closer not in self.graph.position:
             raise UnknownId(closer)
-        operator = self.graph.vmxo(vmxo_a).operator
-        tx = self.graph.force_close_tx(vmxo_a, vmxo_b)
-        self.ledger.payable(f"wallet:{closer}", tx.vbytes * self.fee_rate)
-        self.graph.apply_force_close(vmxo_a, vmxo_b)
-        self._log_spends(tx)
-        self.pay_fee(closer, tx.vbytes, "force-close")
+        va, vb = self.graph.vmxo(vmxo_a), self.graph.vmxo(vmxo_b)
+        if va.state != VmxoState.KICKOFF_OPEN or \
+                vb.state != VmxoState.KICKOFF_OPEN:
+            raise AlreadyClosed(f"{vmxo_a},{vmxo_b}")
+        operator = va.operator
+        if operator != vb.operator:
+            raise NotSameOperator(f"{operator} vs {vb.operator}")
+        pair = sorted((vmxo_a, vmxo_b), key=self.graph.vmxo_position.get)
+        self._spend(self.graph.template(TxKind.FORCE_CLOSE, operator, *pair),
+                    closer, "force-close")
+        vb.state, vb.operator = VmxoState.LOCKED, None
         self.emit("force_close", closer, operator, vmxo_a, vmxo_b)
 
     # -- slashing and recycling -------------------------------------------

@@ -7,7 +7,7 @@ functionary, and Force-close templates for each pair of an operator's
 Open-kick-off outputs across the packet.
 
 Templates are immutable and content-addressed: a template's id is the hash
-of its serialised content, taken when the id is first read.  A changed
+of its serialised content, taken when it is built.  A changed
 template is a new template with a new id, and since inputs reference their
 parents by id, every descendant must be rebuilt too.  One ceremony presigns
 the whole packet, and the graph records it once, as its ordered
@@ -31,11 +31,11 @@ Packets of one shape (the ordered functionary and VMXO ids and the VMXO
 amount) have the same templates, so each template is memoised per process
 by its recipe: the shape, ``(TxKind, *ids)``, and for DepositCreate alone
 the deposit, which only its rule reads.  A recipe is built once, in a
-bounded LRU cache of ``TEMPLATE_CACHE_SIZE`` entries; its id is still the
-hash of its content, taken once.  A rule reads its parents from that cache
-too, so a graph's ``templates`` holds only what its callers looked up, in
-the order they did, cold or warm.  Each graph holds its own shallow copy,
-which reads its own ceremony record and its recipe's id.
+bounded LRU cache of ``TEMPLATE_CACHE_SIZE`` entries, so its id is hashed
+once per recipe.  A rule reads its parents from that cache too, so a
+graph's ``templates`` holds only what its callers looked up, in the order
+they did, cold or warm.  Each graph holds its own shallow copy, which
+reads its own ceremony record and carries its recipe's id.
 
 An enabler is ``(owner, vmxo_id, counterparty)``: counterparty None is
 the owner's operator enabler, and another functionary the verifier enabler
@@ -53,14 +53,13 @@ import hashlib
 import json
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 from enum import Enum
 from typing import NamedTuple, Optional
 
 from .econ import CostTable
-from .errors import (AlreadyClosed, MalformedInput, NotSameOperator,
-                     PrematureDeletion, SpendRejected, TooFewFunctionaries,
-                     UnknownId)
+from .errors import (MalformedInput, PrematureDeletion, SpendRejected,
+                     TooFewFunctionaries, UnknownId)
 
 
 class OutputKind(str, Enum):
@@ -134,9 +133,8 @@ def _serial(template_kind: TxKind, inputs: tuple, outputs: tuple,
 
 @dataclass(frozen=True)
 class SimTx:
-    """A transaction template, content-addressed by its ``id``, which is
-    hashed on its first read: a run reads the ids of few of the templates
-    it builds (a kick-off only published, never spent from, not at all)."""
+    """A transaction template, content-addressed by its ``id``, the hash
+    of its content taken when it is built."""
     template_kind: TxKind
     inputs: tuple[tuple[str, int], ...]
     outputs: tuple[SimOutput, ...]
@@ -145,20 +143,15 @@ class SimTx:
     # the content; a copy made by ``dataclasses.replace`` carries none
     signatures: dict[str, None] = field(init=False, compare=False,
                                         default_factory=dict)
+    id: str = field(init=False, compare=False)
 
     def __post_init__(self):
         set_ = object.__setattr__
         set_(self, "inputs", tuple(self.inputs))
         set_(self, "outputs", tuple(self.outputs))
-
-    @cached_property
-    def id(self) -> str:
-        shared = self.__dict__.get("shared")  # a graph's copy: its recipe's
-        if shared is not None:
-            return shared.id
         serial = _serial(self.template_kind, self.inputs, self.outputs,
                          self.vbytes)
-        return hashlib.sha256(serial.encode()).hexdigest()[:16]
+        set_(self, "id", hashlib.sha256(serial.encode()).hexdigest()[:16])
 
 
 # recipe -> the template built from it; least recently used first
@@ -212,8 +205,7 @@ class PacketGraph:
         if tx is None:
             shared = self._shared(key)
             tx = object.__new__(SimTx)
-            tx.__dict__.update(shared.__dict__, signatures=self.signers,
-                               shared=shared)
+            tx.__dict__.update(shared.__dict__, signatures=self.signers)
             self.templates[key] = tx
         return tx
 
@@ -413,16 +405,18 @@ class PacketGraph:
 
     # -- execution ---------------------------------------------------------
 
-    def execute(self, tx: SimTx) -> SimTx:
-        """Record a template execution, enforcing single-spend."""
+    def execute(self, tx: SimTx) -> list[tuple[str, int]]:
+        """Record a template execution, enforcing single-spend: the graph
+        outputs it spends, in input order, or ``SpendRejected`` before any
+        write if one is spent already."""
         refs = [ref for ref in tx.inputs if not ref[0].startswith(EXTERNAL)]
         for ref in refs:
             if ref in self.spent:
                 raise SpendRejected(f"double spend of {ref}")
         self.spent.update(refs)
-        return tx
+        return refs
 
-    # -- enabler/force-close semantics -------------------------------------
+    # -- enabler semantics -------------------------------------------------
 
     def burn_enablers(self, loser: str) -> int:
         """Mark each of the loser's live enablers burnt; how many it marked.
@@ -439,24 +433,6 @@ class PacketGraph:
             states.update(dict.fromkeys(fresh, EnablerState.BURNT))
             burnt += len(fresh)
         return burnt
-
-    def force_close_tx(self, vmxo_a: str, vmxo_b: str) -> SimTx:
-        """The force-close of two simultaneous kick-offs by one operator."""
-        va, vb = self.vmxo(vmxo_a), self.vmxo(vmxo_b)
-        if va.state != VmxoState.KICKOFF_OPEN or vb.state != VmxoState.KICKOFF_OPEN:
-            raise AlreadyClosed(f"{vmxo_a},{vmxo_b}")
-        if va.operator is None or va.operator != vb.operator:
-            raise NotSameOperator(f"{va.operator} vs {vb.operator}")
-        first, second = sorted((vmxo_a, vmxo_b),
-                               key=self.vmxo_position.__getitem__)
-        return self.template(TxKind.FORCE_CLOSE, va.operator, first, second)
-
-    def apply_force_close(self, vmxo_a: str, vmxo_b: str) -> SimTx:
-        """Execute ``force_close_tx``, terminating the kick-off on vmxo_b."""
-        tx = self.execute(self.force_close_tx(vmxo_a, vmxo_b))
-        vb = self.vmxos[vmxo_b]
-        vb.state, vb.operator = VmxoState.LOCKED, None
-        return tx
 
 
 # template kind -> the rule that builds it from its ids, and what each id

@@ -9,7 +9,7 @@ from bridgesim.dispute import (DisputeGame, ExecutionTrace, Outcome, Phase,
                               resolve_no_challenge, reveal_trace, run_search,
                               search_round, settle_counter_proof, step)
 from bridgesim.errors import (DifficultyNotHigher, MalformedInput,
-                             TimeoutExpired, WrongPhase)
+                             TimeoutExpired, WrongPhase, WrongTurn)
 from bridgesim.stopwatch import StopWatch
 
 from test_lightclient import build_instance
@@ -83,6 +83,25 @@ def test_turn_alternation():
     run_search(g)
     parties = [p for _, p, _ in g.publications]
     assert all(a != b for a, b in zip(parties, parties[1:]))
+
+
+def test_publication_out_of_turn_refused_before_the_clock_moves():
+    # the commit-proof stops the prover's watch and starts the verifier's:
+    # a publication by the prover now is out of turn, refused with the
+    # clock, the publications and both watches as they were
+    g = new_game(16, corrupt_at=3)
+
+    def state():
+        return (g.clock, list(g.publications),
+                {p: (w.total, w.running_since) for p, w in g.watches.items()})
+
+    before = state()
+    assert g.watches["p"].running_since is None
+    with pytest.raises(WrongTurn):
+        g._publish("p", "publish-hashes", 3)
+    assert state() == before
+    g._publish("v", "challenge", 3)
+    assert g.clock == 3 and g.watches["p"].running_since == 3
 
 
 def test_round_bound():

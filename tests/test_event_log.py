@@ -16,7 +16,7 @@ from bridgesim.harness import (Scenario, Strategy, check_invariants,
                                scenario_corpus)
 from bridgesim.protocol import (EVENT_SCHEMA, INTEGER_FIELDS, Bridge,
                                 event_lines, read_log)
-from bridgesim.txgraph import EXTERNAL
+from bridgesim.txgraph import EXTERNAL, TxKind
 
 from test_harness import _fuzz_scenarios
 
@@ -78,24 +78,16 @@ def test_lines_match_two_list_builder_at_n100(run_with_bridge, monkeypatch):
         [n100_scenario(strategy) for strategy in Strategy])
 
 
-class IdUnread:
-    """A template of wallet-funded inputs only, whose id must not be read."""
-
-    inputs = ((f"{EXTERNAL}:f0", 0), (f"{EXTERNAL}:user", 0))
-
-    @property
-    def id(self):
-        raise AssertionError("id read")
-
-
 def test_batch_writers_refuse_or_skip_before_any_write():
-    # a snapshot of an empty ledger writes no row; a template of
-    # wallet-funded inputs writes no spend row and leaves its id unread
+    # a snapshot of an empty ledger writes no row, and a template of
+    # wallet-funded inputs spends no graph output
     b = Bridge(["f0", "f1"], 1, 100_000_000)
     b.ledger.balances.clear()
     b.log_balances("final_balance")
-    b._log_spends(IdUnread())
-    assert b.rows == []
+    deposit = b.graph.template(TxKind.DEPOSIT_CREATE, "f0")
+    assert deposit.inputs[0][0].startswith(EXTERNAL)
+    assert b.graph.execute(deposit) == []
+    assert b.rows == [] and b.graph.spent == set()
     # a snapshot of any other kind is refused before any write
     b.ledger.fund("wallet:f0", 5)
     b.log_balances("balance")

@@ -166,14 +166,19 @@ def test_a_lookup_holds_only_the_template_looked_up():
         assert tx == reference and tx.id == reference.id
 
 
-# the kinds protocol looks up; every other template is only a parent
-LOOKED_UP = {TxKind.KICKOFF, TxKind.UNLOCKING, TxKind.FORCE_CLOSE}
+# the kinds protocol looks up, each to spend it; every other template is
+# only a parent
+LOOKED_UP = {TxKind.UNLOCKING, TxKind.FORCE_CLOSE}
 
 
 def test_runs_hold_only_the_templates_protocol_looks_up(run_with_bridge):
+    # each template a run looks up is spent, and it reads its parents' ids,
+    # so every template a run builds has its id read
     for sc in sweep_and_corpus():
         graph = run_with_bridge(sc)[1].graph
         assert {key[0] for key in graph.templates} <= LOOKED_UP, sc.name
+        for key, tx in graph.templates.items():
+            assert set(tx.inputs) <= graph.spent, (sc.name, key)
 
 
 def test_graphs_of_one_shape_hold_their_own_templates():
@@ -257,23 +262,26 @@ def counted_hashes(monkeypatch) -> list:
     return hashed
 
 
-def test_an_id_is_hashed_once_on_its_first_read(monkeypatch):
+def test_an_id_is_hashed_once_per_recipe_at_build(monkeypatch):
     ids = {key: tx.id for key, tx
            in eager_reference(F10[:3], 2, 100_000, 0)[0].items()}
     txgraph._TEMPLATE_CACHE.clear()
     hashed = counted_hashes(monkeypatch)
     a, b = (build_packet_templates(F10[:3], 2, 100_000) for _ in range(2))
+    assert hashed == []
+    # the two graphs' copies carry their recipe's id, hashed at its build
     kick = (TxKind.KICKOFF, "pkt0:vmxo0", "f0")
-    assert a.template(*kick) == b.template(*kick) and hashed == []
-    # the two graphs' copies read their recipe's id, hashed once
+    assert a.template(*kick) == b.template(*kick)
+    assert hashed == [TxKind.KICKOFF]
     assert a.template(*kick).id == b.template(*kick).id == ids[kick]
     assert hashed == [TxKind.KICKOFF]
-    # an Unlocking build reads its parents' ids, not its own
+    # an Unlocking build hashes the parents it builds, then itself
     unlock = (TxKind.UNLOCKING, "pkt0:vmxo0", "f0")
     tx = a.template(*unlock)
-    assert hashed == [TxKind.KICKOFF, TxKind.LOCKING, TxKind.ENABLER_CREATE]
+    assert hashed == [TxKind.KICKOFF, TxKind.LOCKING, TxKind.ENABLER_CREATE,
+                      TxKind.UNLOCKING]
     assert tx.id == b.template(*unlock).id == ids[unlock]
-    assert hashed[3:] == [TxKind.UNLOCKING]
+    assert len(hashed) == 4
 
 
 def test_a_slashed_kickoff_is_never_built(monkeypatch, run_with_bridge):
@@ -292,7 +300,6 @@ def test_a_slashed_kickoff_is_never_built(monkeypatch, run_with_bridge):
     kickoffs = {key[1][1:]: tx for key, tx in txgraph._TEMPLATE_CACHE.items()
                 if key[1][0] == TxKind.KICKOFF}
     assert set(kickoffs) == {("pkt0:vmxo0", "f0"), ("pkt0:vmxo1", "f0")}
-    assert all("id" in vars(kickoffs["pkt0:vmxo" + v, "f0"]) for v in "01")
     assert hashed.count(TxKind.KICKOFF) == 2
     assert not [key for key in bridge.graph.templates
                 if key[0] == TxKind.KICKOFF]

@@ -1,16 +1,18 @@
 import pytest
 
-from bridgesim.errors import (BridgeSimError, ConcurrencyLimit,
-                             EnablerUnavailable, Insolvent,
+from bridgesim.errors import (AlreadyClosed, BridgeSimError,
+                             ConcurrencyLimit, EnablerUnavailable, Insolvent,
                              InsufficientConfirmations, MalformedInput,
                              MissingSignature, NoCapacity, NotLinked,
-                             NotTriggered, UnknownId, WrongDenomination)
+                             NotSameOperator, NotTriggered, UnknownId,
+                             WrongDenomination)
 from bridgesim import harness
 from bridgesim.harness import Scenario, Strategy
 from bridgesim.econ import DISPUTE_ACTION_VBYTES
 from bridgesim.protocol import (Bridge, Ledger, PegIn, PegOut, PegOutState,
                                 contest_fees, dispute_fees)
-from bridgesim.txgraph import EnablerState, VmxoState, build_packet_templates
+from bridgesim.txgraph import (EnablerState, TxKind, VmxoState,
+                              build_packet_templates)
 
 DENOM = 100_000_000
 
@@ -412,6 +414,30 @@ def forged_pegin(b):
     return pegin
 
 
+def unmined_pegin(b, linked):
+    """A requested, signed and broadcast peg-in for vmxo3, whose deposit was
+    never mined, its block set to u0's: deep, and unrelated."""
+    fund_user(b, "u3")
+    pegin = b.request_pegin("u3", DENOM)
+    b.sign_pegin(pegin, "u3", *b.functionaries)
+    b.broadcast_pegin(pegin)
+    pegin.deposit_block = b.pegins[0].deposit_block
+
+
+def burnt_elsewhere(b, linked):
+    """The linked peg-out's burn block set to u0's, which holds u0's burn."""
+    linked.burn_block = b.pegouts[0].burn_block
+
+
+def copied_pegout(b):
+    """A Linked peg-out on vmxo2, locked and unlinked, that no request made,
+    reusing u0's real burn."""
+    copy = PegOut("u0", DENOM, b.pegouts[0].burn_tx, "pkt0:vmxo2",
+                  PegOutState.LINKED)
+    copy.burn_block = b.pegouts[0].burn_block
+    return copy
+
+
 def drain_after_second_kickoff(b, linked):
     # f1 kicks off vmxo1 too, so that vmxo0 and vmxo1 can be force-closed
     b.publish_kickoff(linked, "f1")
@@ -452,6 +478,13 @@ REFUSALS = {
     "force-close-unknown-first-vmxo": (
         UnknownId, lambda b, linked, unlinked:
         b.force_close("pkt0:vmxo9", "pkt0:vmxo0", "f0")),
+    "force-close-already-closed": (
+        AlreadyClosed, lambda b, linked, unlinked:
+        b.force_close("pkt0:vmxo0", "pkt0:vmxo1", "f0")),
+    "force-close-not-same-operator": (
+        NotSameOperator, lambda b, linked, unlinked:
+        b.force_close("pkt0:vmxo0", "pkt0:vmxo1", "f0"),
+        lambda b, linked: b.publish_kickoff(linked, "f2")),
     "adhoc-theft-of-unknown-vmxo": (
         UnknownId, lambda b, linked, unlinked:
         b.adhoc_theft("pkt0:vmxo9", "f0")),
@@ -469,6 +502,24 @@ REFUSALS = {
         lambda b, linked: fund_user(b, "u9")),
     "relink-linked-pegout": (
         NotTriggered, lambda b, linked, unlinked: b.link_pegout(linked)),
+    # before they were refused, these five minted, fronted, proved, linked
+    # and fronted
+    "execute-pegin-deposit-not-in-its-block": (
+        InsufficientConfirmations, lambda b, linked, unlinked:
+        b.execute_pegin(b.pegins[3]), unmined_pegin),
+    "front-burn-not-in-its-block": (
+        InsufficientConfirmations, lambda b, linked, unlinked:
+        b.front_funds(linked, "f0"), burnt_elsewhere),
+    "prove-front-not-in-its-block": (
+        InsufficientConfirmations, lambda b, linked, unlinked:
+        b.prove_front(linked, b.pegins[0].deposit_block),
+        lambda b, linked: b.front_funds(linked, "f0")),
+    "link-pegout-never-requested": (
+        NotTriggered, lambda b, linked, unlinked:
+        b.link_pegout(PegOut("u9", DENOM, burn_tx="burn:u9:1"))),
+    "front-pegout-never-requested": (
+        NotTriggered, lambda b, linked, unlinked:
+        b.front_funds(copied_pegout(b), "f0")),
     "prove-unlinked-pegout": (
         NotTriggered, lambda b, linked, unlinked:
         b.prove_front(unlinked, b.pegins[0].deposit_block)),
@@ -569,6 +620,30 @@ def test_pegin_never_requested_leaves_its_vmxo_to_a_request():
     assert b.rows == [] and "user:u9:wrapped" not in b.ledger.balances
     assert do_pegin(b, "u1").vmxo_id == forged.vmxo_id
     assert b.ledger.balances["user:u1:wrapped"] == DENOM
+
+
+def test_pegout_never_requested_is_neither_linked_nor_fronted():
+    # u9 burnt nothing, and a copy of u0's peg-out would front u0's one
+    # burn twice: both are refused before any write, and u0's own peg-out
+    # is then linked and fronted
+    b = make_bridge()
+    do_pegin(b, "u0")
+    do_pegin(b, "u1")
+    real = b.request_pegout("u0", DENOM)
+    real.burn_block = mine_secondary(b, [real.burn_tx])
+    for _ in range(b.secondary_confirmations):
+        mine_secondary(b, [f"spad{b.clock.now}"])
+    copy = PegOut("u0", DENOM, real.burn_tx, "pkt0:vmxo1", PegOutState.LINKED)
+    copy.burn_block = real.burn_block
+    before = (list(b.rows), dict(b.ledger.balances))
+    with pytest.raises(NotTriggered):
+        b.link_pegout(PegOut("u9", DENOM, burn_tx="burn:u9:1"))
+    with pytest.raises(NotTriggered):
+        b.front_funds(copy, "f0")
+    assert (b.rows, b.ledger.balances) == before and not b.linked_vmxos
+    assert b.link_pegout(real) == "pkt0:vmxo0"
+    b.front_funds(real, "f0")
+    assert b.ledger.balances["user:u0:src"] == DENOM - DENOM // 1000
 
 
 def test_unfunded_pegin_leaves_its_vmxo_awaiting_pegin():
@@ -790,6 +865,50 @@ def test_force_close_refuses_unknown_closer_before_any_change():
     assert (set(b.graph.spent),
             {v: (x.state, x.operator) for v, x in b.graph.vmxos.items()},
             b.ledger.balances, b.rows) == before
+
+
+def raw_kickoffs(*operators):
+    """A bridge whose VMXOs each hold a raw kick-off, by ``operators`` in
+    VMXO order."""
+    b = make_bridge(vmxos=len(operators))
+    for i, operator in enumerate(operators):
+        do_pegin(b, f"u{i}")
+        b.publish_kickoff(do_linked_pegout(b, f"u{i}"), operator)
+    return b
+
+
+def test_force_close_requires_same_operator():
+    b = raw_kickoffs("f0", "f1")
+    va, vb = b.graph.vmxo_ids
+    with pytest.raises(NotSameOperator):
+        b.force_close(va, vb, "f2")
+
+
+def test_force_close_two_simultaneous_kickoffs():
+    b = raw_kickoffs("f0", "f0")
+    va, vb = b.graph.vmxo_ids
+    rows = len(b.rows)
+    b.force_close(va, vb, "f1")
+    tx = b.graph.templates[TxKind.FORCE_CLOSE, "f0", va, vb]
+    assert tx.template_kind == TxKind.FORCE_CLOSE
+    assert b.graph.vmxos[vb].state == VmxoState.LOCKED
+    # a spend row per kick-off output spent, then the closer's fee
+    assert [(key, values) for _, key, values in b.rows[rows:]] == [
+        ("spend", (tx.id, f"{ref}:{i}")) for ref, i in tx.inputs] + [
+        ("transfer", (350, "fees", "wallet:f1", "force-close")),
+        ("force_close", ("f1", "f0", va, vb))]
+    with pytest.raises(AlreadyClosed):
+        b.force_close(va, vb, "f1")
+
+
+def test_force_close_pair_given_in_reverse():
+    b = raw_kickoffs("f0", "f0")
+    v0, v1 = b.graph.vmxo_ids
+    b.force_close(v1, v0, "f1")
+    assert (TxKind.FORCE_CLOSE, "f0", v0, v1) in b.graph.templates
+    assert (TxKind.FORCE_CLOSE, "f0", v1, v0) not in b.graph.templates
+    assert b.graph.vmxos[v0].state == VmxoState.LOCKED
+    assert b.graph.vmxos[v1].state == VmxoState.KICKOFF_OPEN
 
 
 def test_adhoc_theft_rejected_without_full_leak():

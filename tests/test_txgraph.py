@@ -6,12 +6,11 @@ from dataclasses import FrozenInstanceError, replace
 import pytest
 
 from bridgesim.econ import CostTable
-from bridgesim.errors import (AlreadyClosed, NotSameOperator,
-                             PrematureDeletion, SpendRejected,
+from bridgesim.errors import (PrematureDeletion, SpendRejected,
                              TooFewFunctionaries, UnknownId)
 from bridgesim.txgraph import (EXTERNAL, EnablerState, OutputKind,
                               SimOutput, SimTx, SpendCondition, TxKind,
-                              VmxoState, _serial, build_packet_templates)
+                              _serial, build_packet_templates)
 
 F3 = ["f0", "f1", "f2"]
 
@@ -172,46 +171,10 @@ def test_single_spend_enforced():
     g = packet()
     v = g.vmxo_ids[0]
     unlock = g.template(TxKind.UNLOCKING, v, "f0")
-    g.execute(unlock)
+    # every input is a graph output, returned in input order
+    assert g.execute(unlock) == list(unlock.inputs)
     with pytest.raises(SpendRejected):
         g.execute(unlock)
-
-
-def test_force_close_requires_same_operator():
-    g = packet(vmxos=2)
-    va, vb = g.vmxo_ids
-    g.vmxos[va].state = VmxoState.KICKOFF_OPEN
-    g.vmxos[va].operator = "f0"
-    g.vmxos[vb].state = VmxoState.KICKOFF_OPEN
-    g.vmxos[vb].operator = "f1"
-    with pytest.raises(NotSameOperator):
-        g.apply_force_close(va, vb)
-
-
-def test_force_close_two_simultaneous_kickoffs():
-    g = packet(vmxos=2)
-    va, vb = g.vmxo_ids
-    for v in (va, vb):
-        g.vmxos[v].state = VmxoState.KICKOFF_OPEN
-        g.vmxos[v].operator = "f0"
-    tx = g.apply_force_close(va, vb)
-    assert tx.template_kind == TxKind.FORCE_CLOSE
-    assert g.vmxos[vb].state == VmxoState.LOCKED
-    with pytest.raises(AlreadyClosed):
-        g.apply_force_close(va, vb)
-
-
-def test_force_close_pair_given_in_reverse():
-    g = packet(vmxos=2)
-    v0, v1 = g.vmxo_ids
-    for v in (v0, v1):
-        g.vmxos[v].state = VmxoState.KICKOFF_OPEN
-        g.vmxos[v].operator = "f0"
-    tx = g.apply_force_close(v1, v0)
-    assert g.templates[TxKind.FORCE_CLOSE, "f0", v0, v1] is tx
-    assert (TxKind.FORCE_CLOSE, "f0", v1, v0) not in g.templates
-    assert g.vmxos[v0].state == VmxoState.LOCKED
-    assert g.vmxos[v1].state == VmxoState.KICKOFF_OPEN
 
 
 def test_burn_enablers_all_live_to_burnt():
