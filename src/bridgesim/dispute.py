@@ -24,7 +24,6 @@ accumulated difficulty, opening one nested game with the roles reversed.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple, Optional
 
@@ -102,61 +101,60 @@ class Reason(str, Enum):
     COUNTER_PROOF_DEFEATED = "CounterProofDefeated"
 
 
-@dataclass(frozen=True)
 class Outcome:
     """A finished game: who won, who lost, and why."""
-    winner: str
-    loser: str
-    reason: Reason
+    __slots__ = ("winner", "loser", "reason")
 
-    def __post_init__(self):
-        if self.winner == self.loser:
+    def __init__(self, winner: str, loser: str, reason: Reason):
+        if winner == loser:
             raise ValueError("winner must differ from loser")
+        self.winner, self.loser, self.reason = winner, loser, reason
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Outcome:
+            return NotImplemented
+        return (self.winner, self.loser, self.reason) == \
+            (other.winner, other.loser, other.reason)
 
 
-@dataclass
 class DisputeGame:
     """One dispute between a prover and a verifier, with its search state,
     stop watches and the publications made so far."""
-    prover: str
-    verifier: str
-    prover_trace: ExecutionTrace
-    verifier_trace: ExecutionTrace  # the verifier's local honest re-execution
-    arity: int = 4
-    watch_threshold: int = 64
-    read_steps = 16  # read values consumed by one step; not a field
+    arity = 4  # the default, which harness._MINIMUMS reads
+    read_steps = 16  # read values consumed by one step
 
-    phase: Phase = Phase.AWAIT_CHALLENGE
-    # the current search: the open segment lo..hi (of the execution traces
-    # in MainSearch, of the isolated step's reads in ReadSearch) and the
-    # first divergence, fixed as it opens: None in the fixed read descent
-    lo: int = 0
-    hi: int = 0
-    divergence: Optional[int] = None
-    rounds: int = 0
-    isolated_step: Optional[int] = None
-    nested: Optional["DisputeGame"] = None
-    alt_defeated: bool = False
-    outcome: Optional[Outcome] = None
-    clock: int = 0
-    watches: dict[str, StopWatch] = field(default_factory=dict)
-    publications: list[tuple[int, str, str]] = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.arity < 2:
+    def __init__(self, prover: str, verifier: str,
+                 prover_trace: ExecutionTrace,
+                 # the verifier's local honest re-execution
+                 verifier_trace: ExecutionTrace,
+                 arity: int = arity, watch_threshold: int = 64):
+        if arity < 2:
             # an arity below 2 never narrows the segment
-            raise ValueError(f"arity must be at least 2, got {self.arity}")
-        if self.prover == self.verifier:
+            raise ValueError(f"arity must be at least 2, got {arity}")
+        if prover == verifier:
             # the two stop watches, keyed by party, would be one
-            raise ValueError(f"prover and verifier are both {self.prover}")
-        self.watches = {
-            self.prover: StopWatch(self.prover, self.watch_threshold),
-            self.verifier: StopWatch(self.verifier, self.watch_threshold),
-        }
+            raise ValueError(f"prover and verifier are both {prover}")
+        self.prover, self.verifier = prover, verifier
+        self.prover_trace, self.verifier_trace = prover_trace, verifier_trace
+        self.arity, self.watch_threshold = arity, watch_threshold
+        self.phase = Phase.AWAIT_CHALLENGE
+        # the current search: the open segment lo..hi (of the execution
+        # traces in MainSearch, of the isolated step's reads in ReadSearch)
+        # and the first divergence, fixed as it opens: None in the fixed
+        # read descent
+        self.lo = self.hi = self.rounds = self.clock = 0
+        self.divergence: Optional[int] = None
+        self.isolated_step: Optional[int] = None
+        self.nested: Optional[DisputeGame] = None
+        self.alt_defeated = False
+        self.outcome: Optional[Outcome] = None
+        self.watches = {prover: StopWatch(prover, watch_threshold),
+                        verifier: StopWatch(verifier, watch_threshold)}
         # the prover's commitment opens the game and starts the verifier's
         # response clock
-        self.watches[self.verifier].start(self.clock)
-        self.publications.append((self.clock, self.prover, "commit-proof"))
+        self.watches[verifier].start(0)
+        self.publications: list[tuple[int, str, str]] = [
+            (0, prover, "commit-proof")]
 
     # -- time plumbing -----------------------------------------------------
 

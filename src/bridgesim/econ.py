@@ -7,26 +7,32 @@ the dispute DAG (the hash check at the end of the read-value search).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 SATS_PER_BTC = 100_000_000
 
 
-@dataclass(frozen=True)
 class CostTable:
-    """Published vByte costs of the challenge-response DAG's transactions."""
-    commit_proof: int = 2513
-    challenge: int = 653
-    publish_hashes_per_step: int = 5118
-    publish_choice_per_step: int = 205
-    publish_full_trace: int = 3105
-    publish_read_trace: int = 1063
-    sha256_computation: int = 97780
+    """Published vByte costs of the challenge-response DAG's transactions:
+    the class attributes, each overridden by its argument."""
+    commit_proof = 2513
+    challenge = 653
+    publish_hashes_per_step = 5118
+    publish_choice_per_step = 205
+    publish_full_trace = 3105
+    publish_read_trace = 1063
+    sha256_computation = 97780
 
-    def __post_init__(self):
-        for name, v in vars(self).items():
+    def __init__(self, commit_proof: int = commit_proof,
+                 challenge: int = challenge,
+                 publish_hashes_per_step: int = publish_hashes_per_step,
+                 publish_choice_per_step: int = publish_choice_per_step,
+                 publish_full_trace: int = publish_full_trace,
+                 publish_read_trace: int = publish_read_trace,
+                 sha256_computation: int = sha256_computation):
+        costs = {name: v for name, v in locals().items() if name != "self"}
+        for name, v in costs.items():
             if v < 0:
                 raise ValueError(f"{name} must be non-negative")
+        vars(self).update(costs)
 
     @staticmethod
     def default() -> "CostTable":
@@ -48,19 +54,17 @@ DISPUTE_ACTION_VBYTES = {
 }
 
 
-@dataclass(frozen=True)
 class TimingParams:
     """The bridge's timelocks, in ticks."""
-    t_max: int
-    t_min: int
-    t_force: int
-    t_safety: int
+    __slots__ = ("t_max", "t_min", "t_force", "t_safety")
 
-    def __post_init__(self):
-        if not (self.t_max >= self.t_min > 0):
+    def __init__(self, t_max: int, t_min: int, t_force: int, t_safety: int):
+        if not (t_max >= t_min > 0):
             raise ValueError("need t_max >= t_min > 0")
-        if self.t_force < 0 or self.t_safety < 0:
+        if t_force < 0 or t_safety < 0:
             raise ValueError("t_force and t_safety must be non-negative")
+        self.t_max, self.t_min = t_max, t_min
+        self.t_force, self.t_safety = t_force, t_safety
 
 
 def worst_case_vbytes(table: CostTable, hash_steps: int = 16,

@@ -9,7 +9,6 @@ byte-identical event log.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import count
@@ -63,25 +62,39 @@ _MINIMUMS = {"n_functionaries": 2, "vmxo_count": 1, "fee_rate": 1,
                 for n in (TRACE_LENGTH, DisputeGame.read_steps))}
 
 
-@dataclass
+# Scenario's default censor, for which each scenario gets a list of its own
+_NO_CENSOR = object()
+
+
 class Scenario:
     """Every free choice of one run; ``validate`` refuses a scenario that
     cannot run."""
-    name: str = "scenario"
-    seed: int = 0
-    n_functionaries: int = 3
-    denomination: int = 100_000_000
-    vmxo_count: int = 2
-    n_pegins: int = 2
-    n_pegouts: int = 1
-    fee_rate: int = 2
-    challenge_window: int = 20
-    watch_threshold: int = 64
-    adversary: Optional[int] = None
-    strategy: Strategy = Strategy.HONEST
-    leak_all: bool = False
-    censor: list[CensorSpec] = field(default_factory=list)
-    t_sep: int = 0
+
+    def __init__(self, name: str = "scenario", seed: int = 0,
+                 n_functionaries: int = 3, denomination: int = 100_000_000,
+                 vmxo_count: int = 2, n_pegins: int = 2, n_pegouts: int = 1,
+                 fee_rate: int = 2, challenge_window: int = 20,
+                 watch_threshold: int = 64, adversary: Optional[int] = None,
+                 strategy: Strategy = Strategy.HONEST, leak_all: bool = False,
+                 censor: list[CensorSpec] = _NO_CENSOR, t_sep: int = 0):
+        self.name, self.seed = name, seed
+        self.n_functionaries, self.denomination = n_functionaries, denomination
+        self.vmxo_count, self.n_pegins = vmxo_count, n_pegins
+        self.n_pegouts, self.fee_rate = n_pegouts, fee_rate
+        self.challenge_window = challenge_window
+        self.watch_threshold, self.adversary = watch_threshold, adversary
+        self.strategy, self.leak_all = strategy, leak_all
+        self.censor = [] if censor is _NO_CENSOR else censor
+        self.t_sep = t_sep
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Scenario:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"Scenario({fields})"
 
     def validate(self) -> None:
         for name in INT_KEYS.values():
@@ -152,15 +165,13 @@ OUTCOME_KINDS = frozenset({
     "theft", "theft_rejected", "unlocked"})
 
 
-@dataclass
 class RunReport:
     """A run's report, a view of its rows alone: the verdicts are checked as
     it is built, every other field is read from the rows when it is read."""
-    rows: list[tuple]
-    verdicts: list[Verdict] = field(init=False)
 
-    def __post_init__(self) -> None:
-        self.verdicts = check_invariants(self.rows)
+    def __init__(self, rows: list[tuple]):
+        self.rows = rows
+        self.verdicts: list[Verdict] = check_invariants(rows)
 
     @cached_property
     def _meta(self) -> dict:

@@ -546,7 +546,8 @@ class Bridge:
         """An honest functionary spends an operator's two open kick-offs,
         exposing the operator's deposit; ``vmxo_b``, the second, is locked
         again.  ``AlreadyClosed`` unless both are open, then
-        ``NotSameOperator`` unless one operator opened both."""
+        ``NotSameOperator`` unless one operator opened both, then
+        ``MalformedInput`` if that operator is the closer."""
         if closer not in self.graph.position:
             raise UnknownId(closer)
         va, vb = self.graph.vmxo(vmxo_a), self.graph.vmxo(vmxo_b)
@@ -556,6 +557,8 @@ class Bridge:
         operator = va.operator
         if operator != vb.operator:
             raise NotSameOperator(f"{operator} vs {vb.operator}")
+        if closer == operator:
+            raise MalformedInput(f"{closer} force-closes its own kick-offs")
         pair = sorted((vmxo_a, vmxo_b), key=self.graph.vmxo_position.get)
         self._spend(self.graph.template(TxKind.FORCE_CLOSE, operator, *pair),
                     closer, "force-close")

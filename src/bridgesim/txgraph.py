@@ -52,10 +52,9 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from functools import partial
 from enum import Enum
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 from .econ import CostTable
 from .errors import (MalformedInput, PrematureDeletion, SpendRejected,
@@ -131,27 +130,37 @@ def _serial(template_kind: TxKind, inputs: tuple, outputs: tuple,
     return _ENCODE([template_kind, inputs, outs, vbytes])
 
 
-@dataclass(frozen=True)
 class SimTx:
     """A transaction template, content-addressed by its ``id``, the hash
-    of its content taken when it is built."""
-    template_kind: TxKind
-    inputs: tuple[tuple[str, int], ...]
-    outputs: tuple[SimOutput, ...]
-    vbytes: int = 200
-    # the ceremony's signers: the building graph's one record, not part of
-    # the content; a copy made by ``dataclasses.replace`` carries none
-    signatures: dict[str, None] = field(init=False, compare=False,
-                                        default_factory=dict)
-    id: str = field(init=False, compare=False)
+    of its content taken when it is built; it refuses assignment."""
 
-    def __post_init__(self):
-        set_ = object.__setattr__
-        set_(self, "inputs", tuple(self.inputs))
-        set_(self, "outputs", tuple(self.outputs))
-        serial = _serial(self.template_kind, self.inputs, self.outputs,
-                         self.vbytes)
-        set_(self, "id", hashlib.sha256(serial.encode()).hexdigest()[:16])
+    def __init__(self, template_kind: TxKind,
+                 inputs: Sequence[tuple[str, int]],
+                 outputs: Sequence[SimOutput], vbytes: int = 200):
+        inputs, outputs = tuple(inputs), tuple(outputs)
+        serial = _serial(template_kind, inputs, outputs, vbytes)
+        # the ceremony's signers: the building graph's one record, not part
+        # of the content; a template built afresh carries none
+        vars(self).update(
+            template_kind=template_kind, inputs=inputs, outputs=outputs,
+            vbytes=vbytes, signatures={},
+            id=hashlib.sha256(serial.encode()).hexdigest()[:16])
+
+    def _content(self) -> tuple:
+        return self.template_kind, self.inputs, self.outputs, self.vbytes
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not SimTx:
+            return NotImplemented
+        return self._content() == other._content()
+
+    def __hash__(self) -> int:
+        return hash(self._content())
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"a template's {name} is read-only")
+
+    __delattr__ = __setattr__
 
 
 # recipe -> the template built from it; least recently used first

@@ -636,6 +636,12 @@ def test_game_rejects_same_prover_and_verifier():
         DisputeGame("p", "p", honest, honest)
 
 
+@pytest.mark.parametrize("reason", list(Reason))
+def test_outcome_refuses_one_party_as_winner_and_loser(reason):
+    with pytest.raises(ValueError, match="winner must differ from loser"):
+        Outcome("p", "p", reason)
+
+
 @pytest.mark.parametrize("missing", ["alt_input", "main_difficulty"])
 def test_alt_chain_challenge_without_input_rejected(missing):
     g = new_game(16)

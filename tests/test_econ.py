@@ -102,6 +102,15 @@ def test_timing_params_validation():
         TimingParams(3, 5, 0, 0)
     with pytest.raises(ValueError):
         TimingParams(5, 0, 0, 0)
+    for negative in ((5, 3, -1, 0), (5, 3, 0, -1)):
+        with pytest.raises(ValueError):
+            TimingParams(*negative)
+
+
+@pytest.mark.parametrize("name", list(vars(CostTable())))
+def test_cost_table_refuses_a_negative_field(name):
+    with pytest.raises(ValueError, match=f"^{name} must be non-negative$"):
+        CostTable(**{name: -1})
 
 
 def test_deposit_independent_of_tvl():

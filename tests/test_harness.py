@@ -1,7 +1,6 @@
 import hashlib
 import itertools
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -16,6 +15,11 @@ from bridgesim.harness import (_MINIMUMS, INT_KEYS, LIVENESS_BOUND,
 from bridgesim.lightclient import check_chain
 from bridgesim.protocol import EVENT_SCHEMA, Bridge, dispute_fees, read_log
 from bridgesim.txgraph import TxKind
+
+
+def replace(sc: Scenario, **changes) -> Scenario:
+    """A new scenario with ``sc``'s fields but ``changes``."""
+    return Scenario(**{**vars(sc), **changes})
 
 
 def test_happy_path_all_invariants():

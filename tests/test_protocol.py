@@ -911,6 +911,26 @@ def test_force_close_pair_given_in_reverse():
     assert b.graph.vmxos[v1].state == VmxoState.KICKOFF_OPEN
 
 
+def test_force_close_by_its_own_operator_refused_before_any_write():
+    # f0 closing its own pair locked vmxo1 again and slashed nobody: it
+    # cancelled its second kick-off for one force-close fee
+    b = raw_kickoffs("f0", "f0")
+    va, vb = b.graph.vmxo_ids
+
+    def state():
+        return (list(b.rows), b.ledger.balances["deposit:f0"],
+                {v: (x.state, x.operator) for v, x in b.graph.vmxos.items()},
+                set(b.graph.spent), dict(b.ledger.balances), set(b.slashed))
+
+    before = state()
+    for pair in ((va, vb), (vb, va)):
+        with pytest.raises(MalformedInput, match="f0 force-closes its own"):
+            b.force_close(*pair, "f0")
+    assert state() == before
+    assert before[2] == {va: (VmxoState.KICKOFF_OPEN, "f0"),
+                         vb: (VmxoState.KICKOFF_OPEN, "f0")}
+
+
 def test_adhoc_theft_rejected_without_full_leak():
     b = make_bridge()
     pegin = do_pegin(b)
