@@ -175,9 +175,8 @@ class CensorSpec(NamedTuple):
 class SimClock:
     __slots__ = ("now", "censor_windows")
 
-    def __init__(self, now: int = 0,
-                 censor_windows: Optional[list[CensorSpec]] = None):
-        self.now = now
+    def __init__(self, censor_windows: Optional[list[CensorSpec]] = None):
+        self.now = 0
         self.censor_windows = [] if censor_windows is None else censor_windows
 
     def advance(self, ticks: int = 1) -> None:

@@ -216,14 +216,13 @@ def challenge(game: DisputeGame, kind: str = "Execution",
         raise ValueError(kind)
     if game.alt_defeated:
         raise WrongPhase("alt-chain branch already defeated")
-    if alt_input is None or main_difficulty is None:
-        raise MalformedInput("alt-chain challenge needs alt_input and "
-                             "main_difficulty")
+    if alt_input is None or main_difficulty is None or main_anchor_id is None:
+        raise MalformedInput("alt-chain challenge needs alt_input, "
+                             "main_difficulty and main_anchor_id")
     if not admit_counter_proof(main_difficulty, alt_input.claimed_difficulty):
         raise DifficultyNotHigher(
             f"{alt_input.claimed_difficulty} <= {main_difficulty}")
-    if main_anchor_id is not None and alt_input.headers \
-            and alt_input.headers[0].id != main_anchor_id:
+    if alt_input.headers and alt_input.headers[0].id != main_anchor_id:
         raise MalformedInput("alt chain not anchored at the peg-in block")
     game._publish(game.verifier, "alt-chain-proof", delay)
     try:

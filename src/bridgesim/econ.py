@@ -11,8 +11,8 @@ SATS_PER_BTC = 100_000_000
 
 
 class CostTable:
-    """Published vByte costs of the challenge-response DAG's transactions:
-    the class attributes, each overridden by its argument."""
+    """Published vByte costs of the challenge-response DAG's transactions,
+    read as class attributes."""
     commit_proof = 2513
     challenge = 653
     publish_hashes_per_step = 5118
@@ -21,36 +21,23 @@ class CostTable:
     publish_read_trace = 1063
     sha256_computation = 97780
 
-    def __init__(self, commit_proof: int = commit_proof,
-                 challenge: int = challenge,
-                 publish_hashes_per_step: int = publish_hashes_per_step,
-                 publish_choice_per_step: int = publish_choice_per_step,
-                 publish_full_trace: int = publish_full_trace,
-                 publish_read_trace: int = publish_read_trace,
-                 sha256_computation: int = sha256_computation):
-        costs = {name: v for name, v in locals().items() if name != "self"}
-        for name, v in costs.items():
-            if v < 0:
-                raise ValueError(f"{name} must be non-negative")
-        vars(self).update(costs)
-
     @staticmethod
     def default() -> "CostTable":
         return CostTable()
 
 
-# the CostTable field that prices each dispute publication
+# the vBytes of each dispute publication
 DISPUTE_ACTION_VBYTES = {
-    "commit-proof": "commit_proof",
-    "challenge": "challenge",
-    "alt-chain-proof": "challenge",
-    "publish-hashes": "publish_hashes_per_step",
-    "publish-choice": "publish_choice_per_step",
-    "publish-full-trace": "publish_full_trace",
-    "read-challenge": "challenge",
-    "publish-read-hashes": "publish_hashes_per_step",
-    "publish-read-choice": "publish_choice_per_step",
-    "execute-leaf": "sha256_computation",
+    "commit-proof": CostTable.commit_proof,
+    "challenge": CostTable.challenge,
+    "alt-chain-proof": CostTable.challenge,
+    "publish-hashes": CostTable.publish_hashes_per_step,
+    "publish-choice": CostTable.publish_choice_per_step,
+    "publish-full-trace": CostTable.publish_full_trace,
+    "read-challenge": CostTable.challenge,
+    "publish-read-hashes": CostTable.publish_hashes_per_step,
+    "publish-read-choice": CostTable.publish_choice_per_step,
+    "execute-leaf": CostTable.sha256_computation,
 }
 
 
@@ -84,8 +71,7 @@ def worst_case_vbytes(table: CostTable, hash_steps: int = 16,
             + table.sha256_computation)
 
 
-def required_deposit(n_functionaries: int, fee_rate: int,
-                     table: CostTable | None = None) -> int:
+def required_deposit(n_functionaries: int, fee_rate: int) -> int:
     """Deposit in satoshis covering N-1 worst-case dispute protocols at
     ``fee_rate`` sats per vByte."""
     if n_functionaries < 1:
@@ -93,7 +79,7 @@ def required_deposit(n_functionaries: int, fee_rate: int,
             f"need at least one functionary, got {n_functionaries}")
     if fee_rate <= 0:
         raise ValueError(f"fee rate must be positive, got {fee_rate}")
-    per_protocol = worst_case_vbytes(table or CostTable())
+    per_protocol = worst_case_vbytes(CostTable())
     return per_protocol * fee_rate * (n_functionaries - 1)
 
 

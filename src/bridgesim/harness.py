@@ -125,7 +125,7 @@ class Scenario:
                 and not self.leak_all:
             raise InvalidScenario("strategy without adversary")
         budget = self.watch_threshold - _MINIMUMS["watch_threshold"]
-        clock, merged_end, ticks = SimClock(0, self.censor), {}, {}
+        clock, merged_end, ticks = SimClock(self.censor), {}, {}
         for party, start, length in sorted(self.censor):
             if party not in self.functionary_ids or start < 0 or length < 1:
                 raise InvalidScenario(f"{CensorSpec(party, start, length)} "
@@ -439,7 +439,7 @@ class Runner:
         fake_burn = f"fakeburn:{adv}:{pegout.vmxo_id}"
         f1 = sec.mine_block(anchor.id, [fake_burn], difficulty=1)
         f2 = sec.mine_block(f1.id, [f"fakepad:{adv}"], difficulty=1)
-        pegin = next(p for p in b.pegins if p.vmxo_id == pegout.vmxo_id)
+        pegin = b.pegins[b.graph.vmxo_position[pegout.vmxo_id]]
         pegin_proof = b.source.prove_inclusion(pegin.deposit_tx,
                                                pegin.deposit_block)
         pegin_header = b.source.headers[pegin.deposit_block]

@@ -21,7 +21,7 @@ from enum import Enum
 from typing import Optional
 
 from .chain import SECONDARY, SOURCE, ChainView, SimClock
-from .econ import CostTable, DISPUTE_ACTION_VBYTES, required_deposit
+from .econ import DISPUTE_ACTION_VBYTES, required_deposit
 from .errors import (AlreadyClosed, ConcurrencyLimit, EnablerUnavailable,
                      Insolvent, InsufficientConfirmations, MalformedInput,
                      MissingSignature, NoCapacity, NotLinked, NotSameOperator,
@@ -253,7 +253,6 @@ def read_log(lines) -> list[tuple]:
 class Bridge:
     """Protocol engine for one packet on one pair of chains."""
 
-    cost_table = CostTable()
     # confirmations before a peg-in mints or a front counts (source chain)
     # and before a burn counts (secondary chain)
     source_confirmations = 3
@@ -261,8 +260,7 @@ class Bridge:
 
     def __init__(self, functionary_ids: list[str], vmxo_count: int,
                  denomination: int, fee_rate: int = 1, t_sep: int = 0):
-        deposit = required_deposit(len(functionary_ids), fee_rate,
-                                   self.cost_table)
+        deposit = required_deposit(len(functionary_ids), fee_rate)
         # first, so that too few, repeated or non-word ids leave no state
         self.graph: PacketGraph = build_packet_templates(
             functionary_ids, vmxo_count, denomination,
@@ -336,9 +334,9 @@ class Bridge:
         self.pay_fee(payer, tx.vbytes, why)
 
     def pay_dispute_fee(self, party: str, action: str) -> int:
-        if action not in DISPUTE_ACTION_VBYTES:
+        vb = DISPUTE_ACTION_VBYTES.get(action)
+        if vb is None:
             raise MalformedInput(f"unknown dispute action {action!r}")
-        vb = getattr(self.cost_table, DISPUTE_ACTION_VBYTES[action])
         return self.pay_fee(party, vb, f"dispute:{action}")
 
     def account_publications(self, publications, base: int) -> None:
@@ -492,12 +490,16 @@ class Bridge:
         kick off), and ``False`` for a raw kick-off, which skipped it: the
         template itself carries no concurrency check on-chain.  Its one
         input is the operator's wallet, so it spends no graph output and
-        its template is not built here."""
+        its template is not built here.  Only the operator that fronted
+        the peg-out, if one did, may kick it off."""
         vmxo = self._linked_vmxo(pegout)
         if vmxo.state != VmxoState.LOCKED:
             raise NotTriggered(f"{pegout.vmxo_id} is {vmxo.state.value}")
         if operator not in self.graph.position:
             raise UnknownId(operator)
+        if pegout.operator is not None and pegout.operator != operator:
+            raise NotTriggered(
+                f"{pegout.vmxo_id} fronted by {pegout.operator}")
         honest = pegout.state == PegOutState.PROVEN
         self.pay_dispute_fee(operator, "commit-proof")
         vmxo.state = VmxoState.KICKOFF_OPEN

@@ -29,17 +29,15 @@ def power_of_two_markers(elapsed: int) -> list[int]:
 class StopWatch:
     __slots__ = ("party", "threshold", "total", "running_since")
 
-    def __init__(self, party: str, threshold: int, total: int = 0):
+    def __init__(self, party: str, threshold: int):
         self.party = party
         self.threshold = threshold
-        self.total = total
+        self.total = 0
         self.running_since: Optional[int] = None
 
-    def accumulated(self, now: Optional[int] = None) -> int:
+    def accumulated(self, now: int) -> int:
         if self.running_since is None:
             return self.total
-        if now is None:
-            raise ValueError("now required while running")
         return self.total + now - self.running_since
 
     def start(self, now: int) -> None:
@@ -60,6 +58,6 @@ class StopWatch:
         self.running_since = None
         return self.total
 
-    def aggregate_timeout(self, now: Optional[int] = None) -> bool:
+    def aggregate_timeout(self, now: int) -> bool:
         """True once total measured time exceeds the threshold."""
         return self.accumulated(now) > self.threshold

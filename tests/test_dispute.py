@@ -155,7 +155,8 @@ def test_alt_chain_rejected_when_not_heavier():
     inp, alt = make_alt(valid=True, d2=5)
     with pytest.raises(DifficultyNotHigher):
         challenge(g, "AltChain", alt_input=alt,
-                  main_difficulty=inp.claimed_difficulty)
+                  main_difficulty=inp.claimed_difficulty,
+                  main_anchor_id=inp.headers[0].id)
 
 
 def test_valid_counter_proof_defeats_prover():
@@ -177,7 +178,8 @@ def test_bogus_counter_proof_loses_inner_and_outer_resumes():
     g = new_game(16)
     inp, alt = make_alt(valid=False, d2=999)
     challenge(g, "AltChain", alt_input=alt,
-              main_difficulty=inp.claimed_difficulty)
+              main_difficulty=inp.claimed_difficulty,
+              main_anchor_id=inp.headers[0].id)
     inner = g.nested
     challenge(inner)
     inner_out = run_search(inner)
@@ -187,7 +189,8 @@ def test_bogus_counter_proof_loses_inner_and_outer_resumes():
     assert g.alt_defeated
     with pytest.raises(WrongPhase):
         challenge(g, "AltChain", alt_input=alt,
-                  main_difficulty=inp.claimed_difficulty)
+                  main_difficulty=inp.claimed_difficulty,
+                  main_anchor_id=inp.headers[0].id)
     out = resolve_no_challenge(g)
     assert out == Outcome("p", "v", Reason.COUNTER_PROOF_DEFEATED)
 
@@ -199,7 +202,8 @@ def test_execution_challenge_after_defeated_counter_proof():
     g = new_game(16, corrupt_at=pos)
     inp, alt = make_alt(valid=False, d2=999)
     challenge(g, "AltChain", alt_input=alt,
-              main_difficulty=inp.claimed_difficulty)
+              main_difficulty=inp.claimed_difficulty,
+              main_anchor_id=inp.headers[0].id)
     challenge(g.nested)
     run_search(g.nested)
     watch = g.watches["p"]
@@ -217,7 +221,8 @@ def test_nesting_depth_at_most_one():
     g = new_game(16)
     inp, alt = make_alt(valid=True)
     challenge(g, "AltChain", alt_input=alt,
-              main_difficulty=inp.claimed_difficulty)
+              main_difficulty=inp.claimed_difficulty,
+              main_anchor_id=inp.headers[0].id)
     assert g.nested is not None
     assert g.nested.nested is None
 
@@ -642,13 +647,15 @@ def test_outcome_refuses_one_party_as_winner_and_loser(reason):
         Outcome("p", "p", reason)
 
 
-@pytest.mark.parametrize("missing", ["alt_input", "main_difficulty"])
+@pytest.mark.parametrize("missing",
+                         ["alt_input", "main_difficulty", "main_anchor_id"])
 def test_alt_chain_challenge_without_input_rejected(missing):
     g = new_game(16)
     inp, alt = make_alt(valid=True)
-    kwargs = dict(alt_input=alt, main_difficulty=inp.claimed_difficulty)
+    kwargs = dict(alt_input=alt, main_difficulty=inp.claimed_difficulty,
+                  main_anchor_id=inp.headers[0].id)
     del kwargs[missing]
-    with pytest.raises(MalformedInput):
+    with pytest.raises(MalformedInput, match="^alt-chain challenge needs "):
         challenge(g, "AltChain", **kwargs)
     # nothing was published and the game still awaits a challenge
     assert g.phase == Phase.AWAIT_CHALLENGE and g.nested is None

@@ -6,6 +6,7 @@ import pytest
 
 from bridgesim import harness, txgraph
 from bridgesim.chain import SimClock
+from bridgesim.econ import DISPUTE_ACTION_VBYTES
 from bridgesim.errors import InvalidScenario
 from bridgesim.harness import (_MINIMUMS, INT_KEYS, LIVENESS_BOUND,
                               RESERVE_TICKS, TRACE_LENGTH, CensorSpec, Runner,
@@ -452,7 +453,7 @@ def test_censorship_budget_counts_each_partys_ticks_once(windows, admitted):
     # carries across from one to the next, count once
     sc = Scenario(seed=1, censor=[CensorSpec(*w) for w in windows])
     budget = sc.watch_threshold - _MINIMUMS["watch_threshold"]
-    clock = SimClock(0, sc.censor)
+    clock = SimClock(sc.censor)
     ticks = {p: sum(clock.censored_until(p, t) is not None
                     for t in range(200)) for p, _, _ in windows}
     assert budget == 58 and (max(ticks.values()) <= budget) == admitted
@@ -852,6 +853,28 @@ def test_dispute_fees_logged_match_cost_table():
     fee_transfers = sum(1 for l in report.log if "why=dispute:" in l)
     kickoffs = sum(1 for l in report.log if " ev=kickoff " in l)
     assert fee_transfers == pubs + kickoffs
+    # each fee is the run's fee rate times its price: the price table's for
+    # a dispute publication, the template's vbytes for the two templates a
+    # run executes with a fee
+    g = txgraph.build_packet_templates(["f0", "f1"], 2, 100)
+    va, vb = g.vmxo_ids
+    prices = {f"dispute:{action}": vbytes
+              for action, vbytes in DISPUTE_ACTION_VBYTES.items()}
+    prices["unlocking"] = g.template(TxKind.UNLOCKING, va, "f0").vbytes
+    prices["force-close"] = g.template(TxKind.FORCE_CLOSE, "f0",
+                                       va, vb).vbytes
+    at = EVENT_SCHEMA[("meta", "params")].index("fee_rate")
+    priced = set()
+    for sc in scenario_corpus() + generate_adversarial_scenarios(500):
+        rows = run_scenario(sc).rows
+        fee_rate = next(values[at] for _, key, values in rows
+                        if key == ("meta", "params"))
+        for _, key, values in rows:
+            if key == "transfer" and values[1] == "fees":
+                amount, _, _, why = values
+                assert amount == fee_rate * prices[why], (sc.name, why)
+                priced.add(why)
+    assert priced == set(prices)
 
 
 def test_behaviour_digest_pinned():

@@ -8,7 +8,7 @@ from bridgesim.errors import (AlreadyClosed, BridgeSimError,
                              WrongDenomination)
 from bridgesim import harness
 from bridgesim.harness import Scenario, Strategy
-from bridgesim.econ import DISPUTE_ACTION_VBYTES
+from bridgesim.econ import DISPUTE_ACTION_VBYTES, CostTable
 from bridgesim.protocol import (Bridge, Ledger, PegIn, PegOut, PegOutState,
                                 contest_fees, dispute_fees)
 from bridgesim.txgraph import (EnablerState, TxKind, VmxoState,
@@ -283,7 +283,7 @@ def test_honest_pegout_pays_operator_from_vmxo():
     assert b.ledger.balances[f"vmxo:{pegout.vmxo_id}"] == 0
     # operator nets the vmxo minus the fronted amount minus fees
     fronted = DENOM - DENOM // 1000
-    fees = (b.cost_table.commit_proof + 500) * b.fee_rate
+    fees = (CostTable.commit_proof + 500) * b.fee_rate
     assert b.ledger.balances["wallet:f0"] == before - fronted + DENOM - fees
 
 
@@ -365,7 +365,7 @@ def test_publish_challenges_pays_and_logs_as_one_fee_at_a_time():
         each.emit("dispute_pub", "challenge", ch, 5)
     assert batch.rows == each.rows and len(batch.rows) == 6
     assert batch.ledger.balances == each.ledger.balances
-    fee = 3 * getattr(Bridge.cost_table, DISPUTE_ACTION_VBYTES["challenge"])
+    fee = 3 * DISPUTE_ACTION_VBYTES["challenge"]
     assert dispute_fees(batch.rows) == dispute_fees(each.rows) == \
         {"f2": fee, "f0": fee, "f3": fee}
     batch.account_publications([], 5)
@@ -438,6 +438,15 @@ def copied_pegout(b):
     return copy
 
 
+def prove_front_by_f0(b, linked):
+    """f0 fronts the linked peg-out and proves its front."""
+    b.front_funds(linked, "f0")
+    front_block = mine_source(b, [linked.fronted_tx])
+    for _ in range(b.source_confirmations):
+        mine_source(b, [f"pad{b.clock.now}"])
+    b.prove_front(linked, front_block)
+
+
 def drain_after_second_kickoff(b, linked):
     # f1 kicks off vmxo1 too, so that vmxo0 and vmxo1 can be force-closed
     b.publish_kickoff(linked, "f1")
@@ -463,6 +472,15 @@ REFUSALS = {
     "front-linked-to-unknown-vmxo": (
         UnknownId, lambda b, linked, unlinked:
         b.front_funds(elsewhere(linked), "f0")),
+    # these two logged f1's kick-off, the proven one honest=True, so that
+    # unlock paid f1 the VMXO that f0 fronted
+    "kickoff-of-a-pegout-another-fronted": (
+        NotTriggered, lambda b, linked, unlinked:
+        b.publish_kickoff(linked, "f1"),
+        lambda b, linked: b.front_funds(linked, "f0")),
+    "kickoff-of-a-pegout-another-proved": (
+        NotTriggered, lambda b, linked, unlinked:
+        b.publish_kickoff(linked, "f1"), prove_front_by_f0),
     "kickoff-linked-to-unknown-vmxo": (
         UnknownId, lambda b, linked, unlinked:
         b.publish_kickoff(elsewhere(linked), "f0")),
@@ -737,7 +755,7 @@ def test_two_contests_refund_each_challenger_its_fees_once():
     assert _refunds(b, start) == [("wallet:f0", challenge),
                                   ("wallet:f2", challenge)]
     b.publish_kickoff(second, "f0")
-    commit = b.cost_table.commit_proof * b.fee_rate
+    commit = CostTable.commit_proof * b.fee_rate
     b.pay_dispute_fee("f2", "challenge")
     hashes = b.pay_dispute_fee("f0", "publish-hashes")
     start = len(b.rows)

@@ -17,7 +17,7 @@ import pytest
 
 from bridgesim.chain import CensorSpec
 from bridgesim.dispute import DisputeGame, ExecutionTrace, Outcome, Reason
-from bridgesim.econ import CostTable, TimingParams
+from bridgesim.econ import DISPUTE_ACTION_VBYTES, CostTable, TimingParams
 from bridgesim.harness import RunReport, Scenario, Strategy, run_scenario
 from bridgesim.txgraph import SimTx, TxKind, build_packet_templates
 
@@ -28,7 +28,7 @@ LAYERS = ("chain", "cli", "dispute", "econ", "errors", "harness",
 HAND_WRITTEN = {
     "harness.Scenario",  # every field a keyword, fresh censor list, ==
     "txgraph.SimTx",  # refuses assignment, == and hash by content
-    "econ.CostTable",  # fields read as class attributes, refuses negatives
+    "econ.CostTable",  # prices read as class attributes, no arguments
     "econ.TimingParams",  # refuses inconsistent timelocks
     "dispute.Outcome",  # ==, refuses winner == loser
     "dispute.DisputeGame",  # arity and read_steps read as class attributes
@@ -138,15 +138,22 @@ def test_templates_compare_and_hash_by_content():
 
 
 def test_cost_table_fields_are_its_class_attributes():
-    # txgraph prices the kick-off by CostTable.commit_proof, unbuilt
-    default = CostTable()
+    # txgraph prices the kick-off by CostTable.commit_proof and the dispute
+    # fees by DISPUTE_ACTION_VBYTES, unbuilt; the acceptance suite reads
+    # CostTable.default()
+    prices = {name: v for name, v in vars(CostTable).items()
+              if type(v) is int}
+    assert list(prices) == ["commit_proof", "challenge",
+                            "publish_hashes_per_step",
+                            "publish_choice_per_step", "publish_full_trace",
+                            "publish_read_trace", "sha256_computation"]
     assert CostTable.commit_proof == 2513
-    assert {name: getattr(CostTable, name) for name in vars(default)} == \
-        vars(default)
-    # positional arguments take the fields in order
-    assert list(vars(CostTable(*range(7))).values()) == list(range(7))
-    assert list(vars(CostTable(*range(7)))) == list(vars(default))
-    assert vars(CostTable(challenge=1)) == {**vars(default), "challenge": 1}
+    default = CostTable.default()
+    assert vars(default) == {}
+    assert {name: getattr(default, name) for name in prices} == prices
+    assert set(DISPUTE_ACTION_VBYTES.values()) < set(prices.values())
+    with pytest.raises(TypeError):
+        CostTable(0)
 
 
 def test_timing_params_read_back():

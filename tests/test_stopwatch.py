@@ -4,6 +4,14 @@ from bridgesim.errors import AlreadyRunning, BridgeSimError, NotRunning
 from bridgesim.stopwatch import StopWatch, power_of_two_markers
 
 
+def watch_with(total, threshold=100):
+    """An idle watch that has committed one interval of ``total`` ticks."""
+    w = StopWatch("f1", threshold)
+    w.start(0)
+    w.stop(total)
+    return w
+
+
 def test_start_records_time():
     w = StopWatch("f1", threshold=100)
     w.start(10)
@@ -36,7 +44,8 @@ def test_accumulated_sum():
     for start, dur in ((0, 2), (10, 3), (20, 1)):
         w.start(start)
         w.stop(start + dur)
-    assert w.accumulated() == 6
+    # idle, the watch reads its total at any tick
+    assert w.accumulated(21) == w.accumulated(99) == 6
 
 
 def test_markers_maturity():
@@ -58,11 +67,9 @@ def test_markers_monotone_while_running():
 
 
 def test_aggregate_timeout_cases():
-    w = StopWatch("f1", threshold=7, total=6)
-    assert not w.aggregate_timeout()
-    w = StopWatch("f1", threshold=7, total=8)
-    assert w.aggregate_timeout()
-    w = StopWatch("f1", threshold=7, total=3)
+    assert not watch_with(6, threshold=7).aggregate_timeout(6)
+    assert watch_with(8, threshold=7).aggregate_timeout(8)
+    w = watch_with(3, threshold=7)
     w.start(100)
     assert w.aggregate_timeout(105)  # 3 + 5 > 7
 
@@ -83,12 +90,12 @@ def test_bounded_by_per_turn_budget():
         w.start(t)
         t += r
         w.stop(t)
-        assert not w.aggregate_timeout()
-    assert w.accumulated() == k * r
+        assert not w.aggregate_timeout(t)
+    assert w.accumulated(t) == k * r
 
 
 def test_total_is_the_sum_of_committed_intervals():
-    w = StopWatch("f1", threshold=100, total=5)
+    w = watch_with(5)
     w.start(10)
     assert w.stop(13) == w.total == 8
     # a zero interval is legal: a counter-proof's watch stops where it began
@@ -98,7 +105,7 @@ def test_total_is_the_sum_of_committed_intervals():
 
 
 def test_stop_before_start_refused():
-    w = StopWatch("f1", threshold=100, total=2)
+    w = watch_with(2)
     w.start(10)
     with pytest.raises(BridgeSimError):
         w.stop(9)
