@@ -477,6 +477,7 @@ class Bridge:
         return pegout.fronted_tx
 
     def prove_front(self, pegout: PegOut, front_block: str) -> None:
+        self._requested(pegout)
         if pegout.state != PegOutState.FRONTED:
             raise NotTriggered(f"{pegout.burn_tx} is {pegout.state.value}")
         self._confirmed(self.source, front_block, pegout.fronted_tx,
@@ -633,11 +634,13 @@ class Bridge:
     def recycle_enablers(self, pegout: PegOut) -> dict[str, int]:
         """Post-terminal counts of the N² enablers of the peg-out's VMXO,
         from that VMXO's stored states alone: one with none is live.
-        ``UnknownId`` if the packet has no such VMXO."""
+        ``UnknownId`` if the packet has no such VMXO, then ``NotTriggered``
+        for a peg-out that ``request_pegout`` did not make."""
         if pegout.state not in (PegOutState.UNLOCKED,
                                 PegOutState.INVALIDATED):
             raise NotTriggered(pegout.burn_tx or "?")
         self.graph.vmxo(pegout.vmxo_id)
+        self._requested(pegout)
         states = self.graph.used_enablers.get(pegout.vmxo_id, {})
         stored = list(states.values())
         counts = {"live": len(self.functionaries) ** 2 - len(states),

@@ -400,8 +400,10 @@ class PacketGraph:
         is recorded."""
         if functionary not in self.position:
             raise UnknownId(functionary)
-        for vmxo_id in vmxo_ids:
-            self._key(functionary, vmxo_id)
+        vmxos = self.vmxos
+        if not all(map(vmxos.__contains__, vmxo_ids)):
+            raise UnknownId((functionary,
+                             next(v for v in vmxo_ids if v not in vmxos)))
         if not self.signers:
             raise PrematureDeletion(",".join(vmxo_ids))
 

@@ -217,18 +217,77 @@ def counted_builds(monkeypatch) -> list:
     return built
 
 
-def test_caches_stay_bounded_over_the_sweep(run_with_bridge, monkeypatch):
+def clear_id_caches():
     txgraph._TEMPLATE_CACHE.clear()
+    chain._FIRST_SIGHT.clear()
+    chain._KEPT.clear()
+
+
+def test_caches_stay_bounded_over_the_sweep(run_with_bridge, monkeypatch):
+    clear_id_caches()
     built = counted_builds(monkeypatch)
     held = 0
     for sc in generate_adversarial_scenarios(500):
         held += len(run_with_bridge(sc)[1].graph.templates)
     assert 0 < len(built) < held  # hits: templates held but not built
     assert 0 < len(txgraph._TEMPLATE_CACHE) <= txgraph.TEMPLATE_CACHE_SIZE
-    info = chain._header.cache_info()
-    assert info.maxsize == chain.HEADER_CACHE_SIZE
-    assert 0 < info.currsize <= chain.HEADER_CACHE_SIZE
-    assert info.hits > 0
+    # a kept header is one looked up again, so a hit
+    assert 0 < len(chain._FIRST_SIGHT) <= chain.HEADER_CACHE_SIZE
+    assert 0 < len(chain._KEPT) <= 8 * chain.HEADER_CACHE_SIZE
+
+
+def test_the_sweep_makes_each_recurring_header_once(monkeypatch):
+    # a count, not a timer: the headers made, each two digests, on cold
+    # caches and then again on warm ones.  A 128-entry LRU made 3,294 and
+    # then 3,237, as most of the sweep's headers recur past its bound
+    clear_id_caches()
+    made = []
+    commitment = chain.tx_commitment
+
+    def counted(txs):
+        made.append(txs)
+        return commitment(txs)
+
+    monkeypatch.setattr(chain, "tx_commitment", counted)
+    scenarios = generate_adversarial_scenarios(500)
+    passes = []
+    for _ in range(2):
+        made.clear()
+        for sc in scenarios:
+            run_scenario(sc)
+        passes.append(len(made))
+    assert passes == [1_015, 395]
+    assert len(chain._KEPT) == 436
+
+
+def test_one_off_blocks_leave_the_kept_tier_as_it_was():
+    # the genesis recurs, so it is kept; each block mined on a fresh view
+    # is seen once and only passes through the first-sight tier, so a
+    # set-up of one-off headers holds no more than that tier's bound
+    for _ in range(2):
+        ChainView(SOURCE)
+    kept = list(chain._KEPT)
+    for i in range(3_000):
+        view = ChainView(SOURCE)
+        view.mine_block(view.genesis.id, [f"one-off-{i}"])
+    assert list(chain._KEPT) == kept
+    assert len(chain._FIRST_SIGHT) <= chain.HEADER_CACHE_SIZE
+
+
+def test_the_kept_tier_evicts_its_oldest_past_its_bound(monkeypatch):
+    # each block is looked up again while first seen, so each is kept, and
+    # the kept tier holds the last eight times the bound
+    monkeypatch.setattr(chain, "HEADER_CACHE_SIZE", 1)
+    clear_id_caches()
+    view, mined = ChainView(SOURCE), []
+    for i in range(12):
+        mined.append(view.mine_block(view.genesis.id, [f"tx{i}"]))
+        assert view.mine_block(view.genesis.id, [f"tx{i}"]) is mined[-1]
+        assert len(chain._FIRST_SIGHT) <= 1
+    assert list(chain._KEPT.values()) == mined[-8:]
+    # 1 and True hash alike, but a kept header is not the one True asks for
+    true = view.mine_block(view.genesis.id, ["tx11"], True)
+    assert true.difficulty is True and true.id != mined[-1].id
 
 
 def test_a_slash_builds_no_kill_template(monkeypatch):

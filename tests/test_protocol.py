@@ -438,6 +438,14 @@ def copied_pegout(b):
     return copy
 
 
+def forged_front(b):
+    """A Fronted peg-out that no request made, its front u0's deposit,
+    which is in its block and deep enough."""
+    fake = PegOut("u0", DENOM, state=PegOutState.FRONTED)
+    fake.fronted_tx = b.pegins[0].deposit_tx
+    return fake
+
+
 def prove_front_by_f0(b, linked):
     """f0 fronts the linked peg-out and proves its front."""
     b.front_funds(linked, "f0")
@@ -544,6 +552,15 @@ REFUSALS = {
     "prove-unfronted-pegout": (
         NotTriggered, lambda b, linked, unlinked:
         b.prove_front(linked, b.pegins[0].deposit_block)),
+    # these two logged front_proven and enablers_recycled for peg-outs
+    # that no request made
+    "prove-front-of-a-pegout-never-requested": (
+        NotTriggered, lambda b, linked, unlinked:
+        b.prove_front(forged_front(b), b.pegins[0].deposit_block)),
+    "recycle-pegout-never-requested": (
+        NotTriggered, lambda b, linked, unlinked:
+        b.recycle_enablers(PegOut("u9", DENOM, vmxo_id="pkt0:vmxo1",
+                                  state=PegOutState.UNLOCKED))),
     "dispute-fee-for-unknown-action": (
         MalformedInput, lambda b, linked, unlinked:
         b.pay_dispute_fee("f0", "bribe")),

@@ -114,7 +114,8 @@ def _every_run(tmp_path: Path, capsys) -> None:
 def test_every_function_is_reached_or_allowed(tmp_path, capsys):
     # a cached id or header would skip the function that makes it
     txgraph._TEMPLATE_CACHE.clear()
-    chain._header.cache_clear()
+    chain._FIRST_SIGHT.clear()
+    chain._KEPT.clear()
     functions = _functions()
     entered = _entered(lambda: _every_run(tmp_path, capsys))
     never = {name for key, name in functions.items() if key not in entered}
