@@ -19,8 +19,8 @@ from .dispute import (DisputeGame, ExecutionTrace, challenge, drive,
                       open_game, resolve_no_challenge, settle_counter_proof)
 from .errors import InvalidScenario, NoCapacity, TimeoutExpired
 from .lightclient import AltChainInput, CheckChainInput
-from .protocol import (EVENT_SCHEMA, Bridge, PegOut, PegOutState,
-                       contest_fees, dispute_fees, event_lines, read_log)
+from .protocol import (EVENT_SCHEMA, Bridge, PegOutState, contest_fees,
+                       dispute_fees, event_lines, read_log)
 from .txgraph import VmxoState
 
 
@@ -300,16 +300,16 @@ class Runner:
     def run_pegins(self) -> None:
         b, sc = self.bridge, self.sc
         for u in self.users:
-            pegin = b.request_pegin(u, sc.denomination)
-            b.sign_pegin(pegin, u, *self.functionaries)
-            pegin.deposit_block = self._mine_confirmed(
-                b.source, b.broadcast_pegin(pegin), b.source_confirmations,
+            i = b.request_pegin(u, sc.denomination)
+            b.sign_pegin(i, u, *self.functionaries)
+            b.pegins[i].deposit_block = self._mine_confirmed(
+                b.source, b.broadcast_pegin(i), b.source_confirmations,
                 "pad:{}:" + u)
-            b.execute_pegin(pegin)
+            b.execute_pegin(i)
 
     # -- dispute plumbing --------------------------------------------------
 
-    def _contest_kickoff(self, pegout: PegOut, challengers: list[str],
+    def _contest_kickoff(self, vmxo_id: str, challengers: list[str],
                          prover_trace: ExecutionTrace,
                          main_input: Optional[CheckChainInput] = None,
                          alt_input: Optional[AltChainInput] = None) -> None:
@@ -319,11 +319,12 @@ class Runner:
         the game are paid and logged, and the loser slashed.  With
         ``alt_input`` the game played is the nested one, roles reversed, of
         an alt-chain counter-proof.  Unless its operator lost, it unlocks."""
-        b, sc, defender = self.bridge, self.sc, pegout.operator
+        b, sc = self.bridge, self.sc
+        defender = b.graph.vmxos[vmxo_id].operator
         if not challengers:
             b.clock.advance(sc.challenge_window + 1)
-            b.emit("challenge_window_expired", defender, pegout.vmxo_id)
-            self._unlock(pegout)
+            b.emit("challenge_window_expired", defender, vmxo_id)
+            self._unlock(vmxo_id)
             return
         verifier, base = challengers[0], b.clock.now
         game = open_game(defender, verifier, None, prover_trace,
@@ -372,17 +373,19 @@ class Runner:
                outcome.reason.value, verifier, outcome.winner)
         b.slash(outcome.loser, outcome.winner,
                 [p for p in (defender, *challengers) if p != outcome.loser],
-                pegout.vmxo_id)
+                vmxo_id)
         if outcome.loser != defender:
-            self._unlock(pegout)
+            self._unlock(vmxo_id)
 
-    def _unlock(self, pegout: PegOut) -> None:
+    def _unlock(self, vmxo_id: str) -> None:
         """Unlock a standing kick-off, a fronted one once its burn is seen."""
         b = self.bridge
-        if pegout.fronted_tx is not None:
+        pegout = b.linked.get(vmxo_id)
+        if pegout is not None and pegout.fronted_tx is not None:
             b.emit("burn_confirmed", pegout.burn_block,
-                   int(b.honest_unlock_allowed(pegout)), pegout.burn_tx)
-        b.unlock(pegout)
+                   int(b.honest_unlock_allowed(pegout.burn_block)),
+                   pegout.burn_tx)
+        b.unlock(vmxo_id)
 
     # -- peg-outs ----------------------------------------------------------
 
@@ -398,48 +401,48 @@ class Runner:
         return [f for f in self.honest
                 if f != excluding and f not in self.bridge.slashed]
 
-    def _front_and_kick_off(self, pegout: PegOut, operator: str) -> None:
+    def _front_and_kick_off(self, i: int, operator: str) -> None:
         """The guarded path: front, prove the confirmed front, kick off."""
         b = self.bridge
         b.clock.advance(b.separation_left(operator))
-        b.front_funds(pegout, operator)
         front_block = self._mine_confirmed(
-            b.source, pegout.fronted_tx, b.source_confirmations,
+            b.source, b.front_funds(i, operator), b.source_confirmations,
             "pad:{}:front")
-        b.prove_front(pegout, front_block)
-        b.publish_kickoff(pegout, operator)
+        b.prove_front(i, front_block)
+        b.publish_kickoff(b.pegouts[i].vmxo_id, operator)
 
-    def _honest_pegout_flow(self, pegout: PegOut, operator: str) -> None:
+    def _honest_pegout_flow(self, i: int, operator: str) -> None:
         b, sc = self.bridge, self.sc
-        self._front_and_kick_off(pegout, operator)
+        self._front_and_kick_off(i, operator)
+        pegout = b.pegouts[i]
         honest_trace = ExecutionTrace.honest(
             f"pegout:{pegout.burn_tx}", TRACE_LENGTH)
         adv = self.adversary
         griefers = [adv] if sc.strategy == Strategy.GRIEFING_VERIFIER \
             and adv not in (None, operator, *b.slashed) else []
-        self._contest_kickoff(pegout, griefers, honest_trace)
-        b.recycle_enablers(pegout)
+        self._contest_kickoff(pegout.vmxo_id, griefers, honest_trace)
+        b.recycle_enablers(i)
 
-    def _fraudulent_kickoff(self, pegout: PegOut, adv: str) -> None:
+    def _fraudulent_kickoff(self, i: int, adv: str) -> None:
         """Kick-off with an invalid execution proof and no fronting."""
-        b = self.bridge
-        b.publish_kickoff(pegout, adv)
+        pegout = self.bridge.pegouts[i]
+        self.bridge.publish_kickoff(pegout.vmxo_id, adv)
         prover_trace = ExecutionTrace.honest(
             f"pegout:{pegout.burn_tx}", TRACE_LENGTH).corrupted_at(
                 self.rng.randint(1, TRACE_LENGTH))
-        self._contest_kickoff(pegout, self._honest_verifiers(adv),
+        self._contest_kickoff(pegout.vmxo_id, self._honest_verifiers(adv),
                               prover_trace)
 
-    def _fork_kickoff(self, pegout: PegOut, adv: str) -> None:
+    def _fork_kickoff(self, i: int, adv: str) -> None:
         """Kick-off whose proof is internally valid but over a counterfeit
         fork of the secondary chain."""
         b = self.bridge
-        sec = b.secondary
+        sec, vmxo_id = b.secondary, b.pegouts[i].vmxo_id
         anchor = sec.canonical_chain()[1]  # shared peg-in-acknowledging block
-        fake_burn = f"fakeburn:{adv}:{pegout.vmxo_id}"
+        fake_burn = f"fakeburn:{adv}:{vmxo_id}"
         f1 = sec.mine_block(anchor.id, [fake_burn], difficulty=1)
         f2 = sec.mine_block(f1.id, [f"fakepad:{adv}"], difficulty=1)
-        pegin = b.pegins[b.graph.vmxo_position[pegout.vmxo_id]]
+        pegin = b.pegins[b.graph.vmxo_position[vmxo_id]]
         pegin_proof = b.source.prove_inclusion(pegin.deposit_tx,
                                                pegin.deposit_block)
         pegin_header = b.source.headers[pegin.deposit_block]
@@ -448,7 +451,7 @@ class Runner:
             fork_headers, pegin_proof, pegin_header,
             sec.prove_inclusion(fake_burn, f1.id),
             sum(h.difficulty for h in fork_headers))
-        b.publish_kickoff(pegout, adv)
+        b.publish_kickoff(vmxo_id, adv)
         b.emit("fork_mined", anchor.id, 2, adv)
         # honest verifier counter-proof: canonical continuation from the
         # same anchor, excluding the fake-burn block
@@ -464,58 +467,56 @@ class Runner:
         # branch can show
         honest = ExecutionTrace.honest(
             f"main:{main_input.pegout_proof.tx_id}", TRACE_LENGTH)
-        self._contest_kickoff(pegout, self._honest_verifiers(adv), honest,
+        self._contest_kickoff(vmxo_id, self._honest_verifiers(adv), honest,
                               main_input=main_input, alt_input=alt_input)
 
-    def _double_operator(self, pegout: PegOut, adv: str) -> None:
-        """Adversary fronts one peg-out, then opens a second raw kick-off."""
+    def _double_operator(self, i: int, adv: str) -> None:
+        """Adversary fronts one peg-out, then kicks off an unlinked VMXO."""
         b, sc = self.bridge, self.sc
-        self._front_and_kick_off(pegout, adv)
+        self._front_and_kick_off(i, adv)
+        fronted = b.pegouts[i].vmxo_id
         victim = next((v for v in b.graph.vmxo_ids
-                       if v != pegout.vmxo_id
+                       if v != fronted
                        and b.graph.vmxos[v].state == VmxoState.LOCKED), None)
-        fake = None
         if victim is not None:
-            fake = PegOut(user="-", amount=sc.denomination, vmxo_id=victim,
-                          state=PegOutState.LINKED)
-            b.publish_kickoff(fake, adv)
+            b.publish_kickoff(victim, adv)
         closers = self._honest_verifiers(adv)
-        if fake is None or not closers:
+        if victim is None or not closers:
             # no second kick-off, or nobody to force-close it: every
             # kick-off stands and unlocks
             b.clock.advance(sc.challenge_window + 1)
-            self._unlock(pegout)
-            if fake is not None:
-                self._unlock(fake)
+            self._unlock(fronted)
+            if victim is not None:
+                self._unlock(victim)
             return
-        b.force_close(pegout.vmxo_id, victim, closers[0])
+        b.force_close(fronted, victim, closers[0])
         b.slash(adv, closers[0], closers[:1], victim)
 
     def run_pegouts(self) -> None:
         b, sc = self.bridge, self.sc
         adv = self.adversary
-        for i in range(sc.n_pegouts):
-            user = self.users[i]
-            pegout = b.request_pegout(user, sc.denomination)
+        for user in self.users[:sc.n_pegouts]:
+            i = b.request_pegout(user, sc.denomination)
+            pegout = b.pegouts[i]
             pegout.burn_block = self._mine_confirmed(
                 b.secondary, pegout.burn_tx, b.secondary_confirmations,
                 "spad:{}", difficulty=2)
             try:
-                b.link_pegout(pegout)
+                b.link_pegout(i)
             except NoCapacity:
                 continue
             if i == 0 and sc.strategy in PROVER_STRATEGIES \
                     and adv is not None:
                 if sc.strategy == Strategy.DOUBLE_OPERATOR:
-                    self._double_operator(pegout, adv)
+                    self._double_operator(i, adv)
                 elif sc.strategy == Strategy.FORK_PROVER:
-                    self._fork_kickoff(pegout, adv)
+                    self._fork_kickoff(i, adv)
                 else:
-                    self._fraudulent_kickoff(pegout, adv)
+                    self._fraudulent_kickoff(i, adv)
             # a peg-out still linked, fresh or released by its adversarial
             # kick-off, is served by an honest operator
             if pegout.state == PegOutState.LINKED:
-                self._honest_pegout_flow(pegout, self._pick_operator())
+                self._honest_pegout_flow(i, self._pick_operator())
 
     # -- theft attempts ----------------------------------------------------
 

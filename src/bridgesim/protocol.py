@@ -27,8 +27,8 @@ from .errors import (AlreadyClosed, ConcurrencyLimit, EnablerUnavailable,
                      MissingSignature, NoCapacity, NotLinked, NotSameOperator,
                      NotTriggered, UnknownId, WrongDenomination)
 from .stopwatch import power_of_two_markers
-from .txgraph import (EnablerState, PacketGraph, SimTx, TxKind, Vmxo,
-                      VmxoState, build_packet_templates)
+from .txgraph import (EnablerState, PacketGraph, SimTx, TxKind, VmxoState,
+                      build_packet_templates)
 
 
 class PegOutState(str, Enum):
@@ -55,12 +55,10 @@ class PegOut:
     __slots__ = ("user", "amount", "burn_tx", "burn_block", "vmxo_id",
                  "operator", "fronted_tx", "state")
 
-    def __init__(self, user: str, amount: int, burn_tx: Optional[str] = None,
-                 vmxo_id: Optional[str] = None,
-                 state: PegOutState = PegOutState.REQUESTED):
-        self.user, self.amount = user, amount
-        self.burn_tx, self.vmxo_id, self.state = burn_tx, vmxo_id, state
-        self.burn_block = self.operator = self.fronted_tx = None
+    def __init__(self, user: str, amount: int, burn_tx: str):
+        self.user, self.amount, self.burn_tx = user, amount, burn_tx
+        self.burn_block = self.vmxo_id = self.operator = None
+        self.fronted_tx, self.state = None, PegOutState.REQUESTED
 
 
 class Ledger:
@@ -250,6 +248,14 @@ def read_log(lines) -> list[tuple]:
     return rows
 
 
+def _record(records: list, i: int):
+    """``records[i]``, the record of the handle ``i`` that a request gave;
+    ``UnknownId`` for a negative, out-of-range or non-``int`` index."""
+    if type(i) is not int or not 0 <= i < len(records):
+        raise UnknownId(i)
+    return records[i]
+
+
 class Bridge:
     """Protocol engine for one packet on one pair of chains."""
 
@@ -278,7 +284,7 @@ class Bridge:
         self.rows: list[tuple] = []
         self.pegins: list[PegIn] = []
         self.pegouts: list[PegOut] = []
-        self.linked_vmxos: set[str] = set()  # VMXOs linked to a peg-out
+        self.linked: dict[str, PegOut] = {}  # each linked VMXO's peg-out
         self.last_kickoff_tick: dict[str, int] = {}
         # the ids are distinct, so each account opens once, as fund() would
         balances = self.ledger.balances
@@ -357,34 +363,33 @@ class Bridge:
 
     # -- peg-in ------------------------------------------------------------
 
-    def request_pegin(self, user: str, amount: int) -> PegIn:
+    def request_pegin(self, user: str, amount: int) -> int:
+        """The new peg-in's index, the handle the other peg-in calls take."""
         if amount != self.denomination:
             raise WrongDenomination(f"{amount} != {self.denomination}")
         # in order: only executing a requested peg-in moves its VMXO on
         vmxo_ids, taken = self.graph.vmxo_ids, len(self.pegins)
         if taken == len(vmxo_ids):
             raise NoCapacity("no vmxo awaiting peg-in")
-        pegin = PegIn(user, amount, vmxo_ids[taken])
-        self.pegins.append(pegin)
-        self.emit("pegin_requested", amount, user, pegin.vmxo_id)
-        return pegin
+        self.pegins.append(PegIn(user, amount, vmxo_ids[taken]))
+        self.emit("pegin_requested", amount, user, vmxo_ids[taken])
+        return taken
 
-    def sign_pegin(self, pegin: PegIn, *signers: str) -> None:
-        pegin.signatures.update(signers)
+    def sign_pegin(self, i: int, *signers: str) -> None:
+        _record(self.pegins, i).signatures.update(signers)
 
-    def broadcast_pegin(self, pegin: PegIn) -> str:
+    def broadcast_pegin(self, i: int) -> str:
         """User's deposit transaction hits the source chain mempool; the
         harness mines it into a block."""
+        pegin = _record(self.pegins, i)
         pegin.deposit_tx = f"pegin:{pegin.user}:{pegin.vmxo_id}"
         return pegin.deposit_tx
 
-    def execute_pegin(self, pegin: PegIn) -> None:
-        """Mint for a peg-in that ``request_pegin`` made, once, after every
-        signature and enough confirmations; any other is refused first."""
-        vmxo = self.graph.vmxo(pegin.vmxo_id)
-        i = self.graph.vmxo_position[pegin.vmxo_id]
-        if i >= len(self.pegins) or self.pegins[i] is not pegin:
-            raise NotTriggered(f"{pegin.vmxo_id}: no such peg-in requested")
+    def execute_pegin(self, i: int) -> None:
+        """Mint for peg-in ``i``, once, after every signature and enough
+        confirmations; else refused before any write."""
+        pegin = _record(self.pegins, i)
+        vmxo = self.graph.vmxos[pegin.vmxo_id]
         if vmxo.state != VmxoState.AWAITING_PEGIN:
             raise NotTriggered(f"{pegin.vmxo_id} is {vmxo.state.value}")
         required = set(self.functionaries) | {pegin.user}
@@ -405,38 +410,34 @@ class Bridge:
 
     # -- peg-out -----------------------------------------------------------
 
-    def request_pegout(self, user: str, amount: int) -> PegOut:
+    def request_pegout(self, user: str, amount: int) -> int:
+        """The new peg-out's index, the handle the other peg-out calls take."""
         if amount != self.denomination:
             raise WrongDenomination(f"{amount} != {self.denomination}")
-        pegout = PegOut(user, amount,
-                        burn_tx=f"burn:{user}:{len(self.pegouts) + 1}")
+        i = len(self.pegouts)
+        pegout = PegOut(user, amount, f"burn:{user}:{i + 1}")
         self.transfer(f"user:{user}:wrapped", "wrapped-issuance", amount,
                       "burn")
         self.pegouts.append(pegout)
         self.emit("pegout_burn", amount, pegout.burn_tx, user)
-        return pegout
+        return i
 
-    def link_pegout(self, pegout: PegOut) -> str:
-        """Deterministic link of a peg-out that ``request_pegout`` made:
-        oldest unlinked Locked VMXO of the amount."""
-        self._requested(pegout)
+    def link_pegout(self, i: int) -> str:
+        """Deterministic link of a ``Requested`` peg-out ``i``: oldest
+        unlinked Locked VMXO of the amount."""
+        pegout = _record(self.pegouts, i)
         if pegout.state != PegOutState.REQUESTED:
             raise NotTriggered(f"{pegout.burn_tx} is {pegout.state.value}")
         for v in self.graph.vmxo_ids:
-            if v in self.linked_vmxos:
+            if v in self.linked:
                 continue
             if self.graph.vmxos[v].state == VmxoState.LOCKED:
                 pegout.vmxo_id = v
-                self.linked_vmxos.add(v)
+                self.linked[v] = pegout
                 pegout.state = PegOutState.LINKED
                 self.emit("pegout_linked", pegout.burn_tx, v)
                 return v
         raise NoCapacity("no locked vmxo to link")
-
-    def _requested(self, pegout: PegOut) -> None:
-        # a PegOut compares by identity, so this is a scan for that object
-        if pegout not in self.pegouts:
-            raise NotTriggered(f"{pegout.burn_tx}: no such peg-out requested")
 
     def _confirmed(self, chain: ChainView, block: Optional[str],
                    tx: Optional[str], depth: int) -> None:
@@ -446,17 +447,13 @@ class Bridge:
                 tx not in chain.block_txs[block]:
             raise InsufficientConfirmations(tx or "?")
 
-    def _linked_vmxo(self, pegout: PegOut) -> Vmxo:
+    def front_funds(self, i: int, operator: str) -> str:
+        """Front the ``Linked`` peg-out ``i``, once; a slashed operator has
+        no live enabler, an unknown one raises ``UnknownId``.  It keeps a
+        0.1% cut."""
+        pegout = _record(self.pegouts, i)
         if pegout.vmxo_id is None:
-            raise NotLinked(pegout.burn_tx or "?")
-        return self.graph.vmxo(pegout.vmxo_id)
-
-    def front_funds(self, pegout: PegOut, operator: str) -> str:
-        """Front a ``Linked`` peg-out that ``request_pegout`` made, once;
-        a slashed operator has no live enabler, an unknown one raises
-        ``UnknownId``.  It keeps a 0.1% cut."""
-        self._requested(pegout)
-        self._linked_vmxo(pegout)
+            raise NotLinked(pegout.burn_tx)
         if pegout.state != PegOutState.LINKED:
             raise NotTriggered(f"{pegout.burn_tx} is {pegout.state.value}")
         self._confirmed(self.secondary, pegout.burn_block, pegout.burn_tx,
@@ -476,8 +473,8 @@ class Bridge:
                   pegout.user)
         return pegout.fronted_tx
 
-    def prove_front(self, pegout: PegOut, front_block: str) -> None:
-        self._requested(pegout)
+    def prove_front(self, i: int, front_block: str) -> None:
+        pegout = _record(self.pegouts, i)
         if pegout.state != PegOutState.FRONTED:
             raise NotTriggered(f"{pegout.burn_tx} is {pegout.state.value}")
         self._confirmed(self.source, front_block, pegout.fronted_tx,
@@ -485,48 +482,49 @@ class Bridge:
         pegout.state = PegOutState.PROVEN
         self.emit("front_proven", pegout.fronted_tx)
 
-    def publish_kickoff(self, pegout: PegOut, operator: str) -> None:
-        """Operator commits the proof of the verification predicate.  It is
-        logged ``honest=True`` after the guarded path (front, prove, then
-        kick off), and ``False`` for a raw kick-off, which skipped it: the
-        template itself carries no concurrency check on-chain.  Its one
+    def publish_kickoff(self, vmxo_id: str, operator: str) -> None:
+        """Operator commits the proof of the verification predicate on a
+        Locked VMXO.  It is logged ``honest=True`` after the guarded path
+        (front, prove, then kick off) of the VMXO's linked peg-out, and
+        ``False`` for a raw kick-off, which skipped it or has no peg-out:
+        the template itself carries no concurrency check on-chain.  Its one
         input is the operator's wallet, so it spends no graph output and
         its template is not built here.  Only the operator that fronted
-        the peg-out, if one did, may kick it off."""
-        vmxo = self._linked_vmxo(pegout)
+        the linked peg-out, if one did, may kick it off."""
+        vmxo = self.graph.vmxo(vmxo_id)
         if vmxo.state != VmxoState.LOCKED:
-            raise NotTriggered(f"{pegout.vmxo_id} is {vmxo.state.value}")
+            raise NotTriggered(f"{vmxo_id} is {vmxo.state.value}")
         if operator not in self.graph.position:
             raise UnknownId(operator)
-        if pegout.operator is not None and pegout.operator != operator:
-            raise NotTriggered(
-                f"{pegout.vmxo_id} fronted by {pegout.operator}")
-        honest = pegout.state == PegOutState.PROVEN
+        pegout = self.linked.get(vmxo_id)
+        if pegout is not None and pegout.operator not in (None, operator):
+            raise NotTriggered(f"{vmxo_id} fronted by {pegout.operator}")
         self.pay_dispute_fee(operator, "commit-proof")
-        vmxo.state = VmxoState.KICKOFF_OPEN
-        vmxo.operator = operator
-        pegout.operator = operator
-        pegout.state = PegOutState.KICKOFF
+        vmxo.state, vmxo.operator = VmxoState.KICKOFF_OPEN, operator
+        honest = pegout is not None and pegout.state == PegOutState.PROVEN
+        if pegout is not None:
+            pegout.state, pegout.operator = PegOutState.KICKOFF, operator
         self.last_kickoff_tick[operator] = self.clock.now
-        self.emit("kickoff", honest, operator, pegout.vmxo_id)
+        self.emit("kickoff", honest, operator, vmxo_id)
 
-    def unlock(self, pegout: PegOut) -> None:
-        """No-challenge (or all-challenges-defeated) completion: the
-        Unlocking template pays the operator, consuming the operator enabler
-        and the open kick-off output."""
-        operator = pegout.operator
-        vmxo = self._linked_vmxo(pegout)
-        if vmxo.state != VmxoState.KICKOFF_OPEN or vmxo.operator != operator:
-            raise NotTriggered(pegout.vmxo_id)
-        self._spend(self.graph.template(TxKind.UNLOCKING, pegout.vmxo_id,
-                                        operator), operator, "unlocking")
+    def unlock(self, vmxo_id: str) -> None:
+        """No-challenge (or all-challenges-defeated) completion of the
+        VMXO's open kick-off: the Unlocking template pays its operator,
+        consuming the operator enabler and the kick-off output."""
+        vmxo = self.graph.vmxo(vmxo_id)
+        operator = vmxo.operator
+        if vmxo.state != VmxoState.KICKOFF_OPEN:
+            raise NotTriggered(vmxo_id)
+        self._spend(self.graph.template(TxKind.UNLOCKING, vmxo_id, operator),
+                    operator, "unlocking")
         self.graph.set_enabler_state(EnablerState.CONSUMED, operator,
-                                     pegout.vmxo_id)
+                                     vmxo_id)
         vmxo.state = VmxoState.UNLOCKED
-        pegout.state = PegOutState.UNLOCKED
-        self.transfer(f"vmxo:{pegout.vmxo_id}", f"wallet:{operator}",
-                      pegout.amount, "unlock")
-        self.emit("unlocked", pegout.amount, operator, pegout.vmxo_id)
+        if vmxo_id in self.linked:
+            self.linked[vmxo_id].state = PegOutState.UNLOCKED
+        self.transfer(f"vmxo:{vmxo_id}", f"wallet:{operator}", vmxo.amount,
+                      "unlock")
+        self.emit("unlocked", vmxo.amount, operator, vmxo_id)
 
     def adhoc_theft(self, vmxo_id: str, thief: str) -> bool:
         """Attempt a non-template multisig spend of a locked VMXO.
@@ -631,16 +629,13 @@ class Bridge:
                     vmxo.state = VmxoState.INVALIDATED
                 self.emit("pegout_invalidated", loser, p.vmxo_id)
 
-    def recycle_enablers(self, pegout: PegOut) -> dict[str, int]:
-        """Post-terminal counts of the N² enablers of the peg-out's VMXO,
-        from that VMXO's stored states alone: one with none is live.
-        ``UnknownId`` if the packet has no such VMXO, then ``NotTriggered``
-        for a peg-out that ``request_pegout`` did not make."""
+    def recycle_enablers(self, i: int) -> dict[str, int]:
+        """Post-terminal counts of the N² enablers of peg-out ``i``'s VMXO,
+        from that VMXO's stored states alone: one with none is live."""
+        pegout = _record(self.pegouts, i)
         if pegout.state not in (PegOutState.UNLOCKED,
                                 PegOutState.INVALIDATED):
-            raise NotTriggered(pegout.burn_tx or "?")
-        self.graph.vmxo(pegout.vmxo_id)
-        self._requested(pegout)
+            raise NotTriggered(pegout.burn_tx)
         states = self.graph.used_enablers.get(pegout.vmxo_id, {})
         stored = list(states.values())
         counts = {"live": len(self.functionaries) ** 2 - len(states),
@@ -653,7 +648,8 @@ class Bridge:
     # -- queries -----------------------------------------------------------
 
     def open_pegouts(self, operator: str) -> list[PegOut]:
-        """The operator's peg-outs in flight, raw kick-offs included."""
+        """The operator's peg-outs in flight, kicked off without a front
+        included; a kick-off of an unlinked VMXO has no peg-out."""
         return [p for p in self.pegouts if p.operator == operator
                 and p.state in (PegOutState.FRONTED, PegOutState.PROVEN,
                                 PegOutState.KICKOFF)]
@@ -671,9 +667,7 @@ class Bridge:
         return min(pool, key=lambda f: (
             self.separation_left(f) if f in kicked else 0, f))
 
-    def honest_unlock_allowed(self, pegout: PegOut) -> bool:
-        """Oracle: does the peg-out's burn sit on the canonical secondary
+    def honest_unlock_allowed(self, burn_block: str) -> bool:
+        """Oracle: does a burn's block sit on the canonical secondary
         chain?"""
-        if pegout.burn_block is None:
-            return False
-        return self.secondary.is_canonical(pegout.burn_block)
+        return self.secondary.is_canonical(burn_block)

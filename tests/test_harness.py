@@ -245,9 +245,9 @@ def test_report_is_read_from_the_rows_alone(run_with_bridge, monkeypatch):
                 fees[party] = fees.get(party, 0) + fee
         return fee
 
-    def kicking(self, pegout, operator):
-        since_kickoff[pegout.vmxo_id] = {}
-        kick(self, pegout, operator)
+    def kicking(self, vmxo_id, operator):
+        since_kickoff[vmxo_id] = {}
+        kick(self, vmxo_id, operator)
 
     def slashing(self, loser, winner, challengers, vmxo_id):
         first, start = loser not in self.slashed, len(self.rows)
@@ -969,6 +969,49 @@ def test_off_default_space_logs_match_reference():
         runs += 1
     assert runs == 6048
     assert h.hexdigest()[:16] == OFF_DEFAULT_LOGS
+
+
+def _leak_all_scenarios():
+    """Every ``leak_all`` run with N 2-3, V 1-3, peg-ins 1 to V, peg-outs 1
+    to peg-ins, each strategy and adversary, none included."""
+    i = 0
+    for n, strategy, v in itertools.product((2, 3), Strategy, (1, 2, 3)):
+        for adversary in [None, *range(n)]:
+            for pegins in range(1, v + 1):
+                for pegouts in range(1, pegins + 1):
+                    i += 1
+                    yield Scenario(
+                        name=f"leak-all-{i}", seed=i, n_functionaries=n,
+                        vmxo_count=v, n_pegins=pegins, n_pegouts=pegouts,
+                        adversary=adversary, strategy=strategy,
+                        leak_all=True)
+
+
+# sha256 over the logs of the 490 runs of _leak_all_scenarios, in order: the
+# only traffic with no honest party, so the only runs whose raw kick-off of
+# a double operator unlocks, whose operator pick falls back to the whole
+# committee, and whose peg-out finds no VMXO to link
+LEAK_ALL_LOGS = "92372075d3d2301e"
+
+
+def test_leak_all_space_logs_match_reference():
+    h = hashlib.sha256()
+    runs = raw_unlocks = unlinked = 0
+    for sc in _leak_all_scenarios():
+        log = run_scenario(sc).log
+        h.update("\n".join(log).encode())
+        runs += 1
+        vmxos = {kind: [line.rsplit("vmxo=", 1)[1] for line in log
+                        if f" ev={kind} " in line]
+                 for kind in ("kickoff", "pegout_linked", "unlocked")}
+        raw_unlocks += len(set(vmxos["unlocked"]) & set(vmxos["kickoff"])
+                           - set(vmxos["pegout_linked"]))
+        unlinked += sum(" ev=pegout_burn " in line for line in log) > \
+            len(vmxos["pegout_linked"])
+    assert runs == 490
+    # runs whose raw kick-off unlocks; runs with a peg-out left unlinked
+    assert (raw_unlocks, unlinked) == (15, 299)
+    assert h.hexdigest()[:16] == LEAK_ALL_LOGS
 
 
 # log digest of each strategy's N = 100, V = 4 run, as an eager build of

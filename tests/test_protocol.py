@@ -9,7 +9,7 @@ from bridgesim.errors import (AlreadyClosed, BridgeSimError,
 from bridgesim import harness
 from bridgesim.harness import Scenario, Strategy
 from bridgesim.econ import DISPUTE_ACTION_VBYTES, CostTable
-from bridgesim.protocol import (Bridge, Ledger, PegIn, PegOut, PegOutState,
+from bridgesim.protocol import (Bridge, Ledger, PegIn, PegOutState,
                                 contest_fees, dispute_fees)
 from bridgesim.txgraph import (EnablerState, TxKind, VmxoState,
                               build_packet_templates)
@@ -40,27 +40,30 @@ def mine_secondary(b, txs):
 
 
 def do_pegin(b, user="u0", funded=True):
+    """The index of ``user``'s executed peg-in."""
     if funded:
         fund_user(b, user)
-    pegin = b.request_pegin(user, b.denomination)
-    b.sign_pegin(pegin, user)
+    i = b.request_pegin(user, b.denomination)
+    b.sign_pegin(i, user)
     for f in b.functionaries:
-        b.sign_pegin(pegin, f)
-    tx = b.broadcast_pegin(pegin)
-    pegin.deposit_block = mine_source(b, [tx])
+        b.sign_pegin(i, f)
+    tx = b.broadcast_pegin(i)
+    b.pegins[i].deposit_block = mine_source(b, [tx])
     for _ in range(b.source_confirmations):
         mine_source(b, [f"pad{b.clock.now}"])
-    b.execute_pegin(pegin)
-    return pegin
+    b.execute_pegin(i)
+    return i
 
 
 def do_linked_pegout(b, user="u0"):
-    pegout = b.request_pegout(user, b.denomination)
+    """The index of ``user``'s burnt, confirmed and linked peg-out."""
+    i = b.request_pegout(user, b.denomination)
+    pegout = b.pegouts[i]
     pegout.burn_block = mine_secondary(b, [pegout.burn_tx])
     for _ in range(b.secondary_confirmations):
         mine_secondary(b, [f"spad{b.clock.now}"])
-    b.link_pegout(pegout)
-    return pegout
+    b.link_pegout(i)
+    return i
 
 
 def test_deposit_equals_econ_formula():
@@ -107,33 +110,33 @@ def test_pegin_wrong_denomination():
 def test_pegin_requires_all_signatures():
     b = make_bridge()
     fund_user(b, "u0")
-    pegin = b.request_pegin("u0", DENOM)
-    b.sign_pegin(pegin, "u0")
-    pegin.deposit_block = mine_source(b, [b.broadcast_pegin(pegin)])
+    i = b.request_pegin("u0", DENOM)
+    b.sign_pegin(i, "u0")
+    b.pegins[i].deposit_block = mine_source(b, [b.broadcast_pegin(i)])
     for _ in range(3):
         mine_source(b, ["pad"])
     with pytest.raises(MissingSignature):
-        b.execute_pegin(pegin)
+        b.execute_pegin(i)
 
 
 def test_pegin_requires_confirmations():
     b = make_bridge()
     fund_user(b, "u0")
-    pegin = b.request_pegin("u0", DENOM)
+    i = b.request_pegin("u0", DENOM)
     for s in ["u0"] + list(b.functionaries):
-        b.sign_pegin(pegin, s)
-    pegin.deposit_block = mine_source(b, [b.broadcast_pegin(pegin)])
+        b.sign_pegin(i, s)
+    b.pegins[i].deposit_block = mine_source(b, [b.broadcast_pegin(i)])
     with pytest.raises(InsufficientConfirmations):
-        b.execute_pegin(pegin)
+        b.execute_pegin(i)
 
 
 def test_pegin_locks_vmxo_and_mints():
     b = make_bridge()
-    pegin = do_pegin(b)
-    assert b.graph.vmxos[pegin.vmxo_id].state == VmxoState.LOCKED
+    vmxo = b.pegins[do_pegin(b)].vmxo_id
+    assert b.graph.vmxos[vmxo].state == VmxoState.LOCKED
     assert b.ledger.balances["user:u0:wrapped"] == DENOM
     assert b.ledger.balances["wrapped-issuance"] == -DENOM
-    assert b.ledger.balances[f"vmxo:{pegin.vmxo_id}"] == DENOM
+    assert b.ledger.balances[f"vmxo:{vmxo}"] == DENOM
 
 
 def test_pegin_capacity_exhausted():
@@ -147,9 +150,10 @@ def test_pegout_links_oldest_locked_vmxo():
     b = make_bridge()
     p0 = do_pegin(b, "u0")
     do_pegin(b, "u1")
-    pegout = do_linked_pegout(b, "u0")
-    assert pegout.vmxo_id == p0.vmxo_id
+    pegout = b.pegouts[do_linked_pegout(b, "u0")]
+    assert pegout.vmxo_id == b.pegins[p0].vmxo_id
     assert pegout.state == PegOutState.LINKED
+    assert b.linked == {pegout.vmxo_id: pegout}
 
 
 def test_refused_pegout_leaves_no_ghost():
@@ -161,17 +165,18 @@ def test_refused_pegout_leaves_no_ghost():
         b.request_pegout("u1", DENOM)
     assert b.pegouts == [] and b.rows == rows
     assert b.ledger.balances == balances
-    pegout = b.request_pegout("u0", DENOM)
-    assert b.pegouts == [pegout] and pegout.burn_tx == "burn:u0:1"
+    assert b.request_pegout("u0", DENOM) == 0
+    assert len(b.pegouts) == 1 and b.pegouts[0].burn_tx == "burn:u0:1"
 
 
 def test_front_by_unknown_operator_refused():
     b = make_bridge()
     do_pegin(b)
-    pegout = do_linked_pegout(b)
+    i = do_linked_pegout(b)
+    pegout = b.pegouts[i]
     before = (list(b.rows), dict(b.ledger.balances), pegout.state)
     with pytest.raises(UnknownId):
-        b.front_funds(pegout, "f7")
+        b.front_funds(i, "f7")
     assert (b.rows, b.ledger.balances, pegout.state) == before
     assert pegout.operator is None and pegout.fronted_tx is None
 
@@ -180,12 +185,13 @@ def test_second_front_refused_before_any_change():
     # f1 is not the operator in flight: the peg-out's state alone refuses
     b = make_bridge()
     do_pegin(b)
-    pegout = do_linked_pegout(b)
-    b.front_funds(pegout, "f0")
+    i = do_linked_pegout(b)
+    pegout = b.pegouts[i]
+    b.front_funds(i, "f0")
     before = (list(b.rows), dict(b.ledger.balances), pegout.state,
               pegout.operator, pegout.fronted_tx)
     with pytest.raises(NotTriggered):
-        b.front_funds(pegout, "f1")
+        b.front_funds(i, "f1")
     assert (b.rows, b.ledger.balances, pegout.state, pegout.operator,
             pegout.fronted_tx) == before
     assert b.ledger.balances["user:u0:src"] == DENOM - DENOM // 1000
@@ -195,11 +201,11 @@ def test_second_front_refused_before_any_change():
 def test_kickoff_only_on_locked_vmxo():
     b = make_bridge()
     do_pegin(b)
-    pegout = do_linked_pegout(b)
-    b.publish_kickoff(pegout, "f1")
+    vmxo = b.pegouts[do_linked_pegout(b)].vmxo_id
+    b.publish_kickoff(vmxo, "f1")
     rows = list(b.rows)
     with pytest.raises(NotTriggered):
-        b.publish_kickoff(pegout, "f1")
+        b.publish_kickoff(vmxo, "f1")
     assert b.rows == rows
     assert sum(key == "kickoff" for _, key, _ in b.rows) == 1
 
@@ -207,11 +213,11 @@ def test_kickoff_only_on_locked_vmxo():
 def test_front_requires_burn_confirmations():
     b = make_bridge()
     do_pegin(b)
-    pegout = b.request_pegout("u0", DENOM)
-    pegout.burn_block = mine_secondary(b, [pegout.burn_tx])
-    b.link_pegout(pegout)
+    i = b.request_pegout("u0", DENOM)
+    b.pegouts[i].burn_block = mine_secondary(b, [b.pegouts[i].burn_tx])
+    b.link_pegout(i)
     with pytest.raises(InsufficientConfirmations):
-        b.front_funds(pegout, "f0")
+        b.front_funds(i, "f0")
 
 
 def at_the_edge(b, chain, block, needed, call):
@@ -233,54 +239,59 @@ def test_pegin_mints_at_exactly_its_confirmations():
     # the deposit's block and two on it are three confirmations
     b = make_bridge()
     fund_user(b, "u0")
-    pegin = b.request_pegin("u0", DENOM)
-    b.sign_pegin(pegin, "u0", *b.functionaries)
-    pegin.deposit_block = mine_source(b, [b.broadcast_pegin(pegin)])
+    i = b.request_pegin("u0", DENOM)
+    pegin = b.pegins[i]
+    b.sign_pegin(i, "u0", *b.functionaries)
+    pegin.deposit_block = mine_source(b, [b.broadcast_pegin(i)])
     at_the_edge(b, b.source, pegin.deposit_block, b.source_confirmations,
-                lambda: b.execute_pegin(pegin))
+                lambda: b.execute_pegin(i))
     assert b.graph.vmxos[pegin.vmxo_id].state == VmxoState.LOCKED
 
 
 def test_front_counts_a_burn_at_exactly_its_confirmations():
     b = make_bridge()
     do_pegin(b)
-    pegout = b.request_pegout("u0", DENOM)
+    i = b.request_pegout("u0", DENOM)
+    pegout = b.pegouts[i]
     pegout.burn_block = mine_secondary(b, [pegout.burn_tx])
-    b.link_pegout(pegout)
+    b.link_pegout(i)
     at_the_edge(b, b.secondary, pegout.burn_block, b.secondary_confirmations,
-                lambda: b.front_funds(pegout, "f0"))
+                lambda: b.front_funds(i, "f0"))
     assert pegout.state == PegOutState.FRONTED
 
 
 def test_front_proven_at_exactly_its_confirmations():
     b = make_bridge()
     do_pegin(b)
-    pegout = do_linked_pegout(b)
-    b.front_funds(pegout, "f0")
-    front_block = mine_source(b, [pegout.fronted_tx])
+    i = do_linked_pegout(b)
+    front_block = mine_source(b, [b.front_funds(i, "f0")])
     at_the_edge(b, b.source, front_block, b.source_confirmations,
-                lambda: b.prove_front(pegout, front_block))
-    assert pegout.state == PegOutState.PROVEN
+                lambda: b.prove_front(i, front_block))
+    assert b.pegouts[i].state == PegOutState.PROVEN
 
 
-def full_honest_pegout(b, pegout, operator):
-    b.front_funds(pegout, operator)
-    front_block = mine_source(b, [pegout.fronted_tx])
+def front_and_prove(b, i, operator):
+    """``operator`` fronts peg-out ``i`` and proves its confirmed front."""
+    front_block = mine_source(b, [b.front_funds(i, operator)])
     for _ in range(b.source_confirmations):
         mine_source(b, ["pad"])
-    b.prove_front(pegout, front_block)
-    b.publish_kickoff(pegout, operator)
-    b.unlock(pegout)
+    b.prove_front(i, front_block)
+
+
+def full_honest_pegout(b, i, operator):
+    front_and_prove(b, i, operator)
+    b.publish_kickoff(b.pegouts[i].vmxo_id, operator)
+    b.unlock(b.pegouts[i].vmxo_id)
 
 
 def test_honest_pegout_pays_operator_from_vmxo():
     b = make_bridge()
     do_pegin(b)
-    pegout = do_linked_pegout(b)
+    i = do_linked_pegout(b)
     before = b.ledger.balances["wallet:f0"]
-    full_honest_pegout(b, pegout, "f0")
-    assert pegout.state == PegOutState.UNLOCKED
-    assert b.ledger.balances[f"vmxo:{pegout.vmxo_id}"] == 0
+    full_honest_pegout(b, i, "f0")
+    assert b.pegouts[i].state == PegOutState.UNLOCKED
+    assert b.ledger.balances[f"vmxo:{b.pegouts[i].vmxo_id}"] == 0
     # operator nets the vmxo minus the fronted amount minus fees
     fronted = DENOM - DENOM // 1000
     fees = (CostTable.commit_proof + 500) * b.fee_rate
@@ -292,12 +303,8 @@ def test_front_separation_interval():
     do_pegin(b, "u0")
     do_pegin(b, "u1")
     p1 = do_linked_pegout(b, "u0")
-    b.front_funds(p1, "f0")
-    front_block = mine_source(b, [p1.fronted_tx])
-    for _ in range(b.source_confirmations):
-        mine_source(b, ["pad"])
-    b.prove_front(p1, front_block)
-    b.publish_kickoff(p1, "f0")
+    front_and_prove(b, p1, "f0")
+    b.publish_kickoff(b.pegouts[p1].vmxo_id, "f0")
     p2 = do_linked_pegout(b, "u1")
     with pytest.raises(ConcurrencyLimit):
         b.front_funds(p2, "f0")
@@ -306,23 +313,23 @@ def test_front_separation_interval():
 def test_unlock_requires_open_kickoff():
     b = make_bridge()
     do_pegin(b)
-    pegout = do_linked_pegout(b)
-    b.front_funds(pegout, "f0")
-    pegout.operator = "f0"
+    i = do_linked_pegout(b)
+    b.front_funds(i, "f0")
     with pytest.raises(NotTriggered):
-        b.unlock(pegout)
+        b.unlock(b.pegouts[i].vmxo_id)
 
 
 def test_slash_burns_enablers_and_pays_pot():
     b = make_bridge()
     do_pegin(b)
-    pegout = do_linked_pegout(b)
-    b.front_funds(pegout, "f1")
-    b.publish_kickoff(pegout, "f1")
+    i = do_linked_pegout(b)
+    vmxo = b.pegouts[i].vmxo_id
+    b.front_funds(i, "f1")
+    b.publish_kickoff(vmxo, "f1")
     b.pay_dispute_fee("f0", "challenge")
     pot = b.ledger.balances["deposit:f1"]
     f0_before = b.ledger.balances["wallet:f0"]
-    b.slash("f1", "f0", ["f0"], pegout.vmxo_id)
+    b.slash("f1", "f0", ["f0"], vmxo)
     assert b.slashed == {"f1"}
     assert b.ledger.balances["deposit:f1"] == 0
     assert b.ledger.balances["wallet:f0"] == f0_before + pot
@@ -391,12 +398,6 @@ def test_slash_refuses_unknown_loser_before_any_change():
     assert b.ledger.balances == balances and b.rows == rows
 
 
-def elsewhere(pegout):
-    """The peg-out, linked to a VMXO the packet does not have."""
-    pegout.vmxo_id = "pkt0:vmxo9"
-    return pegout
-
-
 def drain(party):
     """A setup that empties the party's wallet before the snapshot."""
     def setup(b, linked):
@@ -405,99 +406,60 @@ def drain(party):
     return setup
 
 
-def forged_pegin(b):
-    """A peg-in for vmxo3, which no request took, signed by every party and
-    confirmed in u0's deposit block."""
-    pegin = PegIn("u9", DENOM, "pkt0:vmxo3")
-    b.sign_pegin(pegin, "u9", *b.functionaries)
-    pegin.deposit_block = b.pegins[0].deposit_block
-    return pegin
-
-
 def unmined_pegin(b, linked):
     """A requested, signed and broadcast peg-in for vmxo3, whose deposit was
     never mined, its block set to u0's: deep, and unrelated."""
     fund_user(b, "u3")
-    pegin = b.request_pegin("u3", DENOM)
-    b.sign_pegin(pegin, "u3", *b.functionaries)
-    b.broadcast_pegin(pegin)
-    pegin.deposit_block = b.pegins[0].deposit_block
+    i = b.request_pegin("u3", DENOM)
+    b.sign_pegin(i, "u3", *b.functionaries)
+    b.broadcast_pegin(i)
+    b.pegins[i].deposit_block = b.pegins[0].deposit_block
 
 
 def burnt_elsewhere(b, linked):
     """The linked peg-out's burn block set to u0's, which holds u0's burn."""
-    linked.burn_block = b.pegouts[0].burn_block
-
-
-def copied_pegout(b):
-    """A Linked peg-out on vmxo2, locked and unlinked, that no request made,
-    reusing u0's real burn."""
-    copy = PegOut("u0", DENOM, b.pegouts[0].burn_tx, "pkt0:vmxo2",
-                  PegOutState.LINKED)
-    copy.burn_block = b.pegouts[0].burn_block
-    return copy
-
-
-def forged_front(b):
-    """A Fronted peg-out that no request made, its front u0's deposit,
-    which is in its block and deep enough."""
-    fake = PegOut("u0", DENOM, state=PegOutState.FRONTED)
-    fake.fronted_tx = b.pegins[0].deposit_tx
-    return fake
-
-
-def prove_front_by_f0(b, linked):
-    """f0 fronts the linked peg-out and proves its front."""
-    b.front_funds(linked, "f0")
-    front_block = mine_source(b, [linked.fronted_tx])
-    for _ in range(b.source_confirmations):
-        mine_source(b, [f"pad{b.clock.now}"])
-    b.prove_front(linked, front_block)
+    b.pegouts[linked].burn_block = b.pegouts[0].burn_block
 
 
 def drain_after_second_kickoff(b, linked):
     # f1 kicks off vmxo1 too, so that vmxo0 and vmxo1 can be force-closed
-    b.publish_kickoff(linked, "f1")
+    b.publish_kickoff("pkt0:vmxo1", "f1")
     drain("f0")(b, linked)
 
 
-# each refused call, on the bridge of ``test_refusal_changes_nothing``:
-# the error and the call, given the bridge, a linked peg-out whose VMXO is
-# locked and a peg-out that was never linked; and optionally a setup, given
-# the bridge and the linked peg-out, run before the state is taken
+# each refused call, on the bridge of ``refusal_bridge``: the error and the
+# call, given the bridge and the indices of a linked peg-out, whose VMXO
+# vmxo1 is locked, and of a peg-out that was never linked; and optionally a
+# setup, given the bridge and the linked peg-out's index, run before the
+# state is taken.  Index 3 names no peg-in and no peg-out
 REFUSALS = {
     "kickoff-by-unknown-operator": (
         UnknownId, lambda b, linked, unlinked:
-        b.publish_kickoff(linked, "f7")),
+        b.publish_kickoff("pkt0:vmxo1", "f7")),
     "kickoff-unlinked": (
-        NotLinked, lambda b, linked, unlinked:
-        b.publish_kickoff(unlinked, "f1")),
-    "unlock-unlinked": (
-        NotLinked, lambda b, linked, unlinked: b.unlock(unlinked)),
-    "front-kicked-off-pegout": (
         NotTriggered, lambda b, linked, unlinked:
-        b.front_funds(b.pegouts[0], "f0")),
-    "front-linked-to-unknown-vmxo": (
-        UnknownId, lambda b, linked, unlinked:
-        b.front_funds(elsewhere(linked), "f0")),
+        b.publish_kickoff("pkt0:vmxo3", "f1")),
+    "unlock-unlinked": (
+        NotTriggered, lambda b, linked, unlinked: b.unlock("pkt0:vmxo2")),
+    "front-kicked-off-pegout": (
+        NotTriggered, lambda b, linked, unlinked: b.front_funds(0, "f0")),
+    "front-unlinked-pegout": (
+        NotLinked, lambda b, linked, unlinked: b.front_funds(unlinked, "f0")),
     # these two logged f1's kick-off, the proven one honest=True, so that
     # unlock paid f1 the VMXO that f0 fronted
     "kickoff-of-a-pegout-another-fronted": (
         NotTriggered, lambda b, linked, unlinked:
-        b.publish_kickoff(linked, "f1"),
+        b.publish_kickoff("pkt0:vmxo1", "f1"),
         lambda b, linked: b.front_funds(linked, "f0")),
     "kickoff-of-a-pegout-another-proved": (
         NotTriggered, lambda b, linked, unlinked:
-        b.publish_kickoff(linked, "f1"), prove_front_by_f0),
-    "kickoff-linked-to-unknown-vmxo": (
+        b.publish_kickoff("pkt0:vmxo1", "f1"),
+        lambda b, linked: front_and_prove(b, linked, "f0")),
+    "kickoff-of-unknown-vmxo": (
         UnknownId, lambda b, linked, unlinked:
-        b.publish_kickoff(elsewhere(linked), "f0")),
-    "unlock-linked-to-unknown-vmxo": (
-        UnknownId, lambda b, linked, unlinked: b.unlock(elsewhere(linked))),
-    "recycle-unknown-vmxo": (
-        UnknownId, lambda b, linked, unlinked:
-        b.recycle_enablers(PegOut("u9", DENOM, vmxo_id="pkt0:vmxo9",
-                                  state=PegOutState.UNLOCKED))),
+        b.publish_kickoff("pkt0:vmxo9", "f0")),
+    "unlock-of-unknown-vmxo": (
+        UnknownId, lambda b, linked, unlinked: b.unlock("pkt0:vmxo9")),
     "force-close-unknown-second-vmxo": (
         UnknownId, lambda b, linked, unlinked:
         b.force_close("pkt0:vmxo0", "pkt0:vmxo9", "f0")),
@@ -510,7 +472,7 @@ REFUSALS = {
     "force-close-not-same-operator": (
         NotSameOperator, lambda b, linked, unlinked:
         b.force_close("pkt0:vmxo0", "pkt0:vmxo1", "f0"),
-        lambda b, linked: b.publish_kickoff(linked, "f2")),
+        lambda b, linked: b.publish_kickoff("pkt0:vmxo1", "f2")),
     "adhoc-theft-of-unknown-vmxo": (
         UnknownId, lambda b, linked, unlinked:
         b.adhoc_theft("pkt0:vmxo9", "f0")),
@@ -518,21 +480,16 @@ REFUSALS = {
         UnknownId, lambda b, linked, unlinked:
         b.adhoc_theft("pkt0:vmxo1", "nobody")),
     "execute-executed-pegin": (
-        NotTriggered, lambda b, linked, unlinked:
-        b.execute_pegin(b.pegins[1])),
-    # it minted and locked vmxo3, so that the peg-in a request then gave
-    # vmxo3 to was refused
+        NotTriggered, lambda b, linked, unlinked: b.execute_pegin(1)),
     "execute-pegin-never-requested": (
-        NotTriggered, lambda b, linked, unlinked:
-        b.execute_pegin(forged_pegin(b)),
-        lambda b, linked: fund_user(b, "u9")),
+        UnknownId, lambda b, linked, unlinked: b.execute_pegin(3)),
     "relink-linked-pegout": (
         NotTriggered, lambda b, linked, unlinked: b.link_pegout(linked)),
     # before they were refused, these five minted, fronted, proved, linked
     # and fronted
     "execute-pegin-deposit-not-in-its-block": (
         InsufficientConfirmations, lambda b, linked, unlinked:
-        b.execute_pegin(b.pegins[3]), unmined_pegin),
+        b.execute_pegin(3), unmined_pegin),
     "front-burn-not-in-its-block": (
         InsufficientConfirmations, lambda b, linked, unlinked:
         b.front_funds(linked, "f0"), burnt_elsewhere),
@@ -541,26 +498,20 @@ REFUSALS = {
         b.prove_front(linked, b.pegins[0].deposit_block),
         lambda b, linked: b.front_funds(linked, "f0")),
     "link-pegout-never-requested": (
-        NotTriggered, lambda b, linked, unlinked:
-        b.link_pegout(PegOut("u9", DENOM, burn_tx="burn:u9:1"))),
+        UnknownId, lambda b, linked, unlinked: b.link_pegout(3)),
     "front-pegout-never-requested": (
-        NotTriggered, lambda b, linked, unlinked:
-        b.front_funds(copied_pegout(b), "f0")),
+        UnknownId, lambda b, linked, unlinked: b.front_funds(3, "f0")),
     "prove-unlinked-pegout": (
         NotTriggered, lambda b, linked, unlinked:
         b.prove_front(unlinked, b.pegins[0].deposit_block)),
     "prove-unfronted-pegout": (
         NotTriggered, lambda b, linked, unlinked:
         b.prove_front(linked, b.pegins[0].deposit_block)),
-    # these two logged front_proven and enablers_recycled for peg-outs
-    # that no request made
     "prove-front-of-a-pegout-never-requested": (
-        NotTriggered, lambda b, linked, unlinked:
-        b.prove_front(forged_front(b), b.pegins[0].deposit_block)),
+        UnknownId, lambda b, linked, unlinked:
+        b.prove_front(3, b.pegins[0].deposit_block)),
     "recycle-pegout-never-requested": (
-        NotTriggered, lambda b, linked, unlinked:
-        b.recycle_enablers(PegOut("u9", DENOM, vmxo_id="pkt0:vmxo1",
-                                  state=PegOutState.UNLOCKED))),
+        UnknownId, lambda b, linked, unlinked: b.recycle_enablers(3)),
     "dispute-fee-for-unknown-action": (
         MalformedInput, lambda b, linked, unlinked:
         b.pay_dispute_fee("f0", "bribe")),
@@ -587,9 +538,9 @@ REFUSALS = {
     # each of these three wrote before its fee's transfer refused
     "kickoff-by-insolvent-operator": (
         Insolvent, lambda b, linked, unlinked:
-        b.publish_kickoff(linked, "f2"), drain("f2")),
+        b.publish_kickoff("pkt0:vmxo1", "f2"), drain("f2")),
     "unlock-by-insolvent-operator": (
-        Insolvent, lambda b, linked, unlinked: b.unlock(b.pegouts[0]),
+        Insolvent, lambda b, linked, unlinked: b.unlock("pkt0:vmxo0"),
         drain("f1")),
     "force-close-by-insolvent-closer": (
         Insolvent, lambda b, linked, unlinked:
@@ -598,84 +549,118 @@ REFUSALS = {
 }
 
 
-@pytest.mark.parametrize("case", list(REFUSALS))
-def test_refusal_changes_nothing(case):
-    # a raw kick-off by f1 is open on vmxo0, vmxo1 is linked and locked,
-    # a third peg-out is burnt but not linked, and vmxo3 awaits a peg-in
+def refusal_bridge():
+    """A bridge where a raw kick-off by f1 is open on vmxo0, whose peg-out
+    0 is linked and unfronted; vmxo1 is linked to peg-out 1 and locked;
+    vmxo2 is locked and unlinked, as peg-out 2 was burnt but not linked;
+    and vmxo3 awaits a peg-in.  The bridge and the indices 1 and 2."""
     b = make_bridge(vmxos=4)
     for user in ("u0", "u1", "u2"):
         do_pegin(b, user)
-    b.publish_kickoff(do_linked_pegout(b, "u0"), "f1")
-    linked = do_linked_pegout(b, "u1")
-    unlinked = b.request_pegout("u2", DENOM)
+    b.publish_kickoff(b.pegouts[do_linked_pegout(b, "u0")].vmxo_id, "f1")
+    return b, do_linked_pegout(b, "u1"), b.request_pegout("u2", DENOM)
 
-    def state():
-        return (list(b.rows), dict(b.ledger.balances),
-                set(b.graph.spent), set(b.linked_vmxos), set(b.slashed),
-                {v: dict(s) for v, s in b.graph.used_enablers.items()},
-                {v: (x.state, x.operator) for v, x in b.graph.vmxos.items()},
-                [(p.state, p.operator, p.fronted_tx) for p in b.pegouts],
-                dict(b.last_kickoff_tick))
 
+def fingerprint(b):
+    """Everything a refused call must leave as it was."""
+    return (list(b.rows), dict(b.ledger.balances), set(b.graph.spent),
+            dict(b.linked), set(b.slashed),
+            {v: dict(s) for v, s in b.graph.used_enablers.items()},
+            {v: (x.state, x.operator) for v, x in b.graph.vmxos.items()},
+            [(p.signatures.copy(), p.deposit_tx, p.deposit_block)
+             for p in b.pegins],
+            [(p.state, p.operator, p.fronted_tx, p.vmxo_id, p.burn_block)
+             for p in b.pegouts],
+            dict(b.last_kickoff_tick))
+
+
+@pytest.mark.parametrize("case", list(REFUSALS))
+def test_refusal_changes_nothing(case):
+    b, linked, unlinked = refusal_bridge()
     error, call, *setup = REFUSALS[case]
     for prepare in setup:
         prepare(b, linked)
-    before = state()
+    before = fingerprint(b)
     with pytest.raises(error):
         call(b, linked, unlinked)
-    assert state() == before
+    assert fingerprint(b) == before
+
+
+# each call that takes a peg-in or peg-out index, given the bridge and one
+HANDLE_CALLS = {
+    "sign_pegin": lambda b, i: b.sign_pegin(i, "u0"),
+    "broadcast_pegin": lambda b, i: b.broadcast_pegin(i),
+    "execute_pegin": lambda b, i: b.execute_pegin(i),
+    "link_pegout": lambda b, i: b.link_pegout(i),
+    "front_funds": lambda b, i: b.front_funds(i, "f0"),
+    "prove_front": lambda b, i: b.prove_front(i, b.pegins[0].deposit_block),
+    "recycle_enablers": lambda b, i: b.recycle_enablers(i),
+}
+
+
+@pytest.mark.parametrize("bad", [-1, len, True, "0", 1.0, None],
+                         ids=["negative", "len", "true", "str", "float",
+                              "none"])
+@pytest.mark.parametrize("call", list(HANDLE_CALLS))
+def test_unknown_index_refused_before_any_write(call, bad):
+    # only an int in range names a record: -1 would index from the end,
+    # True would be 1, and the others no list index
+    b, _, _ = refusal_bridge()
+    if bad is len:
+        bad = len(b.pegins if call.endswith("pegin") else b.pegouts)
+    before = fingerprint(b)
+    with pytest.raises(UnknownId):
+        HANDLE_CALLS[call](b, bad)
+    assert fingerprint(b) == before
 
 
 def test_executed_pegin_does_not_mint_again():
     # the user still holds a second denomination, so the VMXO's state alone
     # stands between a repeated call and a second mint
     b = make_bridge()
-    pegin = do_pegin(b)
+    i = do_pegin(b)
     fund_user(b, "u0")
     before = (list(b.rows), dict(b.ledger.balances))
     with pytest.raises(NotTriggered):
-        b.execute_pegin(pegin)
+        b.execute_pegin(i)
     assert (b.rows, b.ledger.balances) == before
     assert b.ledger.balances["user:u0:wrapped"] == DENOM
-    assert b.ledger.balances[f"vmxo:{pegin.vmxo_id}"] == DENOM
+    assert b.ledger.balances[f"vmxo:{b.pegins[i].vmxo_id}"] == DENOM
 
 
 def test_pegin_never_requested_leaves_its_vmxo_to_a_request():
-    # a peg-in built by hand for the next free VMXO mints nothing, and the
-    # peg-in that a request then makes for that VMXO mints
+    # before any request, index 0 names no peg-in: signing, broadcasting
+    # and executing it are refused before any write, and the peg-in that a
+    # request then makes takes the first VMXO and mints
     b = make_bridge()
     fund_user(b, "u9")
-    forged = PegIn("u9", DENOM, b.graph.vmxo_ids[0])
-    b.sign_pegin(forged, "u9", *b.functionaries)
-    forged.deposit_block = mine_source(b, [b.broadcast_pegin(forged)])
-    for _ in range(b.source_confirmations):
-        mine_source(b, [f"pad{b.clock.now}"])
-    with pytest.raises(NotTriggered):
-        b.execute_pegin(forged)
-    assert b.rows == [] and "user:u9:wrapped" not in b.ledger.balances
-    assert do_pegin(b, "u1").vmxo_id == forged.vmxo_id
+    balances = dict(b.ledger.balances)
+    for call in (lambda: b.sign_pegin(0, "u9", *b.functionaries),
+                 lambda: b.broadcast_pegin(0), lambda: b.execute_pegin(0)):
+        with pytest.raises(UnknownId):
+            call()
+    assert b.rows == [] and b.pegins == [] and b.ledger.balances == balances
+    assert b.pegins[do_pegin(b, "u1")].vmxo_id == b.graph.vmxo_ids[0]
     assert b.ledger.balances["user:u1:wrapped"] == DENOM
 
 
 def test_pegout_never_requested_is_neither_linked_nor_fronted():
-    # u9 burnt nothing, and a copy of u0's peg-out would front u0's one
-    # burn twice: both are refused before any write, and u0's own peg-out
+    # u0's burn is the only peg-out, index 0: index 1 names none, so it is
+    # neither linked nor fronted, before any write, and u0's own peg-out
     # is then linked and fronted
     b = make_bridge()
     do_pegin(b, "u0")
     do_pegin(b, "u1")
     real = b.request_pegout("u0", DENOM)
-    real.burn_block = mine_secondary(b, [real.burn_tx])
+    b.pegouts[real].burn_block = mine_secondary(b, [b.pegouts[real].burn_tx])
     for _ in range(b.secondary_confirmations):
         mine_secondary(b, [f"spad{b.clock.now}"])
-    copy = PegOut("u0", DENOM, real.burn_tx, "pkt0:vmxo1", PegOutState.LINKED)
-    copy.burn_block = real.burn_block
     before = (list(b.rows), dict(b.ledger.balances))
-    with pytest.raises(NotTriggered):
-        b.link_pegout(PegOut("u9", DENOM, burn_tx="burn:u9:1"))
-    with pytest.raises(NotTriggered):
-        b.front_funds(copy, "f0")
-    assert (b.rows, b.ledger.balances) == before and not b.linked_vmxos
+    with pytest.raises(UnknownId):
+        b.link_pegout(real + 1)
+    with pytest.raises(UnknownId):
+        b.front_funds(real + 1, "f0")
+    assert (b.rows, b.ledger.balances) == before and not b.linked
     assert b.link_pegout(real) == "pkt0:vmxo0"
     b.front_funds(real, "f0")
     assert b.ledger.balances["user:u0:src"] == DENOM - DENOM // 1000
@@ -685,11 +670,11 @@ def test_unfunded_pegin_leaves_its_vmxo_awaiting_pegin():
     b = make_bridge()
     with pytest.raises(Insolvent):
         do_pegin(b, funded=False)
-    pegin = b.pegins[0]
-    assert b.graph.vmxos[pegin.vmxo_id].state == VmxoState.AWAITING_PEGIN
+    vmxo = b.pegins[0].vmxo_id
+    assert b.graph.vmxos[vmxo].state == VmxoState.AWAITING_PEGIN
     fund_user(b, "u0")
-    b.execute_pegin(pegin)
-    assert b.graph.vmxos[pegin.vmxo_id].state == VmxoState.LOCKED
+    b.execute_pegin(0)
+    assert b.graph.vmxos[vmxo].state == VmxoState.LOCKED
 
 
 def test_insolvent_calls_raise_a_package_error_and_change_nothing():
@@ -698,7 +683,7 @@ def test_insolvent_calls_raise_a_package_error_and_change_nothing():
     do_pegin(b, "u0")
     with pytest.raises(Insolvent):
         do_pegin(b, "u1", funded=False)
-    unfunded = b.pegins[-1]
+    unfunded = len(b.pegins) - 1
 
     def state():
         return (list(b.rows), dict(b.ledger.balances), list(b.pegouts),
@@ -710,7 +695,7 @@ def test_insolvent_calls_raise_a_package_error_and_change_nothing():
         with pytest.raises(Insolvent):
             call()
         assert state() == before
-    assert before[3][unfunded.vmxo_id] == VmxoState.AWAITING_PEGIN
+    assert before[3][b.pegins[unfunded].vmxo_id] == VmxoState.AWAITING_PEGIN
     with pytest.raises(Insolvent):
         b.ledger.transfer("user:u0:wrapped", "wrapped-issuance", -1)
     # a package error, and still the ValueError it used to be
@@ -763,12 +748,13 @@ def test_two_contests_refund_each_challenger_its_fees_once():
     b = make_bridge(n=3)
     for user in ("u0", "u1"):
         do_pegin(b, user)
-    first, second = do_linked_pegout(b, "u0"), do_linked_pegout(b, "u1")
+    first, second = (b.pegouts[do_linked_pegout(b, user)].vmxo_id
+                     for user in ("u0", "u1"))
     b.publish_kickoff(first, "f1")
     challenge = b.pay_dispute_fee("f0", "challenge")
     b.pay_dispute_fee("f2", "challenge")
     start = len(b.rows)
-    b.slash("f1", "f0", ["f0", "f2"], first.vmxo_id)
+    b.slash("f1", "f0", ["f0", "f2"], first)
     assert _refunds(b, start) == [("wallet:f0", challenge),
                                   ("wallet:f2", challenge)]
     b.publish_kickoff(second, "f0")
@@ -776,7 +762,7 @@ def test_two_contests_refund_each_challenger_its_fees_once():
     b.pay_dispute_fee("f2", "challenge")
     hashes = b.pay_dispute_fee("f0", "publish-hashes")
     start = len(b.rows)
-    b.slash("f2", "f0", ["f0"], second.vmxo_id)
+    b.slash("f2", "f0", ["f0"], second)
     assert _refunds(b, start) == [("wallet:f0", commit + hashes)]
     assert b.events[start + 3].endswith(
         f" ev=slashed loser=f2 pot={b.deposit_per_functionary} "
@@ -786,20 +772,20 @@ def test_two_contests_refund_each_challenger_its_fees_once():
 def test_second_slash_in_a_contest_refunds_only_fees_paid_since_the_first():
     b = make_bridge(n=4)
     do_pegin(b)
-    pegout = do_linked_pegout(b)
-    b.publish_kickoff(pegout, "f1")
+    vmxo = b.pegouts[do_linked_pegout(b)].vmxo_id
+    b.publish_kickoff(vmxo, "f1")
     challenge = b.pay_dispute_fee("f0", "challenge")
     b.pay_dispute_fee("f2", "challenge")
-    b.slash("f1", "f0", ["f0", "f2"], pegout.vmxo_id)
+    b.slash("f1", "f0", ["f0", "f2"], vmxo)
     assert _refunds(b) == [("wallet:f0", challenge), ("wallet:f2", challenge)]
     # f2 loses too, with no kick-off since: f0's challenge is not refunded
     # again, only what it paid after the first slash
     start = len(b.rows)
-    b.slash("f2", "f0", ["f0"], pegout.vmxo_id)
+    b.slash("f2", "f0", ["f0"], vmxo)
     assert _refunds(b, start) == []
     choice = b.pay_dispute_fee("f0", "publish-choice")
     start = len(b.rows)
-    b.slash("f3", "f0", ["f0"], pegout.vmxo_id)
+    b.slash("f3", "f0", ["f0"], vmxo)
     assert _refunds(b, start) == [("wallet:f0", choice)]
 
 
@@ -820,13 +806,13 @@ def test_slash_whose_refunds_use_the_whole_pot_pays_no_remainder():
     # pot, and no zero slash transfer to the winner follows it
     b = make_bridge(n=2)
     do_pegin(b)
-    pegout = do_linked_pegout(b)
-    b.publish_kickoff(pegout, "f1")
+    vmxo = b.pegouts[do_linked_pegout(b)].vmxo_id
+    b.publish_kickoff(vmxo, "f1")
     pot = b.deposit_per_functionary
     while dispute_fees(b.rows).get("f0", 0) <= pot:
         b.pay_dispute_fee("f0", "execute-leaf")
     start = len(b.rows)
-    b.slash("f1", "f0", ["f0"], pegout.vmxo_id)
+    b.slash("f1", "f0", ["f0"], vmxo)
     assert _refunds(b, start) == [("wallet:f0", pot)]
     assert [values[3] for _, key, values in b.rows[start:]
             if key == "transfer"] == ["cost-reimbursement"]
@@ -849,23 +835,25 @@ def test_slash_refunds_later_challengers_even_when_already_slashed():
 def test_slash_releases_unfronted_pegout():
     b = make_bridge()
     do_pegin(b)
-    pegout = do_linked_pegout(b)
-    b.publish_kickoff(pegout, "f1")
+    i = do_linked_pegout(b)
+    pegout = b.pegouts[i]
+    b.publish_kickoff(pegout.vmxo_id, "f1")
     b.slash("f1", "f0", [], pegout.vmxo_id)
     assert pegout.state == PegOutState.LINKED
     assert pegout.operator is None
     assert b.graph.vmxos[pegout.vmxo_id].state == VmxoState.LOCKED
     # an honest operator can now complete it
-    full_honest_pegout(b, pegout, "f0")
+    full_honest_pegout(b, i, "f0")
     assert pegout.state == PegOutState.UNLOCKED
 
 
 def test_slash_invalidates_fronted_pegout():
     b = make_bridge()
     do_pegin(b)
-    pegout = do_linked_pegout(b)
-    b.front_funds(pegout, "f1")
-    b.publish_kickoff(pegout, "f1")
+    i = do_linked_pegout(b)
+    pegout = b.pegouts[i]
+    b.front_funds(i, "f1")
+    b.publish_kickoff(pegout.vmxo_id, "f1")
     b.slash("f1", "f0", [], pegout.vmxo_id)
     assert pegout.state == PegOutState.INVALIDATED
     assert b.graph.vmxos[pegout.vmxo_id].state == VmxoState.INVALIDATED
@@ -875,28 +863,28 @@ def test_force_close_frees_second_vmxo():
     b = make_bridge(vmxos=2)
     do_pegin(b, "u0")
     do_pegin(b, "u1")
-    p1 = do_linked_pegout(b, "u0")
-    p2 = do_linked_pegout(b, "u1")
-    b.publish_kickoff(p1, "f1")
-    b.publish_kickoff(p2, "f1")
-    b.force_close(p1.vmxo_id, p2.vmxo_id, "f0")
-    assert b.graph.vmxos[p2.vmxo_id].state == VmxoState.LOCKED
-    assert b.graph.vmxos[p1.vmxo_id].state == VmxoState.KICKOFF_OPEN
+    v1, v2 = (b.pegouts[do_linked_pegout(b, user)].vmxo_id
+              for user in ("u0", "u1"))
+    b.publish_kickoff(v1, "f1")
+    b.publish_kickoff(v2, "f1")
+    b.force_close(v1, v2, "f0")
+    assert b.graph.vmxos[v2].state == VmxoState.LOCKED
+    assert b.graph.vmxos[v1].state == VmxoState.KICKOFF_OPEN
 
 
 def test_force_close_refuses_unknown_closer_before_any_change():
     b = make_bridge(vmxos=2)
     do_pegin(b, "u0")
     do_pegin(b, "u1")
-    p1 = do_linked_pegout(b, "u0")
-    p2 = do_linked_pegout(b, "u1")
-    b.publish_kickoff(p1, "f1")
-    b.publish_kickoff(p2, "f1")
+    v1, v2 = (b.pegouts[do_linked_pegout(b, user)].vmxo_id
+              for user in ("u0", "u1"))
+    b.publish_kickoff(v1, "f1")
+    b.publish_kickoff(v2, "f1")
     before = (set(b.graph.spent),
               {v: (x.state, x.operator) for v, x in b.graph.vmxos.items()},
               dict(b.ledger.balances), list(b.rows))
     with pytest.raises(UnknownId):
-        b.force_close(p1.vmxo_id, p2.vmxo_id, "f9")
+        b.force_close(v1, v2, "f9")
     assert (set(b.graph.spent),
             {v: (x.state, x.operator) for v, x in b.graph.vmxos.items()},
             b.ledger.balances, b.rows) == before
@@ -908,7 +896,8 @@ def raw_kickoffs(*operators):
     b = make_bridge(vmxos=len(operators))
     for i, operator in enumerate(operators):
         do_pegin(b, f"u{i}")
-        b.publish_kickoff(do_linked_pegout(b, f"u{i}"), operator)
+        b.publish_kickoff(b.pegouts[do_linked_pegout(b, f"u{i}")].vmxo_id,
+                          operator)
     return b
 
 
@@ -968,19 +957,19 @@ def test_force_close_by_its_own_operator_refused_before_any_write():
 
 def test_adhoc_theft_rejected_without_full_leak():
     b = make_bridge()
-    pegin = do_pegin(b)
-    b.graph.leak_keys("f0", pegin.vmxo_id)
-    assert not b.adhoc_theft(pegin.vmxo_id, "f0")
-    assert b.graph.vmxos[pegin.vmxo_id].state == VmxoState.LOCKED
+    vmxo = b.pegins[do_pegin(b)].vmxo_id
+    b.graph.leak_keys("f0", vmxo)
+    assert not b.adhoc_theft(vmxo, "f0")
+    assert b.graph.vmxos[vmxo].state == VmxoState.LOCKED
 
 
 def test_adhoc_theft_with_all_keys_leaked():
     b = make_bridge()
-    pegin = do_pegin(b)
+    vmxo = b.pegins[do_pegin(b)].vmxo_id
     for f in b.functionaries:
-        b.graph.leak_keys(f, pegin.vmxo_id)
-    assert b.adhoc_theft(pegin.vmxo_id, "f0")
-    assert b.ledger.balances[f"vmxo:{pegin.vmxo_id}"] == 0
+        b.graph.leak_keys(f, vmxo)
+    assert b.adhoc_theft(vmxo, "f0")
+    assert b.ledger.balances[f"vmxo:{vmxo}"] == 0
 
 
 def test_refused_theft_leaves_its_vmxo_awaiting_pegin():
@@ -1000,7 +989,7 @@ def test_refused_theft_leaves_its_vmxo_awaiting_pegin():
         b.adhoc_theft(free, "f0")
     assert state() == before
     assert b.graph.vmxos[free].state == VmxoState.AWAITING_PEGIN
-    assert b.request_pegin("u1", DENOM).vmxo_id == free
+    assert b.pegins[b.request_pegin("u1", DENOM)].vmxo_id == free
 
 
 def test_operator_cut_is_exact_above_float_precision():
@@ -1010,9 +999,9 @@ def test_operator_cut_is_exact_above_float_precision():
     b = Bridge(["f0", "f1", "f2"], 1, amount)
     b.graph.sign_all()
     do_pegin(b)
-    pegout = do_linked_pegout(b)
+    i = do_linked_pegout(b)
     before = b.ledger.balances["wallet:f0"]
-    b.front_funds(pegout, "f0")
+    b.front_funds(i, "f0")
     fronted = amount - 13_035_838_819_189
     assert before - b.ledger.balances["wallet:f0"] == fronted
     assert b.ledger.balances["user:u0:src"] == fronted
@@ -1023,18 +1012,18 @@ def test_operator_cut_is_exact_above_float_precision():
 def test_slashed_operator_cannot_front():
     b = make_bridge()
     do_pegin(b)
-    pegout = do_linked_pegout(b)
-    b.slash("f0", "f1", [], pegout.vmxo_id)
+    i = do_linked_pegout(b)
+    b.slash("f0", "f1", [], b.pegouts[i].vmxo_id)
     with pytest.raises(EnablerUnavailable):
-        b.front_funds(pegout, "f0")
+        b.front_funds(i, "f0")
 
 
 def test_recycle_enabler_accounting():
     b = make_bridge()
     do_pegin(b)
-    pegout = do_linked_pegout(b)
-    full_honest_pegout(b, pegout, "f0")
-    counts = b.recycle_enablers(pegout)
+    i = do_linked_pegout(b)
+    full_honest_pegout(b, i, "f0")
+    counts = b.recycle_enablers(i)
     n = len(b.functionaries)
     # one operator enabler consumed; all other enablers for the vmxo live
     assert counts["consumed"] == 1
@@ -1062,12 +1051,13 @@ def test_refund_skips_burnt_and_consumed_enablers():
 def test_recycle_counts_match_every_slot_after_slash_and_refund():
     b = make_bridge(n=3)
     do_pegin(b)
-    pegout = do_linked_pegout(b)
-    b.front_funds(pegout, "f1")
-    b.publish_kickoff(pegout, "f1")
+    i = do_linked_pegout(b)
+    pegout = b.pegouts[i]
+    b.front_funds(i, "f1")
+    b.publish_kickoff(pegout.vmxo_id, "f1")
     b.slash("f1", "f0", ["f0", "f2"], pegout.vmxo_id)
     assert pegout.state == PegOutState.INVALIDATED
-    counts = b.recycle_enablers(pegout)
+    counts = b.recycle_enablers(i)
     g = b.graph
     states = [g.enabler_state(owner, v, cp) for owner in g.functionaries
               for v, cp in g._enabler_slots(owner)
@@ -1083,23 +1073,22 @@ def test_ledger_conservation_over_full_flow():
     b = make_bridge()
     do_pegin(b, "u0")
     total = sum(b.ledger.balances.values())
-    pegout = do_linked_pegout(b, "u0")
-    full_honest_pegout(b, pegout, "f0")
+    full_honest_pegout(b, do_linked_pegout(b, "u0"), "f0")
     assert sum(b.ledger.balances.values()) == total
 
 
 def test_honest_unlock_oracle_tracks_canonical_burn():
     b = make_bridge()
     do_pegin(b)
-    pegout = do_linked_pegout(b)
-    assert b.honest_unlock_allowed(pegout)
+    burn_block = b.pegouts[do_linked_pegout(b)].burn_block
+    assert b.honest_unlock_allowed(burn_block)
     # bury the burn under a heavier fork from before it
-    fork_parent = b.secondary.headers[pegout.burn_block].parent_id
+    fork_parent = b.secondary.headers[burn_block].parent_id
     parent = fork_parent
     for i in range(6):
         parent = b.secondary.mine_block(parent, [f"fork{i}"],
                                         difficulty=5).id
-    assert not b.honest_unlock_allowed(pegout)
+    assert not b.honest_unlock_allowed(burn_block)
 
 
 def test_raw_kickoff_stays_in_flight():
@@ -1108,29 +1097,51 @@ def test_raw_kickoff_stays_in_flight():
     b = make_bridge(vmxos=2)
     do_pegin(b, "u0")
     do_pegin(b, "u1")
-    raw = do_linked_pegout(b, "u0")
+    raw = b.pegouts[do_linked_pegout(b, "u0")]
     assert b.open_pegouts("f1") == []
-    b.publish_kickoff(raw, "f1")
+    b.publish_kickoff(raw.vmxo_id, "f1")
     assert b.open_pegouts("f1") == [raw] and raw.fronted_tx is None
     fronted = do_linked_pegout(b, "u1")
     b.front_funds(fronted, "f1")
-    assert b.open_pegouts("f1") == [raw, fronted]
+    assert b.open_pegouts("f1") == [raw, b.pegouts[fronted]]
+
+
+def test_raw_kickoff_of_an_unlinked_vmxo_unlocks_to_its_operator():
+    # no peg-out is linked to vmxo1: its kick-off is logged honest=False,
+    # puts no peg-out in flight and unlocks the VMXO to f1; f0 may not
+    # kick off vmxo0, whose peg-out f1 fronted
+    b = make_bridge(vmxos=2)
+    do_pegin(b, "u0")
+    do_pegin(b, "u1")
+    i = do_linked_pegout(b, "u0")
+    b.front_funds(i, "f1")
+    with pytest.raises(NotTriggered, match="fronted by f1"):
+        b.publish_kickoff("pkt0:vmxo0", "f0")
+    b.publish_kickoff("pkt0:vmxo1", "f1")
+    assert b.rows[-1][1:] == ("kickoff", (False, "f1", "pkt0:vmxo1"))
+    assert b.open_pegouts("f1") == [b.pegouts[i]]
+    b.unlock("pkt0:vmxo1")
+    assert b.rows[-1][1:] == ("unlocked", (DENOM, "f1", "pkt0:vmxo1"))
+    assert b.graph.vmxos["pkt0:vmxo1"].state == VmxoState.UNLOCKED
+    assert list(b.linked) == ["pkt0:vmxo0"]
+    assert b.pegouts[i].state == PegOutState.FRONTED
 
 
 def test_fronted_pegout_counts_until_unlock():
     b = make_bridge()
     do_pegin(b)
-    pegout = do_linked_pegout(b)
-    b.front_funds(pegout, "f0")
+    i = do_linked_pegout(b)
+    pegout = b.pegouts[i]
+    b.front_funds(i, "f0")
     assert b.open_pegouts("f0") == [pegout]
     front_block = mine_source(b, [pegout.fronted_tx])
     for _ in range(b.source_confirmations):
         mine_source(b, ["pad"])
-    b.prove_front(pegout, front_block)
+    b.prove_front(i, front_block)
     assert b.open_pegouts("f0") == [pegout]
-    b.publish_kickoff(pegout, "f0")
+    b.publish_kickoff(pegout.vmxo_id, "f0")
     assert b.open_pegouts("f0") == [pegout]
-    b.unlock(pegout)
+    b.unlock(pegout.vmxo_id)
     assert b.open_pegouts("f0") == []
 
 
@@ -1139,14 +1150,15 @@ def test_slashed_operator_stops_counting(force_close):
     b = make_bridge(vmxos=2)
     do_pegin(b, "u0")
     do_pegin(b, "u1")
-    pegout = do_linked_pegout(b, "u0")
-    b.front_funds(pegout, "f1")
-    b.publish_kickoff(pegout, "f1")
+    i = do_linked_pegout(b, "u0")
+    pegout = b.pegouts[i]
+    b.front_funds(i, "f1")
+    b.publish_kickoff(pegout.vmxo_id, "f1")
     assert b.open_pegouts("f1") == [pegout]
     if force_close:
-        second = do_linked_pegout(b, "u1")
+        second = b.pegouts[do_linked_pegout(b, "u1")].vmxo_id
         b.publish_kickoff(second, "f1")
-        b.force_close(pegout.vmxo_id, second.vmxo_id, "f0")
+        b.force_close(pegout.vmxo_id, second, "f0")
     b.slash("f1", "f0", [], pegout.vmxo_id)
     assert b.open_pegouts("f1") == []
 
@@ -1167,15 +1179,17 @@ class ScanningBridge(Bridge):
         pegin = PegIn(user, amount, free[0])
         self.pegins.append(pegin)
         self.emit("pegin_requested", amount, user, pegin.vmxo_id)
-        return pegin
+        return len(self.pegins) - 1
 
-    def link_pegout(self, pegout):
+    def link_pegout(self, i):
+        pegout = self.pegouts[i]
         linked = {p.vmxo_id for p in self.pegouts if p.vmxo_id}
         for v in self.graph.vmxo_ids:
             if v in linked:
                 continue
             if self.graph.vmxos[v].state == VmxoState.LOCKED:
                 pegout.vmxo_id = v
+                self.linked[v] = pegout
                 pegout.state = PegOutState.LINKED
                 self.emit("pegout_linked", pegout.burn_tx, v)
                 return v
@@ -1212,7 +1226,8 @@ def test_pending_pegins_take_distinct_vmxos():
     runs = []
     for cls in (Bridge, ScanningBridge):
         b = cls(["f0", "f1", "f2"], 2, DENOM)
-        vmxos = [b.request_pegin(u, DENOM).vmxo_id for u in ("u0", "u1")]
+        vmxos = [b.pegins[b.request_pegin(u, DENOM)].vmxo_id
+                 for u in ("u0", "u1")]
         with pytest.raises(NoCapacity):
             b.request_pegin("u2", DENOM)
         runs.append((vmxos, b.rows))

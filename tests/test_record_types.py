@@ -42,7 +42,7 @@ VALUE_TYPES = ("chain.BlockHeader", "chain.InclusionProof", "chain.CensorSpec",
 # a state record and the arguments of one instance
 STATE_RECORDS = {
     "protocol.PegIn": ("u0", 1, "pkt0:vmxo0"),
-    "protocol.PegOut": ("u0", 1),
+    "protocol.PegOut": ("u0", 1, "burn:u0:1"),
     "txgraph.Vmxo": (1,),
     "stopwatch.StopWatch": ("f0", 4),
     "chain.SimClock": (),
