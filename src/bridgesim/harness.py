@@ -1,5 +1,6 @@
-"""Scenario execution: agent strategies, the deterministic run loop,
-invariant checking over event logs, and report emission.
+"""Scenario execution: the policy map from each dishonest party to its
+strategy, which every decision of the deterministic run loop asks;
+invariant checking over event logs; and report emission.
 
 A scenario pins every free choice (seed, parties, honesty, timing, censor
 windows, scripted peg operations), so the same scenario always yields a
@@ -33,9 +34,6 @@ class Strategy(str, Enum):
     DOUBLE_OPERATOR = "DoubleOperator"
     KEY_LEAKER = "KeyLeaker"
 
-
-PROVER_STRATEGIES = {Strategy.SILENT_PROVER, Strategy.FAKE_PROOF_PROVER,
-                     Strategy.FORK_PROVER, Strategy.DOUBLE_OPERATOR}
 
 # Fixed run parameters: length of every disputed execution trace, the ticks
 # from burn to front that the liveness check allows, and the logged RNG.
@@ -232,9 +230,11 @@ class Runner:
         self.sc = scenario
         # the parties, computed once
         self.functionaries = scenario.functionary_ids
-        self.adversary = scenario.adversary_id
+        # each dishonest party's strategy, the adversary's even if Honest
+        self.policy: dict[str, Strategy] = {} if scenario.adversary is None \
+            else {scenario.adversary_id: scenario.strategy}
         self.honest = [] if scenario.leak_all else [
-            f for f in self.functionaries if f != self.adversary]
+            f for f in self.functionaries if f not in self.policy]
         self.bridge = Bridge(
             self.functionaries, scenario.vmxo_count, scenario.denomination,
             fee_rate=scenario.fee_rate, t_sep=scenario.t_sep)
@@ -268,7 +268,7 @@ class Runner:
         b, sc = self.bridge, self.sc
         b.emit(("meta", "scenario"), "scenario", sc.name, RNG_ALGORITHM,
                sc.seed)
-        b.emit(("meta", "parties"), self.adversary or "-",
+        b.emit(("meta", "parties"), sc.adversary_id or "-",
                ",".join(self.functionaries), ",".join(self.honest) or "-",
                "parties", sc.leak_all, sc.strategy.value)
         b.emit(("meta", "params"), LIVENESS_BOUND, sc.denomination,
@@ -281,12 +281,10 @@ class Runner:
         # record that every template reads, built now or later; then keys
         # are deleted (or leaked, for the dishonest)
         b.graph.sign_all()
-        leakers = set(self.functionaries) if sc.leak_all else set()
-        if sc.strategy == Strategy.KEY_LEAKER:
-            leakers.add(self.adversary)
-        leaking = [f for f in self.functionaries if f in leakers]
+        leakers = [f for f in self.functionaries if sc.leak_all
+                   or self.policy.get(f) == Strategy.KEY_LEAKER]
         for v in b.graph.vmxo_ids:
-            for f in leaking:
+            for f in leakers:
                 b.graph.leak_keys(f, v)
                 b.emit("keys_leaked", f, v)
         for f in self.functionaries:
@@ -331,8 +329,7 @@ class Runner:
                          ExecutionTrace.honest(prover_trace.program_id,
                                                prover_trace.length),
                          watch_threshold=sc.watch_threshold)
-        stalls = sc.strategy == Strategy.SILENT_PROVER and \
-            defender == self.adversary
+        stalls = self.policy.get(defender) == Strategy.SILENT_PROVER
 
         def delay(party: str, clock: int) -> int:
             if stalls and party == defender:
@@ -412,14 +409,13 @@ class Runner:
         b.publish_kickoff(b.pegouts[i].vmxo_id, operator)
 
     def _honest_pegout_flow(self, i: int, operator: str) -> None:
-        b, sc = self.bridge, self.sc
+        b = self.bridge
         self._front_and_kick_off(i, operator)
         pegout = b.pegouts[i]
         honest_trace = ExecutionTrace.honest(
             f"pegout:{pegout.burn_tx}", TRACE_LENGTH)
-        adv = self.adversary
-        griefers = [adv] if sc.strategy == Strategy.GRIEFING_VERIFIER \
-            and adv not in (None, operator, *b.slashed) else []
+        griefers = [f for f, s in self.policy.items() if f != operator
+                    and s == Strategy.GRIEFING_VERIFIER and f not in b.slashed]
         self._contest_kickoff(pegout.vmxo_id, griefers, honest_trace)
         b.recycle_enablers(i)
 
@@ -492,9 +488,14 @@ class Runner:
         b.force_close(fronted, victim, closers[0])
         b.slash(adv, closers[0], closers[:1], victim)
 
+    # the flow a dishonest prover plays on peg-out 0, by its strategy
+    _prover_flows = {Strategy.SILENT_PROVER: _fraudulent_kickoff,
+                     Strategy.FAKE_PROOF_PROVER: _fraudulent_kickoff,
+                     Strategy.FORK_PROVER: _fork_kickoff,
+                     Strategy.DOUBLE_OPERATOR: _double_operator}
+
     def run_pegouts(self) -> None:
         b, sc = self.bridge, self.sc
-        adv = self.adversary
         for user in self.users[:sc.n_pegouts]:
             i = b.request_pegout(user, sc.denomination)
             pegout = b.pegouts[i]
@@ -505,14 +506,10 @@ class Runner:
                 b.link_pegout(i)
             except NoCapacity:
                 continue
-            if i == 0 and sc.strategy in PROVER_STRATEGIES \
-                    and adv is not None:
-                if sc.strategy == Strategy.DOUBLE_OPERATOR:
-                    self._double_operator(i, adv)
-                elif sc.strategy == Strategy.FORK_PROVER:
-                    self._fork_kickoff(i, adv)
-                else:
-                    self._fraudulent_kickoff(i, adv)
+            if i == 0:
+                for party, strategy in self.policy.items():
+                    if strategy in self._prover_flows:
+                        self._prover_flows[strategy](self, i, party)
             # a peg-out still linked, fresh or released by its adversarial
             # kick-off, is served by an honest operator
             if pegout.state == PegOutState.LINKED:
@@ -521,11 +518,11 @@ class Runner:
     # -- theft attempts ----------------------------------------------------
 
     def run_theft_attempts(self) -> None:
-        b, sc = self.bridge, self.sc
-        wants_theft = sc.leak_all or sc.strategy == Strategy.KEY_LEAKER
-        if not wants_theft:
+        b = self.bridge
+        if not self.sc.leak_all and \
+                Strategy.KEY_LEAKER not in self.policy.values():
             return
-        thief = self.adversary or self.functionaries[0]
+        thief = next(iter(self.policy), self.functionaries[0])
         target = next((v for v in b.graph.vmxo_ids
                        if b.graph.vmxos[v].state == VmxoState.LOCKED), None)
         if target is not None:

@@ -489,13 +489,13 @@ class Bridge:
         ``False`` for a raw kick-off, which skipped it or has no peg-out:
         the template itself carries no concurrency check on-chain.  Its one
         input is the operator's wallet, so it spends no graph output and
-        its template is not built here.  Only the operator that fronted
-        the linked peg-out, if one did, may kick it off."""
+        its template is not built here.  Only an unslashed operator, the
+        one that fronted the linked peg-out if one did, may kick it off."""
         vmxo = self.graph.vmxo(vmxo_id)
         if vmxo.state != VmxoState.LOCKED:
             raise NotTriggered(f"{vmxo_id} is {vmxo.state.value}")
-        if operator not in self.graph.position:
-            raise UnknownId(operator)
+        if self.graph.enabler_state(operator, vmxo_id) != EnablerState.LIVE:
+            raise EnablerUnavailable(f"operator enabler for {operator}")
         pegout = self.linked.get(vmxo_id)
         if pegout is not None and pegout.operator not in (None, operator):
             raise NotTriggered(f"{vmxo_id} fronted by {pegout.operator}")
@@ -510,11 +510,13 @@ class Bridge:
     def unlock(self, vmxo_id: str) -> None:
         """No-challenge (or all-challenges-defeated) completion of the
         VMXO's open kick-off: the Unlocking template pays its operator,
-        consuming the operator enabler and the kick-off output."""
+        consuming its live operator enabler and the kick-off output."""
         vmxo = self.graph.vmxo(vmxo_id)
         operator = vmxo.operator
         if vmxo.state != VmxoState.KICKOFF_OPEN:
             raise NotTriggered(vmxo_id)
+        if self.graph.enabler_state(operator, vmxo_id) != EnablerState.LIVE:
+            raise EnablerUnavailable(f"operator enabler for {operator}")
         self._spend(self.graph.template(TxKind.UNLOCKING, vmxo_id, operator),
                     operator, "unlocking")
         self.graph.set_enabler_state(EnablerState.CONSUMED, operator,

@@ -91,6 +91,37 @@ def test_all_keys_leaked_theft_succeeds():
     assert conservation.passed  # stolen sats move, they do not vanish
 
 
+def _run_with_policy(policy: dict) -> RunReport:
+    """A run at N = 3 whose runner is given ``policy`` and the parties it
+    leaves out as honest, so that several parties are dishonest, which no
+    Scenario expresses yet."""
+    runner = Runner(Scenario(name="policy", seed=5, n_functionaries=3))
+    runner.policy = policy
+    runner.honest = [f for f in runner.functionaries if f not in policy]
+    runner.setup()
+    runner.run_pegins()
+    runner.run_theft_attempts()
+    runner.run_pegouts()
+    return runner.finish()
+
+
+@pytest.mark.parametrize("leakers, stolen", [
+    (("f1", "f2"), False), (("f0", "f1", "f2"), True)])
+def test_key_leakers_steal_only_when_no_party_deletes(leakers, stolen):
+    # the 1-of-n claim for key deletion: one honest party that deletes its
+    # keys is enough to refuse the thief, the first party in the policy map;
+    # with every party leaking the theft goes through and safety fails
+    report = _run_with_policy(dict.fromkeys(leakers, Strategy.KEY_LEAKER))
+    assert {values[0] for _, key, values in report.rows
+            if key == "keys_leaked"} == set(leakers)
+    # the thief is the second last field of both kinds
+    assert [(key, values[-2]) for _, key, values in report.rows
+            if key in ("theft", "theft_rejected")] == [
+        ("theft" if stolen else "theft_rejected", leakers[0])]
+    assert [v.name for v in report.verdicts if not v.passed] == (
+        ["safety"] if stolen else [])
+
+
 def test_determinism_byte_identical_logs():
     sc = Scenario(name="det", seed=42, n_functionaries=4, vmxo_count=3,
                   n_pegins=3, n_pegouts=2, adversary=2,

@@ -427,6 +427,11 @@ def drain_after_second_kickoff(b, linked):
     drain("f0")(b, linked)
 
 
+def slash_f1(b, linked):
+    """f1 is slashed over vmxo0, which burns each of its enablers."""
+    b.slash("f1", "f0", [], "pkt0:vmxo0")
+
+
 # each refused call, on the bridge of ``refusal_bridge``: the error and the
 # call, given the bridge and the indices of a linked peg-out, whose VMXO
 # vmxo1 is locked, and of a peg-out that was never linked; and optionally a
@@ -546,6 +551,17 @@ REFUSALS = {
         Insolvent, lambda b, linked, unlinked:
         b.force_close("pkt0:vmxo0", "pkt0:vmxo1", "f0"),
         drain_after_second_kickoff),
+    # a slashed operator's enablers are burnt; these logged a kick-off by
+    # it, and an unlock that paid it and turned its burnt enabler consumed
+    "kickoff-unlinked-by-slashed-operator": (
+        EnablerUnavailable, lambda b, linked, unlinked:
+        b.publish_kickoff("pkt0:vmxo2", "f1"), slash_f1),
+    "kickoff-of-unfronted-pegout-by-slashed-operator": (
+        EnablerUnavailable, lambda b, linked, unlinked:
+        b.publish_kickoff("pkt0:vmxo1", "f1"), slash_f1),
+    "unlock-after-operator-slashed": (
+        EnablerUnavailable, lambda b, linked, unlinked: b.unlock("pkt0:vmxo2"),
+        lambda b, linked: b.publish_kickoff("pkt0:vmxo2", "f1"), slash_f1),
 }
 
 
