@@ -196,9 +196,6 @@ class SimClock:
         self.now = 0
         self.censor_windows = [] if censor_windows is None else censor_windows
 
-    def advance(self, ticks: int = 1) -> None:
-        self.now += ticks
-
     def censored_until(self, party: str, tick: int) -> Optional[int]:
         """First tick from `tick` on that no window of `party` covers, or None
         if none covers `tick`; overlapping and adjacent windows act as one."""

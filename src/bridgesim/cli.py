@@ -101,11 +101,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     failures = 0
     for sc in scenarios:
         try:
-            sc.validate()
+            report = run_scenario(sc)
         except InvalidScenario as exc:
             print(f"skip {sc.name}: {exc}")
             continue
-        report = run_scenario(sc)
         status = "PASS" if report.all_passed else "FAIL"
         if not report.all_passed:
             failures += 1

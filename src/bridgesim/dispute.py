@@ -23,22 +23,15 @@ accumulated difficulty, opening one nested game with the roles reversed.
 
 from __future__ import annotations
 
-import hashlib
 from enum import Enum
+from types import SimpleNamespace
 from typing import Callable, NamedTuple, Optional
 
+from .chain import _digest
 from .errors import (DifficultyNotHigher, MalformedInput, TimeoutExpired,
                      WrongPhase, WrongTurn)
 from .lightclient import AltChainInput, admit_counter_proof, check_alt_chain
 from .stopwatch import StopWatch
-
-
-def _h(*parts: object) -> str:
-    m = hashlib.sha256()
-    for p in parts:
-        m.update(repr(p).encode())
-        m.update(b"\x1f")
-    return m.hexdigest()[:16]
 
 
 def step(state: tuple[int, int]) -> tuple[int, int]:
@@ -70,7 +63,7 @@ class ExecutionTrace(NamedTuple):
         return i, self.corrupt_from if 0 < self.corrupt_from <= i else 0
 
     def digest(self, i: int) -> str:
-        return _h(self.program_id, *self.state(i))
+        return _digest(self.program_id, *self.state(i))
 
     def first_divergence(self, other: "ExecutionTrace") -> Optional[int]:
         """The least step whose ``(program_id, state(i))`` differs from the
@@ -101,20 +94,13 @@ class Reason(str, Enum):
     COUNTER_PROOF_DEFEATED = "CounterProofDefeated"
 
 
-class Outcome:
-    """A finished game: who won, who lost, and why."""
-    __slots__ = ("winner", "loser", "reason")
+class Outcome(SimpleNamespace):
+    """A finished game: who won, who lost, and why; compared by field."""
 
     def __init__(self, winner: str, loser: str, reason: Reason):
         if winner == loser:
             raise ValueError("winner must differ from loser")
         self.winner, self.loser, self.reason = winner, loser, reason
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not Outcome:
-            return NotImplemented
-        return (self.winner, self.loser, self.reason) == \
-            (other.winner, other.loser, other.reason)
 
 
 class DisputeGame:
@@ -231,7 +217,7 @@ def challenge(game: DisputeGame, kind: str = "Execution",
         alt_valid = False
     # nested game with reversed roles: the original verifier now proves
     # check_alt_chain; their trace is honest exactly when the claim is true
-    program = _h("altchain", alt_input.contested_block_id)
+    program = _digest("altchain", alt_input.contested_block_id)
     honest = ExecutionTrace.honest(program, game.prover_trace.length)
     inner_prover_trace = honest if alt_valid else honest.corrupted_at(1)
     game.nested = DisputeGame(game.verifier, game.prover, inner_prover_trace,

@@ -13,6 +13,7 @@ import random
 from enum import Enum
 from functools import cached_property
 from itertools import count
+from types import SimpleNamespace
 from typing import NamedTuple, Optional, Sequence
 
 from .chain import CensorSpec, ChainView, SimClock
@@ -64,9 +65,9 @@ _MINIMUMS = {"n_functionaries": 2, "vmxo_count": 1, "fee_rate": 1,
 _NO_CENSOR = object()
 
 
-class Scenario:
+class Scenario(SimpleNamespace):
     """Every free choice of one run; ``validate`` refuses a scenario that
-    cannot run."""
+    cannot run.  A namespace, so it compares and prints by its fields."""
 
     def __init__(self, name: str = "scenario", seed: int = 0,
                  n_functionaries: int = 3, denomination: int = 100_000_000,
@@ -84,15 +85,6 @@ class Scenario:
         self.strategy, self.leak_all = strategy, leak_all
         self.censor = [] if censor is _NO_CENSOR else censor
         self.t_sep = t_sep
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not Scenario:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
-        return f"Scenario({fields})"
 
     def validate(self) -> None:
         for name in INT_KEYS.values():
@@ -320,7 +312,7 @@ class Runner:
         b, sc = self.bridge, self.sc
         defender = b.graph.vmxos[vmxo_id].operator
         if not challengers:
-            b.clock.advance(sc.challenge_window + 1)
+            b.clock.now += sc.challenge_window + 1
             b.emit("challenge_window_expired", defender, vmxo_id)
             self._unlock(vmxo_id)
             return
@@ -361,7 +353,7 @@ class Runner:
             watch = played.watches[party]
             b.emit("watch_total", watch.accumulated(played.clock), party,
                    watch.threshold, watch.aggregate_timeout(played.clock))
-        b.clock.advance(game.clock)
+        b.clock.now += game.clock
         # a defeated counter-proof leaves the outer game unchallenged
         outcome = game.outcome or resolve_no_challenge(game)
         b.emit("dispute_outcome",
@@ -380,7 +372,7 @@ class Runner:
         pegout = b.linked.get(vmxo_id)
         if pegout is not None and pegout.fronted_tx is not None:
             b.emit("burn_confirmed", pegout.burn_block,
-                   int(b.honest_unlock_allowed(pegout.burn_block)),
+                   int(b.secondary.is_canonical(pegout.burn_block)),
                    pegout.burn_tx)
         b.unlock(vmxo_id)
 
@@ -401,7 +393,7 @@ class Runner:
     def _front_and_kick_off(self, i: int, operator: str) -> None:
         """The guarded path: front, prove the confirmed front, kick off."""
         b = self.bridge
-        b.clock.advance(b.separation_left(operator))
+        b.clock.now += b.separation_left(operator)
         front_block = self._mine_confirmed(
             b.source, b.front_funds(i, operator), b.source_confirmations,
             "pad:{}:front")
@@ -480,7 +472,7 @@ class Runner:
         if victim is None or not closers:
             # no second kick-off, or nobody to force-close it: every
             # kick-off stands and unlocks
-            b.clock.advance(sc.challenge_window + 1)
+            b.clock.now += sc.challenge_window + 1
             self._unlock(fronted)
             if victim is not None:
                 self._unlock(victim)
@@ -507,8 +499,10 @@ class Runner:
             except NoCapacity:
                 continue
             if i == 0:
+                # each prover plays peg-out 0 only while it is still linked
                 for party, strategy in self.policy.items():
-                    if strategy in self._prover_flows:
+                    if strategy in self._prover_flows and \
+                            pegout.state == PegOutState.LINKED:
                         self._prover_flows[strategy](self, i, party)
             # a peg-out still linked, fresh or released by its adversarial
             # kick-off, is served by an honest operator

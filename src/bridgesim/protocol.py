@@ -668,8 +668,3 @@ class Bridge:
         kicked = self.last_kickoff_tick
         return min(pool, key=lambda f: (
             self.separation_left(f) if f in kicked else 0, f))
-
-    def honest_unlock_allowed(self, burn_block: str) -> bool:
-        """Oracle: does a burn's block sit on the canonical secondary
-        chain?"""
-        return self.secondary.is_canonical(burn_block)

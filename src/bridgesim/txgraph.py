@@ -434,15 +434,12 @@ class PacketGraph:
         ``UnknownId`` for an unknown loser, before any write."""
         if loser not in self.position:
             raise UnknownId(loser)
-        # the loser's enablers of one VMXO, in ``_enabler_slots`` order
-        keys = [(loser, None)] + [(loser, w) for w in self.functionaries
-                                  if w != loser]
         burnt = 0
-        for v in self.vmxo_ids:
+        for v, w in self._enabler_slots(loser):
             states = self.used_enablers.setdefault(v, {})
-            fresh = [key for key in keys if key not in states]
-            states.update(dict.fromkeys(fresh, EnablerState.BURNT))
-            burnt += len(fresh)
+            if (loser, w) not in states:
+                states[loser, w] = EnablerState.BURNT
+                burnt += 1
         return burnt
 
 

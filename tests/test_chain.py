@@ -81,6 +81,20 @@ def test_inclusion_proof_wrong_header_fails():
     assert not proof.verify(c.headers[b2.id])
 
 
+def test_inclusion_proof_of_a_tx_not_in_its_path_fails():
+    c = ChainView(SOURCE)
+    b = c.mine_block(c.genesis.id, ["txA", "txB"])
+    proof = c.prove_inclusion("txA", b.id)
+    # the path alone still matches the header's commitment
+    assert not proof._replace(tx_id="txZ").verify(c.headers[b.id])
+
+
+def test_inclusion_proof_of_an_unknown_block_refused():
+    c = ChainView(SOURCE)
+    with pytest.raises(UnknownBlock):
+        c.prove_inclusion("txA", "no-such-block")
+
+
 def test_inclusion_soundness_exhaustive_small_chains():
     # every (tx, block) pair: proof exists and verifies iff tx in block
     c = ChainView(SOURCE)

@@ -306,14 +306,41 @@ def test_censor_of_no_functionary_rejected(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("grid", ["seed 1 x\n", "strategy Bogus\n", "seed\n",
-                                  "", "# nothing\n"],
+                                  "", "# nothing\n", "pegout_limit 1\n"],
                          ids=["bad-int", "bad-strategy", "no-values", "empty",
-                              "comments-only"])
+                              "comments-only", "unknown-key"])
 def test_sweep_rejects_malformed_grid(tmp_path, capsys, grid):
     path = tmp_path / "grid.txt"
     path.write_text(grid)
     assert main(["sweep", "--grid", str(path)]) == 2
     assert "invalid grid" in capsys.readouterr().err
+
+
+def test_grid_strategy_without_adversary_makes_the_last_one_adversary():
+    scenarios = cli._parse_grid("functionaries 2 4\n"
+                                "strategy Honest FakeProofProver\n")
+    assert [(sc.name, sc.adversary) for sc in scenarios] == [
+        ("sweep-2-Honest", None), ("sweep-2-FakeProofProver", 1),
+        ("sweep-4-Honest", None), ("sweep-4-FakeProofProver", 3)]
+
+
+def test_sweep_exits_one_and_counts_its_failures(tmp_path, capsys,
+                                                 monkeypatch):
+    # no admitted grid scenario fails, so each run's first verdict is
+    # failed by hand; a scenario the runner refuses is still skipped
+    def failing(sc):
+        report = harness.run_scenario(sc)
+        report.verdicts[0] = report.verdicts[0]._replace(passed=False)
+        return report
+
+    monkeypatch.setattr(cli, "run_scenario", failing)
+    grid = tmp_path / "grid.txt"
+    grid.write_text("functionaries 2 3\npegouts 1 3\n")
+    assert main(["sweep", "--grid", str(grid)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "[FAIL] sweep-2-1", "skip sweep-2-3: more peg-outs than peg-ins",
+        "[FAIL] sweep-3-1", "skip sweep-3-3: more peg-outs than peg-ins",
+        "sweep: 4 scenarios, 2 failures"]
 
 
 def test_out_of_range_value_rejected(tmp_path, capsys):

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from bridgesim import dispute
+from bridgesim.chain import _digest
 from bridgesim.dispute import (DisputeGame, ExecutionTrace, Outcome, Phase,
                               Reason, challenge, leaf_check, open_game,
                               resolve_no_challenge, reveal_trace, run_search,
@@ -345,6 +346,97 @@ def test_negative_delay_refused_before_the_clock_moves():
     assert leaf_check(g) == Outcome("v", "p", Reason.CONFLICTING_COMMIT)
 
 
+def _game_state(g):
+    """What a refused move must leave as it was."""
+    return (g.phase, g.clock, list(g.publications), g.rounds, g.lo, g.hi,
+            g.nested, g.alt_defeated, g.outcome,
+            {p: (w.total, w.running_since) for p, w in g.watches.items()})
+
+
+def _challenged():
+    g = new_game(16, corrupt_at=5)
+    challenge(g)
+    return g
+
+
+def _countered():
+    """A game whose counter-proof's nested game is open."""
+    g = new_game(16)
+    inp, alt = make_alt()
+    challenge(g, "AltChain", alt_input=alt,
+              main_difficulty=inp.claimed_difficulty,
+              main_anchor_id=inp.headers[0].id)
+    return g
+
+
+def _upheld():
+    g = _countered()
+    challenge(g.nested)
+    run_search(g.nested)
+    settle_counter_proof(g)
+    return g
+
+
+def _alt_challenge(anchor=None, **changes):
+    """An alt-chain challenge with ``changes`` to its input, anchored at
+    ``anchor`` if given."""
+    def move(g):
+        inp, alt = make_alt()
+        challenge(g, "AltChain", alt_input=alt._replace(**changes),
+                  main_difficulty=inp.claimed_difficulty,
+                  main_anchor_id=anchor or inp.headers[0].id)
+    return move
+
+
+# each move refused before any change: the game it is made in, the move,
+# and the error with its message
+REFUSED_MOVES = {
+    "challenge-in-main-search": (
+        _challenged, challenge, WrongPhase, "^MainSearch$"),
+    "challenge-of-unknown-kind": (
+        new_game, lambda g: challenge(g, "Bogus"), ValueError, "^Bogus$"),
+    "alt-chain-not-anchored": (
+        new_game, _alt_challenge(anchor="elsewhere"), MalformedInput,
+        "^alt chain not anchored at the peg-in block$"),
+    "search-awaiting-challenge": (
+        new_game, search_round, WrongPhase, "^AwaitChallenge$"),
+    "reveal-in-main-search": (
+        _challenged, reveal_trace, WrongPhase, "^MainSearch$"),
+    "leaf-check-in-main-search": (
+        _challenged, leaf_check, WrongPhase, "^MainSearch$"),
+    "settle-an-upheld-counter-proof-again": (
+        _upheld, settle_counter_proof, WrongPhase, "^Terminal$"),
+    "settle-before-the-nested-game-ends": (
+        _countered, settle_counter_proof, WrongPhase,
+        "^nested game not terminal$"),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSED_MOVES))
+def test_refused_move_changes_nothing(case):
+    make, move, error, message = REFUSED_MOVES[case]
+    g = make()
+    before = _game_state(g)
+    with pytest.raises(error, match=message):
+        move(g)
+    assert _game_state(g) == before
+
+
+def test_alt_chain_with_no_headers_is_a_defeated_counter_proof():
+    # nothing to anchor or check: check_alt_chain finds the input
+    # malformed, so the submitter's claim is false and it loses the nested
+    # game it opened
+    g = new_game(16)
+    _alt_challenge(headers=())(g)
+    assert g.phase == Phase.COUNTER_PROOF
+    challenge(g.nested)
+    assert run_search(g.nested).loser == "v"
+    settle_counter_proof(g)
+    assert g.phase == Phase.AWAIT_CHALLENGE and g.alt_defeated
+    assert resolve_no_challenge(g) == Outcome(
+        "p", "v", Reason.COUNTER_PROOF_DEFEATED)
+
+
 def test_zero_length_trace_refuses_challenge():
     g = new_game(0)
     with pytest.raises(MalformedInput):
@@ -526,7 +618,7 @@ def reads(trace, i, read_steps):
     their own: wrong from the first read on when step i is a wrong
     transition."""
     wrong = step(trace.state(i - 1)) != trace.state(i)
-    return ExecutionTrace(dispute._h("read", trace.program_id, i), read_steps,
+    return ExecutionTrace(_digest("read", trace.program_id, i), read_steps,
                           1 if wrong else 0)
 
 

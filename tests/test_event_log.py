@@ -103,7 +103,7 @@ def test_publications_emit_a_fee_a_pub_and_the_watch_rows_of_each_gap():
     # and a dispute_pub per publication, each at the bridge's tick; after a
     # gap, a sw_tick per power-of-two marker and a sw_stop of the gap
     b = Bridge(["f0", "f1"], 1, 100_000_000)
-    b.clock.advance(7)
+    b.clock.now += 7
     b.account_publications([(0, "f1", "challenge"),
                             (1, "f0", "publish-hashes"),
                             (1, "f1", "publish-choice"),
@@ -154,7 +154,7 @@ def test_log_refuses_what_the_schema_lacks(key, values):
 
 def test_emit_appends_one_row_of_the_values_as_passed():
     b = Bridge(["f0", "f1"], 1, 100_000_000)
-    b.clock.advance(7)
+    b.clock.now += 7
     b.emit("front_proven", "x")
     b.emit(("meta", "scenario"), "scenario", "n", "r", 3)
     assert b.rows == [(7, "front_proven", ("x",)),

@@ -91,11 +91,12 @@ def test_all_keys_leaked_theft_succeeds():
     assert conservation.passed  # stolen sats move, they do not vanish
 
 
-def _run_with_policy(policy: dict) -> RunReport:
-    """A run at N = 3 whose runner is given ``policy`` and the parties it
-    leaves out as honest, so that several parties are dishonest, which no
-    Scenario expresses yet."""
-    runner = Runner(Scenario(name="policy", seed=5, n_functionaries=3))
+def _run_with_policy(policy: dict, **fields) -> RunReport:
+    """A run at N = 3, with ``fields`` changed, whose runner is given
+    ``policy`` and the parties it leaves out as honest, so that several
+    parties are dishonest, which no Scenario expresses yet."""
+    runner = Runner(replace(Scenario(name="policy", seed=5,
+                                     n_functionaries=3), **fields))
     runner.policy = policy
     runner.honest = [f for f in runner.functionaries if f not in policy]
     runner.setup()
@@ -120,6 +121,18 @@ def test_key_leakers_steal_only_when_no_party_deletes(leakers, stolen):
         ("theft" if stolen else "theft_rejected", leakers[0])]
     assert [v.name for v in report.verdicts if not v.passed] == (
         ["safety"] if stolen else [])
+
+
+@pytest.mark.parametrize("first, second", itertools.product(
+    harness.ALL_STRATEGIES, repeat=2), ids=lambda s: s.value)
+def test_two_dishonest_parties_against_one_honest_pass_every_verdict(
+        first, second):
+    # f1 and f2 dishonest, f0 the one honest party: a prover flow plays on
+    # peg-out 0 only while it is linked, so a second prover after a
+    # DoubleOperator, whose force-close invalidated it, does not play
+    report = _run_with_policy({"f1": first, "f2": second}, seed=3,
+                              vmxo_count=3, n_pegins=3, n_pegouts=2)
+    assert report.all_passed, report.verdicts
 
 
 def test_determinism_byte_identical_logs():
@@ -405,6 +418,15 @@ def test_checker_flags_tampered_log():
     assert not verdicts["conservation"]
 
 
+def test_checker_flags_a_total_that_drifts_with_every_final_matching():
+    # each final balance matches its own account, but an opened account has
+    # no final line, so its sats left the ledger unaccounted
+    rows = [(0, "balance", ("a", 10)), (0, "balance", ("b", 5)),
+            (1, "final_balance", ("a", 10))]
+    assert check_invariants(rows)[0] == harness.Verdict(
+        "conservation", False, "total drifted")
+
+
 def test_checker_flags_duplicate_spend():
     report = run_scenario(Scenario(name="t", seed=3))
     spend = next(l for l in report.log if " ev=spend " in l)
@@ -427,7 +449,7 @@ def test_scenario_validation():
         Scenario(strategy=Strategy.SILENT_PROVER).validate()
     with pytest.raises(InvalidScenario):
         Scenario(censor=[CensorSpec("f0", 0, 1000)]).validate()
-    # advance(challenge_window + 1) would turn the clock back
+    # adding challenge_window + 1 to the clock would turn it back
     with pytest.raises(InvalidScenario):
         Scenario(challenge_window=-5).validate()
 

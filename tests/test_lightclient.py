@@ -53,6 +53,27 @@ def test_empty_headers_malformed():
         check_chain(bad)
 
 
+def test_headers_not_parent_linked_malformed():
+    inp, _ = build_instance()
+    h1, _, h3 = inp.headers
+    with pytest.raises(MalformedInput, match="^headers not parent-linked$"):
+        check_chain(inp._replace(headers=(h1, h3)))
+
+
+def test_pegin_proof_that_fails_makes_both_checks_false():
+    # each input is valid but for its peg-in proof, which names another
+    # header than the one given
+    inp, sec = build_instance()
+    h1 = inp.headers[0]
+    f1 = sec.mine_block(h1.id, [], difficulty=4)
+    alt = AltChainInput((h1, f1), inp.pegin_proof, inp.pegin_header,
+                        contested_block_id=inp.headers[1].id,
+                        claimed_difficulty=h1.difficulty + 4)
+    assert check_chain(inp) is check_alt_chain(alt) is True
+    assert check_chain(inp._replace(pegin_header=h1)) is False
+    assert check_alt_chain(alt._replace(pegin_header=h1)) is False
+
+
 def test_valid_instance_true():
     inp, _ = build_instance()
     assert check_chain(inp) is True

@@ -29,13 +29,13 @@ def fund_user(b, user):
 
 def mine_source(b, txs):
     blk = b.source.mine_block(b.source.tip().id, txs)
-    b.clock.advance()
+    b.clock.now += 1
     return blk.id
 
 
 def mine_secondary(b, txs):
     blk = b.secondary.mine_block(b.secondary.tip().id, txs)
-    b.clock.advance()
+    b.clock.now += 1
     return blk.id
 
 
@@ -364,7 +364,7 @@ def test_publish_challenges_pays_and_logs_as_one_fee_at_a_time():
     # challenge in turn gives
     batch, each = make_bridge(n=4, fee_rate=3), make_bridge(n=4, fee_rate=3)
     for b in (batch, each):
-        b.clock.advance(5)
+        b.clock.now += 5
     batch.account_publications([(0, ch, "challenge")
                                 for ch in ("f2", "f0", "f3")], 5)
     for ch in ("f2", "f0", "f3"):
@@ -517,6 +517,11 @@ REFUSALS = {
         b.prove_front(3, b.pegins[0].deposit_block)),
     "recycle-pegout-never-requested": (
         UnknownId, lambda b, linked, unlinked: b.recycle_enablers(3)),
+    "recycle-pegout-in-flight": (
+        NotTriggered, lambda b, linked, unlinked: b.recycle_enablers(linked)),
+    "pegout-of-another-amount": (
+        WrongDenomination, lambda b, linked, unlinked:
+        b.request_pegout("u2", DENOM - 1)),
     "dispute-fee-for-unknown-action": (
         MalformedInput, lambda b, linked, unlinked:
         b.pay_dispute_fee("f0", "bribe")),
@@ -1097,14 +1102,14 @@ def test_honest_unlock_oracle_tracks_canonical_burn():
     b = make_bridge()
     do_pegin(b)
     burn_block = b.pegouts[do_linked_pegout(b)].burn_block
-    assert b.honest_unlock_allowed(burn_block)
+    assert b.secondary.is_canonical(burn_block)
     # bury the burn under a heavier fork from before it
     fork_parent = b.secondary.headers[burn_block].parent_id
     parent = fork_parent
     for i in range(6):
         parent = b.secondary.mine_block(parent, [f"fork{i}"],
                                         difficulty=5).id
-    assert not b.honest_unlock_allowed(burn_block)
+    assert not b.secondary.is_canonical(burn_block)
 
 
 def test_raw_kickoff_stays_in_flight():

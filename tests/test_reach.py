@@ -32,13 +32,8 @@ ALLOWED = {
     "harness.py:RunReport.dispute_costs":
         "read by the acceptance suite and perfbench",
     "dispute.py:ExecutionTrace.digest": "a test reference",
-    # what a record's readers outside a run use: a test compares outcomes
-    # and scenarios, and a failed assertion names its scenario; a template
-    # refuses assignment, which no run attempts, and compares and hashes
-    # by its content
-    "dispute.py:Outcome.__eq__": "read by the dispute tests",
-    "harness.py:Scenario.__eq__": "read by test_record_types",
-    "harness.py:Scenario.__repr__": "read by failed assertions",
+    # what a template's readers outside a run use: it refuses assignment,
+    # which no run attempts, and compares and hashes by its content
     "txgraph.py:SimTx.__eq__": "read by test_record_types",
     "txgraph.py:SimTx.__hash__": "read by test_record_types",
     "txgraph.py:SimTx._content": "read by test_record_types",

@@ -3,15 +3,18 @@
 A dataclass writes and compiles its ``__init__``, ``__repr__`` and ``__eq__``
 when its module is imported, and the ``dataclasses`` module pulls in
 ``inspect``, so each fresh process pays for both.  Immutable value types are
-``NamedTuple``s, mutable state records are slotted classes, and the records
-whose readers need more are hand-written with exactly what those readers
-use: each has a test below.  This pins the split by listing classes, not by
-timing an import; ``test_stdlib_only`` checks the import itself.
+``NamedTuple``s, mutable state records are slotted classes, the scenario and
+a game's outcome are ``SimpleNamespace`` records, which compare and print by
+field, and the records whose readers need more are hand-written with exactly
+what those readers use: each has a test below.  This pins the split by
+listing classes, not by timing an import; ``test_stdlib_only`` checks the
+import itself.
 """
 
 import dataclasses
 import importlib
 import inspect
+from types import SimpleNamespace
 
 import pytest
 
@@ -24,13 +27,16 @@ from bridgesim.txgraph import SimTx, TxKind, build_packet_templates
 LAYERS = ("chain", "cli", "dispute", "econ", "errors", "harness",
           "lightclient", "protocol", "stopwatch", "txgraph")
 
+# namespaces, compared and printed by field, each with what it adds
+NAMESPACES = {
+    "harness.Scenario",  # every field a keyword, fresh censor list
+    "dispute.Outcome",  # refuses winner == loser
+}
 # hand-written, each with what its readers use
-HAND_WRITTEN = {
-    "harness.Scenario",  # every field a keyword, fresh censor list, ==
+HAND_WRITTEN = NAMESPACES | {
     "txgraph.SimTx",  # refuses assignment, == and hash by content
     "econ.CostTable",  # prices read as class attributes, no arguments
     "econ.TimingParams",  # refuses inconsistent timelocks
-    "dispute.Outcome",  # ==, refuses winner == loser
     "dispute.DisputeGame",  # arity and read_steps read as class attributes
     "harness.RunReport",  # its cached_property needs __dict__
 }
@@ -65,6 +71,8 @@ CLASSES = package_classes()
 
 def test_no_class_is_a_dataclass():
     assert HAND_WRITTEN <= set(CLASSES)
+    assert all(issubclass(CLASSES[name], SimpleNamespace)
+               for name in NAMESPACES)
     assert [name for name, cls in CLASSES.items()
             if dataclasses.is_dataclass(cls)] == []
 

@@ -30,6 +30,11 @@ def test_too_few_functionaries():
         build_packet_templates(["f0"], 1, 100)
 
 
+def test_packet_of_no_vmxo_refused():
+    with pytest.raises(ValueError, match="^vmxo_count must be >= 1$"):
+        build_packet_templates(F3, 0, 100)
+
+
 def test_n2_counts():
     g = packet(["f0", "f1"])
     build_all(g)
