@@ -279,7 +279,7 @@ class Bridge:
         self.t_sep = t_sep
         self.deposit_per_functionary = deposit
         self.functionaries = list(functionary_ids)
-        self.slashed: set[str] = set()
+        self.slashed: set[str] = self.graph.burnt  # the same set, kept once
         self.ledger = Ledger()
         self.rows: list[tuple] = []
         self.pegins: list[PegIn] = []
@@ -519,8 +519,7 @@ class Bridge:
             raise EnablerUnavailable(f"operator enabler for {operator}")
         self._spend(self.graph.template(TxKind.UNLOCKING, vmxo_id, operator),
                     operator, "unlocking")
-        self.graph.set_enabler_state(EnablerState.CONSUMED, operator,
-                                     vmxo_id)
+        self.graph.consume_enabler(operator, vmxo_id)
         vmxo.state = VmxoState.UNLOCKED
         if vmxo_id in self.linked:
             self.linked[vmxo_id].state = PegOutState.UNLOCKED
@@ -586,18 +585,15 @@ class Bridge:
             raise MalformedInput(f"{loser} its own winner or challenger")
         if loser not in self.slashed:
             self._burn_and_pay(loser, winner, challengers, vmxo_id)
-        # every id is checked above, so the states are read directly
-        states = self.graph.used_enablers.setdefault(vmxo_id, {})
-        for ch in challengers:
-            if ch != winner and (ch, loser) not in states:
-                states[ch, loser] = EnablerState.CONSUMED
-                self.emit("challenge_refunded", ch, vmxo_id)
+        # every id is checked above
+        for ch in self.graph.refund_enablers(
+                vmxo_id, loser, [ch for ch in challengers if ch != winner]):
+            self.emit("challenge_refunded", ch, vmxo_id)
 
     def _burn_and_pay(self, loser: str, winner: str,
                       challengers: list[str], vmxo_id: str) -> None:
         # refuses an unknown loser before any change
         burnt = self.graph.burn_enablers(loser)
-        self.slashed.add(loser)
         fees = contest_fees(self.rows, len(self.rows), vmxo_id)
         self.emit("enablers_burnt", burnt, loser)
         # deposit pot: refund the challengers' fees, the rest to the winner
@@ -632,17 +628,12 @@ class Bridge:
                 self.emit("pegout_invalidated", loser, p.vmxo_id)
 
     def recycle_enablers(self, i: int) -> dict[str, int]:
-        """Post-terminal counts of the N² enablers of peg-out ``i``'s VMXO,
-        from that VMXO's stored states alone: one with none is live."""
+        """Post-terminal counts of the N² enablers of peg-out ``i``'s VMXO."""
         pegout = _record(self.pegouts, i)
         if pegout.state not in (PegOutState.UNLOCKED,
                                 PegOutState.INVALIDATED):
             raise NotTriggered(pegout.burn_tx)
-        states = self.graph.used_enablers.get(pegout.vmxo_id, {})
-        stored = list(states.values())
-        counts = {"live": len(self.functionaries) ** 2 - len(states),
-                  "consumed": stored.count(EnablerState.CONSUMED),
-                  "burnt": stored.count(EnablerState.BURNT)}
+        counts = self.graph.enabler_counts(pegout.vmxo_id)
         self.emit("enablers_recycled", counts["burnt"], counts["consumed"],
                   counts["live"], pegout.vmxo_id)
         return counts

@@ -41,10 +41,12 @@ An enabler is ``(owner, vmxo_id, counterparty)``: counterparty None is
 the owner's operator enabler, and another functionary the verifier enabler
 that watches it.  Any other triple, or an unknown loser to burn, raises
 ``UnknownId``.  A burn takes the slashing template's kind, so it builds no
-template.  An enabler is live until a run consumes or burns it, so the
-graph stores only those states, by VMXO and ``(owner, counterparty)``, in
-``used_enablers``.  ``template_count`` and ``enabler_count`` give the sizes
-of the whole graph in closed form.
+template.  The graph stores the enablers a run consumed, by VMXO and
+``(owner, counterparty)``, in ``used_enablers``, and the owners a burn took
+in ``burnt``: any other enabler of a burnt owner is burnt, so a burn is one
+insertion whatever N and V, and an enabler in neither record is live.
+``template_count`` and ``enabler_count`` give the sizes of the whole graph
+in closed form.
 """
 
 from __future__ import annotations
@@ -195,10 +197,10 @@ class PacketGraph:
                                              type(deposit_per_functionary))
         self.templates: dict[tuple, SimTx] = {}  # looked up, by (kind, *ids)
         self.signers: dict[str, None] = {}  # the ceremony's, in order
-        # VMXO -> (owner, counterparty) -> state of each enabler a run has
-        # consumed or burnt; an enabler not in it is live
-        self.used_enablers: dict[str, dict[tuple[str, Optional[str]],
-                                           EnablerState]] = {}
+        # VMXO -> (owner, counterparty) of each enabler a run has consumed,
+        # and the owners a burn took
+        self.used_enablers: dict[str, set[tuple[str, Optional[str]]]] = {}
+        self.burnt: set[str] = set()
         self.leaked: set[tuple[str, str]] = set()  # (functionary, VMXO)
         self.vmxos = {v: Vmxo(amount) for v in self.vmxo_ids}
         self.spent: set[tuple[str, int]] = set()  # spent outpoints
@@ -371,15 +373,17 @@ class PacketGraph:
                       counterparty: Optional[str] = None) -> EnablerState:
         """The enabler's state; ``UnknownId`` if there is no such enabler."""
         self._check_enabler(owner, vmxo_id, counterparty)
-        return self.used_enablers.get(vmxo_id, {}).get((owner, counterparty),
-                                                       EnablerState.LIVE)
+        if (owner, counterparty) in self.used_enablers.get(vmxo_id, ()):
+            return EnablerState.CONSUMED
+        return EnablerState.BURNT if owner in self.burnt else EnablerState.LIVE
 
-    def set_enabler_state(self, state: EnablerState, owner: str,
-                          vmxo_id: str,
-                          counterparty: Optional[str] = None) -> None:
+    def consume_enabler(self, owner: str, vmxo_id: str,
+                        counterparty: Optional[str] = None) -> None:
+        """Record the enabler consumed; ``UnknownId`` if there is no such
+        enabler, before any write."""
         self._check_enabler(owner, vmxo_id, counterparty)
-        self.used_enablers.setdefault(vmxo_id, {})[owner, counterparty] = \
-            state
+        self.used_enablers.setdefault(vmxo_id, set()).add((owner,
+                                                           counterparty))
 
     # -- signing and key management ---------------------------------------
 
@@ -430,17 +434,40 @@ class PacketGraph:
     # -- enabler semantics -------------------------------------------------
 
     def burn_enablers(self, loser: str) -> int:
-        """Mark each of the loser's live enablers burnt; how many it marked.
-        ``UnknownId`` for an unknown loser, before any write."""
+        """Burn the loser's live enablers, once: its N·V less those consumed,
+        the count returned.  ``UnknownId`` for an unknown loser, before any
+        write."""
         if loser not in self.position:
             raise UnknownId(loser)
-        burnt = 0
-        for v, w in self._enabler_slots(loser):
-            states = self.used_enablers.setdefault(v, {})
-            if (loser, w) not in states:
-                states[loser, w] = EnablerState.BURNT
-                burnt += 1
-        return burnt
+        if loser in self.burnt:
+            return 0
+        self.burnt.add(loser)
+        consumed = sum(owner == loser for used in self.used_enablers.values()
+                       for owner, _ in used)
+        return len(self.functionaries) * len(self.vmxo_ids) - consumed
+
+    def refund_enablers(self, vmxo_id: str, loser: str,
+                        owners: list[str]) -> list[str]:
+        """Consume, in order, each of ``owners``' live enablers against
+        ``loser`` on ``vmxo_id``: the owners refunded.  The caller has
+        checked every id."""
+        used = self.used_enablers.setdefault(vmxo_id, set())
+        refunded = []
+        for owner in owners:
+            if owner not in self.burnt and (owner, loser) not in used:
+                used.add((owner, loser))
+                refunded.append(owner)
+        return refunded
+
+    def enabler_counts(self, vmxo_id: str) -> dict[str, int]:
+        """How many of the VMXO's N² enablers are live, consumed and burnt:
+        each burnt owner's N less those of them consumed."""
+        self.vmxo(vmxo_id)
+        used = self.used_enablers.get(vmxo_id, ())
+        n, burnt = len(self.functionaries), self.burnt
+        burns = n * len(burnt) - sum(owner in burnt for owner, _ in used)
+        return {"live": n * n - len(used) - burns, "consumed": len(used),
+                "burnt": burns}
 
 
 # template kind -> the rule that builds it from its ids, and what each id

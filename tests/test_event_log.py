@@ -230,6 +230,26 @@ def test_every_row_fits_its_schema_entry():
         name for names in EVENT_SCHEMA.values() for name in names}
 
 
+def test_recycled_counts_cover_each_vmxos_enablers():
+    # over the corpus, the 500-scenario sweep and the seven N = 100 runs,
+    # each VMXO's live, consumed and burnt enablers add up to its N²
+    scenarios = (scenario_corpus() + generate_adversarial_scenarios(500)
+                 + [n100_scenario(strategy) for strategy in Strategy])
+    recycled = 0
+    for sc in scenarios:
+        rows = run_scenario(sc).rows
+        parties = next(values for _, key, values in rows
+                       if key == ("meta", "parties"))
+        names = EVENT_SCHEMA["meta", "parties"]
+        n = len(parties[names.index("functionaries")].split(","))
+        for _, key, values in rows:
+            if key == "enablers_recycled":
+                burnt, consumed, live, _ = values
+                assert burnt + consumed + live == n * n, sc
+                recycled += 1
+    assert recycled > 500
+
+
 def _as_written(rows):
     """``rows`` with each ``bool`` value formatted, as its line holds it."""
     return [(t, key, tuple(f"{v}" if type(v) is bool else v for v in values))

@@ -1104,7 +1104,28 @@ def test_n100_run_builds_only_what_it_touches(strategy):
     g = runner.bridge.graph
     assert len(g.templates) <= 5
     assert len(txgraph._TEMPLATE_CACHE) <= 8
-    assert sum(map(len, g.used_enablers.values())) <= 3 * n * v
+    # the enablers the run consumed, and at most the one loser burnt
+    assert sum(map(len, g.used_enablers.values())) <= n
+    assert len(g.burnt) <= 1
+
+
+@pytest.mark.parametrize("n", [50, 100])
+def test_slash_stores_the_consumed_enablers_and_its_loser_once(
+        n, run_with_bridge):
+    # the committee run of the CI round trips: f1 is slashed over vmxo0, a
+    # burn of its N·V enablers that stores only f1, beside the N enablers
+    # the run consumed, N - 1 refunded on vmxo0 and one unlocked on vmxo1
+    sc = Scenario(name=f"committee-n{n}", seed=1, n_functionaries=n,
+                  vmxo_count=4, n_pegins=2, n_pegouts=2, adversary=1,
+                  strategy=Strategy.FAKE_PROOF_PROVER)
+    report, b = run_with_bridge(sc)
+    g = b.graph
+    assert {v: len(used) for v, used in g.used_enablers.items()} == {
+        "pkt0:vmxo0": n - 1, "pkt0:vmxo1": 1}
+    assert g.burnt == {"f1"} and b.slashed is g.burnt
+    assert [l.split(" ", 2)[2] for l in report.log
+            if " ev=enablers_burnt " in l] == [
+        f"ev=enablers_burnt count={4 * n} loser=f1"]
 
 
 # log digest of each strategy's N = 10 run over 512 VMXOs, peg-ins and

@@ -586,7 +586,7 @@ def fingerprint(b):
     """Everything a refused call must leave as it was."""
     return (list(b.rows), dict(b.ledger.balances), set(b.graph.spent),
             dict(b.linked), set(b.slashed),
-            {v: dict(s) for v, s in b.graph.used_enablers.items()},
+            {v: set(s) for v, s in b.graph.used_enablers.items()},
             {v: (x.state, x.operator) for v, x in b.graph.vmxos.items()},
             [(p.signatures.copy(), p.deposit_tx, p.deposit_block)
              for p in b.pegins],

@@ -204,7 +204,7 @@ def test_burn_enablers_all_live_to_burnt():
 def test_burn_skips_consumed_enabler():
     g = packet()
     v = g.vmxo_ids[0]
-    g.set_enabler_state(EnablerState.CONSUMED, "f0", v)
+    g.consume_enabler("f0", v)
     assert g.burn_enablers("f0") == 2
     assert g.enabler_state("f0", v) == EnablerState.CONSUMED
     assert g.enabler_state("f0", v, "f2") == EnablerState.BURNT
@@ -218,16 +218,94 @@ def test_no_such_enabler_has_no_state():
         with pytest.raises(UnknownId):
             g.enabler_state(*slot)
         with pytest.raises(UnknownId):
-            g.set_enabler_state(EnablerState.CONSUMED, *slot)
+            g.consume_enabler(*slot)
     with pytest.raises(UnknownId):
         g.burn_enablers("f9")
-    assert g.used_enablers == {}
+    assert g.used_enablers == {} and g.burnt == set()
 
 
 def test_post_burn_kickoff_lacks_operator_enabler():
     g = packet()
     g.burn_enablers("f0")
     assert g.enabler_state("f0", g.vmxo_ids[0]) == EnablerState.BURNT
+
+
+class SlotEnablers:
+    """The record of when a state was stored per enabler slot, frozen as the
+    reference: a burn marks each live slot of the loser ``Burnt``, in
+    ``_enabler_slots`` order, and counts them; a consume stores
+    ``Consumed``; a refund stores ``Consumed`` in each slot against the
+    loser that holds no state; a slot with no state is ``Live``; and a
+    VMXO's counts are its stored states'."""
+
+    def __init__(self, g):
+        self.g, self.states = g, {}
+
+    def state(self, owner, vmxo_id, counterparty=None):
+        return self.states.get(vmxo_id, {}).get((owner, counterparty),
+                                                EnablerState.LIVE)
+
+    def consume(self, owner, vmxo_id, counterparty=None):
+        self.states.setdefault(vmxo_id, {})[owner, counterparty] = \
+            EnablerState.CONSUMED
+
+    def burn(self, loser):
+        burnt = 0
+        for v, w in self.g._enabler_slots(loser):
+            states = self.states.setdefault(v, {})
+            if (loser, w) not in states:
+                states[loser, w] = EnablerState.BURNT
+                burnt += 1
+        return burnt
+
+    def refund(self, vmxo_id, loser, owners):
+        states, refunded = self.states.setdefault(vmxo_id, {}), []
+        for owner in owners:
+            if (owner, loser) not in states:
+                states[owner, loser] = EnablerState.CONSUMED
+                refunded.append(owner)
+        return refunded
+
+    def counts(self, vmxo_id):
+        stored = list(self.states.get(vmxo_id, {}).values())
+        return {"live": len(self.g.functionaries) ** 2 - len(stored),
+                "consumed": stored.count(EnablerState.CONSUMED),
+                "burnt": stored.count(EnablerState.BURNT)}
+
+
+def test_enabler_record_matches_the_slot_reference():
+    # seeded sequences of consumes, burns and slash refunds: after each
+    # step, every slot's state and every VMXO's counts are the reference's,
+    # and each burn and refund returns what the reference's does
+    steps = 0
+    for seed in range(80):
+        rng = random.Random(seed)
+        n, vmxos = rng.randint(2, 4), rng.randint(1, 3)
+        g = packet([f"f{i}" for i in range(n)], vmxos)
+        ref = SlotEnablers(g)
+        slots = [(f, *slot) for f in g.functionaries
+                 for slot in g._enabler_slots(f)]
+        for _ in range(rng.randint(10, 60)):
+            op = rng.choice(("consume", "burn", "refund"))
+            if op == "consume":
+                slot = rng.choice(slots)
+                g.consume_enabler(*slot)
+                ref.consume(*slot)
+            elif op == "burn":
+                loser = rng.choice(g.functionaries)
+                assert g.burn_enablers(loser) == ref.burn(loser)
+            else:
+                loser, v = rng.choice(g.functionaries), rng.choice(g.vmxo_ids)
+                owners = rng.choices([f for f in g.functionaries
+                                      if f != loser], k=rng.randint(0, n))
+                assert g.refund_enablers(v, loser, owners) == \
+                    ref.refund(v, loser, owners)
+            steps += 1
+            assert [g.enabler_state(*slot) for slot in slots] == \
+                [ref.state(*slot) for slot in slots]
+            for v in g.vmxo_ids:
+                assert g.enabler_counts(v) == ref.counts(v)
+    assert steps > 2000
 
 
 def test_signature_invalidation_cascade():
