@@ -13,14 +13,13 @@ cannot be read or written).
 from __future__ import annotations
 
 import argparse
-import itertools
 import sys
 from pathlib import Path
 
 from .econ import format_deposit_table, reproduce_deposit_table
 from .errors import InvalidScenario, MalformedInput
-from .harness import (INT_KEYS, RunReport, Scenario, Strategy,
-                      parse_scenario, read_log, run_scenario)
+from .harness import (RunReport, parse_grid, parse_scenario, read_log,
+                      run_scenario)
 
 
 class _Unusable(Exception):
@@ -57,44 +56,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0 if report.all_passed else 1
 
 
-def _parse_grid(text: str) -> list[Scenario]:
-    axes: list[tuple[str, list]] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, *values = line.split()
-        if key not in INT_KEYS and key != "strategy":
-            raise InvalidScenario(f"grid line {lineno}: unknown key {key!r}")
-        if not values:
-            raise InvalidScenario(f"grid line {lineno}: {key} has no values")
-        try:
-            if key == "strategy":
-                axes.append((key, [Strategy(v) for v in values]))
-            else:
-                axes.append((INT_KEYS[key], [int(v) for v in values]))
-        except ValueError as exc:
-            raise InvalidScenario(f"grid line {lineno}: {raw!r}: {exc}") \
-                from exc
-    if not axes:
-        raise InvalidScenario("grid has no keys")
-    scenarios = []
-    keys = [k for k, _ in axes]
-    for combo in itertools.product(*(vals for _, vals in axes)):
-        sc = Scenario(name="sweep")
-        for k, v in zip(keys, combo):
-            setattr(sc, k, v)
-        if sc.strategy != Strategy.HONEST and sc.adversary is None:
-            sc.adversary = sc.n_functionaries - 1
-        sc.name = "sweep-" + "-".join(
-            v.value if isinstance(v, Strategy) else str(v) for v in combo)
-        scenarios.append(sc)
-    return scenarios
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     try:
-        scenarios = _parse_grid(_file(args.grid))
+        scenarios = parse_grid(_file(args.grid))
     except InvalidScenario as exc:
         print(f"invalid grid: {exc}", file=sys.stderr)
         return 2

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from enum import Enum
 from functools import cached_property
-from itertools import count
+from itertools import count, product
 from types import SimpleNamespace
 from typing import NamedTuple, Optional, Sequence
 
@@ -542,10 +542,10 @@ def run_scenario(scenario: Scenario) -> RunReport:
 
 # the kinds of event that no verdict reads
 UNREAD = frozenset({
-    "challenge_refunded", "challenge_window_expired", "dispute_outcome",
-    "enablers_recycled", "force_close", "fork_mined", "front_proven",
-    "keys_leaked", "pegout_invalidated", "pegout_released", "setup_done",
-    "sw_stop", "sw_tick", "theft_rejected", "watch_total"})
+    ("meta", "scenario"), "challenge_refunded", "challenge_window_expired",
+    "dispute_outcome", "enablers_recycled", "force_close", "fork_mined",
+    "front_proven", "keys_leaked", "pegout_invalidated", "pegout_released",
+    "setup_done", "sw_stop", "sw_tick", "theft_rejected", "watch_total"})
 
 
 def check_invariants(events: Sequence) -> list[Verdict]:
@@ -691,7 +691,7 @@ def scenario_corpus() -> list[Scenario]:
 
 
 # Scenario-file and grid keys that take one integer, and the Scenario field
-# each sets.  In a scenario file `adversary` also names the strategy.
+# each sets.
 INT_KEYS = {
     "seed": "seed",
     "functionaries": "n_functionaries",
@@ -705,41 +705,75 @@ INT_KEYS = {
     "adversary": "adversary",
     "t_sep": "t_sep",
 }
-# number of values each scenario-file key takes
-_VALUE_COUNTS = {**dict.fromkeys(INT_KEYS, 1), "adversary": 2, "name": 1,
-                 "leak_all": 1, "censor": 3}
 _BOOLS = {"1": True, "true": True, "yes": True,
           "0": False, "false": False, "no": False}
+# each grid key's Scenario fields, count of values and reader of them
+_GRID_KEYS = {**{key: ((field,), 1, int) for key, field in INT_KEYS.items()},
+              "strategy": (("strategy",), 1, Strategy)}
+# a scenario file's keys: there `adversary` also names the strategy, and
+# `censor`, which sets no field but adds a window, may repeat
+_FILE_KEYS = {**_GRID_KEYS, "name": (("name",), 1, str),
+              "adversary": (("adversary", "strategy"), 2,
+                            lambda i, s: (int(i), Strategy(s))),
+              "leak_all": (("leak_all",), 1, lambda v: _BOOLS[v.lower()]),
+              "censor": ((), 3, lambda p, s, n: CensorSpec(p, int(s), int(n)))}
+
+
+def _lines(text: str, keys: dict, grid: bool):
+    """(fields, values) of each `key value...` line of ``text``: the
+    Scenario fields its key sets and its values, read in chunks of the
+    key's count; a file's line holds one chunk, a grid's one or more.  An
+    unknown key, a wrong count, a value the reader refuses or a field set
+    on an earlier line raises InvalidScenario naming the line."""
+    seen = set()
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        key, *args = raw.split("#", 1)[0].split() or [None]
+        if key is None:
+            continue
+        at = f"{'grid ' * grid}line {lineno}"
+        if key not in keys:
+            raise InvalidScenario(f"{at}: unknown key {key!r}")
+        fields, n, read = keys[key]
+        if len(args) != n and not (grid and args):
+            raise InvalidScenario(f"{at}: {key} has no values" if grid
+                                  else f"{at}: {key} takes {n} value(s)")
+        if again := seen.intersection(fields):
+            raise InvalidScenario(f"{at}: {key} sets {min(again)} again")
+        seen.update(fields)
+        try:
+            values = [read(*args[i:i + n]) for i in range(0, len(args), n)]
+        except (ValueError, KeyError) as exc:
+            raise InvalidScenario(f"{at}: {raw!r}: {exc}") from exc
+        yield fields, values
 
 
 def parse_scenario(text: str) -> Scenario:
     """Line-oriented scenario format: one `key value...` pair per line."""
     sc = Scenario()
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, *args = line.split()
-        if key not in _VALUE_COUNTS:
-            raise InvalidScenario(f"line {lineno}: unknown key {key!r}")
-        if len(args) != _VALUE_COUNTS[key]:
-            raise InvalidScenario(f"line {lineno}: {key} takes "
-                                  f"{_VALUE_COUNTS[key]} value(s)")
-        try:
-            if key == "name":
-                sc.name = args[0]
-            elif key == "leak_all":
-                if args[0].lower() not in _BOOLS:
-                    raise ValueError(f"not a boolean: {args[0]!r}")
-                sc.leak_all = _BOOLS[args[0].lower()]
-            elif key == "censor":
-                sc.censor.append(CensorSpec(args[0], int(args[1]),
-                                            int(args[2])))
-            else:
-                setattr(sc, INT_KEYS[key], int(args[0]))
-                if key == "adversary":
-                    sc.strategy = Strategy(args[1])
-        except ValueError as exc:
-            raise InvalidScenario(f"line {lineno}: {raw!r}: {exc}") from exc
+    for fields, [value] in _lines(text, _FILE_KEYS, grid=False):
+        if not fields:
+            sc.censor.append(value)
+        elif len(fields) == 1:
+            setattr(sc, fields[0], value)
+        else:
+            sc.adversary, sc.strategy = value
     sc.validate()
     return sc
+
+
+def parse_grid(text: str) -> list[Scenario]:
+    """One scenario per combination of a grid's values, named `sweep-` and
+    its values; a strategy without an adversary makes the last functionary
+    the adversary.  The runner validates each."""
+    axes = [[(field, v) for v in values]
+            for (field,), values in _lines(text, _GRID_KEYS, grid=True)]
+    if not axes:
+        raise InvalidScenario("grid has no keys")
+    scenarios = []
+    for combo in product(*axes):
+        sc = Scenario(name="sweep-" + "-".join(
+            str(getattr(v, "value", v)) for _, v in combo), **dict(combo))
+        if sc.strategy != Strategy.HONEST and sc.adversary is None:
+            sc.adversary = sc.n_functionaries - 1
+        scenarios.append(sc)
+    return scenarios

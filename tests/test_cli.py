@@ -306,9 +306,10 @@ def test_censor_of_no_functionary_rejected(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("grid", ["seed 1 x\n", "strategy Bogus\n", "seed\n",
-                                  "", "# nothing\n", "pegout_limit 1\n"],
+                                  "", "# nothing\n", "pegout_limit 1\n",
+                                  "seed 1 2\nseed 3\n"],
                          ids=["bad-int", "bad-strategy", "no-values", "empty",
-                              "comments-only", "unknown-key"])
+                              "comments-only", "unknown-key", "repeated-key"])
 def test_sweep_rejects_malformed_grid(tmp_path, capsys, grid):
     path = tmp_path / "grid.txt"
     path.write_text(grid)
@@ -317,8 +318,8 @@ def test_sweep_rejects_malformed_grid(tmp_path, capsys, grid):
 
 
 def test_grid_strategy_without_adversary_makes_the_last_one_adversary():
-    scenarios = cli._parse_grid("functionaries 2 4\n"
-                                "strategy Honest FakeProofProver\n")
+    scenarios = harness.parse_grid("functionaries 2 4\n"
+                                   "strategy Honest FakeProofProver\n")
     assert [(sc.name, sc.adversary) for sc in scenarios] == [
         ("sweep-2-Honest", None), ("sweep-2-FakeProofProver", 1),
         ("sweep-4-Honest", None), ("sweep-4-FakeProofProver", 3)]
@@ -386,15 +387,34 @@ t_sep 1
 def test_every_scenario_field_is_settable():
     # a Scenario field that neither file format can set is a knob nobody
     # sets, and scenario files and grids share one integer key table
-    from bridgesim.cli import _parse_grid
-    from bridgesim.harness import INT_KEYS, Scenario, parse_scenario
+    from bridgesim.harness import (INT_KEYS, Scenario, parse_grid,
+                                   parse_scenario)
     keys = {line.split()[0] for line in EVERY_KEY.strip().splitlines()}
     assert keys == set(INT_KEYS) | {"name", "adversary", "leak_all", "censor"}
     sc, default = parse_scenario(EVERY_KEY), Scenario()
     # vars(Scenario()) names every field, as test_record_types pins
     assert [name for name in vars(default)
             if getattr(sc, name) == getattr(default, name)] == []
-    [swept] = _parse_grid("".join(f"{key} {getattr(sc, name)}\n"
-                                  for key, name in INT_KEYS.items()))
+    [swept] = parse_grid("".join(f"{key} {getattr(sc, name)}\n"
+                                 for key, name in INT_KEYS.items()))
     assert {name: getattr(swept, name) for name in INT_KEYS.values()} == \
         {name: getattr(sc, name) for name in INT_KEYS.values()}
+
+
+def test_cli_knows_nothing_of_the_format():
+    # harness reads scenario files and grids; cli only calls its readers
+    assert not {"INT_KEYS", "Scenario", "Strategy", "itertools"} & \
+        vars(cli).keys()
+
+
+def test_run_a_key_leaker_set_by_strategy(tmp_path, capsys):
+    # a file names a strategy without an adversary by its strategy key: the
+    # leak_all negative control, whose log names no adversary
+    sc = tmp_path / "leaked.scenario"
+    sc.write_text("name leaked\nseed 99\nfunctionaries 3\npegouts 0\n"
+                  "strategy KeyLeaker\nleak_all yes\n")
+    log = tmp_path / "leaked.log"
+    assert main(["run", str(sc), "--log", str(log)]) == 1
+    assert "  [FAIL] safety theft of pkt0:vmxo0 by f0\n" in \
+        capsys.readouterr().out
+    assert " adversary=- " in log.read_text()

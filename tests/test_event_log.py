@@ -4,8 +4,11 @@ that kept each event as a line, the event schema every row fits, the calls
 the log refuses, the round trip from rows to lines and back, and the count
 of renders."""
 
+import ast
+import inspect
 import re
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -200,8 +203,19 @@ def test_schema_entries_list_their_fields_by_name():
         assert not {"t", "seq", "ev"} & set(names), key
         if isinstance(key, tuple):
             assert key[0] == "meta" and "kind" in names, key
-    # the checker skips only kinds the log has
-    assert harness.UNREAD < set(EVENT_SCHEMA)
+
+
+def test_unread_is_every_kind_the_checker_does_not_compare():
+    # UNREAD is what check_invariants skips; a branch added for a kind it
+    # still lists would never run
+    tree = ast.parse(textwrap.dedent(inspect.getsource(check_invariants)))
+    compared = {ast.literal_eval(other) for node in ast.walk(tree)
+                if isinstance(node, ast.Compare)
+                and isinstance(node.left, ast.Name) and node.left.id == "key"
+                for other in node.comparators
+                if not isinstance(other, ast.Name)}
+    assert compared < set(EVENT_SCHEMA)
+    assert harness.UNREAD == set(EVENT_SCHEMA) - compared
 
 
 def test_every_row_fits_its_schema_entry():

@@ -659,11 +659,13 @@ def test_parse_scenario_roundtrip():
         fee_rate 5
         adversary 2 SilentProver
         censor f1 10 4
+        censor f0 3 1
     """)
     assert sc.name == "parsed" and sc.seed == 17
     assert sc.n_functionaries == 4 and sc.adversary == 2
     assert sc.strategy == Strategy.SILENT_PROVER
-    assert sc.censor == [CensorSpec("f1", 10, 4)]
+    # censor is the one key that may repeat
+    assert sc.censor == [CensorSpec("f1", 10, 4), CensorSpec("f0", 3, 1)]
     assert type(sc.censor[0]) is CensorSpec  # == holds for a plain tuple too
 
 
@@ -870,6 +872,46 @@ def test_fuzz_valid_scenarios_end_in_wellformed_reports(run_with_bridge):
         report, b = run_with_bridge(sc)
         assert report.rows is b.rows
         assert check_invariants(read_log(b.events)) == report.verdicts, sc
+
+
+def test_parse_scenario_reads_a_strategy_without_an_adversary():
+    # every scenario validate admits can be written as a file: this one
+    # sets its strategy by the strategy key, with no adversary line
+    sc = parse_scenario("name leaked\nseed 99\nfunctionaries 3\n"
+                        "strategy KeyLeaker\nleak_all yes\npegouts 0\n")
+    assert sc == Scenario(name="leaked", seed=99, n_functionaries=3,
+                          leak_all=True, strategy=Strategy.KEY_LEAKER,
+                          n_pegouts=0)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("seed 1\nseed 2\n", "line 2: seed sets seed again"),
+    ("name a\n\nname b\n", "line 3: name sets name again"),
+    ("functionaries 3\n# N\nfunctionaries 4\n",
+     "line 3: functionaries sets n_functionaries again"),
+    ("strategy KeyLeaker\nadversary 1 KeyLeaker\n",
+     "line 2: adversary sets strategy again"),
+    ("adversary 1 KeyLeaker\nstrategy KeyLeaker\n",
+     "line 2: strategy sets strategy again"),
+    ("adversary 1 KeyLeaker\nadversary 0 SilentProver\n",
+     "line 2: adversary sets adversary again")])
+def test_parse_scenario_refuses_a_field_set_twice(text, message):
+    # a later line would override an earlier one without a word
+    with pytest.raises(InvalidScenario) as exc:
+        parse_scenario(text)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("text,message", [
+    ("seed 1 2\nseed 3\n", "grid line 2: seed sets seed again"),
+    ("functionaries 3\nfunctionaries 4\n",
+     "grid line 2: functionaries sets n_functionaries again")])
+def test_parse_grid_refuses_a_field_set_twice(text, message):
+    # "seed 1 2 / seed 3" would run sweep-1-3 and sweep-2-3, both at
+    # seed 3
+    with pytest.raises(InvalidScenario) as exc:
+        harness.parse_grid(text)
+    assert str(exc.value) == message
 
 
 def test_parse_scenario_rejects_unknown_key():
