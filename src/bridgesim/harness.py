@@ -709,13 +709,13 @@ _BOOLS = {"1": True, "true": True, "yes": True,
           "0": False, "false": False, "no": False}
 # each grid key's Scenario fields, count of values and reader of them
 _GRID_KEYS = {**{key: ((field,), 1, int) for key, field in INT_KEYS.items()},
-              "strategy": (("strategy",), 1, Strategy)}
+              "strategy": (("strategy",), 1, Strategy),
+              "leak_all": (("leak_all",), 1, lambda v: _BOOLS[v.lower()])}
 # a scenario file's keys: there `adversary` also names the strategy, and
 # `censor`, which sets no field but adds a window, may repeat
 _FILE_KEYS = {**_GRID_KEYS, "name": (("name",), 1, str),
               "adversary": (("adversary", "strategy"), 2,
                             lambda i, s: (int(i), Strategy(s))),
-              "leak_all": (("leak_all",), 1, lambda v: _BOOLS[v.lower()]),
               "censor": ((), 3, lambda p, s, n: CensorSpec(p, int(s), int(n)))}
 
 
@@ -763,8 +763,8 @@ def parse_scenario(text: str) -> Scenario:
 
 def parse_grid(text: str) -> list[Scenario]:
     """One scenario per combination of a grid's values, named `sweep-` and
-    its values; a strategy without an adversary makes the last functionary
-    the adversary.  The runner validates each."""
+    its values; a strategy without an adversary or `leak_all` makes the
+    last functionary the adversary.  The runner validates each."""
     axes = [[(field, v) for v in values]
             for (field,), values in _lines(text, _GRID_KEYS, grid=True)]
     if not axes:
@@ -773,7 +773,8 @@ def parse_grid(text: str) -> list[Scenario]:
     for combo in product(*axes):
         sc = Scenario(name="sweep-" + "-".join(
             str(getattr(v, "value", v)) for _, v in combo), **dict(combo))
-        if sc.strategy != Strategy.HONEST and sc.adversary is None:
+        if (sc.strategy != Strategy.HONEST and sc.adversary is None
+                and not sc.leak_all):
             sc.adversary = sc.n_functionaries - 1
         scenarios.append(sc)
     return scenarios

@@ -418,3 +418,18 @@ def test_run_a_key_leaker_set_by_strategy(tmp_path, capsys):
     assert "  [FAIL] safety theft of pkt0:vmxo0 by f0\n" in \
         capsys.readouterr().out
     assert " adversary=- " in log.read_text()
+
+
+def test_grid_writes_the_leak_all_negative_control(tmp_path, capsys):
+    # a grid's leak_all sets no default adversary: the grid reads the
+    # scenario the file with the same keys reads, and its run fails safety
+    keys = "functionaries 3\nstrategy KeyLeaker\nleak_all yes\n"
+    [swept], sc = harness.parse_grid(keys), harness.parse_scenario(keys)
+    assert vars(swept) == {**vars(sc), "name": "sweep-3-KeyLeaker-True"}
+    assert [v.name for v in harness.run_scenario(swept).verdicts
+            if not v.passed] == ["safety"]
+    grid = tmp_path / "leaked.grid"
+    grid.write_text(keys)
+    assert main(["sweep", "--grid", str(grid)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "[FAIL] sweep-3-KeyLeaker-True", "sweep: 1 scenarios, 1 failures"]

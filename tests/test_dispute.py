@@ -1,4 +1,3 @@
-import hashlib
 import random
 
 import pytest
@@ -13,6 +12,7 @@ from bridgesim.errors import (DifficultyNotHigher, MalformedInput,
                              TimeoutExpired, WrongPhase, WrongTurn)
 from bridgesim.stopwatch import StopWatch
 
+import pins
 from test_lightclient import build_instance
 from bridgesim.lightclient import AltChainInput
 
@@ -538,21 +538,12 @@ def paper_depth_games(arity):
         yield g
 
 
-# sha256 over game_state of every paper-depth game, arity 2 then 4, the
-# same at the commit before the search kept its divergence: the behaviour
-# digest plays only 16-step traces
-PAPER_DEPTH_GAMES = "be79a491b5c1e007"
-
-
 def test_paper_depth_games_match_reference():
-    h = hashlib.sha256()
-    outcomes = set()
-    for arity in (2, 4):
-        for g in paper_depth_games(arity):
-            outcomes.add(g.outcome and g.outcome.reason)
-            h.update(repr(game_state(g)).encode())
-    assert outcomes == set(Reason) - {Reason.NO_CHALLENGE} | {None}
-    assert h.hexdigest()[:16] == PAPER_DEPTH_GAMES
+    games = [g for arity in (2, 4) for g in paper_depth_games(arity)]
+    assert {g.outcome and g.outcome.reason for g in games} == \
+        set(Reason) - {Reason.NO_CHALLENGE} | {None}
+    assert pins.digest([repr(game_state(g))] for g in games) == \
+        pins.PAPER_DEPTH_GAMES
 
 
 def test_corrupting_twice_keeps_the_first_wrong_transition():

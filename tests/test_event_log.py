@@ -21,6 +21,7 @@ from bridgesim.protocol import (EVENT_SCHEMA, INTEGER_FIELDS, Bridge,
                                 event_lines, read_log)
 from bridgesim.txgraph import EXTERNAL, TxKind
 
+import pins
 from test_harness import _fuzz_scenarios
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -51,15 +52,6 @@ class TwoListBridge(Bridge):
                    **dict(zip(EVENT_SCHEMA[key], values)))
 
 
-def n100_scenario(strategy):
-    """The N = 100, V = 4 run of ``test_harness.N100_LOGS``."""
-    return Scenario(name=f"n100-{strategy.value}", seed=1,
-                    n_functionaries=100, vmxo_count=4, n_pegins=2,
-                    n_pegouts=2,
-                    adversary=None if strategy == Strategy.HONEST else 1,
-                    strategy=strategy)
-
-
 def _assert_lines_match_reference(run_with_bridge, monkeypatch, scenarios):
     reports = [run_scenario(sc) for sc in scenarios]
     monkeypatch.setattr(harness, "Bridge", TwoListBridge)
@@ -78,7 +70,7 @@ def test_lines_match_two_list_builder_over_sweep_and_corpus(
 def test_lines_match_two_list_builder_at_n100(run_with_bridge, monkeypatch):
     _assert_lines_match_reference(
         run_with_bridge, monkeypatch,
-        [n100_scenario(strategy) for strategy in Strategy])
+        [pins.n100_scenario(strategy) for strategy in Strategy])
 
 
 def test_batch_writers_refuse_or_skip_before_any_write():
@@ -220,7 +212,7 @@ def test_unread_is_every_kind_the_checker_does_not_compare():
 
 def test_every_row_fits_its_schema_entry():
     scenarios = (scenario_corpus() + generate_adversarial_scenarios(500)
-                 + [n100_scenario(strategy) for strategy in Strategy]
+                 + [pins.n100_scenario(strategy) for strategy in Strategy]
                  + list(_fuzz_scenarios(1000)))
     seen, not_integer = set(), set()
     for sc in scenarios:
@@ -248,7 +240,7 @@ def test_recycled_counts_cover_each_vmxos_enablers():
     # over the corpus, the 500-scenario sweep and the seven N = 100 runs,
     # each VMXO's live, consumed and burnt enablers add up to its N²
     scenarios = (scenario_corpus() + generate_adversarial_scenarios(500)
-                 + [n100_scenario(strategy) for strategy in Strategy])
+                 + [pins.n100_scenario(strategy) for strategy in Strategy])
     recycled = 0
     for sc in scenarios:
         rows = run_scenario(sc).rows
@@ -275,7 +267,7 @@ def test_read_log_and_event_lines_invert_each_other():
     # 300 fuzz scenarios: a run's lines read back to its rows, those render
     # back to the same lines, and the rows give the run's verdicts
     scenarios = (scenario_corpus() + generate_adversarial_scenarios(500)
-                 + [n100_scenario(strategy) for strategy in Strategy]
+                 + [pins.n100_scenario(strategy) for strategy in Strategy]
                  + list(_fuzz_scenarios(300)))
     for sc in scenarios:
         report = run_scenario(sc)

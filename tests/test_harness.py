@@ -1,4 +1,3 @@
-import hashlib
 import itertools
 import random
 
@@ -16,6 +15,8 @@ from bridgesim.harness import (_MINIMUMS, INT_KEYS, LIVENESS_BOUND,
 from bridgesim.lightclient import check_chain
 from bridgesim.protocol import EVENT_SCHEMA, Bridge, dispute_fees, read_log
 from bridgesim.txgraph import TxKind
+
+import pins
 
 
 def replace(sc: Scenario, **changes) -> Scenario:
@@ -972,15 +973,6 @@ def test_dispute_fees_logged_match_cost_table():
     assert priced == set(prices)
 
 
-def test_behaviour_digest_pinned():
-    # SHA-256 over every run's event log, in order.  A change that alters
-    # the logs on purpose updates this value and says why.
-    h = hashlib.sha256()
-    for sc in generate_adversarial_scenarios(60) + scenario_corpus():
-        h.update("\n".join(run_scenario(sc).log).encode())
-    assert h.hexdigest()[:16] == "f5fac45da8130da9"
-
-
 def test_run_builds_no_unused_loser_terminal():
     # the loser terminals are 6,960 of the 7,474 templates at N = 30, V = 4;
     # a run builds only those it spends, yet reports the whole graph
@@ -1006,96 +998,22 @@ def test_run_builds_no_unused_loser_terminal():
     assert unused == []
 
 
-# sha256 over the logs of the criterion-6 sweep, in order, as the digest of
-# perfbench/digest.py takes it; the sweep has far more slashes (417) than
-# the digest's scenario set, so it pins the enabler and refund lines too
-SWEEP_LOGS = "b959755e5f3cb08c"
-
-
 def test_criterion6_sweep_logs_match_reference():
-    h = hashlib.sha256()
-    slashes = 0
-    for sc in generate_adversarial_scenarios(500):
-        log = run_scenario(sc).log
-        slashes += sum(" ev=slashed " in line for line in log)
-        h.update("\n".join(log).encode())
-    assert h.hexdigest()[:16] == SWEEP_LOGS
-    assert slashes == 417
-
-
-def _off_default_scenarios():
-    """Every N 2-3, V 1-2, strategy and adversary, peg-ins 1 to V and
-    peg-outs 0 to peg-ins, at each challenge window 0/1/20, watch threshold
-    6/12/70 and t_sep 0/5/30.  Every second scenario with a censorship
-    budget has one window of the whole budget, its party and start (5 or
-    15) taken in turn."""
-    i = 0
-    for n, strategy, v, window, threshold, t_sep in itertools.product(
-            (2, 3), Strategy, (1, 2), (0, 1, 20), (6, 12, 70), (0, 5, 30)):
-        for adversary in [None] if strategy == Strategy.HONEST else range(n):
-            for pegins in range(1, v + 1):
-                for pegouts in range(pegins + 1):
-                    i += 1
-                    censor = [CensorSpec(f"f{i // 2 % n}",
-                                         5 + i // (2 * n) % 2 * 10,
-                                         threshold - _MINIMUMS[
-                                             "watch_threshold"])
-                              ] if i % 2 and threshold > 6 else []
-                    yield Scenario(
-                        name=f"off-default-{i}", seed=i, n_functionaries=n,
-                        vmxo_count=v, n_pegins=pegins, n_pegouts=pegouts,
-                        challenge_window=window, watch_threshold=threshold,
-                        t_sep=t_sep, adversary=adversary, strategy=strategy,
-                        censor=censor)
-
-
-# sha256 over the logs of the 6,048 runs of _off_default_scenarios, in
-# order: the digest and SWEEP_LOGS run only at the default window,
-# threshold and t_sep, where an expiry, stall or separation off by one tick
-# changed no byte
-OFF_DEFAULT_LOGS = "f36ee238e1129eda"
+    logs = [run_scenario(s).log for s in generate_adversarial_scenarios(500)]
+    assert pins.digest(logs) == pins.SWEEP_LOGS
+    assert sum(" ev=slashed " in line for log in logs for line in log) == 417
 
 
 def test_off_default_space_logs_match_reference():
-    h = hashlib.sha256()
-    runs = 0
-    for sc in _off_default_scenarios():
-        h.update("\n".join(run_scenario(sc).log).encode())
-        runs += 1
-    assert runs == 6048
-    assert h.hexdigest()[:16] == OFF_DEFAULT_LOGS
-
-
-def _leak_all_scenarios():
-    """Every ``leak_all`` run with N 2-3, V 1-3, peg-ins 1 to V, peg-outs 1
-    to peg-ins, each strategy and adversary, none included."""
-    i = 0
-    for n, strategy, v in itertools.product((2, 3), Strategy, (1, 2, 3)):
-        for adversary in [None, *range(n)]:
-            for pegins in range(1, v + 1):
-                for pegouts in range(1, pegins + 1):
-                    i += 1
-                    yield Scenario(
-                        name=f"leak-all-{i}", seed=i, n_functionaries=n,
-                        vmxo_count=v, n_pegins=pegins, n_pegouts=pegouts,
-                        adversary=adversary, strategy=strategy,
-                        leak_all=True)
-
-
-# sha256 over the logs of the 490 runs of _leak_all_scenarios, in order: the
-# only traffic with no honest party, so the only runs whose raw kick-off of
-# a double operator unlocks, whose operator pick falls back to the whole
-# committee, and whose peg-out finds no VMXO to link
-LEAK_ALL_LOGS = "92372075d3d2301e"
+    assert pins.log_digest(pins.off_default_scenarios()) == \
+        pins.OFF_DEFAULT_LOGS
 
 
 def test_leak_all_space_logs_match_reference():
-    h = hashlib.sha256()
-    runs = raw_unlocks = unlinked = 0
-    for sc in _leak_all_scenarios():
-        log = run_scenario(sc).log
-        h.update("\n".join(log).encode())
-        runs += 1
+    logs = [run_scenario(sc).log for sc in pins.leak_all_scenarios()]
+    assert pins.digest(logs) == pins.LEAK_ALL_LOGS
+    raw_unlocks = unlinked = 0
+    for log in logs:
         vmxos = {kind: [line.rsplit("vmxo=", 1)[1] for line in log
                         if f" ev={kind} " in line]
                  for kind in ("kickoff", "pegout_linked", "unlocked")}
@@ -1103,51 +1021,31 @@ def test_leak_all_space_logs_match_reference():
                            - set(vmxos["pegout_linked"]))
         unlinked += sum(" ev=pegout_burn " in line for line in log) > \
             len(vmxos["pegout_linked"])
-    assert runs == 490
     # runs whose raw kick-off unlocks; runs with a peg-out left unlinked
     assert (raw_unlocks, unlinked) == (15, 299)
-    assert h.hexdigest()[:16] == LEAK_ALL_LOGS
 
 
-# log digest of each strategy's N = 100, V = 4 run, as an eager build of
-# the whole graph gave it
-N100_LOGS = {Strategy.HONEST: "dfbd9e5e8bb23837",
-             Strategy.SILENT_PROVER: "849c45b5de93c016",
-             Strategy.FAKE_PROOF_PROVER: "24517749ef1192c5",
-             Strategy.FORK_PROVER: "ed0e1abede88c484",
-             Strategy.GRIEFING_VERIFIER: "acee05344aa67323",
-             Strategy.DOUBLE_OPERATOR: "dbcfa7e25a7473e6",
-             Strategy.KEY_LEAKER: "acf7e5a29102e76a"}
-
-
-@pytest.mark.parametrize("strategy", list(Strategy))
-def test_n100_run_builds_only_what_it_touches(strategy):
-    n, v = 100, 4
-    sc = Scenario(name=f"n100-{strategy.value}", seed=1, n_functionaries=n,
-                  vmxo_count=v, n_pegins=2, n_pegouts=2,
-                  adversary=None if strategy == Strategy.HONEST else 1,
-                  strategy=strategy)
-    txgraph._TEMPLATE_CACHE.clear()
-    runner = Runner(sc)
-    runner.setup()
-    runner.run_pegins()
-    runner.run_theft_attempts()
-    runner.run_pegouts()
-    report = runner.finish()
+def all_verdicts_pass(report):
     assert [(x.name, x.passed, x.detail) for x in report.verdicts] == [
         (name, True, "") for name in ("conservation", "single_spend",
                                       "safety", "liveness", "exclusion")]
-    log = "\n".join(report.log).encode()
-    assert hashlib.sha256(log).hexdigest()[:16] == N100_LOGS[strategy]
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_n100_run_builds_only_what_it_touches(strategy, run_with_bridge):
+    txgraph._TEMPLATE_CACHE.clear()
+    report, b = run_with_bridge(pins.n100_scenario(strategy))
+    all_verdicts_pass(report)
+    assert pins.digest([report.log]) == (pins.N100_LOGS[strategy], 1)
     setup_done = next(l for l in report.log if " ev=setup_done " in l)
     assert setup_done.endswith(" enablers=40000 templates=80904")
     # the cache, cleared before the run, holds what the run built: the
     # templates it looked up and their parents
-    g = runner.bridge.graph
+    g = b.graph
     assert len(g.templates) <= 5
     assert len(txgraph._TEMPLATE_CACHE) <= 8
     # the enablers the run consumed, and at most the one loser burnt
-    assert sum(map(len, g.used_enablers.values())) <= n
+    assert sum(map(len, g.used_enablers.values())) <= 100
     assert len(g.burnt) <= 1
 
 
@@ -1170,31 +1068,11 @@ def test_slash_stores_the_consumed_enablers_and_its_loser_once(
         f"ev=enablers_burnt count={4 * n} loser=f1"]
 
 
-# log digest of each strategy's N = 10 run over 512 VMXOs, peg-ins and
-# peg-outs: many peg-outs one after another, past the point where the
-# template cache evicts
-HORIZON_LOGS = {Strategy.HONEST: "edda0ce17c943891",
-                Strategy.SILENT_PROVER: "507d099a0e4e1676",
-                Strategy.FAKE_PROOF_PROVER: "b11dc291117d134e",
-                Strategy.FORK_PROVER: "4ea47ad195b3828d",
-                Strategy.GRIEFING_VERIFIER: "71b5310df78ad1ad",
-                Strategy.DOUBLE_OPERATOR: "5c194d44bd0b3da2",
-                Strategy.KEY_LEAKER: "3df08689a5bcd739"}
-
-
 @pytest.mark.parametrize("strategy", list(Strategy))
 def test_long_horizon_logs_match_reference(strategy):
-    v = 512
-    sc = Scenario(name=f"horizon-{strategy.value}", seed=3,
-                  n_functionaries=10, vmxo_count=v, n_pegins=v, n_pegouts=v,
-                  adversary=None if strategy == Strategy.HONEST else 1,
-                  strategy=strategy)
     txgraph._TEMPLATE_CACHE.clear()
-    report = run_scenario(sc)
-    assert [(x.name, x.passed, x.detail) for x in report.verdicts] == [
-        (name, True, "") for name in ("conservation", "single_spend",
-                                      "safety", "liveness", "exclusion")]
-    log = "\n".join(report.log).encode()
-    assert hashlib.sha256(log).hexdigest()[:16] == HORIZON_LOGS[strategy]
+    report = run_scenario(pins.horizon_scenario(strategy))
+    all_verdicts_pass(report)
+    assert pins.digest([report.log]) == (pins.HORIZON_LOGS[strategy], 1)
     # the run built more templates than the cache holds, so it evicted
     assert len(txgraph._TEMPLATE_CACHE) == txgraph.TEMPLATE_CACHE_SIZE

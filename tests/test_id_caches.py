@@ -12,7 +12,7 @@ from bridgesim.harness import (Scenario, Strategy,
                                generate_adversarial_scenarios, run_scenario,
                                scenario_corpus)
 from bridgesim.txgraph import TxKind, _serial, build_packet_templates
-from test_event_log import n100_scenario
+import pins
 from test_txgraph import build_all, eager_reference
 
 F10 = [f"f{i}" for i in range(10)]
@@ -39,18 +39,13 @@ def templates_equal_cache_free_builds(graph):
 
 def _serial_at_pin(template_kind, inputs, outputs, vbytes):
     """A literal copy of ``txgraph._serial`` as it was when
-    ``PINNED_IDS`` was recorded: enum ``.value`` strings and the default
+    ``pins.PINNED_IDS`` was recorded: enum ``.value`` strings and the default
     ``json.dumps`` checks."""
     outs = [[o.kind.value, o.amount, sorted(o.condition.signers),
              o.condition.timelock, o.condition.predicate, o.tag]
             for o in outputs]
     return json.dumps([template_kind.value, inputs, outs, vbytes],
                       separators=(",", ":"))
-
-
-# sha256 over the (key, id) line of every template of ``full_graph(7_777)``,
-# recorded at commit 191ddbb
-PINNED_IDS = "5403c7da5cb9674d"
 
 
 def test_template_ids_match_the_pinned_serial():
@@ -64,8 +59,7 @@ def test_template_ids_match_the_pinned_serial():
                                 tx.vbytes)
         assert tx.id == hashlib.sha256(serial.encode()).hexdigest()[:16], key
         lines.append(" ".join((key[0].value, *key[1:], tx.id)))
-    pin = hashlib.sha256("\n".join(sorted(lines)).encode()).hexdigest()
-    assert pin[:16] == PINNED_IDS
+    assert pins.digest([sorted(lines)]) == (pins.PINNED_IDS, 1)
 
 
 def sweep_and_corpus():
@@ -120,7 +114,7 @@ def test_header_ids_match_the_frozen_digest(run_with_bridge):
     # every header the corpus, the sweep and the N = 100 runs mine, forks
     # included, has the commitment and id the old digest gives its content
     checked = 0
-    for sc in sweep_and_corpus() + [n100_scenario(s) for s in Strategy]:
+    for sc in sweep_and_corpus() + [pins.n100_scenario(s) for s in Strategy]:
         bridge = run_with_bridge(sc)[1]
         for view in (bridge.source, bridge.secondary):
             for hid, h in view.headers.items():
