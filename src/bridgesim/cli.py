@@ -3,6 +3,8 @@ deposit table, and re-check invariants over a saved event log.  `run` and
 `check` print one report read from the log's rows alone: the verdicts, the
 deposit against the honest parties' dispute costs (the meta lines name the
 deposit and the honest set), and the lines of `harness.OUTCOME_KINDS`.
+`sweep` prints a line per scenario, a failed one followed by the names of
+its failed verdicts.
 
 Exit status is 0 only when every invariant check passed; 1 means an
 invariant failed, and 2 marks input that cannot be run or checked (an
@@ -69,10 +71,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         except InvalidScenario as exc:
             print(f"skip {sc.name}: {exc}")
             continue
-        status = "PASS" if report.all_passed else "FAIL"
-        if not report.all_passed:
-            failures += 1
-        print(f"[{status}] {sc.name}")
+        failed = [v.name for v in report.verdicts if not v.passed]
+        failures += bool(failed)
+        status = "FAIL" if failed else "PASS"
+        print(" ".join([f"[{status}] {sc.name}", *failed]))
     print(f"sweep: {len(scenarios)} scenarios, {failures} failures")
     return 0 if failures == 0 else 1
 

@@ -7,9 +7,12 @@ functionary, and Force-close templates for each pair of an operator's
 Open-kick-off outputs across the packet.
 
 Templates are immutable and content-addressed: a template's id is the hash
-of its serialised content, taken when it is built.  A changed
-template is a new template with a new id, and since inputs reference their
-parents by id, every descendant must be rebuilt too.  One ceremony presigns
+of its serialised content, taken when it is built.  An output is one flat
+record, ``(kind, amount, signers, timelock, predicate, tag)`` with its
+``signers`` sorted: the very array the serial writes for it, so a content
+is encoded in one call.  A changed template is a new template with a new
+id, and since inputs reference their parents by id, every descendant must
+be rebuilt too.  One ceremony presigns
 the whole packet, and the graph records it once, as its ordered
 ``signers``: every template it holds reads that one record as its
 ``signatures``, whether built before or after the ceremony, and a changed
@@ -98,16 +101,12 @@ class VmxoState(str, Enum):
     INVALIDATED = "Invalidated"
 
 
-class SpendCondition(NamedTuple):
-    signers: frozenset[str] = frozenset()
-    timelock: Optional[int] = None  # relative, in ticks
-    predicate: Optional[str] = None  # e.g. "admitCounterProof", "loserTerminal"
-
-
 class SimOutput(NamedTuple):
     kind: OutputKind
     amount: int
-    condition: SpendCondition = SpendCondition()
+    signers: tuple[str, ...] = ()  # sorted
+    timelock: Optional[int] = None  # relative, in ticks
+    predicate: Optional[str] = None  # e.g. "admitCounterProof", "loserTerminal"
     tag: str = ""  # owner / channel routing, e.g. "enabler:f1:Operator:v0"
 
 
@@ -119,17 +118,16 @@ TEMPLATE_CACHE_SIZE = 1024
 
 
 # the one encoder of every template's content: JSON writes a ``str`` enum
-# member as its value, and each content is a list built afresh by
-# ``_serial``, so it has no cycle to check for
+# member as its value and a tuple, an output included, as an array, and a
+# content is tuples of strings and numbers, so it has no cycle to check for
 _ENCODE = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 
 
 def _serial(template_kind: TxKind, inputs: tuple, outputs: tuple,
             vbytes: int) -> str:
-    """The content a template's id hashes, read in one pass."""
-    outs = [[kind, amount, sorted(signers), timelock, predicate, tag]
-            for kind, amount, (signers, timelock, predicate), tag in outputs]
-    return _ENCODE([template_kind, inputs, outs, vbytes])
+    """The content a template's id hashes: each output's record is the
+    array written for it."""
+    return _ENCODE([template_kind, inputs, outputs, vbytes])
 
 
 class SimTx:
@@ -147,17 +145,6 @@ class SimTx:
             template_kind=template_kind, inputs=inputs, outputs=outputs,
             vbytes=vbytes, signatures={},
             id=hashlib.sha256(serial.encode()).hexdigest()[:16])
-
-    def _content(self) -> tuple:
-        return self.template_kind, self.inputs, self.outputs, self.vbytes
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not SimTx:
-            return NotImplemented
-        return self._content() == other._content()
-
-    def __hash__(self) -> int:
-        return hash(self._content())
 
     def __setattr__(self, name: str, *value: object) -> None:
         raise AttributeError(f"a template's {name} is read-only")
@@ -250,47 +237,42 @@ class PacketGraph:
     def _deposit(self, f: str) -> SimTx:
         return SimTx(TxKind.DEPOSIT_CREATE, [(f"{EXTERNAL}:{f}", 0)],
                      [SimOutput(OutputKind.DEPOSIT,
-                                self.deposit_per_functionary,
-                                SpendCondition(predicate="loserTerminal"),
-                                tag=f"deposit:{f}")], vbytes=150)
+                                self.deposit_per_functionary, (), None,
+                                "loserTerminal", f"deposit:{f}")], vbytes=150)
 
     def _enabler_create(self, f: str) -> SimTx:
         """One enabler output per slot, in ``_enabler_slots`` order."""
-        owned = SpendCondition(signers=frozenset({f}))
-        tags = [f"enabler:{f}:Verifier:{v}:{w}" if w else
-                f"enabler:{f}:Operator:{v}:-"
+        owned, enabler = (f,), OutputKind.ENABLER
+        outs = [SimOutput(enabler, 0, owned, None, None,
+                          f"enabler:{f}:Verifier:{v}:{w}" if w else
+                          f"enabler:{f}:Operator:{v}:-")
                 for v, w in self._enabler_slots(f)]
-        enabler = OutputKind.ENABLER
-        return SimTx(TxKind.ENABLER_CREATE, [(f"{EXTERNAL}:{f}", 0)],
-                     [SimOutput(enabler, 0, owned, tag) for tag in tags],
-                     vbytes=100 + 30 * len(tags))
+        return SimTx(TxKind.ENABLER_CREATE, [(f"{EXTERNAL}:{f}", 0)], outs,
+                     vbytes=100 + 30 * len(outs))
 
     def _kill(self, f: str) -> SimTx:
         """Spends every enabler output of ``f``."""
         create = self._shared((TxKind.ENABLER_CREATE, f))
         refs = [(create.id, i) for i in range(len(create.outputs))]
         return SimTx(TxKind.KILL_ENABLERS, refs,
-                     [SimOutput(OutputKind.REWARD, 0,
-                                SpendCondition(predicate="loserTerminal"),
-                                tag=f"killed:{f}")],
+                     [SimOutput(OutputKind.REWARD, 0, (), None,
+                                "loserTerminal", f"killed:{f}")],
                      vbytes=200 + 20 * len(refs))
 
     def _locking(self, v: str) -> SimTx:
         return SimTx(TxKind.LOCKING, [(f"{EXTERNAL}:user", 0)],
                      [SimOutput(OutputKind.LOCKING, self.vmxos[v].amount,
-                                SpendCondition(
-                                    signers=frozenset(self.functionaries)),
-                                tag=f"lock:{v}")], vbytes=300)
+                                tuple(sorted(self.functionaries)), None,
+                                None, f"lock:{v}")], vbytes=300)
 
     def _kickoff(self, v: str, f: str) -> SimTx:
         """Output 0 is the open kick-off; output 1 + i is the dispute
         channel to the i-th of the operator's verifiers."""
-        outs = [SimOutput(OutputKind.OPEN_KICKOFF, 0,
-                          SpendCondition(signers=frozenset({f})),
-                          tag=f"openkick:{v}:{f}")]
+        outs = [SimOutput(OutputKind.OPEN_KICKOFF, 0, (f,), None, None,
+                          f"openkick:{v}:{f}")]
         channel = OutputKind.DISPUTE_CHANNEL
-        outs += [SimOutput(channel, 0, SpendCondition(frozenset({f, w})),
-                           f"channel:{v}:{f}:{w}")
+        outs += [SimOutput(channel, 0, (f, w) if f < w else (w, f), None,
+                           None, f"channel:{v}:{f}:{w}")
                  for w in self.functionaries if w != f]
         return SimTx(TxKind.KICKOFF, [(f"{EXTERNAL}:{f}", 0)], outs,
                      vbytes=CostTable.commit_proof)
@@ -304,9 +286,8 @@ class PacketGraph:
              (self._shared((TxKind.KICKOFF, v, f)).id, 0),
              (self._shared((TxKind.ENABLER_CREATE, f)).id,
               self.vmxo_position[v] * len(self.functionaries))],
-            [SimOutput(OutputKind.REWARD, self.vmxos[v].amount,
-                       SpendCondition(signers=frozenset({f}), timelock=1),
-                       tag=f"payout:{f}")],
+            [SimOutput(OutputKind.REWARD, self.vmxos[v].amount, (f,), 1,
+                       None, f"payout:{f}")],
             vbytes=500)
 
     def _terminal(self, v: str, f: str, w: str, kind: TxKind) -> SimTx:
@@ -319,10 +300,9 @@ class PacketGraph:
                     1 + pw - (pw > self.position[f]))
         winner, loser = (w, f) if kind == TxKind.PROVER_LOSES else (f, w)
         return SimTx(kind, [chan_ref],
-                     [SimOutput(OutputKind.REWARD, 0,
-                                SpendCondition(signers=frozenset({winner}),
-                                               predicate="killEnablers"),
-                                tag=f"loser:{loser}")], vbytes=400)
+                     [SimOutput(OutputKind.REWARD, 0, (winner,), None,
+                                "killEnablers", f"loser:{loser}")],
+                     vbytes=400)
 
     def _force_close(self, f: str, va: str, vb: str) -> SimTx:
         """``(FORCE_CLOSE, f, va, vb)``, va before vb in VMXO order: spends
@@ -332,9 +312,8 @@ class PacketGraph:
         return SimTx(TxKind.FORCE_CLOSE,
                      [(self._shared((TxKind.KICKOFF, v, f)).id, 0)
                       for v in (va, vb)],
-                     [SimOutput(OutputKind.REWARD, 0,
-                                SpendCondition(predicate="killEnablers"),
-                                tag=f"loser:{f}")], vbytes=350)
+                     [SimOutput(OutputKind.REWARD, 0, (), None,
+                                "killEnablers", f"loser:{f}")], vbytes=350)
 
     def template_count(self) -> int:
         """Templates in the whole graph, built or not: deposit, enabler

@@ -327,11 +327,13 @@ def test_grid_strategy_without_adversary_makes_the_last_one_adversary():
 
 def test_sweep_exits_one_and_counts_its_failures(tmp_path, capsys,
                                                  monkeypatch):
-    # no admitted grid scenario fails, so each run's first verdict is
-    # failed by hand; a scenario the runner refuses is still skipped
+    # no admitted grid scenario fails, so each run's first and last
+    # verdicts are failed by hand, and its line names both; a scenario the
+    # runner refuses is still skipped
     def failing(sc):
         report = harness.run_scenario(sc)
-        report.verdicts[0] = report.verdicts[0]._replace(passed=False)
+        for i in (0, -1):
+            report.verdicts[i] = report.verdicts[i]._replace(passed=False)
         return report
 
     monkeypatch.setattr(cli, "run_scenario", failing)
@@ -339,8 +341,10 @@ def test_sweep_exits_one_and_counts_its_failures(tmp_path, capsys,
     grid.write_text("functionaries 2 3\npegouts 1 3\n")
     assert main(["sweep", "--grid", str(grid)]) == 1
     assert capsys.readouterr().out.splitlines() == [
-        "[FAIL] sweep-2-1", "skip sweep-2-3: more peg-outs than peg-ins",
-        "[FAIL] sweep-3-1", "skip sweep-3-3: more peg-outs than peg-ins",
+        "[FAIL] sweep-2-1 conservation exclusion",
+        "skip sweep-2-3: more peg-outs than peg-ins",
+        "[FAIL] sweep-3-1 conservation exclusion",
+        "skip sweep-3-3: more peg-outs than peg-ins",
         "sweep: 4 scenarios, 2 failures"]
 
 
@@ -426,10 +430,9 @@ def test_grid_writes_the_leak_all_negative_control(tmp_path, capsys):
     keys = "functionaries 3\nstrategy KeyLeaker\nleak_all yes\n"
     [swept], sc = harness.parse_grid(keys), harness.parse_scenario(keys)
     assert vars(swept) == {**vars(sc), "name": "sweep-3-KeyLeaker-True"}
-    assert [v.name for v in harness.run_scenario(swept).verdicts
-            if not v.passed] == ["safety"]
     grid = tmp_path / "leaked.grid"
     grid.write_text(keys)
     assert main(["sweep", "--grid", str(grid)]) == 1
     assert capsys.readouterr().out.splitlines() == [
-        "[FAIL] sweep-3-KeyLeaker-True", "sweep: 1 scenarios, 1 failures"]
+        "[FAIL] sweep-3-KeyLeaker-True safety",
+        "sweep: 1 scenarios, 1 failures"]

@@ -13,7 +13,7 @@ from bridgesim.harness import (Scenario, Strategy,
                                scenario_corpus)
 from bridgesim.txgraph import TxKind, _serial, build_packet_templates
 import pins
-from test_txgraph import build_all, eager_reference
+from test_txgraph import build_all, content, eager_reference
 
 F10 = [f"f{i}" for i in range(10)]
 
@@ -32,18 +32,19 @@ def templates_equal_cache_free_builds(graph):
     reference = eager_reference(graph.functionaries, len(graph.vmxo_ids),
                                 amount, graph.deposit_per_functionary)[0]
     for key, tx in graph.templates.items():
-        assert tx == reference[key] and tx.id == reference[key].id, key
+        assert content(tx) == content(reference[key]), key
+        assert tx.id == reference[key].id, key
         serial = _serial(tx.template_kind, tx.inputs, tx.outputs, tx.vbytes)
         assert tx.id == hashlib.sha256(serial.encode()).hexdigest()[:16]
 
 
 def _serial_at_pin(template_kind, inputs, outputs, vbytes):
     """A literal copy of ``txgraph._serial`` as it was when
-    ``pins.PINNED_IDS`` was recorded: enum ``.value`` strings and the default
-    ``json.dumps`` checks."""
-    outs = [[o.kind.value, o.amount, sorted(o.condition.signers),
-             o.condition.timelock, o.condition.predicate, o.tag]
-            for o in outputs]
+    ``pins.PINNED_IDS`` was recorded, read from the flat output fields: enum
+    ``.value`` strings, signers sorted here, and the default ``json.dumps``
+    checks."""
+    outs = [[o.kind.value, o.amount, sorted(o.signers), o.timelock,
+             o.predicate, o.tag] for o in outputs]
     return json.dumps([template_kind.value, inputs, outs, vbytes],
                       separators=(",", ":"))
 
@@ -60,6 +61,32 @@ def test_template_ids_match_the_pinned_serial():
         assert tx.id == hashlib.sha256(serial.encode()).hexdigest()[:16], key
         lines.append(" ".join((key[0].value, *key[1:], tx.id)))
     assert pins.digest([sorted(lines)]) == (pins.PINNED_IDS, 1)
+
+
+def as_lists(value):
+    """``value`` with every tuple, an output record included, a list."""
+    if isinstance(value, tuple):
+        return [as_lists(item) for item in value]
+    return value
+
+
+# whole graphs, and a packet whose ids JSON escapes, listed out of sorted
+# order so that sorting its signers moves them
+@pytest.mark.parametrize("functionaries, vmxos", [
+    *((F10[:n], v) for n in (2, 3, 10) for v in range(1, 5)),
+    (["fé2", 'f"0', "f\\1"], 2)])
+def test_the_flat_output_record_is_its_serial(functionaries, vmxos):
+    g = build_packet_templates(functionaries, vmxos, 100_000, 7_777)
+    build_all(g)
+    for key, tx in g.templates.items():
+        for out in tx.outputs:
+            assert type(out.signers) is tuple, key
+            assert list(out.signers) == sorted(out.signers), key
+        serial = _serial(tx.template_kind, tx.inputs, tx.outputs, tx.vbytes)
+        assert json.loads(serial)[2] == as_lists(tx.outputs), key
+        pinned = _serial_at_pin(tx.template_kind, tx.inputs, tx.outputs,
+                                tx.vbytes)
+        assert tx.id == hashlib.sha256(pinned.encode()).hexdigest()[:16], key
 
 
 def sweep_and_corpus():
@@ -157,7 +184,8 @@ def test_a_lookup_holds_only_the_template_looked_up():
         g = build_packet_templates(F10[:3], 2, 100_000)
         tx = g.template(*key)
         assert list(g.templates) == [key]
-        assert tx == reference and tx.id == reference.id
+        assert content(tx) == content(reference)
+        assert tx.id == reference.id
 
 
 # the kinds protocol looks up, each to spend it; every other template is
@@ -184,7 +212,8 @@ def test_graphs_of_one_shape_hold_their_own_templates():
     assert list(a.templates) == list(b.templates)
     for key, tx in a.templates.items():
         other = b.templates[key]
-        assert tx is not other and tx == other and tx.id == other.id
+        assert tx is not other and content(tx) == content(other)
+        assert tx.id == other.id
         assert tx.signatures is a.signers and other.signatures is b.signers
     assert set(a.template(TxKind.LOCKING, "pkt0:vmxo0").signatures) == \
         set(F10[:3])
@@ -302,6 +331,36 @@ def test_a_slash_builds_no_kill_template(monkeypatch):
     assert (TxKind.ENABLER_CREATE, "f7") not in built
 
 
+def test_a_cold_committee_run_builds_seven_templates(monkeypatch):
+    # the template work of a cold N = 50 run, by count rather than by
+    # timer: the CLI round trip's committee-n50 scenario builds two Locking,
+    # two Kick-off, one EnablerCreate of N·V outputs and two Unlocking
+    # templates, each encoded once, and the same run again builds none
+    txgraph._TEMPLATE_CACHE.clear()
+    built = counted_builds(monkeypatch)
+    encoded = []
+    encode = txgraph._ENCODE
+
+    def counted(content):
+        encoded.append((content[0], len(content[2])))
+        return encode(content)
+
+    monkeypatch.setattr(txgraph, "_ENCODE", counted)
+    sc = Scenario(name="committee-n50", seed=1, n_functionaries=50,
+                  vmxo_count=4, n_pegins=2, n_pegouts=2, adversary=1,
+                  strategy=Strategy.FAKE_PROOF_PROVER)
+    assert run_scenario(sc).all_passed
+    kinds = sorted(key[0] for key in built)
+    assert kinds == sorted([TxKind.LOCKING, TxKind.KICKOFF] * 2
+                           + [TxKind.ENABLER_CREATE] + [TxKind.UNLOCKING] * 2)
+    assert sorted(kind for kind, _ in encoded) == kinds
+    assert (TxKind.ENABLER_CREATE, 200) in encoded
+    built.clear()
+    encoded.clear()
+    assert run_scenario(sc).all_passed
+    assert built == encoded == []
+
+
 def counted_hashes(monkeypatch) -> list:
     """From now on, the kind of each template whose content is hashed."""
     hashed = []
@@ -324,7 +383,7 @@ def test_an_id_is_hashed_once_per_recipe_at_build(monkeypatch):
     assert hashed == []
     # the two graphs' copies carry their recipe's id, hashed at its build
     kick = (TxKind.KICKOFF, "pkt0:vmxo0", "f0")
-    assert a.template(*kick) == b.template(*kick)
+    assert content(a.template(*kick)) == content(b.template(*kick))
     assert hashed == [TxKind.KICKOFF]
     assert a.template(*kick).id == b.template(*kick).id == ids[kick]
     assert hashed == [TxKind.KICKOFF]

@@ -32,11 +32,7 @@ ALLOWED = {
     "harness.py:RunReport.dispute_costs":
         "read by the acceptance suite and perfbench",
     "dispute.py:ExecutionTrace.digest": "a test reference",
-    # what a template's readers outside a run use: it refuses assignment,
-    # which no run attempts, and compares and hashes by its content
-    "txgraph.py:SimTx.__eq__": "read by test_record_types",
-    "txgraph.py:SimTx.__hash__": "read by test_record_types",
-    "txgraph.py:SimTx._content": "read by test_record_types",
+    # a template refuses assignment, which no run attempts
     "txgraph.py:SimTx.__setattr__": "read by test_txgraph",
     # the contest calls it when a counter-proof is defeated; the
     # ForkProver's counter-proof comes from the canonical chain, so only an
