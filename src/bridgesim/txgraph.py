@@ -102,6 +102,10 @@ class VmxoState(str, Enum):
 
 
 class SimOutput(NamedTuple):
+    """A template's output and its spend condition, the very array its
+    template's id writes for it.  ``signers`` must be a sorted tuple: the
+    same signers in another order give a different id, and a set cannot
+    be encoded."""
     kind: OutputKind
     amount: int
     signers: tuple[str, ...] = ()  # sorted

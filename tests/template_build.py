@@ -3,16 +3,15 @@ recipe cache, the seven templates a committee run builds, at the paper's
 committee sizes and at N = 100, with V = 4.  Pytest does not collect this
 file.  Run it from the repository root:
 
-    PYTHONPATH=src python tests/template_build.py [--repeat 301]
+    PYTHONPATH=src python tests/template_build.py
 
 It prints one line per N with the median and the interquartile range, in
-microseconds, of ``--repeat`` cold builds.  A cold build looks up two
+microseconds, of ``REPEAT`` cold builds.  A cold build looks up two
 Unlocking templates on a fresh graph, which builds them and the two
 Locking, two Kick-off and one EnablerCreate templates they spend from;
 making the graph itself is not timed.
 """
 
-import argparse
 import statistics
 from time import perf_counter_ns
 
@@ -21,6 +20,7 @@ from bridgesim.txgraph import TxKind, build_packet_templates
 
 SIZES = (10, 25, 50, 100)
 VMXOS = 4
+REPEAT = 301
 
 
 def cold_build_ns(functionaries: list[str]) -> int:
@@ -37,12 +37,9 @@ def cold_build_ns(functionaries: list[str]) -> int:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--repeat", type=int, default=301)
-    repeat = parser.parse_args().repeat
     for n in SIZES:
         functionaries = [f"f{i}" for i in range(n)]
-        times = [cold_build_ns(functionaries) / 1e3 for _ in range(repeat)]
+        times = [cold_build_ns(functionaries) / 1e3 for _ in range(REPEAT)]
         q1, median, q3 = statistics.quantiles(times, n=4)
         print(f"N={n} V={VMXOS} templates=7 median_us={median:.1f} "
               f"iqr_us={q3 - q1:.1f}")
