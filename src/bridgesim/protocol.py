@@ -18,6 +18,7 @@ the log; the rest goes to the first-confirmed winner.
 from __future__ import annotations
 
 from enum import Enum
+from itertools import islice
 from typing import Optional
 
 from .chain import SECONDARY, SOURCE, ChainView, SimClock
@@ -285,6 +286,7 @@ class Bridge:
         self.pegins: list[PegIn] = []
         self.pegouts: list[PegOut] = []
         self.linked: dict[str, PegOut] = {}  # each linked VMXO's peg-out
+        self._link_from = 0  # every VMXO before this index is linked
         self.last_kickoff_tick: dict[str, int] = {}
         # the ids are distinct, so each account opens once, as fund() would
         balances = self.ledger.balances
@@ -424,11 +426,17 @@ class Bridge:
 
     def link_pegout(self, i: int) -> str:
         """Deterministic link of a ``Requested`` peg-out ``i``: oldest
-        unlinked Locked VMXO of the amount."""
+        unlinked Locked VMXO of the amount.  A link is never undone, so the
+        scan starts past the VMXOs linked from the first on, and linking
+        each VMXO in turn is linear in their count."""
         pegout = _record(self.pegouts, i)
         if pegout.state != PegOutState.REQUESTED:
             raise NotTriggered(f"{pegout.burn_tx} is {pegout.state.value}")
-        for v in self.graph.vmxo_ids:
+        vmxo_ids = self.graph.vmxo_ids
+        while self._link_from < len(vmxo_ids) and \
+                vmxo_ids[self._link_from] in self.linked:
+            self._link_from += 1
+        for v in islice(vmxo_ids, self._link_from, None):
             if v in self.linked:
                 continue
             if self.graph.vmxos[v].state == VmxoState.LOCKED:

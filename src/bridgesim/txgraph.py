@@ -7,13 +7,15 @@ functionary, and Force-close templates for each pair of an operator's
 Open-kick-off outputs across the packet.
 
 Templates are immutable and content-addressed: a template's id is the hash
-of its serialised content, taken when it is built.  An output is one flat
-record, ``(kind, amount, signers, timelock, predicate, tag)`` with its
+of its serialised content, taken when it is built.  An output is an exact
+tuple ``(kind, amount, signers, timelock, predicate, tag)`` with its
 ``signers`` sorted: the very array the serial writes for it, so a content
-is encoded in one call.  A changed template is a new template with a new
-id, and since inputs reference their parents by id, every descendant must
-be rebuilt too.  One ceremony presigns
-the whole packet, and the graph records it once, as its ordered
+is encoded in one call.  It must be an exact tuple, not a subclass such as
+a NamedTuple: the C JSON encoder writes an exact tuple or list as it is,
+but copies any other sequence into a new list first.  A changed template
+is a new template with a new id, and since inputs reference their parents
+by id, every descendant must be rebuilt too.  One ceremony presigns the
+whole packet, and the graph records it once, as its ordered
 ``signers``: every template it holds reads that one record as its
 ``signatures``, whether built before or after the ceremony, and a changed
 template carries no signature.  Key deletion is
@@ -59,7 +61,7 @@ import json
 from collections import OrderedDict
 from functools import partial
 from enum import Enum
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .econ import CostTable
 from .errors import (MalformedInput, PrematureDeletion, SpendRejected,
@@ -101,19 +103,6 @@ class VmxoState(str, Enum):
     INVALIDATED = "Invalidated"
 
 
-class SimOutput(NamedTuple):
-    """A template's output and its spend condition, the very array its
-    template's id writes for it.  ``signers`` must be a sorted tuple: the
-    same signers in another order give a different id, and a set cannot
-    be encoded."""
-    kind: OutputKind
-    amount: int
-    signers: tuple[str, ...] = ()  # sorted
-    timelock: Optional[int] = None  # relative, in ticks
-    predicate: Optional[str] = None  # e.g. "admitCounterProof", "loserTerminal"
-    tag: str = ""  # owner / channel routing, e.g. "enabler:f1:Operator:v0"
-
-
 EXTERNAL = "ext"  # pseudo tx-id prefix for wallet-funded inputs
 
 # template recipes kept per process: a 1,500-op sweep needs about 500, and
@@ -123,14 +112,17 @@ TEMPLATE_CACHE_SIZE = 1024
 
 # the one encoder of every template's content: JSON writes a ``str`` enum
 # member as its value and a tuple, an output included, as an array, and a
-# content is tuples of strings and numbers, so it has no cycle to check for
+# content is tuples of strings and numbers, so it has no cycle to check for.
+# Its C code writes an exact tuple or list in place but copies a tuple
+# subclass, a NamedTuple included, into a new list first, so every output
+# is an exact tuple
 _ENCODE = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 
 
 def _serial(template_kind: TxKind, inputs: tuple, outputs: tuple,
             vbytes: int) -> str:
-    """The content a template's id hashes: each output's record is the
-    array written for it."""
+    """The content a template's id hashes: each output is the array
+    written for it."""
     return _ENCODE([template_kind, inputs, outputs, vbytes])
 
 
@@ -140,7 +132,7 @@ class SimTx:
 
     def __init__(self, template_kind: TxKind,
                  inputs: Sequence[tuple[str, int]],
-                 outputs: Sequence[SimOutput], vbytes: int = 200):
+                 outputs: Sequence[tuple], vbytes: int = 200):
         inputs, outputs = tuple(inputs), tuple(outputs)
         serial = _serial(template_kind, inputs, outputs, vbytes)
         # the ceremony's signers: the building graph's one record, not part
@@ -240,17 +232,19 @@ class PacketGraph:
 
     def _deposit(self, f: str) -> SimTx:
         return SimTx(TxKind.DEPOSIT_CREATE, [(f"{EXTERNAL}:{f}", 0)],
-                     [SimOutput(OutputKind.DEPOSIT,
-                                self.deposit_per_functionary, (), None,
-                                "loserTerminal", f"deposit:{f}")], vbytes=150)
+                     [(OutputKind.DEPOSIT, self.deposit_per_functionary, (),
+                       None, "loserTerminal", f"deposit:{f}")], vbytes=150)
 
     def _enabler_create(self, f: str) -> SimTx:
-        """One enabler output per slot, in ``_enabler_slots`` order."""
+        """Per VMXO, f's operator enabler, then one verifier enabler per
+        other functionary in order."""
         owned, enabler = (f,), OutputKind.ENABLER
-        outs = [SimOutput(enabler, 0, owned, None, None,
-                          f"enabler:{f}:Verifier:{v}:{w}" if w else
-                          f"enabler:{f}:Operator:{v}:-")
-                for v, w in self._enabler_slots(f)]
+        counterparties = [None, *self.functionaries]
+        counterparties.remove(f)
+        outs = [(enabler, 0, owned, None, None,
+                 f"enabler:{f}:Verifier:{v}:{w}" if w else
+                 f"enabler:{f}:Operator:{v}:-")
+                for v in self.vmxo_ids for w in counterparties]
         return SimTx(TxKind.ENABLER_CREATE, [(f"{EXTERNAL}:{f}", 0)], outs,
                      vbytes=100 + 30 * len(outs))
 
@@ -259,24 +253,23 @@ class PacketGraph:
         create = self._shared((TxKind.ENABLER_CREATE, f))
         refs = [(create.id, i) for i in range(len(create.outputs))]
         return SimTx(TxKind.KILL_ENABLERS, refs,
-                     [SimOutput(OutputKind.REWARD, 0, (), None,
-                                "loserTerminal", f"killed:{f}")],
-                     vbytes=200 + 20 * len(refs))
+                     [(OutputKind.REWARD, 0, (), None, "loserTerminal",
+                       f"killed:{f}")], vbytes=200 + 20 * len(refs))
 
     def _locking(self, v: str) -> SimTx:
         return SimTx(TxKind.LOCKING, [(f"{EXTERNAL}:user", 0)],
-                     [SimOutput(OutputKind.LOCKING, self.vmxos[v].amount,
-                                tuple(sorted(self.functionaries)), None,
-                                None, f"lock:{v}")], vbytes=300)
+                     [(OutputKind.LOCKING, self.vmxos[v].amount,
+                       tuple(sorted(self.functionaries)), None, None,
+                       f"lock:{v}")], vbytes=300)
 
     def _kickoff(self, v: str, f: str) -> SimTx:
         """Output 0 is the open kick-off; output 1 + i is the dispute
         channel to the i-th of the operator's verifiers."""
-        outs = [SimOutput(OutputKind.OPEN_KICKOFF, 0, (f,), None, None,
-                          f"openkick:{v}:{f}")]
+        outs = [(OutputKind.OPEN_KICKOFF, 0, (f,), None, None,
+                 f"openkick:{v}:{f}")]
         channel = OutputKind.DISPUTE_CHANNEL
-        outs += [SimOutput(channel, 0, (f, w) if f < w else (w, f), None,
-                           None, f"channel:{v}:{f}:{w}")
+        outs += [(channel, 0, (f, w) if f < w else (w, f), None, None,
+                  f"channel:{v}:{f}:{w}")
                  for w in self.functionaries if w != f]
         return SimTx(TxKind.KICKOFF, [(f"{EXTERNAL}:{f}", 0)], outs,
                      vbytes=CostTable.commit_proof)
@@ -290,8 +283,8 @@ class PacketGraph:
              (self._shared((TxKind.KICKOFF, v, f)).id, 0),
              (self._shared((TxKind.ENABLER_CREATE, f)).id,
               self.vmxo_position[v] * len(self.functionaries))],
-            [SimOutput(OutputKind.REWARD, self.vmxos[v].amount, (f,), 1,
-                       None, f"payout:{f}")],
+            [(OutputKind.REWARD, self.vmxos[v].amount, (f,), 1, None,
+              f"payout:{f}")],
             vbytes=500)
 
     def _terminal(self, v: str, f: str, w: str, kind: TxKind) -> SimTx:
@@ -304,8 +297,8 @@ class PacketGraph:
                     1 + pw - (pw > self.position[f]))
         winner, loser = (w, f) if kind == TxKind.PROVER_LOSES else (f, w)
         return SimTx(kind, [chan_ref],
-                     [SimOutput(OutputKind.REWARD, 0, (winner,), None,
-                                "killEnablers", f"loser:{loser}")],
+                     [(OutputKind.REWARD, 0, (winner,), None, "killEnablers",
+                       f"loser:{loser}")],
                      vbytes=400)
 
     def _force_close(self, f: str, va: str, vb: str) -> SimTx:
@@ -316,8 +309,8 @@ class PacketGraph:
         return SimTx(TxKind.FORCE_CLOSE,
                      [(self._shared((TxKind.KICKOFF, v, f)).id, 0)
                       for v in (va, vb)],
-                     [SimOutput(OutputKind.REWARD, 0, (), None,
-                                "killEnablers", f"loser:{f}")], vbytes=350)
+                     [(OutputKind.REWARD, 0, (), None, "killEnablers",
+                       f"loser:{f}")], vbytes=350)
 
     def template_count(self) -> int:
         """Templates in the whole graph, built or not: deposit, enabler
@@ -334,16 +327,6 @@ class PacketGraph:
         return len(self.functionaries) ** 2 * len(self.vmxo_ids)
 
     # -- lookups -----------------------------------------------------------
-
-    def _enabler_slots(self, owner: str):
-        """(VMXO, counterparty) of each of ``owner``'s enablers, in output
-        order: per VMXO, the operator enabler (counterparty None), then one
-        verifier enabler per other functionary in order."""
-        for v in self.vmxo_ids:
-            yield v, None
-            for w in self.functionaries:
-                if w != owner:
-                    yield v, w
 
     def _check_enabler(self, owner: str, vmxo_id: str,
                        counterparty: Optional[str]) -> None:

@@ -13,7 +13,7 @@ from bridgesim.harness import (Scenario, Strategy,
                                scenario_corpus)
 from bridgesim.txgraph import TxKind, _serial, build_packet_templates
 import pins
-from test_txgraph import build_all, content, eager_reference
+from test_txgraph import SimOutput, build_all, content, eager_reference
 
 F10 = [f"f{i}" for i in range(10)]
 
@@ -40,11 +40,11 @@ def templates_equal_cache_free_builds(graph):
 
 def _serial_at_pin(template_kind, inputs, outputs, vbytes):
     """A literal copy of ``txgraph._serial`` as it was when
-    ``pins.PINNED_IDS`` was recorded, read from the flat output fields: enum
-    ``.value`` strings, signers sorted here, and the default ``json.dumps``
-    checks."""
+    ``pins.PINNED_IDS`` was recorded, read from the output fields through
+    ``SimOutput``: enum ``.value`` strings, signers sorted here, and the
+    default ``json.dumps`` checks."""
     outs = [[o.kind.value, o.amount, sorted(o.signers), o.timelock,
-             o.predicate, o.tag] for o in outputs]
+             o.predicate, o.tag] for o in map(SimOutput._make, outputs)]
     return json.dumps([template_kind.value, inputs, outs, vbytes],
                       separators=(",", ":"))
 
@@ -64,7 +64,7 @@ def test_template_ids_match_the_pinned_serial():
 
 
 def as_lists(value):
-    """``value`` with every tuple, an output record included, a list."""
+    """``value`` with every tuple, an output included, a list."""
     if isinstance(value, tuple):
         return [as_lists(item) for item in value]
     return value
@@ -80,8 +80,9 @@ def test_the_flat_output_record_is_its_serial(functionaries, vmxos):
     build_all(g)
     for key, tx in g.templates.items():
         for out in tx.outputs:
-            assert type(out.signers) is tuple, key
-            assert list(out.signers) == sorted(out.signers), key
+            signers = SimOutput(*out).signers
+            assert type(out) is type(signers) is tuple, key
+            assert list(signers) == sorted(signers), key
         serial = _serial(tx.template_kind, tx.inputs, tx.outputs, tx.vbytes)
         assert json.loads(serial)[2] == as_lists(tx.outputs), key
         pinned = _serial_at_pin(tx.template_kind, tx.inputs, tx.outputs,
@@ -335,14 +336,17 @@ def test_a_cold_committee_run_builds_seven_templates(monkeypatch):
     # the template work of a cold N = 50 run, by count rather than by
     # timer: the CLI round trip's committee-n50 scenario builds two Locking,
     # two Kick-off, one EnablerCreate of N·V outputs and two Unlocking
-    # templates, each encoded once, and the same run again builds none
+    # templates, each encoded once, and the same run again builds none.
+    # Every output encoded is an exact tuple, which the encoder writes in
+    # place; it copies a list or a NamedTuple first
     txgraph._TEMPLATE_CACHE.clear()
     built = counted_builds(monkeypatch)
-    encoded = []
+    encoded, inexact = [], []
     encode = txgraph._ENCODE
 
     def counted(content):
         encoded.append((content[0], len(content[2])))
+        inexact.extend(out for out in content[2] if type(out) is not tuple)
         return encode(content)
 
     monkeypatch.setattr(txgraph, "_ENCODE", counted)
@@ -355,6 +359,7 @@ def test_a_cold_committee_run_builds_seven_templates(monkeypatch):
                            + [TxKind.ENABLER_CREATE] + [TxKind.UNLOCKING] * 2)
     assert sorted(kind for kind, _ in encoded) == kinds
     assert (TxKind.ENABLER_CREATE, 200) in encoded
+    assert inexact == []
     built.clear()
     encoded.clear()
     assert run_scenario(sc).all_passed

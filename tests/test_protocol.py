@@ -7,12 +7,14 @@ from bridgesim.errors import (AlreadyClosed, BridgeSimError,
                              NotSameOperator, NotTriggered, UnknownId,
                              WrongDenomination)
 from bridgesim import harness
-from bridgesim.harness import Scenario, Strategy
+from bridgesim.harness import Runner, Scenario, Strategy
 from bridgesim.econ import DISPUTE_ACTION_VBYTES, CostTable
 from bridgesim.protocol import (Bridge, Ledger, PegIn, PegOutState,
                                 contest_fees, dispute_fees)
 from bridgesim.txgraph import (EnablerState, TxKind, VmxoState,
                               build_packet_templates)
+import pins
+from test_txgraph import enabler_slots
 
 DENOM = 100_000_000
 
@@ -334,7 +336,7 @@ def test_slash_burns_enablers_and_pays_pot():
     assert b.ledger.balances["deposit:f1"] == 0
     assert b.ledger.balances["wallet:f0"] == f0_before + pot
     assert all(b.graph.enabler_state("f1", *slot) == EnablerState.BURNT
-               for slot in b.graph._enabler_slots("f1"))
+               for slot in enabler_slots(b.graph, "f1"))
 
 
 def test_contest_fees_start_at_the_kickoff_or_after_the_last_slash():
@@ -1081,7 +1083,7 @@ def test_recycle_counts_match_every_slot_after_slash_and_refund():
     counts = b.recycle_enablers(i)
     g = b.graph
     states = [g.enabler_state(owner, v, cp) for owner in g.functionaries
-              for v, cp in g._enabler_slots(owner)
+              for v, cp in enabler_slots(g, owner)
               if v == pegout.vmxo_id]
     assert len(states) == 3 ** 2
     assert counts == {state.value.lower(): states.count(state)
@@ -1240,6 +1242,33 @@ def test_pegs_link_as_the_scanning_reference(run_with_bridge, monkeypatch,
     assert isinstance(reference, ScanningBridge)
     assert bridge.rows == reference.rows
     assert any(key == "pegout_linked" for _, key, _ in bridge.rows)
+
+
+class CountedLinks(dict):
+    """``Bridge.linked`` that counts its membership tests."""
+    checks = 0
+
+    def __contains__(self, vmxo_id):
+        self.checks += 1
+        return super().__contains__(vmxo_id)
+
+
+@pytest.mark.parametrize("strategy", [Strategy.HONEST,
+                                      Strategy.FAKE_PROOF_PROVER])
+def test_linking_every_vmxo_in_turn_is_linear(strategy):
+    # a count, not a timer: the membership tests of Bridge.linked over a
+    # horizon run's 512 peg-outs, each linked to the next VMXO.  Each unlock
+    # makes one, the first link two, and every later link three: past the
+    # VMXO linked last, at the next, and the scan's one step there.  A scan
+    # from the first VMXO on every link made 131,840, about V²/2 more
+    runner = Runner(pins.horizon_scenario(strategy))
+    runner.setup()
+    runner.bridge.linked = linked = CountedLinks()
+    runner.run_pegins()
+    runner.run_theft_attempts()
+    runner.run_pegouts()
+    assert list(linked) == runner.bridge.graph.vmxo_ids
+    assert linked.checks == 512 + 2 + 3 * 511
 
 
 def test_pending_pegins_take_distinct_vmxos():

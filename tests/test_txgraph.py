@@ -1,17 +1,45 @@
 import hashlib
 import random
 from collections import Counter
+from typing import NamedTuple, Optional
 
 import pytest
 
 from bridgesim.econ import CostTable
 from bridgesim.errors import (PrematureDeletion, SpendRejected,
                              TooFewFunctionaries, UnknownId)
-from bridgesim.txgraph import (EXTERNAL, EnablerState, OutputKind,
-                              SimOutput, SimTx, TxKind, _serial,
-                              build_packet_templates)
+from bridgesim.txgraph import (EXTERNAL, EnablerState, OutputKind, SimTx,
+                              TxKind, _serial, build_packet_templates)
 
 F3 = ["f0", "f1", "f2"]
+
+
+class SimOutput(NamedTuple):
+    """The fields of a template's output, which the graph builds as an
+    exact tuple in this order: tests read an output through
+    ``SimOutput(*out)``.  ``signers`` is sorted."""
+    kind: OutputKind
+    amount: int
+    signers: tuple[str, ...] = ()
+    timelock: Optional[int] = None  # relative, in ticks
+    predicate: Optional[str] = None  # e.g. "killEnablers", "loserTerminal"
+    tag: str = ""  # owner / channel routing, e.g. "enabler:f1:Operator:v0:-"
+
+
+def outputs(tx: SimTx) -> list[SimOutput]:
+    """``tx``'s outputs, each read through ``SimOutput``."""
+    return [SimOutput(*out) for out in tx.outputs]
+
+
+def enabler_slots(g, owner: str):
+    """(VMXO, counterparty) of each of ``owner``'s enablers, in output
+    order: per VMXO, the operator enabler (counterparty None), then one
+    verifier enabler per other functionary in order."""
+    for v in g.vmxo_ids:
+        yield v, None
+        for w in g.functionaries:
+            if w != owner:
+                yield v, w
 
 
 def packet(functionaries=None, vmxos=1, amount=100_000):
@@ -48,17 +76,18 @@ def test_n2_counts():
                 if t.template_kind == TxKind.KICKOFF]
     assert len(kickoffs) == 2
     for k in kickoffs:
-        channels = [o for o in k.outputs if o.kind == OutputKind.DISPUTE_CHANNEL]
+        channels = [o for o in outputs(k)
+                    if o.kind == OutputKind.DISPUTE_CHANNEL]
         assert len(channels) == 1
     counterparties = [cp for f in g.functionaries
-                      for _, cp in g._enabler_slots(f)]
+                      for _, cp in enabler_slots(g, f)]
     assert counterparties == [None, "f1", None, "f0"]
 
 
 def test_n3_channel_count():
     g = packet()
     build_all(g)
-    channels = [o for t in g.templates.values() for o in t.outputs
+    channels = [o for t in g.templates.values() for o in outputs(t)
                 if o.kind == OutputKind.DISPUTE_CHANNEL]
     assert len(channels) == 6  # 3 kickoffs x 2 channels
 
@@ -66,7 +95,7 @@ def test_n3_channel_count():
 def test_n3_two_vmxos_enabler_pool():
     g = packet(vmxos=2)
     states = [g.enabler_state(f, *slot) for f in g.functionaries
-              for slot in g._enabler_slots(f)]
+              for slot in enabler_slots(g, f)]
     # N x (1 + N-1) x vmxos = 18, every one live and none stored
     assert states == [EnablerState.LIVE] * 18
     assert g.enabler_count() == len(states)
@@ -177,7 +206,7 @@ def test_unlocking_missing_kickoff_input_detected():
     v = g.vmxo_ids[0]
     unlock = g.template(TxKind.UNLOCKING, v, "f0")
     kick = g.template(TxKind.KICKOFF, v, "f0")
-    assert kick.outputs[0].kind == OutputKind.OPEN_KICKOFF
+    assert outputs(kick)[0].kind == OutputKind.OPEN_KICKOFF
     g.templates[TxKind.UNLOCKING, v, "f0"] = replace(
         unlock, inputs=[r for r in unlock.inputs if r != (kick.id, 0)])
     violations = validate_graph(g)
@@ -196,7 +225,7 @@ def test_single_spend_enforced():
 
 def test_burn_enablers_all_live_to_burnt():
     g = packet(vmxos=2)
-    slots = list(g._enabler_slots("f0"))
+    slots = list(enabler_slots(g, "f0"))
     assert len(slots) == 6
     assert g.burn_enablers("f0") == 6
     assert {g.enabler_state("f0", *slot) for slot in slots} == {
@@ -239,7 +268,7 @@ def test_post_burn_kickoff_lacks_operator_enabler():
 class SlotEnablers:
     """The record of when a state was stored per enabler slot, frozen as the
     reference: a burn marks each live slot of the loser ``Burnt``, in
-    ``_enabler_slots`` order, and counts them; a consume stores
+    ``enabler_slots`` order, and counts them; a consume stores
     ``Consumed``; a refund stores ``Consumed`` in each slot against the
     loser that holds no state; a slot with no state is ``Live``; and a
     VMXO's counts are its stored states'."""
@@ -257,7 +286,7 @@ class SlotEnablers:
 
     def burn(self, loser):
         burnt = 0
-        for v, w in self.g._enabler_slots(loser):
+        for v, w in enabler_slots(self.g, loser):
             states = self.states.setdefault(v, {})
             if (loser, w) not in states:
                 states[loser, w] = EnablerState.BURNT
@@ -290,7 +319,7 @@ def test_enabler_record_matches_the_slot_reference():
         g = packet([f"f{i}" for i in range(n)], vmxos)
         ref = SlotEnablers(g)
         slots = [(f, *slot) for f in g.functionaries
-                 for slot in g._enabler_slots(f)]
+                 for slot in enabler_slots(g, f)]
         for _ in range(rng.randint(10, 60)):
             op = rng.choice(("consume", "burn", "refund"))
             if op == "consume":
@@ -324,9 +353,9 @@ def test_signature_invalidation_cascade():
     # change the kickoff's first output: that is a new kickoff with a new id,
     # so the unlocking template now references a stale parent and must be
     # re-created with new inputs, which strips every signature
-    out = kick.outputs[0]
-    changed = replace(kick, outputs=(out._replace(amount=out.amount + 1),)
-                      + kick.outputs[1:])
+    out = outputs(kick)[0]
+    changed = replace(kick, outputs=(
+        tuple(out._replace(amount=out.amount + 1)), *kick.outputs[1:]))
     assert changed.id != kick.id
     assert changed.signatures == {}
     rebuilt = replace(unlock, inputs=[
@@ -348,11 +377,12 @@ def test_templates_are_frozen():
         with pytest.raises(AttributeError):
             delattr(kick, name)
     assert vars(kick) == before and kick.vbytes == 2513
-    # an output is a tuple: its fields refuse assignment too
+    # an output is an exact tuple: its fields refuse assignment too
     out = kick.outputs[0]
-    with pytest.raises(AttributeError):
-        out.amount = 1
-    assert out.amount == 0 and kick.outputs[0] is out
+    assert type(out) is tuple
+    with pytest.raises(TypeError):
+        out[1] = 1
+    assert SimOutput(*out).amount == 0 and kick.outputs[0] is out
     assert isinstance(kick.inputs, tuple) and isinstance(kick.outputs, tuple)
 
 
@@ -386,7 +416,7 @@ def test_packet_count_and_validation(n, v):
     assert validate_graph(g) == []
     # each functionary's slots are its enabler outputs, in order
     for f in fs:
-        assert [enabler_index(g, f, *slot) for slot in g._enabler_slots(f)] \
+        assert [enabler_index(g, f, *slot) for slot in enabler_slots(g, f)] \
             == list(range(len(g.template(TxKind.ENABLER_CREATE,
                                          f).outputs)))
     create = g.template(TxKind.ENABLER_CREATE, "f0")
@@ -396,13 +426,13 @@ def test_packet_count_and_validation(n, v):
 def test_templates_never_mint_value():
     g = packet(vmxos=2)
     build_all(g)
-    outputs = {tx.id: tx.outputs for tx in g.templates.values()}
+    by_id = {tx.id: outputs(tx) for tx in g.templates.values()}
     for tx in g.templates.values():
         internal_only = all(not r[0].startswith("ext") for r in tx.inputs)
         if internal_only:
-            inflow = sum(outputs[tid][i].amount for tid, i in tx.inputs)
-            assert inflow >= sum(o.amount for o in tx.outputs)
-        assert all(o.amount >= 0 for o in tx.outputs)
+            inflow = sum(by_id[tid][i].amount for tid, i in tx.inputs)
+            assert inflow >= sum(o.amount for o in by_id[tx.id])
+        assert all(o.amount >= 0 for o in by_id[tx.id])
 
 
 def eager_terminal_ids(g):
@@ -599,13 +629,13 @@ def validate_graph(g):
         if (TxKind.KILL_ENABLERS, f) in g.templates:
             create = g.template(TxKind.ENABLER_CREATE, f).id
             refs = {(create, enabler_index(g, f, *slot))
-                    for slot in g._enabler_slots(f)}
+                    for slot in enabler_slots(g, f)}
             kill = g.template(TxKind.KILL_ENABLERS, f)
             kill_misses[f] = len(refs - set(kill.inputs))
     for key, tx in g.templates.items():
         if tx.template_kind not in (TxKind.PROVER_LOSES, TxKind.VERIFIER_LOSES):
             continue
-        losers = [o.tag.split(":", 1)[1] for o in tx.outputs
+        losers = [o.tag.split(":", 1)[1] for o in outputs(tx)
                   if o.tag.startswith("loser:")]
         for loser in losers:
             if loser not in kill_misses:
@@ -635,7 +665,7 @@ def validate_graph(g):
     for key, tx in g.templates.items():
         if tx.template_kind != TxKind.KICKOFF:
             continue
-        for idx, out in enumerate(tx.outputs):
+        for idx, out in enumerate(outputs(tx)):
             if out.kind != OutputKind.DISPUTE_CHANNEL:
                 continue
             if terminal_spends[(tx.id, idx)] < 2:
@@ -665,7 +695,12 @@ def test_every_lookup_matches_eager_reference(n, v):
         tx = g.template(*key)
         assert tx.id == ref[key].id and content(tx) == content(ref[key])
     for key in keys:
-        assert set(g.template(*key).signatures) == set(fs)
+        tx = g.template(*key)
+        assert set(tx.signatures) == set(fs)
+        # a tuple equals a NamedTuple of its items, so the content compare
+        # above passes either way; the encoder writes only an exact tuple
+        # in place
+        assert all(type(out) is tuple for out in tx.outputs), key
     assert len(g.templates) == len(ref)
     slots = list(outpoints)
     random.Random(n - v).shuffle(slots)
