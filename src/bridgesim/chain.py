@@ -189,21 +189,12 @@ class CensorSpec(NamedTuple):
     length: int
 
 
-class SimClock:
-    __slots__ = ("now", "censor_windows")
-
-    def __init__(self, censor_windows: Optional[list[CensorSpec]] = None):
-        self.now = 0
-        self.censor_windows = [] if censor_windows is None else censor_windows
-
-    def censored_until(self, party: str, tick: int) -> Optional[int]:
-        """First tick from `tick` on that no window of `party` covers, or None
-        if none covers `tick`; overlapping and adjacent windows act as one."""
-        if not self.censor_windows:
-            return None
-        end = tick
-        while ends := [w.start + w.length for w in self.censor_windows
-                       if w.party == party
-                       and w.start <= end < w.start + w.length]:
-            end = max(ends)
-        return None if end == tick else end
+def censored_until(windows: Iterable[CensorSpec], party: str,
+                   tick: int) -> Optional[int]:
+    """First tick from `tick` on that none of `party`'s `windows` covers, or
+    None if none covers `tick`; overlapping and adjacent windows act as one."""
+    end = tick
+    while ends := [w.start + w.length for w in windows if w.party == party
+                   and w.start <= end < w.start + w.length]:
+        end = max(ends)
+    return None if end == tick else end

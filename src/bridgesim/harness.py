@@ -4,7 +4,8 @@ invariant checking over event logs; and report emission.
 
 A scenario pins every free choice (seed, parties, honesty, timing, censor
 windows, scripted peg operations), so the same scenario always yields a
-byte-identical event log.
+byte-identical event log.  The runner moves ``Bridge.now``, the tick, and
+reads censor windows from the scenario through ``chain.censored_until``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from itertools import count, product
 from types import SimpleNamespace
 from typing import NamedTuple, Optional, Sequence
 
-from .chain import CensorSpec, ChainView, SimClock
+from .chain import CensorSpec, ChainView, censored_until
 from .dispute import (DisputeGame, ExecutionTrace, challenge, drive,
                       open_game, resolve_no_challenge, settle_counter_proof)
 from .errors import InvalidScenario, NoCapacity, TimeoutExpired
@@ -115,13 +116,13 @@ class Scenario(SimpleNamespace):
                 and not self.leak_all:
             raise InvalidScenario("strategy without adversary")
         budget = self.watch_threshold - _MINIMUMS["watch_threshold"]
-        clock, merged_end, ticks = SimClock(self.censor), {}, {}
+        merged_end, ticks = {}, {}
         for party, start, length in sorted(self.censor):
             if party not in self.functionary_ids or start < 0 or length < 1:
                 raise InvalidScenario(f"{CensorSpec(party, start, length)} "
                                       "censors nobody as written")
             if start >= merged_end.get(party, 0):
-                merged_end[party] = clock.censored_until(party, start)
+                merged_end[party] = censored_until(self.censor, party, start)
                 ticks[party] = ticks.get(party, 0) + merged_end[party] - start
                 if ticks[party] > budget:
                     raise InvalidScenario(f"{party} censored > {budget} ticks")
@@ -230,7 +231,6 @@ class Runner:
         self.bridge = Bridge(
             self.functionaries, scenario.vmxo_count, scenario.denomination,
             fee_rate=scenario.fee_rate, t_sep=scenario.t_sep)
-        self.bridge.clock.censor_windows = list(scenario.censor)
         self.users = [f"u{i}" for i in range(scenario.n_pegins)]
 
     # -- helpers -----------------------------------------------------------
@@ -243,15 +243,15 @@ class Runner:
     def _mine_confirmed(self, chain: ChainView, tx: str, pads: int,
                         pad: str, difficulty: int = 1) -> str:
         """Mine ``tx`` on ``chain``'s tip, then ``pads`` blocks on it, each
-        holding ``pad`` formatted with the tick it is mined at; the clock
-        advances a tick per block.  The id of ``tx``'s block."""
-        clock, mine = self.bridge.clock, chain.mine_block
+        holding ``pad`` formatted with the tick it is mined at; the bridge's
+        tick advances one per block.  The id of ``tx``'s block."""
+        b, mine = self.bridge, chain.mine_block
         block = top = mine(chain.tip().id, (tx,), difficulty).id
-        clock.now += 1
+        b.now += 1
         for _ in range(pads):
             # a block on the tip is the new tip, so the tip is not re-read
-            top = mine(top, (pad.format(clock.now),), difficulty).id
-            clock.now += 1
+            top = mine(top, (pad.format(b.now),), difficulty).id
+            b.now += 1
         return block
 
     # -- setup -------------------------------------------------------------
@@ -267,7 +267,7 @@ class Runner:
                b.deposit_per_functionary, sc.fee_rate, "params",
                sc.watch_threshold, sc.challenge_window)
         for u in self.users:
-            b.ledger.fund(f"user:{u}:src", sc.denomination)
+            b.balances[f"user:{u}:src"] = sc.denomination
         b.log_balances("balance")
         # signing ceremony: every functionary signs the whole packet, one
         # record that every template reads, built now or later; then keys
@@ -312,11 +312,11 @@ class Runner:
         b, sc = self.bridge, self.sc
         defender = b.graph.vmxos[vmxo_id].operator
         if not challengers:
-            b.clock.now += sc.challenge_window + 1
+            b.now += sc.challenge_window + 1
             b.emit("challenge_window_expired", defender, vmxo_id)
             self._unlock(vmxo_id)
             return
-        verifier, base = challengers[0], b.clock.now
+        verifier, base = challengers[0], b.now
         game = open_game(defender, verifier, None, prover_trace,
                          ExecutionTrace.honest(prover_trace.program_id,
                                                prover_trace.length),
@@ -326,7 +326,7 @@ class Runner:
         def delay(party: str, clock: int) -> int:
             if stalls and party == defender:
                 return sc.watch_threshold + 1
-            end = b.clock.censored_until(party, base + clock)
+            end = censored_until(sc.censor, party, base + clock)
             return 1 if end is None else end - (base + clock) + 1
 
         played = game
@@ -353,7 +353,7 @@ class Runner:
             watch = played.watches[party]
             b.emit("watch_total", watch.accumulated(played.clock), party,
                    watch.threshold, watch.aggregate_timeout(played.clock))
-        b.clock.now += game.clock
+        b.now += game.clock
         # a defeated counter-proof leaves the outer game unchallenged
         outcome = game.outcome or resolve_no_challenge(game)
         b.emit("dispute_outcome",
@@ -393,7 +393,7 @@ class Runner:
     def _front_and_kick_off(self, i: int, operator: str) -> None:
         """The guarded path: front, prove the confirmed front, kick off."""
         b = self.bridge
-        b.clock.now += b.separation_left(operator)
+        b.now += b.separation_left(operator)
         front_block = self._mine_confirmed(
             b.source, b.front_funds(i, operator), b.source_confirmations,
             "pad:{}:front")
@@ -472,7 +472,7 @@ class Runner:
         if victim is None or not closers:
             # no second kick-off, or nobody to force-close it: every
             # kick-off stands and unlocks
-            b.clock.now += sc.challenge_window + 1
+            b.now += sc.challenge_window + 1
             self._unlock(fronted)
             if victim is not None:
                 self._unlock(victim)

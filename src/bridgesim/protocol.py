@@ -2,12 +2,13 @@
 
 ``Bridge`` holds the full protocol state for one packet: both chains, the
 presigned template graph, the functionaries and the set of slashed ones,
-the satoshi ledger, and an append-only event log.  The log keeps each event
-as one raw row ``(tick, schema key, values)``, the values as passed, in the
-schema's order; ``Bridge.emit`` is its one writer, which checks the key and
-the count of values.  Its text lines are rendered on read, and ``read_log``
-reads them back.  All methods are deterministic; the harness drives them
-from a scenario script.
+the tick ``now``, the satoshi ``balances``, which only the logged
+``transfer`` moves once an account is open, and an append-only event log.
+The log keeps each event as one raw row ``(tick, schema key, values)``, the
+values as passed, in the schema's order; ``Bridge.emit`` is its one writer,
+which checks the key and the count of values.  Its text lines are rendered
+on read, and ``read_log`` reads them back.  All methods are deterministic;
+the harness drives them from a scenario script.
 
 Deposits are denominated on the source chain.  Slashing pays the losing
 party's deposit into a pot that first refunds each challenger its fees in
@@ -21,7 +22,7 @@ from enum import Enum
 from itertools import islice
 from typing import Optional
 
-from .chain import SECONDARY, SOURCE, ChainView, SimClock
+from .chain import SECONDARY, SOURCE, ChainView
 from .econ import DISPUTE_ACTION_VBYTES, required_deposit
 from .errors import (AlreadyClosed, ConcurrencyLimit, EnablerUnavailable,
                      Insolvent, InsufficientConfirmations, MalformedInput,
@@ -30,6 +31,10 @@ from .errors import (AlreadyClosed, ConcurrencyLimit, EnablerUnavailable,
 from .stopwatch import power_of_two_markers
 from .txgraph import (EnablerState, PacketGraph, SimTx, TxKind, VmxoState,
                       build_packet_templates)
+
+
+# the VMXO states that nothing sets ``Locked`` again
+_ENDED = (VmxoState.UNLOCKED, VmxoState.INVALIDATED)
 
 
 class PegOutState(str, Enum):
@@ -60,33 +65,6 @@ class PegOut:
         self.user, self.amount, self.burn_tx = user, amount, burn_tx
         self.burn_block = self.vmxo_id = self.operator = None
         self.fronted_tx, self.state = None, PegOutState.REQUESTED
-
-
-class Ledger:
-    """Satoshi accounts; every movement is a balanced transfer."""
-
-    def __init__(self):
-        self.balances: dict[str, int] = {}
-
-    def fund(self, account: str, amount: int) -> None:
-        self.balances[account] = self.balances.get(account, 0) + amount
-
-    def payable(self, frm: str, amount: int) -> int:
-        """The balance of ``frm`` if it can pay ``amount``; ``Insolvent`` for
-        a negative amount, an account never opened or one that cannot pay."""
-        if amount < 0:
-            raise Insolvent(f"negative transfer {amount}")
-        have = self.balances.get(frm)
-        if have is None:
-            raise Insolvent(f"no account {frm}")
-        if have < amount:
-            raise Insolvent(f"insolvent account {frm}")
-        return have
-
-    def transfer(self, frm: str, to: str, amount: int) -> None:
-        """Move ``amount`` from ``frm`` to ``to`` if it is ``payable``."""
-        self.balances[frm] = self.payable(frm, amount) - amount
-        self.balances[to] = self.balances.get(to, 0) + amount
 
 
 # Each event kind's fields in the order its line holds them, which is by
@@ -272,7 +250,7 @@ class Bridge:
         self.graph: PacketGraph = build_packet_templates(
             functionary_ids, vmxo_count, denomination,
             deposit_per_functionary=deposit)
-        self.clock = SimClock()
+        self.now = 0  # the tick that each row is stamped with
         self.source = ChainView(SOURCE)
         self.secondary = ChainView(SECONDARY)
         self.fee_rate = fee_rate
@@ -281,15 +259,15 @@ class Bridge:
         self.deposit_per_functionary = deposit
         self.functionaries = list(functionary_ids)
         self.slashed: set[str] = self.graph.burnt  # the same set, kept once
-        self.ledger = Ledger()
+        self.balances: dict[str, int] = {}  # satoshis by account
         self.rows: list[tuple] = []
         self.pegins: list[PegIn] = []
         self.pegouts: list[PegOut] = []
         self.linked: dict[str, PegOut] = {}  # each linked VMXO's peg-out
-        self._link_from = 0  # every VMXO before this index is linked
+        self._link_from = 0  # each VMXO before this is linked or _ENDED
         self.last_kickoff_tick: dict[str, int] = {}
-        # the ids are distinct, so each account opens once, as fund() would
-        balances = self.ledger.balances
+        # an account opens by assignment; the ids are distinct
+        balances = self.balances
         wallet = 50 * denomination + 100 * deposit
         for f in functionary_ids:
             balances[f"deposit:{f}"], balances[f"wallet:{f}"] = deposit, wallet
@@ -297,7 +275,7 @@ class Bridge:
     # -- event log ---------------------------------------------------------
 
     def emit(self, key, *values) -> None:
-        """Append the row ``(clock.now, key, values)``, the one writer of
+        """Append the row ``(now, key, values)``, the one writer of
         ``rows``: ``key`` is an ``EVENT_SCHEMA`` key, ``("meta", kind)`` for
         a meta event, and ``values`` its fields' values in the schema's
         order; ``seq`` is the row's position.  ``ValueError``, before any
@@ -306,15 +284,32 @@ class Bridge:
         if len(values) != _ARITY.get(key) or type(key) is tuple and \
                 values[EVENT_SCHEMA[key].index("kind")] != key[1]:
             raise ValueError(f"{key} with values {values}")
-        self.rows.append((self.clock.now, key, values))
+        self.rows.append((self.now, key, values))
 
     @property
     def events(self) -> list[str]:
         """The text lines of ``rows``, rendered on each read."""
         return event_lines(self.rows)
 
+    def _payable(self, frm: str, amount: int) -> int:
+        """The balance of ``frm`` if it can pay ``amount``; ``Insolvent`` for
+        a negative amount, an account never opened or one that cannot pay."""
+        if amount < 0:
+            raise Insolvent(f"negative transfer {amount}")
+        if frm == "wrapped-issuance":  # a liability: it may go negative
+            return self.balances.get(frm, 0)
+        have = self.balances.get(frm)
+        if have is None:
+            raise Insolvent(f"no account {frm}")
+        if have < amount:
+            raise Insolvent(f"insolvent account {frm}")
+        return have
+
     def transfer(self, frm: str, to: str, amount: int, why: str) -> None:
-        self.ledger.transfer(frm, to, amount)
+        """Move ``amount`` from ``frm`` to ``to`` and log it, the one way sats
+        move once an account is open; ``_payable`` refuses before any write."""
+        self.balances[frm] = self._payable(frm, amount) - amount
+        self.balances[to] = self.balances.get(to, 0) + amount
         self.emit("transfer", amount, to, frm, why)
 
     def log_balances(self, kind: str) -> None:
@@ -322,7 +317,7 @@ class Bridge:
         account by name; else ``ValueError``, no write."""
         if kind != "balance" and kind != "final_balance":
             raise ValueError(f"{kind} is not a balance snapshot")
-        balances = self.ledger.balances
+        balances = self.balances
         for account in sorted(balances):
             self.emit(kind, account, balances[account])
 
@@ -336,7 +331,7 @@ class Bridge:
         template executes.  A payer who cannot pay and an output spent
         already are refused before any write; then a ``spend`` row per
         graph output it spends, in input order, and the fee."""
-        self.ledger.payable(f"wallet:{payer}", tx.vbytes * self.fee_rate)
+        self._payable(f"wallet:{payer}", tx.vbytes * self.fee_rate)
         for txid, index in self.graph.execute(tx):
             self.emit("spend", tx.id, f"{txid}:{index}")
         self.pay_fee(payer, tx.vbytes, why)
@@ -367,7 +362,7 @@ class Bridge:
 
     def request_pegin(self, user: str, amount: int) -> int:
         """The new peg-in's index, the handle the other peg-in calls take."""
-        if amount != self.denomination:
+        if type(amount) is not int or amount != self.denomination:
             raise WrongDenomination(f"{amount} != {self.denomination}")
         # in order: only executing a requested peg-in moves its VMXO on
         vmxo_ids, taken = self.graph.vmxo_ids, len(self.pegins)
@@ -403,18 +398,15 @@ class Bridge:
         self.transfer(f"user:{pegin.user}:src", f"vmxo:{pegin.vmxo_id}",
                       pegin.amount, "pegin-lock")
         vmxo.state = VmxoState.LOCKED
-        # wrapped issuance is a liability account and may go negative
-        self.ledger.fund(f"user:{pegin.user}:wrapped", pegin.amount)
-        self.ledger.fund("wrapped-issuance", -pegin.amount)
-        self.emit("transfer", pegin.amount, f"user:{pegin.user}:wrapped",
-                  "wrapped-issuance", "mint")
+        self.transfer("wrapped-issuance", f"user:{pegin.user}:wrapped",
+                      pegin.amount, "mint")
         self.emit("minted", pegin.amount, pegin.user, pegin.vmxo_id)
 
     # -- peg-out -----------------------------------------------------------
 
     def request_pegout(self, user: str, amount: int) -> int:
         """The new peg-out's index, the handle the other peg-out calls take."""
-        if amount != self.denomination:
+        if type(amount) is not int or amount != self.denomination:
             raise WrongDenomination(f"{amount} != {self.denomination}")
         i = len(self.pegouts)
         pegout = PegOut(user, amount, f"burn:{user}:{i + 1}")
@@ -426,20 +418,22 @@ class Bridge:
 
     def link_pegout(self, i: int) -> str:
         """Deterministic link of a ``Requested`` peg-out ``i``: oldest
-        unlinked Locked VMXO of the amount.  A link is never undone, so the
-        scan starts past the VMXOs linked from the first on, and linking
+        unlinked Locked VMXO of the amount.  A link is never undone and
+        nothing locks an ``_ENDED`` VMXO again, so the scan starts past the
+        VMXOs from the first on that are linked or ``_ENDED``, and linking
         each VMXO in turn is linear in their count."""
         pegout = _record(self.pegouts, i)
         if pegout.state != PegOutState.REQUESTED:
             raise NotTriggered(f"{pegout.burn_tx} is {pegout.state.value}")
-        vmxo_ids = self.graph.vmxo_ids
-        while self._link_from < len(vmxo_ids) and \
-                vmxo_ids[self._link_from] in self.linked:
+        vmxo_ids, vmxos = self.graph.vmxo_ids, self.graph.vmxos
+        while self._link_from < len(vmxo_ids) and (
+                vmxo_ids[self._link_from] in self.linked
+                or vmxos[vmxo_ids[self._link_from]].state in _ENDED):
             self._link_from += 1
         for v in islice(vmxo_ids, self._link_from, None):
             if v in self.linked:
                 continue
-            if self.graph.vmxos[v].state == VmxoState.LOCKED:
+            if vmxos[v].state == VmxoState.LOCKED:
                 pegout.vmxo_id = v
                 self.linked[v] = pegout
                 pegout.state = PegOutState.LINKED
@@ -512,7 +506,7 @@ class Bridge:
         honest = pegout is not None and pegout.state == PegOutState.PROVEN
         if pegout is not None:
             pegout.state, pegout.operator = PegOutState.KICKOFF, operator
-        self.last_kickoff_tick[operator] = self.clock.now
+        self.last_kickoff_tick[operator] = self.now
         self.emit("kickoff", honest, operator, vmxo_id)
 
     def unlock(self, vmxo_id: str) -> None:
@@ -605,7 +599,7 @@ class Bridge:
         fees = contest_fees(self.rows, len(self.rows), vmxo_id)
         self.emit("enablers_burnt", burnt, loser)
         # deposit pot: refund the challengers' fees, the rest to the winner
-        pot = self.ledger.balances.get(f"deposit:{loser}", 0)
+        pot = self.balances.get(f"deposit:{loser}", 0)
         paid = 0
         for ch in sorted(set(challengers)):
             refund = min(fees.get(ch, 0), pot - paid)
@@ -658,11 +652,11 @@ class Bridge:
     def separation_left(self, operator: str) -> int:
         """Ticks until the operator may front again under ``t_sep``."""
         last = self.last_kickoff_tick.get(operator, -self.t_sep)
-        return max(0, last + self.t_sep - self.clock.now)
+        return max(0, last + self.t_sep - self.now)
 
     def next_operator(self, pool: list[str]) -> str:
         """The operator of ``pool`` with the least ``(separation_left,
-        name)``; one that never kicked off waits 0 ticks, as ``clock.now``
+        name)``; one that never kicked off waits 0 ticks, as ``now``
         is not negative, so only the others are asked."""
         kicked = self.last_kickoff_tick
         return min(pool, key=lambda f: (

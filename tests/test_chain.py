@@ -3,7 +3,7 @@ import random
 import pytest
 
 from bridgesim.chain import (SECONDARY, SOURCE, BlockHeader, CensorSpec,
-                             ChainView, SimClock)
+                             ChainView, censored_until)
 from bridgesim.errors import NotIncluded, UnknownBlock, UnknownParent
 from bridgesim.harness import Runner, Scenario, Strategy
 
@@ -128,33 +128,30 @@ def test_canonical_tip_monotone():
 
 
 def test_censorship_windows_finite():
-    clock = SimClock(censor_windows=[CensorSpec("f1", 2, 3)])
-    assert clock.censored_until("f1", 1) is None
-    assert clock.censored_until("f1", 2) == 5
-    assert clock.censored_until("f1", 4) == 5
-    assert clock.censored_until("f1", 5) is None
-    assert clock.censored_until("f2", 3) is None
+    windows = [CensorSpec("f1", 2, 3)]
+    assert censored_until(windows, "f1", 1) is None
+    assert censored_until(windows, "f1", 2) == 5
+    assert censored_until(windows, "f1", 4) == 5
+    assert censored_until(windows, "f1", 5) is None
+    assert censored_until(windows, "f2", 3) is None
+    assert censored_until([], "f1", 2) is None
 
 
 def test_overlapping_censor_windows_censor_as_one():
     # f1 acted at 30 while the second window still censored it to 45
-    clock = SimClock(censor_windows=[CensorSpec("f1", 10, 20),
-                                     CensorSpec("f1", 25, 20),
-                                     CensorSpec("f2", 40, 50)])
-    assert clock.censored_until("f1", 12) == 45
-    assert clock.censored_until("f1", 30) == 45
-    assert clock.censored_until("f1", 45) is None
+    windows = [CensorSpec("f1", 10, 20), CensorSpec("f1", 25, 20),
+               CensorSpec("f2", 40, 50)]
+    assert censored_until(windows, "f1", 12) == 45
+    assert censored_until(windows, "f1", 30) == 45
+    assert censored_until(windows, "f1", 45) is None
     # the order of the windows does not matter
-    clock.censor_windows.reverse()
-    assert clock.censored_until("f1", 12) == 45
+    assert censored_until(windows[::-1], "f1", 12) == 45
 
 
 def test_adjacent_censor_windows_censor_as_one():
-    clock = SimClock(censor_windows=[CensorSpec("f1", 7, 3),
-                                     CensorSpec("f1", 2, 5),
-                                     CensorSpec("f1", 10, 0),
-                                     CensorSpec("f1", 11, 4)])
-    assert [clock.censored_until("f1", t) for t in range(1, 16)] == \
+    windows = [CensorSpec("f1", 7, 3), CensorSpec("f1", 2, 5),
+               CensorSpec("f1", 10, 0), CensorSpec("f1", 11, 4)]
+    assert [censored_until(windows, "f1", t) for t in range(1, 16)] == \
         [None, 10, 10, 10, 10, 10, 10, 10, 10, None, 15, 15, 15, 15, None]
 
 

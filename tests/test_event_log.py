@@ -41,7 +41,7 @@ class TwoListBridge(Bridge):
 
     def _line(self, event: str, **fields) -> None:
         self._seq += 1
-        line = f"t={self.clock.now} seq={self._seq} ev={event}"
+        line = f"t={self.now} seq={self._seq} ev={event}"
         for k in sorted(fields):
             line += f" {k}={fields[k]}"
         self.lines.append(line)
@@ -77,14 +77,14 @@ def test_batch_writers_refuse_or_skip_before_any_write():
     # a snapshot of an empty ledger writes no row, and a template of
     # wallet-funded inputs spends no graph output
     b = Bridge(["f0", "f1"], 1, 100_000_000)
-    b.ledger.balances.clear()
+    b.balances.clear()
     b.log_balances("final_balance")
     deposit = b.graph.template(TxKind.DEPOSIT_CREATE, "f0")
     assert deposit.inputs[0][0].startswith(EXTERNAL)
     assert b.graph.execute(deposit) == []
     assert b.rows == [] and b.graph.spent == set()
     # a snapshot of any other kind is refused before any write
-    b.ledger.fund("wallet:f0", 5)
+    b.balances["wallet:f0"] = 5
     b.log_balances("balance")
     before = list(b.rows)
     for kind in ("transfer", "spend", "meta"):
@@ -98,7 +98,7 @@ def test_publications_emit_a_fee_a_pub_and_the_watch_rows_of_each_gap():
     # and a dispute_pub per publication, each at the bridge's tick; after a
     # gap, a sw_tick per power-of-two marker and a sw_stop of the gap
     b = Bridge(["f0", "f1"], 1, 100_000_000)
-    b.clock.now += 7
+    b.now += 7
     b.account_publications([(0, "f1", "challenge"),
                             (1, "f0", "publish-hashes"),
                             (1, "f1", "publish-choice"),
@@ -149,7 +149,7 @@ def test_log_refuses_what_the_schema_lacks(key, values):
 
 def test_emit_appends_one_row_of_the_values_as_passed():
     b = Bridge(["f0", "f1"], 1, 100_000_000)
-    b.clock.now += 7
+    b.now += 7
     b.emit("front_proven", "x")
     b.emit(("meta", "scenario"), "scenario", "n", "r", 3)
     assert b.rows == [(7, "front_proven", ("x",)),

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from bridgesim import harness, txgraph
-from bridgesim.chain import SimClock
+from bridgesim.chain import censored_until
 from bridgesim.econ import DISPUTE_ACTION_VBYTES
 from bridgesim.errors import InvalidScenario
 from bridgesim.harness import (_MINIMUMS, INT_KEYS, LIVENESS_BOUND,
@@ -296,7 +296,7 @@ def test_report_is_read_from_the_rows_alone(run_with_bridge, monkeypatch):
 
     def slashing(self, loser, winner, challengers, vmxo_id):
         first, start = loser not in self.slashed, len(self.rows)
-        pot = self.ledger.balances[f"deposit:{loser}"]
+        pot = self.balances[f"deposit:{loser}"]
         if first:
             contest = since_kickoff.get(vmxo_id, since_slash)
             covered.append(sum(contest.get(f, 0) for f in honest) <= pot)
@@ -507,8 +507,7 @@ def test_censorship_budget_counts_each_partys_ticks_once(windows, admitted):
     # carries across from one to the next, count once
     sc = Scenario(seed=1, censor=[CensorSpec(*w) for w in windows])
     budget = sc.watch_threshold - _MINIMUMS["watch_threshold"]
-    clock = SimClock(sc.censor)
-    ticks = {p: sum(clock.censored_until(p, t) is not None
+    ticks = {p: sum(censored_until(sc.censor, p, t) is not None
                     for t in range(200)) for p, _, _ in windows}
     assert budget == 58 and (max(ticks.values()) <= budget) == admitted
     if admitted:

@@ -9,7 +9,7 @@ from bridgesim.errors import (AlreadyClosed, BridgeSimError,
 from bridgesim import harness
 from bridgesim.harness import Runner, Scenario, Strategy
 from bridgesim.econ import DISPUTE_ACTION_VBYTES, CostTable
-from bridgesim.protocol import (Bridge, Ledger, PegIn, PegOutState,
+from bridgesim.protocol import (Bridge, PegIn, PegOutState,
                                 contest_fees, dispute_fees)
 from bridgesim.txgraph import (EnablerState, TxKind, VmxoState,
                               build_packet_templates)
@@ -26,18 +26,18 @@ def make_bridge(n=3, vmxos=2, **kw):
 
 
 def fund_user(b, user):
-    b.ledger.fund(f"user:{user}:src", b.denomination)
+    b.balances[f"user:{user}:src"] = b.denomination
 
 
 def mine_source(b, txs):
     blk = b.source.mine_block(b.source.tip().id, txs)
-    b.clock.now += 1
+    b.now += 1
     return blk.id
 
 
 def mine_secondary(b, txs):
     blk = b.secondary.mine_block(b.secondary.tip().id, txs)
-    b.clock.now += 1
+    b.now += 1
     return blk.id
 
 
@@ -52,7 +52,7 @@ def do_pegin(b, user="u0", funded=True):
     tx = b.broadcast_pegin(i)
     b.pegins[i].deposit_block = mine_source(b, [tx])
     for _ in range(b.source_confirmations):
-        mine_source(b, [f"pad{b.clock.now}"])
+        mine_source(b, [f"pad{b.now}"])
     b.execute_pegin(i)
     return i
 
@@ -63,7 +63,7 @@ def do_linked_pegout(b, user="u0"):
     pegout = b.pegouts[i]
     pegout.burn_block = mine_secondary(b, [pegout.burn_tx])
     for _ in range(b.secondary_confirmations):
-        mine_secondary(b, [f"spad{b.clock.now}"])
+        mine_secondary(b, [f"spad{b.now}"])
     b.link_pegout(i)
     return i
 
@@ -71,16 +71,17 @@ def do_linked_pegout(b, user="u0"):
 def test_deposit_equals_econ_formula():
     b = make_bridge(n=4, fee_rate=3)
     assert b.deposit_per_functionary == 270332 * 3 * 3
-    assert b.ledger.balances["deposit:f0"] == b.deposit_per_functionary
+    assert b.balances["deposit:f0"] == b.deposit_per_functionary
 
 
 def test_functionary_accounts_open_as_fund_opens_them():
+    # each functionary's deposit then its wallet, in the order of the ids
     b = make_bridge(n=4, fee_rate=3)
-    ledger = Ledger()
-    for f in b.functionaries:
-        ledger.fund(f"deposit:{f}", b.deposit_per_functionary)
-        ledger.fund(f"wallet:{f}", 50 * DENOM + 100 * b.deposit_per_functionary)
-    assert list(b.ledger.balances.items()) == list(ledger.balances.items())
+    deposit = b.deposit_per_functionary
+    assert list(b.balances.items()) == [
+        (account, amount) for f in b.functionaries
+        for account, amount in ((f"deposit:{f}", deposit),
+                                (f"wallet:{f}", 50 * DENOM + 100 * deposit))]
 
 
 @pytest.mark.parametrize("ids", [["f0", "f0", "f1"], ["f0", "f1", "f0"]],
@@ -136,9 +137,9 @@ def test_pegin_locks_vmxo_and_mints():
     b = make_bridge()
     vmxo = b.pegins[do_pegin(b)].vmxo_id
     assert b.graph.vmxos[vmxo].state == VmxoState.LOCKED
-    assert b.ledger.balances["user:u0:wrapped"] == DENOM
-    assert b.ledger.balances["wrapped-issuance"] == -DENOM
-    assert b.ledger.balances[f"vmxo:{vmxo}"] == DENOM
+    assert b.balances["user:u0:wrapped"] == DENOM
+    assert b.balances["wrapped-issuance"] == -DENOM
+    assert b.balances[f"vmxo:{vmxo}"] == DENOM
 
 
 def test_pegin_capacity_exhausted():
@@ -161,12 +162,12 @@ def test_pegout_links_oldest_locked_vmxo():
 def test_refused_pegout_leaves_no_ghost():
     b = make_bridge()
     do_pegin(b, "u0")
-    balances, rows = dict(b.ledger.balances), list(b.rows)
+    balances, rows = dict(b.balances), list(b.rows)
     # u1 holds no wrapped balance to burn
     with pytest.raises(Insolvent):
         b.request_pegout("u1", DENOM)
     assert b.pegouts == [] and b.rows == rows
-    assert b.ledger.balances == balances
+    assert b.balances == balances
     assert b.request_pegout("u0", DENOM) == 0
     assert len(b.pegouts) == 1 and b.pegouts[0].burn_tx == "burn:u0:1"
 
@@ -176,10 +177,10 @@ def test_front_by_unknown_operator_refused():
     do_pegin(b)
     i = do_linked_pegout(b)
     pegout = b.pegouts[i]
-    before = (list(b.rows), dict(b.ledger.balances), pegout.state)
+    before = (list(b.rows), dict(b.balances), pegout.state)
     with pytest.raises(UnknownId):
         b.front_funds(i, "f7")
-    assert (b.rows, b.ledger.balances, pegout.state) == before
+    assert (b.rows, b.balances, pegout.state) == before
     assert pegout.operator is None and pegout.fronted_tx is None
 
 
@@ -190,13 +191,13 @@ def test_second_front_refused_before_any_change():
     i = do_linked_pegout(b)
     pegout = b.pegouts[i]
     b.front_funds(i, "f0")
-    before = (list(b.rows), dict(b.ledger.balances), pegout.state,
+    before = (list(b.rows), dict(b.balances), pegout.state,
               pegout.operator, pegout.fronted_tx)
     with pytest.raises(NotTriggered):
         b.front_funds(i, "f1")
-    assert (b.rows, b.ledger.balances, pegout.state, pegout.operator,
+    assert (b.rows, b.balances, pegout.state, pegout.operator,
             pegout.fronted_tx) == before
-    assert b.ledger.balances["user:u0:src"] == DENOM - DENOM // 1000
+    assert b.balances["user:u0:src"] == DENOM - DENOM // 1000
     assert b.open_pegouts("f0") == [pegout] and b.open_pegouts("f1") == []
 
 
@@ -227,12 +228,12 @@ def at_the_edge(b, chain, block, needed, call):
     is refused and changes nothing; then one block more, where it runs."""
     mine = mine_source if chain is b.source else mine_secondary
     while chain.confirmations(block) < needed - 1:
-        mine(b, [f"pad{b.clock.now}"])
-    before = (list(b.rows), dict(b.ledger.balances))
+        mine(b, [f"pad{b.now}"])
+    before = (list(b.rows), dict(b.balances))
     with pytest.raises(InsufficientConfirmations):
         call()
-    assert (b.rows, b.ledger.balances) == before
-    mine(b, [f"pad{b.clock.now}"])
+    assert (b.rows, b.balances) == before
+    mine(b, [f"pad{b.now}"])
     assert chain.confirmations(block) == needed == 3
     call()
 
@@ -290,14 +291,14 @@ def test_honest_pegout_pays_operator_from_vmxo():
     b = make_bridge()
     do_pegin(b)
     i = do_linked_pegout(b)
-    before = b.ledger.balances["wallet:f0"]
+    before = b.balances["wallet:f0"]
     full_honest_pegout(b, i, "f0")
     assert b.pegouts[i].state == PegOutState.UNLOCKED
-    assert b.ledger.balances[f"vmxo:{b.pegouts[i].vmxo_id}"] == 0
+    assert b.balances[f"vmxo:{b.pegouts[i].vmxo_id}"] == 0
     # operator nets the vmxo minus the fronted amount minus fees
     fronted = DENOM - DENOM // 1000
     fees = (CostTable.commit_proof + 500) * b.fee_rate
-    assert b.ledger.balances["wallet:f0"] == before - fronted + DENOM - fees
+    assert b.balances["wallet:f0"] == before - fronted + DENOM - fees
 
 
 def test_front_separation_interval():
@@ -329,12 +330,12 @@ def test_slash_burns_enablers_and_pays_pot():
     b.front_funds(i, "f1")
     b.publish_kickoff(vmxo, "f1")
     b.pay_dispute_fee("f0", "challenge")
-    pot = b.ledger.balances["deposit:f1"]
-    f0_before = b.ledger.balances["wallet:f0"]
+    pot = b.balances["deposit:f1"]
+    f0_before = b.balances["wallet:f0"]
     b.slash("f1", "f0", ["f0"], vmxo)
     assert b.slashed == {"f1"}
-    assert b.ledger.balances["deposit:f1"] == 0
-    assert b.ledger.balances["wallet:f0"] == f0_before + pot
+    assert b.balances["deposit:f1"] == 0
+    assert b.balances["wallet:f0"] == f0_before + pot
     assert all(b.graph.enabler_state("f1", *slot) == EnablerState.BURNT
                for slot in enabler_slots(b.graph, "f1"))
 
@@ -366,14 +367,14 @@ def test_publish_challenges_pays_and_logs_as_one_fee_at_a_time():
     # challenge in turn gives
     batch, each = make_bridge(n=4, fee_rate=3), make_bridge(n=4, fee_rate=3)
     for b in (batch, each):
-        b.clock.now += 5
+        b.now += 5
     batch.account_publications([(0, ch, "challenge")
                                 for ch in ("f2", "f0", "f3")], 5)
     for ch in ("f2", "f0", "f3"):
         each.pay_dispute_fee(ch, "challenge")
         each.emit("dispute_pub", "challenge", ch, 5)
     assert batch.rows == each.rows and len(batch.rows) == 6
-    assert batch.ledger.balances == each.ledger.balances
+    assert batch.balances == each.balances
     fee = 3 * DISPUTE_ACTION_VBYTES["challenge"]
     assert dispute_fees(batch.rows) == dispute_fees(each.rows) == \
         {"f2": fee, "f0": fee, "f3": fee}
@@ -384,27 +385,28 @@ def test_publish_challenges_pays_and_logs_as_one_fee_at_a_time():
 def test_slash_idempotent():
     b = make_bridge()
     b.slash("f1", "f0", [], "pkt0:vmxo0")
-    total = sum(b.ledger.balances.values())
+    total = sum(b.balances.values())
     b.slash("f1", "f2", [], "pkt0:vmxo0")
-    assert sum(b.ledger.balances.values()) == total
-    assert b.ledger.balances["deposit:f1"] == 0
+    assert sum(b.balances.values()) == total
+    assert b.balances["deposit:f1"] == 0
 
 
 def test_slash_refuses_unknown_loser_before_any_change():
     b = make_bridge()
-    balances, rows = dict(b.ledger.balances), list(b.rows)
+    balances, rows = dict(b.balances), list(b.rows)
     with pytest.raises(UnknownId):
         b.slash("f7", "f0", ["f0"], "pkt0:vmxo0")
     assert b.slashed == set() and b.graph.spent == set()
     assert b.graph.used_enablers == {}
-    assert b.ledger.balances == balances and b.rows == rows
+    assert b.balances == balances and b.rows == rows
 
 
 def drain(party):
-    """A setup that empties the party's wallet before the snapshot."""
+    """A setup that empties the party's wallet before the snapshot, by a
+    logged transfer that is no dispute fee."""
     def setup(b, linked):
         wallet = f"wallet:{party}"
-        b.ledger.transfer(wallet, "fees", b.ledger.balances[wallet])
+        b.transfer(wallet, "fees", b.balances[wallet], "drain")
     return setup
 
 
@@ -524,6 +526,16 @@ REFUSALS = {
     "pegout-of-another-amount": (
         WrongDenomination, lambda b, linked, unlinked:
         b.request_pegout("u2", DENOM - 1)),
+    # a float equal to the denomination would log amount=100000000.0, which
+    # read_log refuses; vmxo3 awaits u3's peg-in, which gives u3 DENOM
+    # wrapped to burn
+    "pegin-of-a-float-amount": (
+        WrongDenomination, lambda b, linked, unlinked:
+        b.request_pegin("u3", float(DENOM))),
+    "pegout-of-a-float-amount": (
+        WrongDenomination, lambda b, linked, unlinked:
+        b.request_pegout("u3", float(DENOM)),
+        lambda b, linked: do_pegin(b, "u3")),
     "dispute-fee-for-unknown-action": (
         MalformedInput, lambda b, linked, unlinked:
         b.pay_dispute_fee("f0", "bribe")),
@@ -586,7 +598,7 @@ def refusal_bridge():
 
 def fingerprint(b):
     """Everything a refused call must leave as it was."""
-    return (list(b.rows), dict(b.ledger.balances), set(b.graph.spent),
+    return (list(b.rows), dict(b.balances), set(b.graph.spent),
             dict(b.linked), set(b.slashed),
             {v: set(s) for v, s in b.graph.used_enablers.items()},
             {v: (x.state, x.operator) for v, x in b.graph.vmxos.items()},
@@ -643,12 +655,12 @@ def test_executed_pegin_does_not_mint_again():
     b = make_bridge()
     i = do_pegin(b)
     fund_user(b, "u0")
-    before = (list(b.rows), dict(b.ledger.balances))
+    before = (list(b.rows), dict(b.balances))
     with pytest.raises(NotTriggered):
         b.execute_pegin(i)
-    assert (b.rows, b.ledger.balances) == before
-    assert b.ledger.balances["user:u0:wrapped"] == DENOM
-    assert b.ledger.balances[f"vmxo:{b.pegins[i].vmxo_id}"] == DENOM
+    assert (b.rows, b.balances) == before
+    assert b.balances["user:u0:wrapped"] == DENOM
+    assert b.balances[f"vmxo:{b.pegins[i].vmxo_id}"] == DENOM
 
 
 def test_pegin_never_requested_leaves_its_vmxo_to_a_request():
@@ -657,14 +669,14 @@ def test_pegin_never_requested_leaves_its_vmxo_to_a_request():
     # request then makes takes the first VMXO and mints
     b = make_bridge()
     fund_user(b, "u9")
-    balances = dict(b.ledger.balances)
+    balances = dict(b.balances)
     for call in (lambda: b.sign_pegin(0, "u9", *b.functionaries),
                  lambda: b.broadcast_pegin(0), lambda: b.execute_pegin(0)):
         with pytest.raises(UnknownId):
             call()
-    assert b.rows == [] and b.pegins == [] and b.ledger.balances == balances
+    assert b.rows == [] and b.pegins == [] and b.balances == balances
     assert b.pegins[do_pegin(b, "u1")].vmxo_id == b.graph.vmxo_ids[0]
-    assert b.ledger.balances["user:u1:wrapped"] == DENOM
+    assert b.balances["user:u1:wrapped"] == DENOM
 
 
 def test_pegout_never_requested_is_neither_linked_nor_fronted():
@@ -677,16 +689,16 @@ def test_pegout_never_requested_is_neither_linked_nor_fronted():
     real = b.request_pegout("u0", DENOM)
     b.pegouts[real].burn_block = mine_secondary(b, [b.pegouts[real].burn_tx])
     for _ in range(b.secondary_confirmations):
-        mine_secondary(b, [f"spad{b.clock.now}"])
-    before = (list(b.rows), dict(b.ledger.balances))
+        mine_secondary(b, [f"spad{b.now}"])
+    before = (list(b.rows), dict(b.balances))
     with pytest.raises(UnknownId):
         b.link_pegout(real + 1)
     with pytest.raises(UnknownId):
         b.front_funds(real + 1, "f0")
-    assert (b.rows, b.ledger.balances) == before and not b.linked
+    assert (b.rows, b.balances) == before and not b.linked
     assert b.link_pegout(real) == "pkt0:vmxo0"
     b.front_funds(real, "f0")
-    assert b.ledger.balances["user:u0:src"] == DENOM - DENOM // 1000
+    assert b.balances["user:u0:src"] == DENOM - DENOM // 1000
 
 
 def test_unfunded_pegin_leaves_its_vmxo_awaiting_pegin():
@@ -709,7 +721,7 @@ def test_insolvent_calls_raise_a_package_error_and_change_nothing():
     unfunded = len(b.pegins) - 1
 
     def state():
-        return (list(b.rows), dict(b.ledger.balances), list(b.pegouts),
+        return (list(b.rows), dict(b.balances), list(b.pegouts),
                 {v: b.graph.vmxos[v].state for v in b.graph.vmxo_ids})
 
     before = state()
@@ -719,8 +731,12 @@ def test_insolvent_calls_raise_a_package_error_and_change_nothing():
             call()
         assert state() == before
     assert before[3][b.pegins[unfunded].vmxo_id] == VmxoState.AWAITING_PEGIN
-    with pytest.raises(Insolvent):
-        b.ledger.transfer("user:u0:wrapped", "wrapped-issuance", -1)
+    # a negative amount from any account, even from wrapped-issuance, the
+    # one account that may go negative
+    for frm in ("user:u0:wrapped", "wrapped-issuance", "nobody"):
+        with pytest.raises(Insolvent, match="negative transfer -1"):
+            b.transfer(frm, "user:u0:wrapped", -1, "x")
+        assert state() == before
     # a package error, and still the ValueError it used to be
     assert issubclass(Insolvent, BridgeSimError)
     assert issubclass(Insolvent, ValueError)
@@ -729,31 +745,35 @@ def test_insolvent_calls_raise_a_package_error_and_change_nothing():
 def test_ledger_refuses_a_zero_transfer_from_an_unopened_account():
     # 0 is no more than the balance an absent account reads as, but there is
     # no account to pay it from; an opened empty one pays it
-    ledger = Ledger()
-    with pytest.raises(Insolvent):
-        ledger.transfer("nobody", "fees", 0)
-    assert ledger.balances == {}
-    ledger.fund("empty", 0)
-    ledger.transfer("empty", "fees", 0)
-    assert ledger.balances == {"empty": 0, "fees": 0}
+    b = Bridge(["f0", "f1"], 1, DENOM)
+    b.balances.clear()
+    with pytest.raises(Insolvent, match="no account nobody"):
+        b.transfer("nobody", "fees", 0, "x")
+    assert b.balances == {} and b.rows == []
+    b.balances["empty"] = 0
+    b.transfer("empty", "fees", 0, "x")
+    assert b.balances == {"empty": 0, "fees": 0}
+    assert b.events == ["t=0 seq=1 ev=transfer amount=0 dst=fees src=empty "
+                        "why=x"]
+
 
 
 def test_bridge_refuses_a_zero_transfer_from_an_unopened_account():
     b = Bridge(["f0", "f1"], 1, 100_000_000)
-    balances = dict(b.ledger.balances)
+    balances = dict(b.balances)
     with pytest.raises(Insolvent):
         b.transfer("nobody", "fees", 0, "x")
-    assert b.rows == [] and b.ledger.balances == balances
+    assert b.rows == [] and b.balances == balances
 
 
 def test_slash_reimburses_challenger_costs_first():
     b = make_bridge(n=3)
     b.pay_dispute_fee("f0", "challenge")
     cost = b.pay_dispute_fee("f2", "challenge")
-    f2_before = b.ledger.balances["wallet:f2"]
+    f2_before = b.balances["wallet:f2"]
     b.slash("f1", "f0", ["f0", "f2"], "pkt0:vmxo0")
     # f2's challenge fee comes back even though f0 took the remainder
-    assert b.ledger.balances["wallet:f2"] == f2_before + cost
+    assert b.balances["wallet:f2"] == f2_before + cost
 
 
 def _refunds(b, since=0):
@@ -841,7 +861,7 @@ def test_slash_whose_refunds_use_the_whole_pot_pays_no_remainder():
             if key == "transfer"] == ["cost-reimbursement"]
     assert f" ev=slashed loser=f1 pot={pot} reimbursed={pot} winner=f0" \
         in "\n".join(b.events[start:])
-    assert b.ledger.balances["deposit:f1"] == 0
+    assert b.balances["deposit:f1"] == 0
 
 
 def test_slash_refunds_later_challengers_even_when_already_slashed():
@@ -905,12 +925,12 @@ def test_force_close_refuses_unknown_closer_before_any_change():
     b.publish_kickoff(v2, "f1")
     before = (set(b.graph.spent),
               {v: (x.state, x.operator) for v, x in b.graph.vmxos.items()},
-              dict(b.ledger.balances), list(b.rows))
+              dict(b.balances), list(b.rows))
     with pytest.raises(UnknownId):
         b.force_close(v1, v2, "f9")
     assert (set(b.graph.spent),
             {v: (x.state, x.operator) for v, x in b.graph.vmxos.items()},
-            b.ledger.balances, b.rows) == before
+            b.balances, b.rows) == before
 
 
 def raw_kickoffs(*operators):
@@ -965,9 +985,9 @@ def test_force_close_by_its_own_operator_refused_before_any_write():
     va, vb = b.graph.vmxo_ids
 
     def state():
-        return (list(b.rows), b.ledger.balances["deposit:f0"],
+        return (list(b.rows), b.balances["deposit:f0"],
                 {v: (x.state, x.operator) for v, x in b.graph.vmxos.items()},
-                set(b.graph.spent), dict(b.ledger.balances), set(b.slashed))
+                set(b.graph.spent), dict(b.balances), set(b.slashed))
 
     before = state()
     for pair in ((va, vb), (vb, va)):
@@ -992,7 +1012,7 @@ def test_adhoc_theft_with_all_keys_leaked():
     for f in b.functionaries:
         b.graph.leak_keys(f, vmxo)
     assert b.adhoc_theft(vmxo, "f0")
-    assert b.ledger.balances[f"vmxo:{vmxo}"] == 0
+    assert b.balances[f"vmxo:{vmxo}"] == 0
 
 
 def test_refused_theft_leaves_its_vmxo_awaiting_pegin():
@@ -1004,7 +1024,7 @@ def test_refused_theft_leaves_its_vmxo_awaiting_pegin():
         b.graph.leak_keys(f, free)
 
     def state():
-        return (list(b.rows), dict(b.ledger.balances),
+        return (list(b.rows), dict(b.balances),
                 {v: (x.state, x.operator) for v, x in b.graph.vmxos.items()})
 
     before = state()
@@ -1023,11 +1043,11 @@ def test_operator_cut_is_exact_above_float_precision():
     b.graph.sign_all()
     do_pegin(b)
     i = do_linked_pegout(b)
-    before = b.ledger.balances["wallet:f0"]
+    before = b.balances["wallet:f0"]
     b.front_funds(i, "f0")
     fronted = amount - 13_035_838_819_189
-    assert before - b.ledger.balances["wallet:f0"] == fronted
-    assert b.ledger.balances["user:u0:src"] == fronted
+    assert before - b.balances["wallet:f0"] == fronted
+    assert b.balances["user:u0:src"] == fronted
     assert b.rows[-1][2][0] == fronted
     assert f" amount={fronted} " in b.events[-1]
 
@@ -1095,9 +1115,9 @@ def test_recycle_counts_match_every_slot_after_slash_and_refund():
 def test_ledger_conservation_over_full_flow():
     b = make_bridge()
     do_pegin(b, "u0")
-    total = sum(b.ledger.balances.values())
+    total = sum(b.balances.values())
     full_honest_pegout(b, do_linked_pegout(b, "u0"), "f0")
-    assert sum(b.ledger.balances.values()) == total
+    assert sum(b.balances.values()) == total
 
 
 def test_honest_unlock_oracle_tracks_canonical_burn():
@@ -1253,22 +1273,37 @@ class CountedLinks(dict):
         return super().__contains__(vmxo_id)
 
 
-@pytest.mark.parametrize("strategy", [Strategy.HONEST,
-                                      Strategy.FAKE_PROOF_PROVER])
-def test_linking_every_vmxo_in_turn_is_linear(strategy):
+# the leak_all run: vmxo0 is stolen before any link, and the other 511
+# VMXOs serve the 511 peg-outs
+LEAK_ALL_HORIZON = Scenario(name="horizon-leak-all", seed=3,
+                            n_functionaries=10, vmxo_count=512, n_pegins=512,
+                            n_pegouts=511, strategy=Strategy.KEY_LEAKER,
+                            leak_all=True)
+
+
+@pytest.mark.parametrize("scenario,stolen,checks", [
+    pytest.param(pins.horizon_scenario(Strategy.HONEST), 0,
+                 512 + 2 + 3 * 511, id="Honest"),
+    pytest.param(pins.horizon_scenario(Strategy.FAKE_PROOF_PROVER), 0,
+                 512 + 2 + 3 * 511, id="FakeProofProver"),
+    pytest.param(LEAK_ALL_HORIZON, 1, 511 + 3 * 511, id="leak_all"),
+])
+def test_linking_every_vmxo_in_turn_is_linear(scenario, stolen, checks):
     # a count, not a timer: the membership tests of Bridge.linked over a
-    # horizon run's 512 peg-outs, each linked to the next VMXO.  Each unlock
+    # horizon run's peg-outs, each linked to the next VMXO.  Each unlock
     # makes one, the first link two, and every later link three: past the
-    # VMXO linked last, at the next, and the scan's one step there.  A scan
-    # from the first VMXO on every link made 131,840, about V²/2 more
-    runner = Runner(pins.horizon_scenario(strategy))
+    # VMXO linked last, at the next, and the scan's one step there.  The
+    # stolen vmxo0 is Unlocked, so the first link passes it with one more
+    # test.  A scan from the first VMXO on every link made 131,840 in the
+    # honest run, and a cursor that stopped at vmxo0 132,349 in leak_all
+    runner = Runner(scenario)
     runner.setup()
     runner.bridge.linked = linked = CountedLinks()
     runner.run_pegins()
     runner.run_theft_attempts()
     runner.run_pegouts()
-    assert list(linked) == runner.bridge.graph.vmxo_ids
-    assert linked.checks == 512 + 2 + 3 * 511
+    assert list(linked) == runner.bridge.graph.vmxo_ids[stolen:]
+    assert linked.checks == checks
 
 
 def test_pending_pegins_take_distinct_vmxos():

@@ -52,7 +52,6 @@ STATE_RECORDS = {
     "protocol.PegOut": ("u0", 1, "burn:u0:1"),
     "txgraph.Vmxo": (1,),
     "stopwatch.StopWatch": ("f0", 4),
-    "chain.SimClock": (),
 }
 
 
