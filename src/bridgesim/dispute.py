@@ -106,7 +106,7 @@ class Outcome(SimpleNamespace):
 class DisputeGame:
     """One dispute between a prover and a verifier, with its search state,
     stop watches and the publications made so far."""
-    arity = 4  # the default, which harness._MINIMUMS reads
+    arity = 4  # the default, which harness._FIELDS reads
     read_steps = 16  # read values consumed by one step
 
     def __init__(self, prover: str, verifier: str,

@@ -11,6 +11,7 @@ reads censor windows from the scenario through ``chain.censored_until``.
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from enum import Enum
 from functools import cached_property
 from itertools import count, product
@@ -51,60 +52,72 @@ RNG_ALGORITHM = "python-random-mt19937"
 RESERVE_TICKS = 1 + Bridge.secondary_confirmations + 1
 
 
-# least values of Scenario fields: below one, a run breaks or misreads it.
+# The one declaration of each Scenario field, in field order: its file and
+# grid key (None: a scenario file's own row), exact type (None: checked with
+# the censor windows), default, and least and most value (None: unbounded).
 # An honest party's watch takes a tick per reply: one per search round over
-# the trace and the isolated step's reads, and two more (a challenge and a
-# read challenge, or trace and leaf); the rest is its censorship budget.
-_MINIMUMS = {"n_functionaries": 2, "vmxo_count": 1, "fee_rate": 1,
-            "n_pegins": 0, "n_pegouts": 0, "t_sep": 0, "denomination": 0,
-            "challenge_window": 0, "watch_threshold": 2 + sum(
-                next(r for r in count() if DisputeGame.arity ** r >= max(2, n))
-                for n in (TRACE_LENGTH, DisputeGame.read_steps))}
-
-
-# Scenario's default censor, for which each scenario gets a list of its own
-_NO_CENSOR = object()
+# the trace and the step's reads, and two more (a challenge and a read
+# challenge, or trace and leaf); the rest is its censorship budget.  The
+# most N and V keep a run to seconds and 150 MiB; validate also bounds N·V,
+# one EnablerCreate's outputs, and the windows censored_until scans.
+_Field = namedtuple("_Field", "key kind default least most",
+                    defaults=(None, None))
+_FIELDS = {
+    "name": _Field(None, str, "scenario"),
+    "seed": _Field("seed", int, 0),
+    "n_functionaries": _Field("functionaries", int, 3, 2, 1_000),
+    "denomination": _Field("denomination", int, 100_000_000, 0),
+    "vmxo_count": _Field("vmxos", int, 2, 1, 4_096),
+    "n_pegins": _Field("pegins", int, 2, 0),
+    "n_pegouts": _Field("pegouts", int, 1, 0),
+    "fee_rate": _Field("fee_rate", int, 2, 1),
+    "challenge_window": _Field("challenge_window", int, 20, 0),
+    "watch_threshold": _Field("watch_threshold", int, 64, 2 + sum(
+        next(r for r in count() if DisputeGame.arity ** r >= max(2, n))
+        for n in (TRACE_LENGTH, DisputeGame.read_steps))),
+    "adversary": _Field("adversary", int, None),
+    "strategy": _Field("strategy", Strategy, Strategy.HONEST),
+    "leak_all": _Field("leak_all", bool, False),
+    "censor": _Field(None, None, []),
+    "t_sep": _Field("t_sep", int, 0, 0),
+}
+_DEFAULTS = {name: field.default for name, field in _FIELDS.items()}
 
 
 class Scenario(SimpleNamespace):
-    """Every free choice of one run; ``validate`` refuses a scenario that
-    cannot run.  A namespace, so it compares and prints by its fields."""
+    """Every free choice of one run, by keyword, each field declared in
+    ``_FIELDS``; ``validate`` refuses a scenario that cannot run.  A
+    namespace, so it compares and prints by its fields."""
 
-    def __init__(self, name: str = "scenario", seed: int = 0,
-                 n_functionaries: int = 3, denomination: int = 100_000_000,
-                 vmxo_count: int = 2, n_pegins: int = 2, n_pegouts: int = 1,
-                 fee_rate: int = 2, challenge_window: int = 20,
-                 watch_threshold: int = 64, adversary: Optional[int] = None,
-                 strategy: Strategy = Strategy.HONEST, leak_all: bool = False,
-                 censor: list[CensorSpec] = _NO_CENSOR, t_sep: int = 0):
-        self.name, self.seed = name, seed
-        self.n_functionaries, self.denomination = n_functionaries, denomination
-        self.vmxo_count, self.n_pegins = vmxo_count, n_pegins
-        self.n_pegouts, self.fee_rate = n_pegouts, fee_rate
-        self.challenge_window = challenge_window
-        self.watch_threshold, self.adversary = watch_threshold, adversary
-        self.strategy, self.leak_all = strategy, leak_all
-        self.censor = [] if censor is _NO_CENSOR else censor
-        self.t_sep = t_sep
+    def __init__(self, **fields):
+        if not fields.keys() <= _DEFAULTS.keys():
+            raise TypeError("Scenario() got an unexpected keyword argument "
+                            f"{min(fields.keys() - _DEFAULTS.keys())!r}")
+        fields.setdefault("censor", [])  # a list of each scenario's own
+        vars(self).update(_DEFAULTS, **fields)
 
     def validate(self) -> None:
-        for name in INT_KEYS.values():
+        for name, (_, kind, default, least, most) in _FIELDS.items():
             value = getattr(self, name)
-            if type(value) is not int and (name, value) != ("adversary", None):
-                raise InvalidScenario(f"{name} must be an int, not {value!r}")
-        if not isinstance(self.strategy, Strategy):
-            raise InvalidScenario(f"strategy {self.strategy!r} is no Strategy")
-        if type(self.leak_all) is not bool or type(self.name) is not str:
-            raise InvalidScenario("leak_all must be a bool and name a str")
+            if kind and type(value) is not kind and \
+                    not (value is default is None):
+                raise InvalidScenario(f"{name} must be of type "
+                                      f"{kind.__name__}, not {value!r}")
+            if least is not None and value < least:
+                raise InvalidScenario(f"{name} must be at least {least}")
+            if most is not None and value > most:
+                raise InvalidScenario(f"{name} must be at most {most}")
         if not isinstance(self.censor, (list, tuple)) or not all(
                 type(w) is CensorSpec and type(w.party) is str
                 and type(w.start) is type(w.length) is int
                 for w in self.censor):
             raise InvalidScenario("censor must list CensorSpec windows, each "
                                   "a str party and int start and length")
-        for name, least in _MINIMUMS.items():
-            if getattr(self, name) < least:
-                raise InvalidScenario(f"{name} must be at least {least}")
+        if len(self.censor) > 256:
+            raise InvalidScenario("len(censor) must be at most 256")
+        if self.n_functionaries * self.vmxo_count > 2 ** 18:
+            raise InvalidScenario("n_functionaries * vmxo_count must be at "
+                                  "most 262144")
         if self.n_pegouts > self.n_pegins:
             raise InvalidScenario("more peg-outs than peg-ins")
         if self.n_pegins > self.vmxo_count:
@@ -115,7 +128,7 @@ class Scenario(SimpleNamespace):
         if self.strategy != Strategy.HONEST and self.adversary is None \
                 and not self.leak_all:
             raise InvalidScenario("strategy without adversary")
-        budget = self.watch_threshold - _MINIMUMS["watch_threshold"]
+        budget = self.watch_threshold - _FIELDS["watch_threshold"].least
         merged_end, ticks = {}, {}
         for party, start, length in sorted(self.censor):
             if party not in self.functionary_ids or start < 0 or length < 1:
@@ -690,27 +703,13 @@ def scenario_corpus() -> list[Scenario]:
     return corpus
 
 
-# Scenario-file and grid keys that take one integer, and the Scenario field
-# each sets.
-INT_KEYS = {
-    "seed": "seed",
-    "functionaries": "n_functionaries",
-    "denomination": "denomination",
-    "vmxos": "vmxo_count",
-    "pegins": "n_pegins",
-    "pegouts": "n_pegouts",
-    "fee_rate": "fee_rate",
-    "challenge_window": "challenge_window",
-    "watch_threshold": "watch_threshold",
-    "adversary": "adversary",
-    "t_sep": "t_sep",
-}
 _BOOLS = {"1": True, "true": True, "yes": True,
           "0": False, "false": False, "no": False}
+# the reader of a value of each field type: the type itself, but for bool
+_READERS = {bool: lambda v: _BOOLS[v.lower()]}
 # each grid key's Scenario fields, count of values and reader of them
-_GRID_KEYS = {**{key: ((field,), 1, int) for key, field in INT_KEYS.items()},
-              "strategy": (("strategy",), 1, Strategy),
-              "leak_all": (("leak_all",), 1, lambda v: _BOOLS[v.lower()])}
+_GRID_KEYS = {field.key: ((name,), 1, _READERS.get(field.kind, field.kind))
+              for name, field in _FIELDS.items() if field.key}
 # a scenario file's keys: there `adversary` also names the strategy, and
 # `censor`, which sets no field but adds a window, may repeat
 _FILE_KEYS = {**_GRID_KEYS, "name": (("name",), 1, str),

@@ -9,7 +9,7 @@ import hashlib
 import itertools
 
 from bridgesim.chain import CensorSpec
-from bridgesim.harness import _MINIMUMS, Scenario, Strategy, run_scenario
+from bridgesim.harness import _FIELDS, Scenario, Strategy, run_scenario
 
 # -- the table ----------------------------------------------------------------
 
@@ -81,7 +81,7 @@ def _space(prefix, t_seps, censors):
     i = 0
     for n, strategy, v, window, threshold, t_sep in itertools.product(
             (2, 3), Strategy, (1, 2), (0, 1, 20), (6, 12, 70), t_seps):
-        budget = threshold - _MINIMUMS["watch_threshold"]
+        budget = threshold - _FIELDS["watch_threshold"].least
         for adversary in [None] if strategy == Strategy.HONEST else range(n):
             for pegins, pegouts in [(ins, outs) for ins in range(1, v + 1)
                                     for outs in range(ins + 1)]:

@@ -361,6 +361,15 @@ def test_out_of_range_value_rejected(tmp_path, capsys):
     assert "skip sweep-0" in out and "[PASS] sweep-1" in out
 
 
+def test_value_past_its_bound_rejected(tmp_path, capsys):
+    # vmxos 10000000 was admitted; V = 200,000 at N = 3 ran at 280 MiB
+    sc = tmp_path / "wide.scenario"
+    sc.write_text("vmxos 4097\n")
+    assert main(["run", str(sc)]) == 2
+    assert capsys.readouterr().err == \
+        "invalid scenario: vmxo_count must be at most 4096\n"
+
+
 def test_pegout_limit_is_an_unknown_key(tmp_path, capsys):
     # the field changed no run and is deleted: a file that sets it is
     # refused, not run as if it bound anything
@@ -390,24 +399,27 @@ t_sep 1
 
 def test_every_scenario_field_is_settable():
     # a Scenario field that neither file format can set is a knob nobody
-    # sets, and scenario files and grids share one integer key table
-    from bridgesim.harness import (INT_KEYS, Scenario, parse_grid,
+    # sets, and scenario files and grids share the keys of harness._FIELDS
+    from bridgesim.harness import (_FIELDS, Scenario, parse_grid,
                                    parse_scenario)
+    keyed = {field.key: name for name, field in _FIELDS.items() if field.key}
     keys = {line.split()[0] for line in EVERY_KEY.strip().splitlines()}
-    assert keys == set(INT_KEYS) | {"name", "adversary", "leak_all", "censor"}
+    # the file sets the strategy on its adversary line
+    assert keys | {"strategy"} == set(keyed) | {"name", "censor"}
     sc, default = parse_scenario(EVERY_KEY), Scenario()
     # vars(Scenario()) names every field, as test_record_types pins
     assert [name for name in vars(default)
             if getattr(sc, name) == getattr(default, name)] == []
-    [swept] = parse_grid("".join(f"{key} {getattr(sc, name)}\n"
-                                 for key, name in INT_KEYS.items()))
-    assert {name: getattr(swept, name) for name in INT_KEYS.values()} == \
-        {name: getattr(sc, name) for name in INT_KEYS.values()}
+    values = {key: getattr(sc, name) for key, name in keyed.items()}
+    [swept] = parse_grid("".join(f"{key} {getattr(value, 'value', value)}\n"
+                                 for key, value in values.items()))
+    assert {name: getattr(swept, name) for name in keyed.values()} == \
+        {name: getattr(sc, name) for name in keyed.values()}
 
 
 def test_cli_knows_nothing_of_the_format():
     # harness reads scenario files and grids; cli only calls its readers
-    assert not {"INT_KEYS", "Scenario", "Strategy", "itertools"} & \
+    assert not {"_FIELDS", "Scenario", "Strategy", "itertools"} & \
         vars(cli).keys()
 
 

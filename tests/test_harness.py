@@ -7,9 +7,9 @@ from bridgesim import harness, txgraph
 from bridgesim.chain import censored_until
 from bridgesim.econ import DISPUTE_ACTION_VBYTES
 from bridgesim.errors import InvalidScenario
-from bridgesim.harness import (_MINIMUMS, INT_KEYS, LIVENESS_BOUND,
-                              RESERVE_TICKS, TRACE_LENGTH, CensorSpec, Runner,
-                              RunReport, Scenario, Strategy, check_invariants,
+from bridgesim.harness import (_FIELDS, LIVENESS_BOUND, RESERVE_TICKS,
+                              TRACE_LENGTH, CensorSpec, Runner, RunReport,
+                              Scenario, Strategy, check_invariants,
                               generate_adversarial_scenarios, parse_scenario,
                               run_scenario, scenario_corpus)
 from bridgesim.lightclient import check_chain
@@ -506,7 +506,7 @@ def test_censorship_budget_counts_each_partys_ticks_once(windows, admitted):
     # windows; the ticks two windows share, or a tick censored_until
     # carries across from one to the next, count once
     sc = Scenario(seed=1, censor=[CensorSpec(*w) for w in windows])
-    budget = sc.watch_threshold - _MINIMUMS["watch_threshold"]
+    budget = sc.watch_threshold - _FIELDS["watch_threshold"].least
     ticks = {p: sum(censored_until(sc.censor, p, t) is not None
                     for t in range(200)) for p, _, _ in windows}
     assert budget == 58 and (max(ticks.values()) <= budget) == admitted
@@ -595,7 +595,9 @@ def test_censored_challengers_keep_a_stalled_pegout_live(monkeypatch,
     assert liveness.detail == "burn burn:u0:1 not fronted in time"
 
 
-@pytest.mark.parametrize("field, least", sorted(_MINIMUMS.items()))
+@pytest.mark.parametrize("field, least", sorted(
+    (name, field.least) for name, field in _FIELDS.items()
+    if field.least is not None))
 def test_least_value_of_each_field_runs_to_a_wellformed_log(field, least):
     # one below the least is refused: challenge_window=-5 used to validate,
     # then turned the clock back, and read_log refused the run's log; a
@@ -611,6 +613,54 @@ def test_least_value_of_each_field_runs_to_a_wellformed_log(field, least):
                       adversary=None if strategy == Strategy.HONEST else 1,
                       strategy=strategy, **counts)
         assert read_log(run_scenario(sc).log), strategy
+
+
+@pytest.mark.parametrize("field, most", [
+    (name, field.most) for name, field in _FIELDS.items()
+    if field.most is not None])
+def test_most_value_of_each_field_validates(field, most):
+    # no field had an upper bound: vmxos 10000000 was admitted, and V =
+    # 200,000 at N = 3 ran at 280 MiB peak RSS
+    Scenario(**{field: most}).validate()
+    with pytest.raises(InvalidScenario, match=f"^{field} must be at most "
+                       f"{most}$"):
+        Scenario(**{field: most + 1}).validate()
+
+
+@pytest.mark.parametrize("n, v, over", [
+    (64, 4096, {"n_functionaries": 65}), (1000, 262, {"vmxo_count": 263})])
+def test_committee_times_vmxos_is_bounded(n, v, over):
+    # one EnablerCreate has N·V outputs: each of N and V within its own
+    # bound, their product is bounded too
+    sc = Scenario(n_functionaries=n, vmxo_count=v)
+    past = replace(sc, **over)
+    assert n * v <= 2 ** 18 < past.n_functionaries * past.vmxo_count
+    sc.validate()
+    with pytest.raises(InvalidScenario, match="^n_functionaries \\* "
+                       "vmxo_count must be at most 262144$"):
+        past.validate()
+
+
+def test_count_of_censor_windows_is_bounded():
+    # copies of one window pass the budget, but censored_until scans every
+    # window on each call: 2,000 copies took a run from 0.7 to 4.6 ms
+    window = CensorSpec("f1", 10, 4)
+    Scenario(censor=[window] * 256).validate()
+    with pytest.raises(InvalidScenario,
+                       match=r"^len\(censor\) must be at most 256$"):
+        Scenario(censor=[window] * 257).validate()
+
+
+def test_largest_committee_runs_to_a_passing_report():
+    # the cheapest corner of the bounds, N = 1,000 at V = 2; CI runs the
+    # costly ones, N·V = 2^18 and V = 4,096
+    sc = Scenario(name="corner", seed=1,
+                  n_functionaries=_FIELDS["n_functionaries"].most,
+                  vmxo_count=2, n_pegins=2, n_pegouts=1, adversary=1,
+                  strategy=Strategy.FAKE_PROOF_PROVER)
+    report = run_scenario(sc)
+    assert report.all_passed and report.deposit_sufficient
+    assert any(" ev=slashed loser=f1 " in line for line in report.log)
 
 
 def _honest_timeouts(threshold):
@@ -632,7 +682,7 @@ def _honest_timeouts(threshold):
 
 
 def test_least_watch_threshold_fits_every_honest_reply(monkeypatch):
-    least = _MINIMUMS["watch_threshold"]
+    least = _FIELDS["watch_threshold"].least
     assert _honest_timeouts(least) == []
     # one below, an honest party runs out its budget
     monkeypatch.setattr(Scenario, "validate", lambda self: None)
@@ -673,7 +723,8 @@ def test_parse_scenario_roundtrip():
 BOUNDARY_SCENARIOS = [
     f"{key} {value}\n" + ("" if strategy == "Honest"
                           else f"adversary 1 {strategy}\n")
-    for key in [*INT_KEYS, "pegout_limit"] if key != "adversary"
+    for key in [*(field.key for field in _FIELDS.values()
+                  if field.kind is int), "pegout_limit"] if key != "adversary"
     for value in (-1, 0)
     for strategy in ("Honest", "FakeProofProver", "SilentProver",
                      "DoubleOperator", "GriefingVerifier")

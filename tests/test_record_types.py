@@ -13,7 +13,6 @@ import itself.
 
 import dataclasses
 import importlib
-import inspect
 from types import SimpleNamespace
 
 import pytest
@@ -21,7 +20,8 @@ import pytest
 from bridgesim.chain import CensorSpec
 from bridgesim.dispute import DisputeGame, ExecutionTrace, Outcome, Reason
 from bridgesim.econ import DISPUTE_ACTION_VBYTES, CostTable, TimingParams
-from bridgesim.harness import RunReport, Scenario, Strategy, run_scenario
+from bridgesim.harness import (_FIELDS, RunReport, Scenario, Strategy,
+                              run_scenario)
 from bridgesim.txgraph import SimTx, TxKind, build_packet_templates
 from test_txgraph import content
 
@@ -86,26 +86,34 @@ def test_each_dataclass_has_its_own_docstring(name):
 
 def test_scenario_fields_are_its_keywords():
     # perfbench, the corpus and the tests build scenarios by keyword, and
-    # the CLI test reads the fields as vars(Scenario())
-    params = inspect.signature(Scenario).parameters
+    # the CLI test reads the fields as vars(Scenario()); harness._FIELDS
+    # declares each field, its default and its place in the order
     default = Scenario()
-    assert list(params) == list(vars(default))
-    assert {name: p.default for name, p in params.items()
-            if name != "censor"} == {name: value for name, value
-                                     in vars(default).items()
-                                     if name != "censor"}
+    assert list(vars(default)) == list(_FIELDS)
+    assert {name: field.default for name, field in _FIELDS.items()} == \
+        vars(default)
     values = dict(name="s", seed=5, n_functionaries=4, denomination=7,
                   vmxo_count=3, n_pegins=3, n_pegouts=2, fee_rate=5,
                   challenge_window=9, watch_threshold=70, adversary=1,
                   strategy=Strategy.SILENT_PROVER, leak_all=True,
                   censor=[CensorSpec("f1", 3, 4)], t_sep=2)
+    assert list(values) == list(_FIELDS)
     assert vars(Scenario(**values)) == values
-    assert vars(Scenario(*values.values())) == values
+    # the fields keep their order whatever the keywords' order
+    assert list(vars(Scenario(**dict(reversed(values.items()))))) == \
+        list(_FIELDS)
     # each scenario gets its own censor list; an explicit one is kept as
     # given, for validate to judge
     assert default.censor == [] and default.censor is not Scenario().censor
+    assert default.censor is not _FIELDS["censor"].default
     assert Scenario(censor=values["censor"]).censor is values["censor"]
     assert Scenario(censor=None).censor is None
+    # an unknown keyword is refused, and so is a field given by position
+    with pytest.raises(TypeError, match="^Scenario\\(\\) got an unexpected "
+                       "keyword argument 'pegout_limit'$"):
+        Scenario(seed=1, pegout_limit=1)
+    with pytest.raises(TypeError):
+        Scenario("s")
 
 
 def test_scenarios_compare_by_fields():
@@ -182,7 +190,7 @@ def test_outcomes_compare_by_fields():
 
 
 def test_dispute_game_defaults_are_class_attributes():
-    # harness._MINIMUMS reads both before any game exists
+    # harness._FIELDS reads both before any game exists
     assert (DisputeGame.arity, DisputeGame.read_steps) == (4, 16)
     honest = ExecutionTrace.honest("prog", 16)
     game = DisputeGame("p", "v", honest, honest)
