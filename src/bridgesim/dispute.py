@@ -1,21 +1,19 @@
 """Round-based dispute resolution over an abstract execution trace.
 
-The virtual CPU is abstracted to ``step``: state ``(i, branch)`` goes to
-``(i + 1, branch)``, and a trace computes any state in O(1).  A fraudulent
-prover diverges from the honest trace at some step and stays divergent
-(their claimed final state is wrong); the n-ary search then isolates the
-first divergent transition, a second n-ary search over that step's reads
-resolves its read values, and the leaf check re-executes the isolated
-transition.  A party may publish exactly while their stop watch runs.
-
-``ExecutionTrace.digest(i)`` is the on-chain commitment to state i that
-the model describes.  It hashes ``(program_id, state(i))``, and two traces
-that disagree at one step disagree at every later one; so the main search
-keeps the traces' ``first_divergence`` from when it opens, finds each
-round's first disagreeing boundary from it in closed form, and picks the
-segment that comparing digests would pick.  The read search has a fixed
-descent: a wrong step's reads are wrong from the first read and a right
-step's agree, so the verifier picks the first segment in every round.
+A trace is its first wrong transition, ``corrupt_from``.  A fraudulent
+prover diverges from the honest trace there and stays divergent (their
+claimed final state is wrong); the n-ary search then isolates the first
+divergent transition, a second n-ary search over that step's reads
+resolves its read values, and the leaf check finds the isolated transition
+wrong exactly when it is ``corrupt_from``.  Two traces that disagree at one
+step disagree at every later one, so the main search keeps the traces'
+``first_divergence`` from when it opens and picks each round's segment
+from it in closed form.  The read search has a fixed descent: a wrong
+step's reads are wrong from the first read and a right step's agree, so
+the verifier picks the first segment in every round.  The abstract CPU
+that steps states and the digests that commit to them live in the tests,
+as the reference these closed forms are checked against.  A party may
+publish exactly while their stop watch runs.
 
 A challenge may instead present an alternative header chain with higher
 accumulated difficulty, opening one nested game with the roles reversed.
@@ -32,12 +30,6 @@ from .errors import (DifficultyNotHigher, MalformedInput, TimeoutExpired,
                      WrongPhase, WrongTurn)
 from .lightclient import AltChainInput, admit_counter_proof, check_alt_chain
 from .stopwatch import StopWatch
-
-
-def step(state: tuple[int, int]) -> tuple[int, int]:
-    """The abstract CPU: one deterministic transition per step."""
-    i, branch = state
-    return i + 1, branch
 
 
 class ExecutionTrace(NamedTuple):
@@ -58,12 +50,6 @@ class ExecutionTrace(NamedTuple):
             raise ValueError("position out of range")
         first = min(position, self.corrupt_from or position)
         return ExecutionTrace(self.program_id, self.length, first)
-
-    def state(self, i: int) -> tuple[int, int]:
-        return i, self.corrupt_from if 0 < self.corrupt_from <= i else 0
-
-    def digest(self, i: int) -> str:
-        return _digest(self.program_id, *self.state(i))
 
     def first_divergence(self, other: "ExecutionTrace") -> Optional[int]:
         """The least step whose ``(program_id, state(i))`` differs from the
@@ -87,7 +73,6 @@ class Phase(str, Enum):
 
 
 class Reason(str, Enum):
-    NO_CHALLENGE = "NoChallenge"
     CONFLICTING_COMMIT = "ConflictingCommit"
     TIMEOUT = "Timeout"
     COUNTER_PROOF_UPHELD = "CounterProofUpheld"
@@ -293,14 +278,13 @@ def reveal_trace(game: DisputeGame, prover_delay: int = 1,
 
 
 def leaf_check(game: DisputeGame, delay: int = 1) -> Outcome:
-    """Re-execute the isolated transition; an invalid committed transition
-    loses the game for the prover, otherwise the challenge was baseless."""
+    """Execute the isolated transition: the prover loses when it is their
+    first wrong one; otherwise the challenge was baseless."""
     if game.phase != Phase.LEAF_CHECK:
         raise WrongPhase(game.phase.value)
     game._publish(game.prover, "execute-leaf", delay)
-    i, trace = game.isolated_step, game.prover_trace
     game.phase = Phase.TERMINAL
-    if step(trace.state(i - 1)) != trace.state(i):
+    if game.prover_trace.corrupt_from == game.isolated_step:
         game.outcome = Outcome(game.verifier, game.prover,
                                Reason.CONFLICTING_COMMIT)
     else:
@@ -310,13 +294,13 @@ def leaf_check(game: DisputeGame, delay: int = 1) -> Outcome:
 
 
 def resolve_no_challenge(game: DisputeGame) -> Outcome:
-    """Prover wins: the challenge window passed without a challenge."""
-    if game.phase != Phase.AWAIT_CHALLENGE:
+    """Prover wins a game whose counter-proof was defeated and that no
+    execution challenge followed; any other game is refused unchanged."""
+    if game.phase != Phase.AWAIT_CHALLENGE or not game.alt_defeated:
         raise WrongPhase(game.phase.value)
     game.phase = Phase.TERMINAL
-    reason = Reason.COUNTER_PROOF_DEFEATED if game.alt_defeated \
-        else Reason.NO_CHALLENGE
-    game.outcome = Outcome(game.prover, game.verifier, reason)
+    game.outcome = Outcome(game.prover, game.verifier,
+                           Reason.COUNTER_PROOF_DEFEATED)
     return game.outcome
 
 

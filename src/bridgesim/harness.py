@@ -456,9 +456,7 @@ class Runner:
         b.emit("fork_mined", anchor.id, 2, adv)
         # honest verifier counter-proof: canonical continuation from the
         # same anchor, excluding the fake-burn block
-        canonical = sec.canonical_chain()
-        start = next(i for i, h in enumerate(canonical) if h.id == anchor.id)
-        alt_headers = tuple(canonical[start:])
+        alt_headers = tuple(sec.canonical_chain()[anchor.height:])
         alt_input = AltChainInput(
             alt_headers, pegin_proof, pegin_header,
             contested_block_id=f1.id,

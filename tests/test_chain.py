@@ -329,6 +329,26 @@ def test_views_sharing_cached_headers_match_scanning_reference():
     assert a.canonical_chain() != b.canonical_chain()
 
 
+def test_block_mined_again_changes_nothing():
+    # the same parent, transactions and difficulty make the same block, on
+    # the canonical chain or off it: the view returns the header it holds
+    # and its chain, headers and weights stay as they were
+    c = ChainView(SOURCE)
+    a = c.mine_block(c.genesis.id, ["a"], difficulty=2)
+    top = c.mine_block(a.id, ["b"])
+    side = c.mine_block(c.genesis.id, ["side"])
+
+    def view():
+        return c.canonical_chain(), dict(c.headers), dict(c._acc)
+
+    before = view()
+    for h, txs in ((a, ["a"]), (top, ["b"]), (side, ["side"])):
+        again = c.mine_block(h.parent_id, txs, difficulty=h.difficulty)
+        assert again is c.headers[h.id]
+    assert view() == before
+    assert c.tip() is top and not c.is_canonical(side.id)
+
+
 def test_nonpositive_difficulty_raises_after_cached_hit():
     first = BlockHeader.make(SOURCE, 1, "p", 1, ["t"])
     assert BlockHeader.make(SOURCE, 1, "p", 1, ["t"]) is first

@@ -7,7 +7,7 @@ from bridgesim.chain import _digest
 from bridgesim.dispute import (DisputeGame, ExecutionTrace, Outcome, Phase,
                               Reason, challenge, leaf_check, open_game,
                               resolve_no_challenge, reveal_trace, run_search,
-                              search_round, settle_counter_proof, step)
+                              search_round, settle_counter_proof)
 from bridgesim.errors import (DifficultyNotHigher, MalformedInput,
                              TimeoutExpired, WrongPhase, WrongTurn)
 from bridgesim.stopwatch import StopWatch
@@ -15,6 +15,30 @@ from bridgesim.stopwatch import StopWatch
 import pins
 from test_lightclient import build_instance
 from bridgesim.lightclient import AltChainInput
+
+
+# -- the reference CPU: the engine decides from ``corrupt_from`` alone -------
+
+def step(state):
+    """The abstract CPU: one deterministic transition per step."""
+    i, branch = state
+    return i + 1, branch
+
+
+def state(trace, i):
+    """State i of ``trace``: ``(i, branch)``, branch ``corrupt_from`` from
+    the first wrong transition on and 0 before it."""
+    return i, trace.corrupt_from if 0 < trace.corrupt_from <= i else 0
+
+
+def digest(trace, i):
+    """The on-chain commitment to state i of ``trace``."""
+    return _digest(trace.program_id, *state(trace, i))
+
+
+def wrong_transition(trace, i):
+    """Whether the reference CPU finds transition i of ``trace`` wrong."""
+    return step(state(trace, i - 1)) != state(trace, i)
 
 
 def new_game(trace_len=16, corrupt_at=None, arity=4, threshold=1000):
@@ -56,8 +80,8 @@ def test_search_isolates_divergence_any_position(pos):
     while g.phase == Phase.MAIN_SEARCH:
         search_round(g)
     # brute-force oracle: first index where traces differ
-    expected = next(i for i in range(17)
-                    if g.prover_trace.digest(i) != g.verifier_trace.digest(i))
+    p, v = g.prover_trace, g.verifier_trace
+    expected = next(i for i in range(17) if digest(p, i) != digest(v, i))
     assert g.isolated_step == expected == pos
 
 
@@ -67,8 +91,7 @@ def test_dishonest_prover_loses_leaf():
     out = run_search(g)
     assert out.loser == "p"
     assert out.reason == Reason.CONFLICTING_COMMIT
-    i = g.isolated_step
-    assert step(g.prover_trace.state(i - 1)) != g.prover_trace.state(i)
+    assert wrong_transition(g.prover_trace, g.isolated_step)
 
 
 def test_honest_prover_beats_griefing_verifier():
@@ -133,11 +156,13 @@ def test_expire_without_response():
 
 
 def test_no_challenge_resolution():
+    # only a defeated counter-proof leaves a game for the window to end; a
+    # game never countered is refused before it changes
     g = new_game(16)
-    out = resolve_no_challenge(g)
-    assert out.winner == "p" and out.reason == Reason.NO_CHALLENGE
-    with pytest.raises(WrongPhase):
+    before = _game_state(g)
+    with pytest.raises(WrongPhase, match="^AwaitChallenge$"):
         resolve_no_challenge(g)
+    assert _game_state(g) == before
 
 
 def make_alt(valid=True, d2=None):
@@ -541,7 +566,7 @@ def paper_depth_games(arity):
 def test_paper_depth_games_match_reference():
     games = [g for arity in (2, 4) for g in paper_depth_games(arity)]
     assert {g.outcome and g.outcome.reason for g in games} == \
-        set(Reason) - {Reason.NO_CHALLENGE} | {None}
+        set(Reason) | {None}
     assert pins.digest([repr(game_state(g))] for g in games) == \
         pins.PAPER_DEPTH_GAMES
 
@@ -574,7 +599,7 @@ def digest_narrow(lo, hi, arity, prover, verifier):
     bounds = boundaries(lo, hi, arity)
     prev = lo
     for b in bounds:
-        if prover.digest(b) != verifier.digest(b):
+        if digest(prover, b) != digest(verifier, b):
             return prev, b
         prev = b
     return lo, bounds[0]
@@ -608,9 +633,8 @@ def reads(trace, i, read_steps):
     """Reference: the read values step i of a trace consumes, as a trace of
     their own: wrong from the first read on when step i is a wrong
     transition."""
-    wrong = step(trace.state(i - 1)) != trace.state(i)
     return ExecutionTrace(_digest("read", trace.program_id, i), read_steps,
-                          1 if wrong else 0)
+                          1 if wrong_transition(trace, i) else 0)
 
 
 def read_pairs(length, read_steps=16):
@@ -647,6 +671,22 @@ def test_narrow_matches_digest_reference(arity):
     # length cover every segment of every trace of length 1-40.
     for length in range(1, 41):
         assert_narrow_matches_digest(narrowing_pairs(length), [length], arity)
+
+
+@pytest.mark.parametrize("arity", [2, 4])
+def test_leaf_check_matches_the_reference_cpu(arity):
+    # every pair of traces of length 1-16 played to its end: the prover
+    # loses exactly when the reference CPU finds the isolated transition
+    # of their trace wrong
+    for length in range(1, 17):
+        for prover, verifier in narrowing_pairs(length):
+            g = open_game("p", "v", None, prover, verifier, arity=arity)
+            challenge(g)
+            out = run_search(g)
+            wrong = wrong_transition(prover, g.isolated_step)
+            winner, loser = ("v", "p") if wrong else ("p", "v")
+            assert out == Outcome(winner, loser, Reason.CONFLICTING_COMMIT), \
+                (prover, verifier)
 
 
 @pytest.mark.parametrize("arity", [2, 3, 4, 5])

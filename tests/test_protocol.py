@@ -159,6 +159,22 @@ def test_pegout_links_oldest_locked_vmxo():
     assert b.linked == {pegout.vmxo_id: pegout}
 
 
+def test_link_skips_a_linked_vmxo_behind_a_raw_kickoff():
+    # vmxo0's raw kick-off leaves it neither linked nor Locked, so the
+    # scan starts there on every link; the second link passes vmxo1, which
+    # the first took, and takes vmxo2
+    b = make_bridge(vmxos=3)
+    for user in ("u0", "u1", "u2"):
+        do_pegin(b, user)
+    v0, v1, v2 = b.graph.vmxo_ids
+    b.publish_kickoff(v0, "f1")
+    first = b.pegouts[do_linked_pegout(b, "u0")]
+    second = b.pegouts[do_linked_pegout(b, "u1")]
+    assert (first.vmxo_id, second.vmxo_id) == (v1, v2)
+    assert b.linked == {v1: first, v2: second}
+    assert b.graph.vmxos[v0].state == VmxoState.KICKOFF_OPEN
+
+
 def test_refused_pegout_leaves_no_ghost():
     b = make_bridge()
     do_pegin(b, "u0")
